@@ -14,8 +14,16 @@ import bisect
 import math
 
 from . import kernels
-from .engine import ResultEntry, SearchStats
-from .model import CorpusStats, DomainError, ScoreParams, combined_score, mind_visual
+from .engine import ResultEntry, SearchStats, top_k_search
+from .model import (
+    CorpusStats,
+    DomainError,
+    ScoreParams,
+    add_to_aggregates,
+    combined_score,
+    merge_aggregates,
+    mind_visual,
+)
 
 
 class IfaIndex:
@@ -135,6 +143,7 @@ class StviiIndex:
         self.capacity = config.capacity                  # M
         self.min_fill = max(1, math.ceil(0.4 * config.capacity))
         self.root = RTree3DNode(leaf=True)
+        self._ids = set()       # ids of live images
         self.stats = CorpusStats()
         self.params = ScoreParams(
             domain=config.domain,
@@ -167,36 +176,26 @@ class StviiIndex:
     # -- insertion -----------------------------------------------------
 
     def insert(self, img):
+        if img.id in self._ids:
+            raise ValueError(f"duplicate image id {img.id}")
         if not self.config.domain.contains(img.lat, img.lon):
             raise DomainError(f"image {img.id} location outside domain")
         if self._t_origin is None:
             self._t_origin = img.t_c
+        self._add(img)
+
+    def _add(self, img):
         p = self._point(img)
         ebox = (p[0], p[1], p[2], p[0], p[1], p[2])
         split = self._insert_rec(self.root, img, p, ebox)
         if split is not None:
-            a, b = split
-            root = RTree3DNode(leaf=False)
-            root.children = [a, b]
-            root.mbr = _box_union(a.mbr, b.mbr)
-            root.t_max = max(a.t_max, b.t_max)
-            root.max_freq = dict(a.max_freq)
-            for w, f in b.max_freq.items():
-                if f > root.max_freq.get(w, 0.0):
-                    root.max_freq[w] = f
-            self.root = root
+            self.root = self._build_node(False, list(split))
+        self._ids.add(img.id)
         self.stats.add_image(img)
 
     def _insert_rec(self, node, img, point, ebox):
         node.mbr = _box_union(node.mbr, ebox)
-        if node.t_max is None or img.t_c > node.t_max:
-            node.t_max = img.t_c
-        total = img.total_tf
-        mf = node.max_freq
-        for word, tf in img.psi:
-            f = tf / total
-            if f > mf.get(word, 0.0):
-                mf[word] = f
+        add_to_aggregates(node, img)
         if node.is_leaf:
             node.entries.append((point, img))
             if len(node.entries) > self.capacity:
@@ -242,25 +241,18 @@ class StviiIndex:
             node.entries = items
             for p, img in items:
                 node.mbr = _box_union(node.mbr, (p[0], p[1], p[2], p[0], p[1], p[2]))
-                if node.t_max is None or img.t_c > node.t_max:
-                    node.t_max = img.t_c
-                total = img.total_tf
-                for word, tf in img.psi:
-                    f = tf / total
-                    if f > node.max_freq.get(word, 0.0):
-                        node.max_freq[word] = f
+                add_to_aggregates(node, img)
         else:
             node.children = items
             for c in items:
                 node.mbr = _box_union(node.mbr, c.mbr)
-                if node.t_max is None or c.t_max > node.t_max:
-                    node.t_max = c.t_max
-                for word, f in c.max_freq.items():
-                    if f > node.max_freq.get(word, 0.0):
-                        node.max_freq[word] = f
+                merge_aggregates(node, c)
         return node
 
     # -- search surface --------------------------------------------------
+
+    def search(self, q):
+        return top_k_search(q, self)
 
     def roots(self):
         if self.root.is_leaf and not self.root.entries:
@@ -299,24 +291,11 @@ class StviiIndex:
         live = [img for img in self.live_images() if img.t_c >= cutoff]
         removed = self.image_count() - len(live)
         self.root = RTree3DNode(leaf=True)
+        self._ids = set()
         self.stats = CorpusStats()
         self.params.stats = self.stats
         for img in live:
-            p = self._point(img)
-            ebox = (p[0], p[1], p[2], p[0], p[1], p[2])
-            split = self._insert_rec(self.root, img, p, ebox)
-            if split is not None:
-                a, b = split
-                root = RTree3DNode(leaf=False)
-                root.children = [a, b]
-                root.mbr = _box_union(a.mbr, b.mbr)
-                root.t_max = max(a.t_max, b.t_max)
-                root.max_freq = dict(a.max_freq)
-                for w, f in b.max_freq.items():
-                    if f > root.max_freq.get(w, 0.0):
-                        root.max_freq[w] = f
-                self.root = root
-            self.stats.add_image(img)
+            self._add(img)
         return removed
 
     def live_images(self):
@@ -331,7 +310,7 @@ class StviiIndex:
         return out
 
     def image_count(self):
-        return len(self.live_images())
+        return len(self._ids)
 
     def node_count(self):
         n = 0

@@ -14,11 +14,9 @@ import csv
 import hashlib
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .baselines import IfaIndex, StviiIndex
-from .engine import top_k_search
 from .hiq import HiqConfig, HiqIndex
 from .workload import GeneratorConfig, QueryConfig, generate_images, generate_queries
 
@@ -30,7 +28,8 @@ QUERY_WORD_COUNTS = (10, 50, 100, 150, 200)
 K_VALUES = (10, 25, 50, 75, 100)
 OMEGA1_VALUES = (1 / 7, 2 / 7, 3 / 7, 4 / 7, 5 / 7)
 
-INDEX_KINDS = ("hiq", "ifa", "stvii")
+INDEX_CLASSES = {cls.kind: cls for cls in (HiqIndex, IfaIndex, StviiIndex)}
+INDEX_KINDS = tuple(INDEX_CLASSES)
 
 # per-type footprint model for storage estimation (bytes)
 NODE_BYTES = 64            # rectangle/MBR + t_max + pointers
@@ -52,13 +51,10 @@ class BenchRow:
 
 
 def build_index(kind, config):
-    if kind == "hiq":
-        return HiqIndex(config)
-    if kind == "ifa":
-        return IfaIndex(config)
-    if kind == "stvii":
-        return StviiIndex(config)
-    raise ValueError(f"unknown index kind {kind!r}")
+    cls = INDEX_CLASSES.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown index kind {kind!r}")
+    return cls(config)
 
 
 def _percentiles(samples):
@@ -132,30 +128,20 @@ def _result_checksum(results):
     return hashlib.sha1(ids.encode()).hexdigest()
 
 
-def _run_queries(index, queries, threads=1):
+def _run_queries(index, queries):
     """Returns (response times in ms, stats list, checksums)."""
-    def one(q):
+    times, stats, sums = [], [], []
+    for q in queries:
         t0 = time.perf_counter()
-        if index.kind == "ifa":
-            results, stats = index.search(q)
-        else:
-            results, stats = top_k_search(q, index)
-        elapsed = (time.perf_counter() - t0) * 1e3
-        return elapsed, stats, _result_checksum(results)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            out = list(pool.map(one, queries))
-    else:
-        out = [one(q) for q in queries]
-    times = [o[0] for o in out]
-    stats = [o[1] for o in out]
-    sums = [o[2] for o in out]
+        results, st = index.search(q)
+        times.append((time.perf_counter() - t0) * 1e3)
+        stats.append(st)
+        sums.append(_result_checksum(results))
     return times, stats, sums
 
 
-def _query_rows(axis, value, kind, index, queries, threads=1):
-    times, stats, sums = _run_queries(index, queries, threads)
+def _query_rows(axis, value, kind, index, queries):
+    times, stats, sums = _run_queries(index, queries)
     # instrumentation must not change the answers
     _, _, again = _run_queries(index, queries)
     if sums != again:
@@ -171,7 +157,7 @@ def _query_rows(axis, value, kind, index, queries, threads=1):
 
 
 def run_query_bench(gen_cfg, index_cfg, axis, values=None, query_cfg=None,
-                    kinds=INDEX_KINDS, threads=1):
+                    kinds=INDEX_KINDS):
     """Response time over a query workload, sweeping one axis.
 
     Axes: node_capacity, l, k, n, omega1, omega2, omega3.
@@ -203,7 +189,7 @@ def run_query_bench(gen_cfg, index_cfg, axis, values=None, query_cfg=None,
                 for img in sub:
                     index.insert(img)
                 qs = workload.queries if workload else []
-                rows.extend(_query_rows(axis, n, kind, index, qs, threads))
+                rows.extend(_query_rows(axis, n, kind, index, qs))
         return rows
 
     indexes = {}
@@ -223,7 +209,7 @@ def run_query_bench(gen_cfg, index_cfg, axis, values=None, query_cfg=None,
                 index = build_index(kind, cfg)
                 for img in images:
                     index.insert(img)
-                rows.extend(_query_rows(axis, value, kind, index, workload.queries, threads))
+                rows.extend(_query_rows(axis, value, kind, index, workload.queries))
             continue
         if axis == "l":
             qc = replace(query_cfg, words_per_query=int(value))
@@ -241,7 +227,7 @@ def run_query_bench(gen_cfg, index_cfg, axis, values=None, query_cfg=None,
             qc = replace(query_cfg, weights=weights)
         workload = generate_queries(qc, images)
         for kind in kinds:
-            rows.extend(_query_rows(axis, value, kind, indexes[kind], workload.queries, threads))
+            rows.extend(_query_rows(axis, value, kind, indexes[kind], workload.queries))
     return rows
 
 

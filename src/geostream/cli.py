@@ -10,8 +10,6 @@ import argparse
 import sys
 
 from . import bench as bench_mod
-from .baselines import IfaIndex
-from .engine import brute_force_oracle, top_k_search
 from .hiq import HiqConfig
 from .model import ConfigError, DomainError, Query, SpatialDomain
 from .workload import (
@@ -128,8 +126,6 @@ def build_parser():
     b.add_argument("--vocab", type=int, default=500)
     b.add_argument("--mean-words", type=float, default=40.0)
     b.add_argument("--spatial-mode", choices=("uniform", "clusters"), default="clusters")
-    b.add_argument("--threads", type=int, default=1,
-                   help="parallel query contexts for the query benchmarks")
 
     v = sub.add_parser("verify", help="oracle-equivalence and bound-dominance suites")
     _add_common(v)
@@ -181,10 +177,7 @@ def cmd_query(args):
         queries = [q]
 
     for qid, q in enumerate(queries):
-        if args.index == "ifa":
-            results, _ = index.search(q)
-        else:
-            results, _ = top_k_search(q, index)
+        results, _ = index.search(q)
         for rank, entry in enumerate(results, start=1):
             print(f"{qid}\t{rank}\t{entry.image_id}\t{entry.score.f_stv:.6f}")
     return EXIT_OK
@@ -213,9 +206,7 @@ def cmd_bench(args):
         elif axis == "storage":
             rows.extend(bench_mod.storage_rows(gen_cfg, index_cfg))
         else:
-            rows.extend(
-                bench_mod.run_query_bench(gen_cfg, index_cfg, axis, threads=args.threads)
-            )
+            rows.extend(bench_mod.run_query_bench(gen_cfg, index_cfg, axis))
     bench_mod.write_csv(rows, args.out)
     return EXIT_OK
 

@@ -12,7 +12,8 @@ import bisect
 from dataclasses import dataclass
 
 from . import kernels
-from .model import CorpusStats, DomainError, ScoreParams, mind_visual
+from .engine import top_k_search
+from .model import CorpusStats, DomainError, ScoreParams, add_to_aggregates, mind_visual
 
 
 class ExpiredArrivalError(ValueError):
@@ -101,22 +102,11 @@ def _leaf_add(node, img):
             bisect.insort(lst, img, key=lambda im: im.id)
 
 
-def _apply_aggregates(node, img):
-    if node.t_max is None or img.t_c > node.t_max:
-        node.t_max = img.t_c
-    total = img.total_tf
-    mf = node.max_freq
-    for word, tf in img.psi:
-        f = tf / total
-        if f > mf.get(word, 0.0):
-            mf[word] = f
-
-
 def _split(node):
     children = node.make_children()
     for img in node.images:
         child = children[node.quadrant(img.lat, img.lon)]
-        _apply_aggregates(child, img)
+        add_to_aggregates(child, img)
         _leaf_add(child, img)
     node.children = children
     node.images = []
@@ -131,6 +121,7 @@ class HiqIndex:
     def __init__(self, config):
         self.config = config
         self.segments = []      # oldest -> newest
+        self._ids = set()       # ids of live images
         self.stats = CorpusStats()
         self.params = ScoreParams(
             domain=config.domain,
@@ -144,6 +135,8 @@ class HiqIndex:
 
     def insert(self, img):
         cfg = self.config
+        if img.id in self._ids:
+            raise ValueError(f"duplicate image id {img.id}")
         if not cfg.domain.contains(img.lat, img.lon):
             raise DomainError(f"image {img.id} location outside domain")
         if not self.segments:
@@ -153,11 +146,19 @@ class HiqIndex:
             raise ExpiredArrivalError(
                 f"image {img.id} older than the live window ({img.t_c} < {self.segments[0].start})"
             )
-        while img.t_c >= self.segments[-1].end:
-            self.roll_segment(img.t_c)
+        head_end = self.segments[-1].end
+        if img.t_c >= head_end:
+            rolls = (img.t_c - head_end) // cfg.segment_span + 1
+            if rolls > cfg.window:
+                # a jump past the whole window: skip the empty rolls
+                self._restart(head_end + (rolls - cfg.window) * cfg.segment_span)
+            else:
+                for _ in range(rolls):
+                    self.roll_segment(img.t_c)
         seg = self._segment_for(img.t_c)
         self._tree_insert(seg, img)
         seg.images.append(img)
+        self._ids.add(img.id)
         self.stats.add_image(img)
 
     def roll_segment(self, now):
@@ -173,11 +174,27 @@ class HiqIndex:
         self.segments.append(Segment(prev_end, prev_end + cfg.segment_span, cfg.domain))
         expired = 0
         while len(self.segments) > cfg.window:
-            old = self.segments.pop(0)
-            for img in old.images:
-                self.stats.remove_image(img)
+            self._expire_oldest()
             expired += 1
         return expired
+
+    def _restart(self, start):
+        """Expire every segment and open ``window`` empty ones from
+        ``start``: what rolling segment by segment up to them leaves."""
+        cfg = self.config
+        while self.segments:
+            self._expire_oldest()
+        span = cfg.segment_span
+        self.segments = [
+            Segment(start + i * span, start + (i + 1) * span, cfg.domain)
+            for i in range(cfg.window)
+        ]
+
+    def _expire_oldest(self):
+        old = self.segments.pop(0)
+        for img in old.images:
+            self.stats.remove_image(img)
+            self._ids.remove(img.id)
 
     def _segment_for(self, t_c):
         # segments are contiguous; locate by start offset
@@ -190,7 +207,7 @@ class HiqIndex:
         node = seg.root
         depth = 0
         while True:
-            _apply_aggregates(node, img)
+            add_to_aggregates(node, img)
             if node.children is None:
                 _leaf_add(node, img)
                 if len(node.images) > cfg.capacity and depth < cfg.max_depth:
@@ -200,6 +217,9 @@ class HiqIndex:
             depth += 1
 
     # -- search surface (SearchableIndex contract) --------------------
+
+    def search(self, q):
+        return top_k_search(q, self)
 
     def roots(self):
         return [seg.root for seg in self.segments]

@@ -1,25 +1,64 @@
-"""Kernel backend selection.
+"""Scalar scoring kernels shared by every index and the oracle.
 
-Imports the compiled extension when it is built, otherwise the pure-Python
-fallback. ``GEOSTREAM_PURE_PYTHON=1`` forces the fallback (used by the
-backend benchmark and for debugging).
+All costs live in [0, 1], smaller is better. Callers reach these through
+the module (``kernels.relevance_cost``), never by a ``from`` import, so a
+wrapper set on the module sees every call.
 """
 
-import os
+import math
 
-if os.environ.get("GEOSTREAM_PURE_PYTHON"):
-    from . import _pykernels as _impl
-else:
-    try:
-        from . import _ckernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _pykernels as _impl
 
-BACKEND = "cython" if _impl.__name__.endswith("_ckernels") else "python"
+def visual_weight(tf, image_len, corpus_tf, corpus_total, xi):
+    return (1.0 - xi) * (tf / image_len) + xi * (corpus_tf / corpus_total)
 
-visual_weight = _impl.visual_weight
-spatial_cost = _impl.spatial_cost
-rect_min_cost = _impl.rect_min_cost
-recency_cost = _impl.recency_cost
-relevance_cost = _impl.relevance_cost
-combine = _impl.combine
+
+def spatial_cost(q_lat, q_lon, lat, lon, delta_max):
+    d_lat = q_lat - lat
+    d_lon = q_lon - lon
+    return math.sqrt(d_lat * d_lat + d_lon * d_lon) / delta_max
+
+
+def rect_min_cost(q_lat, q_lon, min_lat, min_lon, max_lat, max_lon, delta_max):
+    d_lat = 0.0
+    if q_lat < min_lat:
+        d_lat = min_lat - q_lat
+    elif q_lat > max_lat:
+        d_lat = q_lat - max_lat
+    d_lon = 0.0
+    if q_lon < min_lon:
+        d_lon = min_lon - q_lon
+    elif q_lon > max_lon:
+        d_lon = q_lon - max_lon
+    return math.sqrt(d_lat * d_lat + d_lon * d_lon) / delta_max
+
+
+def recency_cost(age_seconds, decay_base, time_unit):
+    if age_seconds < 0.0:
+        age_seconds = 0.0
+    return 1.0 - decay_base ** (-(age_seconds / time_unit))
+
+
+def relevance_cost(weights, maxima):
+    # Product of per-word weight ratios, carried in log space so long
+    # queries do not underflow.  Words whose normalizer is zero (absent
+    # from the live corpus with a zero smoothing floor) cancel out of
+    # numerator and denominator and are skipped.
+    log_num = 0.0
+    log_den = 0.0
+    for i in range(len(weights)):
+        m = maxima[i]
+        if m <= 0.0:
+            continue
+        w = weights[i]
+        if w <= 0.0:
+            return 1.0
+        log_num += math.log(w)
+        log_den += math.log(m)
+    ratio = math.exp(log_num - log_den)
+    if ratio > 1.0:
+        ratio = 1.0
+    return 1.0 - ratio
+
+
+def combine(w1, w2, w3, f_s, f_v, f_t):
+    return w1 * f_s + w2 * f_v + w3 * f_t

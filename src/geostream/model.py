@@ -291,6 +291,30 @@ def combined_score(q, img, params):
     return ScoreBreakdown(f_s, f_v, f_t, kernels.combine(w1, w2, w3, f_s, f_v, f_t))
 
 
+def add_to_aggregates(node, img):
+    """Fold one image into a tree node's aggregates: ``t_max``, the latest
+    timestamp below the node, and ``max_freq``, word -> max tf/|I.psi|
+    below the node. ``mind_visual`` reads the latter."""
+    if node.t_max is None or img.t_c > node.t_max:
+        node.t_max = img.t_c
+    total = img.total_tf
+    mf = node.max_freq
+    for word, tf in img.psi:
+        f = tf / total
+        if f > mf.get(word, 0.0):
+            mf[word] = f
+
+
+def merge_aggregates(node, child):
+    """Fold a child's aggregates into its parent's."""
+    if node.t_max is None or child.t_max > node.t_max:
+        node.t_max = child.t_max
+    mf = node.max_freq
+    for word, f in child.max_freq.items():
+        if f > mf.get(word, 0.0):
+            mf[word] = f
+
+
 def mind_visual(q, node_max_freq, params):
     """Lower bound on visual relevance for any image under a node whose
     per-word max frequency ratios are ``node_max_freq``."""

@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass, field
 
 from .baselines import IfaIndex, StviiIndex
-from .engine import brute_force_oracle, top_k_search
+from .engine import brute_force_oracle
 from .hiq import HiqConfig, HiqIndex
 from .model import GeoTemporalImage, Query, combined_score
 
@@ -107,13 +107,9 @@ def check_oracle_equivalence(seed, instances, domain, max_images=500,
         for _ in range(min(queries_per_dataset, instances - done)):
             q = random_query(rng, images, domain)
             expected = brute_force_oracle(q, live, hiq.params)
-            got_hiq, _ = top_k_search(q, hiq)
-            got_ifa, _ = ifa.search(q)
-            got_stvii, _ = top_k_search(q, stvii)
-            if not (
-                results_match(got_hiq, expected)
-                and results_match(got_ifa, expected)
-                and results_match(got_stvii, expected)
+            if not all(
+                results_match(index.search(q)[0], expected)
+                for index in (hiq, ifa, stvii)
             ):
                 failures += 1
             done += 1

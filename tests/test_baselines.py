@@ -4,7 +4,7 @@ import pytest
 
 from geostream.baselines import IfaIndex, StviiIndex, _box_volume, _quadratic_split
 from geostream.engine import brute_force_oracle, top_k_search
-from geostream.hiq import HiqConfig
+from geostream.hiq import HiqConfig, HiqIndex
 from geostream.model import DomainError, GeoTemporalImage, combined_score
 from geostream.verify import random_images, random_query, results_match
 
@@ -20,6 +20,32 @@ def img(id, lat=10.0, lon=10.0, t_c=100, psi=((1, 1),)):
     return GeoTemporalImage(id, lat, lon, t_c, psi)
 
 
+INDEX_CLASSES = [HiqIndex, IfaIndex, StviiIndex]
+
+
+@pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda c: c.kind)
+def test_duplicate_id_rejected(cls, domain):
+    index = cls(make_config(domain))
+    index.insert(img(0))
+    with pytest.raises(ValueError, match="duplicate image id 0"):
+        index.insert(img(0, t_c=200))
+    assert [im.id for im in index.live_images()] == [0]
+    assert index.stats.total_word_count == 1
+
+
+@pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda c: c.kind)
+def test_expired_id_may_return(cls, domain):
+    config = make_config(domain, window=2)
+    index = cls(config)
+    index.insert(img(0, t_c=100))
+    later = 100 + 3 * config.segment_span
+    index.insert(img(1, t_c=later))         # HIQ rolls segment 0 out here
+    if cls is not HiqIndex:
+        index.expire(later - config.segment_span)
+    index.insert(img(0, t_c=later))
+    assert sorted(im.id for im in index.live_images()) == [0, 1]
+
+
 class TestIfa:
     def test_one_list_per_word(self, domain):
         index = IfaIndex(make_config(domain))
@@ -32,12 +58,6 @@ class TestIfa:
         index.insert(img(0, t_c=100))
         index.insert(img(1, t_c=200))
         assert [e[1] for e in index.postings[1]] == [0, 1]
-
-    def test_duplicate_id_rejected(self, domain):
-        index = IfaIndex(make_config(domain))
-        index.insert(img(0))
-        with pytest.raises(ValueError):
-            index.insert(img(0))
 
     def test_sortedness_after_random_inserts(self, domain):
         rng = random.Random(31)

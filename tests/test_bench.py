@@ -101,16 +101,3 @@ class TestStorage:
         for kind in ("hiq", "ifa", "stvii"):
             assert 0 < small_sizes[kind] < big_sizes[kind]
 
-
-def test_threads_do_not_change_results():
-    rows_seq = bench.run_query_bench(
-        small_gen(), small_index(), "k", values=(5,),
-        query_cfg=QueryConfig(seed=3, count=8), kinds=("hiq",), threads=1,
-    )
-    rows_par = bench.run_query_bench(
-        small_gen(), small_index(), "k", values=(5,),
-        query_cfg=QueryConfig(seed=3, count=8), kinds=("hiq",), threads=4,
-    )
-    pick = lambda rows, metric: [r.mean for r in rows if r.metric == metric]
-    assert pick(rows_seq, "nodes") == pick(rows_par, "nodes")
-    assert pick(rows_seq, "images_scored") == pick(rows_par, "images_scored")

@@ -4,7 +4,7 @@ import pytest
 
 from geostream.engine import brute_force_oracle, top_k_search
 from geostream.hiq import ExpiredArrivalError, HiqConfig, HiqIndex
-from geostream.model import DomainError, GeoTemporalImage, Query
+from geostream.model import CorpusStats, DomainError, GeoTemporalImage, Query
 from geostream.verify import random_images, random_query
 
 
@@ -188,8 +188,6 @@ class TestRollSegment:
             assert [e.image_id for e in got] == [e.image_id for e in expected]
 
     def test_stats_equal_recomputation(self, domain):
-        from geostream.model import CorpusStats
-
         rng = random.Random(5)
         index = HiqIndex(make_config(domain, window=2, segment_span=5000))
         images = random_images(rng, 300, domain, t_lo=0, t_hi=60_000)
@@ -205,6 +203,54 @@ class TestRollSegment:
         assert index.stats.word_corpus_tf == fresh.word_corpus_tf
         for w in fresh.word_corpus_tf:
             assert index.stats.max_freq(w) == fresh.max_freq(w)
+
+    def test_timestamp_jump_rolls_in_bounded_time(self, domain):
+        rng = random.Random(6)
+        index = HiqIndex(make_config(domain, window=4, segment_span=60))
+        images = random_images(rng, 200, domain, t_lo=1_600_000_000, t_hi=1_600_000_600)
+        for im in sorted(images, key=lambda x: x.t_c):
+            index.insert(im)
+        roll = index.roll_segment
+        calls = []
+
+        def counted(now):
+            calls.append(now)
+            assert len(calls) <= index.config.window, "one roll per elapsed span"
+            return roll(now)
+
+        index.roll_segment = counted
+        # a timestamp in milliseconds: about 2.7e10 spans past the head
+        late = img(10_000, 10.0, 10.0, 1_600_000_600 * 1000)
+        index.insert(late)
+        assert [im.id for im in index.live_images()] == [10_000]
+        assert len(index.segments) == 4
+        assert index.segments[-1].start <= late.t_c < index.segments[-1].end
+        fresh = CorpusStats()
+        fresh.add_image(late)
+        assert index.stats.total_word_count == fresh.total_word_count
+        assert index.stats.word_corpus_tf == fresh.word_corpus_tf
+        assert index.stats.max_freq(1) == fresh.max_freq(1)
+
+    @pytest.mark.parametrize("spans", [1, 2, 3, 4, 5, 9])
+    def test_jump_leaves_the_segments_rolling_leaves(self, domain, spans):
+        rng = random.Random(spans)
+        images = sorted(random_images(rng, 60, domain, t_lo=0, t_hi=11_999),
+                        key=lambda x: x.t_c)
+        jumped, rolled = (HiqIndex(make_config(domain, window=3, segment_span=3000))
+                          for _ in range(2))
+        for im in images:
+            jumped.insert(im)
+            rolled.insert(im)
+        t = rolled.segments[-1].end + spans * 3000 - 1
+        while t >= rolled.segments[-1].end:
+            rolled.roll_segment(t)
+        late = img(1000, 50.0, 50.0, t)
+        jumped.insert(late)
+        rolled.insert(late)
+        assert [(s.start, s.end) for s in jumped.segments] == \
+            [(s.start, s.end) for s in rolled.segments]
+        assert [im.id for im in jumped.live_images()] == [im.id for im in rolled.live_images()]
+        assert jumped.stats.word_corpus_tf == rolled.stats.word_corpus_tf
 
 
 class TestMind:

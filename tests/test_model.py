@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from geostream import kernels
 from geostream.model import (
     ConfigError,
     CorpusStats,
@@ -305,6 +306,16 @@ class TestCorpusStats:
         for w in range(10):
             expected = max(visual_weight(w, i, p) for i in images)
             assert p.stats.max_weight(w, 0.35) == expected
+
+
+def test_long_query_does_not_underflow():
+    # both products underflow to 0.0 over 200 words; their ratio must not
+    got = kernels.relevance_cost([0.999e-6] * 200, [1e-6] * 200)
+    assert got == pytest.approx(1.0 - 0.999 ** 200, rel=1e-9)
+    got = kernels.relevance_cost([1e-6] * 200, [2e-6] * 200)
+    assert 0.0 <= got <= 1.0
+    # ratio (1/2)^200 is tiny but nonzero in log space
+    assert got == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mind_visual_lower_bounds_images(domain):
