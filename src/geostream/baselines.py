@@ -14,7 +14,7 @@ import bisect
 import math
 
 from . import kernels
-from .engine import ResultEntry, SearchStats, top_k_search
+from .engine import ResultEntry, SearchStats, TreeIndex, walk
 from .model import (
     CorpusStats,
     DomainError,
@@ -121,12 +121,12 @@ def _enlargement(box, item_box):
 
 
 class RTree3DNode:
-    __slots__ = ("mbr", "children", "entries", "t_max", "max_freq")
+    __slots__ = ("mbr", "children", "images", "t_max", "max_freq")
 
     def __init__(self, leaf=True):
         self.mbr = None                      # [x0, y0, t0, x1, y1, t1] normalized
         self.children = None if leaf else []
-        self.entries = [] if leaf else None  # leaf: list of (point, image)
+        self.images = [] if leaf else None
         self.t_max = None
         self.max_freq = {}
 
@@ -135,7 +135,7 @@ class RTree3DNode:
         return self.children is None
 
 
-class StviiIndex:
+class StviiIndex(TreeIndex):
     kind = "stvii"
 
     def __init__(self, config):
@@ -157,12 +157,13 @@ class StviiIndex:
 
     # -- geometry ------------------------------------------------------
 
-    def _point(self, img):
+    def _box(self, img):
+        """The image's degenerate box: its normalized point, twice."""
         d = self.config.domain
         x = (img.lat - d.min_lat) / (d.max_lat - d.min_lat)
         y = (img.lon - d.min_lon) / (d.max_lon - d.min_lon)
         t = (img.t_c - self._t_origin) / self._t_span
-        return (x, y, t)
+        return (x, y, t, x, y, t)
 
     def _denormalize_rect(self, mbr):
         d = self.config.domain
@@ -185,24 +186,22 @@ class StviiIndex:
         self._add(img)
 
     def _add(self, img):
-        p = self._point(img)
-        ebox = (p[0], p[1], p[2], p[0], p[1], p[2])
-        split = self._insert_rec(self.root, img, p, ebox)
+        split = self._insert_rec(self.root, img, self._box(img))
         if split is not None:
-            self.root = self._build_node(False, list(split))
+            self.root = self._build_node(False, list(split), [c.mbr for c in split])
         self._ids.add(img.id)
         self.stats.add_image(img)
 
-    def _insert_rec(self, node, img, point, ebox):
+    def _insert_rec(self, node, img, ebox):
         node.mbr = _box_union(node.mbr, ebox)
         add_to_aggregates(node, img)
-        if node.is_leaf:
-            node.entries.append((point, img))
-            if len(node.entries) > self.capacity:
+        if node.children is None:
+            node.images.append(img)
+            if len(node.images) > self.capacity:
                 return self._split(node)
             return None
         child = self._choose_subtree(node, ebox)
-        split = self._insert_rec(child, img, point, ebox)
+        split = self._insert_rec(child, img, ebox)
         if split is not None:
             node.children.remove(child)
             node.children.extend(split)
@@ -216,54 +215,45 @@ class StviiIndex:
         best = None
         best_key = None
         for child in node.children:
-            n = len(child.entries) if child.is_leaf else len(child.children)
+            n = len(child.images if child.children is None else child.children)
             key = (_enlargement(child.mbr, ebox), _box_volume(child.mbr), n)
             if best_key is None or key < best_key:
                 best, best_key = child, key
         return best
 
     def _split(self, node):
-        if node.is_leaf:
-            items = node.entries
-            boxes = [(p[0], p[1], p[2], p[0], p[1], p[2]) for p, _ in items]
+        leaf = node.children is None
+        if leaf:
+            items = node.images
+            boxes = [self._box(img) for img in items]
         else:
             items = node.children
             boxes = [c.mbr for c in items]
-        g1, g2 = _quadratic_split(boxes, self.min_fill)
-        return (
-            self._build_node(node.is_leaf, [items[i] for i in g1]),
-            self._build_node(node.is_leaf, [items[i] for i in g2]),
+        return tuple(
+            self._build_node(leaf, [items[i] for i in g], [boxes[i] for i in g])
+            for g in _quadratic_split(boxes, self.min_fill)
         )
 
-    def _build_node(self, leaf, items):
+    def _build_node(self, leaf, items, boxes):
+        """A node over ``items`` (images at a leaf, else child nodes)
+        whose boxes are ``boxes``."""
         node = RTree3DNode(leaf=leaf)
+        for box in boxes:
+            node.mbr = _box_union(node.mbr, box)
         if leaf:
-            node.entries = items
-            for p, img in items:
-                node.mbr = _box_union(node.mbr, (p[0], p[1], p[2], p[0], p[1], p[2]))
+            node.images = items
+            for img in items:
                 add_to_aggregates(node, img)
         else:
             node.children = items
             for c in items:
-                node.mbr = _box_union(node.mbr, c.mbr)
                 merge_aggregates(node, c)
         return node
 
-    # -- search surface --------------------------------------------------
-
-    def search(self, q):
-        return top_k_search(q, self)
+    # -- search surface (TreeIndex) ----------------------------------------
 
     def roots(self):
-        if self.root.is_leaf and not self.root.entries:
-            return []
-        return [self.root]
-
-    def is_leaf(self, node):
-        return node.is_leaf
-
-    def children(self, node):
-        return node.children
+        return [self.root] if self._ids else []
 
     def mind(self, q, node):
         p = self.params
@@ -276,20 +266,16 @@ class StviiIndex:
         w1, w2, w3 = q.weights
         return kernels.combine(w1, w2, w3, f_s, f_v, f_t)
 
-    def candidates(self, q, leaf):
-        qwords = set(q.psi)
-        found = {}
-        for _p, img in leaf.entries:
-            if not qwords.isdisjoint(img.word_tf):
-                found[img.id] = img
-        return [found[i] for i in sorted(found)]
-
     # -- maintenance -------------------------------------------------------
 
     def expire(self, cutoff):
-        """Rebuild without images older than cutoff; returns removed count."""
-        live = [img for img in self.live_images() if img.t_c >= cutoff]
-        removed = self.image_count() - len(live)
+        """Rebuild without images older than cutoff; returns removed count.
+        The tree is left as it is when no image is older."""
+        old = self.live_images()
+        live = [img for img in old if img.t_c >= cutoff]
+        removed = len(old) - len(live)
+        if not removed:
+            return 0
         self.root = RTree3DNode(leaf=True)
         self._ids = set()
         self.stats = CorpusStats()
@@ -299,28 +285,13 @@ class StviiIndex:
         return removed
 
     def live_images(self):
-        out = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                out.extend(img for _p, img in node.entries)
-            else:
-                stack.extend(node.children)
-        return out
+        return [
+            img for node in walk(self.roots()) if node.children is None
+            for img in node.images
+        ]
 
     def image_count(self):
         return len(self._ids)
-
-    def node_count(self):
-        n = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            n += 1
-            if not node.is_leaf:
-                stack.extend(node.children)
-        return n
 
 
 def _quadratic_split(boxes, min_fill):

@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .baselines import IfaIndex, StviiIndex
+from .engine import walk
 from .hiq import HiqConfig, HiqIndex
 from .workload import GeneratorConfig, QueryConfig, generate_images, generate_queries
 
@@ -241,28 +242,11 @@ def estimate_storage(index):
             total += RECORD_BYTES + RECORD_WORD_BYTES * len(img.psi)
         return total
     total = 0
-    if index.kind == "hiq":
-        stack = [seg.root for seg in index.segments]
-    else:
-        stack = [index.root]
-    while stack:
-        node = stack.pop()
-        total += NODE_BYTES
-        total += AGG_ENTRY_BYTES * len(node.max_freq)
-        if index.kind == "hiq":
-            if node.children is None:
-                for lst in node.postings.values():
-                    total += POSTING_BYTES * len(lst)
-                for img in node.images:
-                    total += RECORD_BYTES + RECORD_WORD_BYTES * len(img.psi)
-            else:
-                stack.extend(node.children)
-        else:
-            if node.is_leaf:
-                for _p, img in node.entries:
-                    total += RECORD_BYTES + RECORD_WORD_BYTES * len(img.psi)
-            else:
-                stack.extend(node.children)
+    for node in walk(index.roots()):
+        total += NODE_BYTES + AGG_ENTRY_BYTES * len(node.max_freq)
+        if node.children is None:
+            for img in node.images:
+                total += RECORD_BYTES + RECORD_WORD_BYTES * len(img.psi)
     return total
 
 

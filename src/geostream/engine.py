@@ -1,9 +1,11 @@
 """Best-first top-k search and the brute-force oracle.
 
-Works against any index exposing the searchable surface:
-``roots()``, ``is_leaf(node)``, ``children(node)``, ``mind(q, node)``,
-``candidates(q, leaf)`` and a ``params`` attribute, with the bound
-dominance property (mind <= f_stv of every image under the node).
+Works against any index exposing the searchable surface: ``roots()``,
+``mind(q, node)``, ``candidates(q, leaf)`` and a ``params`` attribute,
+with the bound dominance property (mind <= f_stv of every image under
+the node). A node's ``children`` is a list at an inner node and ``None``
+at a leaf, which holds its ``images``. ``TreeIndex`` gives the tree
+indexes (HIQ, STVII) one ``search``, ``candidates`` and ``node_count``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .model import combined_score
 
@@ -58,7 +61,8 @@ def top_k_search(q, index, audit=None):
                 audit.extend(b for b, _, _ in heap)
             break
         stats.nodes_visited += 1
-        if index.is_leaf(node):
+        children = node.children
+        if children is None:
             for img in index.candidates(q, node):
                 sb = combined_score(q, img, index.params)
                 stats.images_scored += 1
@@ -70,7 +74,7 @@ def top_k_search(q, index, audit=None):
                     heapq.heapreplace(worst, (-sb.f_stv, -img.id, ResultEntry(img.id, sb)))
                     lam = -worst[0][0]
         else:
-            for child in index.children(node):
+            for child in children:
                 b = index.mind(q, child)
                 if b <= lam:
                     heapq.heappush(heap, (b, next(order), child))
@@ -81,6 +85,39 @@ def top_k_search(q, index, audit=None):
 
     results = sorted((t[2] for t in worst), key=lambda e: (e.score.f_stv, e.image_id))
     return results, stats
+
+
+def walk(roots):
+    """Every node under ``roots``, depth first, a parent before its
+    children (the last root and the last child first)."""
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        yield node
+        if node.children is not None:
+            stack.extend(node.children)
+
+
+_image_id = attrgetter("id")
+
+
+class TreeIndex:
+    """The search surface shared by the tree indexes. A subclass provides
+    ``roots()``, ``mind(q, node)`` and ``params``."""
+
+    def search(self, q):
+        return top_k_search(q, self)
+
+    def candidates(self, q, leaf):
+        """Images in the leaf sharing at least one query word, id order."""
+        qwords = set(q.psi)
+        return sorted(
+            (img for img in leaf.images if not qwords.isdisjoint(img.word_tf)),
+            key=_image_id,
+        )
+
+    def node_count(self):
+        return sum(1 for _ in walk(self.roots()))
 
 
 def brute_force_oracle(q, images, params):

@@ -1,18 +1,18 @@
 """Hierarchical information quadtree.
 
 Time-partitioned segments, each owning a quadtree whose nodes carry a
-rectangle, the max timestamp of the subtree, and an inverted file:
-postings at leaves, per-word max frequency ratios at every node. Expiry
-drops whole segments once more than ``window`` of them are live.
+rectangle, the max timestamp of the subtree and the per-word max
+frequency ratios of the subtree; leaves hold their images in a plain
+list. Expiry drops whole segments once more than ``window`` of them are
+live.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 from . import kernels
-from .engine import top_k_search
+from .engine import TreeIndex
 from .model import CorpusStats, DomainError, ScoreParams, add_to_aggregates, mind_visual
 
 
@@ -41,7 +41,7 @@ class HiqConfig:
 class QuadNode:
     __slots__ = (
         "min_lat", "min_lon", "max_lat", "max_lon",
-        "t_max", "children", "images", "postings", "max_freq",
+        "t_max", "children", "images", "max_freq",
     )
 
     def __init__(self, min_lat, min_lon, max_lat, max_lon):
@@ -52,7 +52,6 @@ class QuadNode:
         self.t_max = None
         self.children = None     # inner: list of 4 (NW, NE, SW, SE)
         self.images = []         # leaf only
-        self.postings = {}       # leaf only: word -> images sorted by id
         self.max_freq = {}       # word -> max tf/total_tf in subtree
 
     @property
@@ -92,28 +91,17 @@ class Segment:
         return len(self.images)
 
 
-def _leaf_add(node, img):
-    node.images.append(img)
-    for word, _tf in img.psi:
-        lst = node.postings.get(word)
-        if lst is None:
-            node.postings[word] = [img]
-        else:
-            bisect.insort(lst, img, key=lambda im: im.id)
-
-
 def _split(node):
     children = node.make_children()
     for img in node.images:
         child = children[node.quadrant(img.lat, img.lon)]
         add_to_aggregates(child, img)
-        _leaf_add(child, img)
+        child.images.append(img)
     node.children = children
     node.images = []
-    node.postings = {}
 
 
-class HiqIndex:
+class HiqIndex(TreeIndex):
     """Live sliding-window index over a stream of geo-temporal images."""
 
     kind = "hiq"
@@ -209,26 +197,17 @@ class HiqIndex:
         while True:
             add_to_aggregates(node, img)
             if node.children is None:
-                _leaf_add(node, img)
+                node.images.append(img)
                 if len(node.images) > cfg.capacity and depth < cfg.max_depth:
                     _split(node)
                 return
             node = node.children[node.quadrant(img.lat, img.lon)]
             depth += 1
 
-    # -- search surface (SearchableIndex contract) --------------------
-
-    def search(self, q):
-        return top_k_search(q, self)
+    # -- search surface (TreeIndex) ------------------------------------
 
     def roots(self):
         return [seg.root for seg in self.segments]
-
-    def is_leaf(self, node):
-        return node.children is None
-
-    def children(self, node):
-        return node.children
 
     def mind(self, q, node):
         """Lower bound on f_stv for any image under ``node``."""
@@ -246,14 +225,6 @@ class HiqIndex:
         w1, w2, w3 = q.weights
         return kernels.combine(w1, w2, w3, f_s, f_v, f_t)
 
-    def candidates(self, q, leaf):
-        """Images in the leaf sharing at least one query word, id order."""
-        seen = {}
-        for v in q.psi:
-            for img in leaf.postings.get(v, ()):
-                seen[img.id] = img
-        return [seen[i] for i in sorted(seen)]
-
     # -- introspection -------------------------------------------------
 
     def live_images(self):
@@ -262,13 +233,3 @@ class HiqIndex:
 
     def image_count(self):
         return sum(len(seg.images) for seg in self.segments)
-
-    def node_count(self):
-        n = 0
-        stack = [seg.root for seg in self.segments]
-        while stack:
-            node = stack.pop()
-            n += 1
-            if node.children is not None:
-                stack.extend(node.children)
-        return n

@@ -34,6 +34,8 @@ class SpatialDomain:
     delta_max: float = field(init=False)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.min_lat, self.max_lat, self.min_lon, self.max_lon))):
+            raise ConfigError("spatial domain bounds must be finite")
         if not (self.max_lat > self.min_lat and self.max_lon > self.min_lon):
             raise ConfigError("spatial domain must have positive extent on both axes")
         object.__setattr__(
@@ -125,6 +127,8 @@ class Query:
             raise ConfigError("k must be >= 1")
         if len(self.weights) != 3:
             raise ConfigError("exactly three weights required")
+        if not all(map(math.isfinite, self.loc + self.weights)):
+            raise ConfigError("query location and weights must be finite")
         if any(w <= 0.0 for w in self.weights):
             raise ConfigError("each weight must be > 0")
         if abs(sum(self.weights) - 1.0) > 1e-12:
@@ -206,6 +210,8 @@ class ScoreParams:
     time_unit: float = 3600.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.xi, self.decay_base, self.time_unit))):
+            raise ConfigError("score parameters must be finite")
         if not 0.0 <= self.xi < 1.0:
             raise ConfigError("xi must be in [0, 1)")
         if self.decay_base <= 1.0:

@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass, field
 
 from .baselines import IfaIndex, StviiIndex
-from .engine import brute_force_oracle
+from .engine import brute_force_oracle, walk
 from .hiq import HiqConfig, HiqIndex
 from .model import GeoTemporalImage, Query, combined_score
 
@@ -116,30 +116,8 @@ def check_oracle_equivalence(seed, instances, domain, max_images=500,
     return failures
 
 
-def _subtree_images(index, node):
-    out = []
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if index.is_leaf(n):
-            if index.kind == "stvii":
-                out.extend(img for _p, img in n.entries)
-            else:
-                out.extend(n.images)
-        else:
-            stack.extend(index.children(n))
-    return out
-
-
-def _all_nodes(index):
-    out = []
-    stack = list(index.roots())
-    while stack:
-        n = stack.pop()
-        out.append(n)
-        if not index.is_leaf(n):
-            stack.extend(index.children(n))
-    return out
+def _subtree_images(node):
+    return [img for n in walk([node]) if n.children is None for img in n.images]
 
 
 def check_dominance(seed, pairs, domain, tol=1e-9):
@@ -157,8 +135,8 @@ def check_dominance(seed, pairs, domain, tol=1e-9):
         for _ in range(min(10, pairs - done)):
             q = random_query(rng, images, domain)
             for index in (hiq, stvii):
-                for node in _all_nodes(index):
-                    subtree = _subtree_images(index, node)
+                for node in walk(index.roots()):
+                    subtree = _subtree_images(node)
                     if not subtree:
                         continue
                     bound = index.mind(q, node)

@@ -132,7 +132,7 @@ def _subtree_images(node):
     out = []
     for n in _walk(node):
         if n.is_leaf:
-            out.extend(im for _p, im in n.entries)
+            out.extend(n.images)
     return out
 
 
@@ -152,7 +152,7 @@ class TestStvii:
         root = index.root
         assert not root.is_leaf and len(root.children) == 2
         for child in root.children:
-            assert len(child.entries) >= index.min_fill
+            assert len(child.images) >= index.min_fill
 
     def test_domain_violation(self, domain):
         index = StviiIndex(make_config(domain))
@@ -168,7 +168,8 @@ class TestStvii:
         assert sorted(im.id for im in index.live_images()) == list(range(1000))
         for node in _walk(index.root):
             if node.is_leaf:
-                for p, _im in node.entries:
+                for im in node.images:
+                    p = index._box(im)
                     for d in range(3):
                         assert node.mbr[d] <= p[d] <= node.mbr[d + 3]
             else:
@@ -229,6 +230,17 @@ class TestStvii:
         survivors = {im.id for im in images if im.t_c >= 6000}
         assert removed == len(images) - len(survivors)
         assert {im.id for im in index.live_images()} == survivors
+
+    def test_expire_without_old_images_keeps_tree(self, domain):
+        rng = random.Random(41)
+        images = random_images(rng, 100, domain, t_lo=5000, t_hi=10_000)
+        index = StviiIndex(make_config(domain, capacity=6))
+        for im in images:
+            index.insert(im)
+        root = index.root
+        assert index.expire(5000) == 0
+        assert index.root is root
+        assert sorted(im.id for im in index.live_images()) == list(range(100))
 
 
 def test_quadratic_split_respects_min_fill():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from geostream.baselines import StviiIndex
 from geostream.engine import brute_force_oracle, top_k_search
 from geostream.hiq import HiqConfig, HiqIndex
 from geostream.model import GeoTemporalImage, Query
@@ -135,3 +136,31 @@ class TestOracle:
         assert [e.image_id for e in got] == [3, 5]
         via_index, _ = top_k_search(q, index)
         assert [e.image_id for e in via_index] == [3, 5]
+
+
+@pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
+def test_leaf_candidates_and_tree_counts(cls, domain):
+    rng = random.Random(23)
+    images = random_images(rng, 300, domain, t_lo=0, t_hi=50_000)
+    index = cls(HiqConfig(domain=domain, segment_span=10_000, capacity=6))
+    for img in sorted(images, key=lambda im: im.t_c):
+        index.insert(img)
+    nodes = []
+    stack = list(index.roots())
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if node.children is not None:
+            stack.extend(node.children)
+    leaves = [node for node in nodes if node.children is None]
+    assert index.node_count() == len(nodes)
+    assert sorted(im.id for im in index.live_images()) == \
+        sorted(im.id for leaf in leaves for im in leaf.images) == list(range(300))
+    for _ in range(10):
+        q = random_query(rng, images, domain)
+        for leaf in leaves:
+            expected = sorted(
+                (im for im in leaf.images if set(im.word_tf) & set(q.psi)),
+                key=lambda im: im.id,
+            )
+            assert index.candidates(q, leaf) == expected

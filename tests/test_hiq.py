@@ -125,7 +125,7 @@ class TestStructuralInvariants:
                     assert child.min_lat >= node.min_lat and child.max_lat <= node.max_lat
                     assert child.min_lon >= node.min_lon and child.max_lon <= node.max_lon
 
-    def test_images_inside_rects_and_postings_sorted(self, built):
+    def test_images_inside_rects(self, built):
         for seg in built.segments:
             for node in _walk(seg.root):
                 if node.children is not None:
@@ -133,9 +133,6 @@ class TestStructuralInvariants:
                 for im in node.images:
                     assert node.min_lat <= im.lat <= node.max_lat
                     assert node.min_lon <= im.lon <= node.max_lon
-                for lst in node.postings.values():
-                    ids = [im.id for im in lst]
-                    assert ids == sorted(ids)
 
     def test_segment_spans_disjoint_contiguous(self, built):
         segs = built.segments

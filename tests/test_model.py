@@ -274,6 +274,34 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SpatialDomain(0, 0, 0, 10)
 
+    @pytest.mark.parametrize("kw", [
+        {"weights": (math.nan, 0.5, 0.5)},
+        {"loc": (math.nan, 50.0)},
+        {"loc": (50.0, math.inf)},
+    ], ids=["nan-weight", "nan-lat", "inf-lon"])
+    def test_non_finite_query(self, kw):
+        with pytest.raises(ConfigError):
+            query(**kw)
+
+    @pytest.mark.parametrize("kw", [
+        {"decay_base": math.nan},
+        {"decay_base": math.inf},
+        {"time_unit": math.nan},
+        {"time_unit": math.inf},
+    ], ids=["nan-decay-base", "inf-decay-base", "nan-time-unit", "inf-time-unit"])
+    def test_non_finite_params(self, domain, empty_stats, kw):
+        with pytest.raises(ConfigError):
+            ScoreParams(domain=domain, stats=empty_stats, **kw)
+
+    @pytest.mark.parametrize("bounds", [
+        (0.0, math.inf, 0.0, 10.0),
+        (-math.inf, 10.0, 0.0, 10.0),
+        (0.0, 10.0, 0.0, math.inf),
+    ], ids=["inf-max-lat", "inf-min-lat", "inf-max-lon"])
+    def test_non_finite_domain(self, bounds):
+        with pytest.raises(ConfigError):
+            SpatialDomain(*bounds)
+
 
 class TestCorpusStats:
     def test_add_remove_roundtrip(self):
