@@ -9,11 +9,20 @@ live.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 from . import kernels
 from .engine import TreeIndex
-from .model import CorpusStats, DomainError, ScoreParams, add_to_aggregates, mind_visual
+from .model import (
+    ConfigError,
+    CorpusStats,
+    DomainError,
+    ScoreParams,
+    add_to_aggregates,
+    mind_visual,
+)
 
 
 class ExpiredArrivalError(ValueError):
@@ -32,10 +41,16 @@ class HiqConfig:
     time_unit: float = 3600.0
 
     def __post_init__(self):
+        for name in ("segment_span", "window", "capacity", "max_depth"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value) or value != int(value)):
+                raise ConfigError(f"{name} must be a whole number, got {value!r}")
+            setattr(self, name, int(value))
         if self.segment_span <= 0 or self.window < 1:
-            raise ValueError("segment span must be > 0 and window >= 1")
+            raise ConfigError("segment span must be > 0 and window >= 1")
         if self.capacity < 1 or self.max_depth < 1:
-            raise ValueError("capacity and max_depth must be >= 1")
+            raise ConfigError("capacity and max_depth must be >= 1")
 
 
 class QuadNode:

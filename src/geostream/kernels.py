@@ -3,6 +3,11 @@
 All costs live in [0, 1], smaller is better. Callers reach these through
 the module (``kernels.relevance_cost``), never by a ``from`` import, so a
 wrapper set on the module sees every call.
+
+``visual_weight`` and ``relevance_cost`` are the reference definitions of
+the smoothed word weight and of visual relevance. Searches score through
+``model.QueryContext``, which folds the per-query constants once and must
+agree with them; ``model.visual_weight`` and the tests call them directly.
 """
 
 import math

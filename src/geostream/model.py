@@ -54,6 +54,13 @@ class SpatialDomain:
         )
 
 
+def _timestamp(value, what):
+    """``int(value)``, with a typed error for a NaN or infinite float."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return int(value)
+
+
 class GeoTemporalImage:
     """An image record: id, location, creation time and sparse word vector.
 
@@ -80,7 +87,7 @@ class GeoTemporalImage:
         self.id = int(id)
         self.lat = float(lat)
         self.lon = float(lon)
-        self.t_c = int(t_c)
+        self.t_c = _timestamp(t_c, f"image {id}: t_c")
         self.psi = psi
         self.word_tf = dict(psi)
         self.total_tf = total
@@ -119,7 +126,7 @@ class Query:
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "loc", (float(self.loc[0]), float(self.loc[1])))
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        object.__setattr__(self, "t", int(self.t))
+        object.__setattr__(self, "t", _timestamp(self.t, "query time t"))
         object.__setattr__(self, "k", int(self.k))
         if not psi:
             raise ConfigError("query needs at least one visual word")
@@ -140,16 +147,19 @@ class CorpusStats:
 
     Tracks the corpus term frequency per word, the total term count, and
     the maximum per-image frequency ratio per word (a multiset, so whole
-    images can be removed on expiry and the max stays exact).
+    images can be removed on expiry and the max stays exact). ``version``
+    counts the updates, so a ``QueryContext`` can tell it is stale.
     """
 
     def __init__(self):
+        self.version = 0
         self.total_word_count = 0
         self.word_corpus_tf = {}
         self._freq_counts = {}   # word -> {tf/total_tf: multiplicity}
         self._max_freq = {}      # word -> current max of the above keys
 
     def add_image(self, img):
+        self.version += 1
         self.total_word_count += img.total_tf
         total = img.total_tf
         ctf = self.word_corpus_tf
@@ -162,6 +172,7 @@ class CorpusStats:
                 self._max_freq[word] = f
 
     def remove_image(self, img):
+        self.version += 1
         self.total_word_count -= img.total_tf
         total = img.total_tf
         for word, tf in img.psi:
@@ -208,6 +219,7 @@ class ScoreParams:
     xi: float = 0.5
     decay_base: float = 2.0
     time_unit: float = 3600.0
+    _context: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.xi, self.decay_base, self.time_unit))):
@@ -218,6 +230,116 @@ class ScoreParams:
             raise ConfigError("decay base must be > 1")
         if self.time_unit <= 0.0:
             raise ConfigError("time unit must be positive")
+
+    def context(self, q):
+        """The ``QueryContext`` of ``q`` over the current corpus. The last
+        one is kept while the query object, the stats object and its
+        version stay the same."""
+        c = self._context
+        stats = self.stats
+        if c is None or c.q is not q or c.stats is not stats or c.version != stats.version:
+            c = self._context = QueryContext(q, self)
+        return c
+
+
+class QueryContext:
+    """The scoring constants of one query over one corpus state.
+
+    Visual relevance is 1 - prod(w_v) / gamma_max over the query words v,
+    with gamma_max = prod(m_v), m_v the live maximum of w_v, and w_v the
+    smoothing floor for an image without v. Words with m_v = 0 (absent
+    from the live corpus) are skipped. The log of the ratio is the sum of
+    ``log w_v - log floor_v`` over the words an image (or a node) holds,
+    plus the constant ``sum(log floor_v) - sum(log m_v)``. When every word
+    is held it is ``sum(log w_v) - sum(log m_v)`` in query order, as in
+    ``kernels.relevance_cost``, so the best image costs exactly 0.0. A
+    word with a zero floor (only when xi = 0) that is not held costs 1.0.
+    """
+
+    __slots__ = ("q", "stats", "version", "_scale", "_floors", "_zero_words",
+                 "_log_den", "_log_const")
+
+    def __init__(self, q, params):
+        stats = params.stats
+        xi = params.xi
+        self.q = q
+        self.stats = stats
+        self.version = stats.version
+        self._scale = 1.0 - xi
+        floors = {}         # word -> (floor, log floor), in query order
+        zero_words = []
+        log_den = 0.0
+        log_floors = 0.0
+        for v in q.psi:
+            m = stats.max_weight(v, xi)
+            if m <= 0.0:
+                continue
+            log_den += math.log(m)
+            floor = stats.smoothing_floor(v, xi)
+            if floor > 0.0:
+                lf = math.log(floor)
+                log_floors += lf
+            else:
+                lf = 0.0
+                zero_words.append(v)
+            floors[v] = (floor, lf)
+        self._floors = floors
+        self._zero_words = tuple(zero_words)
+        self._log_den = log_den
+        self._log_const = log_floors - log_den
+
+    def _cost(self, log_num, log_diff, held):
+        if held == len(self._floors):
+            log_ratio = log_num - self._log_den
+        else:
+            log_ratio = log_diff + self._log_const
+        ratio = math.exp(log_ratio)
+        if ratio > 1.0:
+            ratio = 1.0
+        return 1.0 - ratio
+
+    def visual(self, img):
+        """Visual relevance of ``img``, from one pass over its words."""
+        word_tf = img.word_tf
+        for v in self._zero_words:
+            if v not in word_tf:
+                return 1.0
+        floors = self._floors
+        scale = self._scale
+        total = img.total_tf
+        log = math.log
+        log_num = 0.0
+        log_diff = 0.0
+        held = 0
+        # img.psi ascends by word like q.psi, so log_num sums in query order
+        for v, tf in img.psi:
+            fl = floors.get(v)
+            if fl is not None:
+                lw = log(scale * (tf / total) + fl[0])
+                log_num += lw
+                log_diff += lw - fl[1]
+                held += 1
+        return self._cost(log_num, log_diff, held)
+
+    def mind_visual(self, node_max_freq):
+        """Lower bound on the visual relevance of any image under a node
+        whose per-word max frequency ratios are ``node_max_freq``."""
+        for v in self._zero_words:
+            if not node_max_freq.get(v):
+                return 1.0
+        scale = self._scale
+        log = math.log
+        log_num = 0.0
+        log_diff = 0.0
+        held = 0
+        for v, (floor, lf) in self._floors.items():
+            f = node_max_freq.get(v)
+            if f:
+                lw = log(scale * f + floor)
+                log_num += lw
+                log_diff += lw - lf
+                held += 1
+        return self._cost(log_num, log_diff, held)
 
 
 @dataclass(frozen=True)
@@ -254,23 +376,6 @@ def visual_weight(word, img, params):
     )
 
 
-def _query_weights(q, img, params):
-    stats = params.stats
-    xi = params.xi
-    total = img.total_tf
-    ctf = stats.word_corpus_tf
-    corpus_total = stats.total_word_count
-    word_tf = img.word_tf
-    weights = []
-    maxima = []
-    for v in q.psi:
-        weights.append(
-            kernels.visual_weight(word_tf.get(v, 0), total, ctf.get(v, 0), corpus_total, xi)
-        )
-        maxima.append(stats.max_weight(v, xi))
-    return weights, maxima
-
-
 def visual_relevance(q, img, params):
     """1 - (product of query-word weights) / gamma_max, clamped to [0, 1].
 
@@ -279,8 +384,7 @@ def visual_relevance(q, img, params):
     """
     if params.stats.total_word_count == 0:
         raise InvalidStateError("empty corpus")
-    weights, maxima = _query_weights(q, img, params)
-    return kernels.relevance_cost(weights, maxima)
+    return params.context(q).visual(img)
 
 
 def temporal_recency(q, t_c, params):
@@ -324,12 +428,4 @@ def merge_aggregates(node, child):
 def mind_visual(q, node_max_freq, params):
     """Lower bound on visual relevance for any image under a node whose
     per-word max frequency ratios are ``node_max_freq``."""
-    stats = params.stats
-    xi = params.xi
-    weights = []
-    maxima = []
-    for v in q.psi:
-        floor = stats.smoothing_floor(v, xi)
-        weights.append((1.0 - xi) * node_max_freq.get(v, 0.0) + floor)
-        maxima.append(stats.max_weight(v, xi))
-    return kernels.relevance_cost(weights, maxima)
+    return params.context(q).mind_visual(node_max_freq)

@@ -5,7 +5,14 @@ import pytest
 from geostream.baselines import IfaIndex, StviiIndex, _box_volume, _quadratic_split
 from geostream.engine import brute_force_oracle, top_k_search
 from geostream.hiq import HiqConfig, HiqIndex
-from geostream.model import DomainError, GeoTemporalImage, combined_score
+from geostream.model import (
+    CorpusStats,
+    DomainError,
+    GeoTemporalImage,
+    Query,
+    ScoreParams,
+    combined_score,
+)
 from geostream.verify import random_images, random_query, results_match
 
 
@@ -44,6 +51,52 @@ def test_expired_id_may_return(cls, domain):
         index.expire(later - config.segment_span)
     index.insert(img(0, t_c=later))
     assert sorted(im.id for im in index.live_images()) == [0, 1]
+
+
+def oracle_over_live_set(q, index):
+    """The oracle over a fresh recount of the live set, so it shares no
+    cached scoring state with the index."""
+    live = list(index.live_images())
+    stats = CorpusStats()
+    for im in live:
+        stats.add_image(im)
+    p = index.params
+    params = ScoreParams(domain=p.domain, stats=stats, xi=p.xi,
+                         decay_base=p.decay_base, time_unit=p.time_unit)
+    return brute_force_oracle(q, live, params)
+
+
+@pytest.mark.parametrize("change", ["insert", "expire", "slide"])
+@pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda c: c.kind)
+def test_reused_query_sees_corpus_changes(cls, change, domain):
+    # expire: HIQ rolls a segment out, IFA and STVII expire (STVII swaps in
+    # a new CorpusStats); slide: expire, then insert as many images as left,
+    # which brings STVII's new stats back to the old version number
+    config = make_config(domain, window=2)
+    span = config.segment_span
+    rng = random.Random(41)
+    old = random_images(rng, 60, domain, vocab=10, t_lo=0, t_hi=span - 1)
+    new = random_images(rng, 60, domain, vocab=10, t_lo=span, t_hi=2 * span - 1, id_base=100)
+    index = cls(config)
+    for im in old + sorted(new, key=lambda im: im.t_c):
+        index.insert(im)
+    q = Query(psi=(0, 3, 6), loc=(50.0, 50.0), t=3 * span, k=10,
+              weights=(0.2, 0.6, 0.2))
+    assert results_match(index.search(q)[0], oracle_over_live_set(q, index))
+
+    if change == "insert":
+        index.insert(img(500, t_c=2 * span - 1, psi=((0, 4), (3, 1))))
+    else:
+        if cls is HiqIndex:
+            index.roll_segment(2 * span)
+        else:
+            index.expire(span)
+        assert index.image_count() == len(new)
+        if change == "slide":
+            for im in random_images(rng, len(old), domain, vocab=10, t_lo=2 * span,
+                                    t_hi=3 * span - 1, id_base=200):
+                index.insert(im)
+    assert results_match(index.search(q)[0], oracle_over_live_set(q, index))
 
 
 class TestIfa:

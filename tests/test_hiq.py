@@ -1,10 +1,11 @@
+import math
 import random
 
 import pytest
 
 from geostream.engine import brute_force_oracle, top_k_search
 from geostream.hiq import ExpiredArrivalError, HiqConfig, HiqIndex
-from geostream.model import CorpusStats, DomainError, GeoTemporalImage, Query
+from geostream.model import ConfigError, CorpusStats, DomainError, GeoTemporalImage, Query
 from geostream.verify import random_images, random_query
 
 
@@ -18,6 +19,20 @@ def make_config(domain, **kw):
 
 def img(id, lat, lon, t_c, psi=((1, 1),)):
     return GeoTemporalImage(id, lat, lon, t_c, psi)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1.5, True],
+                             ids=["nan", "inf", "fractional", "bool"])
+    @pytest.mark.parametrize("name", ["segment_span", "window", "capacity", "max_depth"])
+    def test_non_whole_sizes_rejected(self, domain, name, value):
+        with pytest.raises(ConfigError, match=name):
+            make_config(domain, **{name: value})
+
+    def test_whole_float_sizes_become_ints(self, domain):
+        config = make_config(domain, segment_span=60.0, window=3.0)
+        assert (config.segment_span, config.window) == (60, 3)
+        assert type(config.segment_span) is int and type(config.window) is int
 
 
 class TestInsert:

@@ -283,6 +283,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             query(**kw)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_timestamps(self, t):
+        with pytest.raises(ConfigError):
+            query(t=t)
+        with pytest.raises(ConfigError):
+            img(t_c=t)
+
     @pytest.mark.parametrize("kw", [
         {"decay_base": math.nan},
         {"decay_base": math.inf},
@@ -363,3 +370,99 @@ def test_mind_visual_lower_bounds_images(domain):
         bound = mind_visual(q, node_max, p)
         for i in images:
             assert bound <= visual_relevance(q, i, p) + 1e-12
+
+
+def reference_visual(q, image, p):
+    """Visual relevance from one weight and one live maximum per query
+    word, by the reference kernels."""
+    stats, xi = p.stats, p.xi
+    weights = [kernels.visual_weight(image.word_tf.get(v, 0), image.total_tf,
+                                     stats.corpus_tf(v), stats.total_word_count, xi)
+               for v in q.psi]
+    maxima = [stats.max_weight(v, xi) for v in q.psi]
+    return kernels.relevance_cost(weights, maxima)
+
+
+def reference_mind(q, node_max_freq, p):
+    stats, xi = p.stats, p.xi
+    weights = [(1.0 - xi) * node_max_freq.get(v, 0.0) + stats.smoothing_floor(v, xi)
+               for v in q.psi]
+    maxima = [stats.max_weight(v, xi) for v in q.psi]
+    return kernels.relevance_cost(weights, maxima)
+
+
+def max_freq_of(images):
+    mf = {}
+    for i in images:
+        for w, tf in i.psi:
+            mf[w] = max(mf.get(w, 0.0), tf / i.total_tf)
+    return mf
+
+
+class TestQueryContext:
+    @pytest.mark.parametrize("xi", [0.0, 0.35, 0.5])
+    def test_matches_per_word_definition(self, domain, xi):
+        rng = random.Random(int(xi * 100) + 21)
+
+        def psi(words):
+            return sorted((w, rng.randint(1, 6)) for w in set(words))
+
+        for _ in range(60):
+            corpus = [img(id=i, psi=psi(rng.sample(range(25), rng.randint(1, 6))))
+                      for i in range(rng.randint(1, 40))]
+            # words 25..34 occur in no corpus image unless a probe adds them
+            qwords = rng.sample(range(35), rng.randint(1, 12))
+            q = query(psi=qwords)
+            extra = rng.sample(range(35, 45), 2)
+            probes = [
+                img(id=1000, psi=psi(qwords + extra)),                          # all
+                img(id=1001, psi=psi(rng.sample(qwords, (len(qwords) + 1) // 2) + extra)),
+                img(id=1002, psi=psi(extra)),                                   # none
+            ]
+            if rng.random() < 0.5:
+                corpus += probes
+            p = params_for(domain, corpus, xi=xi)
+            for image in corpus + probes:
+                assert visual_relevance(q, image, p) == pytest.approx(
+                    reference_visual(q, image, p), abs=1e-12)
+            nodes = [corpus, [], *([image] for image in probes)]
+            nodes += [rng.sample(corpus, rng.randint(1, len(corpus))) for _ in range(5)]
+            for node in nodes:
+                mf = max_freq_of(node)
+                assert mind_visual(q, mf, p) == pytest.approx(reference_mind(q, mf, p), abs=1e-12)
+
+    @pytest.mark.parametrize("xi", [0.0, 0.35, 0.5])
+    def test_best_image_costs_exactly_zero(self, domain, xi):
+        rng = random.Random(8)
+        for _ in range(50):
+            qwords = sorted(rng.sample(range(50), rng.randint(1, 8)))
+            # every query word at frequency >= 1/24 in the best image and
+            # at most 1/31 in the others
+            best = img(id=0, psi=[(w, rng.randint(1, 3)) for w in qwords])
+            others = [
+                img(id=i, psi=sorted([(w, 1) for w in rng.sample(qwords, rng.randint(1, len(qwords)))]
+                                     + [(100 + i, 30)]))
+                for i in range(1, rng.randint(2, 20))
+            ]
+            p = params_for(domain, others + [best], xi=xi)
+            q = query(psi=qwords)
+            assert visual_relevance(q, best, p) == 0.0
+            assert mind_visual(q, max_freq_of([best]), p) == 0.0
+            assert mind_visual(q, max_freq_of(others + [best]), p) == 0.0
+
+    def test_cached_until_the_corpus_changes(self, domain):
+        first = img(id=0, psi=((1, 2), (2, 1)))
+        p = params_for(domain, [first])
+        q = query(psi=(1, 2))
+        ctx = p.context(q)
+        assert p.context(q) is ctx
+        assert p.context(query(psi=(1, 2))) is not ctx      # an equal query, another object
+        ctx = p.context(q)
+        p.stats.add_image(img(id=1, psi=((1, 1),)))
+        assert p.context(q) is not ctx
+        ctx = p.context(q)
+        p.stats.remove_image(first)
+        assert p.context(q) is not ctx
+        ctx = p.context(q)
+        p.stats = CorpusStats()
+        assert p.context(q) is not ctx
