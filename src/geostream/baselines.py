@@ -14,39 +14,18 @@ import bisect
 import math
 
 from . import kernels
-from .engine import ResultEntry, SearchStats, TreeIndex, walk
-from .model import (
-    CorpusStats,
-    DomainError,
-    ScoreParams,
-    add_to_aggregates,
-    combined_score,
-    merge_aggregates,
-    mind_visual,
-)
+from .engine import Index, ResultEntry, SearchStats, TreeIndex, walk
+from .model import add_to_aggregates, combined_score, merge_aggregates, mind_visual
 
 
-class IfaIndex:
+class IfaIndex(Index):
     kind = "ifa"
 
     def __init__(self, config):
-        self.config = config
+        super().__init__(config)
         self.postings = {}     # word -> list of (t_c, id, image), ascending
-        self.images = {}       # id -> image
-        self.stats = CorpusStats()
-        self.params = ScoreParams(
-            domain=config.domain,
-            stats=self.stats,
-            xi=config.xi,
-            decay_base=config.decay_base,
-            time_unit=config.time_unit,
-        )
 
-    def insert(self, img):
-        if img.id in self.images:
-            raise ValueError(f"duplicate image id {img.id}")
-        if not self.config.domain.contains(img.lat, img.lon):
-            raise DomainError(f"image {img.id} location outside domain")
+    def _add(self, img):
         key = (img.t_c, img.id)
         for word, _tf in img.psi:
             lst = self.postings.setdefault(word, [])
@@ -55,11 +34,10 @@ class IfaIndex:
             else:
                 # late arrival: keep the list timestamp-sorted
                 bisect.insort(lst, (img.t_c, img.id, img), key=lambda e: (e[0], e[1]))
-        self.images[img.id] = img
-        self.stats.add_image(img)
 
     def search(self, q):
         """Union of the query words' posting lists, all fully scored."""
+        self.params.context(q)      # checks the query location
         stats = SearchStats()
         candidates = {}
         for v in q.psi:
@@ -79,24 +57,13 @@ class IfaIndex:
 
     def expire(self, cutoff):
         """Drop every image with t_c < cutoff; returns the removed count."""
-        removed = [img for img in self.images.values() if img.t_c < cutoff]
-        for word in list(self.postings):
+        old = self._expired(cutoff)
+        for word in {word for img in old for word, _tf in img.psi}:
             lst = self.postings[word]
-            i = bisect.bisect_left(lst, cutoff, key=lambda e: e[0])
-            if i:
-                del lst[:i]
-                if not lst:
-                    del self.postings[word]
-        for img in removed:
-            del self.images[img.id]
-            self.stats.remove_image(img)
-        return len(removed)
-
-    def live_images(self):
-        return list(self.images.values())
-
-    def image_count(self):
-        return len(self.images)
+            del lst[:bisect.bisect_left(lst, cutoff, key=lambda e: e[0])]
+            if not lst:
+                del self.postings[word]
+        return len(old)
 
 
 # ---------------------------------------------------------------------
@@ -139,19 +106,10 @@ class StviiIndex(TreeIndex):
     kind = "stvii"
 
     def __init__(self, config):
-        self.config = config
+        super().__init__(config)
         self.capacity = config.capacity                  # M
         self.min_fill = max(1, math.ceil(0.4 * config.capacity))
         self.root = RTree3DNode(leaf=True)
-        self._ids = set()       # ids of live images
-        self.stats = CorpusStats()
-        self.params = ScoreParams(
-            domain=config.domain,
-            stats=self.stats,
-            xi=config.xi,
-            decay_base=config.decay_base,
-            time_unit=config.time_unit,
-        )
         self._t_origin = None
         self._t_span = float(config.window * config.segment_span)
 
@@ -176,21 +134,12 @@ class StviiIndex(TreeIndex):
 
     # -- insertion -----------------------------------------------------
 
-    def insert(self, img):
-        if img.id in self._ids:
-            raise ValueError(f"duplicate image id {img.id}")
-        if not self.config.domain.contains(img.lat, img.lon):
-            raise DomainError(f"image {img.id} location outside domain")
+    def _add(self, img):
         if self._t_origin is None:
             self._t_origin = img.t_c
-        self._add(img)
-
-    def _add(self, img):
         split = self._insert_rec(self.root, img, self._box(img))
         if split is not None:
             self.root = self._build_node(False, list(split), [c.mbr for c in split])
-        self._ids.add(img.id)
-        self.stats.add_image(img)
 
     def _insert_rec(self, node, img, ebox):
         node.mbr = _box_union(node.mbr, ebox)
@@ -253,7 +202,7 @@ class StviiIndex(TreeIndex):
     # -- search surface (TreeIndex) ----------------------------------------
 
     def roots(self):
-        return [self.root] if self._ids else []
+        return [self.root] if self._live else []
 
     def mind(self, q, node):
         p = self.params
@@ -269,29 +218,17 @@ class StviiIndex(TreeIndex):
     # -- maintenance -------------------------------------------------------
 
     def expire(self, cutoff):
-        """Rebuild without images older than cutoff; returns removed count.
-        The tree is left as it is when no image is older."""
-        old = self.live_images()
-        live = [img for img in old if img.t_c >= cutoff]
-        removed = len(old) - len(live)
-        if not removed:
-            return 0
-        self.root = RTree3DNode(leaf=True)
-        self._ids = set()
-        self.stats = CorpusStats()
-        self.params.stats = self.stats
-        for img in live:
-            self._add(img)
-        return removed
-
-    def live_images(self):
-        return [
-            img for node in walk(self.roots()) if node.children is None
-            for img in node.images
-        ]
-
-    def image_count(self):
-        return len(self._ids)
+        """Drops the images older than cutoff and rebuilds the tree from
+        the rest; returns the removed count. The tree is left as it is
+        when no image is older."""
+        old = self._expired(cutoff)
+        if old:
+            live = [img for node in walk([self.root]) if node.children is None
+                    for img in node.images if img.t_c >= cutoff]
+            self.root = RTree3DNode(leaf=True)
+            for img in live:
+                self._add(img)
+        return len(old)
 
 
 def _quadratic_split(boxes, min_fill):

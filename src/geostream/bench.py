@@ -96,8 +96,8 @@ def run_insertion_bench(gen_cfg, index_cfg, rates=ARRIVAL_RATES, kinds=INDEX_KIN
 
 
 def run_deletion_bench(gen_cfg, index_cfg, rates=ARRIVAL_RATES, kinds=INDEX_KINDS):
-    """Latency of segment rolls (HIQ) / cutoff expiry (IFA, STVII) after
-    ingesting a stream at each rate."""
+    """Latency of a segment roll, which slides the window by one span and
+    expires what leaves it, after ingesting a stream at each rate."""
     base = generate_images(gen_cfg)
     rows = []
     for rate in rates:
@@ -108,16 +108,13 @@ def run_deletion_bench(gen_cfg, index_cfg, rates=ARRIVAL_RATES, kinds=INDEX_KIND
             for img in images:
                 index.insert(img)
             samples = []
-            # expire roughly half the stream, one span at a time
+            # roll over roughly half the stream, one span at a time
             cutoff = gen_cfg.start_time
             mid = (gen_cfg.start_time + horizon) // 2
             while cutoff < mid:
                 cutoff += index_cfg.segment_span
                 t0 = time.perf_counter()
-                if kind == "hiq":
-                    index.roll_segment(cutoff)
-                else:
-                    index.expire(cutoff)
+                index.roll_segment(cutoff)
                 samples.append((time.perf_counter() - t0) * 1e6)
             mean, p50, p95 = _percentiles(samples)
             rows.append(BenchRow("arrival_rate", rate, kind, "delete_us", mean, p50, p95))
@@ -238,7 +235,7 @@ def estimate_storage(index):
         total = 0
         for lst in index.postings.values():
             total += POSTING_BYTES * len(lst)
-        for img in index.images.values():
+        for img in index.live_images():
             total += RECORD_BYTES + RECORD_WORD_BYTES * len(img.psi)
         return total
     total = 0

@@ -1,11 +1,15 @@
-"""Best-first top-k search and the brute-force oracle.
+"""The index contract, best-first top-k search and the brute-force oracle.
 
-Works against any index exposing the searchable surface: ``roots()``,
-``mind(q, node)``, ``candidates(q, leaf)`` and a ``params`` attribute,
-with the bound dominance property (mind <= f_stv of every image under
-the node). A node's ``children`` is a list at an inner node and ``None``
-at a leaf, which holds its ``images``. ``TreeIndex`` gives the tree
-indexes (HIQ, STVII) one ``search``, ``candidates`` and ``node_count``.
+``Index`` is what HIQ, IFA and STVII share: the scoring parameters over
+the live corpus, admission of an image and the sliding window.
+
+The search works against any index exposing the searchable surface:
+``roots()``, ``mind(q, node)``, ``candidates(q, leaf)`` and a ``params``
+attribute, with the bound dominance property (mind <= f_stv of every
+image under the node). A node's ``children`` is a list at an inner node
+and ``None`` at a leaf, which holds its ``images``. ``TreeIndex`` gives
+the tree indexes (HIQ, STVII) one ``search``, ``candidates`` and
+``node_count``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,11 @@ import math
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .model import combined_score
+from .model import CorpusStats, DomainError, ScoreParams, combined_score
+
+
+class ExpiredArrivalError(ValueError):
+    """An image older than the start of the live window was offered."""
 
 
 @dataclass(frozen=True)
@@ -43,6 +51,7 @@ def top_k_search(q, index, audit=None):
     """
     if q.k <= 0:
         raise ValueError("k must be positive")
+    index.params.context(q)     # checks the query location
     k = q.k
     stats = SearchStats()
     order = itertools.count()
@@ -98,10 +107,121 @@ def walk(roots):
             stack.extend(node.children)
 
 
+class Index:
+    """What every index shares: ``config``, the ``stats`` and ``params``
+    of the live corpus, the live images by id, admission and the window.
+
+    The window is a run of ``segment_span``-long segments. The first
+    arrival opens the segment ``[t // span * span, +span)``; an arrival
+    at or past the end of the head (newest) segment moves the head to the
+    segment that holds it; the window starts at ``window_start()``, the
+    later of the first segment's start and ``window`` spans before the
+    head's end. As the head moves, ``_slide`` drops what falls out of the
+    window. A subclass adds an admitted image to its structure in
+    ``_add(img)``.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self.stats = CorpusStats()
+        self.params = ScoreParams(
+            domain=config.domain,
+            stats=self.stats,
+            xi=config.xi,
+            decay_base=config.decay_base,
+            time_unit=config.time_unit,
+        )
+        self._live = {}         # id -> image, in arrival order
+        self._first = None      # start of the first segment
+        self._start = None      # start of the window
+        self._head_end = None   # end of the head segment
+
+    def window_start(self):
+        """Start of the oldest live segment; None before the first arrival."""
+        return self._start
+
+    def insert(self, img):
+        cfg = self.config
+        if img.id in self._live:
+            raise ValueError(f"duplicate image id {img.id}")
+        if not cfg.domain.contains(img.lat, img.lon):
+            raise DomainError(f"image {img.id} location outside domain")
+        if self._head_end is None:
+            self._open(img.t_c)
+        if img.t_c < self._start:
+            raise ExpiredArrivalError(
+                f"image {img.id} older than the live window ({img.t_c} < {self._start})"
+            )
+        if img.t_c >= self._head_end:
+            rolls = (img.t_c - self._head_end) // cfg.segment_span + 1
+            if rolls > cfg.window:
+                # a jump past the whole window: skip the empty rolls
+                self._move_head(self._head_end + rolls * cfg.segment_span)
+            else:
+                for _ in range(rolls):
+                    self.roll_segment(img.t_c)
+        self._add(img)
+        self._live[img.id] = img
+        self.stats.add_image(img)
+
+    def roll_segment(self, now):
+        """Opens a fresh head segment, one span on (the segment holding
+        ``now`` when none is open yet), and drops what leaves the window.
+
+        Returns the number of segments that left the window."""
+        if self._head_end is None:
+            self._open(int(now))
+            return 0
+        return self._move_head(self._head_end + self.config.segment_span)
+
+    def _open(self, t):
+        span = self.config.segment_span
+        self._first = self._start = self._head_end = t // span * span   # an empty window
+        self._move_head(self._first + span)
+
+    def _move_head(self, head_end):
+        """Moves the end of the head segment to ``head_end``; returns the
+        number of segments that left the window."""
+        cfg = self.config
+        old = self._start
+        start = max(self._first, head_end - cfg.window * cfg.segment_span)
+        self._slide(start, head_end)
+        self._start, self._head_end = start, head_end
+        return (start - old) // cfg.segment_span
+
+    def _slide(self, start, head_end):
+        """Called as the window is about to become ``[start, head_end)``.
+        By default ``expire(start)`` when the start moves, which is what
+        IFA and STVII do."""
+        if start > self._start:
+            self.expire(start)
+
+    def _expired(self, cutoff):
+        """Drops the live images older than ``cutoff`` from the live set
+        and the stats, and returns them. None is older than the window
+        start, so a cutoff at or before it returns [] at once."""
+        if self._start is None or cutoff <= self._start:
+            return []
+        old = [img for img in self._live.values() if img.t_c < cutoff]
+        for img in old:
+            self._forget(img)
+        return old
+
+    def _forget(self, img):
+        del self._live[img.id]
+        self.stats.remove_image(img)
+
+    def live_images(self):
+        return list(self._live.values())
+
+    def image_count(self):
+        return len(self._live)
+
+
 _image_id = attrgetter("id")
 
 
-class TreeIndex:
+class TreeIndex(Index):
     """The search surface shared by the tree indexes. A subclass provides
     ``roots()``, ``mind(q, node)`` and ``params``."""
 

@@ -3,8 +3,8 @@
 Time-partitioned segments, each owning a quadtree whose nodes carry a
 rectangle, the max timestamp of the subtree and the per-word max
 frequency ratios of the subtree; leaves hold their images in a plain
-list. Expiry drops whole segments once more than ``window`` of them are
-live.
+list. The segments follow the window of ``engine.Index``: expiry drops
+whole segments once they fall out of it.
 """
 
 from __future__ import annotations
@@ -14,19 +14,8 @@ import numbers
 from dataclasses import dataclass
 
 from . import kernels
-from .engine import TreeIndex
-from .model import (
-    ConfigError,
-    CorpusStats,
-    DomainError,
-    ScoreParams,
-    add_to_aggregates,
-    mind_visual,
-)
-
-
-class ExpiredArrivalError(ValueError):
-    """An image older than the oldest live segment was offered."""
+from .engine import ExpiredArrivalError, TreeIndex  # noqa: F401 (re-exported)
+from .model import ConfigError, add_to_aggregates, mind_visual
 
 
 @dataclass
@@ -101,10 +90,6 @@ class Segment:
         self.root = QuadNode(domain.min_lat, domain.min_lon, domain.max_lat, domain.max_lon)
         self.images = []
 
-    @property
-    def image_count(self):
-        return len(self.images)
-
 
 def _split(node):
     children = node.make_children()
@@ -117,96 +102,34 @@ def _split(node):
 
 
 class HiqIndex(TreeIndex):
-    """Live sliding-window index over a stream of geo-temporal images."""
+    """Live sliding-window index over a stream of geo-temporal images.
+    ``segments`` are the window's segments, oldest to newest."""
 
     kind = "hiq"
 
     def __init__(self, config):
-        self.config = config
-        self.segments = []      # oldest -> newest
-        self._ids = set()       # ids of live images
-        self.stats = CorpusStats()
-        self.params = ScoreParams(
-            domain=config.domain,
-            stats=self.stats,
-            xi=config.xi,
-            decay_base=config.decay_base,
-            time_unit=config.time_unit,
-        )
+        super().__init__(config)
+        self.segments = []
 
     # -- ingestion ---------------------------------------------------
 
-    def insert(self, img):
+    def _slide(self, start, head_end):
+        """Drops the segments before ``start`` and opens those up to
+        ``head_end``."""
+        segs = self.segments
+        while segs and segs[0].start < start:
+            for img in segs.pop(0).images:
+                self._forget(img)
+        span = self.config.segment_span
+        first = segs[-1].end if segs else start
+        segs.extend(Segment(s, s + span, self.config.domain)
+                    for s in range(first, head_end, span))
+
+    def _add(self, img):
         cfg = self.config
-        if img.id in self._ids:
-            raise ValueError(f"duplicate image id {img.id}")
-        if not cfg.domain.contains(img.lat, img.lon):
-            raise DomainError(f"image {img.id} location outside domain")
-        if not self.segments:
-            start = (img.t_c // cfg.segment_span) * cfg.segment_span
-            self.segments.append(Segment(start, start + cfg.segment_span, cfg.domain))
-        if img.t_c < self.segments[0].start:
-            raise ExpiredArrivalError(
-                f"image {img.id} older than the live window ({img.t_c} < {self.segments[0].start})"
-            )
-        head_end = self.segments[-1].end
-        if img.t_c >= head_end:
-            rolls = (img.t_c - head_end) // cfg.segment_span + 1
-            if rolls > cfg.window:
-                # a jump past the whole window: skip the empty rolls
-                self._restart(head_end + (rolls - cfg.window) * cfg.segment_span)
-            else:
-                for _ in range(rolls):
-                    self.roll_segment(img.t_c)
-        seg = self._segment_for(img.t_c)
-        self._tree_insert(seg, img)
-        seg.images.append(img)
-        self._ids.add(img.id)
-        self.stats.add_image(img)
-
-    def roll_segment(self, now):
-        """Open a fresh head segment and drop segments beyond the window.
-
-        Returns the number of segments expired."""
-        cfg = self.config
-        if not self.segments:
-            start = (int(now) // cfg.segment_span) * cfg.segment_span
-            self.segments.append(Segment(start, start + cfg.segment_span, cfg.domain))
-            return 0
-        prev_end = self.segments[-1].end
-        self.segments.append(Segment(prev_end, prev_end + cfg.segment_span, cfg.domain))
-        expired = 0
-        while len(self.segments) > cfg.window:
-            self._expire_oldest()
-            expired += 1
-        return expired
-
-    def _restart(self, start):
-        """Expire every segment and open ``window`` empty ones from
-        ``start``: what rolling segment by segment up to them leaves."""
-        cfg = self.config
-        while self.segments:
-            self._expire_oldest()
-        span = cfg.segment_span
-        self.segments = [
-            Segment(start + i * span, start + (i + 1) * span, cfg.domain)
-            for i in range(cfg.window)
-        ]
-
-    def _expire_oldest(self):
-        old = self.segments.pop(0)
-        for img in old.images:
-            self.stats.remove_image(img)
-            self._ids.remove(img.id)
-
-    def _segment_for(self, t_c):
         # segments are contiguous; locate by start offset
-        first = self.segments[0].start
-        idx = (t_c - first) // self.config.segment_span
-        return self.segments[idx]
-
-    def _tree_insert(self, seg, img):
-        cfg = self.config
+        seg = self.segments[(img.t_c - self.segments[0].start) // cfg.segment_span]
+        seg.images.append(img)
         node = seg.root
         depth = 0
         while True:
@@ -239,12 +162,3 @@ class HiqIndex(TreeIndex):
             f_t = kernels.recency_cost(q.t - node.t_max, p.decay_base, p.time_unit)
         w1, w2, w3 = q.weights
         return kernels.combine(w1, w2, w3, f_s, f_v, f_t)
-
-    # -- introspection -------------------------------------------------
-
-    def live_images(self):
-        for seg in self.segments:
-            yield from seg.images
-
-    def image_count(self):
-        return sum(len(seg.images) for seg in self.segments)

@@ -254,12 +254,17 @@ class QueryContext:
     is held it is ``sum(log w_v) - sum(log m_v)`` in query order, as in
     ``kernels.relevance_cost``, so the best image costs exactly 0.0. A
     word with a zero floor (only when xi = 0) that is not held costs 1.0.
+
+    Building one checks the query location: ``DomainError`` outside the
+    domain.
     """
 
     __slots__ = ("q", "stats", "version", "_scale", "_floors", "_zero_words",
                  "_log_den", "_log_const")
 
     def __init__(self, q, params):
+        if not params.domain.contains(q.loc[0], q.loc[1]):
+            raise DomainError(f"query location {q.loc} outside domain")
         stats = params.stats
         xi = params.xi
         self.q = q
@@ -393,8 +398,12 @@ def temporal_recency(q, t_c, params):
 
 
 def combined_score(q, img, params):
-    """Full breakdown; the caller enforces the >= 1 common word filter."""
-    f_s = spatial_proximity(q, (img.lat, img.lon), params.domain)
+    """Full breakdown; the caller enforces the >= 1 common word filter.
+
+    Locations are not checked here: the query's is checked when its
+    context is built, an image's when an index admits it.
+    """
+    f_s = kernels.spatial_cost(q.loc[0], q.loc[1], img.lat, img.lon, params.domain.delta_max)
     f_v = visual_relevance(q, img, params)
     f_t = temporal_recency(q, img.t_c, params)
     w1, w2, w3 = q.weights

@@ -23,6 +23,12 @@ def make_config(domain, **kw):
     return HiqConfig(domain=domain, **kw)
 
 
+# a segment holding every timestamp of ``random_images`` (0..100_000), for
+# tests that insert a shuffled stream: the window rejects an arrival older
+# than its start
+ONE_SEGMENT = 200_000
+
+
 def img(id, lat=10.0, lon=10.0, t_c=100, psi=((1, 1),)):
     return GeoTemporalImage(id, lat, lon, t_c, psi)
 
@@ -46,11 +52,24 @@ def test_expired_id_may_return(cls, domain):
     index = cls(config)
     index.insert(img(0, t_c=100))
     later = 100 + 3 * config.segment_span
-    index.insert(img(1, t_c=later))         # HIQ rolls segment 0 out here
-    if cls is not HiqIndex:
-        index.expire(later - config.segment_span)
+    index.insert(img(1, t_c=later))         # the window rolls segment 0 out here
     index.insert(img(0, t_c=later))
     assert sorted(im.id for im in index.live_images()) == [0, 1]
+
+
+@pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda c: c.kind)
+def test_query_outside_domain_rejected(cls, domain):
+    index = cls(make_config(domain))
+
+    def rejected(words):
+        q = Query(psi=words, loc=(150.0, 10.0), t=200, k=1, weights=(0.2, 0.6, 0.2))
+        with pytest.raises(DomainError, match="query location"):
+            index.search(q)
+
+    rejected((1,))          # an empty index
+    index.insert(img(0))
+    rejected((1,))          # a word of the corpus
+    rejected((7,))          # a word absent from it
 
 
 def oracle_over_live_set(q, index):
@@ -69,9 +88,9 @@ def oracle_over_live_set(q, index):
 @pytest.mark.parametrize("change", ["insert", "expire", "slide"])
 @pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda c: c.kind)
 def test_reused_query_sees_corpus_changes(cls, change, domain):
-    # expire: HIQ rolls a segment out, IFA and STVII expire (STVII swaps in
-    # a new CorpusStats); slide: expire, then insert as many images as left,
-    # which brings STVII's new stats back to the old version number
+    # expire: a segment roll moves the window past the old images; slide:
+    # expire, then insert as many images as left, which brings the stats
+    # back to as many images as before
     config = make_config(domain, window=2)
     span = config.segment_span
     rng = random.Random(41)
@@ -87,10 +106,7 @@ def test_reused_query_sees_corpus_changes(cls, change, domain):
     if change == "insert":
         index.insert(img(500, t_c=2 * span - 1, psi=((0, 4), (3, 1))))
     else:
-        if cls is HiqIndex:
-            index.roll_segment(2 * span)
-        else:
-            index.expire(span)
+        index.roll_segment(2 * span)
         assert index.image_count() == len(new)
         if change == "slide":
             for im in random_images(rng, len(old), domain, vocab=10, t_lo=2 * span,
@@ -114,7 +130,7 @@ class TestIfa:
 
     def test_sortedness_after_random_inserts(self, domain):
         rng = random.Random(31)
-        index = IfaIndex(make_config(domain))
+        index = IfaIndex(make_config(domain, segment_span=ONE_SEGMENT))
         images = random_images(rng, 1000, domain)
         rng.shuffle(images)  # deliberately out of time order
         for im in images:
@@ -135,7 +151,7 @@ class TestIfa:
         rng = random.Random(32)
         for _ in range(20):
             images = random_images(rng, rng.randint(10, 200), domain)
-            index = IfaIndex(make_config(domain))
+            index = IfaIndex(make_config(domain, segment_span=ONE_SEGMENT))
             for im in images:
                 index.insert(im)
             q = random_query(rng, images, domain)
@@ -214,7 +230,7 @@ class TestStvii:
 
     def test_structural_audit_after_1000_inserts(self, domain):
         rng = random.Random(35)
-        index = StviiIndex(make_config(domain, capacity=6))
+        index = StviiIndex(make_config(domain, capacity=6, segment_span=ONE_SEGMENT))
         images = random_images(rng, 1000, domain)
         for im in images:
             index.insert(im)
@@ -249,7 +265,7 @@ class TestStvii:
 
     def test_mind_dominance(self, domain):
         rng = random.Random(36)
-        index = StviiIndex(make_config(domain, capacity=5))
+        index = StviiIndex(make_config(domain, capacity=5, segment_span=ONE_SEGMENT))
         images = random_images(rng, 400, domain)
         for im in images:
             index.insert(im)
@@ -265,7 +281,7 @@ class TestStvii:
         rng = random.Random(37)
         for _ in range(20):
             images = random_images(rng, rng.randint(10, 200), domain)
-            index = StviiIndex(make_config(domain, capacity=6))
+            index = StviiIndex(make_config(domain, capacity=6, segment_span=ONE_SEGMENT))
             for im in images:
                 index.insert(im)
             q = random_query(rng, images, domain)

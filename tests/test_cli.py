@@ -61,6 +61,22 @@ class TestQuery:
         assert outputs[0] == outputs[1] == outputs[2]
         assert outputs[0].strip()
 
+    def test_every_index_applies_the_window(self, tmp_path, capsys):
+        # ten images one hour apart; a window of three one-hour segments
+        # holds only the last three
+        data = tmp_path / "hourly.tsv"
+        data.write_text("".join(f"{i}\t10.0\t10.0\t{3600 * i}\t1:1\n" for i in range(10)))
+        outputs = []
+        for kind in ("hiq", "ifa", "stvii"):
+            code, out, _ = run([
+                "query", "--data", str(data), "--index", kind, "--window", "3",
+                "--lat", "10", "--lon", "10", "--words", "1", "--k", "10",
+            ], capsys)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert [line.split("\t")[2] for line in outputs[0].splitlines()] == ["9", "8", "7"]
+
     def test_query_file(self, dataset, tmp_path, capsys):
         from geostream.workload import QueryConfig, generate_queries, parse_dataset, write_queries
 

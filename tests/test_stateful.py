@@ -1,0 +1,152 @@
+"""A stateful property test of the shared sliding window: HIQ, IFA and
+STVII take the same stream of inserts, rolls and queries, and after
+every step hold the same live images, the same window, term statistics
+equal to a recount, and answers equal to the brute-force oracle."""
+
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+
+from geostream.baselines import IfaIndex, StviiIndex
+from geostream.engine import brute_force_oracle
+from geostream.hiq import ExpiredArrivalError, HiqConfig, HiqIndex
+from geostream.model import CorpusStats, GeoTemporalImage, Query, ScoreParams, SpatialDomain
+from geostream.verify import results_match
+
+DOMAIN = SpatialDomain(0.0, 100.0, 0.0, 100.0)
+SPAN = 100
+WINDOW = 3
+VOCAB = 6
+WEIGHTS = ((1 / 3, 1 / 3, 1 / 3), (0.2, 0.6, 0.2), (0.7, 0.2, 0.1), (0.1, 0.1, 0.8))
+
+coords = st.floats(0.0, 100.0, allow_nan=False)
+word_vectors = st.dictionaries(st.integers(0, VOCAB - 1), st.integers(1, 3),
+                               min_size=1, max_size=3).map(lambda d: sorted(d.items()))
+queries = st.builds(
+    lambda words, lat, lon, k, weights, ahead: (tuple(sorted(words)), (lat, lon), k,
+                                                weights, ahead),
+    st.sets(st.integers(0, VOCAB + 1), min_size=1, max_size=4),
+    coords, coords, st.integers(1, 6), st.sampled_from(WEIGHTS), st.integers(0, SPAN),
+)
+
+
+def recount(images):
+    stats = CorpusStats()
+    for img in images:
+        stats.add_image(img)
+    return stats
+
+
+def oracle(q, index):
+    """The oracle over a recount of the live set, so it shares no cached
+    scoring state with the index."""
+    live = index.live_images()
+    p = index.params
+    params = ScoreParams(domain=p.domain, stats=recount(live), xi=p.xi,
+                         decay_base=p.decay_base, time_unit=p.time_unit)
+    return brute_force_oracle(q, live, params)
+
+
+class SharedWindow(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        config = HiqConfig(domain=DOMAIN, segment_span=SPAN, window=WINDOW,
+                           capacity=3, max_depth=4)
+        self.hiq = HiqIndex(config)
+        self.indexes = (self.hiq, IfaIndex(config), StviiIndex(config))
+        self.next_id = 0
+        self.now = None         # latest arrival time
+
+    def _image(self, t, lat, lon, psi, id=None):
+        if id is None:
+            id, self.next_id = self.next_id, self.next_id + 1
+        return GeoTemporalImage(id, lat, lon, t, psi)
+
+    def _latest(self):
+        """The latest time an arrival may have without moving the window:
+        the latest arrival, or the window start once rolls pass it."""
+        if not self.hiq.segments:
+            return 0
+        start = self.hiq.window_start()
+        return start if self.now is None else max(self.now, start)
+
+    def _insert(self, img):
+        for index in self.indexes:
+            index.insert(img)
+        self.now = img.t_c if self.now is None else max(self.now, img.t_c)
+
+    def _rejected(self, img, error, match):
+        """Every index raises ``error`` for ``img`` and changes nothing."""
+        before = [(index.window_start(), index.stats.version, index.image_count())
+                  for index in self.indexes]
+        for index in self.indexes:
+            with pytest.raises(error, match=match):
+                index.insert(img)
+        after = [(index.window_start(), index.stats.version, index.image_count())
+                 for index in self.indexes]
+        assert after == before
+
+    @rule(gap=st.one_of(st.integers(0, SPAN), st.integers(0, (WINDOW + 2) * SPAN)),
+          lat=coords, lon=coords, psi=word_vectors)
+    def insert_in_order(self, gap, lat, lon, psi):
+        self._insert(self._image(self._latest() + gap, lat, lon, psi))
+
+    @precondition(lambda self: self.hiq.segments)
+    @rule(data=st.data(), lat=coords, lon=coords, psi=word_vectors)
+    def insert_jittered(self, data, lat, lon, psi):
+        t = data.draw(st.integers(self.hiq.window_start(), self._latest()))
+        self._insert(self._image(t, lat, lon, psi))
+
+    @precondition(lambda self: self.hiq.segments)
+    @rule(back=st.integers(1, 3 * SPAN), lat=coords, lon=coords, psi=word_vectors)
+    def insert_expired(self, back, lat, lon, psi):
+        t = self.hiq.window_start() - back
+        self._rejected(self._image(t, lat, lon, psi), ExpiredArrivalError, "older than")
+
+    @precondition(lambda self: self.hiq.image_count() > 0)
+    @rule(data=st.data(), lat=coords, lon=coords, psi=word_vectors)
+    def insert_duplicate(self, data, lat, lon, psi):
+        id = data.draw(st.sampled_from(sorted(im.id for im in self.hiq.live_images())))
+        img = self._image(self._latest(), lat, lon, psi, id=id)
+        self._rejected(img, ValueError, "duplicate")
+
+    @rule()
+    def roll(self):
+        for index in self.indexes:
+            index.roll_segment(self._latest())
+
+    @rule(spec=queries)
+    def query(self, spec):
+        psi, loc, k, weights, ahead = spec
+        q = Query(psi=psi, loc=loc, t=self._latest() + ahead, k=k, weights=weights)
+        for index in self.indexes:
+            assert results_match(index.search(q)[0], oracle(q, index))
+
+    @invariant()
+    def indexes_agree(self):
+        live = sorted(im.id for im in self.hiq.live_images())
+        for index in self.indexes:
+            assert sorted(im.id for im in index.live_images()) == live
+            assert index.image_count() == len(live)
+        if not self.hiq.segments:
+            return
+        for index in self.indexes:
+            assert index.window_start() == self.hiq.segments[0].start
+            fresh = recount(index.live_images())
+            stats = index.stats
+            assert stats.total_word_count == fresh.total_word_count
+            assert stats.word_corpus_tf == fresh.word_corpus_tf
+            for w in range(VOCAB):
+                assert stats.max_freq(w) == fresh.max_freq(w)
+        q = Query(psi=(0, 1, 2), loc=(50.0, 50.0), t=self._latest(), k=5,
+                  weights=(0.2, 0.6, 0.2))
+        for index in self.indexes:
+            assert results_match(index.search(q)[0], oracle(q, index))
+
+
+SharedWindow.TestCase.settings = settings(
+    max_examples=100, stateful_step_count=40, deadline=None, derandomize=True,
+    database=None,
+)
+test_shared_window = SharedWindow.TestCase
