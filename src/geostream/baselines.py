@@ -1,8 +1,9 @@
 """Baseline indexes: inverted file append (IFA) and the 3D R-tree with
 node inverted files (STVII).
 
-IFA keeps one timestamp-ordered posting list per word and scores every
-candidate at query time (no early termination). STVII boxes images in
+IFA keeps one posting list per word over a table of image slots and
+scores every candidate at query time (no early termination), as numpy
+columns one query word at a time. STVII boxes images in
 (lat, lon, normalized time), splits quadratically on overflow, and
 carries the same per-node max-weight inverted files as the quadtree so
 it plugs into the shared best-first search.
@@ -10,8 +11,10 @@ it plugs into the shared best-first search.
 
 from __future__ import annotations
 
-import bisect
 import math
+from array import array
+
+import numpy as np
 
 from . import kernels
 from .engine import Index, ResultEntry, SearchStats, TreeIndex, walk
@@ -19,51 +22,99 @@ from .model import add_to_aggregates, combined_score, merge_aggregates, mind_vis
 
 
 class IfaIndex(Index):
+    """The inverted-file baseline over a slot table: every admitted image
+    takes the next slot, with its lat, lon, t_c and id in one column each
+    and a flag in ``alive``. ``postings`` maps a word to the ``(slot,
+    tf/|I.psi|)`` columns of the images holding it, in slot order.
+
+    Expiry clears the flags of the expired slots. Once at least half the
+    slots are dead the table is rebuilt from the live images, so it never
+    holds more than twice as many slots as live images. Ids and
+    timestamps sit in int64 columns: an image with one past that range
+    raises ``OverflowError`` and is not admitted."""
+
     kind = "ifa"
 
     def __init__(self, config):
         super().__init__(config)
-        self.postings = {}     # word -> list of (t_c, id, image), ascending
+        self._reset()
+
+    def _reset(self):
+        self.lat = array("d")
+        self.lon = array("d")
+        self.t_c = array("q")
+        self.ids = array("q")
+        self.alive = bytearray()
+        self.postings = {}     # word -> (array('q') slots, array('d') tf/|I.psi|)
+        self._dead = 0
 
     def _add(self, img):
-        key = (img.t_c, img.id)
-        for word, _tf in img.psi:
-            lst = self.postings.setdefault(word, [])
-            if not lst or (lst[-1][0], lst[-1][1]) <= key:
-                lst.append((img.t_c, img.id, img))
-            else:
-                # late arrival: keep the list timestamp-sorted
-                bisect.insort(lst, (img.t_c, img.id, img), key=lambda e: (e[0], e[1]))
+        key = array("q", (img.id, img.t_c))     # checks the int64 range first
+        slot = len(self.ids)
+        self.ids.append(key[0])
+        self.t_c.append(key[1])
+        self.lat.append(img.lat)
+        self.lon.append(img.lon)
+        self.alive.append(1)
+        total = img.total_tf
+        postings = self.postings
+        for word, tf in img.psi:
+            cols = postings.get(word)
+            if cols is None:
+                cols = postings[word] = (array("q"), array("d"))
+            cols[0].append(slot)
+            cols[1].append(tf / total)
 
     def search(self, q):
-        """Union of the query words' posting lists, all fully scored."""
-        self.params.context(q)      # checks the query location
+        """Every live image sharing a query word, scored as columns one
+        query word at a time (``QueryContext.visual_columns``); the k
+        best, by (f_stv, id), get their breakdown from ``combined_score``."""
+        p = self.params
+        ctx = p.context(q)      # checks the query location
         stats = SearchStats()
-        candidates = {}
-        for v in q.psi:
-            lst = self.postings.get(v)
-            if not lst:
-                continue
-            stats.nodes_visited += 1
-            for _t, iid, img in lst:
-                candidates[iid] = img
-        entries = []
-        for iid in sorted(candidates):
-            sb = combined_score(q, candidates[iid], self.params)
-            entries.append(ResultEntry(iid, sb))
-        stats.images_scored = len(entries)
+        corpus = p.stats.word_corpus_tf
+        stats.nodes_visited = sum(1 for v in q.psi if v in corpus)
+        f_v, held = ctx.visual_columns(self.postings, len(self.ids))
+        rows = np.flatnonzero((held > 0) & np.frombuffer(self.alive, dtype=np.bool_))
+        stats.images_scored = len(rows)
+        if not len(rows):
+            return [], stats
+        d_lat = q.loc[0] - np.frombuffer(self.lat)[rows]
+        d_lon = q.loc[1] - np.frombuffer(self.lon)[rows]
+        f_s = np.sqrt(d_lat * d_lat + d_lon * d_lon) / p.domain.delta_max
+        # ages in floats (exact below 2**53), so that no int64 difference wraps
+        t_c = np.frombuffer(self.t_c, dtype=np.int64)[rows].astype(np.float64)
+        age = np.maximum(q.t - t_c, 0.0)
+        f_t = 1.0 - p.decay_base ** (-(age / p.time_unit))
+        w1, w2, w3 = q.weights
+        f_stv = w1 * f_s + w2 * f_v[rows] + w3 * f_t
+        ids = np.frombuffer(self.ids, dtype=np.int64)[rows]
+        live = self._live
+        entries = [ResultEntry(iid, combined_score(q, live[iid], p))
+                   for iid in ids[np.lexsort((ids, f_stv))[: q.k]].tolist()]
         entries.sort(key=lambda e: (e.score.f_stv, e.image_id))
-        return entries[: q.k], stats
+        return entries, stats
 
     def expire(self, cutoff):
         """Drop every image with t_c < cutoff; returns the removed count."""
         old = self._expired(cutoff)
-        for word in {word for img in old for word, _tf in img.psi}:
-            lst = self.postings[word]
-            del lst[:bisect.bisect_left(lst, cutoff, key=lambda e: e[0])]
-            if not lst:
-                del self.postings[word]
+        if old:
+            self._dead += len(old)
+            if 2 * self._dead >= len(self.ids):
+                live = self._live.values()
+                self._reset()
+                for img in live:
+                    self._add(img)
+            else:
+                alive = np.frombuffer(self.alive, dtype=np.bool_)
+                alive[np.frombuffer(self.t_c, dtype=np.int64) < cutoff] = False
         return len(old)
+
+    def live_posting_count(self):
+        """The postings of live slots."""
+        alive = np.frombuffer(self.alive, dtype=np.bool_)
+        return sum(int(np.count_nonzero(alive[np.frombuffer(slots, dtype=np.int64)]))
+                   for slots, _f in self.postings.values())
 
 
 # ---------------------------------------------------------------------

@@ -232,9 +232,7 @@ def run_query_bench(gen_cfg, index_cfg, axis, values=None, query_cfg=None,
 def estimate_storage(index):
     """Bytes under the documented per-type size model."""
     if index.kind == "ifa":
-        total = 0
-        for lst in index.postings.values():
-            total += POSTING_BYTES * len(lst)
+        total = POSTING_BYTES * index.live_posting_count()
         for img in index.live_images():
             total += RECORD_BYTES + RECORD_WORD_BYTES * len(img.psi)
         return total

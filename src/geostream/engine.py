@@ -20,7 +20,18 @@ import math
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .model import CorpusStats, DomainError, ScoreParams, combined_score
+from . import kernels
+from .model import (
+    CorpusStats,
+    DomainError,
+    ScoreBreakdown,
+    ScoreParams,
+    _timestamp,
+    combined_score,
+    spatial_proximity,
+    temporal_recency,
+    visual_weight,
+)
 
 
 class ExpiredArrivalError(ValueError):
@@ -168,9 +179,11 @@ class Index:
         """Opens a fresh head segment, one span on (the segment holding
         ``now`` when none is open yet), and drops what leaves the window.
 
-        Returns the number of segments that left the window."""
+        Returns the number of segments that left the window; a NaN or
+        infinite ``now`` raises ``ConfigError``."""
+        now = _timestamp(now, "roll_segment now")
         if self._head_end is None:
-            self._open(int(now))
+            self._open(now)
             return 0
         return self._move_head(self._head_end + self.config.segment_span)
 
@@ -242,13 +255,22 @@ class TreeIndex(Index):
 
 def brute_force_oracle(q, images, params):
     """Scores every image with a common word, ascending (f_stv, id),
-    truncated to k. Independent of any index structure."""
+    truncated to k. Independent of any index structure and of the scorer
+    the indexes share (``QueryContext``): each image is scored from the
+    definitions, with one ``visual_weight`` per query word over the live
+    maxima ``stats.max_weight`` and ``kernels.relevance_cost``."""
+    stats, xi = params.stats, params.xi
+    maxima = [stats.max_weight(v, xi) for v in q.psi]
     qwords = set(q.psi)
+    w1, w2, w3 = q.weights
     entries = []
     for img in images:
         if qwords.isdisjoint(img.word_tf):
             continue
-        sb = combined_score(q, img, params)
+        f_s = spatial_proximity(q, img.loc, params.domain)
+        f_v = kernels.relevance_cost([visual_weight(v, img, params) for v in q.psi], maxima)
+        f_t = temporal_recency(q, img.t_c, params)
+        sb = ScoreBreakdown(f_s, f_v, f_t, kernels.combine(w1, w2, w3, f_s, f_v, f_t))
         entries.append(ResultEntry(img.id, sb))
     entries.sort(key=lambda e: (e.score.f_stv, e.image_id))
     return entries[: q.k]

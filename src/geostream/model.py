@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import kernels
 
 
@@ -254,6 +256,8 @@ class QueryContext:
     is held it is ``sum(log w_v) - sum(log m_v)`` in query order, as in
     ``kernels.relevance_cost``, so the best image costs exactly 0.0. A
     word with a zero floor (only when xi = 0) that is not held costs 1.0.
+    ``visual`` scores one image, ``visual_columns`` a whole slot table and
+    ``mind_visual`` a node.
 
     Building one checks the query location: ``DomainError`` outside the
     domain.
@@ -325,6 +329,40 @@ class QueryContext:
                 log_diff += lw - fl[1]
                 held += 1
         return self._cost(log_num, log_diff, held)
+
+    def visual_columns(self, postings, n):
+        """Visual relevance of every slot of an ``n``-slot table, term at a
+        time, and the number of query words each slot holds. ``postings``
+        maps a word to its ``(slot, tf/|I.psi|)`` columns (``array('q')``,
+        ``array('d')``), a slot at most once per word.
+
+        The same sums as ``visual``, one numpy pass per query word in
+        query order, so a slot's cost is ``visual`` of its image up to the
+        rounding of numpy's ``log`` and ``exp``. A slot that holds no
+        query word gets a meaningless cost; the caller drops it by its
+        zero count."""
+        log_num = np.zeros(n)
+        log_diff = np.zeros(n)
+        held = np.zeros(n, dtype=np.intp)
+        zero_held = np.zeros(n, dtype=np.intp) if self._zero_words else None
+        scale = self._scale
+        for v, (floor, lf) in self._floors.items():
+            cols = postings.get(v)
+            if cols is None:
+                continue
+            slots = np.frombuffer(cols[0], dtype=np.int64)
+            lw = np.log(scale * np.frombuffer(cols[1]) + floor)
+            log_num[slots] += lw
+            log_diff[slots] += lw - lf
+            held[slots] += 1
+            if floor == 0.0:
+                zero_held[slots] += 1
+        log_ratio = np.where(held == len(self._floors),
+                             log_num - self._log_den, log_diff + self._log_const)
+        cost = 1.0 - np.minimum(np.exp(log_ratio), 1.0)
+        if zero_held is not None:
+            cost[zero_held < len(self._zero_words)] = 1.0
+        return cost, held
 
     def mind_visual(self, node_max_freq):
         """Lower bound on the visual relevance of any image under a node

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from geostream.baselines import IfaIndex, StviiIndex, _box_volume, _quadratic_sp
 from geostream.engine import brute_force_oracle, top_k_search
 from geostream.hiq import HiqConfig, HiqIndex
 from geostream.model import (
+    ConfigError,
     CorpusStats,
     DomainError,
     GeoTemporalImage,
@@ -120,24 +122,46 @@ class TestIfa:
         index = IfaIndex(make_config(domain))
         index.insert(img(0, psi=((1, 2), (4, 1), (9, 3))))
         assert sorted(index.postings) == [1, 4, 9]
-        assert all(len(lst) == 1 for lst in index.postings.values())
+        assert {w: (list(slots), list(f)) for w, (slots, f) in index.postings.items()} == {
+            1: ([0], [2 / 6]), 4: ([0], [1 / 6]), 9: ([0], [3 / 6])}
 
     def test_append_preserves_order(self, domain):
         index = IfaIndex(make_config(domain))
         index.insert(img(0, t_c=100))
         index.insert(img(1, t_c=200))
-        assert [e[1] for e in index.postings[1]] == [0, 1]
+        assert list(index.postings[1][0]) == [0, 1]
+        assert list(index.ids) == [0, 1]
+        assert list(index.t_c) == [100, 200]
 
-    def test_sortedness_after_random_inserts(self, domain):
+    def test_postings_audit_after_random_inserts(self, domain):
+        # each live image sits once in each of its words' postings, dead
+        # slots stay out of every answer, before and after a rebuild
         rng = random.Random(31)
         index = IfaIndex(make_config(domain, segment_span=ONE_SEGMENT))
         images = random_images(rng, 1000, domain)
         rng.shuffle(images)  # deliberately out of time order
         for im in images:
             index.insert(im)
-        for lst in index.postings.values():
-            keys = [(t, i) for t, i, _ in lst]
-            assert keys == sorted(keys)
+        for cutoff in (0, 30_000, 60_000):
+            index.expire(cutoff)
+            live = {im.id: im for im in index.live_images()}
+            alive = [bool(a) for a in index.alive]
+            assert len(alive) == len(index.ids) == len(index.t_c) \
+                == len(index.lat) == len(index.lon)
+            assert sorted(index.ids[s] for s, a in enumerate(alive) if a) == sorted(live)
+            for word, (slots, freqs) in index.postings.items():
+                assert list(slots) == sorted(set(slots))
+                held = sorted((index.ids[s], f) for s, f in zip(slots, freqs) if alive[s])
+                assert held == sorted((iid, im.word_tf[word] / im.total_tf)
+                                      for iid, im in live.items() if word in im.word_tf)
+            assert {w for im in live.values() for w in im.word_tf} <= set(index.postings)
+            assert index.live_posting_count() == sum(len(im.psi) for im in live.values())
+            for _ in range(10):
+                q = random_query(rng, list(live.values()), domain, max_words=5)
+                q = Query(psi=q.psi, loc=q.loc, t=q.t, k=50, weights=q.weights)
+                got, _ = index.search(q)
+                assert {e.image_id for e in got} <= set(live)
+                assert results_match(got, oracle_over_live_set(q, index))
 
     def test_search_no_vocabulary_overlap(self, domain):
         index = IfaIndex(make_config(domain))
@@ -188,6 +212,62 @@ class TestIfa:
         index.insert(img(1, t_c=20))
         assert index.expire(1000) == 2
         assert index.postings == {}
+        assert len(index.ids) == 0 and len(index.alive) == 0
+
+    @pytest.mark.parametrize("field", ["id", "t_c"])
+    def test_int64_overflow_admits_nothing(self, field, domain):
+        index = IfaIndex(make_config(domain))
+        kw = {"id": 2 ** 63} if field == "id" else {"id": 0, "t_c": 2 ** 63}
+        with pytest.raises(OverflowError):
+            index.insert(img(**kw))
+        assert index.image_count() == 0 and index.stats.total_word_count == 0
+        assert len(index.ids) == len(index.t_c) == len(index.alive) == 0
+        assert index.postings == {}
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.35, 0.5])
+def test_ifa_columns_match_oracle(xi, domain):
+    # a stream many windows long, each segment's arrivals shuffled (late
+    # arrivals); query words outside the corpus; at xi = 0 every floor is
+    # zero, so an image missing a live query word costs 1.0
+    config = make_config(domain, segment_span=1000, window=4, xi=xi)
+    index = IfaIndex(config)
+    rng = random.Random(43)
+    rebuilds = 0
+    for seg in range(30):
+        batch = random_images(rng, 25, domain, vocab=20, t_lo=seg * 1000,
+                              t_hi=seg * 1000 + 999, id_base=seg * 25)
+        rng.shuffle(batch)
+        for im in batch:
+            slots = len(index.ids)
+            index.insert(im)
+            rebuilds += len(index.ids) <= slots
+            assert len(index.ids) <= 2 * index.image_count()
+        live = index.live_images()
+        for _ in range(4):
+            q = random_query(rng, live, domain, vocab=26, max_words=8)
+            got, stats = index.search(q)
+            assert results_match(got, oracle_over_live_set(q, index))
+            qwords = set(q.psi)
+            assert stats.images_scored == sum(
+                1 for im in live if not qwords.isdisjoint(im.word_tf))
+            # the column pass gives every live candidate the scalar visual cost
+            ctx = index.params.context(q)
+            f_v, held = ctx.visual_columns(index.postings, len(index.ids))
+            by_id = {im.id: im for im in live}
+            for s, iid in enumerate(index.ids):
+                if index.alive[s] and held[s]:
+                    assert abs(f_v[s] - ctx.visual(by_id[iid])) <= 1e-12
+    assert rebuilds >= 2
+
+
+@pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda c: c.kind)
+def test_roll_segment_rejects_non_finite_now(cls, now, domain):
+    index = cls(make_config(domain))
+    with pytest.raises(ConfigError, match="roll_segment now must be finite"):
+        index.roll_segment(now)
+    assert index.window_start() is None
 
 
 def _walk(node):

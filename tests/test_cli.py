@@ -1,8 +1,12 @@
 import csv
+import shlex
+from pathlib import Path
 
 import pytest
 
-from geostream.cli import main
+from geostream.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(argv, capsys):
@@ -162,3 +166,12 @@ class TestConfigFile:
         ], capsys)
         assert code == 0
         assert len(out.read_text().splitlines()) == 7
+
+
+def test_readme_cli_block_parses():
+    # every ``geostream ...`` line of the README's CLI block
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```", 2)[1]
+    commands = [line for line in block.splitlines() if line.startswith("geostream ")]
+    assert len(commands) >= 4
+    for line in commands:
+        build_parser().parse_args(shlex.split(line)[1:])
