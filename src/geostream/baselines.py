@@ -3,10 +3,11 @@ node inverted files (STVII).
 
 IFA keeps one posting list per word over a table of image slots and
 scores every candidate at query time (no early termination), as numpy
-columns one query word at a time. STVII boxes images in
-(lat, lon, normalized time), splits quadratically on overflow, and
-carries the same per-node max-weight inverted files as the quadtree so
-it plugs into the shared best-first search.
+columns one query word at a time. STVII boxes images in raw
+(lat, lon, t), splits quadratically on overflow, expires by pruning
+only the subtrees older than the cutoff, and carries the same per-node
+max-weight inverted files as the quadtree so it plugs into the shared
+best-first search.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from array import array
 import numpy as np
 
 from . import kernels
-from .engine import Index, ResultEntry, SearchStats, TreeIndex, walk
+from .engine import Index, ResultEntry, SearchStats, TreeIndex
 from .model import add_to_aggregates, combined_score, merge_aggregates, mind_visual
 
 
@@ -82,9 +83,11 @@ class IfaIndex(Index):
         d_lat = q.loc[0] - np.frombuffer(self.lat)[rows]
         d_lon = q.loc[1] - np.frombuffer(self.lon)[rows]
         f_s = np.sqrt(d_lat * d_lat + d_lon * d_lon) / p.domain.delta_max
-        # ages in floats (exact below 2**53), so that no int64 difference wraps
-        t_c = np.frombuffer(self.t_c, dtype=np.int64)[rows].astype(np.float64)
-        age = np.maximum(q.t - t_c, 0.0)
+        # ages from the window start: live slots are at or after it, so the
+        # int64 offsets neither wrap nor, below 2**53 s, round as floats
+        t0 = self.window_start()
+        t_c = (np.frombuffer(self.t_c, dtype=np.int64)[rows] - t0).astype(np.float64)
+        age = np.maximum((q.t - t0) - t_c, 0.0)
         f_t = 1.0 - p.decay_base ** (-(age / p.time_unit))
         w1, w2, w3 = q.weights
         f_stv = w1 * f_s + w2 * f_v[rows] + w3 * f_t
@@ -118,8 +121,13 @@ class IfaIndex(Index):
 
 
 # ---------------------------------------------------------------------
-# STVII: 3D R-tree over (lat, lon, normalized time)
+# STVII: 3D R-tree over (lat, lon, t)
 # ---------------------------------------------------------------------
+
+def _box(img):
+    """The image's degenerate box: its point (lat, lon, t_c), twice."""
+    return (img.lat, img.lon, img.t_c, img.lat, img.lon, img.t_c)
+
 
 def _box_union(a, b):
     if a is None:
@@ -142,15 +150,11 @@ class RTree3DNode:
     __slots__ = ("mbr", "children", "images", "t_max", "max_freq")
 
     def __init__(self, leaf=True):
-        self.mbr = None                      # [x0, y0, t0, x1, y1, t1] normalized
+        self.mbr = None                      # [lat0, lon0, t0, lat1, lon1, t1], t exact ints
         self.children = None if leaf else []
         self.images = [] if leaf else None
         self.t_max = None
         self.max_freq = {}
-
-    @property
-    def is_leaf(self):
-        return self.children is None
 
 
 class StviiIndex(TreeIndex):
@@ -161,36 +165,13 @@ class StviiIndex(TreeIndex):
         self.capacity = config.capacity                  # M
         self.min_fill = max(1, math.ceil(0.4 * config.capacity))
         self.root = RTree3DNode(leaf=True)
-        self._t_origin = None
-        self._t_span = float(config.window * config.segment_span)
-
-    # -- geometry ------------------------------------------------------
-
-    def _box(self, img):
-        """The image's degenerate box: its normalized point, twice."""
-        d = self.config.domain
-        x = (img.lat - d.min_lat) / (d.max_lat - d.min_lat)
-        y = (img.lon - d.min_lon) / (d.max_lon - d.min_lon)
-        t = (img.t_c - self._t_origin) / self._t_span
-        return (x, y, t, x, y, t)
-
-    def _denormalize_rect(self, mbr):
-        d = self.config.domain
-        return (
-            d.min_lat + mbr[0] * (d.max_lat - d.min_lat),
-            d.min_lon + mbr[1] * (d.max_lon - d.min_lon),
-            d.min_lat + mbr[3] * (d.max_lat - d.min_lat),
-            d.min_lon + mbr[4] * (d.max_lon - d.min_lon),
-        )
 
     # -- insertion -----------------------------------------------------
 
     def _add(self, img):
-        if self._t_origin is None:
-            self._t_origin = img.t_c
-        split = self._insert_rec(self.root, img, self._box(img))
+        split = self._insert_rec(self.root, img, _box(img))
         if split is not None:
-            self.root = self._build_node(False, list(split), [c.mbr for c in split])
+            self.root = self._build_node(False, list(split))
 
     def _insert_rec(self, node, img, ebox):
         node.mbr = _box_union(node.mbr, ebox)
@@ -225,28 +206,28 @@ class StviiIndex(TreeIndex):
         leaf = node.children is None
         if leaf:
             items = node.images
-            boxes = [self._box(img) for img in items]
+            boxes = [_box(img) for img in items]
         else:
             items = node.children
             boxes = [c.mbr for c in items]
         return tuple(
-            self._build_node(leaf, [items[i] for i in g], [boxes[i] for i in g])
+            self._build_node(leaf, [items[i] for i in g])
             for g in _quadratic_split(boxes, self.min_fill)
         )
 
-    def _build_node(self, leaf, items, boxes):
-        """A node over ``items`` (images at a leaf, else child nodes)
-        whose boxes are ``boxes``."""
+    def _build_node(self, leaf, items):
+        """A node over ``items`` (images at a leaf, else child nodes),
+        with exact box and aggregates."""
         node = RTree3DNode(leaf=leaf)
-        for box in boxes:
-            node.mbr = _box_union(node.mbr, box)
         if leaf:
             node.images = items
             for img in items:
+                node.mbr = _box_union(node.mbr, _box(img))
                 add_to_aggregates(node, img)
         else:
             node.children = items
             for c in items:
+                node.mbr = _box_union(node.mbr, c.mbr)
                 merge_aggregates(node, c)
         return node
 
@@ -257,9 +238,9 @@ class StviiIndex(TreeIndex):
 
     def mind(self, q, node):
         p = self.params
-        lat0, lon0, lat1, lon1 = self._denormalize_rect(node.mbr)
+        m = node.mbr
         f_s = kernels.rect_min_cost(
-            q.loc[0], q.loc[1], lat0, lon0, lat1, lon1, p.domain.delta_max
+            q.loc[0], q.loc[1], m[0], m[1], m[3], m[4], p.domain.delta_max
         )
         f_v = mind_visual(q, node.max_freq, p)
         f_t = kernels.recency_cost(q.t - node.t_max, p.decay_base, p.time_unit)
@@ -269,17 +250,28 @@ class StviiIndex(TreeIndex):
     # -- maintenance -------------------------------------------------------
 
     def expire(self, cutoff):
-        """Drops the images older than cutoff and rebuilds the tree from
-        the rest; returns the removed count. The tree is left as it is
-        when no image is older."""
+        """Drops the images older than cutoff; returns the removed count.
+        Only the nodes holding such an image are rebuilt (``_prune``);
+        the tree is left as it is when no image is older."""
         old = self._expired(cutoff)
         if old:
-            live = [img for node in walk([self.root]) if node.children is None
-                    for img in node.images if img.t_c >= cutoff]
-            self.root = RTree3DNode(leaf=True)
-            for img in live:
-                self._add(img)
+            self.root = self._prune(self.root, cutoff) or RTree3DNode(leaf=True)
         return len(old)
+
+    def _prune(self, node, cutoff):
+        """``node`` without its images older than ``cutoff``: the node
+        itself when none is, else a node rebuilt over the images or
+        pruned children left, or None when nothing is left. Underfull
+        nodes stay as they are; nothing is reinserted."""
+        if node.mbr[2] >= cutoff:
+            return node
+        leaf = node.children is None
+        if leaf:
+            items = [img for img in node.images if img.t_c >= cutoff]
+        else:
+            items = [c for c in (self._prune(c, cutoff) for c in node.children)
+                     if c is not None]
+        return self._build_node(leaf, items) if items else None
 
 
 def _quadratic_split(boxes, min_fill):

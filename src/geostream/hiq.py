@@ -58,10 +58,6 @@ class QuadNode:
         self.images = []         # leaf only
         self.max_freq = {}       # word -> max tf/total_tf in subtree
 
-    @property
-    def is_leaf(self):
-        return self.children is None
-
     def quadrant(self, lat, lon):
         # boundary points go to the lowest-indexed containing quadrant
         mid_lat = (self.min_lat + self.max_lat) / 2.0

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from geostream.baselines import IfaIndex, StviiIndex, _box_volume, _quadratic_split
-from geostream.engine import brute_force_oracle, top_k_search
+from geostream.engine import brute_force_oracle, top_k_search, walk
 from geostream.hiq import HiqConfig, HiqIndex
 from geostream.model import (
     ConfigError,
@@ -261,6 +261,27 @@ def test_ifa_columns_match_oracle(xi, domain):
     assert rebuilds >= 2
 
 
+@pytest.mark.parametrize("base", [0, 2**53, 1_700_000_000_000_000_000])
+def test_large_timestamps_match_oracle(base, domain):
+    # float64 spacing is 2 at 2**53 and 256 at nanosecond-scale epochs, so
+    # an age taken from float timestamps is off by up to that many seconds
+    config = make_config(domain, segment_span=1000, window=3)
+    indexes = [cls(config) for cls in INDEX_CLASSES]
+    rng = random.Random(44)
+    for seg in range(8):
+        batch = random_images(rng, 20, domain, vocab=20, t_lo=base + seg * 1000,
+                              t_hi=base + seg * 1000 + 999, id_base=seg * 20)
+        for im in sorted(batch, key=lambda im: im.t_c):
+            for index in indexes:
+                index.insert(im)
+        live = indexes[0].live_images()
+        for _ in range(5):
+            q = random_query(rng, live, domain, vocab=22, max_words=6)
+            for index in indexes:
+                assert results_match(index.search(q)[0], oracle_over_live_set(q, index))
+    assert indexes[0].window_start() >= base + 4000     # the window rolled
+
+
 @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda c: c.kind)
 def test_roll_segment_rejects_non_finite_now(cls, now, domain):
@@ -270,19 +291,33 @@ def test_roll_segment_rejects_non_finite_now(cls, now, domain):
     assert index.window_start() is None
 
 
-def _walk(node):
-    yield node
-    if not node.is_leaf:
-        for c in node.children:
-            yield from _walk(c)
-
-
 def _subtree_images(node):
     out = []
-    for n in _walk(node):
-        if n.is_leaf:
+    for n in walk([node]):
+        if n.children is None:
             out.extend(n.images)
     return out
+
+
+def audit_stvii(index):
+    """Checks every node of a STVII tree: it is not empty, its box is the
+    bounding box of the (lat, lon, t_c) points below it, its ``t_max``
+    and ``max_freq`` equal those recomputed from its images, and none of
+    them is older than the window start."""
+    for node in walk(index.roots()):
+        subtree = _subtree_images(node)
+        assert subtree
+        points = [(im.lat, im.lon, im.t_c) for im in subtree]
+        assert list(node.mbr) == [min(p[d] for p in points) for d in range(3)] + \
+            [max(p[d] for p in points) for d in range(3)]
+        expected = {}
+        for im in subtree:
+            for w, tf in im.psi:
+                f = tf / im.total_tf
+                expected[w] = max(expected.get(w, 0.0), f)
+        assert node.max_freq == expected
+        assert node.t_max == max(im.t_c for im in subtree)
+        assert min(im.t_c for im in subtree) >= index.window_start()
 
 
 class TestStvii:
@@ -299,7 +334,7 @@ class TestStvii:
         for i in range(11):
             index.insert(img(i, rng.uniform(0, 100), rng.uniform(0, 100), 100 + i))
         root = index.root
-        assert not root.is_leaf and len(root.children) == 2
+        assert root.children is not None and len(root.children) == 2
         for child in root.children:
             assert len(child.images) >= index.min_fill
 
@@ -315,25 +350,7 @@ class TestStvii:
         for im in images:
             index.insert(im)
         assert sorted(im.id for im in index.live_images()) == list(range(1000))
-        for node in _walk(index.root):
-            if node.is_leaf:
-                for im in node.images:
-                    p = index._box(im)
-                    for d in range(3):
-                        assert node.mbr[d] <= p[d] <= node.mbr[d + 3]
-            else:
-                for child in node.children:
-                    for d in range(3):
-                        assert node.mbr[d] <= child.mbr[d]
-                        assert child.mbr[d + 3] <= node.mbr[d + 3]
-            subtree = _subtree_images(node)
-            expected = {}
-            for im in subtree:
-                for w, tf in im.psi:
-                    f = tf / im.total_tf
-                    expected[w] = max(expected.get(w, 0.0), f)
-            assert node.max_freq == expected
-            assert node.t_max == max(im.t_c for im in subtree)
+        audit_stvii(index)
 
     def test_mind_zero_inside_fresh_covering_node(self, domain):
         index = StviiIndex(make_config(domain))
@@ -351,7 +368,7 @@ class TestStvii:
             index.insert(im)
         for _ in range(20):
             q = random_query(rng, images, domain)
-            for node in _walk(index.root):
+            for node in walk([index.root]):
                 subtree = _subtree_images(node)
                 bound = index.mind(q, node)
                 low = min(combined_score(q, im, index.params).f_stv for im in subtree)
@@ -379,6 +396,23 @@ class TestStvii:
         survivors = {im.id for im in images if im.t_c >= 6000}
         assert removed == len(images) - len(survivors)
         assert {im.id for im in index.live_images()} == survivors
+        audit_stvii(index)
+        # four more expiries, each after arrivals no older than the last cutoff
+        live = {im.id: im for im in images if im.t_c >= 6000}
+        for step, cutoff in enumerate((7000, 8000, 9000, 9500)):
+            batch = random_images(rng, 60, domain, t_lo=cutoff - 1000, t_hi=10_000,
+                                  id_base=1000 * (step + 1))
+            for im in batch:
+                index.insert(im)
+                live[im.id] = im
+            removed = index.expire(cutoff)
+            assert removed == sum(1 for im in live.values() if im.t_c < cutoff)
+            live = {i: im for i, im in live.items() if im.t_c >= cutoff}
+            assert {im.id for im in index.live_images()} == set(live)
+            audit_stvii(index)
+            for _ in range(5):
+                q = random_query(rng, list(live.values()), domain)
+                assert results_match(index.search(q)[0], oracle_over_live_set(q, index))
 
     def test_expire_without_old_images_keeps_tree(self, domain):
         rng = random.Random(41)

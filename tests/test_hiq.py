@@ -41,7 +41,7 @@ class TestInsert:
         index.insert(img(0, 10.0, 10.0, 5000))
         assert len(index.segments) == 1
         root = index.segments[0].root
-        assert root.is_leaf and len(root.images) == 1
+        assert root.children is None and len(root.images) == 1
         assert root.t_max == 5000
         seg = index.segments[0]
         assert seg.start <= 5000 < seg.end

@@ -13,6 +13,7 @@ from geostream.engine import brute_force_oracle
 from geostream.hiq import ExpiredArrivalError, HiqConfig, HiqIndex
 from geostream.model import CorpusStats, GeoTemporalImage, Query, ScoreParams, SpatialDomain
 from geostream.verify import results_match
+from test_baselines import audit_stvii
 
 DOMAIN = SpatialDomain(0.0, 100.0, 0.0, 100.0)
 SPAN = 100
@@ -143,6 +144,10 @@ class SharedWindow(RuleBasedStateMachine):
                   weights=(0.2, 0.6, 0.2))
         for index in self.indexes:
             assert results_match(index.search(q)[0], oracle(q, index))
+
+    @invariant()
+    def stvii_tree_sound(self):
+        audit_stvii(self.indexes[2])
 
 
 SharedWindow.TestCase.settings = settings(
