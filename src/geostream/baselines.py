@@ -276,44 +276,51 @@ class StviiIndex(TreeIndex):
 
 def _quadratic_split(boxes, min_fill):
     """Quadratic PickSeeds/PickNext over 3D boxes; returns two index
-    groups, each holding at least ``min_fill`` items."""
+    groups, each holding at least ``min_fill`` items.
+
+    Each step scores every box at once over per-axis numpy columns, with
+    the same arithmetic and tie-breaks as a box-at-a-time loop: t columns
+    of ints stay int64, so their extents are exact before the product."""
     n = len(boxes)
-    best_d = None
-    seeds = (0, 1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = _box_volume(_box_union(boxes[i], boxes[j])) \
-                - _box_volume(boxes[i]) - _box_volume(boxes[j])
-            if best_d is None or d > best_d:
-                best_d = d
-                seeds = (i, j)
-    g1, g2 = [seeds[0]], [seeds[1]]
-    mbr1, mbr2 = list(boxes[seeds[0]]), list(boxes[seeds[1]])
-    remaining = [i for i in range(n) if i not in seeds]
-    while remaining:
-        if len(g1) + len(remaining) == min_fill:
-            g1.extend(remaining)
+    lo = [np.array([b[k] for b in boxes]) for k in range(3)]
+    hi = [np.array([b[k] for b in boxes]) for k in range(3, 6)]
+    vol = (hi[0] - lo[0]) * (hi[1] - lo[1]) * (hi[2] - lo[2])
+    # PickSeeds: the pair wasting most volume, the first in (i, j) order
+    ext = [np.maximum.outer(h, h) - np.minimum.outer(l, l) for l, h in zip(lo, hi)]
+    waste = ext[0] * ext[1] * ext[2] - vol[:, None] - vol[None, :]
+    waste[np.tril_indices(n)] = -np.inf
+    s1, s2 = divmod(int(np.argmax(waste)), n)
+    g1, g2 = [s1], [s2]
+    mbr1, mbr2 = list(boxes[s1]), list(boxes[s2])
+    d1, d2 = _enlargements(mbr1, lo, hi), _enlargements(mbr2, lo, hi)
+    free = np.ones(n, dtype=bool)
+    free[[s1, s2]] = False
+    left = n - 2
+    while left:
+        if len(g1) + left == min_fill:
+            g1.extend(np.flatnonzero(free).tolist())
             break
-        if len(g2) + len(remaining) == min_fill:
-            g2.extend(remaining)
+        if len(g2) + left == min_fill:
+            g2.extend(np.flatnonzero(free).tolist())
             break
-        # PickNext: strongest preference first
-        best_i = None
-        best_pref = -1.0
-        for idx, i in enumerate(remaining):
-            d1 = _enlargement(mbr1, boxes[i])
-            d2 = _enlargement(mbr2, boxes[i])
-            pref = abs(d1 - d2)
-            if pref > best_pref:
-                best_pref = pref
-                best_i = idx
-                best_pair = (d1, d2)
-        i = remaining.pop(best_i)
-        d1, d2 = best_pair
-        if (d1, _box_volume(mbr1), len(g1)) <= (d2, _box_volume(mbr2), len(g2)):
+        # PickNext: strongest preference first, the first such box in
+        # index order
+        i = int(np.argmax(np.where(free, np.abs(d1 - d2), -1.0)))
+        free[i] = False
+        left -= 1
+        if (d1[i], _box_volume(mbr1), len(g1)) <= (d2[i], _box_volume(mbr2), len(g2)):
             g1.append(i)
             mbr1 = _box_union(mbr1, boxes[i])
+            d1 = _enlargements(mbr1, lo, hi)
         else:
             g2.append(i)
             mbr2 = _box_union(mbr2, boxes[i])
+            d2 = _enlargements(mbr2, lo, hi)
     return g1, g2
+
+
+def _enlargements(mbr, lo, hi):
+    """``_enlargement(mbr, box)`` for every box of the columns."""
+    ext = [np.maximum(h, mbr[k + 3]) - np.minimum(l, mbr[k])
+           for k, (l, h) in enumerate(zip(lo, hi))]
+    return ext[0] * ext[1] * ext[2] - _box_volume(mbr)

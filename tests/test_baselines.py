@@ -441,6 +441,72 @@ def test_quadratic_split_respects_min_fill():
         assert len(g1) >= m and len(g2) >= m
 
 
+def _scalar_quadratic_split(boxes, min_fill):
+    """Guttman's PickSeeds/PickNext one box at a time, the reference for
+    the column-wise ``_quadratic_split``."""
+    def union(a, b):
+        return [min(a[k], b[k]) for k in range(3)] + [max(a[k], b[k]) for k in range(3, 6)]
+
+    def grow(box, item):
+        return _box_volume(union(box, item)) - _box_volume(box)
+
+    n = len(boxes)
+    best, seeds = None, None
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = _box_volume(union(boxes[i], boxes[j])) \
+                - _box_volume(boxes[i]) - _box_volume(boxes[j])
+            if best is None or d > best:
+                best, seeds = d, (i, j)
+    g1, g2 = [seeds[0]], [seeds[1]]
+    mbr1, mbr2 = list(boxes[seeds[0]]), list(boxes[seeds[1]])
+    remaining = [i for i in range(n) if i not in seeds]
+    while remaining:
+        if len(g1) + len(remaining) == min_fill:
+            g1.extend(remaining)
+            break
+        if len(g2) + len(remaining) == min_fill:
+            g2.extend(remaining)
+            break
+        pick, pref = None, -1.0
+        for idx, i in enumerate(remaining):
+            if abs(grow(mbr1, boxes[i]) - grow(mbr2, boxes[i])) > pref:
+                pick, pref = idx, abs(grow(mbr1, boxes[i]) - grow(mbr2, boxes[i]))
+        i = remaining.pop(pick)
+        d1, d2 = grow(mbr1, boxes[i]), grow(mbr2, boxes[i])
+        if (d1, _box_volume(mbr1), len(g1)) <= (d2, _box_volume(mbr2), len(g2)):
+            g1.append(i)
+            mbr1 = union(mbr1, boxes[i])
+        else:
+            g2.append(i)
+            mbr2 = union(mbr2, boxes[i])
+    return g1, g2
+
+
+@pytest.mark.parametrize("t0", [0, 1_700_000_000, 1_700_000_000_000_000_000])
+def test_quadratic_split_matches_scalar_reference(t0):
+    # points and boxes with exact int times, off a coarse grid too so that
+    # the seeds and picks tie and the tie-breaks decide
+    rng = random.Random(t0 % 1000 + 41)
+    for trial in range(60):
+        n = rng.choice([2, 3, 7, 20, 101])
+        grid = trial % 2 == 0
+        boxes = []
+        for _ in range(n):
+            corners = []
+            for _ in range(1 if trial % 3 else 2):
+                if grid:
+                    corners.append((rng.randint(0, 3) * 0.5, rng.randint(0, 3) * 0.25,
+                                    t0 + rng.randint(0, 4)))
+                else:
+                    corners.append((rng.uniform(-90, 90), rng.uniform(-180, 180),
+                                    t0 + rng.randint(0, 36)))
+            boxes.append(tuple(min(c[k] for c in corners) for k in range(3))
+                         + tuple(max(c[k] for c in corners) for k in range(3)))
+        m = rng.randint(1, max(1, n // 2))
+        assert _quadratic_split(boxes, m) == _scalar_quadratic_split(boxes, m)
+
+
 def test_all_indexes_agree(domain):
     from geostream.verify import build_all
 
