@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from . import bench as bench_mod
 from .hiq import HiqConfig
@@ -15,9 +16,7 @@ from .model import ConfigError, DomainError, Query, SpatialDomain
 from .workload import (
     DataFormatError,
     GeneratorConfig,
-    QueryConfig,
     generate_images,
-    generate_queries,
     parse_dataset,
     parse_queries,
     write_dataset,
@@ -50,38 +49,24 @@ def _load_config_file(path):
     return values
 
 
-def _add_common(p):
-    p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--xi", type=float, default=0.5)
-    p.add_argument("--decay-base", type=float, default=2.0)
-    p.add_argument("--time-unit", type=float, default=3600.0)
-    p.add_argument("--segment-span", type=int, default=3600)
-    p.add_argument("--window", type=int, default=24)
-    p.add_argument("--capacity", type=int, default=100)
-    p.add_argument("--max-depth", type=int, default=16)
-    p.add_argument("--domain", default="0,100,0,100",
-                   help="min_lat,max_lat,min_lon,max_lon")
-
-
 def _parse_domain(spec):
-    parts = [float(x) for x in spec.split(",")]
-    if len(parts) != 4:
-        raise ConfigError("--domain needs 4 comma-separated values")
-    return SpatialDomain(*parts)
+    """The type of ``--domain``: ``min_lat,max_lat,min_lon,max_lon``."""
+    try:
+        parts = [float(x) for x in spec.split(",")]
+        if len(parts) != 4:
+            raise ValueError("needs 4 comma-separated values")
+        return SpatialDomain(*parts)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+# every HiqConfig field but the domain is one index flag of the same name
+_INDEX_FIELDS = [f for f in fields(HiqConfig) if f.name != "domain"]
 
 
 def _index_config(args):
-    return HiqConfig(
-        domain=_parse_domain(args.domain),
-        segment_span=args.segment_span,
-        window=args.window,
-        capacity=args.capacity,
-        max_depth=args.max_depth,
-        xi=args.xi,
-        decay_base=args.decay_base,
-        time_unit=args.time_unit,
-    )
+    return HiqConfig(domain=args.domain,
+                     **{f.name: getattr(args, f.name) for f in _INDEX_FIELDS})
 
 
 def build_parser():
@@ -89,21 +74,32 @@ def build_parser():
                      description="streaming top-k spatial-temporal image search")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="write a synthetic dataset")
-    _add_common(g)
-    g.add_argument("--out", required=True)
-    g.add_argument("--count", type=int, default=1000)
-    g.add_argument("--vocab", type=int, default=1000)
-    g.add_argument("--mean-words", type=float, default=120.0)
-    g.add_argument("--zipf", type=float, default=1.0)
-    g.add_argument("--rate", type=float, default=200.0)
-    g.add_argument("--start-time", type=int, default=1_600_000_000)
-    g.add_argument("--spatial-mode", choices=("uniform", "clusters"), default="uniform")
-    g.add_argument("--clusters", type=int, default=8)
-    g.add_argument("--sigma", type=float, default=2.0)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="key=value config file; flags override it")
+    common.add_argument("--domain", type=_parse_domain, default="0,100,0,100",
+                        help="min_lat,max_lat,min_lon,max_lon")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    indexed = argparse.ArgumentParser(add_help=False)
+    for f in _INDEX_FIELDS:
+        indexed.add_argument("--" + f.name.replace("_", "-"),
+                             type=type(f.default), default=f.default)
 
-    q = sub.add_parser("query", help="build an index from a dataset and run queries")
-    _add_common(q)
+    g = sub.add_parser("generate", help="write a synthetic dataset", parents=[common, seeded])
+    g.add_argument("--out", required=True)
+    g.add_argument("--count", type=int, default=GeneratorConfig.image_count)
+    g.add_argument("--vocab", type=int, default=GeneratorConfig.vocab_size)
+    g.add_argument("--mean-words", type=float, default=GeneratorConfig.mean_words)
+    g.add_argument("--zipf", type=float, default=GeneratorConfig.zipf_exponent)
+    g.add_argument("--rate", type=float, default=GeneratorConfig.rate)
+    g.add_argument("--start-time", type=int, default=GeneratorConfig.start_time)
+    g.add_argument("--spatial-mode", choices=("uniform", "clusters"),
+                   default=GeneratorConfig.spatial_mode)
+    g.add_argument("--clusters", type=int, default=GeneratorConfig.cluster_count)
+    g.add_argument("--sigma", type=float, default=GeneratorConfig.cluster_sigma)
+
+    q = sub.add_parser("query", help="build an index from a dataset and run queries",
+                       parents=[common, indexed])
     q.add_argument("--data", required=True)
     q.add_argument("--index", choices=("hiq", "ifa", "stvii"), default="hiq")
     q.add_argument("--queries", help="query TSV file; omit for a single inline query")
@@ -116,8 +112,8 @@ def build_parser():
     q.add_argument("--w2", type=float, default=1 / 3)
     q.add_argument("--w3", type=float, default=1 / 3)
 
-    b = sub.add_parser("bench", help="run the measurement harness")
-    _add_common(b)
+    b = sub.add_parser("bench", help="run the measurement harness",
+                       parents=[common, seeded, indexed])
     b.add_argument("--out", required=True)
     b.add_argument("--axis", default="all",
                    choices=("all", "arrival_rate", "node_capacity", "l", "k", "n",
@@ -127,8 +123,8 @@ def build_parser():
     b.add_argument("--mean-words", type=float, default=40.0)
     b.add_argument("--spatial-mode", choices=("uniform", "clusters"), default="clusters")
 
-    v = sub.add_parser("verify", help="oracle-equivalence and bound-dominance suites")
-    _add_common(v)
+    v = sub.add_parser("verify", help="oracle-equivalence and bound-dominance suites",
+                       parents=[common, seeded])
     v.add_argument("--instances", type=int, default=50)
     return parser
 
@@ -145,7 +141,7 @@ def cmd_generate(args):
         cluster_sigma=args.sigma,
         rate=args.rate,
         start_time=args.start_time,
-        domain=_parse_domain(args.domain),
+        domain=args.domain,
     )
     write_dataset(generate_images(cfg), args.out)
     return EXIT_OK
@@ -173,7 +169,7 @@ def cmd_query(args):
                 weights=(args.w1, args.w2, args.w3),
             )
         except ConfigError as exc:
-            raise ConfigError(f"--w1/--w2/--w3: {exc}") from exc
+            raise ConfigError(f"--words/--lat/--lon/--t/--k/--w1/--w2/--w3: {exc}") from exc
         queries = [q]
 
     for qid, q in enumerate(queries):
@@ -190,7 +186,7 @@ def cmd_bench(args):
         vocab_size=args.vocab,
         mean_words=args.mean_words,
         spatial_mode=args.spatial_mode,
-        domain=_parse_domain(args.domain),
+        domain=args.domain,
     )
     index_cfg = _index_config(args)
     rows = []
@@ -215,7 +211,7 @@ def cmd_verify(args):
     from .verify import run_verification
 
     report = run_verification(seed=args.seed, instances=args.instances,
-                              domain=_parse_domain(args.domain))
+                              domain=args.domain)
     for line in report.lines:
         print(line)
     return EXIT_OK if report.ok else EXIT_VERIFY
@@ -223,26 +219,20 @@ def cmd_verify(args):
 
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
+    if args.config:
         try:
-            overrides = _load_config_file(args.config)
-        except OSError as exc:
+            values = _load_config_file(args.config)
+        except (OSError, DataFormatError) as exc:
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_DATA
-        defaults = {}
-        for action in parser._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                for a in action.choices[args.command]._actions:
-                    defaults[a.dest] = a.default
-            else:
-                defaults[action.dest] = action.default
-        # a config value applies unless the flag was set away from its default
-        for key, val in overrides.items():
-            if hasattr(args, key) and getattr(args, key) == defaults.get(key):
-                current = defaults.get(key)
-                caster = type(current) if current is not None else str
-                setattr(args, key, caster(val))
+        # the file's keys this subcommand takes become flags ahead of the
+        # command line's own, so a flag given there wins
+        taken = vars(args).keys() - {"command"}
+        file_flags = [f"--{key.replace('_', '-')}={val}"
+                      for key, val in values.items() if key in taken]
+        args = parser.parse_args([argv[0], *file_flags, *argv[1:]])
     try:
         if args.command == "generate":
             return cmd_generate(args)

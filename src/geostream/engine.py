@@ -18,7 +18,6 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 from . import kernels
 from .model import (
@@ -143,7 +142,6 @@ class Index:
             time_unit=config.time_unit,
         )
         self._live = {}         # id -> image, in arrival order
-        self._first = None      # start of the first segment
         self._start = None      # start of the window
         self._head_end = None   # end of the head segment
 
@@ -189,15 +187,15 @@ class Index:
 
     def _open(self, t):
         span = self.config.segment_span
-        self._first = self._start = self._head_end = t // span * span   # an empty window
-        self._move_head(self._first + span)
+        self._start = self._head_end = t // span * span   # an empty window
+        self._move_head(self._start + span)
 
     def _move_head(self, head_end):
         """Moves the end of the head segment to ``head_end``; returns the
         number of segments that left the window."""
         cfg = self.config
         old = self._start
-        start = max(self._first, head_end - cfg.window * cfg.segment_span)
+        start = max(self._start, head_end - cfg.window * cfg.segment_span)
         self._slide(start, head_end)
         self._start, self._head_end = start, head_end
         return (start - old) // cfg.segment_span
@@ -231,9 +229,6 @@ class Index:
         return len(self._live)
 
 
-_image_id = attrgetter("id")
-
-
 class TreeIndex(Index):
     """The search surface shared by the tree indexes. A subclass provides
     ``roots()``, ``mind(q, node)`` and ``params``."""
@@ -242,12 +237,10 @@ class TreeIndex(Index):
         return top_k_search(q, self)
 
     def candidates(self, q, leaf):
-        """Images in the leaf sharing at least one query word, id order."""
+        """Images in the leaf sharing at least one query word, in leaf
+        order (the search's results do not depend on it)."""
         qwords = set(q.psi)
-        return sorted(
-            (img for img in leaf.images if not qwords.isdisjoint(img.word_tf)),
-            key=_image_id,
-        )
+        return [img for img in leaf.images if not qwords.isdisjoint(img.word_tf)]
 
     def node_count(self):
         return sum(1 for _ in walk(self.roots()))

@@ -51,14 +51,12 @@ class QueryConfig:
     words_per_query: int = 20          # l
     k: int = 10
     weights: tuple = (1 / 3, 1 / 3, 1 / 3)
-    at: int | None = None              # query timestamp; default: max t_c
     anchor_word_fraction: float = 0.5  # share of words drawn from the anchor image
 
 
 @dataclass
 class QueryWorkload:
     queries: list
-    meta: dict = field(default_factory=dict)
 
 
 def generate_images(cfg):
@@ -106,12 +104,13 @@ def generate_images(cfg):
 
 def generate_queries(cfg, images):
     """Query locations come from dataset records; word sets mix the anchor
-    record's words with draws from the observed vocabulary."""
+    record's words with draws from the observed vocabulary. Every query
+    asks at the latest timestamp of the data."""
     if not images:
         raise ValueError("cannot sample queries from an empty dataset")
     rng = np.random.default_rng(cfg.seed)
     vocab = sorted({w for img in images for w in img.word_tf})
-    default_t = max(img.t_c for img in images)
+    t = max(img.t_c for img in images)
     queries = []
     for _ in range(cfg.count):
         anchor = images[int(rng.integers(0, len(images)))]
@@ -127,14 +126,12 @@ def generate_queries(cfg, images):
             Query(
                 psi=tuple(sorted(picked)),
                 loc=(anchor.lat, anchor.lon),
-                t=cfg.at if cfg.at is not None else default_t,
+                t=t,
                 k=cfg.k,
                 weights=cfg.weights,
             )
         )
-    return QueryWorkload(
-        queries, meta={"l": cfg.words_per_query, "k": cfg.k, "seed": cfg.seed}
-    )
+    return QueryWorkload(queries)
 
 
 # -- TSV I/O ------------------------------------------------------------

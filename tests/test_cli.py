@@ -1,10 +1,12 @@
 import csv
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from geostream.cli import build_parser, main
+from geostream.cli import _index_config, build_parser, main
+from geostream.hiq import HiqConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -101,6 +103,14 @@ class TestQuery:
         assert code == 1
         assert "--w1" in err
 
+    def test_invalid_k_names_k(self, dataset, capsys):
+        code, _, err = run([
+            "query", "--data", str(dataset), "--lat", "50", "--lon", "50",
+            "--words", "1", "--k", "0",
+        ], capsys)
+        assert code == 1
+        assert "--k" in err
+
     def test_missing_data_file_exit_data(self, tmp_path, capsys):
         code, _, err = run([
             "query", "--data", str(tmp_path / "nope.tsv"),
@@ -121,6 +131,48 @@ class TestQuery:
         with pytest.raises(SystemExit) as exc:
             main(["query", "--bogus"])
         assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--out", "x.tsv", "--window", "3"],
+    ["verify", "--capacity", "5"],
+    ["query", "--data", "x.tsv", "--seed", "1"],
+])
+def test_subcommand_rejects_flags_it_does_not_read(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, reason", [
+    ("a,b,c,d", "could not convert"),
+    ("0,100,0", "4 comma-separated values"),
+    ("0,100,100,0", "positive extent"),
+])
+def test_malformed_domain_exit_usage(spec, reason, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--domain", spec])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "--domain" in err and reason in err
+
+
+@pytest.mark.parametrize("command", [
+    ["query", "--data", "x.tsv"],
+    ["bench", "--out", "x.csv"],
+])
+def test_every_index_flag_reaches_the_config(command):
+    argv = [*command, "--domain", "0,10,0,20"]
+    expected = {}
+    for f in fields(HiqConfig):
+        if f.name != "domain":
+            expected[f.name] = f.default + 1 if isinstance(f.default, int) else f.default + 0.25
+            argv += ["--" + f.name.replace("_", "-"), str(expected[f.name])]
+    config = _index_config(build_parser().parse_args(argv))
+    assert {name: getattr(config, name) for name in expected} == expected
+    assert (config.domain.max_lat, config.domain.max_lon) == (10.0, 20.0)
 
 
 class TestBench:
@@ -166,6 +218,42 @@ class TestConfigFile:
         ], capsys)
         assert code == 0
         assert len(out.read_text().splitlines()) == 7
+
+    def test_index_flag_beats_config(self, tmp_path, capsys, monkeypatch):
+        # 100 is --capacity's default, and the command line still wins;
+        # count is a generate key, which query ignores
+        from geostream import bench
+
+        cfg = tmp_path / "geo.cfg"
+        cfg.write_text("capacity=7\nwindow=3\ncount=5\n")
+        data = tmp_path / "tiny.tsv"
+        data.write_text("5\t10.0\t10.0\t1000\t1:2,3:1\n")
+        built = []
+        real = bench.build_index
+        monkeypatch.setattr(bench, "build_index",
+                            lambda kind, config: built.append(config) or real(kind, config))
+        code, _, _ = run([
+            "query", "--config", str(cfg), "--data", str(data), "--capacity", "100",
+            "--lat", "10", "--lon", "10", "--words", "1",
+        ], capsys)
+        assert code == 0
+        assert (built[0].capacity, built[0].window) == (100, 3)
+
+    def test_bad_config_value_exit_usage(self, tmp_path, capsys):
+        cfg = tmp_path / "geo.cfg"
+        cfg.write_text("capacity=abc\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["query", "--config", str(cfg), "--data", str(tmp_path / "data.tsv")])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "--capacity" in err and "abc" in err
+
+    def test_config_line_without_value_exit_data(self, tmp_path, capsys):
+        cfg = tmp_path / "geo.cfg"
+        cfg.write_text("capacity\n")
+        code, _, err = run(["verify", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "line 1" in err
 
 
 def test_readme_cli_block_parses():

@@ -163,4 +163,5 @@ def test_leaf_candidates_and_tree_counts(cls, domain):
                 (im for im in leaf.images if set(im.word_tf) & set(q.psi)),
                 key=lambda im: im.id,
             )
-            assert index.candidates(q, leaf) == expected
+            # candidates come in leaf order, which the search does not depend on
+            assert sorted(index.candidates(q, leaf), key=lambda im: im.id) == expected
