@@ -1,6 +1,12 @@
-"""Benchmark harness: insertion/expiry latency vs arrival rate and node
-capacity, response time vs query-word count, k, dataset size and weight
-sweeps; node-access counting and storage estimation.
+"""Benchmark harness: one sweep per axis of the paper's figures. Insert
+and segment-roll latency against arrival rate; response time, node
+accesses and images scored against node capacity, query-word count l,
+k, dataset size n and the weights; modelled storage.
+
+Every answer is checked: each index must return the first index's
+answer to every query (at 1e-9), and each index's answer to the first
+query of a point must equal the brute-force oracle over its live images.
+A mismatch raises ``AnswerMismatchError``.
 
 Timings are reported but never asserted; only counter metrics (node
 accesses, images scored) are stable across machines. Arrival rates are
@@ -11,23 +17,31 @@ rate, no wall-clock waiting.
 from __future__ import annotations
 
 import csv
-import hashlib
 import statistics
 import time
 from dataclasses import dataclass, replace
 
 from .baselines import IfaIndex, StviiIndex
-from .engine import walk
-from .hiq import HiqConfig, HiqIndex
-from .workload import GeneratorConfig, QueryConfig, generate_images, generate_queries
+from .engine import brute_force_oracle, walk
+from .hiq import HiqIndex
+from .verify import results_match
+from .workload import QueryConfig, generate_images, generate_queries
 
 CSV_HEADER = ("axis", "value", "index", "metric", "mean", "p50", "p95")
 
-ARRIVAL_RATES = (200, 400, 800, 1600, 3200)
-CAPACITIES = (100, 200, 300, 400, 500)
-QUERY_WORD_COUNTS = (10, 50, 100, 150, 200)
-K_VALUES = (10, 25, 50, 75, 100)
-OMEGA1_VALUES = (1 / 7, 2 / 7, 3 / 7, 4 / 7, 5 / 7)
+_WEIGHT_SHARES = tuple(i / 7 for i in range(1, 6))
+# each axis's default values; None sweeps the whole stream only
+AXES = {
+    "arrival_rate": (200, 400, 800, 1600, 3200),
+    "node_capacity": (100, 200, 300, 400, 500),
+    "l": (10, 50, 100, 150, 200),
+    "k": (10, 25, 50, 75, 100),
+    "n": None,
+    "omega1": _WEIGHT_SHARES,
+    "omega2": _WEIGHT_SHARES,
+    "omega3": _WEIGHT_SHARES,
+    "storage": None,
+}
 
 INDEX_CLASSES = {cls.kind: cls for cls in (HiqIndex, IfaIndex, StviiIndex)}
 INDEX_KINDS = tuple(INDEX_CLASSES)
@@ -38,6 +52,11 @@ POSTING_BYTES = 16         # (image id, weight) pair
 AGG_ENTRY_BYTES = 16       # (word, max weight) at a node
 RECORD_BYTES = 40          # id + location + timestamp
 RECORD_WORD_BYTES = 8      # per (word, tf) pair
+
+
+class AnswerMismatchError(Exception):
+    """An index answered a sweep query differently from the first index
+    or from the oracle; the message names the axis, value and index."""
 
 
 @dataclass
@@ -58,174 +77,126 @@ def build_index(kind, config):
     return cls(config)
 
 
-def _percentiles(samples):
+def _row(axis, value, kind, metric, samples):
     if not samples:
-        return 0.0, 0.0, 0.0
-    mean = statistics.fmean(samples)
+        return BenchRow(axis, value, kind, metric, 0.0, 0.0, 0.0)
     ordered = sorted(samples)
     p50 = ordered[len(ordered) // 2]
     p95 = ordered[min(len(ordered) - 1, int(0.95 * len(ordered)))]
-    return mean, p50, p95
+    return BenchRow(axis, value, kind, metric, statistics.fmean(samples), p50, p95)
 
 
 def _retime(images, rate, start):
     """Respace the stream's timestamps at the target arrival rate."""
-    out = []
-    for i, img in enumerate(images):
-        clone = type(img)(img.id, img.lat, img.lon, start + int(i / rate), img.psi)
-        out.append(clone)
-    return out
+    return [type(img)(img.id, img.lat, img.lon, start + int(i / rate), img.psi)
+            for i, img in enumerate(images)]
 
 
-def run_insertion_bench(gen_cfg, index_cfg, rates=ARRIVAL_RATES, kinds=INDEX_KINDS):
-    """Mean per-image insert latency at each simulated arrival rate."""
-    base = generate_images(gen_cfg)
-    rows = []
-    for rate in rates:
-        images = _retime(base, rate, gen_cfg.start_time)
-        for kind in kinds:
-            index = build_index(kind, index_cfg)
-            samples = []
-            for img in images:
-                t0 = time.perf_counter()
-                index.insert(img)
-                samples.append((time.perf_counter() - t0) * 1e6)
-            mean, p50, p95 = _percentiles(samples)
-            rows.append(BenchRow("arrival_rate", rate, kind, "insert_us", mean, p50, p95))
-    return rows
+def _build(kinds, config, images):
+    """Each kind's index over the images, and its insert latencies (µs)."""
+    indexes, insert_us = {}, {}
+    for kind in kinds:
+        index = indexes[kind] = build_index(kind, config)
+        samples = insert_us[kind] = []
+        for img in images:
+            t0 = time.perf_counter()
+            index.insert(img)
+            samples.append((time.perf_counter() - t0) * 1e6)
+    return indexes, insert_us
 
 
-def run_deletion_bench(gen_cfg, index_cfg, rates=ARRIVAL_RATES, kinds=INDEX_KINDS):
-    """Latency of a segment roll, which slides the window by one span and
-    expires what leaves it, after ingesting a stream at each rate."""
-    base = generate_images(gen_cfg)
-    rows = []
-    for rate in rates:
-        images = _retime(base, rate, gen_cfg.start_time)
-        horizon = images[-1].t_c if images else gen_cfg.start_time
-        for kind in kinds:
-            index = build_index(kind, index_cfg)
-            for img in images:
-                index.insert(img)
-            samples = []
-            # roll over roughly half the stream, one span at a time
-            cutoff = gen_cfg.start_time
-            mid = (gen_cfg.start_time + horizon) // 2
-            while cutoff < mid:
-                cutoff += index_cfg.segment_span
-                t0 = time.perf_counter()
-                index.roll_segment(cutoff)
-                samples.append((time.perf_counter() - t0) * 1e6)
-            mean, p50, p95 = _percentiles(samples)
-            rows.append(BenchRow("arrival_rate", rate, kind, "delete_us", mean, p50, p95))
-    return rows
-
-
-def _result_checksum(results):
-    ids = ",".join(str(e.image_id) for e in results)
-    return hashlib.sha1(ids.encode()).hexdigest()
-
-
-def _run_queries(index, queries):
-    """Returns (response times in ms, stats list, checksums)."""
-    times, stats, sums = [], [], []
-    for q in queries:
+def _roll_half(index, start, horizon):
+    """Latencies (µs) of segment rolls, each sliding the window by one
+    span and expiring what leaves it, over roughly half the stream."""
+    samples = []
+    cutoff, mid = start, (start + horizon) // 2
+    while cutoff < mid:
+        cutoff += index.config.segment_span
         t0 = time.perf_counter()
-        results, st = index.search(q)
-        times.append((time.perf_counter() - t0) * 1e3)
-        stats.append(st)
-        sums.append(_result_checksum(results))
-    return times, stats, sums
+        index.roll_segment(cutoff)
+        samples.append((time.perf_counter() - t0) * 1e6)
+    return samples
 
 
-def _query_rows(axis, value, kind, index, queries):
-    times, stats, sums = _run_queries(index, queries)
-    # instrumentation must not change the answers
-    _, _, again = _run_queries(index, queries)
-    if sums != again:
-        raise RuntimeError("instrumented run changed query results")
-    rows = []
-    mean, p50, p95 = _percentiles(times)
-    rows.append(BenchRow(axis, value, kind, "response_ms", mean, p50, p95))
-    mean, p50, p95 = _percentiles([s.nodes_visited for s in stats])
-    rows.append(BenchRow(axis, value, kind, "nodes", mean, p50, p95))
-    mean, p50, p95 = _percentiles([s.images_scored for s in stats])
-    rows.append(BenchRow(axis, value, kind, "images_scored", mean, p50, p95))
+def _query_rows(axis, value, indexes, queries):
+    """Response time, nodes visited and images scored of each index over
+    the queries, with every answer checked."""
+    rows, first = [], None
+    for kind, index in indexes.items():
+        times, stats, answers = [], [], []
+        for q in queries:
+            t0 = time.perf_counter()
+            results, st = index.search(q)
+            times.append((time.perf_counter() - t0) * 1e3)
+            stats.append(st)
+            answers.append(results)
+        if queries and not results_match(
+                answers[0], brute_force_oracle(queries[0], index.live_images(), index.params)):
+            raise AnswerMismatchError(f"{axis}={value}: {kind} differs from the oracle on query 0")
+        if first is None:
+            first = kind, answers
+        for i, (got, want) in enumerate(zip(answers, first[1])):
+            if not results_match(got, want):
+                raise AnswerMismatchError(
+                    f"{axis}={value}: {kind} answers differ from {first[0]}'s on query {i}")
+        rows.append(_row(axis, value, kind, "response_ms", times))
+        rows.append(_row(axis, value, kind, "nodes", [s.nodes_visited for s in stats]))
+        rows.append(_row(axis, value, kind, "images_scored", [s.images_scored for s in stats]))
     return rows
 
 
-def run_query_bench(gen_cfg, index_cfg, axis, values=None, query_cfg=None,
-                    kinds=INDEX_KINDS):
-    """Response time over a query workload, sweeping one axis.
+def sweep(gen_cfg, index_cfg, axis, values=None, query_cfg=None, kinds=INDEX_KINDS):
+    """Rows of ``axis`` swept over ``values`` (default ``AXES[axis]``).
 
-    Axes: node_capacity, l, k, n, omega1, omega2, omega3.
-    """
-    if query_cfg is None:
-        query_cfg = QueryConfig(seed=gen_cfg.seed + 1)
-    defaults = {
-        "node_capacity": CAPACITIES,
-        "l": QUERY_WORD_COUNTS,
-        "k": K_VALUES,
-        "n": (gen_cfg.image_count,),
-        "omega1": OMEGA1_VALUES,
-        "omega2": OMEGA1_VALUES,
-        "omega3": OMEGA1_VALUES,
-    }
-    if axis not in defaults:
+    ``arrival_rate`` retimes the stream and measures ``insert_us`` and
+    ``delete_us``; ``n`` takes a prefix of the stream; ``node_capacity``
+    replaces the capacity; ``l``, ``k`` and ``omega1..3`` replace a field
+    of the query config; those measure ``response_ms``, ``nodes`` and
+    ``images_scored``. ``storage`` gives each index's modelled ``bytes``
+    at a prefix of ``n`` images (rows on axis ``n``). Indexes are rebuilt
+    only when a point's images or index config change. Raises
+    ``AnswerMismatchError`` on a wrong answer."""
+    if axis not in AXES:
         raise ValueError(f"unknown axis {axis!r}")
     if values is None:
-        values = defaults[axis]
-
-    rows = []
-    images = generate_images(gen_cfg)
-    if axis == "n":
-        for n in values:
-            sub = images[: int(n)]
-            workload = generate_queries(query_cfg, sub) if sub else None
-            for kind in kinds:
-                index = build_index(kind, index_cfg)
-                for img in sub:
-                    index.insert(img)
-                qs = workload.queries if workload else []
-                rows.extend(_query_rows(axis, n, kind, index, qs))
-        return rows
-
-    indexes = {}
-    for kind in kinds:
-        if axis == "node_capacity":
-            continue
-        index = build_index(kind, index_cfg)
-        for img in images:
-            index.insert(img)
-        indexes[kind] = index
-
+        values = AXES[axis] or (gen_cfg.image_count,)
+    if query_cfg is None:
+        query_cfg = QueryConfig(seed=gen_cfg.seed + 1)
+    stream = generate_images(gen_cfg)
+    rows, built_for = [], (None, None)
     for value in values:
-        if axis == "node_capacity":
+        images, cfg, qc = stream, index_cfg, query_cfg
+        if axis == "arrival_rate":
+            images = _retime(stream, value, gen_cfg.start_time)
+        elif axis in ("n", "storage"):
+            images = stream[: int(value)]
+        elif axis == "node_capacity":
             cfg = replace(index_cfg, capacity=int(value))
-            workload = generate_queries(query_cfg, images)
-            for kind in kinds:
-                index = build_index(kind, cfg)
-                for img in images:
-                    index.insert(img)
-                rows.extend(_query_rows(axis, value, kind, index, workload.queries))
-            continue
-        if axis == "l":
+        elif axis == "l":
             qc = replace(query_cfg, words_per_query=int(value))
         elif axis == "k":
             qc = replace(query_cfg, k=int(value))
+        else:  # omega<i>: weight i is the value, the other two share the rest
+            weights = [(1.0 - float(value)) / 2.0] * 3
+            weights[int(axis[-1]) - 1] = float(value)
+            qc = replace(query_cfg, weights=tuple(weights))
+        if images is not built_for[0] or cfg is not built_for[1]:
+            built_for = images, cfg
+            indexes, insert_us = _build(kinds, cfg, images)
+
+        if axis == "arrival_rate":
+            rows += [_row(axis, value, kind, "insert_us", samples)
+                     for kind, samples in insert_us.items()]
+            horizon = images[-1].t_c if images else gen_cfg.start_time
+            rows += [_row(axis, value, kind, "delete_us",
+                          _roll_half(index, gen_cfg.start_time, horizon))
+                     for kind, index in indexes.items()]
+        elif axis == "storage":
+            rows += [_row("n", value, kind, "bytes", [float(estimate_storage(index))])
+                     for kind, index in indexes.items()]
         else:
-            w = float(value)
-            rest = (1.0 - w) / 2.0
-            if axis == "omega1":
-                weights = (w, rest, rest)
-            elif axis == "omega2":
-                weights = (rest, w, rest)
-            else:
-                weights = (rest, rest, w)
-            qc = replace(query_cfg, weights=weights)
-        workload = generate_queries(qc, images)
-        for kind in kinds:
-            rows.extend(_query_rows(axis, value, kind, indexes[kind], workload.queries))
+            queries = generate_queries(qc, images).queries if images else []
+            rows += _query_rows(axis, value, indexes, queries)
     return rows
 
 
@@ -243,18 +214,6 @@ def estimate_storage(index):
             for img in node.images:
                 total += RECORD_BYTES + RECORD_WORD_BYTES * len(img.psi)
     return total
-
-
-def storage_rows(gen_cfg, index_cfg, kinds=INDEX_KINDS):
-    images = generate_images(gen_cfg)
-    rows = []
-    for kind in kinds:
-        index = build_index(kind, index_cfg)
-        for img in images:
-            index.insert(img)
-        size = float(estimate_storage(index))
-        rows.append(BenchRow("n", gen_cfg.image_count, kind, "bytes", size, size, size))
-    return rows
 
 
 def write_csv(rows, path):

@@ -60,6 +60,15 @@ def _parse_domain(spec):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _parse_words(spec):
+    """The type of ``--words``: comma-separated query word ids."""
+    try:
+        return tuple(int(w) for w in spec.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated word ids, got {spec!r}") from None
+
+
 # every HiqConfig field but the domain is one index flag of the same name
 _INDEX_FIELDS = [f for f in fields(HiqConfig) if f.name != "domain"]
 
@@ -107,7 +116,7 @@ def build_parser():
     q.add_argument("--lon", type=float)
     q.add_argument("--t", type=int)
     q.add_argument("--k", type=int, default=10)
-    q.add_argument("--words", help="comma-separated query word ids")
+    q.add_argument("--words", type=_parse_words, help="comma-separated query word ids")
     q.add_argument("--w1", type=float, default=1 / 3)
     q.add_argument("--w2", type=float, default=1 / 3)
     q.add_argument("--w3", type=float, default=1 / 3)
@@ -115,9 +124,7 @@ def build_parser():
     b = sub.add_parser("bench", help="run the measurement harness",
                        parents=[common, seeded, indexed])
     b.add_argument("--out", required=True)
-    b.add_argument("--axis", default="all",
-                   choices=("all", "arrival_rate", "node_capacity", "l", "k", "n",
-                            "omega1", "omega2", "omega3", "storage"))
+    b.add_argument("--axis", default="all", choices=("all", *bench_mod.AXES))
     b.add_argument("--count", type=int, default=5000)
     b.add_argument("--vocab", type=int, default=500)
     b.add_argument("--mean-words", type=float, default=40.0)
@@ -126,6 +133,7 @@ def build_parser():
     v = sub.add_parser("verify", help="oracle-equivalence and bound-dominance suites",
                        parents=[common, seeded])
     v.add_argument("--instances", type=int, default=50)
+    parser.commands = sub.choices
     return parser
 
 
@@ -160,7 +168,7 @@ def cmd_query(args):
             raise ConfigError("inline query needs --words, --lat and --lon")
         try:
             q = Query(
-                psi=tuple(int(w) for w in args.words.split(",")),
+                psi=args.words,
                 loc=(args.lat, args.lon),
                 t=args.t if args.t is not None else max(
                     (img.t_c for img in index.live_images()), default=0
@@ -189,20 +197,10 @@ def cmd_bench(args):
         domain=args.domain,
     )
     index_cfg = _index_config(args)
-    rows = []
-    axes = (
-        ["arrival_rate", "node_capacity", "l", "k", "n", "omega1", "storage"]
-        if args.axis == "all"
-        else [args.axis]
-    )
-    for axis in axes:
-        if axis == "arrival_rate":
-            rows.extend(bench_mod.run_insertion_bench(gen_cfg, index_cfg))
-            rows.extend(bench_mod.run_deletion_bench(gen_cfg, index_cfg))
-        elif axis == "storage":
-            rows.extend(bench_mod.storage_rows(gen_cfg, index_cfg))
-        else:
-            rows.extend(bench_mod.run_query_bench(gen_cfg, index_cfg, axis))
+    # ``all`` sweeps one weight, omega1
+    axes = ([a for a in bench_mod.AXES if a not in ("omega2", "omega3")]
+            if args.axis == "all" else [args.axis])
+    rows = [row for axis in axes for row in bench_mod.sweep(gen_cfg, index_cfg, axis)]
     bench_mod.write_csv(rows, args.out)
     return EXIT_OK
 
@@ -220,19 +218,26 @@ def cmd_verify(args):
 def main(argv=None):
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
-    if args.config:
+    # --config is found ahead of the parse, so the file can give a required
+    # flag; spelled out, so that an ambiguous prefix such as --co is not it
+    peek = _Parser(prog=parser.prog, add_help=False, allow_abbrev=False)
+    peek.add_argument("--config")
+    config = peek.parse_known_args(argv)[0].config
+    if config:
         try:
-            values = _load_config_file(args.config)
+            values = _load_config_file(config)
         except (OSError, DataFormatError) as exc:
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_DATA
         # the file's keys this subcommand takes become flags ahead of the
         # command line's own, so a flag given there wins
-        taken = vars(args).keys() - {"command"}
-        file_flags = [f"--{key.replace('_', '-')}={val}"
-                      for key, val in values.items() if key in taken]
-        args = parser.parse_args([argv[0], *file_flags, *argv[1:]])
+        command = parser.commands.get(argv[0])
+        taken = {a.dest for a in command._actions} - {"help"} if command else set()
+        argv = [argv[0], *(f"--{key.replace('_', '-')}={val}"
+                           for key, val in values.items() if key in taken), *argv[1:]]
+    args = parser.parse_args(argv)
+    if args.config != config:
+        parser.error("--config must be spelled out in full")
     try:
         if args.command == "generate":
             return cmd_generate(args)
@@ -243,6 +248,9 @@ def main(argv=None):
         if args.command == "verify":
             return cmd_verify(args)
         return EXIT_USAGE
+    except bench_mod.AnswerMismatchError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_VERIFY
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -7,11 +7,12 @@ Floats are written with repr so parse(write(S)) == S exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import GeoTemporalImage, Query, SpatialDomain
+from .model import ConfigError, GeoTemporalImage, Query, SpatialDomain
 
 
 class DataFormatError(ValueError):
@@ -38,8 +39,16 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.image_count < 0 or self.vocab_size < 1:
             raise ValueError("counts must be positive")
+        for name in ("rate", "zipf_exponent", "mean_words", "cluster_sigma"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+            if name in ("mean_words", "cluster_sigma") and value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value!r}")
         if self.rate <= 0:
             raise ValueError("arrival rate must be > 0")
+        if self.cluster_count < 1:
+            raise ConfigError("cluster_count must be >= 1")
         if self.spatial_mode not in ("uniform", "clusters"):
             raise ValueError(f"unknown spatial mode {self.spatial_mode!r}")
 

@@ -1,9 +1,11 @@
 import csv
+import itertools
 
 import pytest
 
 from geostream import bench
-from geostream.hiq import HiqConfig
+from geostream.baselines import IfaIndex
+from geostream.hiq import HiqConfig, HiqIndex
 from geostream.model import SpatialDomain
 from geostream.workload import GeneratorConfig, QueryConfig
 
@@ -33,7 +35,7 @@ def read_rows(path):
 
 class TestQueryBench:
     def test_one_query_one_axis_point(self, tmp_path):
-        rows = bench.run_query_bench(
+        rows = bench.sweep(
             small_gen(), small_index(), "k", values=(5,),
             query_cfg=QueryConfig(seed=1, count=1), kinds=("hiq",),
         )
@@ -48,7 +50,7 @@ class TestQueryBench:
         assert rows == [list(bench.CSV_HEADER)]
 
     def test_schema(self, tmp_path):
-        rows = bench.run_query_bench(
+        rows = bench.sweep(
             small_gen(), small_index(), "l", values=(5, 10),
             query_cfg=QueryConfig(seed=1, count=4), kinds=("hiq", "ifa"),
         )
@@ -66,7 +68,7 @@ class TestQueryBench:
     def test_pruning_on_clustered_data(self):
         gen = small_gen(image_count=2000, spatial_mode="clusters",
                         cluster_count=5, cluster_sigma=1.0)
-        rows = bench.run_query_bench(
+        rows = bench.sweep(
             gen, small_index(segment_span=10_000), "k", values=(10,),
             query_cfg=QueryConfig(seed=2, count=20), kinds=("hiq", "ifa"),
         )
@@ -76,17 +78,21 @@ class TestQueryBench:
 
 class TestMaintenanceBench:
     def test_insertion_rows(self):
-        rows = bench.run_insertion_bench(
-            small_gen(image_count=100), small_index(), rates=(200, 400), kinds=("hiq", "ifa")
+        rows = bench.sweep(
+            small_gen(image_count=100), small_index(), "arrival_rate", values=(200, 400),
+            kinds=("hiq", "ifa"),
         )
+        rows = [r for r in rows if r.metric != "delete_us"]
         assert len(rows) == 4
         assert {r.value for r in rows} == {200, 400}
         assert all(r.metric == "insert_us" and r.mean >= 0 for r in rows)
 
     def test_deletion_rows(self):
-        rows = bench.run_deletion_bench(
-            small_gen(image_count=100), small_index(window=2), rates=(200,), kinds=("hiq", "ifa")
+        rows = bench.sweep(
+            small_gen(image_count=100), small_index(window=2), "arrival_rate", values=(200,),
+            kinds=("hiq", "ifa"),
         )
+        rows = [r for r in rows if r.metric != "insert_us"]
         assert len(rows) == 2
         assert all(r.metric == "delete_us" for r in rows)
 
@@ -94,10 +100,59 @@ class TestMaintenanceBench:
 class TestStorage:
     def test_estimates_positive_and_grow(self):
         cfg = small_index(segment_span=10_000)
-        small_rows = bench.storage_rows(small_gen(image_count=100), cfg)
-        big_rows = bench.storage_rows(small_gen(image_count=400), cfg)
+        small_rows = bench.sweep(small_gen(image_count=100), cfg, "storage")
+        big_rows = bench.sweep(small_gen(image_count=400), cfg, "storage")
         small_sizes = {r.index: r.mean for r in small_rows}
         big_sizes = {r.index: r.mean for r in big_rows}
         for kind in ("hiq", "ifa", "stvii"):
             assert 0 < small_sizes[kind] < big_sizes[kind]
 
+
+AXIS_METRICS = {"arrival_rate": ("insert_us", "delete_us"), "storage": ("bytes",)}
+
+
+@pytest.mark.parametrize("axis", bench.AXES)
+def test_every_axis_gives_its_row_keys(axis):
+    gen = small_gen(image_count=60, vocab_size=40, mean_words=5.0)
+    rows = bench.sweep(gen, small_index(), axis, query_cfg=QueryConfig(seed=1, count=2))
+    values = bench.AXES[axis] or (60,)
+    metrics = AXIS_METRICS.get(axis, ("response_ms", "nodes", "images_scored"))
+    label = "n" if axis == "storage" else axis
+    keys = [(r.axis, r.value, r.index, r.metric) for r in rows]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set(itertools.product((label,), values, bench.INDEX_KINDS, metrics))
+
+
+def drop_last_result(monkeypatch, cls, after=0):
+    """Makes ``cls.search`` drop its last result from the ``after``-th
+    call on."""
+    real, calls = cls.search, itertools.count()
+
+    def search(self, q):
+        results, stats = real(self, q)
+        return (results[:-1] if next(calls) >= after else results), stats
+
+    monkeypatch.setattr(cls, "search", search)
+
+
+class TestAnswerChecks:
+    def test_one_wrong_index_raises(self, monkeypatch):
+        drop_last_result(monkeypatch, IfaIndex)
+        with pytest.raises(bench.AnswerMismatchError, match="k=10: ifa"):
+            bench.sweep(small_gen(), small_index(), "k", values=(10,),
+                        query_cfg=QueryConfig(seed=1, count=4))
+
+    def test_indexes_must_agree_past_the_first_query(self, monkeypatch):
+        # the oracle sees only query 0, so only the cross-index check can fail
+        drop_last_result(monkeypatch, IfaIndex, after=1)
+        with pytest.raises(bench.AnswerMismatchError,
+                           match="l=10: ifa answers differ from hiq's on query 1"):
+            bench.sweep(small_gen(), small_index(), "l", values=(10,),
+                        query_cfg=QueryConfig(seed=1, count=4))
+
+    def test_lone_index_checked_against_the_oracle(self, monkeypatch):
+        drop_last_result(monkeypatch, HiqIndex)
+        with pytest.raises(bench.AnswerMismatchError,
+                           match="node_capacity=16: hiq differs from the oracle"):
+            bench.sweep(small_gen(), small_index(), "node_capacity", values=(16,),
+                        query_cfg=QueryConfig(seed=1, count=4), kinds=("hiq",))

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from geostream.baselines import IfaIndex
 from geostream.cli import _index_config, build_parser, main
 from geostream.hiq import HiqConfig
 
@@ -111,6 +112,14 @@ class TestQuery:
         assert code == 1
         assert "--k" in err
 
+    @pytest.mark.parametrize("words", ["a", "1,"])
+    def test_malformed_words_exit_usage(self, dataset, words, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["query", "--data", str(dataset), "--lat", "10", "--lon", "10",
+                  "--words", words])
+        assert exc.value.code == 1
+        assert "--words" in capsys.readouterr().err
+
     def test_missing_data_file_exit_data(self, tmp_path, capsys):
         code, _, err = run([
             "query", "--data", str(tmp_path / "nope.tsv"),
@@ -144,6 +153,17 @@ def test_subcommand_rejects_flags_it_does_not_read(argv, tmp_path, monkeypatch, 
         main(argv)
     assert exc.value.code == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [
+    "--rate=nan", "--rate=inf", "--zipf=nan", "--mean-words=nan", "--mean-words=-1",
+    "--sigma=inf", "--sigma=-1", "--clusters=0",
+])
+def test_bad_generator_parameter_exit_usage(flag, tmp_path, capsys):
+    out = tmp_path / "data.tsv"
+    code, _, err = run(["generate", "--out", str(out), "--count", "5", flag], capsys)
+    assert code == 1
+    assert "must be" in err and not out.exists()
 
 
 @pytest.mark.parametrize("spec, reason", [
@@ -191,6 +211,22 @@ class TestBench:
         kinds = {r[2] for r in rows[1:]}
         assert kinds == {"hiq", "ifa", "stvii"}
 
+    def test_wrong_answer_exit_verify(self, tmp_path, capsys, monkeypatch):
+        real = IfaIndex.search
+
+        def drop_last(self, q):
+            results, stats = real(self, q)
+            return results[:-1], stats
+
+        monkeypatch.setattr(IfaIndex, "search", drop_last)
+        out = tmp_path / "bench.csv"
+        code, _, err = run([
+            "bench", "--out", str(out), "--axis", "k", "--count", "200",
+            "--vocab", "50", "--mean-words", "6", "--segment-span", "600",
+        ], capsys)
+        assert code == 3
+        assert "k=10: ifa" in err and not out.exists()
+
 
 class TestVerify:
     def test_passes_on_small_run(self, capsys):
@@ -208,6 +244,14 @@ class TestConfigFile:
         code, _, _ = run(["generate", "--config", str(cfg), "--out", str(out)], capsys)
         assert code == 0
         assert len(out.read_text().splitlines()) == 5
+
+    def test_required_flag_from_config(self, tmp_path, capsys):
+        out = tmp_path / "data.tsv"
+        cfg = tmp_path / "geo.cfg"
+        cfg.write_text(f"out={out}\ncount=3\n")
+        code, _, _ = run(["generate", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 3
 
     def test_flag_beats_config(self, tmp_path, capsys):
         cfg = tmp_path / "geo.cfg"
@@ -238,6 +282,15 @@ class TestConfigFile:
         ], capsys)
         assert code == 0
         assert (built[0].capacity, built[0].window) == (100, 3)
+
+    @pytest.mark.parametrize("flag, reason", [
+        ("--co", "ambiguous option"), ("--conf", "--config must be spelled out"),
+    ])
+    def test_config_prefix_exit_usage(self, flag, reason, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--out", str(tmp_path / "data.tsv"), flag, "5"])
+        assert exc.value.code == 1
+        assert reason in capsys.readouterr().err
 
     def test_bad_config_value_exit_usage(self, tmp_path, capsys):
         cfg = tmp_path / "geo.cfg"
