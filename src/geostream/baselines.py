@@ -29,18 +29,15 @@ class IfaIndex(Index):
     tf/|I.psi|)`` columns of the images holding it, in slot order.
 
     Expiry clears the flags of the expired slots. Once at least half the
-    slots are dead the table is rebuilt from the live images, so it never
-    holds more than twice as many slots as live images. Ids and
-    timestamps sit in int64 columns: an image with one past that range
-    raises ``OverflowError`` and is not admitted."""
+    slots are dead the columns and posting lists are compacted to the
+    live slots, so the table never holds more than twice as many slots as
+    live images. Ids and timestamps sit in int64 columns: an image with
+    one past that range raises ``OverflowError`` and is not admitted."""
 
     kind = "ifa"
 
     def __init__(self, config):
         super().__init__(config)
-        self._reset()
-
-    def _reset(self):
         self.lat = array("d")
         self.lon = array("d")
         self.t_c = array("q")
@@ -102,16 +99,40 @@ class IfaIndex(Index):
         """Drop every image with t_c < cutoff; returns the removed count."""
         old = self._expired(cutoff)
         if old:
+            alive = np.frombuffer(self.alive, dtype=np.bool_)
+            alive[np.frombuffer(self.t_c, dtype=np.int64) < cutoff] = False
             self._dead += len(old)
             if 2 * self._dead >= len(self.ids):
-                live = self._live.values()
-                self._reset()
-                for img in live:
-                    self._add(img)
-            else:
-                alive = np.frombuffer(self.alive, dtype=np.bool_)
-                alive[np.frombuffer(self.t_c, dtype=np.int64) < cutoff] = False
+                self._compact(alive)
         return len(old)
+
+    def _compact(self, keep):
+        """Drops the slots outside the mask ``keep``. The rest keep their
+        order and are renumbered from 0 (a prefix sum of the mask) in
+        every column and posting list; a word left without a posting
+        leaves ``postings``."""
+        self.lat = array("d", np.frombuffer(self.lat)[keep].tobytes())
+        self.lon = array("d", np.frombuffer(self.lon)[keep].tobytes())
+        self.t_c = array("q", np.frombuffer(self.t_c, dtype=np.int64)[keep].tobytes())
+        self.ids = array("q", np.frombuffer(self.ids, dtype=np.int64)[keep].tobytes())
+        self.alive = bytearray(b"\x01") * len(self.ids)
+        self._dead = 0
+        # every posting list as one pair of columns, word after word: one
+        # mask and one renumbering for all, then a cut at each word's end
+        # (``ends``, in bytes)
+        cols = list(self.postings.values())
+        slots = np.frombuffer(b"".join([s for s, _f in cols]), dtype=np.int64)
+        kept = keep[slots]
+        ends = 8 * np.cumsum(kept)[np.cumsum([len(s) for s, _f in cols], dtype=np.intp) - 1]
+        slots = (np.cumsum(keep) - 1)[slots[kept]].astype(np.int64).tobytes()
+        freqs = np.frombuffer(b"".join([f for _s, f in cols]))[kept].tobytes()
+        postings = {}
+        start = 0
+        for word, end in zip(self.postings, ends.tolist()):
+            if end > start:
+                postings[word] = (array("q", slots[start:end]), array("d", freqs[start:end]))
+                start = end
+        self.postings = postings
 
     def live_posting_count(self):
         """The postings of live slots."""

@@ -127,13 +127,16 @@ class Index:
     segment that holds it; the window starts at ``window_start()``, the
     later of the first segment's start and ``window`` spans before the
     head's end. As the head moves, ``_slide`` drops what falls out of the
-    window. A subclass adds an admitted image to its structure in
-    ``_add(img)``.
+    window. The stats keep one bucket per segment (``CorpusStats``), so
+    ``_expired`` drops a segment's images and term counts at once; only a
+    cutoff inside a segment, from a public ``expire(cutoff)``, removes
+    that segment's older images one at a time. A subclass adds an
+    admitted image to its structure in ``_add(img)``.
     """
 
     def __init__(self, config):
         self.config = config
-        self.stats = CorpusStats()
+        self.stats = CorpusStats(config.segment_span)
         self.params = ScoreParams(
             domain=config.domain,
             stats=self.stats,
@@ -208,19 +211,18 @@ class Index:
             self.expire(start)
 
     def _expired(self, cutoff):
-        """Drops the live images older than ``cutoff`` from the live set
-        and the stats, and returns them. None is older than the window
-        start, so a cutoff at or before it returns [] at once."""
+        """Drops the live images older than ``cutoff`` from the stats and
+        the live set, and returns them: the segments wholly before the
+        cutoff leave at once, one image at a time only the segment the
+        cutoff falls inside (``CorpusStats.expire``). None is older than
+        the window start, so a cutoff at or before it returns [] at once."""
         if self._start is None or cutoff <= self._start:
             return []
-        old = [img for img in self._live.values() if img.t_c < cutoff]
+        old = self.stats.expire(cutoff)
+        live = self._live
         for img in old:
-            self._forget(img)
+            del live[img.id]
         return old
-
-    def _forget(self, img):
-        del self._live[img.id]
-        self.stats.remove_image(img)
 
     def live_images(self):
         return list(self._live.values())

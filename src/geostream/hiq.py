@@ -3,8 +3,10 @@
 Time-partitioned segments, each owning a quadtree whose nodes carry a
 rectangle, the max timestamp of the subtree and the per-word max
 frequency ratios of the subtree; leaves hold their images in a plain
-list. The segments follow the window of ``engine.Index``: expiry drops
-whole segments once they fall out of it.
+list. The segments follow the window of ``engine.Index``: a segment
+that falls out of it leaves whole, its tree with it and its images and
+term counts with its bucket of the corpus statistics, with no work per
+image.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numbers
 from dataclasses import dataclass
 
 from . import kernels
-from .engine import ExpiredArrivalError, TreeIndex  # noqa: F401 (re-exported)
+from .engine import ExpiredArrivalError, TreeIndex, walk  # noqa: F401 (re-exported)
 from .model import ConfigError, add_to_aggregates, mind_visual
 
 
@@ -78,13 +80,17 @@ class QuadNode:
 
 
 class Segment:
-    __slots__ = ("start", "end", "root", "images")
+    __slots__ = ("start", "end", "root")
 
     def __init__(self, start, end, domain):
         self.start = start
         self.end = end
-        self.root = QuadNode(domain.min_lat, domain.min_lon, domain.max_lat, domain.max_lon)
-        self.images = []
+        self.root = _root(domain)
+
+
+def _root(domain):
+    """An empty quadtree over the whole domain."""
+    return QuadNode(domain.min_lat, domain.min_lon, domain.max_lat, domain.max_lon)
 
 
 def _split(node):
@@ -114,18 +120,34 @@ class HiqIndex(TreeIndex):
         ``head_end``."""
         segs = self.segments
         while segs and segs[0].start < start:
-            for img in segs.pop(0).images:
-                self._forget(img)
+            segs.pop(0)
+        self._expired(start)
         span = self.config.segment_span
         first = segs[-1].end if segs else start
         segs.extend(Segment(s, s + span, self.config.domain)
                     for s in range(first, head_end, span))
 
+    def expire(self, cutoff):
+        """Drops every image with t_c < cutoff; returns the removed count.
+        The window keeps its segments: those wholly before the cutoff
+        get an empty tree, and the one it falls inside is rebuilt over its
+        images left."""
+        old = self._expired(cutoff)
+        if old:
+            for seg in self.segments:
+                if seg.start >= cutoff:
+                    break
+                left = [img for node in walk([seg.root]) if node.children is None
+                        for img in node.images if img.t_c >= cutoff]
+                seg.root = _root(self.config.domain)
+                for img in left:
+                    self._add(img)
+        return len(old)
+
     def _add(self, img):
         cfg = self.config
         # segments are contiguous; locate by start offset
         seg = self.segments[(img.t_c - self.segments[0].start) // cfg.segment_span]
-        seg.images.append(img)
         node = seg.root
         depth = 0
         while True:

@@ -144,63 +144,146 @@ class Query:
             raise ConfigError("weights must sum to 1 (within 1e-12)")
 
 
+class _Bucket:
+    """The live images of one window segment, by id, with their term
+    statistics: the total term count, the corpus tf per word and the max
+    tf/|I.psi| per word."""
+
+    __slots__ = ("images", "total", "ctf", "max_freq")
+
+    def __init__(self):
+        self.images = {}
+        self.total = 0
+        self.ctf = {}
+        self.max_freq = {}
+
+
+def _subtract(counts, word, n):
+    left = counts[word] - n
+    if left:
+        counts[word] = left
+    else:
+        del counts[word]
+
+
 class CorpusStats:
     """Term statistics over the live (non-expired) image set.
 
-    Tracks the corpus term frequency per word, the total term count, and
-    the maximum per-image frequency ratio per word (a multiset, so whole
-    images can be removed on expiry and the max stays exact). ``version``
-    counts the updates, so a ``QueryContext`` can tell it is stale.
+    The images sit in one bucket per window segment, keyed by
+    ``t_c // segment_span`` like the segments of ``engine.Index`` (a
+    single bucket when ``segment_span`` is None), and are told apart by
+    id. A bucket keeps its own total, corpus tf and exact max frequency
+    ratio per word; the corpus tf per word and the total term count are
+    kept over all buckets, and ``max_freq`` is the maximum over the
+    buckets. ``expire`` drops the buckets wholly before its cutoff at
+    once, each subtracting its own counts; only in the one bucket a
+    cutoff falls inside do images go one at a time, by
+    ``remove_image``, and that bucket's max is recounted from its
+    remaining images at the next read. ``version`` counts the updates,
+    so a ``QueryContext`` can tell it is stale.
     """
 
-    def __init__(self):
+    def __init__(self, segment_span=None):
         self.version = 0
         self.total_word_count = 0
         self.word_corpus_tf = {}
-        self._freq_counts = {}   # word -> {tf/total_tf: multiplicity}
-        self._max_freq = {}      # word -> current max of the above keys
+        self._span = segment_span
+        self._buckets = {}      # t_c // segment_span -> _Bucket
+        self._stale = set()     # keys of buckets whose max_freq needs a recount
+
+    def _key(self, t):
+        return t // self._span if self._span else 0
 
     def add_image(self, img):
         self.version += 1
-        self.total_word_count += img.total_tf
         total = img.total_tf
+        self.total_word_count += total
+        key = self._key(img.t_c)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            bucket = self._buckets[key] = _Bucket()
+        bucket.images[img.id] = img
+        bucket.total += total
         ctf = self.word_corpus_tf
+        bctf = bucket.ctf
+        mf = bucket.max_freq
         for word, tf in img.psi:
             ctf[word] = ctf.get(word, 0) + tf
+            bctf[word] = bctf.get(word, 0) + tf
             f = tf / total
-            counts = self._freq_counts.setdefault(word, {})
-            counts[f] = counts.get(f, 0) + 1
-            if f > self._max_freq.get(word, 0.0):
-                self._max_freq[word] = f
+            if f > mf.get(word, 0.0):
+                mf[word] = f
 
     def remove_image(self, img):
         self.version += 1
-        self.total_word_count -= img.total_tf
+        key = self._key(img.t_c)
+        bucket = self._buckets[key]
+        del bucket.images[img.id]
         total = img.total_tf
+        self.total_word_count -= total
+        bucket.total -= total
         for word, tf in img.psi:
-            left = self.word_corpus_tf[word] - tf
-            if left:
-                self.word_corpus_tf[word] = left
-            else:
-                del self.word_corpus_tf[word]
-            f = tf / total
-            counts = self._freq_counts[word]
-            n = counts[f] - 1
-            if n:
-                counts[f] = n
-            else:
-                del counts[f]
-                if not counts:
-                    del self._freq_counts[word]
-                    del self._max_freq[word]
-                elif f == self._max_freq[word]:
-                    self._max_freq[word] = max(counts)
+            _subtract(self.word_corpus_tf, word, tf)
+            _subtract(bucket.ctf, word, tf)
+        if bucket.images:
+            self._stale.add(key)
+        else:
+            del self._buckets[key]
+            self._stale.discard(key)
+
+    def expire(self, cutoff):
+        """Drops the images older than ``cutoff`` and returns them."""
+        span = self._span
+        old = []
+        if span:
+            for key in [key for key in self._buckets if (key + 1) * span <= cutoff]:
+                old.extend(self._drop(key))
+        if not span or cutoff % span:
+            bucket = self._buckets.get(self._key(cutoff))
+            if bucket is not None:
+                part = [img for img in bucket.images.values() if img.t_c < cutoff]
+                for img in part:
+                    self.remove_image(img)
+                old.extend(part)
+        return old
+
+    def _drop(self, key):
+        """Drops a whole bucket; returns its images."""
+        self.version += 1
+        bucket = self._buckets.pop(key)
+        self._stale.discard(key)
+        self.total_word_count -= bucket.total
+        ctf = self.word_corpus_tf
+        for word, tf in bucket.ctf.items():
+            _subtract(ctf, word, tf)
+        return bucket.images.values()
+
+    def _recount(self):
+        for key in self._stale:
+            bucket = self._buckets[key]
+            mf = bucket.max_freq = {}
+            for img in bucket.images.values():
+                total = img.total_tf
+                for word, tf in img.psi:
+                    f = tf / total
+                    if f > mf.get(word, 0.0):
+                        mf[word] = f
+        self._stale.clear()
 
     def corpus_tf(self, word):
         return self.word_corpus_tf.get(word, 0)
 
     def max_freq(self, word):
-        return self._max_freq.get(word, 0.0)
+        """The live maximum of tf/|I.psi| over the images holding
+        ``word``; 0.0 when none does."""
+        if self._stale:
+            self._recount()
+        m = 0.0
+        for bucket in self._buckets.values():
+            f = bucket.max_freq.get(word, 0.0)
+            if f > m:
+                m = f
+        return m
 
     def smoothing_floor(self, word, xi):
         # weight of a word for an image that does not contain it
@@ -208,10 +291,16 @@ class CorpusStats:
             return 0.0
         return xi * (self.word_corpus_tf.get(word, 0) / self.total_word_count)
 
+    def weight_range(self, word, xi):
+        """``(smoothing_floor, max_weight)`` of ``word``, from one read of
+        its corpus tf and its live maximum."""
+        floor = self.smoothing_floor(word, xi)
+        return floor, (1.0 - xi) * self.max_freq(word) + floor
+
     def max_weight(self, word, xi):
         # max over live images of w_{word,I}; the floor alone when the
         # word occurs in no live image
-        return (1.0 - xi) * self._max_freq.get(word, 0.0) + self.smoothing_floor(word, xi)
+        return self.weight_range(word, xi)[1]
 
 
 @dataclass
@@ -280,11 +369,10 @@ class QueryContext:
         log_den = 0.0
         log_floors = 0.0
         for v in q.psi:
-            m = stats.max_weight(v, xi)
+            floor, m = stats.weight_range(v, xi)
             if m <= 0.0:
                 continue
             log_den += math.log(m)
-            floor = stats.smoothing_floor(v, xi)
             if floor > 0.0:
                 lf = math.log(floor)
                 log_floors += lf

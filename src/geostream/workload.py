@@ -37,8 +37,10 @@ class GeneratorConfig:
     domain: SpatialDomain = field(default_factory=lambda: DEFAULT_DOMAIN)
 
     def __post_init__(self):
-        if self.image_count < 0 or self.vocab_size < 1:
-            raise ValueError("counts must be positive")
+        if self.image_count < 0:
+            raise ConfigError(f"image_count must be >= 0, got {self.image_count!r}")
+        if self.vocab_size < 1:
+            raise ConfigError(f"vocab_size must be >= 1, got {self.vocab_size!r}")
         for name in ("rate", "zipf_exponent", "mean_words", "cluster_sigma"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -46,11 +48,12 @@ class GeneratorConfig:
             if name in ("mean_words", "cluster_sigma") and value < 0:
                 raise ConfigError(f"{name} must be >= 0, got {value!r}")
         if self.rate <= 0:
-            raise ValueError("arrival rate must be > 0")
+            raise ConfigError(f"rate must be > 0, got {self.rate!r}")
         if self.cluster_count < 1:
             raise ConfigError("cluster_count must be >= 1")
         if self.spatial_mode not in ("uniform", "clusters"):
-            raise ValueError(f"unknown spatial mode {self.spatial_mode!r}")
+            raise ConfigError(f"spatial_mode must be 'uniform' or 'clusters', "
+                              f"got {self.spatial_mode!r}")
 
 
 @dataclass

@@ -117,6 +117,40 @@ def test_reused_query_sees_corpus_changes(cls, change, domain):
     assert results_match(index.search(q)[0], oracle_over_live_set(q, index))
 
 
+@pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda c: c.kind)
+def test_off_grid_expire_matches_recount(cls, domain):
+    # cutoffs inside a segment, after late arrivals into older segments;
+    # then arrivals into the segment a cutoff split
+    config = make_config(domain, segment_span=1000, window=10)
+    index = cls(config)
+    rng = random.Random(47)
+    images = sorted(random_images(rng, 300, domain, vocab=20, t_hi=5999), key=lambda im: im.t_c)
+    late = images[1::7]
+    for im in [im for im in images if im not in late] + late:
+        index.insert(im)
+    live = images
+    more = random_images(rng, 40, domain, vocab=20, t_lo=3500, t_hi=3999, id_base=1000)
+    for cutoff in (2500, 2500, 3500, 3999):
+        removed = index.expire(cutoff)
+        assert removed == sum(1 for im in live if im.t_c < cutoff)
+        live = [im for im in live if im.t_c >= cutoff]
+        if cutoff == 3500:
+            for im in more:
+                index.insert(im)
+            live += more
+        assert sorted(im.id for im in index.live_images()) == sorted(im.id for im in live)
+        fresh = CorpusStats()
+        for im in live:
+            fresh.add_image(im)
+        assert index.stats.total_word_count == fresh.total_word_count
+        assert index.stats.word_corpus_tf == fresh.word_corpus_tf
+        for w in range(20):
+            assert index.stats.max_freq(w) == fresh.max_freq(w)
+        for _ in range(5):
+            q = random_query(rng, live, domain, vocab=22, max_words=6)
+            assert results_match(index.search(q)[0], oracle_over_live_set(q, index))
+
+
 class TestIfa:
     def test_one_list_per_word(self, domain):
         index = IfaIndex(make_config(domain))

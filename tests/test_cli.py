@@ -157,7 +157,7 @@ def test_subcommand_rejects_flags_it_does_not_read(argv, tmp_path, monkeypatch, 
 
 @pytest.mark.parametrize("flag", [
     "--rate=nan", "--rate=inf", "--zipf=nan", "--mean-words=nan", "--mean-words=-1",
-    "--sigma=inf", "--sigma=-1", "--clusters=0",
+    "--sigma=inf", "--sigma=-1", "--clusters=0", "--rate=0", "--count=-1", "--vocab=0",
 ])
 def test_bad_generator_parameter_exit_usage(flag, tmp_path, capsys):
     out = tmp_path / "data.tsv"

@@ -153,9 +153,12 @@ class TestStructuralInvariants:
         segs = built.segments
         for a, b in zip(segs, segs[1:]):
             assert a.end == b.start
+        held = 0
         for seg in segs:
-            for im in seg.images:
+            for im in _subtree_images(seg.root):
                 assert seg.start <= im.t_c < seg.end
+                held += 1
+        assert held == built.image_count()
 
 
 class TestRollSegment:

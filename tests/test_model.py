@@ -331,6 +331,86 @@ class TestCorpusStats:
         for w in range(20):
             assert stats.max_freq(w) == fresh.max_freq(w)
 
+    @staticmethod
+    def assert_recount(stats, survivors, vocab):
+        fresh = CorpusStats()
+        for i in survivors:
+            fresh.add_image(i)
+        assert stats.total_word_count == fresh.total_word_count
+        assert stats.word_corpus_tf == fresh.word_corpus_tf
+        for w in range(vocab):
+            assert stats.max_freq(w) == fresh.max_freq(w)
+
+    def test_dropped_bucket_takes_its_maximum(self):
+        # word 1's only maximum (1.0) sits in the bucket [0, 100); the
+        # bucket [100, 200) holds word 1 at 1/4 and 1/2
+        stats = CorpusStats(100)
+        first = [img(id=0, t_c=10, psi=((1, 1),)), img(id=1, t_c=99, psi=((1, 1), (2, 1)))]
+        second = [img(id=2, t_c=100, psi=((1, 1), (3, 3))), img(id=3, t_c=150, psi=((1, 2), (3, 2)))]
+        for i in first + second:
+            stats.add_image(i)
+        assert stats.max_freq(1) == 1.0
+        version = stats.version
+        assert sorted(i.id for i in stats.expire(100)) == [0, 1]
+        assert stats.version > version
+        assert stats.max_freq(1) == 0.5 and stats.max_freq(2) == 0.0
+        self.assert_recount(stats, second, 5)
+        assert stats.expire(100) == []          # nothing left before it
+        assert sorted(i.id for i in stats.expire(200)) == [2, 3]
+        self.assert_recount(stats, [], 5)
+
+    def test_late_arrival_leaves_with_its_segment(self):
+        # arrivals run ahead of time order: each segment gets images after
+        # a newer segment has opened, and leaves with them
+        rng = random.Random(17)
+        images = []
+        for i in range(120):
+            psi = sorted((w, rng.randint(1, 4)) for w in rng.sample(range(12), rng.randint(1, 4)))
+            images.append(img(id=i, t_c=rng.randint(0, 599), psi=psi))
+        stats = CorpusStats(100)
+        for i in images:
+            stats.add_image(i)
+        self.assert_recount(stats, images, 14)
+        for cutoff in (100, 300, 600):
+            gone = stats.expire(cutoff)
+            assert sorted(i.id for i in gone) == sorted(i.id for i in images if i.t_c < cutoff)
+            images = [i for i in images if i.t_c >= cutoff]
+            self.assert_recount(stats, images, 14)
+            # a late arrival into the oldest live bucket, which holds word
+            # 13's only maximum until that bucket leaves
+            late = img(id=1000 + cutoff, t_c=cutoff + 1, psi=((13, 1),))
+            stats.add_image(late)
+            images.append(late)
+            assert stats.max_freq(13) == 1.0
+            self.assert_recount(stats, images, 14)
+
+    def test_cutoff_inside_a_bucket(self):
+        # the cutoff 150 splits the bucket [100, 200): its images before
+        # 150 go one at a time, and its maximum is recounted from the rest
+        rng = random.Random(23)
+        images = []
+        for i in range(90):
+            psi = sorted((w, rng.randint(1, 4)) for w in rng.sample(range(10), rng.randint(1, 4)))
+            images.append(img(id=i, t_c=rng.randint(0, 299), psi=psi))
+        # word 11's maximum is before the cutoff, a lower ratio after it
+        images.append(img(id=90, t_c=120, psi=((11, 1),)))
+        images.append(img(id=91, t_c=180, psi=((2, 1), (11, 1))))
+        stats = CorpusStats(100)
+        for i in images:
+            stats.add_image(i)
+        assert stats.max_freq(11) == 1.0
+        for cutoff in (150, 150, 199, 201):
+            gone = stats.expire(cutoff)
+            assert sorted(i.id for i in gone) == sorted(i.id for i in images if i.t_c < cutoff)
+            images = [i for i in images if i.t_c >= cutoff]
+            self.assert_recount(stats, images, 12)
+        # a standalone stats object is one bucket: every cutoff falls inside
+        whole = CorpusStats()
+        for i in images:
+            whole.add_image(i)
+        whole.expire(250)
+        self.assert_recount(whole, [i for i in images if i.t_c >= 250], 12)
+
     def test_max_weight_matches_per_image_max(self, domain):
         rng = random.Random(9)
         images = []

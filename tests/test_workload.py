@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from geostream.model import SpatialDomain
+from geostream.model import ConfigError, SpatialDomain
 from geostream.workload import (
     DataFormatError,
     GeneratorConfig,
@@ -19,6 +19,13 @@ from geostream.workload import (
 class TestGenerateImages:
     def test_zero_count(self):
         assert generate_images(GeneratorConfig(image_count=0)) == []
+
+    @pytest.mark.parametrize("kw", [
+        dict(rate=0.0), dict(image_count=-1), dict(vocab_size=0), dict(spatial_mode="grid"),
+    ], ids=["rate", "image_count", "vocab_size", "spatial_mode"])
+    def test_bad_parameter_is_config_error(self, kw):
+        with pytest.raises(ConfigError, match="must be"):
+            GeneratorConfig(**kw)
 
     def test_seed_determinism(self, tmp_path):
         cfg = GeneratorConfig(seed=7, image_count=200, vocab_size=100, mean_words=10)
