@@ -30,7 +30,8 @@ from .workload import QueryConfig, generate_images, generate_queries
 CSV_HEADER = ("axis", "value", "index", "metric", "mean", "p50", "p95")
 
 _WEIGHT_SHARES = tuple(i / 7 for i in range(1, 6))
-# each axis's default values; None sweeps the whole stream only
+# each axis's default values; None: the distinct positive prefix sizes
+# ``image_count * i // 5`` for i = 1..5 of the stream
 AXES = {
     "arrival_rate": (200, 400, 800, 1600, 3200),
     "node_capacity": (100, 200, 300, 400, 500),
@@ -146,7 +147,9 @@ def _query_rows(axis, value, indexes, queries):
 
 
 def sweep(gen_cfg, index_cfg, axis, values=None, query_cfg=None, kinds=INDEX_KINDS):
-    """Rows of ``axis`` swept over ``values`` (default ``AXES[axis]``).
+    """Rows of ``axis`` swept over ``values`` (default ``AXES[axis]``;
+    for ``n`` and ``storage``, the distinct positive prefix sizes
+    ``image_count * i // 5``, i = 1..5).
 
     ``arrival_rate`` retimes the stream and measures ``insert_us`` and
     ``delete_us``; ``n`` takes a prefix of the stream; ``node_capacity``
@@ -159,7 +162,8 @@ def sweep(gen_cfg, index_cfg, axis, values=None, query_cfg=None, kinds=INDEX_KIN
     if axis not in AXES:
         raise ValueError(f"unknown axis {axis!r}")
     if values is None:
-        values = AXES[axis] or (gen_cfg.image_count,)
+        values = AXES[axis] or sorted(
+            {gen_cfg.image_count * i // 5 for i in range(1, 6)} - {0})
     if query_cfg is None:
         query_cfg = QueryConfig(seed=gen_cfg.seed + 1)
     stream = generate_images(gen_cfg)

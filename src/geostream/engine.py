@@ -10,6 +10,10 @@ image under the node). A node's ``children`` is a list at an inner node
 and ``None`` at a leaf, which holds its ``images``. ``TreeIndex`` gives
 the tree indexes (HIQ, STVII) one ``search``, ``candidates`` and
 ``node_count``.
+
+A tree search ranks its candidates on ``QueryContext.f_stv`` alone and
+builds the ``combined_score`` breakdown of the k results only, as IFA's
+column scorer does.
 """
 
 from __future__ import annotations
@@ -56,12 +60,13 @@ def top_k_search(q, index, audit=None):
 
     Maintains a min-heap of nodes keyed by their lower bound and a
     threshold equal to the k-th best score found so far; nodes whose
-    bound exceeds the threshold are pruned. ``audit``, when a list, is
-    filled with the bounds of pruned nodes (for dominance-safety tests).
+    bound exceeds the threshold are pruned. Candidates are ranked on
+    ``QueryContext.f_stv`` alone; only the k results get a breakdown from
+    ``combined_score``. ``audit``, when a list, is filled with the bounds
+    of pruned nodes (for dominance-safety tests).
     """
-    if q.k <= 0:
-        raise ValueError("k must be positive")
-    index.params.context(q)     # checks the query location
+    params = index.params
+    score = params.context(q).f_stv     # checks the query location
     k = q.k
     stats = SearchStats()
     order = itertools.count()
@@ -70,7 +75,7 @@ def top_k_search(q, index, audit=None):
         heapq.heappush(heap, (index.mind(q, root), next(order), root))
     stats.heap_peak = len(heap)
 
-    worst = []              # max-heap via (-f_stv, -id, entry)
+    worst = []              # max-heap via (-f_stv, -id, image)
     lam = math.inf          # k-th best f_stv so far
     while heap:
         bound, _, node = heapq.heappop(heap)
@@ -82,15 +87,16 @@ def top_k_search(q, index, audit=None):
         stats.nodes_visited += 1
         children = node.children
         if children is None:
-            for img in index.candidates(q, node):
-                sb = combined_score(q, img, index.params)
-                stats.images_scored += 1
+            cands = index.candidates(q, node)
+            stats.images_scored += len(cands)
+            for img in cands:
+                f = score(img)
                 if len(worst) < k:
-                    heapq.heappush(worst, (-sb.f_stv, -img.id, ResultEntry(img.id, sb)))
+                    heapq.heappush(worst, (-f, -img.id, img))
                     if len(worst) == k:
                         lam = -worst[0][0]
-                elif (sb.f_stv, img.id) < (-worst[0][0], -worst[0][1]):
-                    heapq.heapreplace(worst, (-sb.f_stv, -img.id, ResultEntry(img.id, sb)))
+                elif f < lam or (f == lam and img.id < -worst[0][1]):
+                    heapq.heapreplace(worst, (-f, -img.id, img))
                     lam = -worst[0][0]
         else:
             for child in children:
@@ -102,7 +108,8 @@ def top_k_search(q, index, audit=None):
             if len(heap) > stats.heap_peak:
                 stats.heap_peak = len(heap)
 
-    results = sorted((t[2] for t in worst), key=lambda e: (e.score.f_stv, e.image_id))
+    results = [ResultEntry(img.id, combined_score(q, img, params)) for _, _, img in worst]
+    results.sort(key=lambda e: (e.score.f_stv, e.image_id))
     return results, stats
 
 

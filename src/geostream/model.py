@@ -346,14 +346,15 @@ class QueryContext:
     ``kernels.relevance_cost``, so the best image costs exactly 0.0. A
     word with a zero floor (only when xi = 0) that is not held costs 1.0.
     ``visual`` scores one image, ``visual_columns`` a whole slot table and
-    ``mind_visual`` a node.
+    ``mind_visual`` a node; ``f_stv`` gives one image's combined score.
 
     Building one checks the query location: ``DomainError`` outside the
     domain.
     """
 
     __slots__ = ("q", "stats", "version", "_scale", "_floors", "_zero_words",
-                 "_log_den", "_log_const")
+                 "_log_den", "_log_const", "_lat", "_lon", "_t", "_weights",
+                 "_delta_max", "_decay_base", "_time_unit")
 
     def __init__(self, q, params):
         if not params.domain.contains(q.loc[0], q.loc[1]):
@@ -363,6 +364,12 @@ class QueryContext:
         self.q = q
         self.stats = stats
         self.version = stats.version
+        self._lat, self._lon = q.loc
+        self._t = q.t
+        self._weights = q.weights
+        self._delta_max = params.domain.delta_max
+        self._decay_base = params.decay_base
+        self._time_unit = params.time_unit
         self._scale = 1.0 - xi
         floors = {}         # word -> (floor, log floor), in query order
         zero_words = []
@@ -417,6 +424,18 @@ class QueryContext:
                 log_diff += lw - fl[1]
                 held += 1
         return self._cost(log_num, log_diff, held)
+
+    def f_stv(self, img):
+        """The combined score of ``img``: the kernels, operands and order
+        of ``combined_score``, so it equals that breakdown's ``f_stv``
+        bit for bit, without building the breakdown."""
+        w1, w2, w3 = self._weights
+        return kernels.combine(
+            w1, w2, w3,
+            kernels.spatial_cost(self._lat, self._lon, img.lat, img.lon, self._delta_max),
+            self.visual(img),
+            kernels.recency_cost(self._t - img.t_c, self._decay_base, self._time_unit),
+        )
 
     def visual_columns(self, postings, n):
         """Visual relevance of every slot of an ``n``-slot table, term at a

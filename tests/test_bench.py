@@ -115,7 +115,7 @@ AXIS_METRICS = {"arrival_rate": ("insert_us", "delete_us"), "storage": ("bytes",
 def test_every_axis_gives_its_row_keys(axis):
     gen = small_gen(image_count=60, vocab_size=40, mean_words=5.0)
     rows = bench.sweep(gen, small_index(), axis, query_cfg=QueryConfig(seed=1, count=2))
-    values = bench.AXES[axis] or (60,)
+    values = bench.AXES[axis] or (12, 24, 36, 48, 60)
     metrics = AXIS_METRICS.get(axis, ("response_ms", "nodes", "images_scored"))
     label = "n" if axis == "storage" else axis
     keys = [(r.axis, r.value, r.index, r.metric) for r in rows]

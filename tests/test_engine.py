@@ -3,10 +3,11 @@ import random
 
 import pytest
 
+from geostream import engine
 from geostream.baselines import StviiIndex
 from geostream.engine import brute_force_oracle, top_k_search
 from geostream.hiq import HiqConfig, HiqIndex
-from geostream.model import GeoTemporalImage, Query
+from geostream.model import GeoTemporalImage, Query, combined_score
 from geostream.verify import random_images, random_query, results_match
 
 
@@ -165,3 +166,58 @@ def test_leaf_candidates_and_tree_counts(cls, domain):
             )
             # candidates come in leaf order, which the search does not depend on
             assert sorted(index.candidates(q, leaf), key=lambda im: im.id) == expected
+
+
+def twinned_index(cls, domain, rng):
+    """An index over random images, each followed by a twin (id + 1000,
+    same location, time and words), so the twins' scores tie exactly."""
+    images = random_images(rng, 200, domain, t_lo=0, t_hi=50_000)
+    index = cls(HiqConfig(domain=domain, segment_span=10_000, capacity=6))
+    for img in sorted(images, key=lambda im: im.t_c):
+        index.insert(img)
+        index.insert(GeoTemporalImage(img.id + 1000, img.lat, img.lon, img.t_c, img.psi))
+    return index, images
+
+
+@pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
+def test_result_scores_are_combined_scores(cls, domain):
+    rng = random.Random(41)
+    index, images = twinned_index(cls, domain, rng)
+    live = {img.id: img for img in index.live_images()}
+    for _ in range(40):
+        q = random_query(rng, images, domain)
+        results, _ = top_k_search(q, index)
+        assert results_match(results, brute_force_oracle(q, live.values(), index.params))
+        for e in results:
+            assert e.score == combined_score(q, live[e.image_id], index.params)
+
+
+@pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
+def test_breakdowns_for_the_results_only(cls, domain, monkeypatch):
+    # a count, not a timing: one combined_score per result, whatever the
+    # machine, and every candidate drawn is counted as scored
+    rng = random.Random(42)
+    index, images = twinned_index(cls, domain, rng)
+    broken_down, drawn = [], []
+    leaf_candidates = index.candidates
+
+    def counted_score(q, img, params):
+        broken_down.append(img.id)
+        return combined_score(q, img, params)
+
+    def counted_candidates(q, leaf):
+        drawn.append(leaf_candidates(q, leaf))
+        return drawn[-1]
+
+    monkeypatch.setattr(engine, "combined_score", counted_score)
+    monkeypatch.setattr(index, "candidates", counted_candidates)
+    more_drawn_than_kept = False
+    for _ in range(30):
+        q = random_query(rng, images, domain)
+        broken_down.clear()
+        drawn.clear()
+        results, stats = top_k_search(q, index)
+        assert sorted(broken_down) == sorted(e.image_id for e in results)
+        assert stats.images_scored == sum(map(len, drawn))
+        more_drawn_than_kept |= stats.images_scored > len(results)
+    assert more_drawn_than_kept

@@ -20,6 +20,7 @@ from geostream.model import (
     visual_relevance,
     visual_weight,
 )
+from geostream.verify import random_images
 
 
 def img(id=0, lat=50.0, lon=50.0, t_c=1000, psi=((1, 1),)):
@@ -546,3 +547,26 @@ class TestQueryContext:
         ctx = p.context(q)
         p.stats = CorpusStats()
         assert p.context(q) is not ctx
+
+    @pytest.mark.parametrize("xi", [0.0, 0.35])
+    def test_f_stv_is_combined_score_bit_for_bit(self, domain, xi):
+        rng = random.Random(31 + int(xi * 100))
+        newer = lacking = absent = 0
+        for trial in range(40):
+            # words 60..69 occur in no corpus image
+            corpus = random_images(rng, rng.randint(1, 30), domain, t_lo=0, t_hi=10_000)
+            p = params_for(domain, corpus, xi=xi, decay_base=rng.uniform(1.1, 4.0),
+                           time_unit=rng.choice((1.0, 600.0, 3600.0)))
+            l = 50 if trial % 4 == 0 else rng.randint(1, 12)
+            w1 = rng.uniform(0.05, 0.6)
+            w2 = rng.uniform(0.05, 0.95 - w1)
+            q = Query(psi=rng.sample(range(70), l),
+                      loc=(rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)),
+                      t=rng.randint(0, 10_000), k=1, weights=(w1, w2, 1.0 - w1 - w2))
+            absent += any(v >= 60 for v in q.psi)
+            ctx = p.context(q)
+            for image in corpus:
+                newer += image.t_c > q.t
+                lacking += not set(q.psi) <= set(image.word_tf)
+                assert ctx.f_stv(image) == combined_score(q, image, p).f_stv
+        assert newer and lacking and absent
