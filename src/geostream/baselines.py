@@ -95,16 +95,14 @@ class IfaIndex(Index):
         entries.sort(key=lambda e: (e.score.f_stv, e.image_id))
         return entries, stats
 
-    def expire(self, cutoff):
-        """Drop every image with t_c < cutoff; returns the removed count."""
-        old = self._expired(cutoff)
-        if old:
-            alive = np.frombuffer(self.alive, dtype=np.bool_)
-            alive[np.frombuffer(self.t_c, dtype=np.int64) < cutoff] = False
-            self._dead += len(old)
-            if 2 * self._dead >= len(self.ids):
-                self._compact(alive)
-        return len(old)
+    def _drop_older(self, cutoff, n):
+        # t_c < cutoff as ints: against a float, numpy would round the
+        # int64 timestamps past 2**53
+        alive = np.frombuffer(self.alive, dtype=np.bool_)
+        alive[np.frombuffer(self.t_c, dtype=np.int64) < math.ceil(cutoff)] = False
+        self._dead += n
+        if 2 * self._dead >= len(self.ids):
+            self._compact(alive)
 
     def _compact(self, keep):
         """Drops the slots outside the mask ``keep``. The rest keep their
@@ -270,14 +268,10 @@ class StviiIndex(TreeIndex):
 
     # -- maintenance -------------------------------------------------------
 
-    def expire(self, cutoff):
-        """Drops the images older than cutoff; returns the removed count.
-        Only the nodes holding such an image are rebuilt (``_prune``);
-        the tree is left as it is when no image is older."""
-        old = self._expired(cutoff)
-        if old:
-            self.root = self._prune(self.root, cutoff) or RTree3DNode(leaf=True)
-        return len(old)
+    def _drop_older(self, cutoff, n):
+        """Rebuilds only the nodes holding an image older than the cutoff
+        (``_prune``)."""
+        self.root = self._prune(self.root, cutoff) or RTree3DNode(leaf=True)
 
     def _prune(self, node, cutoff):
         """``node`` without its images older than ``cutoff``: the node

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .model import (
+    ConfigError,
     CorpusStats,
     DomainError,
     ScoreBreakdown,
@@ -133,12 +134,12 @@ class Index:
     at or past the end of the head (newest) segment moves the head to the
     segment that holds it; the window starts at ``window_start()``, the
     later of the first segment's start and ``window`` spans before the
-    head's end. As the head moves, ``_slide`` drops what falls out of the
-    window. The stats keep one bucket per segment (``CorpusStats``), so
-    ``_expired`` drops a segment's images and term counts at once; only a
-    cutoff inside a segment, from a public ``expire(cutoff)``, removes
-    that segment's older images one at a time. A subclass adds an
-    admitted image to its structure in ``_add(img)``.
+    head's end. As the head moves, ``_slide`` lets a subclass pop and open
+    segments, then ``expire`` drops what left the window: a segment wholly
+    before a cutoff leaves the stats (``CorpusStats``) at once, and one the
+    cutoff splits is rebuilt from its survivors. A subclass adds an
+    admitted image in ``_add(img)`` and drops the images older than a
+    cutoff in ``_drop_older(cutoff, n)``.
     """
 
     def __init__(self, config):
@@ -205,31 +206,31 @@ class Index:
         number of segments that left the window."""
         cfg = self.config
         old = self._start
-        start = max(self._start, head_end - cfg.window * cfg.segment_span)
+        start = max(old, head_end - cfg.window * cfg.segment_span)
         self._slide(start, head_end)
+        if start > old:
+            self.expire(start)
         self._start, self._head_end = start, head_end
         return (start - old) // cfg.segment_span
 
     def _slide(self, start, head_end):
-        """Called as the window is about to become ``[start, head_end)``.
-        By default ``expire(start)`` when the start moves, which is what
-        IFA and STVII do."""
-        if start > self._start:
-            self.expire(start)
+        """Called as the window is about to become ``[start, head_end)``,
+        before the images older than ``start`` are expired."""
 
-    def _expired(self, cutoff):
-        """Drops the live images older than ``cutoff`` from the stats and
-        the live set, and returns them: the segments wholly before the
-        cutoff leave at once, one image at a time only the segment the
-        cutoff falls inside (``CorpusStats.expire``). None is older than
-        the window start, so a cutoff at or before it returns [] at once."""
+    def expire(self, cutoff):
+        """Drops every live image with t_c < cutoff and returns how many;
+        0 at once for a cutoff at or before the window start. A NaN or
+        infinite cutoff raises ``ConfigError``."""
+        if isinstance(cutoff, float) and not math.isfinite(cutoff):
+            raise ConfigError(f"expire cutoff must be finite, got {cutoff!r}")
         if self._start is None or cutoff <= self._start:
-            return []
+            return 0
         old = self.stats.expire(cutoff)
-        live = self._live
         for img in old:
-            del live[img.id]
-        return old
+            del self._live[img.id]
+        if old:
+            self._drop_older(cutoff, len(old))
+        return len(old)
 
     def live_images(self):
         return list(self._live.values())

@@ -4,9 +4,9 @@ Time-partitioned segments, each owning a quadtree whose nodes carry a
 rectangle, the max timestamp of the subtree and the per-word max
 frequency ratios of the subtree; leaves hold their images in a plain
 list. The segments follow the window of ``engine.Index``: a segment
-that falls out of it leaves whole, its tree with it and its images and
-term counts with its bucket of the corpus statistics, with no work per
-image.
+that falls out of it leaves whole, with its tree and its bucket of the
+corpus statistics, and a segment a cutoff splits is rebuilt from its
+survivors.
 """
 
 from __future__ import annotations
@@ -105,7 +105,8 @@ def _split(node):
 
 class HiqIndex(TreeIndex):
     """Live sliding-window index over a stream of geo-temporal images.
-    ``segments`` are the window's segments, oldest to newest."""
+    ``segments`` are the window's segments, oldest to newest; a roll pops
+    the leaving ones before ``expire``, which then walks no tree."""
 
     kind = "hiq"
 
@@ -116,33 +117,27 @@ class HiqIndex(TreeIndex):
     # -- ingestion ---------------------------------------------------
 
     def _slide(self, start, head_end):
-        """Drops the segments before ``start`` and opens those up to
+        """Pops the segments before ``start`` and opens those up to
         ``head_end``."""
         segs = self.segments
         while segs and segs[0].start < start:
             segs.pop(0)
-        self._expired(start)
         span = self.config.segment_span
         first = segs[-1].end if segs else start
         segs.extend(Segment(s, s + span, self.config.domain)
                     for s in range(first, head_end, span))
 
-    def expire(self, cutoff):
-        """Drops every image with t_c < cutoff; returns the removed count.
-        The window keeps its segments: those wholly before the cutoff
-        get an empty tree, and the one it falls inside is rebuilt over its
-        images left."""
-        old = self._expired(cutoff)
-        if old:
-            for seg in self.segments:
-                if seg.start >= cutoff:
-                    break
-                left = [img for node in walk([seg.root]) if node.children is None
-                        for img in node.images if img.t_c >= cutoff]
-                seg.root = _root(self.config.domain)
-                for img in left:
-                    self._add(img)
-        return len(old)
+    def _drop_older(self, cutoff, n):
+        """Rebuilds the tree of each segment that starts before the
+        cutoff over its images left."""
+        for seg in self.segments:
+            if seg.start >= cutoff:
+                break
+            left = [img for node in walk([seg.root]) if node.children is None
+                    for img in node.images if img.t_c >= cutoff]
+            seg.root = _root(self.config.domain)
+            for img in left:
+                self._add(img)
 
     def _add(self, img):
         cfg = self.config

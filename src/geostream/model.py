@@ -158,14 +158,6 @@ class _Bucket:
         self.max_freq = {}
 
 
-def _subtract(counts, word, n):
-    left = counts[word] - n
-    if left:
-        counts[word] = left
-    else:
-        del counts[word]
-
-
 class CorpusStats:
     """Term statistics over the live (non-expired) image set.
 
@@ -175,12 +167,11 @@ class CorpusStats:
     id. A bucket keeps its own total, corpus tf and exact max frequency
     ratio per word; the corpus tf per word and the total term count are
     kept over all buckets, and ``max_freq`` is the maximum over the
-    buckets. ``expire`` drops the buckets wholly before its cutoff at
-    once, each subtracting its own counts; only in the one bucket a
-    cutoff falls inside do images go one at a time, by
-    ``remove_image``, and that bucket's max is recounted from its
-    remaining images at the next read. ``version`` counts the updates,
-    so a ``QueryContext`` can tell it is stale.
+    buckets. A bucket leaves whole, subtracting its own counts; one that
+    loses only some images (to a cutoff inside it in ``expire``, or to
+    ``remove_image``) is dropped and rebuilt from its survivors.
+    ``version`` counts the updates, so a ``QueryContext`` can tell it is
+    stale.
     """
 
     def __init__(self, segment_span=None):
@@ -189,7 +180,6 @@ class CorpusStats:
         self.word_corpus_tf = {}
         self._span = segment_span
         self._buckets = {}      # t_c // segment_span -> _Bucket
-        self._stale = set()     # keys of buckets whose max_freq needs a recount
 
     def _key(self, t):
         return t // self._span if self._span else 0
@@ -215,21 +205,13 @@ class CorpusStats:
                 mf[word] = f
 
     def remove_image(self, img):
-        self.version += 1
+        """Drops a held image, by id; raises ``KeyError``, changing
+        nothing, for an image not held."""
         key = self._key(img.t_c)
-        bucket = self._buckets[key]
-        del bucket.images[img.id]
-        total = img.total_tf
-        self.total_word_count -= total
-        bucket.total -= total
-        for word, tf in img.psi:
-            _subtract(self.word_corpus_tf, word, tf)
-            _subtract(bucket.ctf, word, tf)
-        if bucket.images:
-            self._stale.add(key)
-        else:
-            del self._buckets[key]
-            self._stale.discard(key)
+        bucket = self._buckets.get(key)
+        if bucket is None or img.id not in bucket.images:
+            raise KeyError(img.id)
+        self._rebuild(key, {img.id})
 
     def expire(self, cutoff):
         """Drops the images older than ``cutoff`` and returns them."""
@@ -239,36 +221,35 @@ class CorpusStats:
             for key in [key for key in self._buckets if (key + 1) * span <= cutoff]:
                 old.extend(self._drop(key))
         if not span or cutoff % span:
-            bucket = self._buckets.get(self._key(cutoff))
+            key = self._key(cutoff)
+            bucket = self._buckets.get(key)
             if bucket is not None:
                 part = [img for img in bucket.images.values() if img.t_c < cutoff]
-                for img in part:
-                    self.remove_image(img)
-                old.extend(part)
+                if part:
+                    self._rebuild(key, {img.id for img in part})
+                    old.extend(part)
         return old
 
     def _drop(self, key):
         """Drops a whole bucket; returns its images."""
         self.version += 1
         bucket = self._buckets.pop(key)
-        self._stale.discard(key)
         self.total_word_count -= bucket.total
         ctf = self.word_corpus_tf
         for word, tf in bucket.ctf.items():
-            _subtract(ctf, word, tf)
+            left = ctf[word] - tf
+            if left:
+                ctf[word] = left
+            else:
+                del ctf[word]
         return bucket.images.values()
 
-    def _recount(self):
-        for key in self._stale:
-            bucket = self._buckets[key]
-            mf = bucket.max_freq = {}
-            for img in bucket.images.values():
-                total = img.total_tf
-                for word, tf in img.psi:
-                    f = tf / total
-                    if f > mf.get(word, 0.0):
-                        mf[word] = f
-        self._stale.clear()
+    def _rebuild(self, key, gone):
+        """Drops bucket ``key`` and adds back its images whose ids are not
+        in ``gone``."""
+        for img in self._drop(key):
+            if img.id not in gone:
+                self.add_image(img)
 
     def corpus_tf(self, word):
         return self.word_corpus_tf.get(word, 0)
@@ -276,8 +257,6 @@ class CorpusStats:
     def max_freq(self, word):
         """The live maximum of tf/|I.psi| over the images holding
         ``word``; 0.0 when none does."""
-        if self._stale:
-            self._recount()
         m = 0.0
         for bucket in self._buckets.values():
             f = bucket.max_freq.get(word, 0.0)

@@ -325,6 +325,40 @@ def test_roll_segment_rejects_non_finite_now(cls, now, domain):
     assert index.window_start() is None
 
 
+@pytest.mark.parametrize("cutoff", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda c: c.kind)
+def test_expire_rejects_non_finite_cutoff(cls, cutoff, domain):
+    index = cls(make_config(domain, segment_span=100))
+    for i in range(6):
+        index.insert(img(i, t_c=50 * i, psi=((i % 3, 1), (7, i + 1))))
+    stats = index.stats
+
+    def state():
+        return ([im.id for im in index.live_images()], index.window_start(), stats.version,
+                stats.total_word_count, dict(stats.word_corpus_tf),
+                [stats.max_freq(w) for w in range(8)])
+
+    before = state()
+    with pytest.raises(ConfigError, match="expire cutoff must be finite"):
+        index.expire(cutoff)
+    assert state() == before
+
+
+@pytest.mark.parametrize("base", [0, 2 ** 54], ids=["small", "2**54"])
+@pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda c: c.kind)
+def test_float_cutoff_is_exact(cls, base, domain):
+    # base + 3.5 is 3.5 near 0, not truncated to 3; near 2**54 floats are
+    # 4 apart, so it is base + 4, and base + 3 must not round up to it
+    index = cls(make_config(domain, segment_span=100))
+    for i, t in enumerate((0, 3, 4, 50)):
+        index.insert(img(i, t_c=base + t))
+    assert index.expire(base + 3.5) == 2
+    assert [im.id for im in index.live_images()] == [2, 3]
+    assert index.stats.total_word_count == 2
+    q = Query(psi=(1,), loc=(10.0, 10.0), t=base + 60, k=5, weights=(0.2, 0.6, 0.2))
+    assert sorted(e.image_id for e in index.search(q)[0]) == [2, 3]
+
+
 def _subtree_images(node):
     out = []
     for n in walk([node]):

@@ -188,6 +188,34 @@ class TestRollSegment:
         after = [sorted(im.id for im in _subtree_images(r)) for r in survivor_roots]
         assert before == after
 
+    def test_roll_walks_no_tree(self, domain, monkeypatch):
+        # a roll pops the leaving segments before it expires their images,
+        # so the expiry finds no tree to rebuild
+        from geostream import hiq
+
+        walks = []
+        walk = hiq.walk
+
+        def counted(roots):
+            walks.append(roots)
+            return walk(roots)
+
+        monkeypatch.setattr(hiq, "walk", counted)
+        rng = random.Random(8)
+        index = HiqIndex(make_config(domain, window=3, segment_span=1000, capacity=4))
+        for im in sorted(random_images(rng, 120, domain, t_lo=0, t_hi=2999),
+                         key=lambda x: x.t_c):
+            index.insert(im)
+        held = index.image_count()
+        assert index.roll_segment(2999) == 1
+        index.insert(img(1000, 10.0, 10.0, 4500))     # rolls once more
+        assert index.image_count() < held
+        assert walks == []
+        # a cutoff inside a segment rebuilds the trees of [2000, 3000)
+        # and [3000, 4000)
+        assert index.expire(3500) > 0
+        assert len(walks) == 2
+
     def test_queries_match_oracle_after_expiry(self, domain):
         rng = random.Random(4)
         index = HiqIndex(make_config(domain, window=3, segment_span=10_000, capacity=6))

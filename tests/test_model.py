@@ -332,6 +332,24 @@ class TestCorpusStats:
         for w in range(20):
             assert stats.max_freq(w) == fresh.max_freq(w)
 
+    @pytest.mark.parametrize("stranger", [
+        img(id=7, t_c=150, psi=((1, 5),)),      # an id its bucket does not hold
+        img(id=0, t_c=950, psi=((1, 5),)),      # a held id, in a bucket that is not there
+    ], ids=["unknown-id", "no-bucket"])
+    def test_remove_image_not_held(self, stranger):
+        stats = CorpusStats(100)
+        for i, t in enumerate((120, 180, 250)):
+            stats.add_image(img(id=i, t_c=t, psi=((1, i + 1), (2, 1))))
+
+        def state():
+            return (stats.version, stats.total_word_count, dict(stats.word_corpus_tf),
+                    [stats.max_freq(w) for w in range(4)])
+
+        before = state()
+        with pytest.raises(KeyError):
+            stats.remove_image(stranger)
+        assert state() == before
+
     @staticmethod
     def assert_recount(stats, survivors, vocab):
         fresh = CorpusStats()
@@ -387,7 +405,7 @@ class TestCorpusStats:
 
     def test_cutoff_inside_a_bucket(self):
         # the cutoff 150 splits the bucket [100, 200): its images before
-        # 150 go one at a time, and its maximum is recounted from the rest
+        # 150 leave, and the bucket is rebuilt from the rest
         rng = random.Random(23)
         images = []
         for i in range(90):

@@ -1,7 +1,8 @@
 """A stateful property test of the shared sliding window: HIQ, IFA and
-STVII take the same stream of inserts, rolls and queries, and after
-every step hold the same live images, the same window, term statistics
-equal to a recount, and answers equal to the brute-force oracle."""
+STVII take the same stream of inserts, rolls, expiries and queries, and
+after every step hold the same live images, the same window, term
+statistics equal to a recount, and answers equal to the brute-force
+oracle."""
 
 import pytest
 from hypothesis import settings
@@ -116,6 +117,17 @@ class SharedWindow(RuleBasedStateMachine):
     def roll(self):
         for index in self.indexes:
             index.roll_segment(self._latest())
+
+    @precondition(lambda self: self.hiq.segments)
+    @rule(data=st.data())
+    def expire(self, data):
+        # a segment boundary or any point, up to one past the latest arrival
+        start, last = self.hiq.window_start(), self._latest() + 1
+        cutoff = data.draw(st.one_of(
+            st.integers(start // SPAN, last // SPAN).map(lambda s: s * SPAN),
+            st.integers(start, last)))
+        older = sum(1 for im in self.hiq.live_images() if im.t_c < cutoff)
+        assert [index.expire(cutoff) for index in self.indexes] == [older] * 3
 
     @rule(spec=queries)
     def query(self, spec):
