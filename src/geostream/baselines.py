@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .engine import Index, ResultEntry, SearchStats, TreeIndex
-from .model import add_to_aggregates, combined_score, merge_aggregates, mind_visual
+from .model import add_posting, add_to_aggregates, combined_score, merge_aggregates, mind_visual
 
 
 class IfaIndex(Index):
@@ -31,8 +31,8 @@ class IfaIndex(Index):
     Expiry clears the flags of the expired slots. Once at least half the
     slots are dead the columns and posting lists are compacted to the
     live slots, so the table never holds more than twice as many slots as
-    live images. Ids and timestamps sit in int64 columns: an image with
-    one past that range raises ``OverflowError`` and is not admitted."""
+    live images. Ids and timestamps sit in int64 columns, which
+    ``Index.insert`` guarantees."""
 
     kind = "ifa"
 
@@ -47,10 +47,9 @@ class IfaIndex(Index):
         self._dead = 0
 
     def _add(self, img):
-        key = array("q", (img.id, img.t_c))     # checks the int64 range first
         slot = len(self.ids)
-        self.ids.append(key[0])
-        self.t_c.append(key[1])
+        self.ids.append(img.id)
+        self.t_c.append(img.t_c)
         self.lat.append(img.lat)
         self.lon.append(img.lon)
         self.alive.append(1)
@@ -166,12 +165,13 @@ def _enlargement(box, item_box):
 
 
 class RTree3DNode:
-    __slots__ = ("mbr", "children", "images", "t_max", "max_freq")
+    __slots__ = ("mbr", "children", "images", "postings", "t_max", "max_freq")
 
     def __init__(self, leaf=True):
         self.mbr = None                      # [lat0, lon0, t0, lat1, lon1, t1], t exact ints
         self.children = None if leaf else []
         self.images = [] if leaf else None
+        self.postings = None                 # leaf only, once scored: word -> positions
         self.t_max = None
         self.max_freq = {}
 
@@ -196,7 +196,7 @@ class StviiIndex(TreeIndex):
         node.mbr = _box_union(node.mbr, ebox)
         add_to_aggregates(node, img)
         if node.children is None:
-            node.images.append(img)
+            add_posting(node, img)
             if len(node.images) > self.capacity:
                 return self._split(node)
             return None

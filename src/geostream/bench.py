@@ -156,9 +156,9 @@ def sweep(gen_cfg, index_cfg, axis, values=None, query_cfg=None, kinds=INDEX_KIN
     replaces the capacity; ``l``, ``k`` and ``omega1..3`` replace a field
     of the query config; those measure ``response_ms``, ``nodes`` and
     ``images_scored``. ``storage`` gives each index's modelled ``bytes``
-    at a prefix of ``n`` images (rows on axis ``n``). Indexes are rebuilt
-    only when a point's images or index config change. Raises
-    ``AnswerMismatchError`` on a wrong answer."""
+    at a prefix of ``n`` images (rows on axis ``n``), after the point's
+    queries. Indexes are rebuilt only when a point's images or index
+    config change. Raises ``AnswerMismatchError`` on a wrong answer."""
     if axis not in AXES:
         raise ValueError(f"unknown axis {axis!r}")
     if values is None:
@@ -195,17 +195,22 @@ def sweep(gen_cfg, index_cfg, axis, values=None, query_cfg=None, kinds=INDEX_KIN
             rows += [_row(axis, value, kind, "delete_us",
                           _roll_half(index, gen_cfg.start_time, horizon))
                      for kind, index in indexes.items()]
-        elif axis == "storage":
-            rows += [_row("n", value, kind, "bytes", [float(estimate_storage(index))])
-                     for kind, index in indexes.items()]
         else:
             queries = generate_queries(qc, images).queries if images else []
-            rows += _query_rows(axis, value, indexes, queries)
+            query_rows = _query_rows(axis, value, indexes, queries)
+            if axis == "storage":
+                # modelled after the point's queries, which build the
+                # inverted files of the tree leaves they reach
+                rows += [_row("n", value, kind, "bytes", [float(estimate_storage(index))])
+                         for kind, index in indexes.items()]
+            else:
+                rows += query_rows
     return rows
 
 
 def estimate_storage(index):
-    """Bytes under the documented per-type size model."""
+    """Bytes under the documented per-type size model: a tree leaf's
+    inverted file counts once its first scoring has built it."""
     if index.kind == "ifa":
         total = POSTING_BYTES * index.live_posting_count()
         for img in index.live_images():
@@ -217,6 +222,8 @@ def estimate_storage(index):
         if node.children is None:
             for img in node.images:
                 total += RECORD_BYTES + RECORD_WORD_BYTES * len(img.psi)
+            if node.postings is not None:
+                total += POSTING_BYTES * sum(map(len, node.postings.values()))
     return total
 
 

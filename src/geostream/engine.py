@@ -7,13 +7,15 @@ The search works against any index exposing the searchable surface:
 ``roots()``, ``mind(q, node)``, ``candidates(q, leaf)`` and a ``params``
 attribute, with the bound dominance property (mind <= f_stv of every
 image under the node). A node's ``children`` is a list at an inner node
-and ``None`` at a leaf, which holds its ``images``. ``TreeIndex`` gives
-the tree indexes (HIQ, STVII) one ``search``, ``candidates`` and
-``node_count``.
+and ``None`` at a leaf, which holds its ``images`` and their inverted
+file ``postings`` (word -> positions in ``images``; ``None`` until the
+leaf is first scored). ``TreeIndex`` gives the tree indexes (HIQ, STVII)
+one ``search``, ``candidates`` and ``node_count``.
 
-A tree search ranks its candidates on ``QueryContext.f_stv`` alone and
-builds the ``combined_score`` breakdown of the k results only, as IFA's
-column scorer does.
+``candidates`` scores a leaf term at a time (``QueryContext.score_leaf``)
+and returns ``(f_stv, image)`` pairs; the search ranks on them and builds
+the ``combined_score`` breakdown of the k results only, as IFA's column
+scorer does.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ from .model import (
     temporal_recency,
     visual_weight,
 )
+
+
+_INT64 = range(-2 ** 63, 2 ** 63)
 
 
 class ExpiredArrivalError(ValueError):
@@ -61,13 +66,14 @@ def top_k_search(q, index, audit=None):
 
     Maintains a min-heap of nodes keyed by their lower bound and a
     threshold equal to the k-th best score found so far; nodes whose
-    bound exceeds the threshold are pruned. Candidates are ranked on
-    ``QueryContext.f_stv`` alone; only the k results get a breakdown from
-    ``combined_score``. ``audit``, when a list, is filled with the bounds
-    of pruned nodes (for dominance-safety tests).
+    bound exceeds the threshold are pruned. Candidates are ranked on the
+    ``f_stv`` that ``index.candidates`` pairs them with; only the k
+    results get a breakdown from ``combined_score``. ``audit``, when a
+    list, is filled with the bounds of pruned nodes (for dominance-safety
+    tests).
     """
     params = index.params
-    score = params.context(q).f_stv     # checks the query location
+    params.context(q)       # checks the query location
     k = q.k
     stats = SearchStats()
     order = itertools.count()
@@ -88,10 +94,9 @@ def top_k_search(q, index, audit=None):
         stats.nodes_visited += 1
         children = node.children
         if children is None:
-            cands = index.candidates(q, node)
-            stats.images_scored += len(cands)
-            for img in cands:
-                f = score(img)
+            scored = index.candidates(q, node)
+            stats.images_scored += len(scored)
+            for f, img in scored:
                 if len(worst) < k:
                     heapq.heappush(worst, (-f, -img.id, img))
                     if len(worst) == k:
@@ -161,7 +166,12 @@ class Index:
         return self._start
 
     def insert(self, img):
+        """Admits ``img``. A duplicate id, a location outside the domain, an
+        id or ``t_c`` outside int64 (``OverflowError``) and an arrival
+        older than the window raise before anything changes."""
         cfg = self.config
+        if img.id not in _INT64 or img.t_c not in _INT64:
+            raise OverflowError(f"image {img.id}: id or t_c outside int64")
         if img.id in self._live:
             raise ValueError(f"duplicate image id {img.id}")
         if not cfg.domain.contains(img.lat, img.lon):
@@ -247,10 +257,10 @@ class TreeIndex(Index):
         return top_k_search(q, self)
 
     def candidates(self, q, leaf):
-        """Images in the leaf sharing at least one query word, in leaf
-        order (the search's results do not depend on it)."""
-        qwords = set(q.psi)
-        return [img for img in leaf.images if not qwords.isdisjoint(img.word_tf)]
+        """``(f_stv, image)`` for each image in the leaf sharing at least
+        one query word (``QueryContext.score_leaf``), in no set order
+        (the search's results do not depend on it)."""
+        return self.params.context(q).score_leaf(leaf)
 
     def node_count(self):
         return sum(1 for _ in walk(self.roots()))

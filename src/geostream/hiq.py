@@ -2,11 +2,13 @@
 
 Time-partitioned segments, each owning a quadtree whose nodes carry a
 rectangle, the max timestamp of the subtree and the per-word max
-frequency ratios of the subtree; leaves hold their images in a plain
-list. The segments follow the window of ``engine.Index``: a segment
-that falls out of it leaves whole, with its tree and its bucket of the
-corpus statistics, and a segment a cutoff splits is rebuilt from its
-survivors.
+frequency ratios of the subtree; leaves hold a list of their images and,
+from the leaf's first scoring on, an inverted file over that list
+(``QuadNode.postings``), which a split or a rebuild leaves unbuilt on
+the new leaves. The segments follow the window of ``engine.Index``: a
+segment that falls out of it leaves whole, with its tree and its bucket
+of the corpus statistics, and a segment a cutoff splits is rebuilt from
+its survivors.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .engine import ExpiredArrivalError, TreeIndex, walk  # noqa: F401 (re-exported)
-from .model import ConfigError, add_to_aggregates, mind_visual
+from .model import ConfigError, add_posting, add_to_aggregates, mind_visual
 
 
 @dataclass
@@ -47,7 +49,7 @@ class HiqConfig:
 class QuadNode:
     __slots__ = (
         "min_lat", "min_lon", "max_lat", "max_lon",
-        "t_max", "children", "images", "max_freq",
+        "t_max", "children", "images", "postings", "max_freq",
     )
 
     def __init__(self, min_lat, min_lon, max_lat, max_lon):
@@ -58,6 +60,7 @@ class QuadNode:
         self.t_max = None
         self.children = None     # inner: list of 4 (NW, NE, SW, SE)
         self.images = []         # leaf only
+        self.postings = None     # leaf only, once scored: word -> positions
         self.max_freq = {}       # word -> max tf/total_tf in subtree
 
     def quadrant(self, lat, lon):
@@ -98,9 +101,10 @@ def _split(node):
     for img in node.images:
         child = children[node.quadrant(img.lat, img.lon)]
         add_to_aggregates(child, img)
-        child.images.append(img)
+        add_posting(child, img)
     node.children = children
     node.images = []
+    node.postings = None
 
 
 class HiqIndex(TreeIndex):
@@ -148,7 +152,7 @@ class HiqIndex(TreeIndex):
         while True:
             add_to_aggregates(node, img)
             if node.children is None:
-                node.images.append(img)
+                add_posting(node, img)
                 if len(node.images) > cfg.capacity and depth < cfg.max_depth:
                     _split(node)
                 return

@@ -325,7 +325,10 @@ class QueryContext:
     ``kernels.relevance_cost``, so the best image costs exactly 0.0. A
     word with a zero floor (only when xi = 0) that is not held costs 1.0.
     ``visual`` scores one image, ``visual_columns`` a whole slot table and
-    ``mind_visual`` a node; ``f_stv`` gives one image's combined score.
+    ``mind_visual`` a node. ``score_leaf`` gives the combined score of
+    each image of a tree leaf that holds a query word, from the posting
+    lists of the query words in the leaf's inverted file, with the same
+    sums as ``visual``.
 
     Building one checks the query location: ``DomainError`` outside the
     domain.
@@ -404,17 +407,61 @@ class QueryContext:
                 held += 1
         return self._cost(log_num, log_diff, held)
 
-    def f_stv(self, img):
-        """The combined score of ``img``: the kernels, operands and order
-        of ``combined_score``, so it equals that breakdown's ``f_stv``
-        bit for bit, without building the breakdown."""
+    def score_leaf(self, leaf):
+        """``(f_stv, image)`` for every image of a tree leaf that holds a
+        query word, term at a time over the leaf's inverted file
+        ``leaf.postings`` (built here on the leaf's first scoring).
+
+        Each image's sums are made in query order, as in ``visual``, and
+        its spatial and temporal costs through the kernels, operands and
+        order of ``combined_score``, so each ``f_stv`` equals that
+        breakdown's bit for bit."""
+        postings = leaf.postings
+        images = leaf.images
+        if postings is None:
+            postings = leaf.postings = {}
+            for i, img in enumerate(images):
+                _post(postings, i, img)
+        scale = self._scale
+        log = math.log
+        sums = {}       # position -> [log_num, log_diff, held]
+        for v, (floor, lf) in self._floors.items():
+            positions = postings.get(v)
+            if positions is None:
+                continue
+            for i in positions:
+                img = images[i]
+                lw = log(scale * (img.word_tf[v] / img.total_tf) + floor)
+                s = sums.get(i)
+                if s is None:
+                    sums[i] = [lw, lw - lf, 1]
+                else:
+                    s[0] += lw
+                    s[1] += lw - lf
+                    s[2] += 1
+        zero_words = self._zero_words
         w1, w2, w3 = self._weights
-        return kernels.combine(
-            w1, w2, w3,
-            kernels.spatial_cost(self._lat, self._lon, img.lat, img.lon, self._delta_max),
-            self.visual(img),
-            kernels.recency_cost(self._t - img.t_c, self._decay_base, self._time_unit),
-        )
+        lat, lon, t = self._lat, self._lon, self._t
+        delta_max, decay_base, time_unit = self._delta_max, self._decay_base, self._time_unit
+        combine = kernels.combine
+        spatial_cost = kernels.spatial_cost
+        recency_cost = kernels.recency_cost
+        scored = []
+        for i, (log_num, log_diff, held) in sums.items():
+            img = images[i]
+            for v in zero_words:
+                if v not in img.word_tf:
+                    f_v = 1.0
+                    break
+            else:
+                f_v = self._cost(log_num, log_diff, held)
+            scored.append((combine(
+                w1, w2, w3,
+                spatial_cost(lat, lon, img.lat, img.lon, delta_max),
+                f_v,
+                recency_cost(t - img.t_c, decay_base, time_unit),
+            ), img))
+        return scored
 
     def visual_columns(self, postings, n):
         """Visual relevance of every slot of an ``n``-slot table, term at a
@@ -556,6 +603,20 @@ def merge_aggregates(node, child):
     for word, f in child.max_freq.items():
         if f > mf.get(word, 0.0):
             mf[word] = f
+
+
+def add_posting(leaf, img):
+    """Appends ``img`` to a tree leaf's images and, once the leaf's
+    inverted file is built, to its posting lists."""
+    if leaf.postings is not None:
+        _post(leaf.postings, len(leaf.images), img)
+    leaf.images.append(img)
+
+
+def _post(postings, i, img):
+    """Adds position ``i``, holding ``img``, to the posting lists."""
+    for v in img.word_tf:
+        postings.setdefault(v, []).append(i)
 
 
 def mind_visual(q, node_max_freq, params):

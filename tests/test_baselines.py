@@ -344,6 +344,21 @@ def test_expire_rejects_non_finite_cutoff(cls, cutoff, domain):
     assert state() == before
 
 
+@pytest.mark.parametrize("bad", [dict(id=2 ** 63), dict(id=2, t_c=2 ** 63),
+                                 dict(id=-2 ** 63 - 1)], ids=["id", "t_c", "negative-id"])
+@pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda c: c.kind)
+def test_int64_overflow_changes_nothing(cls, bad, domain):
+    # an arrival 10 spans on would roll the window past image 1 first
+    index = cls(make_config(domain, segment_span=10, window=2))
+    index.insert(img(1, t_c=0))
+    before = ([im.id for im in index.live_images()], index.window_start(),
+              index.stats.version)
+    with pytest.raises(OverflowError):
+        index.insert(img(**{"t_c": 100, **bad}))
+    assert ([im.id for im in index.live_images()], index.window_start(),
+            index.stats.version) == before
+
+
 @pytest.mark.parametrize("base", [0, 2 ** 54], ids=["small", "2**54"])
 @pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda c: c.kind)
 def test_float_cutoff_is_exact(cls, base, domain):

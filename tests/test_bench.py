@@ -5,9 +5,10 @@ import pytest
 
 from geostream import bench
 from geostream.baselines import IfaIndex
+from geostream.engine import walk
 from geostream.hiq import HiqConfig, HiqIndex
 from geostream.model import SpatialDomain
-from geostream.workload import GeneratorConfig, QueryConfig
+from geostream.workload import GeneratorConfig, QueryConfig, generate_images, generate_queries
 
 DOMAIN = SpatialDomain(0.0, 100.0, 0.0, 100.0)
 
@@ -106,6 +107,26 @@ class TestStorage:
         big_sizes = {r.index: r.mean for r in big_rows}
         for kind in ("hiq", "ifa", "stvii"):
             assert 0 < small_sizes[kind] < big_sizes[kind]
+
+    @pytest.mark.parametrize("kind", ["hiq", "stvii"])
+    def test_leaf_inverted_files_count_once_built(self, kind):
+        cfg = small_index(segment_span=10_000)
+        gen = small_gen(image_count=200)
+        qc = QueryConfig(seed=1, count=3)
+        images = generate_images(gen)
+        index = bench.build_index(kind, cfg)
+        for img in images:
+            index.insert(img)
+        unscored = bench.estimate_storage(index)
+        for q in generate_queries(qc, images).queries:
+            index.search(q)
+        built = [leaf for leaf in walk(index.roots()) if leaf.postings is not None]
+        assert built
+        postings = sum(len(img.psi) for leaf in built for img in leaf.images)
+        assert bench.estimate_storage(index) == unscored + bench.POSTING_BYTES * postings
+        # the storage axis models the indexes after the point's queries
+        rows = bench.sweep(gen, cfg, "storage", values=(200,), query_cfg=qc, kinds=(kind,))
+        assert [r.mean for r in rows] == [bench.estimate_storage(index)]
 
 
 AXIS_METRICS = {"arrival_rate": ("insert_us", "delete_us"), "storage": ("bytes",)}

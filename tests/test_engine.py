@@ -164,8 +164,11 @@ def test_leaf_candidates_and_tree_counts(cls, domain):
                 (im for im in leaf.images if set(im.word_tf) & set(q.psi)),
                 key=lambda im: im.id,
             )
-            # candidates come in leaf order, which the search does not depend on
-            assert sorted(index.candidates(q, leaf), key=lambda im: im.id) == expected
+            # pairs come in no set order, which the search does not depend on
+            scored = sorted(index.candidates(q, leaf), key=lambda pair: pair[1].id)
+            assert [im for _f, im in scored] == expected
+            for f, im in scored:
+                assert f == combined_score(q, im, index.params).f_stv
 
 
 def twinned_index(cls, domain, rng):

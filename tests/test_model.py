@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +14,7 @@ from geostream.model import (
     Query,
     ScoreParams,
     SpatialDomain,
+    add_posting,
     combined_score,
     mind_visual,
     spatial_proximity,
@@ -567,24 +569,44 @@ class TestQueryContext:
         assert p.context(q) is not ctx
 
     @pytest.mark.parametrize("xi", [0.0, 0.35])
-    def test_f_stv_is_combined_score_bit_for_bit(self, domain, xi):
+    def test_score_leaf_is_combined_score_bit_for_bit(self, domain, xi):
         rng = random.Random(31 + int(xi * 100))
         newer = lacking = absent = 0
-        for trial in range(40):
+        for trial in range(80):
             # words 60..69 occur in no corpus image
             corpus = random_images(rng, rng.randint(1, 30), domain, t_lo=0, t_hi=10_000)
             p = params_for(domain, corpus, xi=xi, decay_base=rng.uniform(1.1, 4.0),
                            time_unit=rng.choice((1.0, 600.0, 3600.0)))
-            l = 50 if trial % 4 == 0 else rng.randint(1, 12)
+            if trial % 4 == 0:
+                words = rng.sample(range(70), 50)
+            elif trial % 2:
+                # one image's words and two more: images that hold three or
+                # more query words at a visual cost below 1.0, where the
+                # order of the arithmetic shows in the last bit
+                words = [w for w, _tf in rng.choice(corpus).psi] + rng.sample(range(70), 2)
+            else:
+                words = rng.sample(range(70), rng.randint(1, 12))
             w1 = rng.uniform(0.05, 0.6)
             w2 = rng.uniform(0.05, 0.95 - w1)
-            q = Query(psi=rng.sample(range(70), l),
+            q = Query(psi=words,
                       loc=(rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)),
                       t=rng.randint(0, 10_000), k=1, weights=(w1, w2, 1.0 - w1 - w2))
             absent += any(v >= 60 for v in q.psi)
             ctx = p.context(q)
-            for image in corpus:
+            # half the images before the leaf's first scoring builds its
+            # inverted file, the rest posted into the built one
+            leaf = SimpleNamespace(images=[], postings=None)
+            half = len(corpus) // 2
+            for image in corpus[:half]:
+                add_posting(leaf, image)
+            ctx.score_leaf(leaf)
+            for image in corpus[half:]:
+                add_posting(leaf, image)
+            scored = sorted(ctx.score_leaf(leaf), key=lambda pair: pair[1].id)
+            assert [image for _f, image in scored] == \
+                [image for image in corpus if set(q.psi) & set(image.word_tf)]
+            for f, image in scored:
                 newer += image.t_c > q.t
                 lacking += not set(q.psi) <= set(image.word_tf)
-                assert ctx.f_stv(image) == combined_score(q, image, p).f_stv
+                assert f == combined_score(q, image, p).f_stv
         assert newer and lacking and absent

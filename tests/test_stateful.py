@@ -1,8 +1,8 @@
 """A stateful property test of the shared sliding window: HIQ, IFA and
 STVII take the same stream of inserts, rolls, expiries and queries, and
 after every step hold the same live images, the same window, term
-statistics equal to a recount, and answers equal to the brute-force
-oracle."""
+statistics equal to a recount, answers equal to the brute-force oracle,
+and tree leaf inverted files equal to a rebuild from their images."""
 
 import pytest
 from hypothesis import settings
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from geostream.baselines import IfaIndex, StviiIndex
-from geostream.engine import brute_force_oracle
+from geostream.engine import brute_force_oracle, walk
 from geostream.hiq import ExpiredArrivalError, HiqConfig, HiqIndex
 from geostream.model import CorpusStats, GeoTemporalImage, Query, ScoreParams, SpatialDomain
 from geostream.verify import results_match
@@ -160,6 +160,21 @@ class SharedWindow(RuleBasedStateMachine):
     @invariant()
     def stvii_tree_sound(self):
         audit_stvii(self.indexes[2])
+
+    @invariant()
+    def leaf_inverted_files_fresh(self):
+        # a built inverted file sits on a leaf and equals one rebuilt from
+        # the leaf's images
+        for index in (self.hiq, self.indexes[2]):
+            for node in walk(index.roots()):
+                if node.postings is None:
+                    continue
+                assert node.children is None
+                fresh = {}
+                for i, img in enumerate(node.images):
+                    for v in img.word_tf:
+                        fresh.setdefault(v, []).append(i)
+                assert node.postings == fresh
 
 
 SharedWindow.TestCase.settings = settings(
