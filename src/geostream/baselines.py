@@ -8,6 +8,12 @@ columns one query word at a time. STVII boxes images in raw
 only the subtrees older than the cutoff, and carries the same per-node
 max-weight inverted files as the quadtree so it plugs into the shared
 best-first search.
+
+A timestamp is an integer tick, so a box's volume counts its time
+extent in ticks, ``t1 - t0 + 1``: a stream puts many images on one
+second, and with a raw ``t1 - t0`` every box of same-second images would
+have volume 0, so the volume-driven descent and split would see only
+ties and cut the tree into time slices spanning the whole domain.
 """
 
 from __future__ import annotations
@@ -157,11 +163,9 @@ def _box_union(a, b):
 
 
 def _box_volume(b):
-    return (b[3] - b[0]) * (b[4] - b[1]) * (b[5] - b[2])
-
-
-def _enlargement(box, item_box):
-    return _box_volume(_box_union(box, item_box)) - _box_volume(box)
+    """Lat/lon area times the time extent in ticks, ``t1 - t0 + 1``: a
+    box within one timestamp measures its area, a point box 0."""
+    return (b[3] - b[0]) * (b[4] - b[1]) * (b[5] - b[2] + 1)
 
 
 class RTree3DNode:
@@ -210,15 +214,24 @@ class StviiIndex(TreeIndex):
         return None
 
     def _choose_subtree(self, node, ebox):
-        # minimum volume enlargement; ties by smaller volume, then fewer
-        # members
-        best = None
-        best_key = None
+        """The child whose box grows least in volume to take the point
+        ``ebox``; ties by smaller volume, then fewer members. Each box
+        grows inline, in the arithmetic of ``_box_union`` and
+        ``_box_volume``, and the key is built only for a child that can
+        win."""
+        lat, lon, t = ebox[0], ebox[1], ebox[2]
+        best = best_key = None
+        best_grow = math.inf
         for child in node.children:
-            n = len(child.images if child.children is None else child.children)
-            key = (_enlargement(child.mbr, ebox), _box_volume(child.mbr), n)
-            if best_key is None or key < best_key:
-                best, best_key = child, key
+            m = child.mbr
+            vol = (m[3] - m[0]) * (m[4] - m[1]) * (m[5] - m[2] + 1)
+            grow = ((lat if lat > m[3] else m[3]) - (lat if lat < m[0] else m[0])) \
+                * ((lon if lon > m[4] else m[4]) - (lon if lon < m[1] else m[1])) \
+                * ((t if t > m[5] else m[5]) - (t if t < m[2] else m[2]) + 1) - vol
+            if grow <= best_grow:
+                key = (grow, vol, len(child.images if child.children is None else child.children))
+                if best_key is None or key < best_key:
+                    best, best_key, best_grow = child, key, grow
         return best
 
     def _split(self, node):
@@ -240,8 +253,11 @@ class StviiIndex(TreeIndex):
         node = RTree3DNode(leaf=leaf)
         if leaf:
             node.images = items
+            lat = [img.lat for img in items]
+            lon = [img.lon for img in items]
+            t = [img.t_c for img in items]
+            node.mbr = [min(lat), min(lon), min(t), max(lat), max(lon), max(t)]
             for img in items:
-                node.mbr = _box_union(node.mbr, _box(img))
                 add_to_aggregates(node, img)
         else:
             node.children = items
@@ -299,10 +315,10 @@ def _quadratic_split(boxes, min_fill):
     n = len(boxes)
     lo = [np.array([b[k] for b in boxes]) for k in range(3)]
     hi = [np.array([b[k] for b in boxes]) for k in range(3, 6)]
-    vol = (hi[0] - lo[0]) * (hi[1] - lo[1]) * (hi[2] - lo[2])
+    vol = (hi[0] - lo[0]) * (hi[1] - lo[1]) * (hi[2] - lo[2] + 1)
     # PickSeeds: the pair wasting most volume, the first in (i, j) order
     ext = [np.maximum.outer(h, h) - np.minimum.outer(l, l) for l, h in zip(lo, hi)]
-    waste = ext[0] * ext[1] * ext[2] - vol[:, None] - vol[None, :]
+    waste = ext[0] * ext[1] * (ext[2] + 1) - vol[:, None] - vol[None, :]
     waste[np.tril_indices(n)] = -np.inf
     s1, s2 = divmod(int(np.argmax(waste)), n)
     g1, g2 = [s1], [s2]
@@ -335,7 +351,7 @@ def _quadratic_split(boxes, min_fill):
 
 
 def _enlargements(mbr, lo, hi):
-    """``_enlargement(mbr, box)`` for every box of the columns."""
+    """How much ``mbr`` grows in volume to take each box of the columns."""
     ext = [np.maximum(h, mbr[k + 3]) - np.minimum(l, mbr[k])
            for k, (l, h) in enumerate(zip(lo, hi))]
-    return ext[0] * ext[1] * ext[2] - _box_volume(mbr)
+    return ext[0] * ext[1] * (ext[2] + 1) - _box_volume(mbr)

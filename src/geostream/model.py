@@ -63,18 +63,36 @@ def _timestamp(value, what):
     return int(value)
 
 
+def _whole(value, what, error):
+    """``int(value)`` for a whole number; ``error`` for anything else (a
+    fraction, NaN or infinity), which ``int`` would truncate or refuse
+    with an untyped error."""
+    try:
+        n = int(value)
+    except (ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise error(f"{what} must be an integer, got {value!r}")
+    return n
+
+
 class GeoTemporalImage:
     """An image record: id, location, creation time and sparse word vector.
 
     ``psi`` is a tuple of (word_id, tf) pairs, strictly ascending by word
     id. ``total_tf`` (the sum of tf counts) is the |I.psi| used as the
-    frequency denominator.
+    frequency denominator. Word ids and tfs must be whole numbers: a
+    fraction raises ``ValueError`` instead of being truncated.
     """
 
     __slots__ = ("id", "lat", "lon", "t_c", "psi", "word_tf", "total_tf")
 
     def __init__(self, id, lat, lon, t_c, psi):
-        psi = tuple((int(w), int(tf)) for w, tf in psi)
+        psi = tuple(
+            (w, tf) if type(w) is int and type(tf) is int
+            else (_whole(w, f"image {id}: word id", ValueError),
+                  _whole(tf, f"image {id}: tf", ValueError))
+            for w, tf in psi)
         if not psi:
             raise ValueError(f"image {id}: empty visual word vector")
         prev = -1
@@ -124,12 +142,12 @@ class Query:
     weights: tuple      # (w1, w2, w3) for spatial, visual, temporal
 
     def __post_init__(self):
-        psi = tuple(sorted(set(int(w) for w in self.psi)))
+        psi = tuple(sorted(set(_whole(w, "query word id", ConfigError) for w in self.psi)))
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "loc", (float(self.loc[0]), float(self.loc[1])))
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         object.__setattr__(self, "t", _timestamp(self.t, "query time t"))
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", _whole(self.k, "k", ConfigError))
         if not psi:
             raise ConfigError("query needs at least one visual word")
         if self.k < 1:

@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from geostream.baselines import IfaIndex, StviiIndex, _box_volume, _quadratic_split
+from geostream.baselines import (
+    IfaIndex,
+    RTree3DNode,
+    StviiIndex,
+    _box_volume,
+    _quadratic_split,
+)
 from geostream.engine import brute_force_oracle, top_k_search, walk
 from geostream.hiq import HiqConfig, HiqIndex
 from geostream.model import (
@@ -497,6 +503,27 @@ class TestStvii:
                 q = random_query(rng, list(live.values()), domain)
                 assert results_match(index.search(q)[0], oracle_over_live_set(q, index))
 
+    @pytest.mark.parametrize("ticks", [1, 3])
+    def test_splits_space_on_shared_timestamps(self, ticks, domain):
+        # a stream puts many images on one second: the leaves must still
+        # cut the domain, not each span it as a time slice
+        rng = random.Random(42)
+        images = [GeoTemporalImage(im.id, im.lat, im.lon, 50_000 + im.id % ticks, im.psi)
+                  for im in random_images(rng, 1000, domain)]
+        index = StviiIndex(make_config(domain, capacity=20))
+        for im in images:
+            index.insert(im)
+        audit_stvii(index)
+        area = sum((n.mbr[3] - n.mbr[0]) * (n.mbr[4] - n.mbr[1])
+                   for n in walk(index.roots()) if n.children is None)
+        domain_area = (domain.max_lat - domain.min_lat) * (domain.max_lon - domain.min_lon)
+        assert area <= 4 * domain_area
+        q = Query(psi=tuple(range(0, 60, 3)), loc=(rng.uniform(0, 100), rng.uniform(0, 100)),
+                  t=50_010, k=10, weights=(1 / 3, 1 / 3, 1 / 3))
+        got, stats = top_k_search(q, index)
+        assert results_match(got, brute_force_oracle(q, images, index.params))
+        assert stats.images_scored < len(images) / 4
+
     def test_expire_without_old_images_keeps_tree(self, domain):
         rng = random.Random(41)
         images = random_images(rng, 100, domain, t_lo=5000, t_hi=10_000)
@@ -522,6 +549,52 @@ def test_quadratic_split_respects_min_fill():
         g1, g2 = _quadratic_split(boxes, m)
         assert sorted(g1 + g2) == list(range(n))
         assert len(g1) >= m and len(g2) >= m
+
+
+def test_box_volume_counts_ticks():
+    # a box within one tick measures its lat/lon area; a point measures 0
+    assert _box_volume((1.0, 2.0, 7, 3.0, 5.0, 7)) == 6.0
+    assert _box_volume((1.0, 2.0, 7, 3.0, 5.0, 9)) == 18.0
+    assert _box_volume((1.0, 2.0, 7, 1.0, 2.0, 7)) == 0.0
+    assert _box_volume((1.0, 2.0, 7, 1.0, 2.0, 9)) == 0.0
+
+
+def _reference_choose_subtree(node, ebox):
+    """The least volume enlargement, ties by smaller volume then fewer
+    members, over ``_box_volume`` of a built union box: the reference for
+    the inline ``StviiIndex._choose_subtree``."""
+    def key(child):
+        m = child.mbr
+        union = [min(m[k], ebox[k]) for k in range(3)] + [max(m[k], ebox[k]) for k in range(3, 6)]
+        n = len(child.images if child.children is None else child.children)
+        return (_box_volume(union) - _box_volume(m), _box_volume(m), n)
+    return min(node.children, key=key)
+
+
+@pytest.mark.parametrize("t0", [0, 1_700_000_000, 1_700_000_000_000_000_000])
+def test_choose_subtree_matches_reference(t0, domain):
+    index = StviiIndex(make_config(domain))
+    rng = random.Random(t0 % 1000 + 43)
+
+    def corner(grid, one_tick):
+        t = t0 if one_tick else t0 + rng.randint(0, 4)
+        if grid:
+            return (rng.randint(0, 3) * 0.5, rng.randint(0, 3) * 0.25, t)
+        return (rng.uniform(0, 100), rng.uniform(0, 100), t)
+
+    for trial in range(300):
+        grid, one_tick, points = trial % 2 == 0, trial % 3 == 0, trial % 5 == 0
+        node = RTree3DNode(leaf=False)
+        for _ in range(rng.randint(1, 20)):
+            corners = [corner(grid, one_tick) for _ in range(1 if points else 2)]
+            child = RTree3DNode(leaf=rng.random() < 0.5)
+            child.mbr = [min(c[k] for c in corners) for k in range(3)] + \
+                [max(c[k] for c in corners) for k in range(3)]
+            members = child.images if child.children is None else child.children
+            members.extend([None] * rng.randint(1, 4))
+            node.children.append(child)
+        ebox = corner(grid, one_tick) * 2
+        assert index._choose_subtree(node, ebox) is _reference_choose_subtree(node, ebox)
 
 
 def _scalar_quadratic_split(boxes, min_fill):
@@ -570,20 +643,22 @@ def _scalar_quadratic_split(boxes, min_fill):
 def test_quadratic_split_matches_scalar_reference(t0):
     # points and boxes with exact int times, off a coarse grid too so that
     # the seeds and picks tie and the tie-breaks decide
+    # (trials from 60 on put every box on the one tick t0)
     rng = random.Random(t0 % 1000 + 41)
-    for trial in range(60):
+    for trial in range(90):
         n = rng.choice([2, 3, 7, 20, 101])
         grid = trial % 2 == 0
+        one_tick = trial >= 60
         boxes = []
         for _ in range(n):
             corners = []
             for _ in range(1 if trial % 3 else 2):
                 if grid:
                     corners.append((rng.randint(0, 3) * 0.5, rng.randint(0, 3) * 0.25,
-                                    t0 + rng.randint(0, 4)))
+                                    t0 if one_tick else t0 + rng.randint(0, 4)))
                 else:
                     corners.append((rng.uniform(-90, 90), rng.uniform(-180, 180),
-                                    t0 + rng.randint(0, 36)))
+                                    t0 if one_tick else t0 + rng.randint(0, 36)))
             boxes.append(tuple(min(c[k] for c in corners) for k in range(3))
                          + tuple(max(c[k] for c in corners) for k in range(3)))
         m = rng.randint(1, max(1, n // 2))

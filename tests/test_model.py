@@ -267,6 +267,33 @@ class TestValidation:
         with pytest.raises(ValueError):
             GeoTemporalImage(0, 0, 0, 0, [(1, 0)])
 
+    @pytest.mark.parametrize("psi", [
+        [(1.5, 2)],
+        [(1, 2.7)],
+        [(1, 0.5)],
+        [(1, 1), (math.nan, 1)],
+        [(1, math.inf)],
+    ], ids=["word-1.5", "tf-2.7", "tf-0.5", "nan-word", "inf-tf"])
+    def test_non_integral_posting(self, psi):
+        # int() would truncate these (word 1.5 -> 1, tf 2.7 -> 2, tf 0.5 -> 0)
+        with pytest.raises(ValueError, match="must be an integer"):
+            img(psi=psi)
+
+    @pytest.mark.parametrize("kw", [
+        {"psi": (2.9, 3)},
+        {"k": 1.9},
+        {"k": math.nan},
+        {"k": math.inf},
+    ], ids=["word-2.9", "k-1.9", "nan-k", "inf-k"])
+    def test_non_integral_query(self, kw):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            query(**kw)
+
+    def test_whole_floats_and_list_pairs_accepted(self):
+        assert img(psi=[(1.0, 2.0), [3, 1]]).psi == ((1, 2), (3, 1))
+        q = query(psi=(3.0, 2), k=2.0)
+        assert q.psi == (2, 3) and q.k == 2
+
     def test_bad_params(self, domain, empty_stats):
         with pytest.raises(ConfigError):
             ScoreParams(domain=domain, stats=empty_stats, xi=1.0)
