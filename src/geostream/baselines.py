@@ -34,10 +34,10 @@ class IfaIndex(Index):
     and a flag in ``alive``. ``postings`` maps a word to the ``(slot,
     tf/|I.psi|)`` columns of the images holding it, in slot order.
 
-    Expiry clears the flags of the expired slots. Once at least half the
-    slots are dead the columns and posting lists are compacted to the
-    live slots, so the table never holds more than twice as many slots as
-    live images. Ids and timestamps sit in int64 columns, which
+    Expiry clears the flags of the expired slots. Once the table holds at
+    least twice as many slots as live images, the columns and posting
+    lists are compacted to the live slots, so after an expiry it holds
+    fewer than twice as many. Ids and timestamps sit in int64 columns, which
     ``Index.insert`` guarantees."""
 
     kind = "ifa"
@@ -50,7 +50,6 @@ class IfaIndex(Index):
         self.ids = array("q")
         self.alive = bytearray()
         self.postings = {}     # word -> (array('q') slots, array('d') tf/|I.psi|)
-        self._dead = 0
 
     def _add(self, img):
         slot = len(self.ids)
@@ -100,13 +99,12 @@ class IfaIndex(Index):
         entries.sort(key=lambda e: (e.score.f_stv, e.image_id))
         return entries, stats
 
-    def _drop_older(self, cutoff, n):
+    def _drop_older(self, cutoff):
         # t_c < cutoff as ints: against a float, numpy would round the
         # int64 timestamps past 2**53
         alive = np.frombuffer(self.alive, dtype=np.bool_)
         alive[np.frombuffer(self.t_c, dtype=np.int64) < math.ceil(cutoff)] = False
-        self._dead += n
-        if 2 * self._dead >= len(self.ids):
+        if len(self.ids) >= 2 * len(self._live):
             self._compact(alive)
 
     def _compact(self, keep):
@@ -119,7 +117,6 @@ class IfaIndex(Index):
         self.t_c = array("q", np.frombuffer(self.t_c, dtype=np.int64)[keep].tobytes())
         self.ids = array("q", np.frombuffer(self.ids, dtype=np.int64)[keep].tobytes())
         self.alive = bytearray(b"\x01") * len(self.ids)
-        self._dead = 0
         # every posting list as one pair of columns, word after word: one
         # mask and one renumbering for all, then a cut at each word's end
         # (``ends``, in bytes)
@@ -136,12 +133,6 @@ class IfaIndex(Index):
                 postings[word] = (array("q", slots[start:end]), array("d", freqs[start:end]))
                 start = end
         self.postings = postings
-
-    def live_posting_count(self):
-        """The postings of live slots."""
-        alive = np.frombuffer(self.alive, dtype=np.bool_)
-        return sum(int(np.count_nonzero(alive[np.frombuffer(slots, dtype=np.int64)]))
-                   for slots, _f in self.postings.values())
 
 
 # ---------------------------------------------------------------------
@@ -284,7 +275,7 @@ class StviiIndex(TreeIndex):
 
     # -- maintenance -------------------------------------------------------
 
-    def _drop_older(self, cutoff, n):
+    def _drop_older(self, cutoff):
         """Rebuilds only the nodes holding an image older than the cutoff
         (``_prune``)."""
         self.root = self._prune(self.root, cutoff) or RTree3DNode(leaf=True)

@@ -209,13 +209,13 @@ def sweep(gen_cfg, index_cfg, axis, values=None, query_cfg=None, kinds=INDEX_KIN
 
 
 def estimate_storage(index):
-    """Bytes under the documented per-type size model: a tree leaf's
-    inverted file counts once its first scoring has built it."""
+    """Bytes under the documented per-type size model: IFA holds one
+    posting per word of each live image (the postings of expired slots
+    not yet compacted away are not counted), and a tree leaf's inverted
+    file counts once its first scoring has built it."""
     if index.kind == "ifa":
-        total = POSTING_BYTES * index.live_posting_count()
-        for img in index.live_images():
-            total += RECORD_BYTES + RECORD_WORD_BYTES * len(img.psi)
-        return total
+        return sum(RECORD_BYTES + (RECORD_WORD_BYTES + POSTING_BYTES) * len(img.psi)
+                   for img in index.live_images())
     total = 0
     for node in walk(index.roots()):
         total += NODE_BYTES + AGG_ENTRY_BYTES * len(node.max_freq)

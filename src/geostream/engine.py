@@ -32,7 +32,7 @@ from .model import (
     DomainError,
     ScoreBreakdown,
     ScoreParams,
-    _timestamp,
+    _whole,
     combined_score,
     spatial_proximity,
     temporal_recency,
@@ -144,7 +144,8 @@ class Index:
     before a cutoff leaves the stats (``CorpusStats``) at once, and one the
     cutoff splits is rebuilt from its survivors. A subclass adds an
     admitted image in ``_add(img)`` and drops the images older than a
-    cutoff in ``_drop_older(cutoff, n)``.
+    cutoff in ``_drop_older(cutoff)``, after they left the stats and
+    ``_live``.
     """
 
     def __init__(self, config):
@@ -198,9 +199,9 @@ class Index:
         """Opens a fresh head segment, one span on (the segment holding
         ``now`` when none is open yet), and drops what leaves the window.
 
-        Returns the number of segments that left the window; a NaN or
-        infinite ``now`` raises ``ConfigError``."""
-        now = _timestamp(now, "roll_segment now")
+        Returns the number of segments that left the window; a ``now``
+        that is not a whole number raises ``ConfigError``."""
+        now = _whole(now, "roll_segment now", ConfigError)
         if self._head_end is None:
             self._open(now)
             return 0
@@ -239,7 +240,7 @@ class Index:
         for img in old:
             del self._live[img.id]
         if old:
-            self._drop_older(cutoff, len(old))
+            self._drop_older(cutoff)
         return len(old)
 
     def live_images(self):

@@ -13,13 +13,11 @@ its survivors.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 from . import kernels
 from .engine import ExpiredArrivalError, TreeIndex, walk  # noqa: F401 (re-exported)
-from .model import ConfigError, add_posting, add_to_aggregates, mind_visual
+from .model import _counts, add_posting, add_to_aggregates, mind_visual
 
 
 @dataclass
@@ -34,16 +32,7 @@ class HiqConfig:
     time_unit: float = 3600.0
 
     def __post_init__(self):
-        for name in ("segment_span", "window", "capacity", "max_depth"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value) or value != int(value)):
-                raise ConfigError(f"{name} must be a whole number, got {value!r}")
-            setattr(self, name, int(value))
-        if self.segment_span <= 0 or self.window < 1:
-            raise ConfigError("segment span must be > 0 and window >= 1")
-        if self.capacity < 1 or self.max_depth < 1:
-            raise ConfigError("capacity and max_depth must be >= 1")
+        _counts(self, segment_span=1, window=1, capacity=1, max_depth=1)
 
 
 class QuadNode:
@@ -131,7 +120,7 @@ class HiqIndex(TreeIndex):
         segs.extend(Segment(s, s + span, self.config.domain)
                     for s in range(first, head_end, span))
 
-    def _drop_older(self, cutoff, n):
+    def _drop_older(self, cutoff):
         """Rebuilds the tree of each segment that starts before the
         cutoff over its images left."""
         for seg in self.segments:

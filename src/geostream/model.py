@@ -56,24 +56,29 @@ class SpatialDomain:
         )
 
 
-def _timestamp(value, what):
-    """``int(value)``, with a typed error for a NaN or infinite float."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{what} must be finite, got {value!r}")
-    return int(value)
-
-
 def _whole(value, what, error):
     """``int(value)`` for a whole number; ``error`` for anything else (a
-    fraction, NaN or infinity), which ``int`` would truncate or refuse
-    with an untyped error."""
+    bool, a string, None, a fraction, NaN or infinity), which ``int``
+    would accept, truncate or refuse with an untyped error. The one
+    integer conversion of admitted input."""
     try:
-        n = int(value)
-    except (ValueError, OverflowError):
+        n = None if isinstance(value, (bool, np.bool_)) else int(value)
+    except (TypeError, ValueError, OverflowError):
         n = None
     if n is None or n != value:
         raise error(f"{what} must be an integer, got {value!r}")
     return n
+
+
+def _counts(cfg, **least):
+    """Makes each named field of ``cfg`` an int of at least its value in
+    ``least``; ``ConfigError`` for a field that is no whole number or is
+    smaller."""
+    for name, low in least.items():
+        value = _whole(getattr(cfg, name), name, ConfigError)
+        if value < low:
+            raise ConfigError(f"{name} must be >= {low}, got {value!r}")
+        setattr(cfg, name, value)
 
 
 class GeoTemporalImage:
@@ -81,8 +86,10 @@ class GeoTemporalImage:
 
     ``psi`` is a tuple of (word_id, tf) pairs, strictly ascending by word
     id. ``total_tf`` (the sum of tf counts) is the |I.psi| used as the
-    frequency denominator. Word ids and tfs must be whole numbers: a
-    fraction raises ``ValueError`` instead of being truncated.
+    frequency denominator. The id, ``t_c``, word ids and tfs must be whole
+    numbers: anything else (a fraction, a string, None, a bool) raises
+    ``ValueError`` (for ``t_c`` its subclass ``ConfigError``) instead of
+    being truncated or converted.
     """
 
     __slots__ = ("id", "lat", "lon", "t_c", "psi", "word_tf", "total_tf")
@@ -104,10 +111,10 @@ class GeoTemporalImage:
                 raise ValueError(f"image {id}: invalid posting ({w}, {tf})")
             prev = w
             total += tf
-        self.id = int(id)
+        self.id = id if type(id) is int else _whole(id, "image id", ValueError)
         self.lat = float(lat)
         self.lon = float(lon)
-        self.t_c = _timestamp(t_c, f"image {id}: t_c")
+        self.t_c = t_c if type(t_c) is int else _whole(t_c, f"image {id}: t_c", ConfigError)
         self.psi = psi
         self.word_tf = dict(psi)
         self.total_tf = total
@@ -146,7 +153,7 @@ class Query:
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "loc", (float(self.loc[0]), float(self.loc[1])))
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        object.__setattr__(self, "t", _timestamp(self.t, "query time t"))
+        object.__setattr__(self, "t", _whole(self.t, "query time t", ConfigError))
         object.__setattr__(self, "k", _whole(self.k, "k", ConfigError))
         if not psi:
             raise ConfigError("query needs at least one visual word")
@@ -163,16 +170,13 @@ class Query:
 
 
 class _Bucket:
-    """The live images of one window segment, by id, with their term
-    statistics: the total term count, the corpus tf per word and the max
-    tf/|I.psi| per word."""
+    """The live images of one window segment, by id, and the max
+    tf/|I.psi| per word over them."""
 
-    __slots__ = ("images", "total", "ctf", "max_freq")
+    __slots__ = ("images", "max_freq")
 
     def __init__(self):
         self.images = {}
-        self.total = 0
-        self.ctf = {}
         self.max_freq = {}
 
 
@@ -182,11 +186,11 @@ class CorpusStats:
     The images sit in one bucket per window segment, keyed by
     ``t_c // segment_span`` like the segments of ``engine.Index`` (a
     single bucket when ``segment_span`` is None), and are told apart by
-    id. A bucket keeps its own total, corpus tf and exact max frequency
-    ratio per word; the corpus tf per word and the total term count are
-    kept over all buckets, and ``max_freq`` is the maximum over the
-    buckets. A bucket leaves whole, subtracting its own counts; one that
-    loses only some images (to a cutoff inside it in ``expire``, or to
+    id. A bucket keeps its images and its exact max frequency ratio per
+    word; the corpus tf per word and the total term count are kept over
+    all buckets, and ``max_freq`` is the maximum over the buckets. A
+    bucket leaves whole, subtracting its images' counts; one that loses
+    only some images (to a cutoff inside it in ``expire``, or to
     ``remove_image``) is dropped and rebuilt from its survivors.
     ``version`` counts the updates, so a ``QueryContext`` can tell it is
     stale.
@@ -211,13 +215,10 @@ class CorpusStats:
         if bucket is None:
             bucket = self._buckets[key] = _Bucket()
         bucket.images[img.id] = img
-        bucket.total += total
         ctf = self.word_corpus_tf
-        bctf = bucket.ctf
         mf = bucket.max_freq
         for word, tf in img.psi:
             ctf[word] = ctf.get(word, 0) + tf
-            bctf[word] = bctf.get(word, 0) + tf
             f = tf / total
             if f > mf.get(word, 0.0):
                 mf[word] = f
@@ -249,18 +250,20 @@ class CorpusStats:
         return old
 
     def _drop(self, key):
-        """Drops a whole bucket; returns its images."""
+        """Drops a whole bucket, subtracting its images' counts; returns
+        its images."""
         self.version += 1
-        bucket = self._buckets.pop(key)
-        self.total_word_count -= bucket.total
+        images = self._buckets.pop(key).images.values()
         ctf = self.word_corpus_tf
-        for word, tf in bucket.ctf.items():
-            left = ctf[word] - tf
-            if left:
-                ctf[word] = left
-            else:
-                del ctf[word]
-        return bucket.images.values()
+        for img in images:
+            self.total_word_count -= img.total_tf
+            for word, tf in img.psi:
+                left = ctf[word] - tf
+                if left:
+                    ctf[word] = left
+                else:
+                    del ctf[word]
+        return images
 
     def _rebuild(self, key, gone):
         """Drops bucket ``key`` and adds back its images whose ids are not

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ConfigError, GeoTemporalImage, Query, SpatialDomain
+from .model import ConfigError, GeoTemporalImage, Query, SpatialDomain, _counts, _whole
 
 
 class DataFormatError(ValueError):
@@ -37,10 +37,8 @@ class GeneratorConfig:
     domain: SpatialDomain = field(default_factory=lambda: DEFAULT_DOMAIN)
 
     def __post_init__(self):
-        if self.image_count < 0:
-            raise ConfigError(f"image_count must be >= 0, got {self.image_count!r}")
-        if self.vocab_size < 1:
-            raise ConfigError(f"vocab_size must be >= 1, got {self.vocab_size!r}")
+        _counts(self, image_count=0, vocab_size=1, cluster_count=1)
+        self.start_time = _whole(self.start_time, "start_time", ConfigError)
         for name in ("rate", "zipf_exponent", "mean_words", "cluster_sigma"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -49,8 +47,6 @@ class GeneratorConfig:
                 raise ConfigError(f"{name} must be >= 0, got {value!r}")
         if self.rate <= 0:
             raise ConfigError(f"rate must be > 0, got {self.rate!r}")
-        if self.cluster_count < 1:
-            raise ConfigError("cluster_count must be >= 1")
         if self.spatial_mode not in ("uniform", "clusters"):
             raise ConfigError(f"spatial_mode must be 'uniform' or 'clusters', "
                               f"got {self.spatial_mode!r}")
@@ -64,6 +60,12 @@ class QueryConfig:
     k: int = 10
     weights: tuple = (1 / 3, 1 / 3, 1 / 3)
     anchor_word_fraction: float = 0.5  # share of words drawn from the anchor image
+
+    def __post_init__(self):
+        _counts(self, count=0, words_per_query=1, k=1)
+        if not 0.0 <= self.anchor_word_fraction <= 1.0:
+            raise ConfigError(f"anchor_word_fraction must be in [0, 1], "
+                              f"got {self.anchor_word_fraction!r}")
 
 
 @dataclass

@@ -22,8 +22,8 @@ def img(id, lat, lon, t_c, psi=((1, 1),)):
 
 
 class TestConfig:
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 1.5, True],
-                             ids=["nan", "inf", "fractional", "bool"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1.5, True, None, "5"],
+                             ids=["nan", "inf", "fractional", "bool", "none", "string"])
     @pytest.mark.parametrize("name", ["segment_span", "window", "capacity", "max_depth"])
     def test_non_whole_sizes_rejected(self, domain, name, value):
         with pytest.raises(ConfigError, match=name):

@@ -273,9 +273,15 @@ class TestValidation:
         [(1, 0.5)],
         [(1, 1), (math.nan, 1)],
         [(1, math.inf)],
-    ], ids=["word-1.5", "tf-2.7", "tf-0.5", "nan-word", "inf-tf"])
+        [(None, 1)],
+        [(1, None)],
+        [(True, 1)],
+        [("7", 1)],
+    ], ids=["word-1.5", "tf-2.7", "tf-0.5", "nan-word", "inf-tf", "none-word", "none-tf",
+            "bool-word", "str-word"])
     def test_non_integral_posting(self, psi):
-        # int() would truncate these (word 1.5 -> 1, tf 2.7 -> 2, tf 0.5 -> 0)
+        # int() would truncate these (word 1.5 -> 1, tf 2.7 -> 2, tf 0.5 -> 0),
+        # convert a bool or a string, or refuse None with a TypeError
         with pytest.raises(ValueError, match="must be an integer"):
             img(psi=psi)
 
@@ -284,15 +290,28 @@ class TestValidation:
         {"k": 1.9},
         {"k": math.nan},
         {"k": math.inf},
-    ], ids=["word-2.9", "k-1.9", "nan-k", "inf-k"])
+        {"k": True},
+        {"k": None},
+        {"psi": (None,)},
+    ], ids=["word-2.9", "k-1.9", "nan-k", "inf-k", "bool-k", "none-k", "none-word"])
     def test_non_integral_query(self, kw):
         with pytest.raises(ConfigError, match="must be an integer"):
             query(**kw)
 
+    @pytest.mark.parametrize("id", [1.5, "7", None, True], ids=["1.5", "str", "none", "bool"])
+    def test_non_integral_image_id(self, id):
+        # int() would truncate 1.5, convert a string or a bool, and refuse
+        # None with a TypeError
+        with pytest.raises(ValueError, match="must be an integer"):
+            img(id=id)
+
     def test_whole_floats_and_list_pairs_accepted(self):
         assert img(psi=[(1.0, 2.0), [3, 1]]).psi == ((1, 2), (3, 1))
-        q = query(psi=(3.0, 2), k=2.0)
-        assert q.psi == (2, 3) and q.k == 2
+        q = query(psi=(3.0, 2), k=2.0, t=7.0)
+        assert q.psi == (2, 3) and q.k == 2 and q.t == 7
+        image = img(id=4.0, t_c=9.0)
+        assert (image.id, image.t_c) == (4, 9)
+        assert type(image.id) is int and type(image.t_c) is int
 
     def test_bad_params(self, domain, empty_stats):
         with pytest.raises(ConfigError):
@@ -313,8 +332,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             query(**kw)
 
-    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 2.7, None, True, "5"],
+                             ids=["nan", "inf", "-inf", "2.7", "none", "bool", "str"])
     def test_non_finite_timestamps(self, t):
+        # int() would truncate 2.7, convert True and "5", and refuse None
+        # with a TypeError
         with pytest.raises(ConfigError):
             query(t=t)
         with pytest.raises(ConfigError):

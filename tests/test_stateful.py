@@ -2,7 +2,8 @@
 STVII take the same stream of inserts, rolls, expiries and queries, and
 after every step hold the same live images, the same window, term
 statistics equal to a recount, answers equal to the brute-force oracle,
-and tree leaf inverted files equal to a rebuild from their images."""
+tree leaf inverted files equal to a rebuild from their images, and an
+IFA slot table within twice its live images."""
 
 import pytest
 from hypothesis import settings
@@ -156,6 +157,15 @@ class SharedWindow(RuleBasedStateMachine):
                   weights=(0.2, 0.6, 0.2))
         for index in self.indexes:
             assert results_match(index.search(q)[0], oracle(q, index))
+
+    @invariant()
+    def ifa_slots_derived(self):
+        # IFA counts no dead slots: its set flags are its live images, and
+        # a table at twice its live images has been compacted
+        ifa = self.indexes[1]
+        live = ifa.image_count()
+        assert sum(ifa.alive) == live
+        assert len(ifa.ids) == live or len(ifa.ids) < 2 * live
 
     @invariant()
     def stvii_tree_sound(self):

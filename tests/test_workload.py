@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -22,7 +23,11 @@ class TestGenerateImages:
 
     @pytest.mark.parametrize("kw", [
         dict(rate=0.0), dict(image_count=-1), dict(vocab_size=0), dict(spatial_mode="grid"),
-    ], ids=["rate", "image_count", "vocab_size", "spatial_mode"])
+        dict(image_count=2.5), dict(cluster_count=2.5), dict(vocab_size=2.5),
+        dict(start_time=1.5), dict(cluster_count=0), dict(image_count=None),
+    ], ids=["rate", "image_count", "vocab_size", "spatial_mode", "image_count-2.5",
+            "cluster_count-2.5", "vocab_size-2.5", "start_time-1.5", "cluster_count",
+            "image_count-none"])
     def test_bad_parameter_is_config_error(self, kw):
         with pytest.raises(ConfigError, match="must be"):
             GeneratorConfig(**kw)
@@ -99,6 +104,16 @@ class TestQueries:
     def images(self):
         return generate_images(GeneratorConfig(seed=6, image_count=400, vocab_size=200,
                                                mean_words=15))
+
+    @pytest.mark.parametrize("kw", [
+        dict(count=-1), dict(count=2.5), dict(words_per_query=0), dict(words_per_query=1.5),
+        dict(k=0), dict(k=None), dict(anchor_word_fraction=2.0),
+        dict(anchor_word_fraction=-0.1), dict(anchor_word_fraction=math.nan),
+    ], ids=["count", "count-2.5", "words_per_query", "words_per_query-1.5", "k",
+            "k-none", "anchor-2.0", "anchor-negative", "anchor-nan"])
+    def test_bad_parameter_is_config_error(self, kw):
+        with pytest.raises(ConfigError, match="must be"):
+            QueryConfig(**kw)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
