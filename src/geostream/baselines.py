@@ -155,7 +155,8 @@ def _box_union(a, b):
 
 def _box_volume(b):
     """Lat/lon area times the time extent in ticks, ``t1 - t0 + 1``: a
-    box within one timestamp measures its area, a point box 0."""
+    box within one timestamp measures its area, a point box 0. ``b`` is
+    one box or six numpy columns of boxes, measured elementwise."""
     return (b[3] - b[0]) * (b[4] - b[1]) * (b[5] - b[2] + 1)
 
 
@@ -306,10 +307,10 @@ def _quadratic_split(boxes, min_fill):
     n = len(boxes)
     lo = [np.array([b[k] for b in boxes]) for k in range(3)]
     hi = [np.array([b[k] for b in boxes]) for k in range(3, 6)]
-    vol = (hi[0] - lo[0]) * (hi[1] - lo[1]) * (hi[2] - lo[2] + 1)
+    vol = _box_volume(lo + hi)
     # PickSeeds: the pair wasting most volume, the first in (i, j) order
-    ext = [np.maximum.outer(h, h) - np.minimum.outer(l, l) for l, h in zip(lo, hi)]
-    waste = ext[0] * ext[1] * (ext[2] + 1) - vol[:, None] - vol[None, :]
+    waste = _box_volume([np.minimum.outer(l, l) for l in lo]
+                        + [np.maximum.outer(h, h) for h in hi]) - vol[:, None] - vol[None, :]
     waste[np.tril_indices(n)] = -np.inf
     s1, s2 = divmod(int(np.argmax(waste)), n)
     g1, g2 = [s1], [s2]
@@ -343,6 +344,6 @@ def _quadratic_split(boxes, min_fill):
 
 def _enlargements(mbr, lo, hi):
     """How much ``mbr`` grows in volume to take each box of the columns."""
-    ext = [np.maximum(h, mbr[k + 3]) - np.minimum(l, mbr[k])
-           for k, (l, h) in enumerate(zip(lo, hi))]
-    return ext[0] * ext[1] * (ext[2] + 1) - _box_volume(mbr)
+    union = [np.minimum(l, mbr[k]) for k, l in enumerate(lo)] \
+        + [np.maximum(h, mbr[k + 3]) for k, h in enumerate(hi)]
+    return _box_volume(union) - _box_volume(mbr)

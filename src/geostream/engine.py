@@ -23,6 +23,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 from . import kernels
@@ -32,6 +33,7 @@ from .model import (
     DomainError,
     ScoreBreakdown,
     ScoreParams,
+    _real,
     _whole,
     combined_score,
     spatial_proximity,
@@ -134,18 +136,18 @@ class Index:
     """What every index shares: ``config``, the ``stats`` and ``params``
     of the live corpus, the live images by id, admission and the window.
 
-    The window is a run of ``segment_span``-long segments. The first
-    arrival opens the segment ``[t // span * span, +span)``; an arrival
-    at or past the end of the head (newest) segment moves the head to the
-    segment that holds it; the window starts at ``window_start()``, the
-    later of the first segment's start and ``window`` spans before the
-    head's end. As the head moves, ``_slide`` lets a subclass pop and open
-    segments, then ``expire`` drops what left the window: a segment wholly
-    before a cutoff leaves the stats (``CorpusStats``) at once, and one the
-    cutoff splits is rebuilt from its survivors. A subclass adds an
-    admitted image in ``_add(img)`` and drops the images older than a
-    cutoff in ``_drop_older(cutoff)``, after they left the stats and
-    ``_live``.
+    The window is a run of ``segment_span``-long segments whose newest
+    (head) segment only ``roll_segment`` moves: the first arrival opens
+    the segment ``[t // span * span, +span)``, and an arrival at or past
+    the end of the head moves the head to the segment that holds it; the
+    window starts at ``window_start()``, the later of the first segment's
+    start and ``window`` spans before the head's end. As the head moves,
+    ``_slide`` lets a subclass pop and open segments, then ``expire``
+    drops what left the window: a segment wholly before a cutoff leaves
+    the stats (``CorpusStats``) at once, and one the cutoff splits is
+    rebuilt from its survivors. A subclass adds an admitted image in
+    ``_add(img)`` and drops the images older than a cutoff in
+    ``_drop_older(cutoff)``, after they left the stats and ``_live``.
     """
 
     def __init__(self, config):
@@ -177,52 +179,44 @@ class Index:
             raise ValueError(f"duplicate image id {img.id}")
         if not cfg.domain.contains(img.lat, img.lon):
             raise DomainError(f"image {img.id} location outside domain")
-        if self._head_end is None:
-            self._open(img.t_c)
-        if img.t_c < self._start:
+        if self._head_end is None or img.t_c >= self._head_end:
+            self.roll_segment(img.t_c)
+        elif img.t_c < self._start:
             raise ExpiredArrivalError(
                 f"image {img.id} older than the live window ({img.t_c} < {self._start})"
             )
-        if img.t_c >= self._head_end:
-            rolls = (img.t_c - self._head_end) // cfg.segment_span + 1
-            if rolls > cfg.window:
-                # a jump past the whole window: skip the empty rolls
-                self._move_head(self._head_end + rolls * cfg.segment_span)
-            else:
-                for _ in range(rolls):
-                    self.roll_segment(img.t_c)
         self._add(img)
         self._live[img.id] = img
         self.stats.add_image(img)
 
     def roll_segment(self, now):
-        """Opens a fresh head segment, one span on (the segment holding
-        ``now`` when none is open yet), and drops what leaves the window.
+        """Moves the head and drops what leaves the window: the first call
+        opens the segment holding ``now``, a ``now`` at or past the head's
+        end moves the head to the segment holding it, and an earlier
+        ``now`` moves it one span on.
 
-        Returns the number of segments that left the window; a ``now``
-        that is not a whole number raises ``ConfigError``."""
+        Returns the number of segments that left the window. A ``now``
+        that is not a whole number raises ``ConfigError``, and one outside
+        int64 ``OverflowError``, before anything changes."""
         now = _whole(now, "roll_segment now", ConfigError)
-        if self._head_end is None:
-            self._open(now)
-            return 0
-        return self._move_head(self._head_end + self.config.segment_span)
-
-    def _open(self, t):
-        span = self.config.segment_span
-        self._start = self._head_end = t // span * span   # an empty window
-        self._move_head(self._start + span)
-
-    def _move_head(self, head_end):
-        """Moves the end of the head segment to ``head_end``; returns the
-        number of segments that left the window."""
+        if now not in _INT64:
+            raise OverflowError(f"roll_segment now outside int64, got {now}")
         cfg = self.config
+        span = cfg.segment_span
         old = self._start
-        start = max(old, head_end - cfg.window * cfg.segment_span)
+        if old is None:
+            old = now // span * span                # an empty window
+            head_end = old + span
+        elif now >= self._head_end:
+            head_end = now // span * span + span
+        else:
+            head_end = self._head_end + span
+        start = max(old, head_end - cfg.window * span)
         self._slide(start, head_end)
         if start > old:
             self.expire(start)
         self._start, self._head_end = start, head_end
-        return (start - old) // cfg.segment_span
+        return (start - old) // span
 
     def _slide(self, start, head_end):
         """Called as the window is about to become ``[start, head_end)``,
@@ -230,10 +224,12 @@ class Index:
 
     def expire(self, cutoff):
         """Drops every live image with t_c < cutoff and returns how many;
-        0 at once for a cutoff at or before the window start. A NaN or
-        infinite cutoff raises ``ConfigError``."""
-        if isinstance(cutoff, float) and not math.isfinite(cutoff):
-            raise ConfigError(f"expire cutoff must be finite, got {cutoff!r}")
+        0 at once for a cutoff at or before the window start. A cutoff
+        that is no finite real number raises ``ConfigError``."""
+        if isinstance(cutoff, numbers.Integral) and not isinstance(cutoff, bool):
+            cutoff = int(cutoff)        # exact past 2**53, as timestamps are
+        else:
+            cutoff = _real(cutoff, "expire cutoff")
         if self._start is None or cutoff <= self._start:
             return 0
         old = self.stats.expire(cutoff)

@@ -8,6 +8,7 @@ recency. Scoring is pure: identical inputs give bit-identical outputs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,8 +37,8 @@ class SpatialDomain:
     delta_max: float = field(init=False)
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.min_lat, self.max_lat, self.min_lon, self.max_lon))):
-            raise ConfigError("spatial domain bounds must be finite")
+        for name in ("min_lat", "max_lat", "min_lon", "max_lon"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if not (self.max_lat > self.min_lat and self.max_lon > self.min_lon):
             raise ConfigError("spatial domain must have positive extent on both axes")
         object.__setattr__(
@@ -68,6 +69,35 @@ def _whole(value, what, error):
     if n is None or n != value:
         raise error(f"{what} must be an integer, got {value!r}")
     return n
+
+
+def _real(value, what):
+    """``float(value)`` for a finite real number; ``ConfigError`` for
+    anything else (a bool, a string, None, NaN or infinity), which
+    ``float`` would accept, convert or refuse with an untyped error. The
+    one real conversion of admitted parameters."""
+    x = value
+    if type(x) is not float:
+        real = isinstance(x, numbers.Real) and not isinstance(x, bool)
+        try:
+            x = float(x) if real else math.nan
+        except OverflowError:       # an int beyond the float range
+            x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{what} must be finite and real, got {value!r}")
+    return x
+
+
+def _reals(values, n, what):
+    """A tuple of ``n`` finite reals (``_real``); ``ConfigError`` for any
+    other count or for what is no sequence."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        values = None
+    if values is None or len(values) != n:
+        raise ConfigError(f"{what} must hold exactly {n} values")
+    return tuple([_real(v, what) for v in values])
 
 
 def _counts(cfg, **least):
@@ -151,18 +181,14 @@ class Query:
     def __post_init__(self):
         psi = tuple(sorted(set(_whole(w, "query word id", ConfigError) for w in self.psi)))
         object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "loc", (float(self.loc[0]), float(self.loc[1])))
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        object.__setattr__(self, "loc", _reals(self.loc, 2, "query location"))
+        object.__setattr__(self, "weights", _reals(self.weights, 3, "query weights"))
         object.__setattr__(self, "t", _whole(self.t, "query time t", ConfigError))
         object.__setattr__(self, "k", _whole(self.k, "k", ConfigError))
         if not psi:
             raise ConfigError("query needs at least one visual word")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
-        if len(self.weights) != 3:
-            raise ConfigError("exactly three weights required")
-        if not all(map(math.isfinite, self.loc + self.weights)):
-            raise ConfigError("query location and weights must be finite")
         if any(w <= 0.0 for w in self.weights):
             raise ConfigError("each weight must be > 0")
         if abs(sum(self.weights) - 1.0) > 1e-12:
@@ -313,8 +339,8 @@ class ScoreParams:
     _context: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.xi, self.decay_base, self.time_unit))):
-            raise ConfigError("score parameters must be finite")
+        for name in ("xi", "decay_base", "time_unit"):
+            setattr(self, name, _real(getattr(self, name), name))
         if not 0.0 <= self.xi < 1.0:
             raise ConfigError("xi must be in [0, 1)")
         if self.decay_base <= 1.0:

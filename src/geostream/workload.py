@@ -7,12 +7,11 @@ Floats are written with repr so parse(write(S)) == S exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ConfigError, GeoTemporalImage, Query, SpatialDomain, _counts, _whole
+from .model import ConfigError, GeoTemporalImage, Query, SpatialDomain, _counts, _real, _whole
 
 
 class DataFormatError(ValueError):
@@ -37,12 +36,11 @@ class GeneratorConfig:
     domain: SpatialDomain = field(default_factory=lambda: DEFAULT_DOMAIN)
 
     def __post_init__(self):
-        _counts(self, image_count=0, vocab_size=1, cluster_count=1)
+        _counts(self, seed=0, image_count=0, vocab_size=1, cluster_count=1)
         self.start_time = _whole(self.start_time, "start_time", ConfigError)
         for name in ("rate", "zipf_exponent", "mean_words", "cluster_sigma"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
+            value = _real(getattr(self, name), name)
+            setattr(self, name, value)
             if name in ("mean_words", "cluster_sigma") and value < 0:
                 raise ConfigError(f"{name} must be >= 0, got {value!r}")
         if self.rate <= 0:
@@ -62,7 +60,8 @@ class QueryConfig:
     anchor_word_fraction: float = 0.5  # share of words drawn from the anchor image
 
     def __post_init__(self):
-        _counts(self, count=0, words_per_query=1, k=1)
+        _counts(self, seed=0, count=0, words_per_query=1, k=1)
+        self.anchor_word_fraction = _real(self.anchor_word_fraction, "anchor_word_fraction")
         if not 0.0 <= self.anchor_word_fraction <= 1.0:
             raise ConfigError(f"anchor_word_fraction must be in [0, 1], "
                               f"got {self.anchor_word_fraction!r}")

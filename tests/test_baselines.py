@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from geostream.baselines import (
@@ -321,18 +322,24 @@ def test_large_timestamps_match_oracle(base, domain):
     assert indexes[0].window_start() >= base + 4000     # the window rolled
 
 
-@pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf, 12.5, None, True, "5"])
+@pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf, 12.5, None, True, "5",
+                                 2 ** 63, -2 ** 63 - 1])
 @pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda c: c.kind)
 def test_roll_segment_rejects_non_finite_now(cls, now, domain):
     # int() would truncate 12.5, convert True and "5", and refuse None
-    # with an untyped TypeError
+    # with an untyped TypeError; a now outside int64 would open a window
+    # no int64 arrival can enter
     index = cls(make_config(domain))
-    with pytest.raises(ConfigError, match="roll_segment now must be an integer"):
+    if type(now) is int:
+        error, match = OverflowError, "roll_segment now outside int64"
+    else:
+        error, match = ConfigError, "roll_segment now must be an integer"
+    with pytest.raises(error, match=match):
         index.roll_segment(now)
     assert index.window_start() is None
 
 
-@pytest.mark.parametrize("cutoff", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cutoff", [math.nan, math.inf, -math.inf, None, "5", True])
 @pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda c: c.kind)
 def test_expire_rejects_non_finite_cutoff(cls, cutoff, domain):
     index = cls(make_config(domain, segment_span=100))
@@ -379,6 +386,17 @@ def test_float_cutoff_is_exact(cls, base, domain):
     assert index.stats.total_word_count == 2
     q = Query(psi=(1,), loc=(10.0, 10.0), t=base + 60, k=5, weights=(0.2, 0.6, 0.2))
     assert sorted(e.image_id for e in index.search(q)[0]) == [2, 3]
+
+
+@pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda c: c.kind)
+def test_numpy_int_cutoff_is_exact(cls, domain):
+    # float(2**54 + 3) rounds to 2**54 + 4, which would expire image 1 too
+    base = 2 ** 54
+    index = cls(make_config(domain, segment_span=100))
+    for i, t in enumerate((0, 3, 50)):
+        index.insert(img(i, t_c=base + t))
+    assert index.expire(np.int64(base + 3)) == 1
+    assert [im.id for im in index.live_images()] == [1, 2]
 
 
 def _subtree_images(node):

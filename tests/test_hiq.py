@@ -3,10 +3,13 @@ import random
 
 import pytest
 
+from geostream.baselines import IfaIndex, StviiIndex
 from geostream.engine import brute_force_oracle, top_k_search
 from geostream.hiq import ExpiredArrivalError, HiqConfig, HiqIndex
 from geostream.model import ConfigError, CorpusStats, DomainError, GeoTemporalImage, Query
-from geostream.verify import random_images, random_query
+from geostream.verify import random_images, random_query, results_match
+
+INDEX_CLASSES = [HiqIndex, IfaIndex, StviiIndex]
 
 
 def make_config(domain, **kw):
@@ -258,13 +261,13 @@ class TestRollSegment:
 
         def counted(now):
             calls.append(now)
-            assert len(calls) <= index.config.window, "one roll per elapsed span"
             return roll(now)
 
         index.roll_segment = counted
         # a timestamp in milliseconds: about 2.7e10 spans past the head
         late = img(10_000, 10.0, 10.0, 1_600_000_600 * 1000)
         index.insert(late)
+        assert calls == [late.t_c], "one roll per insert"
         assert [im.id for im in index.live_images()] == [10_000]
         assert len(index.segments) == 4
         assert index.segments[-1].start <= late.t_c < index.segments[-1].end
@@ -276,24 +279,59 @@ class TestRollSegment:
 
     @pytest.mark.parametrize("spans", [1, 2, 3, 4, 5, 9])
     def test_jump_leaves_the_segments_rolling_leaves(self, domain, spans):
-        rng = random.Random(spans)
-        images = sorted(random_images(rng, 60, domain, t_lo=0, t_hi=11_999),
-                        key=lambda x: x.t_c)
-        jumped, rolled = (HiqIndex(make_config(domain, window=3, segment_span=3000))
-                          for _ in range(2))
-        for im in images:
-            jumped.insert(im)
-            rolled.insert(im)
-        t = rolled.segments[-1].end + spans * 3000 - 1
-        while t >= rolled.segments[-1].end:
-            rolled.roll_segment(t)
+        for cls in INDEX_CLASSES:
+            jumped, rolled, t, rng = _rolled_pair(cls, domain, spans)
+            late = img(1000, 50.0, 50.0, t)
+            jumped.insert(late)
+            rolled.insert(late)
+            _assert_same_window(jumped, rolled, rng, domain)
+
+    @pytest.mark.parametrize("spans", [1, 2, 3, 4, 5, 9])
+    @pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda c: c.kind)
+    def test_roll_to_now_equals_one_span_rolls(self, domain, cls, spans):
+        jumped, rolled, t, rng = _rolled_pair(cls, domain, spans)
+        before = jumped.window_start()
+        expired = jumped.roll_segment(t)
+        assert expired == (rolled.window_start() - before) // 3000
         late = img(1000, 50.0, 50.0, t)
         jumped.insert(late)
         rolled.insert(late)
+        _assert_same_window(jumped, rolled, rng, domain)
+
+
+def _rolled_pair(cls, domain, spans):
+    """Two ``cls`` indexes over one stream, the second then rolled one span
+    at a time ``spans`` times, and a time ``t`` in the head segment it
+    ends with."""
+    rng = random.Random(spans)
+    images = sorted(random_images(rng, 60, domain, t_lo=0, t_hi=11_999),
+                    key=lambda x: x.t_c)
+    jumped, rolled = (cls(make_config(domain, window=3, segment_span=3000))
+                      for _ in range(2))
+    for im in images:
+        jumped.insert(im)
+        rolled.insert(im)
+    head_end = images[-1].t_c // 3000 * 3000 + 3000
+    for _ in range(spans):
+        # a now before the head's end moves the head one span
+        rolled.roll_segment(rolled.window_start())
+    return jumped, rolled, head_end + spans * 3000 - 1, rng
+
+
+def _assert_same_window(jumped, rolled, rng, domain):
+    live = rolled.live_images()
+    assert [im.id for im in jumped.live_images()] == [im.id for im in live]
+    assert jumped.window_start() == rolled.window_start()
+    a, b = jumped.stats, rolled.stats
+    assert a.word_corpus_tf == b.word_corpus_tf
+    assert a.total_word_count == b.total_word_count
+    assert [a.max_freq(w) for w in range(60)] == [b.max_freq(w) for w in range(60)]
+    if isinstance(jumped, HiqIndex):
         assert [(s.start, s.end) for s in jumped.segments] == \
             [(s.start, s.end) for s in rolled.segments]
-        assert [im.id for im in jumped.live_images()] == [im.id for im in rolled.live_images()]
-        assert jumped.stats.word_corpus_tf == rolled.stats.word_corpus_tf
+    for _ in range(5):
+        q = random_query(rng, live, domain)
+        assert results_match(jumped.search(q)[0], rolled.search(q)[0])
 
 
 class TestMind:

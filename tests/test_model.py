@@ -327,7 +327,12 @@ class TestValidation:
         {"weights": (math.nan, 0.5, 0.5)},
         {"loc": (math.nan, 50.0)},
         {"loc": (50.0, math.inf)},
-    ], ids=["nan-weight", "nan-lat", "inf-lon"])
+        {"loc": None},
+        {"loc": "ab"},
+        {"loc": (1, 2, 3)},
+        {"weights": ("a", 0.3, 0.5)},
+    ], ids=["nan-weight", "nan-lat", "inf-lon", "none-loc", "str-loc", "three-loc",
+            "str-weight"])
     def test_non_finite_query(self, kw):
         with pytest.raises(ConfigError):
             query(**kw)
@@ -347,7 +352,8 @@ class TestValidation:
         {"decay_base": math.inf},
         {"time_unit": math.nan},
         {"time_unit": math.inf},
-    ], ids=["nan-decay-base", "inf-decay-base", "nan-time-unit", "inf-time-unit"])
+        {"xi": "0.5"},
+    ], ids=["nan-decay-base", "inf-decay-base", "nan-time-unit", "inf-time-unit", "str-xi"])
     def test_non_finite_params(self, domain, empty_stats, kw):
         with pytest.raises(ConfigError):
             ScoreParams(domain=domain, stats=empty_stats, **kw)
@@ -356,7 +362,8 @@ class TestValidation:
         (0.0, math.inf, 0.0, 10.0),
         (-math.inf, 10.0, 0.0, 10.0),
         (0.0, 10.0, 0.0, math.inf),
-    ], ids=["inf-max-lat", "inf-min-lat", "inf-max-lon"])
+        ("a", 1, 0, 1),
+    ], ids=["inf-max-lat", "inf-min-lat", "inf-max-lon", "str-min-lat"])
     def test_non_finite_domain(self, bounds):
         with pytest.raises(ConfigError):
             SpatialDomain(*bounds)

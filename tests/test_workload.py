@@ -25,9 +25,10 @@ class TestGenerateImages:
         dict(rate=0.0), dict(image_count=-1), dict(vocab_size=0), dict(spatial_mode="grid"),
         dict(image_count=2.5), dict(cluster_count=2.5), dict(vocab_size=2.5),
         dict(start_time=1.5), dict(cluster_count=0), dict(image_count=None),
+        dict(rate="5"), dict(seed=1.5), dict(seed=-1), dict(seed=None),
     ], ids=["rate", "image_count", "vocab_size", "spatial_mode", "image_count-2.5",
             "cluster_count-2.5", "vocab_size-2.5", "start_time-1.5", "cluster_count",
-            "image_count-none"])
+            "image_count-none", "rate-str", "seed-1.5", "seed-negative", "seed-none"])
     def test_bad_parameter_is_config_error(self, kw):
         with pytest.raises(ConfigError, match="must be"):
             GeneratorConfig(**kw)
@@ -109,8 +110,10 @@ class TestQueries:
         dict(count=-1), dict(count=2.5), dict(words_per_query=0), dict(words_per_query=1.5),
         dict(k=0), dict(k=None), dict(anchor_word_fraction=2.0),
         dict(anchor_word_fraction=-0.1), dict(anchor_word_fraction=math.nan),
+        dict(anchor_word_fraction="x"), dict(seed=1.5), dict(seed=-1), dict(seed=None),
     ], ids=["count", "count-2.5", "words_per_query", "words_per_query-1.5", "k",
-            "k-none", "anchor-2.0", "anchor-negative", "anchor-nan"])
+            "k-none", "anchor-2.0", "anchor-negative", "anchor-nan", "anchor-str",
+            "seed-1.5", "seed-negative", "seed-none"])
     def test_bad_parameter_is_config_error(self, kw):
         with pytest.raises(ConfigError, match="must be"):
             QueryConfig(**kw)
