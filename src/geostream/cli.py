@@ -69,6 +69,19 @@ def _parse_words(spec):
             f"expected comma-separated word ids, got {spec!r}") from None
 
 
+def _at_least_one(spec):
+    """The type of ``verify --instances`` and ``bench --count``: a whole
+    number of at least 1, since a run over none checks or measures
+    nothing."""
+    try:
+        n = int(spec)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {spec!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 # every HiqConfig field but the domain is one index flag of the same name
 _INDEX_FIELDS = [f for f in fields(HiqConfig) if f.name != "domain"]
 
@@ -125,14 +138,14 @@ def build_parser():
                        parents=[common, seeded, indexed])
     b.add_argument("--out", required=True)
     b.add_argument("--axis", default="all", choices=("all", *bench_mod.AXES))
-    b.add_argument("--count", type=int, default=5000)
+    b.add_argument("--count", type=_at_least_one, default=5000)
     b.add_argument("--vocab", type=int, default=500)
     b.add_argument("--mean-words", type=float, default=40.0)
     b.add_argument("--spatial-mode", choices=("uniform", "clusters"), default="clusters")
 
     v = sub.add_parser("verify", help="oracle-equivalence and bound-dominance suites",
                        parents=[common, seeded])
-    v.add_argument("--instances", type=int, default=50)
+    v.add_argument("--instances", type=_at_least_one, default=50)
     parser.commands = sub.choices
     return parser
 

@@ -142,12 +142,12 @@ class Index:
     the end of the head moves the head to the segment that holds it; the
     window starts at ``window_start()``, the later of the first segment's
     start and ``window`` spans before the head's end. As the head moves,
-    ``_slide`` lets a subclass pop and open segments, then ``expire``
-    drops what left the window: a segment wholly before a cutoff leaves
-    the stats (``CorpusStats``) at once, and one the cutoff splits is
-    rebuilt from its survivors. A subclass adds an admitted image in
-    ``_add(img)`` and drops the images older than a cutoff in
-    ``_drop_older(cutoff)``, after they left the stats and ``_live``.
+    ``expire`` drops what left the window: a segment wholly before a
+    cutoff leaves the stats (``CorpusStats``) at once, and one the cutoff
+    splits is rebuilt from its survivors. A subclass implements two
+    hooks: ``_add(img)`` adds an admitted image, and
+    ``_drop_older(cutoff)`` drops the images older than a cutoff, after
+    they left the stats and ``_live``.
     """
 
     def __init__(self, config):
@@ -212,15 +212,10 @@ class Index:
         else:
             head_end = self._head_end + span
         start = max(old, head_end - cfg.window * span)
-        self._slide(start, head_end)
         if start > old:
             self.expire(start)
         self._start, self._head_end = start, head_end
         return (start - old) // span
-
-    def _slide(self, start, head_end):
-        """Called as the window is about to become ``[start, head_end)``,
-        before the images older than ``start`` are expired."""
 
     def expire(self, cutoff):
         """Drops every live image with t_c < cutoff and returns how many;

@@ -1,19 +1,19 @@
 """Hierarchical information quadtree.
 
-Time-partitioned segments, each owning a quadtree whose nodes carry a
-rectangle, the max timestamp of the subtree and the per-word max
+Each time segment that holds an image owns a quadtree whose nodes carry
+a rectangle, the max timestamp of the subtree and the per-word max
 frequency ratios of the subtree; leaves hold a list of their images and,
 from the leaf's first scoring on, an inverted file over that list
 (``QuadNode.postings``), which a split or a rebuild leaves unbuilt on
-the new leaves. The segments follow the window of ``engine.Index``: a
-segment that falls out of it leaves whole, with its tree and its bucket
-of the corpus statistics, and a segment a cutoff splits is rebuilt from
-its survivors.
+the new leaves. A segment's tree opens with its first image and leaves
+whole, with its bucket of the corpus statistics, once the window starts
+after it; a tree a cutoff splits is rebuilt from its survivors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import kernels
 from .engine import ExpiredArrivalError, TreeIndex, walk  # noqa: F401 (re-exported)
@@ -71,13 +71,10 @@ class QuadNode:
         ]
 
 
-class Segment:
-    __slots__ = ("start", "end", "root")
-
-    def __init__(self, start, end, domain):
-        self.start = start
-        self.end = end
-        self.root = _root(domain)
+class Segment(NamedTuple):
+    start: int
+    end: int
+    root: QuadNode
 
 
 def _root(domain):
@@ -98,45 +95,44 @@ def _split(node):
 
 class HiqIndex(TreeIndex):
     """Live sliding-window index over a stream of geo-temporal images.
-    ``segments`` are the window's segments, oldest to newest; a roll pops
-    the leaving ones before ``expire``, which then walks no tree."""
+    ``_trees`` maps ``t_c // segment_span``, the key of the statistics'
+    buckets, to the quadtree of a segment that holds a live image."""
 
     kind = "hiq"
 
     def __init__(self, config):
         super().__init__(config)
-        self.segments = []
+        self._trees = {}
+
+    @property
+    def segments(self):
+        """The window's segments, oldest first, each with its tree (an
+        empty one where no image arrived)."""
+        if self._start is None:
+            return []
+        span, domain = self.config.segment_span, self.config.domain
+        return [Segment(s, s + span, self._trees.get(s // span) or _root(domain))
+                for s in range(self._start, self._head_end, span)]
 
     # -- ingestion ---------------------------------------------------
 
-    def _slide(self, start, head_end):
-        """Pops the segments before ``start`` and opens those up to
-        ``head_end``."""
-        segs = self.segments
-        while segs and segs[0].start < start:
-            segs.pop(0)
-        span = self.config.segment_span
-        first = segs[-1].end if segs else start
-        segs.extend(Segment(s, s + span, self.config.domain)
-                    for s in range(first, head_end, span))
-
     def _drop_older(self, cutoff):
-        """Rebuilds the tree of each segment that starts before the
-        cutoff over its images left."""
-        for seg in self.segments:
-            if seg.start >= cutoff:
-                break
-            left = [img for node in walk([seg.root]) if node.children is None
-                    for img in node.images if img.t_c >= cutoff]
-            seg.root = _root(self.config.domain)
-            for img in left:
-                self._add(img)
+        """Pops the tree of each segment that starts before the cutoff and
+        adds back the images of the one it splits that are left."""
+        span = self.config.segment_span
+        for key in [key for key in self._trees if key * span < cutoff]:
+            root = self._trees.pop(key)
+            if (key + 1) * span > cutoff:
+                for img in [img for node in walk([root]) if node.children is None
+                            for img in node.images if img.t_c >= cutoff]:
+                    self._add(img)
 
     def _add(self, img):
         cfg = self.config
-        # segments are contiguous; locate by start offset
-        seg = self.segments[(img.t_c - self.segments[0].start) // cfg.segment_span]
-        node = seg.root
+        key = img.t_c // cfg.segment_span
+        node = self._trees.get(key)
+        if node is None:
+            node = self._trees[key] = _root(cfg.domain)
         depth = 0
         while True:
             add_to_aggregates(node, img)
@@ -151,7 +147,8 @@ class HiqIndex(TreeIndex):
     # -- search surface (TreeIndex) ------------------------------------
 
     def roots(self):
-        return [seg.root for seg in self.segments]
+        """One tree per segment that holds an image, in no set order."""
+        return list(self._trees.values())
 
     def mind(self, q, node):
         """Lower bound on f_stv for any image under ``node``."""

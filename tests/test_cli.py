@@ -227,6 +227,16 @@ class TestBench:
         assert code == 3
         assert "k=10: ifa" in err and not out.exists()
 
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_no_images_exit_usage(self, count, tmp_path, capsys):
+        # a sweep over no image answers no query, so it writes no file
+        out = tmp_path / "bench.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--out", str(out), "--axis", "k", "--count", count])
+        assert exc.value.code == 1
+        assert "--count: must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerify:
     def test_passes_on_small_run(self, capsys):
@@ -234,6 +244,16 @@ class TestVerify:
         assert code == 0
         assert "PASS oracle-equivalence" in out
         assert "PASS bound-dominance" in out
+
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_no_instances_exit_usage(self, instances, capsys):
+        # a run over no instance checks nothing, so it cannot pass
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--instances", instances])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert "--instances: must be at least 1" in captured.err
+        assert "PASS" not in captured.out
 
 
 class TestConfigFile:

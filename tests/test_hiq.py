@@ -214,10 +214,38 @@ class TestRollSegment:
         index.insert(img(1000, 10.0, 10.0, 4500))     # rolls once more
         assert index.image_count() < held
         assert walks == []
-        # a cutoff inside a segment rebuilds the trees of [2000, 3000)
-        # and [3000, 4000)
+        # a cutoff inside the empty [3000, 4000) pops the tree of
+        # [2000, 3000) whole, so it walks none either
         assert index.expire(3500) > 0
-        assert len(walks) == 2
+        assert walks == []
+        # a cutoff inside [4000, 5000), which holds images, walks exactly
+        # that segment's tree and keeps its images at or after the cutoff
+        for id, t in ((1001, 4100), (1002, 4200), (1003, 4700)):
+            index.insert(img(id, 10.0, 10.0, t))
+        split = index.segments[-1].root
+        assert index.expire(4300) == 2
+        assert walks == [[split]]
+        assert sorted(im.id for im in index.live_images()) == [1000, 1003]
+        assert sorted(im.id for im in _subtree_images(index.segments[-1].root)) == \
+            [1000, 1003]
+
+    def test_sparse_window_keeps_a_tree_per_held_segment(self, domain):
+        # two images, in the first and the last span of a 1000-span window:
+        # two trees, not one per span
+        index = HiqIndex(make_config(domain, window=1000, segment_span=10))
+        first = img(0, 20.0, 20.0, 5, psi=((1, 1), (2, 1)))
+        last = img(1, 80.0, 80.0, 999 * 10 + 5, psi=((1, 2),))
+        index.insert(first)
+        index.insert(last)
+        assert index.window_start() == 0
+        assert len(index.roots()) == 2
+        assert index.node_count() == 2
+        assert len(index.segments) == 1000
+        rng = random.Random(11)
+        for _ in range(20):
+            q = random_query(rng, [first, last], domain)
+            expected = brute_force_oracle(q, index.live_images(), index.params)
+            assert results_match(index.search(q)[0], expected)
 
     def test_queries_match_oracle_after_expiry(self, domain):
         rng = random.Random(4)

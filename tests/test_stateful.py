@@ -2,8 +2,9 @@
 STVII take the same stream of inserts, rolls, expiries and queries, and
 after every step hold the same live images, the same window, term
 statistics equal to a recount, answers equal to the brute-force oracle,
-tree leaf inverted files equal to a rebuild from their images, and an
-IFA slot table within twice its live images."""
+tree leaf inverted files equal to a rebuild from their images, one HIQ
+tree per segment that holds a live image, and an IFA slot table within
+twice its live images."""
 
 import pytest
 from hypothesis import settings
@@ -166,6 +167,15 @@ class SharedWindow(RuleBasedStateMachine):
         live = ifa.image_count()
         assert sum(ifa.alive) == live
         assert len(ifa.ids) == live or len(ifa.ids) < 2 * live
+
+    @invariant()
+    def hiq_trees_hold_images(self):
+        # HIQ keeps one tree per segment that holds a live image, and
+        # every tree holds one
+        roots = self.hiq.roots()
+        assert all(root.t_max is not None for root in roots)
+        held = {im.t_c // SPAN for im in self.hiq.live_images()}
+        assert sorted(root.t_max // SPAN for root in roots) == sorted(held)
 
     @invariant()
     def stvii_tree_sound(self):
