@@ -23,7 +23,6 @@ from array import array
 
 import numpy as np
 
-from . import kernels
 from .engine import Index, ResultEntry, SearchStats, TreeIndex
 from .model import add_posting, add_to_aggregates, combined_score, merge_aggregates, mind_visual
 
@@ -263,16 +262,38 @@ class StviiIndex(TreeIndex):
     def roots(self):
         return [self.root] if self._live else []
 
-    def mind(self, q, node):
+    def bounds(self, q, nodes):
+        """Lower bound on f_stv for any image under each of ``nodes``: the
+        arithmetic of ``kernels.rect_min_cost`` over the box's lat/lon
+        extent, ``recency_cost`` and ``combine`` inline, in their operands
+        and order, around ``mind_visual``."""
         p = self.params
-        m = node.mbr
-        f_s = kernels.rect_min_cost(
-            q.loc[0], q.loc[1], m[0], m[1], m[3], m[4], p.domain.delta_max
-        )
-        f_v = mind_visual(q, node.max_freq, p)
-        f_t = kernels.recency_cost(q.t - node.t_max, p.decay_base, p.time_unit)
+        q_lat, q_lon = q.loc
+        t = q.t
         w1, w2, w3 = q.weights
-        return kernels.combine(w1, w2, w3, f_s, f_v, f_t)
+        delta_max, decay_base, time_unit = p.domain.delta_max, p.decay_base, p.time_unit
+        sqrt = math.sqrt
+        out = []
+        for node in nodes:
+            m = node.mbr
+            d_lat = 0.0
+            if q_lat < m[0]:
+                d_lat = m[0] - q_lat
+            elif q_lat > m[3]:
+                d_lat = q_lat - m[3]
+            d_lon = 0.0
+            if q_lon < m[1]:
+                d_lon = m[1] - q_lon
+            elif q_lon > m[4]:
+                d_lon = q_lon - m[4]
+            f_v = mind_visual(q, node.max_freq, p)
+            age = t - node.t_max
+            if age < 0.0:
+                age = 0.0
+            f_t = 1.0 - decay_base ** (-(age / time_unit))
+            out.append(w1 * (sqrt(d_lat * d_lat + d_lon * d_lon) / delta_max)
+                       + w2 * f_v + w3 * f_t)
+        return out
 
     # -- maintenance -------------------------------------------------------
 

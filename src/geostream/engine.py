@@ -4,13 +4,18 @@
 the live corpus, admission of an image and the sliding window.
 
 The search works against any index exposing the searchable surface:
-``roots()``, ``mind(q, node)``, ``candidates(q, leaf)`` and a ``params``
-attribute, with the bound dominance property (mind <= f_stv of every
-image under the node). A node's ``children`` is a list at an inner node
-and ``None`` at a leaf, which holds its ``images`` and their inverted
-file ``postings`` (word -> positions in ``images``; ``None`` until the
-leaf is first scored). ``TreeIndex`` gives the tree indexes (HIQ, STVII)
-one ``search``, ``candidates`` and ``node_count``.
+``roots()``, ``bounds(q, nodes)``, ``candidates(q, leaf)`` and a
+``params`` attribute, with the bound dominance property (a node's bound
+<= f_stv of every image under the node). ``bounds`` gives the bound of
+each node of a list in one pass: the search asks it once for the roots
+and once for the children of each inner node it pops. ``mind(q, node)``
+is the one-node reference, ``bounds(q, [node])[0]``, which the
+dominance audit and the tests read. A node's ``children`` is a list at
+an inner node and ``None`` at a leaf, which holds its ``images`` and
+their inverted file ``postings`` (word -> positions in ``images``;
+``None`` until the leaf is first scored). ``TreeIndex`` gives the tree
+indexes (HIQ, STVII) one ``search``, ``mind``, ``candidates`` and
+``node_count``.
 
 ``candidates`` scores a leaf term at a time (``QueryContext.score_leaf``)
 and returns ``(f_stv, image)`` pairs; the search ranks on them and builds
@@ -80,8 +85,9 @@ def top_k_search(q, index, audit=None):
     stats = SearchStats()
     order = itertools.count()
     heap = []
-    for root in index.roots():
-        heapq.heappush(heap, (index.mind(q, root), next(order), root))
+    roots = index.roots()
+    for root, bound in zip(roots, index.bounds(q, roots)):
+        heapq.heappush(heap, (bound, next(order), root))
     stats.heap_peak = len(heap)
 
     worst = []              # max-heap via (-f_stv, -id, image)
@@ -107,8 +113,7 @@ def top_k_search(q, index, audit=None):
                     heapq.heapreplace(worst, (-f, -img.id, img))
                     lam = -worst[0][0]
         else:
-            for child in children:
-                b = index.mind(q, child)
+            for child, b in zip(children, index.bounds(q, children)):
                 if b <= lam:
                     heapq.heappush(heap, (b, next(order), child))
                 elif audit is not None:
@@ -144,7 +149,9 @@ class Index:
     start and ``window`` spans before the head's end. As the head moves,
     ``expire`` drops what left the window: a segment wholly before a
     cutoff leaves the stats (``CorpusStats``) at once, and one the cutoff
-    splits is rebuilt from its survivors. A subclass implements two
+    splits is rebuilt from its survivors. An arrival older than the window
+    start or than a cutoff ``expire`` was given is refused, while
+    ``window_start()`` stays on the segment grid. A subclass implements two
     hooks: ``_add(img)`` adds an admitted image, and
     ``_drop_older(cutoff)`` drops the images older than a cutoff, after
     they left the stats and ``_live``.
@@ -163,6 +170,7 @@ class Index:
         self._live = {}         # id -> image, in arrival order
         self._start = None      # start of the window
         self._head_end = None   # end of the head segment
+        self._cutoff = None     # oldest admissible t_c: the window start or a later cutoff
 
     def window_start(self):
         """Start of the oldest live segment; None before the first arrival."""
@@ -171,7 +179,8 @@ class Index:
     def insert(self, img):
         """Admits ``img``. A duplicate id, a location outside the domain, an
         id or ``t_c`` outside int64 (``OverflowError``) and an arrival
-        older than the window raise before anything changes."""
+        older than the window or than an ``expire`` cutoff raise before
+        anything changes."""
         cfg = self.config
         if img.id not in _INT64 or img.t_c not in _INT64:
             raise OverflowError(f"image {img.id}: id or t_c outside int64")
@@ -179,12 +188,12 @@ class Index:
             raise ValueError(f"duplicate image id {img.id}")
         if not cfg.domain.contains(img.lat, img.lon):
             raise DomainError(f"image {img.id} location outside domain")
+        if self._cutoff is not None and img.t_c < self._cutoff:
+            raise ExpiredArrivalError(
+                f"image {img.id} older than the live window ({img.t_c} < {self._cutoff})"
+            )
         if self._head_end is None or img.t_c >= self._head_end:
             self.roll_segment(img.t_c)
-        elif img.t_c < self._start:
-            raise ExpiredArrivalError(
-                f"image {img.id} older than the live window ({img.t_c} < {self._start})"
-            )
         self._add(img)
         self._live[img.id] = img
         self.stats.add_image(img)
@@ -212,21 +221,25 @@ class Index:
         else:
             head_end = self._head_end + span
         start = max(old, head_end - cfg.window * span)
-        if start > old:
+        if self._cutoff is None:
+            self._cutoff = start
+        elif start > old:
             self.expire(start)
         self._start, self._head_end = start, head_end
         return (start - old) // span
 
     def expire(self, cutoff):
         """Drops every live image with t_c < cutoff and returns how many;
-        0 at once for a cutoff at or before the window start. A cutoff
-        that is no finite real number raises ``ConfigError``."""
+        0 at once for a cutoff at or before the window start or an earlier
+        cutoff. From then on an arrival older than the cutoff is refused.
+        A cutoff that is no finite real number raises ``ConfigError``."""
         if isinstance(cutoff, numbers.Integral) and not isinstance(cutoff, bool):
             cutoff = int(cutoff)        # exact past 2**53, as timestamps are
         else:
             cutoff = _real(cutoff, "expire cutoff")
-        if self._start is None or cutoff <= self._start:
+        if self._cutoff is None or cutoff <= self._cutoff:
             return 0
+        self._cutoff = cutoff
         old = self.stats.expire(cutoff)
         for img in old:
             del self._live[img.id]
@@ -243,10 +256,15 @@ class Index:
 
 class TreeIndex(Index):
     """The search surface shared by the tree indexes. A subclass provides
-    ``roots()``, ``mind(q, node)`` and ``params``."""
+    ``roots()``, ``bounds(q, nodes)`` and ``params``."""
 
     def search(self, q):
         return top_k_search(q, self)
+
+    def mind(self, q, node):
+        """Lower bound on f_stv for any image under ``node``: the one-node
+        reference of ``bounds``."""
+        return self.bounds(q, [node])[0]
 
     def candidates(self, q, leaf):
         """``(f_stv, image)`` for each image in the leaf sharing at least

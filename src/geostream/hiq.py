@@ -12,10 +12,10 @@ after it; a tree a cutoff splits is rebuilt from its survivors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import kernels
 from .engine import ExpiredArrivalError, TreeIndex, walk  # noqa: F401 (re-exported)
 from .model import _counts, add_posting, add_to_aggregates, mind_visual
 
@@ -150,18 +150,37 @@ class HiqIndex(TreeIndex):
         """One tree per segment that holds an image, in no set order."""
         return list(self._trees.values())
 
-    def mind(self, q, node):
-        """Lower bound on f_stv for any image under ``node``."""
+    def bounds(self, q, nodes):
+        """Lower bound on f_stv for any image under each of ``nodes``: the
+        arithmetic of ``kernels.rect_min_cost``, ``recency_cost`` (1.0 for
+        a tree with no image) and ``combine`` inline, in their operands
+        and order, around ``mind_visual``."""
         p = self.params
-        f_s = kernels.rect_min_cost(
-            q.loc[0], q.loc[1],
-            node.min_lat, node.min_lon, node.max_lat, node.max_lon,
-            p.domain.delta_max,
-        )
-        f_v = mind_visual(q, node.max_freq, p)
-        if node.t_max is None:
-            f_t = 1.0
-        else:
-            f_t = kernels.recency_cost(q.t - node.t_max, p.decay_base, p.time_unit)
+        q_lat, q_lon = q.loc
+        t = q.t
         w1, w2, w3 = q.weights
-        return kernels.combine(w1, w2, w3, f_s, f_v, f_t)
+        delta_max, decay_base, time_unit = p.domain.delta_max, p.decay_base, p.time_unit
+        sqrt = math.sqrt
+        out = []
+        for node in nodes:
+            d_lat = 0.0
+            if q_lat < node.min_lat:
+                d_lat = node.min_lat - q_lat
+            elif q_lat > node.max_lat:
+                d_lat = q_lat - node.max_lat
+            d_lon = 0.0
+            if q_lon < node.min_lon:
+                d_lon = node.min_lon - q_lon
+            elif q_lon > node.max_lon:
+                d_lon = q_lon - node.max_lon
+            f_v = mind_visual(q, node.max_freq, p)
+            if node.t_max is None:
+                f_t = 1.0
+            else:
+                age = t - node.t_max
+                if age < 0.0:
+                    age = 0.0
+                f_t = 1.0 - decay_base ** (-(age / time_unit))
+            out.append(w1 * (sqrt(d_lat * d_lat + d_lon * d_lon) / delta_max)
+                       + w2 * f_v + w3 * f_t)
+        return out

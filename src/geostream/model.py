@@ -459,10 +459,12 @@ class QueryContext:
         query word, term at a time over the leaf's inverted file
         ``leaf.postings`` (built here on the leaf's first scoring).
 
-        Each image's sums are made in query order, as in ``visual``, and
-        its spatial and temporal costs through the kernels, operands and
-        order of ``combined_score``, so each ``f_stv`` equals that
-        breakdown's bit for bit."""
+        Each image's sums are made in query order, as in ``visual``, into
+        one slot per position of three lists. Its visual cost is ``_cost``
+        and its spatial and temporal costs and ``f_stv`` are
+        ``kernels.spatial_cost``, ``recency_cost`` and ``combine``, all
+        inline in their operands and order, so each ``f_stv`` equals the
+        ``combined_score`` breakdown's bit for bit."""
         postings = leaf.postings
         images = leaf.images
         if postings is None:
@@ -471,7 +473,10 @@ class QueryContext:
                 _post(postings, i, img)
         scale = self._scale
         log = math.log
-        sums = {}       # position -> [log_num, log_diff, held]
+        n = len(images)
+        log_num = [0.0] * n
+        log_diff = [0.0] * n
+        held = [0] * n
         for v, (floor, lf) in self._floors.items():
             positions = postings.get(v)
             if positions is None:
@@ -479,35 +484,40 @@ class QueryContext:
             for i in positions:
                 img = images[i]
                 lw = log(scale * (img.word_tf[v] / img.total_tf) + floor)
-                s = sums.get(i)
-                if s is None:
-                    sums[i] = [lw, lw - lf, 1]
-                else:
-                    s[0] += lw
-                    s[1] += lw - lf
-                    s[2] += 1
+                log_num[i] += lw
+                log_diff[i] += lw - lf
+                held[i] += 1
         zero_words = self._zero_words
+        n_words = len(self._floors)
+        log_den, log_const = self._log_den, self._log_const
         w1, w2, w3 = self._weights
         lat, lon, t = self._lat, self._lon, self._t
         delta_max, decay_base, time_unit = self._delta_max, self._decay_base, self._time_unit
-        combine = kernels.combine
-        spatial_cost = kernels.spatial_cost
-        recency_cost = kernels.recency_cost
+        exp = math.exp
+        sqrt = math.sqrt
         scored = []
-        for i, (log_num, log_diff, held) in sums.items():
-            img = images[i]
+        for img, num, diff, h in zip(images, log_num, log_diff, held):
+            if not h:
+                continue
             for v in zero_words:
                 if v not in img.word_tf:
                     f_v = 1.0
                     break
             else:
-                f_v = self._cost(log_num, log_diff, held)
-            scored.append((combine(
-                w1, w2, w3,
-                spatial_cost(lat, lon, img.lat, img.lon, delta_max),
-                f_v,
-                recency_cost(t - img.t_c, decay_base, time_unit),
-            ), img))
+                ratio = exp(num - log_den if h == n_words else diff + log_const)
+                if ratio > 1.0:
+                    ratio = 1.0
+                f_v = 1.0 - ratio
+            d_lat = lat - img.lat
+            d_lon = lon - img.lon
+            age = t - img.t_c
+            if age < 0.0:
+                age = 0.0
+            scored.append((
+                w1 * (sqrt(d_lat * d_lat + d_lon * d_lon) / delta_max)
+                + w2 * f_v
+                + w3 * (1.0 - decay_base ** (-(age / time_unit))),
+                img))
         return scored
 
     def visual_columns(self, postings, n):

@@ -11,7 +11,7 @@ from geostream.baselines import (
     _box_volume,
     _quadratic_split,
 )
-from geostream.engine import brute_force_oracle, top_k_search, walk
+from geostream.engine import ExpiredArrivalError, brute_force_oracle, top_k_search, walk
 from geostream.hiq import HiqConfig, HiqIndex
 from geostream.model import (
     ConfigError,
@@ -64,6 +64,38 @@ def test_expired_id_may_return(cls, domain):
     index.insert(img(1, t_c=later))         # the window rolls segment 0 out here
     index.insert(img(0, t_c=later))
     assert sorted(im.id for im in index.live_images()) == [0, 1]
+
+
+@pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda c: c.kind)
+def test_arrival_older_than_an_expire_cutoff_is_refused(cls, domain):
+    # the window stays on the segment grid at 2000, but 2600 is older than
+    # the cutoff the window was expired to
+    index = cls(make_config(domain, segment_span=1000, window=3))
+    index.insert(img(0, t_c=2500))
+    index.insert(img(1, t_c=4500))
+    assert index.expire(3500) == 1
+    assert index.window_start() == 2000
+
+    def state():
+        return (index.window_start(), index.stats.version,
+                [im.id for im in index.live_images()])
+
+    before = state()
+    with pytest.raises(ExpiredArrivalError, match="older than"):
+        index.insert(img(2, t_c=2600))
+    assert state() == before
+    index.insert(img(3, t_c=3500))          # at the cutoff
+    assert [im.id for im in index.live_images()] == [1, 3]
+    # a cutoff past the head's end (5000) refuses an arrival that would
+    # move the head, before the head moves
+    assert index.expire(7500) == 2
+    before = state()
+    with pytest.raises(ExpiredArrivalError, match="older than"):
+        index.insert(img(4, t_c=6000))
+    assert state() == before
+    index.insert(img(5, t_c=7500))
+    assert index.window_start() == 5000
+    assert [im.id for im in index.live_images()] == [5]
 
 
 @pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda c: c.kind)
@@ -507,8 +539,9 @@ class TestStvii:
         audit_stvii(index)
         # four more expiries, each after arrivals no older than the last cutoff
         live = {im.id: im for im in images if im.t_c >= 6000}
-        for step, cutoff in enumerate((7000, 8000, 9000, 9500)):
-            batch = random_images(rng, 60, domain, t_lo=cutoff - 1000, t_hi=10_000,
+        cutoffs = (6000, 7000, 8000, 9000, 9500)
+        for step, (last, cutoff) in enumerate(zip(cutoffs, cutoffs[1:])):
+            batch = random_images(rng, 60, domain, t_lo=last, t_hi=10_000,
                                   id_base=1000 * (step + 1))
             for im in batch:
                 index.insert(im)

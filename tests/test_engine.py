@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from geostream import engine
+from geostream import engine, kernels
 from geostream.baselines import StviiIndex
-from geostream.engine import brute_force_oracle, top_k_search
-from geostream.hiq import HiqConfig, HiqIndex
-from geostream.model import GeoTemporalImage, Query, combined_score
+from geostream.engine import brute_force_oracle, top_k_search, walk
+from geostream.hiq import HiqConfig, HiqIndex, QuadNode
+from geostream.model import GeoTemporalImage, Query, combined_score, mind_visual
 from geostream.verify import random_images, random_query, results_match
 
 
@@ -224,3 +224,98 @@ def test_breakdowns_for_the_results_only(cls, domain, monkeypatch):
         assert stats.images_scored == sum(map(len, drawn))
         more_drawn_than_kept |= stats.images_scored > len(results)
     assert more_drawn_than_kept
+
+
+def kernel_bound(q, index, node):
+    """A node's bound from the kernels, one term at a time."""
+    p = index.params
+    if isinstance(node, QuadNode):
+        rect = (node.min_lat, node.min_lon, node.max_lat, node.max_lon)
+    else:
+        rect = (node.mbr[0], node.mbr[1], node.mbr[3], node.mbr[4])
+    f_s = kernels.rect_min_cost(q.loc[0], q.loc[1], *rect, p.domain.delta_max)
+    f_v = mind_visual(q, node.max_freq, p)
+    if node.t_max is None:
+        f_t = 1.0
+    else:
+        f_t = kernels.recency_cost(q.t - node.t_max, p.decay_base, p.time_unit)
+    w1, w2, w3 = q.weights
+    return kernels.combine(w1, w2, w3, f_s, f_v, f_t)
+
+
+def contains(node, lat, lon):
+    if isinstance(node, QuadNode):
+        return node.min_lat <= lat <= node.max_lat and node.min_lon <= lon <= node.max_lon
+    m = node.mbr
+    return m[0] <= lat <= m[3] and m[1] <= lon <= m[4]
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.5])
+@pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
+def test_bounds_equal_the_kernel_reference(cls, xi, domain):
+    rng = random.Random(61 + int(10 * xi))
+    seen = dict(inside=0, outside=0, before=0, after=0, absent=0, empty=0)
+    for _ in range(25):
+        images = random_images(rng, rng.randint(5, 200), domain, t_lo=0, t_hi=50_000)
+        config = HiqConfig(domain=domain, segment_span=10_000, window=4, xi=xi,
+                           capacity=rng.choice((3, 6, 20)), decay_base=rng.uniform(1.1, 4.0),
+                           time_unit=rng.choice((7.0, 3600.0, 36_000.0)))
+        index = cls(config)
+        for img in sorted(images, key=lambda im: im.t_c):
+            index.insert(img)
+        nodes = list(walk(index.roots()))
+        if cls is HiqIndex:
+            # the empty tree of a segment without an image
+            nodes.append(QuadNode(domain.min_lat, domain.min_lon, domain.max_lat, domain.max_lon))
+        for _ in range(6):
+            # words 60..69 occur in no image
+            words = rng.sample(range(70), rng.randint(1, 15))
+            w1 = rng.uniform(0.05, 0.6)
+            w2 = rng.uniform(0.05, 0.95 - w1)
+            q = Query(psi=words, loc=(rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)),
+                      t=rng.randint(0, 60_000), k=5, weights=(w1, w2, 1.0 - w1 - w2))
+            seen["absent"] += any(v >= 60 for v in q.psi)
+            got = index.bounds(q, nodes)
+            assert len(got) == len(nodes)
+            for bound, node in zip(got, nodes):
+                assert bound == kernel_bound(q, index, node)
+                assert index.mind(q, node) == bound
+                seen["inside" if contains(node, *q.loc) else "outside"] += 1
+                if node.t_max is None:
+                    seen["empty"] += 1
+                else:
+                    seen["before" if q.t < node.t_max else "after"] += 1
+    if cls is StviiIndex:
+        seen.pop("empty")
+    assert all(seen.values()), seen
+
+
+class OneNodeAtATime:
+    """An index whose ``bounds`` asks ``mind`` of each node on its own."""
+
+    def __init__(self, index):
+        self.index = index
+        self.params = index.params
+        self.roots = index.roots
+        self.candidates = index.candidates
+
+    def bounds(self, q, nodes):
+        return [self.index.mind(q, node) for node in nodes]
+
+
+@pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
+def test_batched_bounds_decide_as_one_node_at_a_time(cls, domain):
+    rng = random.Random(62)
+    images = random_images(rng, 600, domain, t_lo=0, t_hi=50_000)
+    index = cls(HiqConfig(domain=domain, segment_span=10_000, window=4, capacity=6))
+    for img in sorted(images, key=lambda im: im.t_c):
+        index.insert(img)
+    one = OneNodeAtATime(index)
+    pruned = 0
+    for _ in range(300):
+        q = random_query(rng, images, domain)
+        audit, one_audit = [], []
+        assert top_k_search(q, index, audit=audit) == top_k_search(q, one, audit=one_audit)
+        assert audit == one_audit
+        pruned += len(audit)
+    assert pruned

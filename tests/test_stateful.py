@@ -61,19 +61,27 @@ class SharedWindow(RuleBasedStateMachine):
         self.indexes = (self.hiq, IfaIndex(config), StviiIndex(config))
         self.next_id = 0
         self.now = None         # latest arrival time
+        self.cutoff = None      # latest expire cutoff
 
     def _image(self, t, lat, lon, psi, id=None):
         if id is None:
             id, self.next_id = self.next_id, self.next_id + 1
         return GeoTemporalImage(id, lat, lon, t, psi)
 
+    def _earliest(self):
+        """The earliest time an arrival may have: the window start, or a
+        later expire cutoff."""
+        start = self.hiq.window_start()
+        return start if self.cutoff is None else max(start, self.cutoff)
+
     def _latest(self):
         """The latest time an arrival may have without moving the window:
-        the latest arrival, or the window start once rolls pass it."""
+        the latest arrival, or the earliest admissible time once rolls or
+        expiries pass it."""
         if not self.hiq.segments:
             return 0
-        start = self.hiq.window_start()
-        return start if self.now is None else max(self.now, start)
+        earliest = self._earliest()
+        return earliest if self.now is None else max(self.now, earliest)
 
     def _insert(self, img):
         for index in self.indexes:
@@ -99,13 +107,13 @@ class SharedWindow(RuleBasedStateMachine):
     @precondition(lambda self: self.hiq.segments)
     @rule(data=st.data(), lat=coords, lon=coords, psi=word_vectors)
     def insert_jittered(self, data, lat, lon, psi):
-        t = data.draw(st.integers(self.hiq.window_start(), self._latest()))
+        t = data.draw(st.integers(self._earliest(), self._latest()))
         self._insert(self._image(t, lat, lon, psi))
 
     @precondition(lambda self: self.hiq.segments)
     @rule(back=st.integers(1, 3 * SPAN), lat=coords, lon=coords, psi=word_vectors)
     def insert_expired(self, back, lat, lon, psi):
-        t = self.hiq.window_start() - back
+        t = self._earliest() - back
         self._rejected(self._image(t, lat, lon, psi), ExpiredArrivalError, "older than")
 
     @precondition(lambda self: self.hiq.image_count() > 0)
@@ -130,6 +138,7 @@ class SharedWindow(RuleBasedStateMachine):
             st.integers(start, last)))
         older = sum(1 for im in self.hiq.live_images() if im.t_c < cutoff)
         assert [index.expire(cutoff) for index in self.indexes] == [older] * 3
+        self.cutoff = cutoff if self.cutoff is None else max(self.cutoff, cutoff)
 
     @rule(spec=queries)
     def query(self, spec):
