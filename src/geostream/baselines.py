@@ -3,11 +3,11 @@ node inverted files (STVII).
 
 IFA keeps one posting list per word over a table of image slots and
 scores every candidate at query time (no early termination), as numpy
-columns one query word at a time. STVII boxes images in raw
-(lat, lon, t), splits quadratically on overflow, expires by pruning
-only the subtrees older than the cutoff, and carries the same per-node
-max-weight inverted files as the quadtree so it plugs into the shared
-best-first search.
+columns in one pass over the query words' posting lists. STVII boxes
+images in raw (lat, lon, t), splits quadratically on overflow, expires
+by pruning only the subtrees older than the cutoff, and carries the same
+per-node max-weight inverted files as the quadtree so it plugs into the
+shared best-first search.
 
 A timestamp is an integer tick, so a box's volume counts its time
 extent in ticks, ``t1 - t0 + 1``: a stream puts many images on one
@@ -67,9 +67,11 @@ class IfaIndex(Index):
             cols[1].append(tf / total)
 
     def search(self, q):
-        """Every live image sharing a query word, scored as columns one
-        query word at a time (``QueryContext.visual_columns``); the k
-        best, by (f_stv, id), get their breakdown from ``combined_score``."""
+        """Every live image sharing a query word, scored as columns in one
+        numpy pass (``QueryContext.visual_columns``). Only the rows costing
+        at most the k-th smallest f_stv are sorted by (f_stv, id), which
+        keeps every tie at the k-th place; the k best get their breakdown
+        from ``combined_score``."""
         p = self.params
         ctx = p.context(q)      # checks the query location
         stats = SearchStats()
@@ -91,10 +93,14 @@ class IfaIndex(Index):
         f_t = 1.0 - p.decay_base ** (-(age / p.time_unit))
         w1, w2, w3 = q.weights
         f_stv = w1 * f_s + w2 * f_v[rows] + w3 * f_t
+        k = q.k
+        if len(rows) > k:
+            keep = f_stv <= np.partition(f_stv, k - 1)[k - 1]
+            rows, f_stv = rows[keep], f_stv[keep]
         ids = np.frombuffer(self.ids, dtype=np.int64)[rows]
         live = self._live
         entries = [ResultEntry(iid, combined_score(q, live[iid], p))
-                   for iid in ids[np.lexsort((ids, f_stv))[: q.k]].tolist()]
+                   for iid in ids[np.lexsort((ids, f_stv))[:k]].tolist()]
         entries.sort(key=lambda e: (e.score.f_stv, e.image_id))
         return entries, stats
 
@@ -336,9 +342,14 @@ def _quadratic_split(boxes, min_fill):
     s1, s2 = divmod(int(np.argmax(waste)), n)
     g1, g2 = [s1], [s2]
     mbr1, mbr2 = list(boxes[s1]), list(boxes[s2])
+    vol1, vol2 = _box_volume(mbr1), _box_volume(mbr2)
     d1, d2 = _enlargements(mbr1, lo, hi), _enlargements(mbr2, lo, hi)
     free = np.ones(n, dtype=bool)
     free[[s1, s2]] = False
+    # PickNext's preference of each free box, -1 once taken; remade only
+    # when a group's box grows. A box is compared, not its enlargement:
+    # a zero-volume box can grow by 0
+    pref = np.where(free, np.abs(d1 - d2), -1.0)
     left = n - 2
     while left:
         if len(g1) + left == min_fill:
@@ -349,17 +360,25 @@ def _quadratic_split(boxes, min_fill):
             break
         # PickNext: strongest preference first, the first such box in
         # index order
-        i = int(np.argmax(np.where(free, np.abs(d1 - d2), -1.0)))
+        i = int(np.argmax(pref))
         free[i] = False
+        pref[i] = -1.0
         left -= 1
-        if (d1[i], _box_volume(mbr1), len(g1)) <= (d2[i], _box_volume(mbr2), len(g2)):
+        if (d1[i], vol1, len(g1)) <= (d2[i], vol2, len(g2)):
             g1.append(i)
-            mbr1 = _box_union(mbr1, boxes[i])
+            grown = _box_union(mbr1, boxes[i])
+            if grown == mbr1:
+                continue
+            mbr1, vol1 = grown, _box_volume(grown)
             d1 = _enlargements(mbr1, lo, hi)
         else:
             g2.append(i)
-            mbr2 = _box_union(mbr2, boxes[i])
+            grown = _box_union(mbr2, boxes[i])
+            if grown == mbr2:
+                continue
+            mbr2, vol2 = grown, _box_volume(grown)
             d2 = _enlargements(mbr2, lo, hi)
+        pref = np.where(free, np.abs(d1 - d2), -1.0)
     return g1, g2
 
 

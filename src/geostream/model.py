@@ -371,11 +371,12 @@ class QueryContext:
     is held it is ``sum(log w_v) - sum(log m_v)`` in query order, as in
     ``kernels.relevance_cost``, so the best image costs exactly 0.0. A
     word with a zero floor (only when xi = 0) that is not held costs 1.0.
-    ``visual`` scores one image, ``visual_columns`` a whole slot table and
+    ``visual`` scores one image, ``visual_columns`` a whole slot table in
+    one numpy pass over the query words' joined posting columns, and
     ``mind_visual`` a node. ``score_leaf`` gives the combined score of
     each image of a tree leaf that holds a query word, from the posting
-    lists of the query words in the leaf's inverted file, with the same
-    sums as ``visual``.
+    lists of the query words in the leaf's inverted file. Both make each
+    image's sums in the order ``visual`` makes them.
 
     Building one checks the query location: ``DomainError`` outside the
     domain.
@@ -521,36 +522,42 @@ class QueryContext:
         return scored
 
     def visual_columns(self, postings, n):
-        """Visual relevance of every slot of an ``n``-slot table, term at a
-        time, and the number of query words each slot holds. ``postings``
-        maps a word to its ``(slot, tf/|I.psi|)`` columns (``array('q')``,
-        ``array('d')``), a slot at most once per word.
+        """Visual relevance of every slot of an ``n``-slot table, and the
+        number of query words each slot holds. ``postings`` maps a word to
+        its ``(slot, tf/|I.psi|)`` columns (``array('q')``, ``array('d')``),
+        a slot at most once per word.
 
-        The same sums as ``visual``, one numpy pass per query word in
-        query order, so a slot's cost is ``visual`` of its image up to the
-        rounding of numpy's ``log`` and ``exp``. A slot that holds no
-        query word gets a meaningless cost; the caller drops it by its
-        zero count."""
-        log_num = np.zeros(n)
-        log_diff = np.zeros(n)
-        held = np.zeros(n, dtype=np.intp)
-        zero_held = np.zeros(n, dtype=np.intp) if self._zero_words else None
-        scale = self._scale
+        One numpy pass, whatever the number of query words: the columns of
+        the query words with postings are joined in query order, and
+        ``np.bincount`` adds each slot's terms in that order from 0.0. So
+        a slot gets the sums of ``visual``, and its cost is ``visual`` of
+        its image up to the rounding of numpy's ``log`` and ``exp``. A slot
+        that holds no query word gets a meaningless cost; the caller drops
+        it by its zero count."""
+        slot_cols, freq_cols, floors, log_floors, zero_cols = [], [], [], [], []
         for v, (floor, lf) in self._floors.items():
             cols = postings.get(v)
             if cols is None:
                 continue
-            slots = np.frombuffer(cols[0], dtype=np.int64)
-            lw = np.log(scale * np.frombuffer(cols[1]) + floor)
-            log_num[slots] += lw
-            log_diff[slots] += lw - lf
-            held[slots] += 1
+            slot_cols.append(cols[0])
+            freq_cols.append(cols[1])
+            floors.append(floor)
+            log_floors.append(lf)
             if floor == 0.0:
-                zero_held[slots] += 1
+                zero_cols.append(cols[0])
+        counts = np.array([len(s) for s in slot_cols], dtype=np.intp)
+        slots = np.frombuffer(b"".join(slot_cols), dtype=np.int64)
+        lw = np.log(self._scale * np.frombuffer(b"".join(freq_cols))
+                    + np.repeat(floors, counts))
+        log_num = np.bincount(slots, weights=lw, minlength=n)
+        log_diff = np.bincount(slots, weights=lw - np.repeat(log_floors, counts), minlength=n)
+        held = np.bincount(slots, minlength=n)
         log_ratio = np.where(held == len(self._floors),
                              log_num - self._log_den, log_diff + self._log_const)
         cost = 1.0 - np.minimum(np.exp(log_ratio), 1.0)
-        if zero_held is not None:
+        if self._zero_words:
+            zero_held = np.bincount(np.frombuffer(b"".join(zero_cols), dtype=np.int64),
+                                    minlength=n)
             cost[zero_held < len(self._zero_words)] = 1.0
         return cost, held
 

@@ -333,6 +333,113 @@ def test_ifa_columns_match_oracle(xi, domain):
     assert rebuilds >= 2
 
 
+def _per_word_visual_columns(ctx, postings, n):
+    """The visual columns one numpy pass per query word, in query order,
+    the reference for the one-pass ``QueryContext.visual_columns``."""
+    log_num = np.zeros(n)
+    log_diff = np.zeros(n)
+    held = np.zeros(n, dtype=np.intp)
+    zero_held = np.zeros(n, dtype=np.intp)
+    for v, (floor, lf) in ctx._floors.items():
+        cols = postings.get(v)
+        if cols is None:
+            continue
+        slots = np.frombuffer(cols[0], dtype=np.int64)
+        lw = np.log(ctx._scale * np.frombuffer(cols[1]) + floor)
+        log_num[slots] += lw
+        log_diff[slots] += lw - lf
+        held[slots] += 1
+        if floor == 0.0:
+            zero_held[slots] += 1
+    log_ratio = np.where(held == len(ctx._floors),
+                         log_num - ctx._log_den, log_diff + ctx._log_const)
+    cost = 1.0 - np.minimum(np.exp(log_ratio), 1.0)
+    cost[zero_held < len(ctx._zero_words)] = 1.0
+    return cost, held
+
+
+def _assert_columns_match_reference(ctx, postings, n):
+    cost, held = ctx.visual_columns(postings, n)
+    ref_cost, ref_held = _per_word_visual_columns(ctx, postings, n)
+    assert len(cost) == n
+    assert held.tolist() == ref_held.tolist()
+    assert np.all(np.abs(cost - ref_cost)[held > 0] <= 1e-12)
+    return held
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.35])
+def test_visual_columns_match_per_word_reference(xi, domain):
+    # at xi = 0 every floor is zero, so the zero-floor rule decides; a
+    # table without some query words' postings, a table just compacted
+    # (renumbered slots), and an empty one
+    index = IfaIndex(make_config(domain, segment_span=1000, window=3, xi=xi))
+    rng = random.Random(47)
+
+    def check(live):
+        q = random_query(rng, live, domain, vocab=26, max_words=8)
+        ctx = index.params.context(q)
+        n = len(index.ids)
+        held = _assert_columns_match_reference(ctx, index.postings, n)
+        assert held.any()
+        some = {w: cols for w, cols in index.postings.items() if w % 3}
+        _assert_columns_match_reference(ctx, some, n)
+        assert not _assert_columns_match_reference(ctx, {}, n).any()
+        return ctx
+
+    compactions = 0
+    for seg in range(10):
+        batch = random_images(rng, 30, domain, vocab=20, t_lo=seg * 1000,
+                              t_hi=seg * 1000 + 999, id_base=seg * 30)
+        for im in batch:
+            slots = len(index.ids)
+            index.insert(im)
+            if len(index.ids) <= slots:
+                compactions += 1
+                check(index.live_images())
+        for _ in range(4):
+            ctx = check(index.live_images())
+    assert compactions >= 2
+    # no query word in the live corpus: no slot holds one
+    outside = Query(psi=(100, 101), loc=(50.0, 50.0), t=10_000, k=5, weights=(0.3, 0.4, 0.3))
+    held = _assert_columns_match_reference(index.params.context(outside), index.postings,
+                                           len(index.ids))
+    assert len(held) == len(index.ids) and not held.any()
+    # everything expired: an empty table, scored with the last context too
+    index.expire(100_000)
+    assert len(index.ids) == 0 and index.postings == {}
+    for c in (ctx, index.params.context(outside)):
+        assert len(_assert_columns_match_reference(c, index.postings, 0)) == 0
+
+
+@pytest.mark.parametrize("tied", [6, 2, 3], ids=["tie-at-kth", "fewer-than-k", "exactly-k"])
+def test_ifa_ties_at_the_kth_cost(tied, domain):
+    # k = 3 with one better image: the k-th place is a tie among identical
+    # images inserted under shuffled ids, and only the smallest ids win
+    rng = random.Random(tied)
+    config = make_config(domain)
+    indexes = [IfaIndex(config), HiqIndex(config), StviiIndex(config)]
+    twin_ids = rng.sample(range(10, 100), tied)
+    images = [img(iid, lat=20.0, lon=20.0) for iid in twin_ids]
+    if tied > 3:
+        images += [img(200, lat=10.0, lon=10.0), img(201, lat=60.0, lon=60.0),
+                   img(202, lat=80.0, lon=5.0)]
+    rng.shuffle(images)
+    for index in indexes:
+        for im in images:
+            index.insert(im)
+    q = Query(psi=(1,), loc=(10.0, 10.0), t=100, k=3, weights=(0.5, 0.3, 0.2))
+    got, stats = indexes[0].search(q)
+    assert stats.images_scored == len(images)
+    expected = brute_force_oracle(q, images, indexes[0].params)
+    assert results_match(got, expected)
+    assert results_match(got, top_k_search(q, indexes[1])[0])
+    assert results_match(got, top_k_search(q, indexes[2])[0])
+    if tied > 3:
+        assert [e.image_id for e in got] == [200] + sorted(twin_ids)[:2]
+    else:
+        assert [e.image_id for e in got] == sorted(twin_ids)
+
+
 @pytest.mark.parametrize("base", [0, 2**53, 1_700_000_000_000_000_000])
 def test_large_timestamps_match_oracle(base, domain):
     # float64 spacing is 2 at 2**53 and 256 at nanosecond-scale epochs, so
