@@ -4,7 +4,7 @@
 the live corpus, admission of an image and the sliding window.
 
 The search works against any index exposing the searchable surface:
-``roots()``, ``bounds(q, nodes)``, ``candidates(q, leaf)`` and a
+``roots()``, ``bounds(q, nodes)``, ``candidates(q, leaf, lam)`` and a
 ``params`` attribute, with the bound dominance property (a node's bound
 <= f_stv of every image under the node). ``bounds`` gives the bound of
 each node of a list in one pass: the search asks it once for the roots
@@ -18,9 +18,13 @@ indexes (HIQ, STVII) one ``search``, ``mind``, ``candidates`` and
 ``node_count``.
 
 ``candidates`` scores a leaf term at a time (``QueryContext.score_leaf``)
-and returns ``(f_stv, image)`` pairs; the search ranks on them and builds
-the ``combined_score`` breakdown of the k results only, as IFA's column
-scorer does.
+and returns ``(f_stv, image)`` pairs. The search passes it λ, the k-th
+best cost so far, and the scorer skips the images that cannot cost λ or
+less: those outside a spatial radius that the leaf's visual and recency
+bounds leave. So ``SearchStats.images_scored`` counts the images whose
+cost was at most λ when their leaf was scored. The search ranks on the
+pairs and builds the ``combined_score`` breakdown of the k results only,
+as IFA's column scorer does.
 """
 
 from __future__ import annotations
@@ -62,9 +66,17 @@ class ResultEntry:
 
 @dataclass
 class SearchStats:
+    """What a search did. ``images_scored`` counts the ``(f_stv, image)``
+    pairs the search ranked. In the tree search ``nodes_pruned`` counts
+    the nodes whose bound exceeded λ (the entries of ``audit``) and
+    ``lam`` is the final λ, infinite while fewer than k images were
+    found."""
+
     nodes_visited: int = 0
     images_scored: int = 0
     heap_peak: int = 0
+    nodes_pruned: int = 0
+    lam: float = math.inf
 
 
 def top_k_search(q, index, audit=None):
@@ -73,8 +85,9 @@ def top_k_search(q, index, audit=None):
 
     Maintains a min-heap of nodes keyed by their lower bound and a
     threshold equal to the k-th best score found so far; nodes whose
-    bound exceeds the threshold are pruned. Candidates are ranked on the
-    ``f_stv`` that ``index.candidates`` pairs them with; only the k
+    bound exceeds the threshold are pruned. A leaf's candidates are the
+    images ``index.candidates(q, leaf, lam)`` gives for the current
+    threshold, ranked on the ``f_stv`` it pairs them with; only the k
     results get a breakdown from ``combined_score``. ``audit``, when a
     list, is filled with the bounds of pruned nodes (for dominance-safety
     tests).
@@ -95,6 +108,7 @@ def top_k_search(q, index, audit=None):
     while heap:
         bound, _, node = heapq.heappop(heap)
         if bound > lam:
+            stats.nodes_pruned += 1 + len(heap)
             if audit is not None:
                 audit.append(bound)
                 audit.extend(b for b, _, _ in heap)
@@ -102,7 +116,7 @@ def top_k_search(q, index, audit=None):
         stats.nodes_visited += 1
         children = node.children
         if children is None:
-            scored = index.candidates(q, node)
+            scored = index.candidates(q, node, lam)
             stats.images_scored += len(scored)
             for f, img in scored:
                 if len(worst) < k:
@@ -116,11 +130,14 @@ def top_k_search(q, index, audit=None):
             for child, b in zip(children, index.bounds(q, children)):
                 if b <= lam:
                     heapq.heappush(heap, (b, next(order), child))
-                elif audit is not None:
-                    audit.append(b)
+                else:
+                    stats.nodes_pruned += 1
+                    if audit is not None:
+                        audit.append(b)
             if len(heap) > stats.heap_peak:
                 stats.heap_peak = len(heap)
 
+    stats.lam = lam
     results = [ResultEntry(img.id, combined_score(q, img, params)) for _, _, img in worst]
     results.sort(key=lambda e: (e.score.f_stv, e.image_id))
     return results, stats
@@ -266,11 +283,13 @@ class TreeIndex(Index):
         reference of ``bounds``."""
         return self.bounds(q, [node])[0]
 
-    def candidates(self, q, leaf):
+    def candidates(self, q, leaf, lam=math.inf):
         """``(f_stv, image)`` for each image in the leaf sharing at least
-        one query word (``QueryContext.score_leaf``), in no set order
-        (the search's results do not depend on it)."""
-        return self.params.context(q).score_leaf(leaf)
+        one query word and costing at most ``lam``
+        (``QueryContext.score_leaf``), in no set order (the search's
+        results do not depend on it). Without ``lam``, every image that
+        shares a query word."""
+        return self.params.context(q).score_leaf(leaf, lam)
 
     def node_count(self):
         return sum(1 for _ in walk(self.roots()))

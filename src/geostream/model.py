@@ -28,6 +28,12 @@ class InvalidStateError(RuntimeError):
     """Scoring attempted against an empty image or an empty corpus."""
 
 
+# The slack of a lower bound over the costs it bounds: ``mind_visual`` is
+# at most an image's visual cost only up to rounding, and the dominance
+# checks (``verify.check_dominance``) allow this much.
+BOUND_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class SpatialDomain:
     min_lat: float
@@ -455,10 +461,21 @@ class QueryContext:
                 held += 1
         return self._cost(log_num, log_diff, held)
 
-    def score_leaf(self, leaf):
+    def score_leaf(self, leaf, lam=math.inf):
         """``(f_stv, image)`` for every image of a tree leaf that holds a
-        query word, term at a time over the leaf's inverted file
-        ``leaf.postings`` (built here on the leaf's first scoring).
+        query word and costs at most ``lam``, term at a time over the
+        leaf's inverted file ``leaf.postings`` (built here on the leaf's
+        first scoring).
+
+        ``lam`` gives the leaf a spatial radius, ``(lam + BOUND_TOL -
+        w2 * f_v - w3 * f_t) * delta_max / w1``, where ``f_v`` is
+        ``mind_visual`` of the leaf and ``f_t`` the recency cost at its
+        ``t_max``, as in the indexes' ``bounds``. An image farther than
+        that from the query costs more than ``lam``, so the posting walk
+        skips it. An infinite ``lam`` skips none and reads only the leaf's
+        ``images`` and ``postings``. The margin keeps every
+        image that costs ``lam`` exactly, which the search may still swap
+        in for a result with a larger id.
 
         Each image's sums are made in query order, as in ``visual``, into
         one slot per position of three lists. Its visual cost is ``_cost``
@@ -466,12 +483,30 @@ class QueryContext:
         ``kernels.spatial_cost``, ``recency_cost`` and ``combine``, all
         inline in their operands and order, so each ``f_stv`` equals the
         ``combined_score`` breakdown's bit for bit."""
+        w1, w2, w3 = self._weights
+        lat, lon, t = self._lat, self._lon, self._t
+        delta_max, decay_base, time_unit = self._delta_max, self._decay_base, self._time_unit
+        r2 = math.inf
+        if lam < math.inf:
+            if leaf.t_max is None:
+                return []
+            age = t - leaf.t_max
+            if age < 0.0:
+                age = 0.0
+            r = (lam + BOUND_TOL - w2 * self.mind_visual(leaf.max_freq)
+                 - w3 * (1.0 - decay_base ** (-(age / time_unit)))) * delta_max / w1
+            if r < 0.0:
+                return []
+            r2 = r * r
         postings = leaf.postings
         images = leaf.images
         if postings is None:
             postings = leaf.postings = {}
             for i, img in enumerate(images):
                 _post(postings, i, img)
+        # squared distances to the query, the operand of each spatial cost
+        dist2 = [(d_lat := lat - img.lat) * d_lat + (d_lon := lon - img.lon) * d_lon
+                 for img in images]
         scale = self._scale
         log = math.log
         n = len(images)
@@ -483,6 +518,8 @@ class QueryContext:
             if positions is None:
                 continue
             for i in positions:
+                if dist2[i] > r2:
+                    continue
                 img = images[i]
                 lw = log(scale * (img.word_tf[v] / img.total_tf) + floor)
                 log_num[i] += lw
@@ -491,13 +528,10 @@ class QueryContext:
         zero_words = self._zero_words
         n_words = len(self._floors)
         log_den, log_const = self._log_den, self._log_const
-        w1, w2, w3 = self._weights
-        lat, lon, t = self._lat, self._lon, self._t
-        delta_max, decay_base, time_unit = self._delta_max, self._decay_base, self._time_unit
         exp = math.exp
         sqrt = math.sqrt
         scored = []
-        for img, num, diff, h in zip(images, log_num, log_diff, held):
+        for img, d2, num, diff, h in zip(images, dist2, log_num, log_diff, held):
             if not h:
                 continue
             for v in zero_words:
@@ -509,16 +543,13 @@ class QueryContext:
                 if ratio > 1.0:
                     ratio = 1.0
                 f_v = 1.0 - ratio
-            d_lat = lat - img.lat
-            d_lon = lon - img.lon
             age = t - img.t_c
             if age < 0.0:
                 age = 0.0
-            scored.append((
-                w1 * (sqrt(d_lat * d_lat + d_lon * d_lon) / delta_max)
-                + w2 * f_v
-                + w3 * (1.0 - decay_base ** (-(age / time_unit))),
-                img))
+            f = (w1 * (sqrt(d2) / delta_max) + w2 * f_v
+                 + w3 * (1.0 - decay_base ** (-(age / time_unit))))
+            if f <= lam:
+                scored.append((f, img))
         return scored
 
     def visual_columns(self, postings, n):

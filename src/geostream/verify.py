@@ -7,10 +7,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from . import kernels
 from .baselines import IfaIndex, StviiIndex
 from .engine import brute_force_oracle, walk
 from .hiq import HiqConfig, HiqIndex
-from .model import GeoTemporalImage, Query, combined_score
+from .model import (
+    BOUND_TOL,
+    GeoTemporalImage,
+    Query,
+    combined_score,
+    mind_visual,
+    spatial_proximity,
+)
 
 SCORE_TOL = 1e-9
 
@@ -122,10 +130,14 @@ def _subtree_images(node):
     return [img for n in walk([node]) if n.children is None for img in n.images]
 
 
-def check_dominance(seed, pairs, domain, tol=1e-9):
+def check_dominance(seed, pairs, domain, tol=BOUND_TOL):
     """For random (index, query) pairs, asserts mind(q, N) lower-bounds
     the combined score of every image under N, for every node, after
-    part of each dataset has expired. Returns the number of violations."""
+    part of each dataset has expired. For every image of every leaf it
+    also asserts the bound behind the leaf scorer's spatial radius
+    (``QueryContext.score_leaf``): the image's own spatial cost with the
+    leaf's visual bound and its recency cost at ``t_max``. Returns the
+    number of violations."""
     rng = random.Random(seed)
     violations = 0
     done = 0
@@ -146,8 +158,23 @@ def check_dominance(seed, pairs, domain, tol=1e-9):
                               for img in subtree)
                     if bound > low + tol:
                         violations += 1
+                    if node.children is None:
+                        violations += leaf_bound_violations(q, node, index.params, tol)
             done += 1
     return violations
+
+
+def leaf_bound_violations(q, leaf, params, tol=BOUND_TOL):
+    """The number of images of ``leaf`` whose f_stv is below
+    ``w1 * f_s(image) + w2 * mind_visual(leaf) + w3 * recency(leaf.t_max)``
+    by more than ``tol``."""
+    w1, w2, w3 = q.weights
+    f_v = mind_visual(q, leaf.max_freq, params)
+    f_t = kernels.recency_cost(q.t - leaf.t_max, params.decay_base, params.time_unit)
+    return sum(
+        1 for img in leaf.images
+        if kernels.combine(w1, w2, w3, spatial_proximity(q, img.loc, params.domain), f_v, f_t)
+        > combined_score(q, img, params).f_stv + tol)
 
 
 def run_verification(seed=0, instances=50, domain=None):

@@ -1,5 +1,8 @@
 import csv
+import importlib.util
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -177,3 +180,23 @@ class TestAnswerChecks:
                            match="node_capacity=16: hiq differs from the oracle"):
             bench.sweep(small_gen(), small_index(), "node_capacity", values=(16,),
                         query_cfg=QueryConfig(seed=1, count=4), kinds=("hiq",))
+
+
+def load_bench_record():
+    path = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
+    spec = importlib.util.spec_from_file_location("bench_record", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_record_names_each_moved_count():
+    record = load_bench_record()
+    old = {"a": {"x": 1, "y": 2}, "b": {"x": 5}}
+    new = {"a": {"x": 1, "y": 3, "z": 0}, "c": {"x": 5}}
+    assert record.moved(old, new) == [
+        ("a", "y", 2, 3), ("a", "z", None, 0), ("b", "x", 5, None), ("c", "x", None, 5)]
+    assert record.moved(new, new) == []
+    newest = json.loads(record.newest().read_text())["counts"]
+    assert sorted(newest) == sorted(record.WORKLOADS)
+    assert all("engine.images_scored" in counts for counts in newest.values())

@@ -8,7 +8,7 @@ from geostream.baselines import StviiIndex
 from geostream.engine import brute_force_oracle, top_k_search, walk
 from geostream.hiq import HiqConfig, HiqIndex, QuadNode
 from geostream.model import GeoTemporalImage, Query, combined_score, mind_visual
-from geostream.verify import random_images, random_query, results_match
+from geostream.verify import leaf_bound_violations, random_images, random_query, results_match
 
 
 def make_index(domain, images, **kw):
@@ -171,11 +171,11 @@ def test_leaf_candidates_and_tree_counts(cls, domain):
                 assert f == combined_score(q, im, index.params).f_stv
 
 
-def twinned_index(cls, domain, rng):
+def twinned_index(cls, domain, rng, **kw):
     """An index over random images, each followed by a twin (id + 1000,
     same location, time and words), so the twins' scores tie exactly."""
     images = random_images(rng, 200, domain, t_lo=0, t_hi=50_000)
-    index = cls(HiqConfig(domain=domain, segment_span=10_000, capacity=6))
+    index = cls(HiqConfig(domain=domain, segment_span=10_000, capacity=6, **kw))
     for img in sorted(images, key=lambda im: im.t_c):
         index.insert(img)
         index.insert(GeoTemporalImage(img.id + 1000, img.lat, img.lon, img.t_c, img.psi))
@@ -208,8 +208,8 @@ def test_breakdowns_for_the_results_only(cls, domain, monkeypatch):
         broken_down.append(img.id)
         return combined_score(q, img, params)
 
-    def counted_candidates(q, leaf):
-        drawn.append(leaf_candidates(q, leaf))
+    def counted_candidates(q, leaf, *lam):
+        drawn.append(leaf_candidates(q, leaf, *lam))
         return drawn[-1]
 
     monkeypatch.setattr(engine, "combined_score", counted_score)
@@ -224,6 +224,99 @@ def test_breakdowns_for_the_results_only(cls, domain, monkeypatch):
         assert stats.images_scored == sum(map(len, drawn))
         more_drawn_than_kept |= stats.images_scored > len(results)
     assert more_drawn_than_kept
+
+
+def lam_choices(rng, pairs):
+    """Thresholds for a leaf: 0, infinity, a random cost, and for some of
+    its pairs the exact cost and the float just below it."""
+    lams = [0.0, math.inf, rng.uniform(0.0, 1.0)]
+    for f, _im in rng.sample(pairs, min(4, len(pairs))):
+        lams += [f, math.nextafter(f, -math.inf)]
+    return lams
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.5])
+@pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
+def test_leaf_scorer_keeps_exactly_the_pairs_within_lam(cls, xi, domain):
+    # xi = 0 gives every query word a zero floor; twins tie at every cost
+    rng = random.Random(71 + int(10 * xi))
+    index, images = twinned_index(cls, domain, rng, xi=xi)
+    leaves = [node for node in walk(index.roots()) if node.children is None]
+    seen = dict(dropped=0, kept=0, empty=0)
+    for _ in range(12):
+        q = random_query(rng, images, domain)
+        qwords = set(q.psi)
+        for leaf in leaves:
+            every = sorted(index.candidates(q, leaf), key=lambda pair: pair[1].id)
+            assert [im for _f, im in every] == sorted(
+                (im for im in leaf.images if not qwords.isdisjoint(im.word_tf)),
+                key=lambda im: im.id)
+            seen["empty"] += leaf.t_max is None
+            for lam in lam_choices(rng, every):
+                got = sorted(index.candidates(q, leaf, lam), key=lambda pair: pair[1].id)
+                assert got == [(f, im) for f, im in every if f <= lam]
+                seen["dropped"] += len(got) < len(every)
+                seen["kept"] += bool(got)
+    if cls is StviiIndex:
+        seen.pop("empty")       # an R-tree splits into non-empty groups
+    assert all(seen.values()), seen
+
+
+def test_one_leaf_segments_score_fewer_than_the_common_word_images(domain):
+    # about 50 images a segment under a capacity of 100: each tree is one
+    # leaf, so node bounds cannot skip an image of a visited leaf
+    rng = random.Random(73)
+    images = random_images(rng, 600, domain, t_lo=0, t_hi=59_999)
+    index = make_index(domain, images, segment_span=5_000, window=12, capacity=100)
+    assert len(index.roots()) == 12
+    assert all(root.children is None for root in index.roots())
+    live = index.live_images()
+    scored = common = 0
+    for _ in range(30):
+        q = random_query(rng, images, domain)
+        results, stats = top_k_search(q, index)
+        assert results_match(results, brute_force_oracle(q, live, index.params))
+        qwords = set(q.psi)
+        with_common = sum(1 for im in live if not qwords.isdisjoint(im.word_tf))
+        assert stats.images_scored <= with_common
+        scored += stats.images_scored
+        common += with_common
+    assert scored < common / 2
+
+
+@pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
+def test_search_counts_pruned_nodes_and_the_final_lam(cls, domain):
+    rng = random.Random(74)
+    images = random_images(rng, 400, domain, t_lo=0, t_hi=50_000)
+    index = cls(HiqConfig(domain=domain, segment_span=10_000, window=4, capacity=6))
+    for img in sorted(images, key=lambda im: im.t_c):
+        index.insert(img)
+    pruned = short = 0
+    for _ in range(60):
+        q = random_query(rng, images, domain)
+        audit = []
+        results, stats = top_k_search(q, index, audit)
+        assert stats.nodes_pruned == len(audit)
+        assert top_k_search(q, index)[1] == stats
+        if len(results) == q.k:
+            assert stats.lam == results[-1].score.f_stv
+        else:
+            assert stats.lam == math.inf
+            short += 1
+        pruned += stats.nodes_pruned
+    assert pruned and short < 60
+
+
+def test_leaf_bound_check_counts_an_understated_leaf(domain):
+    # a t_max older than the leaf's images overstates its recency bound
+    rng = random.Random(75)
+    images = random_images(rng, 60, domain, t_lo=0, t_hi=5_000)
+    index = make_index(domain, images, capacity=100)
+    [leaf] = index.roots()
+    q = Query(psi=tuple(range(60)), loc=(50.0, 50.0), t=6_000, k=5, weights=(0.2, 0.2, 0.6))
+    assert leaf_bound_violations(q, leaf, index.params) == 0
+    leaf.t_max = -1_000_000
+    assert leaf_bound_violations(q, leaf, index.params) > 0
 
 
 def kernel_bound(q, index, node):
