@@ -1,8 +1,8 @@
 """Streaming top-k spatial-temporal image search.
 
-A sliding-window inverted quadtree (segments + per-node word maxima and
-leaf inverted files) with best-first top-k search, two baseline indexes (inverted file append
-and a 3D R-tree), a brute-force oracle, synthetic workload generation
+A sliding-window inverted quadtree (segments + per-node word maxima over
+leaves that list their images) with best-first top-k search, two
+baseline indexes (inverted file append and a 3D R-tree), a brute-force oracle, synthetic workload generation
 and a benchmark harness.
 """
 

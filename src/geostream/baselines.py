@@ -1,13 +1,13 @@
 """Baseline indexes: inverted file append (IFA) and the 3D R-tree with
-node inverted files (STVII).
+per-node word maxima (STVII).
 
 IFA keeps one posting list per word over a table of image slots and
 scores every candidate at query time (no early termination), as numpy
 columns in one pass over the query words' posting lists. STVII boxes
 images in raw (lat, lon, t), splits quadratically on overflow, expires
 by pruning only the subtrees older than the cutoff, and carries the same
-per-node max-weight inverted files as the quadtree so it plugs into the
-shared best-first search.
+per-node word maxima as the quadtree so it plugs into the shared
+best-first search.
 
 A timestamp is an integer tick, so a box's volume counts its time
 extent in ticks, ``t1 - t0 + 1``: a stream puts many images on one
@@ -24,7 +24,7 @@ from array import array
 import numpy as np
 
 from .engine import Index, ResultEntry, SearchStats, TreeIndex
-from .model import add_posting, add_to_aggregates, combined_score, merge_aggregates, mind_visual
+from .model import add_to_aggregates, combined_score, merge_aggregates, mind_visual
 
 
 class IfaIndex(Index):
@@ -166,13 +166,17 @@ def _box_volume(b):
 
 
 class RTree3DNode:
-    __slots__ = ("mbr", "children", "images", "postings", "t_max", "max_freq")
+    """A node of STVII's 3D R-tree: its box ``mbr`` in (lat, lon, t), the
+    ``t_max`` and per-word max frequency ratios ``max_freq`` of its
+    subtree, and its ``children`` (inner) or ``images`` (leaf). A leaf
+    keeps no inverted file; the search scores its images one at a time."""
+
+    __slots__ = ("mbr", "children", "images", "t_max", "max_freq")
 
     def __init__(self, leaf=True):
         self.mbr = None                      # [lat0, lon0, t0, lat1, lon1, t1], t exact ints
         self.children = None if leaf else []
         self.images = [] if leaf else None
-        self.postings = None                 # leaf only, once scored: word -> positions
         self.t_max = None
         self.max_freq = {}
 
@@ -197,7 +201,7 @@ class StviiIndex(TreeIndex):
         node.mbr = _box_union(node.mbr, ebox)
         add_to_aggregates(node, img)
         if node.children is None:
-            add_posting(node, img)
+            node.images.append(img)
             if len(node.images) > self.capacity:
                 return self._split(node)
             return None
@@ -267,6 +271,11 @@ class StviiIndex(TreeIndex):
 
     def roots(self):
         return [self.root] if self._live else []
+
+    @staticmethod
+    def _rect(node):
+        m = node.mbr
+        return m[0], m[1], m[3], m[4]
 
     def bounds(self, q, nodes):
         """Lower bound on f_stv for any image under each of ``nodes``: the

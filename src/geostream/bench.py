@@ -156,8 +156,8 @@ def sweep(gen_cfg, index_cfg, axis, values=None, query_cfg=None, kinds=INDEX_KIN
     replaces the capacity; ``l``, ``k`` and ``omega1..3`` replace a field
     of the query config; those measure ``response_ms``, ``nodes`` and
     ``images_scored``. ``storage`` gives each index's modelled ``bytes``
-    at a prefix of ``n`` images (rows on axis ``n``), after the point's
-    queries. Indexes are rebuilt only when a point's images or index
+    at a prefix of ``n`` images (rows on axis ``n``), as built: a search
+    adds nothing that the model counts, so the point runs no queries. Indexes are rebuilt only when a point's images or index
     config change. Raises ``AnswerMismatchError`` on a wrong answer."""
     if axis not in AXES:
         raise ValueError(f"unknown axis {axis!r}")
@@ -195,24 +195,20 @@ def sweep(gen_cfg, index_cfg, axis, values=None, query_cfg=None, kinds=INDEX_KIN
             rows += [_row(axis, value, kind, "delete_us",
                           _roll_half(index, gen_cfg.start_time, horizon))
                      for kind, index in indexes.items()]
+        elif axis == "storage":
+            rows += [_row("n", value, kind, "bytes", [float(estimate_storage(index))])
+                     for kind, index in indexes.items()]
         else:
             queries = generate_queries(qc, images).queries if images else []
-            query_rows = _query_rows(axis, value, indexes, queries)
-            if axis == "storage":
-                # modelled after the point's queries, which build the
-                # inverted files of the tree leaves they reach
-                rows += [_row("n", value, kind, "bytes", [float(estimate_storage(index))])
-                         for kind, index in indexes.items()]
-            else:
-                rows += query_rows
+            rows += _query_rows(axis, value, indexes, queries)
     return rows
 
 
 def estimate_storage(index):
     """Bytes under the documented per-type size model: IFA holds one
     posting per word of each live image (the postings of expired slots
-    not yet compacted away are not counted), and a tree leaf's inverted
-    file counts once its first scoring has built it."""
+    not yet compacted away are not counted), and a tree holds its nodes,
+    their aggregates and its leaves' image records."""
     if index.kind == "ifa":
         return sum(RECORD_BYTES + (RECORD_WORD_BYTES + POSTING_BYTES) * len(img.psi)
                    for img in index.live_images())
@@ -222,8 +218,6 @@ def estimate_storage(index):
         if node.children is None:
             for img in node.images:
                 total += RECORD_BYTES + RECORD_WORD_BYTES * len(img.psi)
-            if node.postings is not None:
-                total += POSTING_BYTES * sum(map(len, node.postings.values()))
     return total
 
 

@@ -4,25 +4,25 @@
 the live corpus, admission of an image and the sliding window.
 
 The search works against any index exposing the searchable surface:
-``roots()``, ``bounds(q, nodes)``, ``candidates(q, leaf, lam)`` and a
+``roots()``, ``bounds(q, nodes)``, ``candidates(q, leaf, lam, bound)`` and a
 ``params`` attribute, with the bound dominance property (a node's bound
 <= f_stv of every image under the node). ``bounds`` gives the bound of
 each node of a list in one pass: the search asks it once for the roots
 and once for the children of each inner node it pops. ``mind(q, node)``
 is the one-node reference, ``bounds(q, [node])[0]``, which the
 dominance audit and the tests read. A node's ``children`` is a list at
-an inner node and ``None`` at a leaf, which holds its ``images`` and
-their inverted file ``postings`` (word -> positions in ``images``;
-``None`` until the leaf is first scored). ``TreeIndex`` gives the tree
-indexes (HIQ, STVII) one ``search``, ``mind``, ``candidates`` and
-``node_count``.
+an inner node and ``None`` at a leaf, which holds its ``images``.
+``TreeIndex`` gives the tree indexes (HIQ, STVII) one ``search``,
+``mind``, ``candidates`` and ``node_count``.
 
-``candidates`` scores a leaf term at a time (``QueryContext.score_leaf``)
-and returns ``(f_stv, image)`` pairs. The search passes it λ, the k-th
-best cost so far, and the scorer skips the images that cannot cost λ or
-less: those outside a spatial radius that the leaf's visual and recency
-bounds leave. So ``SearchStats.images_scored`` counts the images whose
-cost was at most λ when their leaf was scored. The search ranks on the
+``candidates`` scores a leaf one image at a time
+(``QueryContext.score_leaf``) and returns ``(f_stv, image)`` pairs. The
+search passes it λ, the k-th best cost so far, and the leaf's bound.
+The bound less its spatial part leaves the leaf a spatial radius, and
+the scorer skips the images outside it, which cannot cost λ or less. It
+also lowers λ to the k-th best cost among the leaf's own images as it
+goes, so it returns only the pairs that can still reach the top k, and
+``SearchStats.images_scored`` counts those. The search ranks on the
 pairs and builds the ``combined_score`` breakdown of the k results only,
 as IFA's column scorer does.
 """
@@ -86,11 +86,11 @@ def top_k_search(q, index, audit=None):
     Maintains a min-heap of nodes keyed by their lower bound and a
     threshold equal to the k-th best score found so far; nodes whose
     bound exceeds the threshold are pruned. A leaf's candidates are the
-    images ``index.candidates(q, leaf, lam)`` gives for the current
-    threshold, ranked on the ``f_stv`` it pairs them with; only the k
-    results get a breakdown from ``combined_score``. ``audit``, when a
-    list, is filled with the bounds of pruned nodes (for dominance-safety
-    tests).
+    images ``index.candidates(q, leaf, lam, bound)`` gives for the
+    current threshold and the leaf's bound, ranked on the ``f_stv`` it
+    pairs them with; only the k results get a breakdown from
+    ``combined_score``. ``audit``, when a list, is filled with the bounds
+    of pruned nodes (for dominance-safety tests).
     """
     params = index.params
     params.context(q)       # checks the query location
@@ -116,7 +116,7 @@ def top_k_search(q, index, audit=None):
         stats.nodes_visited += 1
         children = node.children
         if children is None:
-            scored = index.candidates(q, node, lam)
+            scored = index.candidates(q, node, lam, bound)
             stats.images_scored += len(scored)
             for f, img in scored:
                 if len(worst) < k:
@@ -273,7 +273,9 @@ class Index:
 
 class TreeIndex(Index):
     """The search surface shared by the tree indexes. A subclass provides
-    ``roots()``, ``bounds(q, nodes)`` and ``params``."""
+    ``roots()``, ``bounds(q, nodes)``, ``params`` and ``_rect(node)``, the
+    ``(min_lat, min_lon, max_lat, max_lon)`` that ``bounds`` measures a
+    node's spatial cost from."""
 
     def search(self, q):
         return top_k_search(q, self)
@@ -283,13 +285,34 @@ class TreeIndex(Index):
         reference of ``bounds``."""
         return self.bounds(q, [node])[0]
 
-    def candidates(self, q, leaf, lam=math.inf):
+    def candidates(self, q, leaf, lam=math.inf, bound=0.0):
         """``(f_stv, image)`` for each image in the leaf sharing at least
-        one query word and costing at most ``lam``
+        one query word and costing at most ``min(lam, c_k)``, where
+        ``c_k`` is the k-th lowest such cost in the leaf
         (``QueryContext.score_leaf``), in no set order (the search's
-        results do not depend on it). Without ``lam``, every image that
-        shares a query word."""
-        return self.params.context(q).score_leaf(leaf, lam)
+        results do not depend on it).
+
+        ``bound`` is a lower bound on f_stv over the leaf, such as
+        ``mind(q, leaf)``; less its spatial part, in the rectangle
+        arithmetic of ``bounds``, it bounds each image's visual and
+        recency cost, which sets the scorer's spatial radius. Any valid
+        bound gives the same pairs; the default 0.0 gives a looser radius."""
+        p = self.params
+        q_lat, q_lon = q.loc
+        min_lat, min_lon, max_lat, max_lon = self._rect(leaf)
+        d_lat = 0.0
+        if q_lat < min_lat:
+            d_lat = min_lat - q_lat
+        elif q_lat > max_lat:
+            d_lat = q_lat - max_lat
+        d_lon = 0.0
+        if q_lon < min_lon:
+            d_lon = min_lon - q_lon
+        elif q_lon > max_lon:
+            d_lon = q_lon - max_lon
+        floor = bound - q.weights[0] * (
+            math.sqrt(d_lat * d_lat + d_lon * d_lon) / p.domain.delta_max)
+        return p.context(q).score_leaf(leaf, lam, floor)
 
     def node_count(self):
         return sum(1 for _ in walk(self.roots()))

@@ -2,12 +2,11 @@
 
 Each time segment that holds an image owns a quadtree whose nodes carry
 a rectangle, the max timestamp of the subtree and the per-word max
-frequency ratios of the subtree; leaves hold a list of their images and,
-from the leaf's first scoring on, an inverted file over that list
-(``QuadNode.postings``), which a split or a rebuild leaves unbuilt on
-the new leaves. A segment's tree opens with its first image and leaves
-whole, with its bucket of the corpus statistics, once the window starts
-after it; a tree a cutoff splits is rebuilt from its survivors.
+frequency ratios of the subtree; a leaf holds only a list of its images,
+which the search scores one image at a time (``QueryContext.score_leaf``).
+A segment's tree opens with its first image and leaves whole, with its
+bucket of the corpus statistics, once the window starts after it; a tree
+a cutoff splits is rebuilt from its survivors.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .engine import ExpiredArrivalError, TreeIndex, walk  # noqa: F401 (re-exported)
-from .model import _counts, add_posting, add_to_aggregates, mind_visual
+from .model import _counts, add_to_aggregates, mind_visual
 
 
 @dataclass
@@ -38,7 +37,7 @@ class HiqConfig:
 class QuadNode:
     __slots__ = (
         "min_lat", "min_lon", "max_lat", "max_lon",
-        "t_max", "children", "images", "postings", "max_freq",
+        "t_max", "children", "images", "max_freq",
     )
 
     def __init__(self, min_lat, min_lon, max_lat, max_lon):
@@ -49,7 +48,6 @@ class QuadNode:
         self.t_max = None
         self.children = None     # inner: list of 4 (NW, NE, SW, SE)
         self.images = []         # leaf only
-        self.postings = None     # leaf only, once scored: word -> positions
         self.max_freq = {}       # word -> max tf/total_tf in subtree
 
     def quadrant(self, lat, lon):
@@ -87,10 +85,9 @@ def _split(node):
     for img in node.images:
         child = children[node.quadrant(img.lat, img.lon)]
         add_to_aggregates(child, img)
-        add_posting(child, img)
+        child.images.append(img)
     node.children = children
     node.images = []
-    node.postings = None
 
 
 class HiqIndex(TreeIndex):
@@ -137,7 +134,7 @@ class HiqIndex(TreeIndex):
         while True:
             add_to_aggregates(node, img)
             if node.children is None:
-                add_posting(node, img)
+                node.images.append(img)
                 if len(node.images) > cfg.capacity and depth < cfg.max_depth:
                     _split(node)
                 return
@@ -149,6 +146,10 @@ class HiqIndex(TreeIndex):
     def roots(self):
         """One tree per segment that holds an image, in no set order."""
         return list(self._trees.values())
+
+    @staticmethod
+    def _rect(node):
+        return node.min_lat, node.min_lon, node.max_lat, node.max_lon
 
     def bounds(self, q, nodes):
         """Lower bound on f_stv for any image under each of ``nodes``: the

@@ -7,6 +7,7 @@ recency. Scoring is pure: identical inputs give bit-identical outputs.
 
 from __future__ import annotations
 
+import heapq
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -380,9 +381,9 @@ class QueryContext:
     ``visual`` scores one image, ``visual_columns`` a whole slot table in
     one numpy pass over the query words' joined posting columns, and
     ``mind_visual`` a node. ``score_leaf`` gives the combined score of
-    each image of a tree leaf that holds a query word, from the posting
-    lists of the query words in the leaf's inverted file. Both make each
-    image's sums in the order ``visual`` makes them.
+    the images of a tree leaf that hold a query word and can reach the
+    top k, one image at a time, nearest first while no threshold is
+    known. Both make each image's sums in the order ``visual`` makes them.
 
     Building one checks the query location: ``DomainError`` outside the
     domain.
@@ -461,85 +462,79 @@ class QueryContext:
                 held += 1
         return self._cost(log_num, log_diff, held)
 
-    def score_leaf(self, leaf, lam=math.inf):
+    def score_leaf(self, leaf, lam=math.inf, floor=0.0):
         """``(f_stv, image)`` for every image of a tree leaf that holds a
-        query word and costs at most ``lam``, term at a time over the
-        leaf's inverted file ``leaf.postings`` (built here on the leaf's
-        first scoring).
+        query word and costs at most ``min(lam, c_k)``, where ``c_k`` is
+        the k-th lowest cost among those images (infinite below k of
+        them), from one pass over ``leaf.images``.
 
-        ``lam`` gives the leaf a spatial radius, ``(lam + BOUND_TOL -
-        w2 * f_v - w3 * f_t) * delta_max / w1``, where ``f_v`` is
-        ``mind_visual`` of the leaf and ``f_t`` the recency cost at its
-        ``t_max``, as in the indexes' ``bounds``. An image farther than
-        that from the query costs more than ``lam``, so the posting walk
-        skips it. An infinite ``lam`` skips none and reads only the leaf's
-        ``images`` and ``postings``. The margin keeps every
+        ``floor`` is a lower bound on ``w2 * f_v + w3 * f_t`` over the
+        leaf's images: the leaf's node bound less its spatial part, or
+        0.0, which always holds. It gives the leaf a spatial radius,
+        ``(lam + BOUND_TOL - floor) * delta_max / w1``. An image farther
+        than that from the query costs more than ``lam``, so the pass
+        skips it before it reads the image's words. The margin keeps every
         image that costs ``lam`` exactly, which the search may still swap
-        in for a result with a larger id.
+        in for a result with a larger id. The pass keeps the k lowest
+        costs so far in a heap; once it holds k, ``lam`` falls to the
+        k-th of them and the radius shrinks with it. When ``lam`` starts
+        infinite, the images are visited nearest first, so the pass ends
+        at the first image outside the radius.
 
-        Each image's sums are made in query order, as in ``visual``, into
-        one slot per position of three lists. Its visual cost is ``_cost``
-        and its spatial and temporal costs and ``f_stv`` are
-        ``kernels.spatial_cost``, ``recency_cost`` and ``combine``, all
-        inline in their operands and order, so each ``f_stv`` equals the
-        ``combined_score`` breakdown's bit for bit."""
+        An image's held query words are ``floors.keys() & word_tf.keys()``,
+        summed in ascending word order, which is query order, as in
+        ``visual``. Its visual cost is ``_cost`` and its spatial and
+        temporal costs and ``f_stv`` are ``kernels.spatial_cost``,
+        ``recency_cost`` and ``combine``, all inline in their operands and
+        order, so each ``f_stv`` equals the ``combined_score`` breakdown's
+        bit for bit."""
         w1, w2, w3 = self._weights
         lat, lon, t = self._lat, self._lon, self._t
         delta_max, decay_base, time_unit = self._delta_max, self._decay_base, self._time_unit
-        r2 = math.inf
-        if lam < math.inf:
-            if leaf.t_max is None:
-                return []
-            age = t - leaf.t_max
-            if age < 0.0:
-                age = 0.0
-            r = (lam + BOUND_TOL - w2 * self.mind_visual(leaf.max_freq)
-                 - w3 * (1.0 - decay_base ** (-(age / time_unit)))) * delta_max / w1
-            if r < 0.0:
-                return []
-            r2 = r * r
-        postings = leaf.postings
+        k = self.q.k
+        lam0 = lam
+        r = (lam + BOUND_TOL - floor) * delta_max / w1
+        r2 = r * r if r >= 0.0 else -1.0
         images = leaf.images
-        if postings is None:
-            postings = leaf.postings = {}
-            for i, img in enumerate(images):
-                _post(postings, i, img)
-        # squared distances to the query, the operand of each spatial cost
-        dist2 = [(d_lat := lat - img.lat) * d_lat + (d_lon := lon - img.lon) * d_lon
-                 for img in images]
-        scale = self._scale
-        log = math.log
-        n = len(images)
-        log_num = [0.0] * n
-        log_diff = [0.0] * n
-        held = [0] * n
-        for v, (floor, lf) in self._floors.items():
-            positions = postings.get(v)
-            if positions is None:
-                continue
-            for i in positions:
-                if dist2[i] > r2:
-                    continue
-                img = images[i]
-                lw = log(scale * (img.word_tf[v] / img.total_tf) + floor)
-                log_num[i] += lw
-                log_diff[i] += lw - lf
-                held[i] += 1
+        nearest_first = lam == math.inf
+        if nearest_first:
+            images = sorted(images, key=lambda img: (
+                (d_lat := lat - img.lat) * d_lat + (d_lon := lon - img.lon) * d_lon))
+        floors = self._floors
+        query_words = floors.keys()
         zero_words = self._zero_words
-        n_words = len(self._floors)
-        log_den, log_const = self._log_den, self._log_const
-        exp = math.exp
-        sqrt = math.sqrt
+        n_words = len(floors)
+        scale, log_den, log_const = self._scale, self._log_den, self._log_const
+        log, exp, sqrt = math.log, math.exp, math.sqrt
+        top = []                # the k lowest costs so far, negated (a max-heap)
         scored = []
-        for img, d2, num, diff, h in zip(images, dist2, log_num, log_diff, held):
-            if not h:
+        for img in images:
+            d_lat = lat - img.lat
+            d_lon = lon - img.lon
+            d2 = d_lat * d_lat + d_lon * d_lon
+            if d2 > r2:
+                if nearest_first:
+                    break
+                continue
+            word_tf = img.word_tf
+            held = query_words & word_tf.keys()
+            if not held:
                 continue
             for v in zero_words:
-                if v not in img.word_tf:
+                if v not in word_tf:
                     f_v = 1.0
                     break
             else:
-                ratio = exp(num - log_den if h == n_words else diff + log_const)
+                total = img.total_tf
+                log_num = 0.0
+                log_diff = 0.0
+                for v in sorted(held):
+                    floor_v, lf = floors[v]
+                    lw = log(scale * (word_tf[v] / total) + floor_v)
+                    log_num += lw
+                    log_diff += lw - lf
+                ratio = exp(log_num - log_den if len(held) == n_words
+                            else log_diff + log_const)
                 if ratio > 1.0:
                     ratio = 1.0
                 f_v = 1.0 - ratio
@@ -548,8 +543,22 @@ class QueryContext:
                 age = 0.0
             f = (w1 * (sqrt(d2) / delta_max) + w2 * f_v
                  + w3 * (1.0 - decay_base ** (-(age / time_unit))))
-            if f <= lam:
-                scored.append((f, img))
+            if f > lam:
+                continue
+            scored.append((f, img))
+            if len(top) < k:
+                heapq.heappush(top, -f)
+                if len(top) < k:
+                    continue
+            elif f < lam:
+                heapq.heapreplace(top, -f)
+            else:
+                continue
+            lam = -top[0]
+            r = (lam + BOUND_TOL - floor) * delta_max / w1
+            r2 = r * r if r >= 0.0 else -1.0
+        if lam < lam0:
+            scored = [pair for pair in scored if pair[0] <= lam]
         return scored
 
     def visual_columns(self, postings, n):
@@ -698,20 +707,6 @@ def merge_aggregates(node, child):
     for word, f in child.max_freq.items():
         if f > mf.get(word, 0.0):
             mf[word] = f
-
-
-def add_posting(leaf, img):
-    """Appends ``img`` to a tree leaf's images and, once the leaf's
-    inverted file is built, to its posting lists."""
-    if leaf.postings is not None:
-        _post(leaf.postings, len(leaf.images), img)
-    leaf.images.append(img)
-
-
-def _post(postings, i, img):
-    """Adds position ``i``, holding ``img``, to the posting lists."""
-    for v in img.word_tf:
-        postings.setdefault(v, []).append(i)
 
 
 def mind_visual(q, node_max_freq, params):

@@ -8,7 +8,6 @@ import pytest
 
 from geostream import bench
 from geostream.baselines import IfaIndex
-from geostream.engine import walk
 from geostream.hiq import HiqConfig, HiqIndex
 from geostream.model import SpatialDomain
 from geostream.workload import GeneratorConfig, QueryConfig, generate_images, generate_queries
@@ -112,24 +111,22 @@ class TestStorage:
             assert 0 < small_sizes[kind] < big_sizes[kind]
 
     @pytest.mark.parametrize("kind", ["hiq", "stvii"])
-    def test_leaf_inverted_files_count_once_built(self, kind):
+    def test_tree_storage_unchanged_by_queries(self, kind):
+        # a tree leaf keeps no inverted file, so a search leaves the
+        # modelled bytes as the build left them
         cfg = small_index(segment_span=10_000)
         gen = small_gen(image_count=200)
-        qc = QueryConfig(seed=1, count=3)
         images = generate_images(gen)
         index = bench.build_index(kind, cfg)
         for img in images:
             index.insert(img)
-        unscored = bench.estimate_storage(index)
-        for q in generate_queries(qc, images).queries:
-            index.search(q)
-        built = [leaf for leaf in walk(index.roots()) if leaf.postings is not None]
-        assert built
-        postings = sum(len(img.psi) for leaf in built for img in leaf.images)
-        assert bench.estimate_storage(index) == unscored + bench.POSTING_BYTES * postings
-        # the storage axis models the indexes after the point's queries
-        rows = bench.sweep(gen, cfg, "storage", values=(200,), query_cfg=qc, kinds=(kind,))
-        assert [r.mean for r in rows] == [bench.estimate_storage(index)]
+        built = bench.estimate_storage(index)
+        scored = sum(index.search(q)[1].images_scored
+                     for q in generate_queries(QueryConfig(seed=1, count=3), images).queries)
+        assert scored
+        assert bench.estimate_storage(index) == built
+        rows = bench.sweep(gen, cfg, "storage", values=(200,), kinds=(kind,))
+        assert [r.mean for r in rows] == [built]
 
 
 AXIS_METRICS = {"arrival_rate": ("insert_us", "delete_us"), "storage": ("bytes",)}
@@ -200,3 +197,44 @@ def test_bench_record_names_each_moved_count():
     newest = json.loads(record.newest().read_text())["counts"]
     assert sorted(newest) == sorted(record.WORKLOADS)
     assert all("engine.images_scored" in counts for counts in newest.values())
+
+
+def load_bench_pairs():
+    path = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summarises_each_metric_over_the_pairs():
+    pairs_tool = load_bench_pairs()
+
+    def result(ms, per_s, correct=True):
+        return {"correct": correct, "metrics": {"q_ms": {"value": ms, "unit": "ms"},
+                                                "ingest": {"value": per_s, "unit": "1/s"}}}
+
+    metrics = [{"name": "q_ms", "unit": "ms", "better": "lower"},
+               {"name": "ingest", "unit": "1/s", "better": "higher"},
+               {"name": "absent", "unit": "ms", "better": "lower"}]
+    # the change is 0.1 ms faster in nine pairs and ties in the tenth;
+    # its ingest is lower in every pair
+    pairs = [(result(1.0 + i / 100, 100.0), result(0.9 + i / 100, 90.0)) for i in range(9)]
+    pairs.append((result(2.0, 100.0), result(2.0, 90.0)))
+    q_ms, ingest = pairs_tool.summarise(pairs, metrics)
+    assert (q_ms["name"], q_ms["wins"], q_ms["pairs"]) == ("q_ms", 9, 10)
+    assert q_ms["parent"] == pytest.approx((1.0225, 1.045, 1.0675))
+    assert q_ms["change"] == pytest.approx((0.9225, 0.945, 0.9675))
+    assert q_ms["delta"] == pytest.approx(-0.1 / 1.045)
+    assert q_ms["gain"]             # 9 of 10, and a gap of 0.1 beyond the IQR 0.045
+    assert (ingest["wins"], ingest["delta"], ingest["gain"]) == (0, -0.1, False)
+    # a pair a run failed in leaves the rows; it still counts as not correct
+    failed = pairs + [(result(1.0, 100.0), None)]
+    assert pairs_tool.summarise(failed, metrics) == [q_ms, ingest]
+    assert pairs_tool.not_correct(failed) == 1
+    assert pairs_tool.not_correct(pairs + [(result(1.0, 1.0, correct=False), None)]) == 2
+    # a gap within the parent's quartiles is no gain, however many wins
+    close = [(result(1.0 + i / 10, 1.0), result(0.99 + i / 10, 1.0)) for i in range(10)]
+    assert not pairs_tool.summarise(close, metrics[:1])[0]["gain"]
+    assert pairs_tool.quartiles([3.0]) == (3.0, 3.0, 3.0)
+    assert len(pairs_tool.format_rows([q_ms, ingest])) == 3

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -160,15 +161,26 @@ def test_leaf_candidates_and_tree_counts(cls, domain):
     for _ in range(10):
         q = random_query(rng, images, domain)
         for leaf in leaves:
-            expected = sorted(
-                (im for im in leaf.images if set(im.word_tf) & set(q.psi)),
-                key=lambda im: im.id,
-            )
             # pairs come in no set order, which the search does not depend on
             scored = sorted(index.candidates(q, leaf), key=lambda pair: pair[1].id)
-            assert [im for _f, im in scored] == expected
-            for f, im in scored:
-                assert f == combined_score(q, im, index.params).f_stv
+            assert scored == within(holding_pairs(q, leaf, index.params), math.inf, q.k)
+
+
+def holding_pairs(q, leaf, params):
+    """``(f_stv, image)`` from ``combined_score`` for each image of the
+    leaf that holds a query word, by id."""
+    qwords = set(q.psi)
+    return [(combined_score(q, im, params).f_stv, im)
+            for im in sorted(leaf.images, key=lambda im: im.id)
+            if not qwords.isdisjoint(im.word_tf)]
+
+
+def within(pairs, lam, k):
+    """The pairs that cost at most ``lam`` and at most the k-th lowest
+    cost among them all."""
+    costs = sorted(f for f, _im in pairs)
+    cut = min(lam, costs[k - 1] if len(costs) >= k else math.inf)
+    return [(f, im) for f, im in pairs if f <= cut]
 
 
 def twinned_index(cls, domain, rng, **kw):
@@ -238,28 +250,58 @@ def lam_choices(rng, pairs):
 @pytest.mark.parametrize("xi", [0.0, 0.5])
 @pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
 def test_leaf_scorer_keeps_exactly_the_pairs_within_lam(cls, xi, domain):
-    # xi = 0 gives every query word a zero floor; twins tie at every cost
+    # xi = 0 gives every query word a zero floor; twins tie at every cost,
+    # the k-th included
     rng = random.Random(71 + int(10 * xi))
     index, images = twinned_index(cls, domain, rng, xi=xi)
     leaves = [node for node in walk(index.roots()) if node.children is None]
-    seen = dict(dropped=0, kept=0, empty=0)
+    biggest = max(len(leaf.images) for leaf in leaves)
+    seen = dict(dropped=0, kept=0, empty=0, cut_by_k=0, whole=0)
     for _ in range(12):
         q = random_query(rng, images, domain)
-        qwords = set(q.psi)
-        for leaf in leaves:
-            every = sorted(index.candidates(q, leaf), key=lambda pair: pair[1].id)
-            assert [im for _f, im in every] == sorted(
-                (im for im in leaf.images if not qwords.isdisjoint(im.word_tf)),
-                key=lambda im: im.id)
-            seen["empty"] += leaf.t_max is None
-            for lam in lam_choices(rng, every):
-                got = sorted(index.candidates(q, leaf, lam), key=lambda pair: pair[1].id)
-                assert got == [(f, im) for f, im in every if f <= lam]
-                seen["dropped"] += len(got) < len(every)
-                seen["kept"] += bool(got)
+        # k = biggest covers every leaf, which then returns every pair
+        # within lam
+        for k in (1, 2, q.k, biggest):
+            qk = dataclasses.replace(q, k=k)
+            for leaf in leaves:
+                every = holding_pairs(qk, leaf, index.params)
+                seen["empty"] += leaf.t_max is None
+                bound = index.mind(qk, leaf)
+                for lam in lam_choices(rng, every):
+                    got = sorted(index.candidates(qk, leaf, lam, bound),
+                                 key=lambda pair: pair[1].id)
+                    lam_only = [(f, im) for f, im in every if f <= lam]
+                    assert got == within(every, lam, k)
+                    seen["dropped"] += len(lam_only) < len(every)
+                    seen["cut_by_k"] += len(got) < len(lam_only)
+                    seen["whole"] += k == biggest and 0 < len(got) == len(every)
+                    seen["kept"] += bool(got)
     if cls is StviiIndex:
         seen.pop("empty")       # an R-tree splits into non-empty groups
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
+def test_leaf_pairs_do_not_depend_on_the_bound(cls, domain):
+    # any valid bound gives the same pairs: the leaf's own bound, as the
+    # search passes it, and 0.0. One 1e-6 above it is no bound, and the
+    # radius it leaves loses a pair on some leaf
+    rng = random.Random(76)
+    index, images = twinned_index(cls, domain, rng)
+    leaves = [node for node in walk(index.roots()) if node.children is None]
+    lost = 0
+    for _ in range(12):
+        q = random_query(rng, images, domain)
+        for leaf in leaves:
+            bound = index.mind(q, leaf)
+            every = holding_pairs(q, leaf, index.params)
+            for lam in lam_choices(rng, every):
+                got = sorted(index.candidates(q, leaf, lam, bound), key=lambda pair: pair[1].id)
+                assert got == within(every, lam, q.k)
+                assert got == sorted(index.candidates(q, leaf, lam, 0.0),
+                                     key=lambda pair: pair[1].id)
+                lost += len(index.candidates(q, leaf, lam, bound + 1e-6)) < len(got)
+    assert lost
 
 
 def test_one_leaf_segments_score_fewer_than_the_common_word_images(domain):

@@ -14,7 +14,6 @@ from geostream.model import (
     Query,
     ScoreParams,
     SpatialDomain,
-    add_posting,
     combined_score,
     mind_visual,
     spatial_proximity,
@@ -644,21 +643,14 @@ class TestQueryContext:
                 words = rng.sample(range(70), rng.randint(1, 12))
             w1 = rng.uniform(0.05, 0.6)
             w2 = rng.uniform(0.05, 0.95 - w1)
+            # k covers the whole leaf, so every image with a query word
+            # comes back
             q = Query(psi=words,
                       loc=(rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)),
-                      t=rng.randint(0, 10_000), k=1, weights=(w1, w2, 1.0 - w1 - w2))
+                      t=rng.randint(0, 10_000), k=30, weights=(w1, w2, 1.0 - w1 - w2))
             absent += any(v >= 60 for v in q.psi)
-            ctx = p.context(q)
-            # half the images before the leaf's first scoring builds its
-            # inverted file, the rest posted into the built one
-            leaf = SimpleNamespace(images=[], postings=None)
-            half = len(corpus) // 2
-            for image in corpus[:half]:
-                add_posting(leaf, image)
-            ctx.score_leaf(leaf)
-            for image in corpus[half:]:
-                add_posting(leaf, image)
-            scored = sorted(ctx.score_leaf(leaf), key=lambda pair: pair[1].id)
+            leaf = SimpleNamespace(images=corpus)
+            scored = sorted(p.context(q).score_leaf(leaf), key=lambda pair: pair[1].id)
             assert [image for _f, image in scored] == \
                 [image for image in corpus if set(q.psi) & set(image.word_tf)]
             for f, image in scored:
