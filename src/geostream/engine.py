@@ -24,7 +24,11 @@ also lowers λ to the k-th best cost among the leaf's own images as it
 goes, so it returns only the pairs that can still reach the top k, and
 ``SearchStats.images_scored`` counts those. The search ranks on the
 pairs and builds the ``combined_score`` breakdown of the k results only,
-as IFA's column scorer does.
+as IFA's column scorer does. The scorer records the spatial, visual and
+temporal terms of each pair it returns in the query's context, and
+``combined_score`` takes a tree result's breakdown from there instead of
+computing it again; the query's word constants come from
+``ScoreParams.word_table``, filled once per corpus state.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import kernels
 from .model import (
@@ -58,25 +63,30 @@ class ExpiredArrivalError(ValueError):
     """An image older than the start of the live window was offered."""
 
 
-@dataclass(frozen=True)
-class ResultEntry:
+class ResultEntry(NamedTuple):
+    """One result of a search: the image's id and its ``combined_score``
+    breakdown. A named tuple, like ``ScoreBreakdown``."""
+
     image_id: int
-    score: object   # ScoreBreakdown
+    score: ScoreBreakdown
 
 
 @dataclass
 class SearchStats:
     """What a search did. ``images_scored`` counts the ``(f_stv, image)``
     pairs the search ranked. In the tree search ``nodes_pruned`` counts
-    the nodes whose bound exceeded λ (the entries of ``audit``) and
-    ``lam`` is the final λ, infinite while fewer than k images were
-    found."""
+    the nodes whose bound exceeded λ (the entries of ``audit``), ``lam``
+    is the final λ, infinite while fewer than k images were found, and
+    ``stop`` says why it ended: ``"exhausted"`` when the node heap
+    emptied, ``"bound"`` when a popped node's bound exceeded λ. IFA,
+    which scans every candidate, always reads ``"exhausted"``."""
 
     nodes_visited: int = 0
     images_scored: int = 0
     heap_peak: int = 0
     nodes_pruned: int = 0
     lam: float = math.inf
+    stop: str = "exhausted"
 
 
 def top_k_search(q, index, audit=None):
@@ -89,8 +99,10 @@ def top_k_search(q, index, audit=None):
     images ``index.candidates(q, leaf, lam, bound)`` gives for the
     current threshold and the leaf's bound, ranked on the ``f_stv`` it
     pairs them with; only the k results get a breakdown from
-    ``combined_score``. ``audit``, when a list, is filled with the bounds
-    of pruned nodes (for dominance-safety tests).
+    ``combined_score``, which reads the terms the leaf scorer recorded for
+    them. ``audit``, when a list, is filled with the bounds of pruned
+    nodes (for dominance-safety tests). ``stats.stop`` says whether the
+    heap emptied or a bound ended the search.
     """
     params = index.params
     params.context(q)       # checks the query location
@@ -108,6 +120,7 @@ def top_k_search(q, index, audit=None):
     while heap:
         bound, _, node = heapq.heappop(heap)
         if bound > lam:
+            stats.stop = "bound"
             stats.nodes_pruned += 1 + len(heap)
             if audit is not None:
                 audit.append(bound)

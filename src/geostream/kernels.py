@@ -13,8 +13,9 @@ The tree search's hot loops, ``QueryContext.score_leaf`` and the indexes'
 ``bounds``, inline ``spatial_cost``, ``rect_min_cost``, ``recency_cost``
 and ``combine`` in the same operands and order, so their results are
 bit-equal to these functions'. The functions stay as the reference that
-the tests compare against, as the path of ``model.combined_score`` and
-the oracle, and as what the benchmark's call counters wrap.
+the tests compare against, as the path of the oracle and of
+``model.combined_score`` for an image the leaf scorer did not return,
+and as what the benchmark's call counters wrap.
 """
 
 import math

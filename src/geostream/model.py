@@ -11,6 +11,7 @@ import heapq
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -217,27 +218,31 @@ class CorpusStats:
     """Term statistics over the live (non-expired) image set.
 
     The images sit in one bucket per window segment, keyed by
-    ``t_c // segment_span`` like the segments of ``engine.Index`` (a
-    single bucket when ``segment_span`` is None), and are told apart by
-    id. A bucket keeps its images and its exact max frequency ratio per
-    word; the corpus tf per word and the total term count are kept over
-    all buckets, and ``max_freq`` is the maximum over the buckets. A
-    bucket leaves whole, subtracting its images' counts; one that loses
-    only some images (to a cutoff inside it in ``expire``, or to
-    ``remove_image``) is dropped and rebuilt from its survivors.
+    ``t_c // segment_span`` like the segments of ``engine.Index``, and
+    are told apart by id; ``segment_span`` must be a whole number of at
+    least 1, and anything else, a missing span included, raises
+    ``ConfigError``. A bucket keeps its images and its exact max
+    frequency ratio per word; the corpus tf per word and the total term
+    count are kept over all buckets, and ``max_freq`` is the maximum over
+    the buckets. A bucket leaves whole, subtracting its images' counts;
+    one that loses only some images (to a cutoff inside it in ``expire``,
+    or to ``remove_image``) is dropped and rebuilt from its survivors.
     ``version`` counts the updates, so a ``QueryContext`` can tell it is
     stale.
     """
 
     def __init__(self, segment_span=None):
+        span = _whole(segment_span, "segment_span", ConfigError)
+        if span < 1:
+            raise ConfigError(f"segment_span must be >= 1, got {segment_span!r}")
         self.version = 0
         self.total_word_count = 0
         self.word_corpus_tf = {}
-        self._span = segment_span
+        self._span = span
         self._buckets = {}      # t_c // segment_span -> _Bucket
 
     def _key(self, t):
-        return t // self._span if self._span else 0
+        return t // self._span
 
     def add_image(self, img):
         self.version += 1
@@ -269,10 +274,9 @@ class CorpusStats:
         """Drops the images older than ``cutoff`` and returns them."""
         span = self._span
         old = []
-        if span:
-            for key in [key for key in self._buckets if (key + 1) * span <= cutoff]:
-                old.extend(self._drop(key))
-        if not span or cutoff % span:
+        for key in [key for key in self._buckets if (key + 1) * span <= cutoff]:
+            old.extend(self._drop(key))
+        if cutoff % span:
             key = self._key(cutoff)
             bucket = self._buckets.get(key)
             if bucket is not None:
@@ -344,6 +348,8 @@ class ScoreParams:
     decay_base: float = 2.0
     time_unit: float = 3600.0
     _context: object = field(default=None, init=False, repr=False, compare=False)
+    _words: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _words_of: tuple = field(default=(None, -1), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("xi", "decay_base", "time_unit"):
@@ -358,12 +364,29 @@ class ScoreParams:
     def context(self, q):
         """The ``QueryContext`` of ``q`` over the current corpus. The last
         one is kept while the query object, the stats object and its
-        version stay the same."""
+        version stay the same; so are the breakdown terms its leaf scorer
+        recorded, which ``combined_score`` reads. A new context takes its
+        word constants from ``word_table``."""
         c = self._context
         stats = self.stats
         if c is None or c.q is not q or c.stats is not stats or c.version != stats.version:
             c = self._context = QueryContext(q, self)
         return c
+
+    def word_table(self):
+        """The word constants of the current corpus, filled by
+        ``QueryContext`` as queries ask for words: ``word -> ((floor, log
+        floor), log max weight)``, or ``()`` for a word absent from the live
+        corpus. It is emptied when the stats object or its version changes,
+        the key that ``context`` keeps its context by, so a word's entry is
+        computed once per corpus state whatever the number of queries that
+        ask for it."""
+        stats = self.stats
+        of = self._words_of
+        if of[0] is not stats or of[1] != stats.version:
+            self._words = {}
+            self._words_of = (stats, stats.version)
+        return self._words
 
 
 class QueryContext:
@@ -385,11 +408,19 @@ class QueryContext:
     top k, one image at a time, nearest first while no threshold is
     known. Both make each image's sums in the order ``visual`` makes them.
 
+    A word's floor, log floor and log live maximum are read from
+    ``ScoreParams.word_table`` and computed only for a word no earlier
+    query of the same corpus state asked for. ``terms`` maps an image id
+    to ``(image, f_s, f_v, f_t)`` for each pair ``score_leaf`` returned;
+    ``combined_score`` reads a breakdown from it. A context lives for one
+    query object and one corpus state, so neither outlives a corpus
+    change.
+
     Building one checks the query location: ``DomainError`` outside the
     domain.
     """
 
-    __slots__ = ("q", "stats", "version", "_scale", "_floors", "_zero_words",
+    __slots__ = ("q", "stats", "version", "terms", "_scale", "_floors", "_zero_words",
                  "_log_den", "_log_const", "_lat", "_lon", "_t", "_weights",
                  "_delta_max", "_decay_base", "_time_unit")
 
@@ -401,6 +432,7 @@ class QueryContext:
         self.q = q
         self.stats = stats
         self.version = stats.version
+        self.terms = {}
         self._lat, self._lon = q.loc
         self._t = q.t
         self._weights = q.weights
@@ -408,22 +440,29 @@ class QueryContext:
         self._decay_base = params.decay_base
         self._time_unit = params.time_unit
         self._scale = 1.0 - xi
+        words = params.word_table()
         floors = {}         # word -> (floor, log floor), in query order
         zero_words = []
         log_den = 0.0
         log_floors = 0.0
         for v in q.psi:
-            floor, m = stats.weight_range(v, xi)
-            if m <= 0.0:
+            entry = words.get(v)
+            if entry is None:
+                floor, m = stats.weight_range(v, xi)
+                if m <= 0.0:
+                    entry = ()
+                else:
+                    entry = ((floor, math.log(floor) if floor > 0.0 else 0.0), math.log(m))
+                words[v] = entry
+            if not entry:
                 continue
-            log_den += math.log(m)
-            if floor > 0.0:
-                lf = math.log(floor)
-                log_floors += lf
+            fl, log_m = entry
+            log_den += log_m
+            if fl[0] > 0.0:
+                log_floors += fl[1]
             else:
-                lf = 0.0
                 zero_words.append(v)
-            floors[v] = (floor, lf)
+            floors[v] = fl
         self._floors = floors
         self._zero_words = tuple(zero_words)
         self._log_den = log_den
@@ -487,7 +526,9 @@ class QueryContext:
         temporal costs and ``f_stv`` are ``kernels.spatial_cost``,
         ``recency_cost`` and ``combine``, all inline in their operands and
         order, so each ``f_stv`` equals the ``combined_score`` breakdown's
-        bit for bit."""
+        bit for bit. The three terms of each returned pair go into
+        ``terms``, where ``combined_score`` finds them; a pair dropped by
+        the final λ takes its terms out again."""
         w1, w2, w3 = self._weights
         lat, lon, t = self._lat, self._lon, self._t
         delta_max, decay_base, time_unit = self._delta_max, self._decay_base, self._time_unit
@@ -506,6 +547,7 @@ class QueryContext:
         n_words = len(floors)
         scale, log_den, log_const = self._scale, self._log_den, self._log_const
         log, exp, sqrt = math.log, math.exp, math.sqrt
+        terms = self.terms
         top = []                # the k lowest costs so far, negated (a max-heap)
         scored = []
         for img in images:
@@ -541,11 +583,13 @@ class QueryContext:
             age = t - img.t_c
             if age < 0.0:
                 age = 0.0
-            f = (w1 * (sqrt(d2) / delta_max) + w2 * f_v
-                 + w3 * (1.0 - decay_base ** (-(age / time_unit))))
+            f_s = sqrt(d2) / delta_max
+            f_t = 1.0 - decay_base ** (-(age / time_unit))
+            f = w1 * f_s + w2 * f_v + w3 * f_t
             if f > lam:
                 continue
             scored.append((f, img))
+            terms[img.id] = (img, f_s, f_v, f_t)
             if len(top) < k:
                 heapq.heappush(top, -f)
                 if len(top) < k:
@@ -558,7 +602,13 @@ class QueryContext:
             r = (lam + BOUND_TOL - floor) * delta_max / w1
             r2 = r * r if r >= 0.0 else -1.0
         if lam < lam0:
-            scored = [pair for pair in scored if pair[0] <= lam]
+            kept = []
+            for pair in scored:
+                if pair[0] <= lam:
+                    kept.append(pair)
+                else:
+                    del terms[pair[1].id]
+            scored = kept
         return scored
 
     def visual_columns(self, postings, n):
@@ -622,8 +672,12 @@ class QueryContext:
         return self._cost(log_num, log_diff, held)
 
 
-@dataclass(frozen=True)
-class ScoreBreakdown:
+class ScoreBreakdown(NamedTuple):
+    """The spatial, visual and temporal costs of one image for one query
+    and their weighted sum ``f_stv``, as ``combined_score`` gives them. A
+    named tuple: immutable, equal by value, and built without a call per
+    field."""
+
     f_s: float
     f_v: float
     f_t: float
@@ -675,12 +729,24 @@ def temporal_recency(q, t_c, params):
 def combined_score(q, img, params):
     """Full breakdown; the caller enforces the >= 1 common word filter.
 
+    The one breakdown path of every index. When the leaf scorer of
+    ``params.context(q)`` scored ``img`` (the same object) over the
+    current corpus, its ``(f_s, f_v, f_t)`` are taken from the context's
+    ``terms``; they are the kernels' values bit for bit. Otherwise (IFA's
+    results, an image the scorer never kept, oracle callers) they are
+    computed here. ``f_stv`` is ``kernels.combine`` of the three either
+    way.
+
     Locations are not checked here: the query's is checked when its
     context is built, an image's when an index admits it.
     """
-    f_s = kernels.spatial_cost(q.loc[0], q.loc[1], img.lat, img.lon, params.domain.delta_max)
-    f_v = visual_relevance(q, img, params)
-    f_t = temporal_recency(q, img.t_c, params)
+    terms = params.context(q).terms.get(img.id)
+    if terms is not None and terms[0] is img:
+        _, f_s, f_v, f_t = terms
+    else:
+        f_s = kernels.spatial_cost(q.loc[0], q.loc[1], img.lat, img.lon, params.domain.delta_max)
+        f_v = visual_relevance(q, img, params)
+        f_t = temporal_recency(q, img.t_c, params)
     w1, w2, w3 = q.weights
     return ScoreBreakdown(f_s, f_v, f_t, kernels.combine(w1, w2, w3, f_s, f_v, f_t))
 

@@ -10,7 +10,7 @@ def domain():
 
 @pytest.fixture
 def empty_stats():
-    return CorpusStats()
+    return CorpusStats(3600)
 
 
 def make_params(domain, stats, **kw):

@@ -85,7 +85,7 @@ def test_streaming_consistency(window):
     assert all(img.t_c >= cutoff for img in live)
 
     # stats equal a from-scratch recomputation over the live window
-    fresh = CorpusStats()
+    fresh = CorpusStats(span)
     for img in live:
         fresh.add_image(img)
     assert index.stats.total_word_count == fresh.total_word_count

@@ -117,7 +117,7 @@ def oracle_over_live_set(q, index):
     """The oracle over a fresh recount of the live set, so it shares no
     cached scoring state with the index."""
     live = list(index.live_images())
-    stats = CorpusStats()
+    stats = CorpusStats(index.config.segment_span)
     for im in live:
         stats.add_image(im)
     p = index.params
@@ -178,7 +178,7 @@ def test_off_grid_expire_matches_recount(cls, domain):
                 index.insert(im)
             live += more
         assert sorted(im.id for im in index.live_images()) == sorted(im.id for im in live)
-        fresh = CorpusStats()
+        fresh = CorpusStats(index.config.segment_span)
         for im in live:
             fresh.add_image(im)
         assert index.stats.total_word_count == fresh.total_word_count
@@ -271,7 +271,7 @@ class TestIfa:
         # stats reflect the survivors exactly
         from geostream.model import CorpusStats
 
-        fresh = CorpusStats()
+        fresh = CorpusStats(index.config.segment_span)
         for im in index.live_images():
             fresh.add_image(im)
         assert index.stats.word_corpus_tf == fresh.word_corpus_tf

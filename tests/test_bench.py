@@ -238,3 +238,38 @@ def test_bench_pairs_summarises_each_metric_over_the_pairs():
     assert not pairs_tool.summarise(close, metrics[:1])[0]["gain"]
     assert pairs_tool.quartiles([3.0]) == (3.0, 3.0, 3.0)
     assert len(pairs_tool.format_rows([q_ms, ingest])) == 3
+    assert pairs_tool.format_pairs([q_ms])[0].split()[1:3] == ["1.0000/0.9000", "1.0100/0.9100"]
+
+
+def test_bench_pairs_marks_a_median_worse_than_its_bound():
+    pairs_tool = load_bench_pairs()
+
+    def result(ms, per_s):
+        return {"correct": True, "metrics": {"q_ms": {"value": ms, "unit": "ms"},
+                                             "ingest": {"value": per_s, "unit": "1/s"}}}
+
+    def rows(parent_ms, change_ms, parent_per_s, change_per_s, bound):
+        metrics = [{"name": "q_ms", "unit": "ms", "better": "lower", "bound": bound},
+                   {"name": "ingest", "unit": "1/s", "better": "higher", "bound": bound}]
+        pairs = [(result(parent_ms + i / 1000, parent_per_s + i),
+                  result(change_ms + i / 1000, change_per_s + i)) for i in range(5)]
+        return {r["name"]: r for r in pairs_tool.summarise(pairs, metrics)}
+
+    # medians 1.002 and 100 at the parent; a bound of 0.25 allows 1.2525 ms
+    # and 75 images/s
+    within = rows(1.0, 1.25, 98.0, 73.5, 0.25)
+    assert not within["q_ms"]["worse"] and not within["ingest"]["worse"]
+    beyond = rows(1.0, 1.26, 98.0, 72.0, 0.25)
+    assert beyond["q_ms"]["worse"] and beyond["ingest"]["worse"]
+    assert not beyond["q_ms"]["gain"]
+    # better is never worse, however tight the bound
+    better = rows(1.0, 0.5, 98.0, 200.0, 0.0)
+    assert not better["q_ms"]["worse"] and not better["ingest"]["worse"]
+    assert better["q_ms"]["gain"] and better["ingest"]["gain"]
+    # a metric with no bound is never marked
+    unbounded = pairs_tool.summarise(
+        [(result(1.0, 100.0), result(9.0, 1.0))],
+        [{"name": "q_ms", "unit": "ms", "better": "lower"}])
+    assert not unbounded[0]["worse"]
+    lines = pairs_tool.format_rows(list(beyond.values()) + list(better.values()))
+    assert [line.endswith("WORSE THAN BOUND") for line in lines[1:]] == [True, True, False, False]

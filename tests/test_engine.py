@@ -5,7 +5,7 @@ import random
 import pytest
 
 from geostream import engine, kernels
-from geostream.baselines import StviiIndex
+from geostream.baselines import IfaIndex, StviiIndex
 from geostream.engine import brute_force_oracle, top_k_search, walk
 from geostream.hiq import HiqConfig, HiqIndex, QuadNode
 from geostream.model import GeoTemporalImage, Query, combined_score, mind_visual
@@ -108,7 +108,7 @@ class TestOracle:
     def test_empty_list(self, domain):
         from geostream.model import CorpusStats, ScoreParams
 
-        params = ScoreParams(domain=domain, stats=CorpusStats())
+        params = ScoreParams(domain=domain, stats=CorpusStats(3600))
         q = Query(psi=(1,), loc=(0.0, 0.0), t=0, k=3, weights=(1 / 3, 1 / 3, 1 / 3))
         assert brute_force_oracle(q, [], params) == []
 
@@ -166,11 +166,19 @@ def test_leaf_candidates_and_tree_counts(cls, domain):
             assert scored == within(holding_pairs(q, leaf, index.params), math.inf, q.k)
 
 
+def uncached(params):
+    """New ``ScoreParams`` equal to ``params``, over the same stats, with
+    no context, word table or recorded terms yet: a reference that
+    nothing the scorer cached in ``params`` can reach."""
+    return dataclasses.replace(params)
+
+
 def holding_pairs(q, leaf, params):
     """``(f_stv, image)`` from ``combined_score`` for each image of the
-    leaf that holds a query word, by id."""
+    leaf that holds a query word, by id, from uncached parameters."""
     qwords = set(q.psi)
-    return [(combined_score(q, im, params).f_stv, im)
+    reference = uncached(params)
+    return [(combined_score(q, im, reference).f_stv, im)
             for im in sorted(leaf.images, key=lambda im: im.id)
             if not qwords.isdisjoint(im.word_tf)]
 
@@ -183,10 +191,11 @@ def within(pairs, lam, k):
     return [(f, im) for f, im in pairs if f <= cut]
 
 
-def twinned_index(cls, domain, rng, **kw):
-    """An index over random images, each followed by a twin (id + 1000,
-    same location, time and words), so the twins' scores tie exactly."""
-    images = random_images(rng, 200, domain, t_lo=0, t_hi=50_000)
+def twinned_index(cls, domain, rng, vocab=60, **kw):
+    """An index over random images of a ``vocab``-word vocabulary, each
+    followed by a twin (id + 1000, same location, time and words), so the
+    twins' scores tie exactly."""
+    images = random_images(rng, 200, domain, vocab=vocab, t_lo=0, t_hi=50_000)
     index = cls(HiqConfig(domain=domain, segment_span=10_000, capacity=6, **kw))
     for img in sorted(images, key=lambda im: im.t_c):
         index.insert(img)
@@ -196,15 +205,80 @@ def twinned_index(cls, domain, rng, **kw):
 
 @pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
 def test_result_scores_are_combined_scores(cls, domain):
-    rng = random.Random(41)
+    # the default xi = 0.5, then xi = 0.35 over 8 words: short queries
+    # whose results hold every query word at a visual cost well below 1.0,
+    # and a scale 1 - xi whose products round, so the order of the
+    # scorer's arithmetic shows in the last bit of some results
+    for seed, xi, vocab, max_words in ((41, 0.5, 60, 20), (44, 0.35, 8, 3)):
+        rng = random.Random(seed)
+        index, images = twinned_index(cls, domain, rng, vocab=vocab, xi=xi)
+        live = {img.id: img for img in index.live_images()}
+        for _ in range(40):
+            q = random_query(rng, images, domain, vocab=vocab, max_words=max_words)
+            results, _ = top_k_search(q, index)
+            assert results_match(results, brute_force_oracle(q, live.values(), index.params))
+            # after the search, so the index's context holds the scorer's terms
+            reference = uncached(index.params)
+            for e in results:
+                assert e.score == combined_score(q, live[e.image_id], reference)
+
+
+@pytest.mark.parametrize("cls", [HiqIndex, StviiIndex, IfaIndex], ids=lambda c: c.kind)
+def test_same_query_object_across_corpus_changes(cls, domain):
+    # one Query object searched again after each insert and expiry: the
+    # word table and the scorer's terms of the state before must not
+    # leak into the answer after it
+    rng = random.Random(44)
+    images = random_images(rng, 300, domain, vocab=30, t_lo=0, t_hi=30_000)
+    index = cls(HiqConfig(domain=domain, segment_span=10_000, window=4, capacity=6))
+    for img in sorted(images, key=lambda im: im.t_c):
+        index.insert(img)
+    moved = 0
+    for trial in range(12):
+        q = random_query(rng, images, domain, vocab=30, max_words=4)
+        before, _ = index.search(q)
+        assert results_match(before, brute_force_oracle(q, index.live_images(), index.params))
+        if trial % 3 == 2:
+            assert index.expire(2000 * trial) > 0
+        else:
+            # an image of the query's words alone, at the query's place and
+            # time, which raises the words' live maxima
+            index.insert(GeoTemporalImage(10_000 + trial, *q.loc, max(q.t, 30_000 + trial),
+                                          [(v, 1) for v in q.psi]))
+        live = index.live_images()
+        by_id = {img.id: img for img in live}
+        reference = uncached(index.params)
+        # the breakdowns of the last answer, before the search runs again
+        for e in before:
+            if e.image_id in by_id:
+                image = by_id[e.image_id]
+                assert combined_score(q, image, index.params) == \
+                    combined_score(q, image, reference)
+        after, _ = index.search(q)
+        assert results_match(after, brute_force_oracle(q, live, index.params))
+        for e in after:
+            assert e.score == combined_score(q, by_id[e.image_id], reference)
+        moved += [e.score for e in after] != [e.score for e in before]
+    assert moved == 12
+
+
+@pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
+def test_search_says_why_it_stopped(cls, domain):
+    rng = random.Random(45)
     index, images = twinned_index(cls, domain, rng)
-    live = {img.id: img for img in index.live_images()}
-    for _ in range(40):
+    live = index.image_count()
+    stops = []
+    for _ in range(20):
         q = random_query(rng, images, domain)
-        results, _ = top_k_search(q, index)
-        assert results_match(results, brute_force_oracle(q, live.values(), index.params))
-        for e in results:
-            assert e.score == combined_score(q, live[e.image_id], index.params)
+        # k beyond the live images: λ stays infinite and every node is popped
+        _, stats = top_k_search(dataclasses.replace(q, k=live + 1), index)
+        assert (stats.stop, stats.nodes_pruned, stats.lam) == ("exhausted", 0, math.inf)
+        _, stats = top_k_search(dataclasses.replace(q, k=1), index)
+        assert stats.stop in ("bound", "exhausted")
+        if stats.stop == "bound":
+            assert stats.nodes_pruned >= 1 and stats.lam < math.inf
+        stops.append(stats.stop)
+    assert "bound" in stops
 
 
 @pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
@@ -247,18 +321,22 @@ def lam_choices(rng, pairs):
     return lams
 
 
-@pytest.mark.parametrize("xi", [0.0, 0.5])
+@pytest.mark.parametrize("xi", [0.0, 0.35, 0.5])
 @pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
 def test_leaf_scorer_keeps_exactly_the_pairs_within_lam(cls, xi, domain):
-    # xi = 0 gives every query word a zero floor; twins tie at every cost,
-    # the k-th included
+    # xi = 0 gives every query word a zero floor. xi = 0.35 gives a scale
+    # 1 - xi whose products round, and with 8 words and short queries many
+    # images hold every query word at a visual cost well below 1.0, where
+    # that rounding shows in the last bit. Twins tie at every cost, the
+    # k-th included
+    vocab, max_words = (8, 3) if xi == 0.35 else (60, 20)
     rng = random.Random(71 + int(10 * xi))
-    index, images = twinned_index(cls, domain, rng, xi=xi)
+    index, images = twinned_index(cls, domain, rng, vocab=vocab, xi=xi)
     leaves = [node for node in walk(index.roots()) if node.children is None]
     biggest = max(len(leaf.images) for leaf in leaves)
     seen = dict(dropped=0, kept=0, empty=0, cut_by_k=0, whole=0)
     for _ in range(12):
-        q = random_query(rng, images, domain)
+        q = random_query(rng, images, domain, vocab=vocab, max_words=max_words)
         # k = biggest covers every leaf, which then returns every pair
         # within lam
         for k in (1, 2, q.k, biggest):

@@ -270,7 +270,7 @@ class TestRollSegment:
             index.insert(im)
             if i % 37 == 0:
                 index.roll_segment(im.t_c)
-        fresh = CorpusStats()
+        fresh = CorpusStats(index.config.segment_span)
         for im in index.live_images():
             fresh.add_image(im)
         assert index.stats.total_word_count == fresh.total_word_count
@@ -299,7 +299,7 @@ class TestRollSegment:
         assert [im.id for im in index.live_images()] == [10_000]
         assert len(index.segments) == 4
         assert index.segments[-1].start <= late.t_c < index.segments[-1].end
-        fresh = CorpusStats()
+        fresh = CorpusStats(index.config.segment_span)
         fresh.add_image(late)
         assert index.stats.total_word_count == fresh.total_word_count
         assert index.stats.word_corpus_tf == fresh.word_corpus_tf

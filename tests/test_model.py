@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from types import SimpleNamespace
@@ -33,10 +34,17 @@ def query(psi=(1,), loc=(50.0, 50.0), t=1000, k=1, weights=(1 / 3, 1 / 3, 1 / 3)
 
 
 def params_for(domain, images, **kw):
-    stats = CorpusStats()
+    stats = CorpusStats(3600)
     for i in images:
         stats.add_image(i)
     return ScoreParams(domain=domain, stats=stats, **kw)
+
+
+def uncached(p):
+    """New ``ScoreParams`` equal to ``p``, over the same stats, with no
+    context, word table or recorded terms yet: a reference that nothing
+    the scorer cached in ``p`` can reach."""
+    return dataclasses.replace(p)
 
 
 class TestSpatialProximity:
@@ -76,7 +84,7 @@ class TestVisualWeight:
 
     def test_direct_evaluation(self, domain):
         # xi=0.2, tf=2, |I.psi|=10, corpus tf=100, corpus total=1000 -> 0.18
-        stats = CorpusStats()
+        stats = CorpusStats(3600)
         image = img(psi=((1, 2), (2, 8)))
         stats.add_image(image)
         filler_tf = 1000 - image.total_tf
@@ -87,7 +95,7 @@ class TestVisualWeight:
         assert visual_weight(1, image, p) == pytest.approx(0.18, abs=1e-12)
 
     def test_monotone_in_tf(self, domain):
-        stats = CorpusStats()
+        stats = CorpusStats(3600)
         imgs = [img(id=i, psi=((1, tf), (2, 10 - tf))) for i, tf in enumerate((1, 3, 5, 7))]
         for i in imgs:
             stats.add_image(i)
@@ -369,9 +377,15 @@ class TestValidation:
 
 
 class TestCorpusStats:
+    @pytest.mark.parametrize("span", [None, 0, -100, 1.5, "100", True, math.inf])
+    def test_segment_span_is_a_whole_number_of_at_least_one(self, span):
+        # None is also what CorpusStats() passes
+        with pytest.raises(ConfigError, match="segment_span"):
+            CorpusStats(span)
+
     def test_add_remove_roundtrip(self):
         rng = random.Random(5)
-        stats = CorpusStats()
+        stats = CorpusStats(3600)
         images = []
         for i in range(100):
             psi = sorted((w, rng.randint(1, 3)) for w in rng.sample(range(20), rng.randint(1, 5)))
@@ -381,7 +395,7 @@ class TestCorpusStats:
         removed = images[:60]
         for i in removed:
             stats.remove_image(i)
-        fresh = CorpusStats()
+        fresh = CorpusStats(3600)
         for i in images[60:]:
             fresh.add_image(i)
         assert stats.total_word_count == fresh.total_word_count
@@ -409,7 +423,7 @@ class TestCorpusStats:
 
     @staticmethod
     def assert_recount(stats, survivors, vocab):
-        fresh = CorpusStats()
+        fresh = CorpusStats(100)
         for i in survivors:
             fresh.add_image(i)
         assert stats.total_word_count == fresh.total_word_count
@@ -480,8 +494,8 @@ class TestCorpusStats:
             assert sorted(i.id for i in gone) == sorted(i.id for i in images if i.t_c < cutoff)
             images = [i for i in images if i.t_c >= cutoff]
             self.assert_recount(stats, images, 12)
-        # a standalone stats object is one bucket: every cutoff falls inside
-        whole = CorpusStats()
+        # one bucket holding every image: the cutoff falls inside it
+        whole = CorpusStats(1000)
         for i in images:
             whole.add_image(i)
         whole.expire(250)
@@ -620,7 +634,7 @@ class TestQueryContext:
         p.stats.remove_image(first)
         assert p.context(q) is not ctx
         ctx = p.context(q)
-        p.stats = CorpusStats()
+        p.stats = CorpusStats(3600)
         assert p.context(q) is not ctx
 
     @pytest.mark.parametrize("xi", [0.0, 0.35])
@@ -653,8 +667,88 @@ class TestQueryContext:
             scored = sorted(p.context(q).score_leaf(leaf), key=lambda pair: pair[1].id)
             assert [image for _f, image in scored] == \
                 [image for image in corpus if set(q.psi) & set(image.word_tf)]
+            # the reference has no word table and no recorded terms, so a
+            # fault in the scorer cannot show in both sides
+            reference = uncached(p)
             for f, image in scored:
                 newer += image.t_c > q.t
                 lacking += not set(q.psi) <= set(image.word_tf)
-                assert f == combined_score(q, image, p).f_stv
+                expected = combined_score(q, image, reference)
+                assert f == expected.f_stv
+                assert combined_score(q, image, p) == expected
         assert newer and lacking and absent
+
+    def test_word_table_filled_once_per_corpus_state(self, domain, monkeypatch):
+        images = [img(id=i, psi=((1, 1 + i), (2, 1), (3 + i, 2))) for i in range(4)]
+        p = params_for(domain, images, xi=0.35)
+        asked = []
+        weight_range = CorpusStats.weight_range
+
+        def counted(stats, word, xi):
+            asked.append(word)
+            return weight_range(stats, word, xi)
+
+        monkeypatch.setattr(CorpusStats, "weight_range", counted)
+        p.context(query(psi=(1, 2, 50)))
+        assert asked == [1, 2, 50]
+        # another query object reads the words it shares with the first;
+        # word 50, absent from the corpus, is remembered as absent
+        ctx = p.context(query(psi=(2, 4, 50)))
+        assert asked == [1, 2, 50, 4]
+        assert p.word_table()[50] == ()
+        assert list(ctx._floors) == [2, 4]
+        fresh = uncached(p).context(query(psi=(2, 4, 50)))
+        assert (ctx._floors, ctx._log_den, ctx._log_const) == \
+            (fresh._floors, fresh._log_den, fresh._log_const)
+        # a new version empties the table
+        p.stats.add_image(img(id=9, psi=((50, 1),)))
+        ctx = p.context(query(psi=(2, 50)))
+        assert asked[-2:] == [2, 50]
+        assert list(ctx._floors) == [2, 50]
+
+    def test_swapping_the_stats_resets_the_word_table(self, domain):
+        q = query(psi=(1, 2, 3), loc=(40.0, 60.0))
+        before = [img(id=i, psi=((1, 1), (2, 1 + i))) for i in range(3)]
+        after = [img(id=i, psi=((1, 5 + i), (3, 1))) for i in range(3)]
+        p = params_for(domain, before, xi=0.35)
+        swapped = params_for(domain, after, xi=0.35).stats
+        # the same version, so only the stats object tells them apart
+        assert swapped.version == p.stats.version
+        p.context(q)
+        table = p.word_table()
+        assert set(table) == {1, 2, 3} and table[3] == ()
+        p.stats = swapped
+        assert p.word_table() is not table
+        reference = uncached(p)
+        for image in after:
+            assert combined_score(q, image, p) == combined_score(q, image, reference)
+            assert visual_relevance(q, image, p) < 1.0
+        assert p.word_table()[3] != ()
+
+    def test_breakdown_of_an_image_the_scorer_did_not_keep_is_fresh(self, domain, monkeypatch):
+        rng = random.Random(57)
+        corpus = random_images(rng, 40, domain, vocab=8, t_lo=0, t_hi=5000)
+        p = params_for(domain, corpus, xi=0.35)
+        q = query(psi=(1, 2, 3), loc=(30.0, 70.0), t=5000, k=3)
+        kept = {image.id for _f, image in p.context(q).score_leaf(SimpleNamespace(images=corpus))}
+        assert 3 <= len(kept) < len(corpus)
+        # a kept image's breakdown is the scorer's; any other, and an
+        # image object the scorer never saw under a kept id, is computed
+        spatial = []
+        spatial_cost = kernels.spatial_cost
+        monkeypatch.setattr(kernels, "spatial_cost",
+                            lambda *a: spatial.append(a) or spatial_cost(*a))
+        reference = uncached(p)
+        for image in corpus:
+            spatial.clear()
+            got = combined_score(q, image, p)
+            assert len(spatial) == (image.id not in kept)
+            assert got == combined_score(q, image, reference)
+        moved = next(image for image in corpus if image.id in kept)
+        stranger = GeoTemporalImage(moved.id, (moved.lat + 50.0) % 100.0, moved.lon, moved.t_c,
+                                    moved.psi)
+        spatial.clear()
+        got = combined_score(q, stranger, p)
+        assert len(spatial) == 1
+        assert got == combined_score(q, stranger, reference)
+        assert got.f_s != combined_score(q, moved, p).f_s

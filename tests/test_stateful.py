@@ -36,7 +36,7 @@ queries = st.builds(
 
 
 def recount(images):
-    stats = CorpusStats()
+    stats = CorpusStats(SPAN)
     for img in images:
         stats.add_image(img)
     return stats

@@ -9,11 +9,14 @@ Pair ``i`` runs ``perfbench/run.py --workload W --seed S+i --seconds T
 change first in odd ones. ``--seconds`` defaults to the benchmark's
 ``run_seconds``. For each end-to-end metric of ``BENCHMARK.json`` the
 summary gives each side's median and quartiles, the change of the
-median, and the pairs the change won (ties count for neither side). A
-gain is marked where the change won at least nine tenths of the pairs
-and its median is better than the parent's by more than the distance
-between the parent's quartiles. The last line counts the runs that were
-not ``correct``; any such run makes the exit status 1.
+median, and the pairs the change won (ties count for neither side); then
+it lists each pair's two values. A gain is marked where the change won
+at least nine tenths of the pairs and its median is better than the
+parent's by more than the distance between the parent's quartiles. A
+loss is marked where the change's median is worse than the parent's by
+more than the metric's ``bound``, a share of the parent's median, as the
+benchmark's gate reads it. The last line counts the runs that were not
+``correct``; any such run makes the exit status 1.
 """
 
 from __future__ import annotations
@@ -52,6 +55,17 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def worse_than_bound(parent, change, lower, bound):
+    """Whether the median ``change`` is worse than the median ``parent``
+    by more than ``bound`` times ``parent``; never for a metric with no
+    bound."""
+    if bound is None:
+        return False
+    if lower:
+        return change > parent * (1.0 + bound)
+    return change < parent * (1.0 - bound)
+
+
 def summarise(pairs, metrics):
     """One row per end-to-end metric over ``pairs`` of ``(parent result,
     change result)``. A metric missing from either run of a pair leaves
@@ -77,14 +91,17 @@ def summarise(pairs, metrics):
             "wins": wins,
             "pairs": len(both),
             "gain": wins >= 0.9 * len(both) and gap > parent[2] - parent[0],
+            "worse": worse_than_bound(parent[1], change[1], lower, m.get("bound")),
+            "values": both,
         })
     return rows
 
 
-def format_rows(rows):
-    def num(v):
-        return f"{v:.4f}" if abs(v) < 100 else f"{v:.2f}" if abs(v) < 10_000 else f"{v:.0f}"
+def num(v):
+    return f"{v:.4f}" if abs(v) < 100 else f"{v:.2f}" if abs(v) < 10_000 else f"{v:.0f}"
 
+
+def format_rows(rows):
     def side(q):
         return f"{num(q[1])} [{num(q[0])}, {num(q[2])}]"
 
@@ -92,10 +109,17 @@ def format_rows(rows):
              f"{'change median [q1, q3]':>28s} {'median':>7s} {'wins':>7s}"]
     for r in rows:
         delta = "-" if r["delta"] is None else f"{100 * r['delta']:+.1f}%"
-        mark = "  gain" if r["gain"] else ""
+        mark = "  gain" if r["gain"] else "  WORSE THAN BOUND" if r["worse"] else ""
         lines.append(f"{r['name']:26s} {r['unit']:5s} {side(r['parent']):>28s} "
                      f"{side(r['change']):>28s} {delta:>7s} {r['wins']:>3d}/{r['pairs']:<3d}{mark}")
     return lines
+
+
+def format_pairs(rows):
+    """One line per row with each pair's ``parent/change`` values, in
+    pair order."""
+    return [f"{r['name']:26s} " + " ".join(f"{num(a)}/{num(b)}" for a, b in r["values"])
+            for r in rows]
 
 
 def not_correct(pairs):
@@ -126,7 +150,11 @@ def main(argv=None):
         print(f"pair {i + 1}/{args.pairs} seed {seed} done", file=sys.stderr, flush=True)
     print(f"# {args.workload}: {args.pairs} pairs, seeds {args.seed}-{args.seed + args.pairs - 1}, "
           f"{seconds:g} s a run")
-    for line in format_rows(summarise(pairs, bench["end_to_end"])):
+    rows = summarise(pairs, bench["end_to_end"])
+    for line in format_rows(rows):
+        print(line)
+    print("# each pair, parent/change")
+    for line in format_pairs(rows):
         print(line)
     bad = not_correct(pairs)
     print(f"{bad} of {2 * len(pairs)} runs not correct")
