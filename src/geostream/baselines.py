@@ -7,7 +7,8 @@ columns in one pass over the query words' posting lists. STVII boxes
 images in raw (lat, lon, t), splits quadratically on overflow, expires
 by pruning only the subtrees older than the cutoff, and carries the same
 per-node word maxima as the quadtree so it plugs into the shared
-best-first search.
+best-first search and node bound, ``engine.TreeIndex.bounds``, over its
+box's lat/lon extent (``_rect``).
 
 A timestamp is an integer tick, so a box's volume counts its time
 extent in ticks, ``t1 - t0 + 1``: a stream puts many images on one
@@ -24,7 +25,8 @@ from array import array
 import numpy as np
 
 from .engine import Index, ResultEntry, SearchStats, TreeIndex
-from .model import add_to_aggregates, combined_score, merge_aggregates, mind_visual
+from .model import add_to_aggregates, combined_score, merge_aggregates
+from .model import mind_visual  # noqa: F401 (perfbench wraps baselines.mind_visual)
 
 
 class IfaIndex(Index):
@@ -276,39 +278,6 @@ class StviiIndex(TreeIndex):
     def _rect(node):
         m = node.mbr
         return m[0], m[1], m[3], m[4]
-
-    def bounds(self, q, nodes):
-        """Lower bound on f_stv for any image under each of ``nodes``: the
-        arithmetic of ``kernels.rect_min_cost`` over the box's lat/lon
-        extent, ``recency_cost`` and ``combine`` inline, in their operands
-        and order, around ``mind_visual``."""
-        p = self.params
-        q_lat, q_lon = q.loc
-        t = q.t
-        w1, w2, w3 = q.weights
-        delta_max, decay_base, time_unit = p.domain.delta_max, p.decay_base, p.time_unit
-        sqrt = math.sqrt
-        out = []
-        for node in nodes:
-            m = node.mbr
-            d_lat = 0.0
-            if q_lat < m[0]:
-                d_lat = m[0] - q_lat
-            elif q_lat > m[3]:
-                d_lat = q_lat - m[3]
-            d_lon = 0.0
-            if q_lon < m[1]:
-                d_lon = m[1] - q_lon
-            elif q_lon > m[4]:
-                d_lon = q_lon - m[4]
-            f_v = mind_visual(q, node.max_freq, p)
-            age = t - node.t_max
-            if age < 0.0:
-                age = 0.0
-            f_t = 1.0 - decay_base ** (-(age / time_unit))
-            out.append(w1 * (sqrt(d_lat * d_lat + d_lon * d_lon) / delta_max)
-                       + w2 * f_v + w3 * f_t)
-        return out
 
     # -- maintenance -------------------------------------------------------
 

@@ -13,12 +13,16 @@ is the one-node reference, ``bounds(q, [node])[0]``, which the
 dominance audit and the tests read. A node's ``children`` is a list at
 an inner node and ``None`` at a leaf, which holds its ``images``.
 ``TreeIndex`` gives the tree indexes (HIQ, STVII) one ``search``,
-``mind``, ``candidates`` and ``node_count``.
+``bounds``, ``mind``, ``candidates`` and ``node_count``; a subclass
+provides only ``roots()`` and ``_rect(node)``, a node's rectangle.
+``bounds`` takes a node's visual part from the query's context
+(``QueryContext.mind_visual``).
 
 ``candidates`` scores a leaf one image at a time
 (``QueryContext.score_leaf``) and returns ``(f_stv, image)`` pairs. The
 search passes it λ, the k-th best cost so far, and the leaf's bound.
-The bound less its spatial part leaves the leaf a spatial radius, and
+The bound less its spatial part (``kernels.rect_min_cost`` over the
+leaf's rectangle) leaves the leaf a spatial radius, and
 the scorer skips the images outside it, which cannot cost λ or less. It
 also lowers λ to the k-th best cost among the leaf's own images as it
 goes, so it returns only the pairs that can still reach the top k, and
@@ -74,15 +78,18 @@ class ResultEntry(NamedTuple):
 @dataclass
 class SearchStats:
     """What a search did. ``images_scored`` counts the ``(f_stv, image)``
-    pairs the search ranked. In the tree search ``nodes_pruned`` counts
-    the nodes whose bound exceeded λ (the entries of ``audit``), ``lam``
-    is the final λ, infinite while fewer than k images were found, and
-    ``stop`` says why it ended: ``"exhausted"`` when the node heap
-    emptied, ``"bound"`` when a popped node's bound exceeded λ. IFA,
-    which scans every candidate, always reads ``"exhausted"``."""
+    pairs the search ranked. ``roots`` counts the trees the tree search
+    started from, ``len(index.roots())``, and reads 0 for IFA. In the
+    tree search ``nodes_pruned`` counts the nodes whose bound exceeded λ
+    (the entries of ``audit``), ``lam`` is the final λ, infinite while
+    fewer than k images were found, and ``stop`` says why it ended:
+    ``"exhausted"`` when the node heap emptied, ``"bound"`` when a popped
+    node's bound exceeded λ. IFA, which scans every candidate, always
+    reads ``"exhausted"``."""
 
     nodes_visited: int = 0
     images_scored: int = 0
+    roots: int = 0
     heap_peak: int = 0
     nodes_pruned: int = 0
     lam: float = math.inf
@@ -111,6 +118,7 @@ def top_k_search(q, index, audit=None):
     order = itertools.count()
     heap = []
     roots = index.roots()
+    stats.roots = len(roots)
     for root, bound in zip(roots, index.bounds(q, roots)):
         heapq.heappush(heap, (bound, next(order), root))
     stats.heap_peak = len(heap)
@@ -286,12 +294,51 @@ class Index:
 
 class TreeIndex(Index):
     """The search surface shared by the tree indexes. A subclass provides
-    ``roots()``, ``bounds(q, nodes)``, ``params`` and ``_rect(node)``, the
-    ``(min_lat, min_lon, max_lat, max_lon)`` that ``bounds`` measures a
-    node's spatial cost from."""
+    ``roots()`` and ``_rect(node)``, the ``(min_lat, min_lon, max_lat,
+    max_lon)`` that ``bounds`` and ``candidates`` measure a node's spatial
+    cost from."""
 
     def search(self, q):
         return top_k_search(q, self)
+
+    def bounds(self, q, nodes):
+        """Lower bound on f_stv for any image under each of ``nodes``: the
+        arithmetic of ``kernels.rect_min_cost`` over ``_rect(node)``,
+        ``recency_cost`` (1.0 for a node with no image) and ``combine``
+        inline, in their operands and order, around the query context's
+        ``mind_visual``."""
+        p = self.params
+        mind_visual = p.context(q).mind_visual
+        rect = self._rect
+        q_lat, q_lon = q.loc
+        t = q.t
+        w1, w2, w3 = q.weights
+        delta_max, decay_base, time_unit = p.domain.delta_max, p.decay_base, p.time_unit
+        sqrt = math.sqrt
+        out = []
+        for node in nodes:
+            min_lat, min_lon, max_lat, max_lon = rect(node)
+            d_lat = 0.0
+            if q_lat < min_lat:
+                d_lat = min_lat - q_lat
+            elif q_lat > max_lat:
+                d_lat = q_lat - max_lat
+            d_lon = 0.0
+            if q_lon < min_lon:
+                d_lon = min_lon - q_lon
+            elif q_lon > max_lon:
+                d_lon = q_lon - max_lon
+            f_v = mind_visual(node.max_freq)
+            if node.t_max is None:
+                f_t = 1.0
+            else:
+                age = t - node.t_max
+                if age < 0.0:
+                    age = 0.0
+                f_t = 1.0 - decay_base ** (-(age / time_unit))
+            out.append(w1 * (sqrt(d_lat * d_lat + d_lon * d_lon) / delta_max)
+                       + w2 * f_v + w3 * f_t)
+        return out
 
     def mind(self, q, node):
         """Lower bound on f_stv for any image under ``node``: the one-node
@@ -306,25 +353,13 @@ class TreeIndex(Index):
         results do not depend on it).
 
         ``bound`` is a lower bound on f_stv over the leaf, such as
-        ``mind(q, leaf)``; less its spatial part, in the rectangle
-        arithmetic of ``bounds``, it bounds each image's visual and
+        ``mind(q, leaf)``; less its spatial part
+        (``kernels.rect_min_cost``), it bounds each image's visual and
         recency cost, which sets the scorer's spatial radius. Any valid
         bound gives the same pairs; the default 0.0 gives a looser radius."""
         p = self.params
-        q_lat, q_lon = q.loc
-        min_lat, min_lon, max_lat, max_lon = self._rect(leaf)
-        d_lat = 0.0
-        if q_lat < min_lat:
-            d_lat = min_lat - q_lat
-        elif q_lat > max_lat:
-            d_lat = q_lat - max_lat
-        d_lon = 0.0
-        if q_lon < min_lon:
-            d_lon = min_lon - q_lon
-        elif q_lon > max_lon:
-            d_lon = q_lon - max_lon
-        floor = bound - q.weights[0] * (
-            math.sqrt(d_lat * d_lat + d_lon * d_lon) / p.domain.delta_max)
+        floor = bound - q.weights[0] * kernels.rect_min_cost(
+            *q.loc, *self._rect(leaf), p.domain.delta_max)
         return p.context(q).score_leaf(leaf, lam, floor)
 
     def node_count(self):

@@ -4,6 +4,8 @@ Each time segment that holds an image owns a quadtree whose nodes carry
 a rectangle, the max timestamp of the subtree and the per-word max
 frequency ratios of the subtree; a leaf holds only a list of its images,
 which the search scores one image at a time (``QueryContext.score_leaf``).
+Node bounds and leaf candidates come from ``engine.TreeIndex``, which
+reads a node's rectangle from its four fields (``_rect``).
 A segment's tree opens with its first image and leaves whole, with its
 bucket of the corpus statistics, once the window starts after it; a tree
 a cutoff splits is rebuilt from its survivors.
@@ -11,12 +13,12 @@ a cutoff splits is rebuilt from its survivors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .engine import ExpiredArrivalError, TreeIndex, walk  # noqa: F401 (re-exported)
-from .model import _counts, add_to_aggregates, mind_visual
+from .model import _counts, add_to_aggregates
+from .model import mind_visual  # noqa: F401 (perfbench wraps hiq.mind_visual)
 
 
 @dataclass
@@ -150,38 +152,3 @@ class HiqIndex(TreeIndex):
     @staticmethod
     def _rect(node):
         return node.min_lat, node.min_lon, node.max_lat, node.max_lon
-
-    def bounds(self, q, nodes):
-        """Lower bound on f_stv for any image under each of ``nodes``: the
-        arithmetic of ``kernels.rect_min_cost``, ``recency_cost`` (1.0 for
-        a tree with no image) and ``combine`` inline, in their operands
-        and order, around ``mind_visual``."""
-        p = self.params
-        q_lat, q_lon = q.loc
-        t = q.t
-        w1, w2, w3 = q.weights
-        delta_max, decay_base, time_unit = p.domain.delta_max, p.decay_base, p.time_unit
-        sqrt = math.sqrt
-        out = []
-        for node in nodes:
-            d_lat = 0.0
-            if q_lat < node.min_lat:
-                d_lat = node.min_lat - q_lat
-            elif q_lat > node.max_lat:
-                d_lat = q_lat - node.max_lat
-            d_lon = 0.0
-            if q_lon < node.min_lon:
-                d_lon = node.min_lon - q_lon
-            elif q_lon > node.max_lon:
-                d_lon = q_lon - node.max_lon
-            f_v = mind_visual(q, node.max_freq, p)
-            if node.t_max is None:
-                f_t = 1.0
-            else:
-                age = t - node.t_max
-                if age < 0.0:
-                    age = 0.0
-                f_t = 1.0 - decay_base ** (-(age / time_unit))
-            out.append(w1 * (sqrt(d_lat * d_lat + d_lon * d_lon) / delta_max)
-                       + w2 * f_v + w3 * f_t)
-        return out

@@ -9,12 +9,14 @@ the smoothed word weight and of visual relevance. Searches score through
 ``model.QueryContext``, which folds the per-query constants once and must
 agree with them; ``model.visual_weight`` and the tests call them directly.
 
-The tree search's hot loops, ``QueryContext.score_leaf`` and the indexes'
-``bounds``, inline ``spatial_cost``, ``rect_min_cost``, ``recency_cost``
-and ``combine`` in the same operands and order, so their results are
-bit-equal to these functions'. The functions stay as the reference that
-the tests compare against, as the path of the oracle and of
-``model.combined_score`` for an image the leaf scorer did not return,
+The tree search's hot loops, ``QueryContext.score_leaf`` and the one
+node bound of both trees, ``engine.TreeIndex.bounds``, inline
+``spatial_cost``, ``rect_min_cost``, ``recency_cost`` and ``combine`` in
+the same operands and order, so their results are bit-equal to these
+functions'. The functions stay as the reference that the tests compare
+against, as the path of the oracle and of ``model.combined_score`` for
+an image the leaf scorer did not return, as the spatial part
+``TreeIndex.candidates`` takes off a leaf's bound (``rect_min_cost``),
 and as what the benchmark's call counters wrap.
 """
 

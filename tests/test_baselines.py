@@ -257,6 +257,7 @@ class TestIfa:
             qwords = set(q.psi)
             n_common = sum(1 for im in images if not qwords.isdisjoint(im.word_tf))
             assert stats.images_scored == n_common
+            assert stats.roots == 0
 
     def test_expire(self, domain):
         rng = random.Random(33)

@@ -199,6 +199,16 @@ def test_bench_record_names_each_moved_count():
     assert all("engine.images_scored" in counts for counts in newest.values())
 
 
+def test_newest_bench_record_lists_and_reads_the_zero_counts():
+    # a count that falls to 0 goes on ZERO with the record that shows it,
+    # and one that no longer reads 0 comes off
+    record = load_bench_record()
+    data = json.loads(record.newest().read_text())
+    assert data["zero_counts"] == record.ZERO
+    for counts in data["counts"].values():
+        assert {name: counts.get(name) for name in record.ZERO} == dict.fromkeys(record.ZERO, 0)
+
+
 def load_bench_pairs():
     path = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
     spec = importlib.util.spec_from_file_location("bench_pairs", path)

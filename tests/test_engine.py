@@ -47,7 +47,7 @@ class TestTopKSearch:
         q = Query(psi=(1,), loc=(10.0, 10.0), t=0, k=3, weights=(1 / 3, 1 / 3, 1 / 3))
         results, stats = top_k_search(q, index)
         assert results == []
-        assert stats.nodes_visited == 0
+        assert stats.nodes_visited == stats.roots == 0
 
     def test_oracle_equivalence_random(self, domain):
         rng = random.Random(21)
@@ -158,12 +158,18 @@ def test_leaf_candidates_and_tree_counts(cls, domain):
     assert index.node_count() == len(nodes)
     assert sorted(im.id for im in index.live_images()) == \
         sorted(im.id for leaf in leaves for im in leaf.images) == list(range(300))
-    for _ in range(10):
-        q = random_query(rng, images, domain)
-        for leaf in leaves:
-            # pairs come in no set order, which the search does not depend on
-            scored = sorted(index.candidates(q, leaf), key=lambda pair: pair[1].id)
-            assert scored == within(holding_pairs(q, leaf, index.params), math.inf, q.k)
+    # this index at the default xi = 0.5 over 60 words, then one at
+    # xi = 0.35 over 8 words, where the scale 1 - xi rounds in the last bit
+    # of some costs
+    twinned = twinned_index(cls, domain, random.Random(24), vocab=8, xi=0.35)
+    for (index, images), vocab, max_words in (((index, images), 60, 20), (twinned, 8, 3)):
+        leaves = [node for node in walk(index.roots()) if node.children is None]
+        for _ in range(10):
+            q = random_query(rng, images, domain, vocab=vocab, max_words=max_words)
+            for leaf in leaves:
+                # pairs come in no set order, which the search does not depend on
+                scored = sorted(index.candidates(q, leaf), key=lambda pair: pair[1].id)
+                assert scored == within(holding_pairs(q, leaf, index.params), math.inf, q.k)
 
 
 def uncached(params):
@@ -363,23 +369,27 @@ def test_leaf_scorer_keeps_exactly_the_pairs_within_lam(cls, xi, domain):
 def test_leaf_pairs_do_not_depend_on_the_bound(cls, domain):
     # any valid bound gives the same pairs: the leaf's own bound, as the
     # search passes it, and 0.0. One 1e-6 above it is no bound, and the
-    # radius it leaves loses a pair on some leaf
-    rng = random.Random(76)
-    index, images = twinned_index(cls, domain, rng)
-    leaves = [node for node in walk(index.roots()) if node.children is None]
-    lost = 0
-    for _ in range(12):
-        q = random_query(rng, images, domain)
-        for leaf in leaves:
-            bound = index.mind(q, leaf)
-            every = holding_pairs(q, leaf, index.params)
-            for lam in lam_choices(rng, every):
-                got = sorted(index.candidates(q, leaf, lam, bound), key=lambda pair: pair[1].id)
-                assert got == within(every, lam, q.k)
-                assert got == sorted(index.candidates(q, leaf, lam, 0.0),
-                                     key=lambda pair: pair[1].id)
-                lost += len(index.candidates(q, leaf, lam, bound + 1e-6)) < len(got)
-    assert lost
+    # radius it leaves loses a pair on some leaf. The default xi = 0.5 over
+    # 60 words, then xi = 0.35 over 8 words, where the scale 1 - xi rounds
+    # in the last bit of some costs
+    for seed, xi, vocab, max_words in ((76, 0.5, 60, 20), (77, 0.35, 8, 3)):
+        rng = random.Random(seed)
+        index, images = twinned_index(cls, domain, rng, vocab=vocab, xi=xi)
+        leaves = [node for node in walk(index.roots()) if node.children is None]
+        lost = 0
+        for _ in range(12):
+            q = random_query(rng, images, domain, vocab=vocab, max_words=max_words)
+            for leaf in leaves:
+                bound = index.mind(q, leaf)
+                every = holding_pairs(q, leaf, index.params)
+                for lam in lam_choices(rng, every):
+                    got = sorted(index.candidates(q, leaf, lam, bound),
+                                 key=lambda pair: pair[1].id)
+                    assert got == within(every, lam, q.k)
+                    assert got == sorted(index.candidates(q, leaf, lam, 0.0),
+                                         key=lambda pair: pair[1].id)
+                    lost += len(index.candidates(q, leaf, lam, bound + 1e-6)) < len(got)
+        assert lost, xi
 
 
 def test_one_leaf_segments_score_fewer_than_the_common_word_images(domain):
@@ -411,12 +421,16 @@ def test_search_counts_pruned_nodes_and_the_final_lam(cls, domain):
     index = cls(HiqConfig(domain=domain, segment_span=10_000, window=4, capacity=6))
     for img in sorted(images, key=lambda im: im.t_c):
         index.insert(img)
+    # a HIQ tree for each of the window's 4 segments, one STVII tree
+    roots = len(index.roots())
+    assert roots == (4 if cls is HiqIndex else 1)
     pruned = short = 0
     for _ in range(60):
         q = random_query(rng, images, domain)
         audit = []
         results, stats = top_k_search(q, index, audit)
         assert stats.nodes_pruned == len(audit)
+        assert stats.roots == roots
         assert top_k_search(q, index)[1] == stats
         if len(results) == q.k:
             assert stats.lam == results[-1].score.f_stv

@@ -32,6 +32,8 @@ ZERO = {
     "stvii.mind.calls": "the search asks bounds(q, nodes), not mind",
     "kernels.relevance_cost.calls": "QueryContext folds visual relevance; only the oracle calls it",
     "kernels.visual_weight.calls": "QueryContext folds the word weights; only the oracle calls it",
+    "model.mind_visual.calls":
+        "TreeIndex.bounds calls the query context directly; perfbench wraps the module names",
 }
 
 
