@@ -25,7 +25,7 @@ from array import array
 import numpy as np
 
 from .engine import Index, ResultEntry, SearchStats, TreeIndex
-from .model import add_to_aggregates, combined_score, merge_aggregates
+from .model import add_to_aggregates, combined_score
 from .model import mind_visual  # noqa: F401 (perfbench wraps baselines.mind_visual)
 
 
@@ -59,14 +59,13 @@ class IfaIndex(Index):
         self.lat.append(img.lat)
         self.lon.append(img.lon)
         self.alive.append(1)
-        total = img.total_tf
         postings = self.postings
-        for word, tf in img.psi:
+        for word, f in img.freq.items():
             cols = postings.get(word)
             if cols is None:
                 cols = postings[word] = (array("q"), array("d"))
             cols[0].append(slot)
-            cols[1].append(tf / total)
+            cols[1].append(f)
 
     def search(self, q):
         """Every live image sharing a query word, scored as columns in one
@@ -201,7 +200,7 @@ class StviiIndex(TreeIndex):
 
     def _insert_rec(self, node, img, ebox):
         node.mbr = _box_union(node.mbr, ebox)
-        add_to_aggregates(node, img)
+        add_to_aggregates(node, img.t_c, img.freq)
         if node.children is None:
             node.images.append(img)
             if len(node.images) > self.capacity:
@@ -261,12 +260,12 @@ class StviiIndex(TreeIndex):
             t = [img.t_c for img in items]
             node.mbr = [min(lat), min(lon), min(t), max(lat), max(lon), max(t)]
             for img in items:
-                add_to_aggregates(node, img)
+                add_to_aggregates(node, img.t_c, img.freq)
         else:
             node.children = items
             for c in items:
                 node.mbr = _box_union(node.mbr, c.mbr)
-                merge_aggregates(node, c)
+                add_to_aggregates(node, c.t_max, c.max_freq)
         return node
 
     # -- search surface (TreeIndex) ----------------------------------------

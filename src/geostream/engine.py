@@ -378,7 +378,7 @@ def brute_force_oracle(q, images, params):
     w1, w2, w3 = q.weights
     entries = []
     for img in images:
-        if qwords.isdisjoint(img.word_tf):
+        if qwords.isdisjoint(img.freq):
             continue
         f_s = spatial_proximity(q, img.loc, params.domain)
         f_v = kernels.relevance_cost([visual_weight(v, img, params) for v in q.psi], maxima)

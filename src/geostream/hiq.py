@@ -50,7 +50,7 @@ class QuadNode:
         self.t_max = None
         self.children = None     # inner: list of 4 (NW, NE, SW, SE)
         self.images = []         # leaf only
-        self.max_freq = {}       # word -> max tf/total_tf in subtree
+        self.max_freq = {}       # word -> max tf/|I.psi| in subtree
 
     def quadrant(self, lat, lon):
         # boundary points go to the lowest-indexed containing quadrant
@@ -86,7 +86,7 @@ def _split(node):
     children = node.make_children()
     for img in node.images:
         child = children[node.quadrant(img.lat, img.lon)]
-        add_to_aggregates(child, img)
+        add_to_aggregates(child, img.t_c, img.freq)
         child.images.append(img)
     node.children = children
     node.images = []
@@ -134,7 +134,7 @@ class HiqIndex(TreeIndex):
             node = self._trees[key] = _root(cfg.domain)
         depth = 0
         while True:
-            add_to_aggregates(node, img)
+            add_to_aggregates(node, img.t_c, img.freq)
             if node.children is None:
                 node.images.append(img)
                 if len(node.images) > cfg.capacity and depth < cfg.max_depth:

@@ -5,7 +5,10 @@ the module (``kernels.relevance_cost``), never by a ``from`` import, so a
 wrapper set on the module sees every call.
 
 ``visual_weight`` and ``relevance_cost`` are the reference definitions of
-the smoothed word weight and of visual relevance. Searches score through
+the smoothed word weight and of visual relevance. ``visual_weight`` takes
+an image's ratio tf/|I.psi| of the word as it stands in the image's
+``freq`` (0.0 for a word the image lacks), not the counts: the ratio is
+computed once, when the image is built. Searches score through
 ``model.QueryContext``, which folds the per-query constants once and must
 agree with them; ``model.visual_weight`` and the tests call them directly.
 
@@ -23,8 +26,8 @@ and as what the benchmark's call counters wrap.
 import math
 
 
-def visual_weight(tf, image_len, corpus_tf, corpus_total, xi):
-    return (1.0 - xi) * (tf / image_len) + xi * (corpus_tf / corpus_total)
+def visual_weight(freq, corpus_tf, corpus_total, xi):
+    return (1.0 - xi) * freq + xi * (corpus_tf / corpus_total)
 
 
 def spatial_cost(q_lat, q_lon, lat, lon, delta_max):

@@ -123,14 +123,17 @@ class GeoTemporalImage:
     """An image record: id, location, creation time and sparse word vector.
 
     ``psi`` is a tuple of (word_id, tf) pairs, strictly ascending by word
-    id. ``total_tf`` (the sum of tf counts) is the |I.psi| used as the
-    frequency denominator. The id, ``t_c``, word ids and tfs must be whole
-    numbers: anything else (a fraction, a string, None, a bool) raises
-    ``ValueError`` (for ``t_c`` its subclass ``ConfigError``) instead of
-    being truncated or converted.
+    id. ``total_tf`` (the sum of tf counts) is |I.psi|, and ``freq`` maps
+    each word of ``psi``, in the same ascending order, to its ratio
+    tf/|I.psi|: the one place that ratio is computed, which the node
+    aggregates, the scorers and IFA's postings read. The id, ``t_c``, word
+    ids and tfs must be whole numbers, and ``lat`` and ``lon`` finite reals:
+    anything else (a fraction, a string, None, a bool, NaN or infinity)
+    raises ``ValueError`` (for ``t_c``, ``lat`` and ``lon`` its subclass
+    ``ConfigError``) instead of being truncated or converted.
     """
 
-    __slots__ = ("id", "lat", "lon", "t_c", "psi", "word_tf", "total_tf")
+    __slots__ = ("id", "lat", "lon", "t_c", "psi", "freq", "total_tf")
 
     def __init__(self, id, lat, lon, t_c, psi):
         psi = tuple(
@@ -150,11 +153,11 @@ class GeoTemporalImage:
             prev = w
             total += tf
         self.id = id if type(id) is int else _whole(id, "image id", ValueError)
-        self.lat = float(lat)
-        self.lon = float(lon)
+        self.lat = lat if type(lat) is float and math.isfinite(lat) else _real(lat, f"image {id}: lat")
+        self.lon = lon if type(lon) is float and math.isfinite(lon) else _real(lon, f"image {id}: lon")
         self.t_c = t_c if type(t_c) is int else _whole(t_c, f"image {id}: t_c", ConfigError)
         self.psi = psi
-        self.word_tf = dict(psi)
+        self.freq = {w: tf / total for w, tf in psi}
         self.total_tf = total
 
     @property
@@ -204,13 +207,15 @@ class Query:
 
 
 class _Bucket:
-    """The live images of one window segment, by id, and the max
-    tf/|I.psi| per word over them."""
+    """The live images of one window segment, by id, and their aggregates
+    as a tree node holds them (``add_to_aggregates``): ``t_max``, the
+    newest arrival, and the max tf/|I.psi| per word."""
 
-    __slots__ = ("images", "max_freq")
+    __slots__ = ("images", "t_max", "max_freq")
 
     def __init__(self):
         self.images = {}
+        self.t_max = None
         self.max_freq = {}
 
 
@@ -221,10 +226,10 @@ class CorpusStats:
     ``t_c // segment_span`` like the segments of ``engine.Index``, and
     are told apart by id; ``segment_span`` must be a whole number of at
     least 1, and anything else, a missing span included, raises
-    ``ConfigError``. A bucket keeps its images and its exact max
-    frequency ratio per word; the corpus tf per word and the total term
-    count are kept over all buckets, and ``max_freq`` is the maximum over
-    the buckets. A bucket leaves whole, subtracting its images' counts;
+    ``ConfigError``. A bucket keeps its images, its newest arrival and its
+    exact max frequency ratio per word; the corpus tf per word and the
+    total term count are kept over all buckets, and ``max_freq`` is the
+    maximum over the buckets. A bucket leaves whole, subtracting its images' counts;
     one that loses only some images (to a cutoff inside it in ``expire``,
     or to ``remove_image``) is dropped and rebuilt from its survivors.
     ``version`` counts the updates, so a ``QueryContext`` can tell it is
@@ -246,20 +251,16 @@ class CorpusStats:
 
     def add_image(self, img):
         self.version += 1
-        total = img.total_tf
-        self.total_word_count += total
+        self.total_word_count += img.total_tf
         key = self._key(img.t_c)
         bucket = self._buckets.get(key)
         if bucket is None:
             bucket = self._buckets[key] = _Bucket()
         bucket.images[img.id] = img
+        add_to_aggregates(bucket, img.t_c, img.freq)
         ctf = self.word_corpus_tf
-        mf = bucket.max_freq
         for word, tf in img.psi:
             ctf[word] = ctf.get(word, 0) + tf
-            f = tf / total
-            if f > mf.get(word, 0.0):
-                mf[word] = f
 
     def remove_image(self, img):
         """Drops a held image, by id; raises ``KeyError``, changing
@@ -401,12 +402,14 @@ class QueryContext:
     is held it is ``sum(log w_v) - sum(log m_v)`` in query order, as in
     ``kernels.relevance_cost``, so the best image costs exactly 0.0. A
     word with a zero floor (only when xi = 0) that is not held costs 1.0.
-    ``visual`` scores one image, ``visual_columns`` a whole slot table in
-    one numpy pass over the query words' joined posting columns, and
-    ``mind_visual`` a node. ``score_leaf`` gives the combined score of
-    the images of a tree leaf that hold a query word and can reach the
-    top k, one image at a time, nearest first while no threshold is
-    known. Both make each image's sums in the order ``visual`` makes them.
+    ``mind_visual`` scores a word -> ratio map in one pass over the query
+    words: a node's ``max_freq``, which gives its lower bound, or an
+    image's ``freq``, which gives its cost. ``visual_columns`` scores a
+    whole slot table in one numpy pass over the query words' joined
+    posting columns. ``score_leaf`` gives the combined score of the images
+    of a tree leaf that hold a query word and can reach the top k, one
+    image at a time, nearest first while no threshold is known. Both make
+    each image's sums in the order ``mind_visual`` makes them, query order.
 
     A word's floor, log floor and log live maximum are read from
     ``ScoreParams.word_table`` and computed only for a word no earlier
@@ -478,29 +481,6 @@ class QueryContext:
             ratio = 1.0
         return 1.0 - ratio
 
-    def visual(self, img):
-        """Visual relevance of ``img``, from one pass over its words."""
-        word_tf = img.word_tf
-        for v in self._zero_words:
-            if v not in word_tf:
-                return 1.0
-        floors = self._floors
-        scale = self._scale
-        total = img.total_tf
-        log = math.log
-        log_num = 0.0
-        log_diff = 0.0
-        held = 0
-        # img.psi ascends by word like q.psi, so log_num sums in query order
-        for v, tf in img.psi:
-            fl = floors.get(v)
-            if fl is not None:
-                lw = log(scale * (tf / total) + fl[0])
-                log_num += lw
-                log_diff += lw - fl[1]
-                held += 1
-        return self._cost(log_num, log_diff, held)
-
     def score_leaf(self, leaf, lam=math.inf, floor=0.0):
         """``(f_stv, image)`` for every image of a tree leaf that holds a
         query word and costs at most ``min(lam, c_k)``, where ``c_k`` is
@@ -520,9 +500,9 @@ class QueryContext:
         infinite, the images are visited nearest first, so the pass ends
         at the first image outside the radius.
 
-        An image's held query words are ``floors.keys() & word_tf.keys()``,
+        An image's held query words are ``floors.keys() & freq.keys()``,
         summed in ascending word order, which is query order, as in
-        ``visual``. Its visual cost is ``_cost`` and its spatial and
+        ``mind_visual``. Its visual cost is ``_cost`` and its spatial and
         temporal costs and ``f_stv`` are ``kernels.spatial_cost``,
         ``recency_cost`` and ``combine``, all inline in their operands and
         order, so each ``f_stv`` equals the ``combined_score`` breakdown's
@@ -558,21 +538,20 @@ class QueryContext:
                 if nearest_first:
                     break
                 continue
-            word_tf = img.word_tf
-            held = query_words & word_tf.keys()
+            freq = img.freq
+            held = query_words & freq.keys()
             if not held:
                 continue
             for v in zero_words:
-                if v not in word_tf:
+                if v not in freq:
                     f_v = 1.0
                     break
             else:
-                total = img.total_tf
                 log_num = 0.0
                 log_diff = 0.0
                 for v in sorted(held):
                     floor_v, lf = floors[v]
-                    lw = log(scale * (word_tf[v] / total) + floor_v)
+                    lw = log(scale * freq[v] + floor_v)
                     log_num += lw
                     log_diff += lw - lf
                 ratio = exp(log_num - log_den if len(held) == n_words
@@ -620,8 +599,9 @@ class QueryContext:
         One numpy pass, whatever the number of query words: the columns of
         the query words with postings are joined in query order, and
         ``np.bincount`` adds each slot's terms in that order from 0.0. So
-        a slot gets the sums of ``visual``, and its cost is ``visual`` of
-        its image up to the rounding of numpy's ``log`` and ``exp``. A slot
+        a slot gets the sums of ``mind_visual``, and its cost is
+        ``mind_visual`` of its image's ``freq`` up to the rounding of
+        numpy's ``log`` and ``exp``. A slot
         that holds no query word gets a meaningless cost; the caller drops
         it by its zero count."""
         slot_cols, freq_cols, floors, log_floors, zero_cols = [], [], [], [], []
@@ -653,7 +633,8 @@ class QueryContext:
 
     def mind_visual(self, node_max_freq):
         """Lower bound on the visual relevance of any image under a node
-        whose per-word max frequency ratios are ``node_max_freq``."""
+        whose per-word max frequency ratios are ``node_max_freq``; given an
+        image's ``freq``, the image's own visual relevance."""
         for v in self._zero_words:
             if not node_max_freq.get(v):
                 return 1.0
@@ -702,8 +683,7 @@ def visual_weight(word, img, params):
     if stats.total_word_count == 0:
         raise InvalidStateError("empty corpus")
     return kernels.visual_weight(
-        img.word_tf.get(word, 0),
-        img.total_tf,
+        img.freq.get(word, 0.0),
         stats.corpus_tf(word),
         stats.total_word_count,
         params.xi,
@@ -714,11 +694,12 @@ def visual_relevance(q, img, params):
     """1 - (product of query-word weights) / gamma_max, clamped to [0, 1].
 
     gamma_max is the product over query words of the live corpus-wide
-    maximum weight, so the best-matching image scores 0.
+    maximum weight, so the best-matching image scores 0. It is the query
+    context's ``mind_visual`` of the image's ratios ``img.freq``.
     """
     if params.stats.total_word_count == 0:
         raise InvalidStateError("empty corpus")
-    return params.context(q).visual(img)
+    return params.context(q).mind_visual(img.freq)
 
 
 def temporal_recency(q, t_c, params):
@@ -734,8 +715,9 @@ def combined_score(q, img, params):
     current corpus, its ``(f_s, f_v, f_t)`` are taken from the context's
     ``terms``; they are the kernels' values bit for bit. Otherwise (IFA's
     results, an image the scorer never kept, oracle callers) they are
-    computed here. ``f_stv`` is ``kernels.combine`` of the three either
-    way.
+    computed here: the spatial and recency kernels, and ``f_v`` as the
+    context's ``mind_visual`` of ``img.freq`` (``visual_relevance``).
+    ``f_stv`` is ``kernels.combine`` of the three either way.
 
     Locations are not checked here: the query's is checked when its
     context is built, an image's when an index admits it.
@@ -751,26 +733,16 @@ def combined_score(q, img, params):
     return ScoreBreakdown(f_s, f_v, f_t, kernels.combine(w1, w2, w3, f_s, f_v, f_t))
 
 
-def add_to_aggregates(node, img):
-    """Fold one image into a tree node's aggregates: ``t_max``, the latest
-    timestamp below the node, and ``max_freq``, word -> max tf/|I.psi|
-    below the node. ``mind_visual`` reads the latter."""
-    if node.t_max is None or img.t_c > node.t_max:
-        node.t_max = img.t_c
-    total = img.total_tf
+def add_to_aggregates(node, t, freq):
+    """The one fold of a node's aggregates: ``t_max``, the latest timestamp
+    below the node, and ``max_freq``, word -> max tf/|I.psi| below the
+    node, take in a timestamp ``t`` and a word -> ratio map ``freq``. An
+    image folds in as ``(img.t_c, img.freq)``, a child node as ``(c.t_max,
+    c.max_freq)``. ``mind_visual`` reads ``max_freq``."""
+    if node.t_max is None or t > node.t_max:
+        node.t_max = t
     mf = node.max_freq
-    for word, tf in img.psi:
-        f = tf / total
-        if f > mf.get(word, 0.0):
-            mf[word] = f
-
-
-def merge_aggregates(node, child):
-    """Fold a child's aggregates into its parent's."""
-    if node.t_max is None or child.t_max > node.t_max:
-        node.t_max = child.t_max
-    mf = node.max_freq
-    for word, f in child.max_freq.items():
+    for word, f in freq.items():
         if f > mf.get(word, 0.0):
             mf[word] = f
 

@@ -58,7 +58,7 @@ def random_query(rng, images, domain, vocab=60, max_words=20):
     anchor = rng.choice(images)
     l = rng.randint(1, max_words)
     words = set(rng.sample(range(vocab), min(l, vocab)))
-    words.add(rng.choice(list(anchor.word_tf)))
+    words.add(rng.choice(list(anchor.freq)))
     w1 = rng.uniform(0.05, 0.9)
     w2 = rng.uniform(0.05, 0.95 - w1)
     w3 = 1.0 - w1 - w2

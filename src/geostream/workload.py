@@ -122,14 +122,14 @@ def generate_queries(cfg, images):
     if not images:
         raise ValueError("cannot sample queries from an empty dataset")
     rng = np.random.default_rng(cfg.seed)
-    vocab = sorted({w for img in images for w in img.word_tf})
+    vocab = sorted({w for img in images for w in img.freq})
     t = max(img.t_c for img in images)
     queries = []
     for _ in range(cfg.count):
         anchor = images[int(rng.integers(0, len(images)))]
         want = cfg.words_per_query
-        n_anchor = min(len(anchor.word_tf), max(1, round(want * cfg.anchor_word_fraction)))
-        anchor_words = list(anchor.word_tf)
+        n_anchor = min(len(anchor.freq), max(1, round(want * cfg.anchor_word_fraction)))
+        anchor_words = list(anchor.freq)
         picked = set(
             anchor_words[i] for i in rng.choice(len(anchor_words), n_anchor, replace=False)
         )

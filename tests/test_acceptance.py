@@ -54,7 +54,7 @@ def test_scoring_unit_examples():
 
     assert kernels.spatial_cost(0.0, 0.0, 3.0, 4.0, DOMAIN.delta_max) == \
         pytest.approx(0.0353553, abs=1e-6)
-    assert kernels.visual_weight(2, 10, 100, 1000, 0.2) == pytest.approx(0.18, abs=1e-6)
+    assert kernels.visual_weight(2 / 10, 100, 1000, 0.2) == pytest.approx(0.18, abs=1e-6)
     assert kernels.recency_cost(3600.0, 2.0, 3600.0) == pytest.approx(0.5, abs=1e-6)
     assert kernels.combine(1 / 3, 1 / 3, 1 / 3, 0.0353553, 0.5, 0.5) == \
         pytest.approx(0.3451184, abs=1e-6)

@@ -225,9 +225,9 @@ class TestIfa:
             for word, (slots, freqs) in index.postings.items():
                 assert list(slots) == sorted(set(slots))
                 held = sorted((index.ids[s], f) for s, f in zip(slots, freqs) if alive[s])
-                assert held == sorted((iid, im.word_tf[word] / im.total_tf)
-                                      for iid, im in live.items() if word in im.word_tf)
-            assert {w for im in live.values() for w in im.word_tf} <= set(index.postings)
+                assert held == sorted((iid, tf / im.total_tf)
+                                      for iid, im in live.items() for w, tf in im.psi if w == word)
+            assert {w for im in live.values() for w, _tf in im.psi} <= set(index.postings)
             for _ in range(10):
                 q = random_query(rng, list(live.values()), domain, max_words=5)
                 q = Query(psi=q.psi, loc=q.loc, t=q.t, k=50, weights=q.weights)
@@ -255,7 +255,7 @@ class TestIfa:
             got, stats = index.search(q)
             assert results_match(got, expected)
             qwords = set(q.psi)
-            n_common = sum(1 for im in images if not qwords.isdisjoint(im.word_tf))
+            n_common = sum(1 for im in images if not qwords.isdisjoint(im.freq))
             assert stats.images_scored == n_common
             assert stats.roots == 0
 
@@ -323,14 +323,14 @@ def test_ifa_columns_match_oracle(xi, domain):
             assert results_match(got, oracle_over_live_set(q, index))
             qwords = set(q.psi)
             assert stats.images_scored == sum(
-                1 for im in live if not qwords.isdisjoint(im.word_tf))
+                1 for im in live if not qwords.isdisjoint(im.freq))
             # the column pass gives every live candidate the scalar visual cost
             ctx = index.params.context(q)
             f_v, held = ctx.visual_columns(index.postings, len(index.ids))
             by_id = {im.id: im for im in live}
             for s, iid in enumerate(index.ids):
                 if index.alive[s] and held[s]:
-                    assert abs(f_v[s] - ctx.visual(by_id[iid])) <= 1e-12
+                    assert abs(f_v[s] - ctx.mind_visual(by_id[iid].freq)) <= 1e-12
     assert rebuilds >= 2
 
 

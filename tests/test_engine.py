@@ -90,7 +90,7 @@ class TestTopKSearch:
             q = random_query(rng, images, domain)
             qwords = set(q.psi)
             with_common = sum(
-                1 for im in index.live_images() if not qwords.isdisjoint(im.word_tf)
+                1 for im in index.live_images() if not qwords.isdisjoint(im.freq)
             )
             _, stats = top_k_search(q, index)
             assert stats.images_scored <= with_common
@@ -186,7 +186,7 @@ def holding_pairs(q, leaf, params):
     reference = uncached(params)
     return [(combined_score(q, im, reference).f_stv, im)
             for im in sorted(leaf.images, key=lambda im: im.id)
-            if not qwords.isdisjoint(im.word_tf)]
+            if not qwords.isdisjoint(im.freq)]
 
 
 def within(pairs, lam, k):
@@ -407,7 +407,7 @@ def test_one_leaf_segments_score_fewer_than_the_common_word_images(domain):
         results, stats = top_k_search(q, index)
         assert results_match(results, brute_force_oracle(q, live, index.params))
         qwords = set(q.psi)
-        with_common = sum(1 for im in live if not qwords.isdisjoint(im.word_tf))
+        with_common = sum(1 for im in live if not qwords.isdisjoint(im.freq))
         assert stats.images_scored <= with_common
         scored += stats.images_scored
         common += with_common

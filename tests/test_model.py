@@ -312,6 +312,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="must be an integer"):
             img(id=id)
 
+    @pytest.mark.parametrize("value", ["50", True, None, math.nan, math.inf],
+                             ids=["str", "bool", "none", "nan", "inf"])
+    @pytest.mark.parametrize("axis", ["lat", "lon"])
+    def test_non_finite_location(self, axis, value):
+        # float() would convert a string or a bool and refuse None with a
+        # TypeError; NaN and infinity are no place
+        with pytest.raises(ValueError, match=f"{axis} must be finite and real"):
+            img(**{axis: value})
+
+    def test_freq_is_each_ratio_in_word_order(self, domain):
+        images = random_images(random.Random(67), 200, domain) + [img(psi=[(1.0, 2.0), [3, 6]])]
+        for image in images:
+            total = sum(tf for _, tf in image.psi)
+            assert image.freq == {w: tf / total for w, tf in image.psi}
+            assert list(image.freq) == [w for w, _ in image.psi] == sorted(image.freq)
+
     def test_whole_floats_and_list_pairs_accepted(self):
         assert img(psi=[(1.0, 2.0), [3, 1]]).psi == ((1, 2), (3, 1))
         q = query(psi=(3.0, 2), k=2.0, t=7.0)
@@ -422,7 +438,17 @@ class TestCorpusStats:
         assert state() == before
 
     @staticmethod
-    def assert_recount(stats, survivors, vocab):
+    def assert_buckets(stats):
+        """Each bucket's ``t_max`` and ``max_freq`` equal a recount of its
+        images from their counts."""
+        for bucket in stats._buckets.values():
+            images = list(bucket.images.values())
+            assert bucket.t_max == max(i.t_c for i in images)
+            assert bucket.max_freq == max_freq_of(images)
+
+    @classmethod
+    def assert_recount(cls, stats, survivors, vocab):
+        cls.assert_buckets(stats)
         fresh = CorpusStats(100)
         for i in survivors:
             fresh.add_image(i)
@@ -501,6 +527,25 @@ class TestCorpusStats:
         whole.expire(250)
         self.assert_recount(whole, [i for i in images if i.t_c >= 250], 12)
 
+    def test_bucket_aggregates_equal_a_recount(self, domain):
+        # after each add_image, an expire whose cutoff splits the bucket
+        # [100, 200), and each remove_image, newest arrivals first so that
+        # the t_max of a bucket falls
+        images = random_images(random.Random(71), 120, domain, vocab=10, t_lo=0, t_hi=399)
+        stats = CorpusStats(100)
+        for i in images:
+            stats.add_image(i)
+            self.assert_buckets(stats)
+        gone = stats.expire(150)
+        assert sorted(i.id for i in gone) == sorted(i.id for i in images if i.t_c < 150)
+        images = [i for i in images if i.t_c >= 150]
+        self.assert_recount(stats, images, 10)
+        for i in sorted(images, key=lambda i: -i.t_c)[:20]:
+            stats.remove_image(i)
+            images.remove(i)
+            self.assert_buckets(stats)
+        self.assert_recount(stats, images, 10)
+
     def test_max_weight_matches_per_image_max(self, domain):
         rng = random.Random(9)
         images = []
@@ -546,7 +591,7 @@ def reference_visual(q, image, p):
     """Visual relevance from one weight and one live maximum per query
     word, by the reference kernels."""
     stats, xi = p.stats, p.xi
-    weights = [kernels.visual_weight(image.word_tf.get(v, 0), image.total_tf,
+    weights = [kernels.visual_weight(image.freq.get(v, 0.0),
                                      stats.corpus_tf(v), stats.total_word_count, xi)
                for v in q.psi]
     maxima = [stats.max_weight(v, xi) for v in q.psi]
@@ -559,6 +604,51 @@ def reference_mind(q, node_max_freq, p):
                for v in q.psi]
     maxima = [stats.max_weight(v, xi) for v in q.psi]
     return kernels.relevance_cost(weights, maxima)
+
+
+def scalar_visual(ctx, image):
+    """The visual cost of one image from one pass over ``image.psi``, the
+    ratio recomputed from the counts and summed in word order: the
+    reference that ``mind_visual`` of the image's ``freq`` equals bit for
+    bit."""
+    word_tf = dict(image.psi)
+    for v in ctx._zero_words:
+        if v not in word_tf:
+            return 1.0
+    log_num = 0.0
+    log_diff = 0.0
+    held = 0
+    for v, tf in image.psi:
+        fl = ctx._floors.get(v)
+        if fl is not None:
+            lw = math.log(ctx._scale * (tf / image.total_tf) + fl[0])
+            log_num += lw
+            log_diff += lw - fl[1]
+            held += 1
+    return ctx._cost(log_num, log_diff, held)
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.35, 0.5])
+def test_mind_visual_of_freq_is_the_scalar_visual_loop(domain, xi):
+    # half the queries are one image's words, which that image holds
+    # every one of; the rest add words, two of them outside the corpus.
+    # At xi = 0 every floor is zero, so an image lacking a word costs 1.0
+    rng = random.Random(int(xi * 100) + 73)
+    images = random_images(rng, 150, domain, vocab=12)
+    p = params_for(domain, images, xi=xi)
+    holds_all = lacks_zero_word = 0
+    for n in range(60):
+        words = {w for w, _ in rng.choice(images).psi}
+        if n % 2:
+            words |= set(rng.sample(range(14), rng.randint(1, 4)))
+        ctx = p.context(query(psi=tuple(sorted(words))))
+        for image in images:
+            assert ctx.mind_visual(image.freq) == scalar_visual(ctx, image)
+            assert visual_relevance(ctx.q, image, p) == scalar_visual(ctx, image)
+            holds_all += ctx._floors.keys() <= image.freq.keys()
+            lacks_zero_word += any(v not in image.freq for v in ctx._zero_words)
+    assert holds_all
+    assert bool(lacks_zero_word) == (xi == 0.0)
 
 
 def max_freq_of(images):
@@ -666,13 +756,13 @@ class TestQueryContext:
             leaf = SimpleNamespace(images=corpus)
             scored = sorted(p.context(q).score_leaf(leaf), key=lambda pair: pair[1].id)
             assert [image for _f, image in scored] == \
-                [image for image in corpus if set(q.psi) & set(image.word_tf)]
+                [image for image in corpus if set(q.psi) & set(image.freq)]
             # the reference has no word table and no recorded terms, so a
             # fault in the scorer cannot show in both sides
             reference = uncached(p)
             for f, image in scored:
                 newer += image.t_c > q.t
-                lacking += not set(q.psi) <= set(image.word_tf)
+                lacking += not set(q.psi) <= set(image.freq)
                 expected = combined_score(q, image, reference)
                 assert f == expected.f_stv
                 assert combined_score(q, image, p) == expected

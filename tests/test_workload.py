@@ -137,7 +137,7 @@ class TestQueries:
         assert all(q.loc in locs for q in wl.queries)
 
     def test_words_from_dataset_vocabulary(self, images):
-        vocab = {w for im in images for w in im.word_tf}
+        vocab = {w for im in images for w in im.freq}
         wl = generate_queries(QueryConfig(seed=4, count=50), images)
         assert all(set(q.psi) <= vocab for q in wl.queries)
 
