@@ -1,7 +1,8 @@
 """Benchmark harness: one sweep per axis of the paper's figures. Insert
 and segment-roll latency against arrival rate; response time, node
-accesses and images scored against node capacity, query-word count l,
-k, dataset size n and the weights; modelled storage.
+accesses, visual node bounds evaluated and images scored against node
+capacity, query-word count l, k, dataset size n and the weights;
+modelled storage.
 
 Every answer is checked: each index must return the first index's
 answer to every query (at 1e-9), and each index's answer to the first
@@ -9,9 +10,9 @@ query of a point must equal the brute-force oracle over its live images.
 A mismatch raises ``AnswerMismatchError``.
 
 Timings are reported but never asserted; only counter metrics (node
-accesses, images scored) are stable across machines. Arrival rates are
-simulated in virtual time: timestamps are synthesized at the target
-rate, no wall-clock waiting.
+accesses, bounds evaluated, images scored) are stable across machines.
+Arrival rates are simulated in virtual time: timestamps are synthesized
+at the target rate, no wall-clock waiting.
 """
 
 from __future__ import annotations
@@ -120,8 +121,9 @@ def _roll_half(index, start, horizon):
 
 
 def _query_rows(axis, value, indexes, queries):
-    """Response time, nodes visited and images scored of each index over
-    the queries, with every answer checked."""
+    """Response time, nodes visited, visual node bounds evaluated and
+    images scored of each index over the queries, with every answer
+    checked."""
     rows, first = [], None
     for kind, index in indexes.items():
         times, stats, answers = [], [], []
@@ -142,6 +144,7 @@ def _query_rows(axis, value, indexes, queries):
                     f"{axis}={value}: {kind} answers differ from {first[0]}'s on query {i}")
         rows.append(_row(axis, value, kind, "response_ms", times))
         rows.append(_row(axis, value, kind, "nodes", [s.nodes_visited for s in stats]))
+        rows.append(_row(axis, value, kind, "bounds", [s.bounds_evaluated for s in stats]))
         rows.append(_row(axis, value, kind, "images_scored", [s.images_scored for s in stats]))
     return rows
 
@@ -154,9 +157,9 @@ def sweep(gen_cfg, index_cfg, axis, values=None, query_cfg=None, kinds=INDEX_KIN
     ``arrival_rate`` retimes the stream and measures ``insert_us`` and
     ``delete_us``; ``n`` takes a prefix of the stream; ``node_capacity``
     replaces the capacity; ``l``, ``k`` and ``omega1..3`` replace a field
-    of the query config; those measure ``response_ms``, ``nodes`` and
-    ``images_scored``. ``storage`` gives each index's modelled ``bytes``
-    at a prefix of ``n`` images (rows on axis ``n``), as built: a search
+    of the query config; those measure ``response_ms``, ``nodes``,
+    ``bounds`` and ``images_scored``. ``storage`` gives each index's
+    modelled ``bytes`` at a prefix of ``n`` images (rows on axis ``n``), as built: a search
     adds nothing that the model counts, so the point runs no queries. Indexes are rebuilt only when a point's images or index
     config change. Raises ``AnswerMismatchError`` on a wrong answer."""
     if axis not in AXES:

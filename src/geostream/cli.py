@@ -7,8 +7,10 @@ failure.
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 from . import bench as bench_mod
 from .hiq import HiqConfig
@@ -133,6 +135,8 @@ def build_parser():
     q.add_argument("--w1", type=float, default=1 / 3)
     q.add_argument("--w2", type=float, default=1 / 3)
     q.add_argument("--w3", type=float, default=1 / 3)
+    q.add_argument("--explain", action="store_true",
+                   help="print each query's search stats as one JSON line after its results")
 
     b = sub.add_parser("bench", help="run the measurement harness",
                        parents=[common, seeded, indexed])
@@ -194,10 +198,21 @@ def cmd_query(args):
         queries = [q]
 
     for qid, q in enumerate(queries):
-        results, _ = index.search(q)
+        results, stats = index.search(q)
         for rank, entry in enumerate(results, start=1):
             print(f"{qid}\t{rank}\t{entry.image_id}\t{entry.score.f_stv:.6f}")
+        if args.explain:
+            print(json.dumps(_explain(qid, stats)))
     return EXIT_OK
+
+
+def _explain(qid, stats):
+    """A query's ``SearchStats`` as a JSON object, with an infinite λ
+    (fewer than k images found) as null."""
+    out = {"qid": qid, **asdict(stats)}
+    if math.isinf(out["lam"]):
+        out["lam"] = None
+    return out
 
 
 def cmd_bench(args):

@@ -4,19 +4,24 @@
 the live corpus, admission of an image and the sliding window.
 
 The search works against any index exposing the searchable surface:
-``roots()``, ``bounds(q, nodes)``, ``candidates(q, leaf, lam, bound)`` and a
-``params`` attribute, with the bound dominance property (a node's bound
-<= f_stv of every image under the node). ``bounds`` gives the bound of
-each node of a list in one pass: the search asks it once for the roots
-and once for the children of each inner node it pops. ``mind(q, node)``
-is the one-node reference, ``bounds(q, [node])[0]``, which the
-dominance audit and the tests read. A node's ``children`` is a list at
-an inner node and ``None`` at a leaf, which holds its ``images``.
-``TreeIndex`` gives the tree indexes (HIQ, STVII) one ``search``,
-``bounds``, ``mind``, ``candidates`` and ``node_count``; a subclass
-provides only ``roots()`` and ``_rect(node)``, a node's rectangle.
-``bounds`` takes a node's visual part from the query's context
-(``QueryContext.mind_visual``).
+``roots()``, ``bounds(q, nodes, visual=None)``, ``candidates(q, leaf,
+lam, bound)`` and a ``params`` attribute, with the bound dominance
+property (a node's bound <= f_stv of every image under the node) and
+nested aggregates (a child's ``t_max`` and each word of its ``max_freq``
+at most its parent's). ``bounds`` gives the exact bound of each node of
+a list in one pass, with its visual part, or, given a parent's visual
+part, each node's deferred key: the node's own spatial and recency terms
+with the parent's visual part, a lower bound on its exact bound. The
+search asks it once for the roots and once for the children of each
+inner node it pops, and computes a child's own visual part only if the
+child reaches the top of the heap. ``mind(q, node)`` is the one-node
+reference, ``bounds(q, [node])[0][0]``, which the dominance audit and
+the tests read. A node's ``children`` is a list at an inner node and
+``None`` at a leaf, which holds its ``images``. ``TreeIndex`` gives the
+tree indexes (HIQ, STVII) one ``search``, ``bounds``, ``mind``,
+``candidates`` and ``node_count``; a subclass provides only ``roots()``
+and ``_rect(node)``, a node's rectangle. A node's visual part is the
+query context's ``mind_visual`` of its ``max_freq``.
 
 ``candidates`` scores a leaf one image at a time
 (``QueryContext.score_leaf``) and returns ``(f_stv, image)`` pairs. The
@@ -80,18 +85,22 @@ class SearchStats:
     """What a search did. ``images_scored`` counts the ``(f_stv, image)``
     pairs the search ranked. ``roots`` counts the trees the tree search
     started from, ``len(index.roots())``, and reads 0 for IFA. In the
-    tree search ``nodes_pruned`` counts the nodes whose bound exceeded λ
-    (the entries of ``audit``), ``lam`` is the final λ, infinite while
-    fewer than k images were found, and ``stop`` says why it ended:
-    ``"exhausted"`` when the node heap emptied, ``"bound"`` when a popped
-    node's bound exceeded λ. IFA, which scans every candidate, always
-    reads ``"exhausted"``."""
+    tree search ``nodes_pruned`` counts the nodes whose bound or deferred
+    key exceeded λ (the entries of ``audit``), ``bounds_evaluated``
+    counts the visual node bounds it computed (``mind_visual`` of a
+    node's ``max_freq``; 0 for IFA), ``lam`` is the final λ, infinite
+    while fewer than k images were found, and ``stop`` says why it
+    ended: ``"exhausted"`` when it visited every root and every child
+    whose bound was at most λ when its parent was visited, ``"bound"``
+    when λ fell below the bound of such a node before the search reached
+    it. IFA, which scans every candidate, always reads ``"exhausted"``."""
 
     nodes_visited: int = 0
     images_scored: int = 0
     roots: int = 0
     heap_peak: int = 0
     nodes_pruned: int = 0
+    bounds_evaluated: int = 0
     lam: float = math.inf
     stop: str = "exhausted"
 
@@ -100,40 +109,73 @@ def top_k_search(q, index, audit=None):
     """Returns (results, stats): the k lowest-cost images sharing at
     least one query word, ascending (f_stv, id).
 
-    Maintains a min-heap of nodes keyed by their lower bound and a
-    threshold equal to the k-th best score found so far; nodes whose
-    bound exceeds the threshold are pruned. A leaf's candidates are the
-    images ``index.candidates(q, leaf, lam, bound)`` gives for the
-    current threshold and the leaf's bound, ranked on the ``f_stv`` it
-    pairs them with; only the k results get a breakdown from
-    ``combined_score``, which reads the terms the leaf scorer recorded for
-    them. ``audit``, when a list, is filled with the bounds of pruned
-    nodes (for dominance-safety tests). ``stats.stop`` says whether the
-    heap emptied or a bound ended the search.
+    Maintains a min-heap of nodes keyed by a lower bound and a threshold
+    λ equal to the k-th best score found so far; nodes whose key exceeds
+    λ are pruned. The roots, and the children of a node whose visual
+    bound is 0.0, go on the heap under their exact bound
+    (``index.bounds(q, nodes)``). The children of any other inner node
+    go on it under a deferred key (``index.bounds(q, children, f_v)``):
+    their own spatial and recency terms with the parent's visual bound
+    ``f_v``, which bounds theirs because a child's ``max_freq`` is at
+    most its parent's, word by word. A deferred key that reaches the top
+    of the heap is refined in place to the exact bound, through the
+    query context's ``mind_visual`` of the node's ``max_freq``; the node
+    is pruned if that exceeds λ, and is visited only once it is the top
+    under its exact bound. Nodes are thus visited in ascending (exact
+    bound, push order), and only the visual bounds of the nodes that
+    reach the top are computed.
+
+    A leaf's candidates are the images ``index.candidates(q, leaf, lam,
+    bound)`` gives for the current threshold and the leaf's exact bound,
+    ranked on the ``f_stv`` it pairs them with; only the k results get a
+    breakdown from ``combined_score``, which reads the terms the leaf
+    scorer recorded for them. ``audit``, when a list, is filled with the
+    key or bound of each pruned node (for dominance-safety tests).
+    ``stats.stop`` says whether λ ended the search early.
     """
     params = index.params
-    params.context(q)       # checks the query location
+    mind_visual = params.context(q).mind_visual     # checks the query location
+    w2 = q.weights[1]
     k = q.k
     stats = SearchStats()
     order = itertools.count()
-    heap = []
     roots = index.roots()
-    stats.roots = len(roots)
-    for root, bound in zip(roots, index.bounds(q, roots)):
-        heapq.heappush(heap, (bound, next(order), root))
+    stats.roots = stats.bounds_evaluated = len(roots)
+    # an entry is (bound, push order, node, f_v), or, for a deferred key,
+    # (key, push order, node, spatial term, recency term, λ at the push)
+    heap = []
+    for root, (bound, f_v) in zip(roots, index.bounds(q, roots)):
+        heapq.heappush(heap, (bound, next(order), root, f_v))
     stats.heap_peak = len(heap)
 
     worst = []              # max-heap via (-f_stv, -id, image)
     lam = math.inf          # k-th best f_stv so far
+    cut = False             # a node left unvisited whose bound was <= λ at its push
     while heap:
-        bound, _, node = heapq.heappop(heap)
-        if bound > lam:
-            stats.stop = "bound"
-            stats.nodes_pruned += 1 + len(heap)
+        entry = heap[0]
+        if entry[0] > lam:
+            stats.nodes_pruned += len(heap)
             if audit is not None:
-                audit.append(bound)
-                audit.extend(b for b, _, _ in heap)
+                audit.extend(e[0] for e in heap)
+            cut = cut or _pushed_within(heap, w2, mind_visual, stats)
             break
+        if len(entry) == 6:
+            # a deferred key at the top: refine it to the exact bound in place
+            _, seq, node, spatial, recency, pushed_lam = entry
+            f_v = mind_visual(node.max_freq)
+            stats.bounds_evaluated += 1
+            bound = spatial + w2 * f_v + recency
+            if bound > lam:
+                heapq.heappop(heap)
+                stats.nodes_pruned += 1
+                if audit is not None:
+                    audit.append(bound)
+                cut = cut or bound <= pushed_lam
+            else:
+                heapq.heapreplace(heap, (bound, seq, node, f_v))
+            continue
+        heapq.heappop(heap)
+        bound, _, node, f_v = entry
         stats.nodes_visited += 1
         children = node.children
         if children is None:
@@ -147,21 +189,47 @@ def top_k_search(q, index, audit=None):
                 elif f < lam or (f == lam and img.id < -worst[0][1]):
                     heapq.heapreplace(worst, (-f, -img.id, img))
                     lam = -worst[0][0]
+            continue
+        if f_v > 0.0:       # a key under a visual bound of 0.0 would hold no visual term
+            for child, (key, spatial, recency) in zip(children, index.bounds(q, children, f_v)):
+                if key <= lam:
+                    heapq.heappush(heap, (key, next(order), child, spatial, recency, lam))
+                else:
+                    stats.nodes_pruned += 1
+                    if audit is not None:
+                        audit.append(key)
         else:
-            for child, b in zip(children, index.bounds(q, children)):
+            stats.bounds_evaluated += len(children)
+            for child, (b, f) in zip(children, index.bounds(q, children)):
                 if b <= lam:
-                    heapq.heappush(heap, (b, next(order), child))
+                    heapq.heappush(heap, (b, next(order), child, f))
                 else:
                     stats.nodes_pruned += 1
                     if audit is not None:
                         audit.append(b)
-            if len(heap) > stats.heap_peak:
-                stats.heap_peak = len(heap)
+        if len(heap) > stats.heap_peak:
+            stats.heap_peak = len(heap)
 
+    stats.stop = "bound" if cut else "exhausted"
     stats.lam = lam
     results = [ResultEntry(img.id, combined_score(q, img, params)) for _, _, img in worst]
     results.sort(key=lambda e: (e.score.f_stv, e.image_id))
     return results, stats
+
+
+def _pushed_within(heap, w2, mind_visual, stats):
+    """Whether a node left on the search's heap had an exact bound at most
+    λ when it was pushed: a node under its exact bound did, and so did
+    one under a deferred key pushed while λ was infinite. Any other
+    deferred key is refined, each in ``stats.bounds_evaluated``, until
+    one did."""
+    if any(len(e) == 4 or e[5] == math.inf for e in heap):
+        return True
+    for _, _, node, spatial, recency, pushed_lam in heap:
+        stats.bounds_evaluated += 1
+        if spatial + w2 * mind_visual(node.max_freq) + recency <= pushed_lam:
+            return True
+    return False
 
 
 def walk(roots):
@@ -301,12 +369,21 @@ class TreeIndex(Index):
     def search(self, q):
         return top_k_search(q, self)
 
-    def bounds(self, q, nodes):
-        """Lower bound on f_stv for any image under each of ``nodes``: the
+    def bounds(self, q, nodes, visual=None):
+        """Lower bounds on f_stv for any image under each of ``nodes``: the
         arithmetic of ``kernels.rect_min_cost`` over ``_rect(node)``,
         ``recency_cost`` (1.0 for a node with no image) and ``combine``
-        inline, in their operands and order, around the query context's
-        ``mind_visual``."""
+        inline, in their operands and order, as ``spatial + w2 * f_v +
+        recency`` with the weighted spatial and recency terms.
+
+        With ``visual`` None, each node's exact bound and its own visual
+        part, ``(bound, f_v)``, where ``f_v`` is the query context's
+        ``mind_visual`` of the node's ``max_freq``. Given ``visual``, a
+        visual bound that is at most each node's own (such as their
+        parent's), each node's deferred key ``(key, spatial, recency)``,
+        with ``key = spatial + w2 * visual + recency``; no visual part is
+        computed, and ``spatial + w2 * f_v + recency`` is the exact
+        bound."""
         p = self.params
         mind_visual = p.context(q).mind_visual
         rect = self._rect
@@ -328,7 +405,6 @@ class TreeIndex(Index):
                 d_lon = min_lon - q_lon
             elif q_lon > max_lon:
                 d_lon = q_lon - max_lon
-            f_v = mind_visual(node.max_freq)
             if node.t_max is None:
                 f_t = 1.0
             else:
@@ -336,14 +412,20 @@ class TreeIndex(Index):
                 if age < 0.0:
                     age = 0.0
                 f_t = 1.0 - decay_base ** (-(age / time_unit))
-            out.append(w1 * (sqrt(d_lat * d_lat + d_lon * d_lon) / delta_max)
-                       + w2 * f_v + w3 * f_t)
+            if visual is None:
+                f_v = mind_visual(node.max_freq)
+                out.append((w1 * (sqrt(d_lat * d_lat + d_lon * d_lon) / delta_max)
+                            + w2 * f_v + w3 * f_t, f_v))
+            else:
+                spatial = w1 * (sqrt(d_lat * d_lat + d_lon * d_lon) / delta_max)
+                recency = w3 * f_t
+                out.append((spatial + w2 * visual + recency, spatial, recency))
         return out
 
     def mind(self, q, node):
         """Lower bound on f_stv for any image under ``node``: the one-node
         reference of ``bounds``."""
-        return self.bounds(q, [node])[0]
+        return self.bounds(q, [node])[0][0]
 
     def candidates(self, q, leaf, lam=math.inf, bound=0.0):
         """``(f_stv, image)`` for each image in the leaf sharing at least

@@ -136,8 +136,10 @@ def check_dominance(seed, pairs, domain, tol=BOUND_TOL):
     part of each dataset has expired. For every image of every leaf it
     also asserts the bound behind the leaf scorer's spatial radius
     (``QueryContext.score_leaf``): the image's own spatial cost with the
-    leaf's visual bound and its recency cost at ``t_max``. Returns the
-    number of violations."""
+    leaf's visual bound and its recency cost at ``t_max``. For every
+    parent and child it asserts the nesting the search's deferred keys
+    rest on (``nesting_violations``). Returns the number of
+    violations."""
     rng = random.Random(seed)
     violations = 0
     done = 0
@@ -160,7 +162,30 @@ def check_dominance(seed, pairs, domain, tol=BOUND_TOL):
                         violations += 1
                     if node.children is None:
                         violations += leaf_bound_violations(q, node, index.params, tol)
+                violations += nesting_violations(q, index)
             done += 1
+    return violations
+
+
+def nesting_violations(q, index):
+    """The number of (parent, child) pairs of ``index``'s trees where the
+    child's ``t_max`` exceeds its parent's, a word of its ``max_freq``
+    exceeds its parent's, or its deferred key (``index.bounds`` with the
+    parent's visual bound) exceeds its exact bound ``index.mind(q,
+    child)``; the key is compared with no tolerance."""
+    violations = 0
+    for parent in walk(index.roots()):
+        children = parent.children
+        if children is None:
+            continue
+        [(_, f_v)] = index.bounds(q, [parent])
+        for child, (key, _, _) in zip(children, index.bounds(q, children, f_v)):
+            if child.t_max is not None and (parent.t_max is None or child.t_max > parent.t_max):
+                violations += 1
+            if any(f > parent.max_freq.get(word, 0.0) for word, f in child.max_freq.items()):
+                violations += 1
+            if key > index.mind(q, child):
+                violations += 1
     return violations
 
 

@@ -169,7 +169,7 @@ def test_bench_harness_axes(tmp_path):
     for row in body:
         assert len(row) == 7
         assert row[2] in ("hiq", "ifa", "stvii")
-        assert row[3] in ("insert_us", "delete_us", "response_ms", "nodes",
+        assert row[3] in ("insert_us", "delete_us", "response_ms", "nodes", "bounds",
                           "images_scored", "bytes")
         float(row[1]); float(row[4]); float(row[5]); float(row[6])
     # one row per axis point per index for every swept metric
@@ -179,6 +179,7 @@ def test_bench_harness_axes(tmp_path):
         ("node_capacity", (100, 200, 300, 400, 500), "response_ms"),
         ("l", (10, 50, 100, 150, 200), "response_ms"),
         ("k", (10, 25, 50, 75, 100), "response_ms"),
+        ("k", (10, 25, 50, 75, 100), "bounds"),
         ("omega1", bench.AXES["omega1"], "response_ms"),
     ):
         for value in values:

@@ -64,7 +64,7 @@ class TestQueryBench:
         for row in parsed[1:]:
             assert len(row) == 7
             assert row[2] in ("hiq", "ifa", "stvii")
-            assert row[3] in ("insert_us", "delete_us", "response_ms", "nodes",
+            assert row[3] in ("insert_us", "delete_us", "response_ms", "nodes", "bounds",
                               "images_scored", "bytes")
             float(row[1]), float(row[4]), float(row[5]), float(row[6])
 
@@ -77,6 +77,8 @@ class TestQueryBench:
         )
         scored = {r.index: r.mean for r in rows if r.metric == "images_scored"}
         assert scored["hiq"] <= scored["ifa"]
+        bounds = {r.index: r.mean for r in rows if r.metric == "bounds"}
+        assert bounds["hiq"] > 0 and bounds["ifa"] == 0
 
 
 class TestMaintenanceBench:
@@ -137,7 +139,7 @@ def test_every_axis_gives_its_row_keys(axis):
     gen = small_gen(image_count=60, vocab_size=40, mean_words=5.0)
     rows = bench.sweep(gen, small_index(), axis, query_cfg=QueryConfig(seed=1, count=2))
     values = bench.AXES[axis] or (12, 24, 36, 48, 60)
-    metrics = AXIS_METRICS.get(axis, ("response_ms", "nodes", "images_scored"))
+    metrics = AXIS_METRICS.get(axis, ("response_ms", "nodes", "bounds", "images_scored"))
     label = "n" if axis == "storage" else axis
     keys = [(r.axis, r.value, r.index, r.metric) for r in rows]
     assert len(keys) == len(set(keys))

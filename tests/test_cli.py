@@ -1,4 +1,5 @@
 import csv
+import json
 import shlex
 from dataclasses import fields
 from pathlib import Path
@@ -95,6 +96,33 @@ class TestQuery:
         assert code == 0
         qids = {line.split("\t")[0] for line in out.splitlines()}
         assert qids == {"0", "1", "2"}
+
+    def test_explain_prints_search_stats_after_each_query(self, dataset, tmp_path, capsys):
+        from geostream.workload import QueryConfig, generate_queries, parse_dataset, write_queries
+
+        images = list(parse_dataset(dataset))
+        wl = generate_queries(QueryConfig(seed=2, count=3, words_per_query=4, k=5), images)
+        qfile = tmp_path / "queries.tsv"
+        write_queries(wl.queries, qfile)
+        argv = ["query", "--data", str(dataset), "--queries", str(qfile)]
+        code, plain, _ = run(argv, capsys)
+        assert code == 0
+        code, out, _ = run(argv + ["--explain"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert [line for line in lines if not line.startswith("{")] == plain.splitlines()
+        explained = [json.loads(line) for line in lines if line.startswith("{")]
+        assert [e["qid"] for e in explained] == [0, 1, 2]
+        # each query's JSON line is the last line of its query
+        qids = [json.loads(line)["qid"] if line.startswith("{") else int(line.split("\t")[0])
+                for line in lines]
+        assert qids == sorted(qids)
+        assert [i for i, line in enumerate(lines) if line.startswith("{")] == [
+            i for i in range(len(lines)) if i + 1 == len(lines) or qids[i + 1] > qids[i]]
+        for e in explained:
+            assert e["roots"] == 1 and e["bounds_evaluated"] >= 1
+            assert e["stop"] in ("bound", "exhausted")
+            assert e["lam"] is None or e["lam"] >= 0.0
 
     def test_invalid_weights_exit_usage(self, dataset, capsys):
         code, _, err = run([

@@ -1,4 +1,6 @@
 import dataclasses
+import heapq
+import itertools
 import math
 import random
 
@@ -9,7 +11,13 @@ from geostream.baselines import IfaIndex, StviiIndex
 from geostream.engine import brute_force_oracle, top_k_search, walk
 from geostream.hiq import HiqConfig, HiqIndex, QuadNode
 from geostream.model import GeoTemporalImage, Query, combined_score, mind_visual
-from geostream.verify import leaf_bound_violations, random_images, random_query, results_match
+from geostream.verify import (
+    leaf_bound_violations,
+    nesting_violations,
+    random_images,
+    random_query,
+    results_match,
+)
 
 
 def make_index(domain, images, **kw):
@@ -504,9 +512,15 @@ def test_bounds_equal_the_kernel_reference(cls, xi, domain):
             seen["absent"] += any(v >= 60 for v in q.psi)
             got = index.bounds(q, nodes)
             assert len(got) == len(nodes)
-            for bound, node in zip(got, nodes):
+            visual = 0.25
+            deferred = index.bounds(q, nodes, visual)
+            for (bound, f_v), (key, spatial, recency), node in zip(got, deferred, nodes):
                 assert bound == kernel_bound(q, index, node)
                 assert index.mind(q, node) == bound
+                assert f_v == mind_visual(q, node.max_freq, index.params)
+                # a deferred key refines to the exact bound bit for bit
+                assert key == spatial + q.weights[1] * visual + recency
+                assert spatial + q.weights[1] * f_v + recency == bound
                 seen["inside" if contains(node, *q.loc) else "outside"] += 1
                 if node.t_max is None:
                     seen["empty"] += 1
@@ -518,7 +532,8 @@ def test_bounds_equal_the_kernel_reference(cls, xi, domain):
 
 
 class OneNodeAtATime:
-    """An index whose ``bounds`` asks ``mind`` of each node on its own."""
+    """An index whose ``bounds`` asks the index's ``bounds`` of each node
+    on its own, exact or deferred as the search asks."""
 
     def __init__(self, index):
         self.index = index
@@ -526,8 +541,8 @@ class OneNodeAtATime:
         self.roots = index.roots
         self.candidates = index.candidates
 
-    def bounds(self, q, nodes):
-        return [self.index.mind(q, node) for node in nodes]
+    def bounds(self, q, nodes, visual=None):
+        return [self.index.bounds(q, [node], visual)[0] for node in nodes]
 
 
 @pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
@@ -546,3 +561,144 @@ def test_batched_bounds_decide_as_one_node_at_a_time(cls, domain):
         assert audit == one_audit
         pruned += len(audit)
     assert pruned
+
+
+def eager_top_k_search(q, index):
+    """The search as it was before child bounds were deferred: every child
+    of a visited inner node goes on the heap under its exact bound. Kept
+    here as the reference the deferred search must equal. Its
+    ``bounds_evaluated`` counts the roots and the children of the inner
+    nodes it visits."""
+    params = index.params
+    params.context(q)
+    k = q.k
+    stats = engine.SearchStats()
+    order = itertools.count()
+    heap = []
+    roots = index.roots()
+    stats.roots = stats.bounds_evaluated = len(roots)
+    for root, (bound, _) in zip(roots, index.bounds(q, roots)):
+        heapq.heappush(heap, (bound, next(order), root))
+    worst = []
+    lam = math.inf
+    while heap:
+        bound, _, node = heapq.heappop(heap)
+        if bound > lam:
+            stats.stop = "bound"
+            stats.nodes_pruned += 1 + len(heap)
+            break
+        stats.nodes_visited += 1
+        children = node.children
+        if children is None:
+            scored = index.candidates(q, node, lam, bound)
+            stats.images_scored += len(scored)
+            for f, img in scored:
+                if len(worst) < k:
+                    heapq.heappush(worst, (-f, -img.id, img))
+                    if len(worst) == k:
+                        lam = -worst[0][0]
+                elif f < lam or (f == lam and img.id < -worst[0][1]):
+                    heapq.heapreplace(worst, (-f, -img.id, img))
+                    lam = -worst[0][0]
+        else:
+            stats.bounds_evaluated += len(children)
+            for child, (b, _) in zip(children, index.bounds(q, children)):
+                if b <= lam:
+                    heapq.heappush(heap, (b, next(order), child))
+                else:
+                    stats.nodes_pruned += 1
+    stats.lam = lam
+    results = [engine.ResultEntry(img.id, combined_score(q, img, params)) for _, _, img in worst]
+    results.sort(key=lambda e: (e.score.f_stv, e.image_id))
+    return results, stats
+
+
+def _decisions(stats):
+    return (stats.roots, stats.nodes_visited, stats.images_scored, stats.nodes_pruned,
+            stats.lam, stats.stop)
+
+
+@pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
+def test_deferred_search_equals_the_eager_reference(cls, domain):
+    # streams of six 10,000 s segments through a window of three, so part
+    # of each has expired; small capacities give trees several levels deep
+    rng = random.Random(81)
+    stops = set()
+    deferred = 0
+    for _ in range(12):
+        images = random_images(rng, rng.randint(50, 600), domain, t_lo=0, t_hi=60_000)
+        index = cls(HiqConfig(domain=domain, segment_span=10_000, window=3,
+                              capacity=rng.choice((3, 6, 12)), max_depth=8))
+        for img in sorted(images, key=lambda im: im.t_c):
+            index.insert(img)
+        assert index.image_count() < len(images)
+        for _ in range(25):
+            q = random_query(rng, images, domain)
+            results, stats = top_k_search(q, index)
+            want, eager = eager_top_k_search(q, index)
+            assert results == want
+            assert _decisions(stats) == _decisions(eager)
+            assert stats.bounds_evaluated <= eager.bounds_evaluated
+            deferred += eager.bounds_evaluated - stats.bounds_evaluated
+            stops.add(stats.stop)
+    assert stops == {"bound", "exhausted"}
+    assert deferred > 0
+
+
+def test_deferred_bounds_are_fewer_than_eager_on_a_multi_level_tree(domain):
+    rng = random.Random(82)
+    images = random_images(rng, 2_000, domain, t_lo=0, t_hi=9_999)
+    index = HiqIndex(HiqConfig(domain=domain, segment_span=10_000, window=3, capacity=8))
+    for img in sorted(images, key=lambda im: im.t_c):
+        index.insert(img)
+    [root] = index.roots()
+    assert any(c.children is not None for c in root.children)      # three levels or more
+    lazy = eager = 0
+    for _ in range(40):
+        q = random_query(rng, images, domain)
+        lazy += top_k_search(q, index)[1].bounds_evaluated
+        eager += eager_top_k_search(q, index)[1].bounds_evaluated
+    assert lazy < eager
+
+
+@pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
+def test_aggregates_nest_after_splits_and_expiry(cls, domain):
+    # a cutoff inside a segment makes HIQ rebuild that segment's tree
+    # (``_drop_older``) and STVII prune its tree (``_prune``)
+    rng = random.Random(83)
+    images = random_images(rng, 500, domain, t_lo=0, t_hi=40_000)
+    index = cls(HiqConfig(domain=domain, segment_span=10_000, window=4, capacity=4))
+    for img in sorted(images, key=lambda im: im.t_c):
+        index.insert(img)
+    queries = [random_query(rng, images, domain) for _ in range(10)]
+
+    def inner_nodes():
+        return sum(1 for node in walk(index.roots()) if node.children is not None)
+
+    assert inner_nodes() > 1
+    for q in queries:
+        assert nesting_violations(q, index) == 0
+    for cutoff in (5_000, 22_500, 31_234):
+        assert index.expire(cutoff) > 0
+        assert inner_nodes() > 1
+        for q in queries:
+            assert nesting_violations(q, index) == 0
+
+
+@pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
+def test_nesting_check_counts_a_child_above_its_parent(cls, domain):
+    rng = random.Random(84)
+    images = random_images(rng, 200, domain, t_lo=0, t_hi=5_000)
+    index = cls(HiqConfig(domain=domain, segment_span=10_000, window=4, capacity=4))
+    for img in sorted(images, key=lambda im: im.t_c):
+        index.insert(img)
+    q = random_query(rng, images, domain)
+    assert nesting_violations(q, index) == 0
+    parent = next(node for node in walk(index.roots()) if node.children is not None)
+    child = next(c for c in parent.children if c.t_max is not None)
+    child.t_max = parent.t_max + 1
+    assert nesting_violations(q, index) > 0
+    child.t_max = parent.t_max
+    word = next(iter(child.max_freq))
+    child.max_freq[word] = parent.max_freq[word] * 2.0
+    assert nesting_violations(q, index) > 0
