@@ -7,7 +7,7 @@ columns in one pass over the query words' posting lists. STVII boxes
 images in raw (lat, lon, t), splits quadratically on overflow, expires
 by pruning only the subtrees older than the cutoff, and carries the same
 per-node word maxima as the quadtree so it plugs into the shared
-best-first search and node bound, ``engine.TreeIndex.bounds``, over its
+best-first search and node terms, ``engine.TreeIndex.bounds``, over its
 box's lat/lon extent (``_rect``).
 
 A timestamp is an integer tick, so a box's volume counts its time

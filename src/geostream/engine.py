@@ -4,40 +4,35 @@
 the live corpus, admission of an image and the sliding window.
 
 The search works against any index exposing the searchable surface:
-``roots()``, ``bounds(q, nodes, visual=None)``, ``candidates(q, leaf,
-lam, bound)`` and a ``params`` attribute, with the bound dominance
-property (a node's bound <= f_stv of every image under the node) and
-nested aggregates (a child's ``t_max`` and each word of its ``max_freq``
-at most its parent's). ``bounds`` gives the exact bound of each node of
-a list in one pass, with its visual part, or, given a parent's visual
-part, each node's deferred key: the node's own spatial and recency terms
-with the parent's visual part, a lower bound on its exact bound. The
-search asks it once for the roots and once for the children of each
-inner node it pops, and computes a child's own visual part only if the
-child reaches the top of the heap. ``mind(q, node)`` is the one-node
-reference, ``bounds(q, [node])[0][0]``, which the dominance audit and
-the tests read. A node's ``children`` is a list at an inner node and
-``None`` at a leaf, which holds its ``images``. ``TreeIndex`` gives the
-tree indexes (HIQ, STVII) one ``search``, ``bounds``, ``mind``,
-``candidates`` and ``node_count``; a subclass provides only ``roots()``
-and ``_rect(node)``, a node's rectangle. A node's visual part is the
-query context's ``mind_visual`` of its ``max_freq``.
+``roots()``, ``bounds(q, nodes)``, ``candidates(q, leaf, lam, floor)``
+and a ``params`` attribute, with the bound dominance property (a node's
+bound <= f_stv of every image under the node) and nested aggregates (a
+child's ``t_max`` and each word of its ``max_freq`` at most its
+parent's). ``bounds`` gives each node's weighted spatial and recency
+terms, ``(spatial, recency)``, in one pass over a list; the visual term,
+the query context's ``mind_visual`` of the node's ``max_freq``, belongs
+to the search. ``mind(q, node)``, ``spatial + w2 * mind_visual +
+recency``, is a node's exact bound, the one-node reference that the
+dominance audit and the tests read. A node's ``children`` is a list at
+an inner node and ``None`` at a leaf, which holds its ``images``.
+``TreeIndex`` gives the tree indexes (HIQ, STVII) one ``search``,
+``bounds``, ``mind``, ``candidates`` and ``node_count``; a subclass
+provides only ``roots()`` and ``_rect(node)``, a node's rectangle.
 
 ``candidates`` scores a leaf one image at a time
 (``QueryContext.score_leaf``) and returns ``(f_stv, image)`` pairs. The
-search passes it λ, the k-th best cost so far, and the leaf's bound.
-The bound less its spatial part (``kernels.rect_min_cost`` over the
-leaf's rectangle) leaves the leaf a spatial radius, and
-the scorer skips the images outside it, which cannot cost λ or less. It
-also lowers λ to the k-th best cost among the leaf's own images as it
-goes, so it returns only the pairs that can still reach the top k, and
-``SearchStats.images_scored`` counts those. The search ranks on the
-pairs and builds the ``combined_score`` breakdown of the k results only,
-as IFA's column scorer does. The scorer records the spatial, visual and
-temporal terms of each pair it returns in the query's context, and
-``combined_score`` takes a tree result's breakdown from there instead of
-computing it again; the query's word constants come from
-``ScoreParams.word_table``, filled once per corpus state.
+search passes it λ, the k-th best cost so far, and the leaf's floor, its
+exact bound less its spatial term. The floor leaves the leaf a spatial
+radius, and the scorer skips the images outside it, which cannot cost λ
+or less. It also lowers λ to the k-th best cost among the leaf's own
+images as it goes, so it returns only the pairs that can still reach
+the top k, and ``SearchStats.images_scored`` counts those. The search
+ranks on the pairs and builds the ``combined_score`` breakdown of the k
+results only, as IFA's column scorer does. The scorer records the
+spatial, visual and temporal terms of each pair it returns in the
+query's context, and ``combined_score`` takes a tree result's breakdown
+from there instead of computing it again; the query's word constants
+come from ``ScoreParams.word_table``, filled once per corpus state.
 """
 
 from __future__ import annotations
@@ -111,26 +106,28 @@ def top_k_search(q, index, audit=None):
 
     Maintains a min-heap of nodes keyed by a lower bound and a threshold
     λ equal to the k-th best score found so far; nodes whose key exceeds
-    λ are pruned. The roots, and the children of a node whose visual
-    bound is 0.0, go on the heap under their exact bound
-    (``index.bounds(q, nodes)``). The children of any other inner node
-    go on it under a deferred key (``index.bounds(q, children, f_v)``):
-    their own spatial and recency terms with the parent's visual bound
-    ``f_v``, which bounds theirs because a child's ``max_freq`` is at
-    most its parent's, word by word. A deferred key that reaches the top
-    of the heap is refined in place to the exact bound, through the
-    query context's ``mind_visual`` of the node's ``max_freq``; the node
-    is pruned if that exceeds λ, and is visited only once it is the top
-    under its exact bound. Nodes are thus visited in ascending (exact
-    bound, push order), and only the visual bounds of the nodes that
-    reach the top are computed.
+    λ are pruned. The roots and the children of each inner node visited
+    go on the heap at one push site, each with its spatial and recency
+    terms from ``index.bounds(q, nodes)``; a root counts as the child of
+    a parent whose visual bound ``f_v`` is 0.0. Under such a parent a
+    node goes on under its exact bound, with its own visual bound (the
+    query context's ``mind_visual`` of its ``max_freq``). Under any other
+    it goes on under a deferred key, with ``f_v`` in place of its own,
+    which bounds it because a child's ``max_freq`` is at most its
+    parent's, word by word. A deferred key that reaches the top of the
+    heap is refined in place to the exact bound; the node is pruned if
+    that exceeds λ, and is visited only once it is the top under its
+    exact bound. Nodes are thus visited in ascending (exact bound, push
+    order), and only the visual bounds of the nodes that reach the top
+    are computed.
 
     A leaf's candidates are the images ``index.candidates(q, leaf, lam,
-    bound)`` gives for the current threshold and the leaf's exact bound,
-    ranked on the ``f_stv`` it pairs them with; only the k results get a
-    breakdown from ``combined_score``, which reads the terms the leaf
-    scorer recorded for them. ``audit``, when a list, is filled with the
-    key or bound of each pruned node (for dominance-safety tests).
+    floor)`` gives for the current threshold and the leaf's floor, its
+    exact bound less the spatial term its heap entry carries, ranked on
+    the ``f_stv`` it pairs them with; only the k results get a breakdown
+    from ``combined_score``, which reads the terms the leaf scorer
+    recorded for them. ``audit``, when a list, is filled with the key or
+    bound of each pruned node (for dominance-safety tests).
     ``stats.stop`` says whether λ ended the search early.
     """
     params = index.params
@@ -139,19 +136,38 @@ def top_k_search(q, index, audit=None):
     k = q.k
     stats = SearchStats()
     order = itertools.count()
-    roots = index.roots()
-    stats.roots = stats.bounds_evaluated = len(roots)
-    # an entry is (bound, push order, node, f_v), or, for a deferred key,
-    # (key, push order, node, spatial term, recency term, λ at the push)
+    # an entry is (bound, push order, node, f_v, spatial term), or, for a
+    # deferred key, (key, push order, node, spatial term, recency term, λ at the push)
     heap = []
-    for root, (bound, f_v) in zip(roots, index.bounds(q, roots)):
-        heapq.heappush(heap, (bound, next(order), root, f_v))
-    stats.heap_peak = len(heap)
-
     worst = []              # max-heap via (-f_stv, -id, image)
     lam = math.inf          # k-th best f_stv so far
     cut = False             # a node left unvisited whose bound was <= λ at its push
-    while heap:
+    nodes = index.roots()   # to push: the roots, then the children of each inner node visited
+    stats.roots = len(nodes)
+    f_v = 0.0               # the roots' parent: each root is bounded at once
+    while True:
+        if nodes:
+            defer = f_v > 0.0   # a key under a visual bound of 0.0 would hold no visual term
+            if not defer:
+                stats.bounds_evaluated += len(nodes)
+            for node, (spatial, recency) in zip(nodes, index.bounds(q, nodes)):
+                if defer:
+                    entry = (spatial + w2 * f_v + recency, next(order), node,
+                             spatial, recency, lam)
+                else:
+                    own = mind_visual(node.max_freq)
+                    entry = (spatial + w2 * own + recency, next(order), node, own, spatial)
+                if entry[0] <= lam:
+                    heapq.heappush(heap, entry)
+                else:
+                    stats.nodes_pruned += 1
+                    if audit is not None:
+                        audit.append(entry[0])
+            if len(heap) > stats.heap_peak:
+                stats.heap_peak = len(heap)
+            nodes = None
+        if not heap:
+            break
         entry = heap[0]
         if entry[0] > lam:
             stats.nodes_pruned += len(heap)
@@ -172,14 +188,14 @@ def top_k_search(q, index, audit=None):
                     audit.append(bound)
                 cut = cut or bound <= pushed_lam
             else:
-                heapq.heapreplace(heap, (bound, seq, node, f_v))
+                heapq.heapreplace(heap, (bound, seq, node, f_v, spatial))
             continue
         heapq.heappop(heap)
-        bound, _, node, f_v = entry
+        bound, _, node, f_v, spatial = entry
         stats.nodes_visited += 1
-        children = node.children
-        if children is None:
-            scored = index.candidates(q, node, lam, bound)
+        nodes = node.children
+        if nodes is None:
+            scored = index.candidates(q, node, lam, bound - spatial)
             stats.images_scored += len(scored)
             for f, img in scored:
                 if len(worst) < k:
@@ -189,26 +205,6 @@ def top_k_search(q, index, audit=None):
                 elif f < lam or (f == lam and img.id < -worst[0][1]):
                     heapq.heapreplace(worst, (-f, -img.id, img))
                     lam = -worst[0][0]
-            continue
-        if f_v > 0.0:       # a key under a visual bound of 0.0 would hold no visual term
-            for child, (key, spatial, recency) in zip(children, index.bounds(q, children, f_v)):
-                if key <= lam:
-                    heapq.heappush(heap, (key, next(order), child, spatial, recency, lam))
-                else:
-                    stats.nodes_pruned += 1
-                    if audit is not None:
-                        audit.append(key)
-        else:
-            stats.bounds_evaluated += len(children)
-            for child, (b, f) in zip(children, index.bounds(q, children)):
-                if b <= lam:
-                    heapq.heappush(heap, (b, next(order), child, f))
-                else:
-                    stats.nodes_pruned += 1
-                    if audit is not None:
-                        audit.append(b)
-        if len(heap) > stats.heap_peak:
-            stats.heap_peak = len(heap)
 
     stats.stop = "bound" if cut else "exhausted"
     stats.lam = lam
@@ -223,7 +219,7 @@ def _pushed_within(heap, w2, mind_visual, stats):
     one under a deferred key pushed while λ was infinite. Any other
     deferred key is refined, each in ``stats.bounds_evaluated``, until
     one did."""
-    if any(len(e) == 4 or e[5] == math.inf for e in heap):
+    if any(len(e) == 5 or e[5] == math.inf for e in heap):
         return True
     for _, _, node, spatial, recency, pushed_lam in heap:
         stats.bounds_evaluated += 1
@@ -363,33 +359,26 @@ class Index:
 class TreeIndex(Index):
     """The search surface shared by the tree indexes. A subclass provides
     ``roots()`` and ``_rect(node)``, the ``(min_lat, min_lon, max_lat,
-    max_lon)`` that ``bounds`` and ``candidates`` measure a node's spatial
-    cost from."""
+    max_lon)`` that ``bounds`` measures a node's spatial cost from."""
 
     def search(self, q):
         return top_k_search(q, self)
 
-    def bounds(self, q, nodes, visual=None):
-        """Lower bounds on f_stv for any image under each of ``nodes``: the
-        arithmetic of ``kernels.rect_min_cost`` over ``_rect(node)``,
-        ``recency_cost`` (1.0 for a node with no image) and ``combine``
-        inline, in their operands and order, as ``spatial + w2 * f_v +
-        recency`` with the weighted spatial and recency terms.
-
-        With ``visual`` None, each node's exact bound and its own visual
-        part, ``(bound, f_v)``, where ``f_v`` is the query context's
-        ``mind_visual`` of the node's ``max_freq``. Given ``visual``, a
-        visual bound that is at most each node's own (such as their
-        parent's), each node's deferred key ``(key, spatial, recency)``,
-        with ``key = spatial + w2 * visual + recency``; no visual part is
-        computed, and ``spatial + w2 * f_v + recency`` is the exact
-        bound."""
+    def bounds(self, q, nodes):
+        """The weighted spatial and recency terms ``(spatial, recency)`` of
+        each of ``nodes``, in one pass: the arithmetic of
+        ``kernels.rect_min_cost`` over ``_rect(node)`` and of
+        ``recency_cost`` (1.0 for a node with no image), inline in their
+        operands and order, times ``w1`` and ``w3``. With a visual bound
+        ``f_v`` at most the node's own, ``spatial + w2 * f_v + recency``
+        is a lower bound on f_stv for any image under the node, in the
+        operands and order of ``kernels.combine``. The search adds the
+        visual bound itself, as ``mind`` does for one node."""
         p = self.params
-        mind_visual = p.context(q).mind_visual
         rect = self._rect
         q_lat, q_lon = q.loc
         t = q.t
-        w1, w2, w3 = q.weights
+        w1, _, w3 = q.weights
         delta_max, decay_base, time_unit = p.domain.delta_max, p.decay_base, p.time_unit
         sqrt = math.sqrt
         out = []
@@ -412,37 +401,29 @@ class TreeIndex(Index):
                 if age < 0.0:
                     age = 0.0
                 f_t = 1.0 - decay_base ** (-(age / time_unit))
-            if visual is None:
-                f_v = mind_visual(node.max_freq)
-                out.append((w1 * (sqrt(d_lat * d_lat + d_lon * d_lon) / delta_max)
-                            + w2 * f_v + w3 * f_t, f_v))
-            else:
-                spatial = w1 * (sqrt(d_lat * d_lat + d_lon * d_lon) / delta_max)
-                recency = w3 * f_t
-                out.append((spatial + w2 * visual + recency, spatial, recency))
+            out.append((w1 * (sqrt(d_lat * d_lat + d_lon * d_lon) / delta_max), w3 * f_t))
         return out
 
     def mind(self, q, node):
-        """Lower bound on f_stv for any image under ``node``: the one-node
-        reference of ``bounds``."""
-        return self.bounds(q, [node])[0][0]
+        """Lower bound on f_stv for any image under ``node``, the exact
+        bound the search visits a node under: ``spatial + w2 *
+        mind_visual(node.max_freq) + recency``, with the terms of
+        ``bounds`` and the query context's ``mind_visual``."""
+        [(spatial, recency)] = self.bounds(q, [node])
+        return spatial + q.weights[1] * self.params.context(q).mind_visual(node.max_freq) + recency
 
-    def candidates(self, q, leaf, lam=math.inf, bound=0.0):
+    def candidates(self, q, leaf, lam=math.inf, floor=0.0):
         """``(f_stv, image)`` for each image in the leaf sharing at least
         one query word and costing at most ``min(lam, c_k)``, where
-        ``c_k`` is the k-th lowest such cost in the leaf
-        (``QueryContext.score_leaf``), in no set order (the search's
-        results do not depend on it).
+        ``c_k`` is the k-th lowest such cost in the leaf, in no set order
+        (the search's results do not depend on it): the query context's
+        ``score_leaf``.
 
-        ``bound`` is a lower bound on f_stv over the leaf, such as
-        ``mind(q, leaf)``; less its spatial part
-        (``kernels.rect_min_cost``), it bounds each image's visual and
-        recency cost, which sets the scorer's spatial radius. Any valid
-        bound gives the same pairs; the default 0.0 gives a looser radius."""
-        p = self.params
-        floor = bound - q.weights[0] * kernels.rect_min_cost(
-            *q.loc, *self._rect(leaf), p.domain.delta_max)
-        return p.context(q).score_leaf(leaf, lam, floor)
+        ``floor`` is a lower bound on each image's visual and recency cost,
+        which sets the scorer's spatial radius; the search passes the
+        leaf's exact bound less its spatial term. Any valid floor gives
+        the same pairs; the default 0.0 gives a looser radius."""
+        return self.params.context(q).score_leaf(leaf, lam, floor)
 
     def node_count(self):
         return sum(1 for _ in walk(self.roots()))

@@ -12,14 +12,14 @@ computed once, when the image is built. Searches score through
 ``model.QueryContext``, which folds the per-query constants once and must
 agree with them; ``model.visual_weight`` and the tests call them directly.
 
-The tree search's hot loops, ``QueryContext.score_leaf`` and the one
-node bound of both trees, ``engine.TreeIndex.bounds``, inline
-``spatial_cost``, ``rect_min_cost``, ``recency_cost`` and ``combine`` in
-the same operands and order, so their results are bit-equal to these
-functions'. The functions stay as the reference that the tests compare
-against, as the path of the oracle and of ``model.combined_score`` for
-an image the leaf scorer did not return, as the spatial part
-``TreeIndex.candidates`` takes off a leaf's bound (``rect_min_cost``),
+The tree search's hot loops inline these functions in their operands
+and order, so their results are bit-equal: ``QueryContext.score_leaf``
+inlines ``spatial_cost``, ``recency_cost`` and ``combine``, and the node
+terms of both trees, ``engine.TreeIndex.bounds``, inline
+``rect_min_cost`` and ``recency_cost``. The functions stay as the
+reference that the tests compare against (the only use of
+``rect_min_cost``), as the path of the oracle and of
+``model.combined_score`` for an image the leaf scorer did not return,
 and as what the benchmark's call counters wrap.
 """
 

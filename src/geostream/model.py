@@ -65,6 +65,12 @@ class SpatialDomain:
         )
 
 
+def _domain(value):
+    """``ConfigError`` for a domain that is no ``SpatialDomain``."""
+    if not isinstance(value, SpatialDomain):
+        raise ConfigError(f"domain must be a SpatialDomain, got {value!r}")
+
+
 def _whole(value, what, error):
     """``int(value)`` for a whole number; ``error`` for anything else (a
     bool, a string, None, a fraction, NaN or infinity), which ``int``
@@ -353,6 +359,7 @@ class ScoreParams:
     _words_of: tuple = field(default=(None, -1), init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _domain(self.domain)
         for name in ("xi", "decay_base", "time_unit"):
             setattr(self, name, _real(getattr(self, name), name))
         if not 0.0 <= self.xi < 1.0:

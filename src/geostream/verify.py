@@ -170,21 +170,22 @@ def check_dominance(seed, pairs, domain, tol=BOUND_TOL):
 def nesting_violations(q, index):
     """The number of (parent, child) pairs of ``index``'s trees where the
     child's ``t_max`` exceeds its parent's, a word of its ``max_freq``
-    exceeds its parent's, or its deferred key (``index.bounds`` with the
-    parent's visual bound) exceeds its exact bound ``index.mind(q,
-    child)``; the key is compared with no tolerance."""
+    exceeds its parent's, or its deferred key (its terms from
+    ``index.bounds`` with the parent's visual bound) exceeds its exact
+    bound ``index.mind(q, child)``; the key is compared with no tolerance."""
+    context = index.params.context(q)
     violations = 0
     for parent in walk(index.roots()):
         children = parent.children
         if children is None:
             continue
-        [(_, f_v)] = index.bounds(q, [parent])
-        for child, (key, _, _) in zip(children, index.bounds(q, children, f_v)):
+        f_v = context.mind_visual(parent.max_freq)
+        for child, (spatial, recency) in zip(children, index.bounds(q, children)):
             if child.t_max is not None and (parent.t_max is None or child.t_max > parent.t_max):
                 violations += 1
             if any(f > parent.max_freq.get(word, 0.0) for word, f in child.max_freq.items()):
                 violations += 1
-            if key > index.mind(q, child):
+            if spatial + q.weights[1] * f_v + recency > index.mind(q, child):
                 violations += 1
     return violations
 

@@ -11,7 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ConfigError, GeoTemporalImage, Query, SpatialDomain, _counts, _real, _whole
+from .model import (
+    ConfigError, GeoTemporalImage, Query, SpatialDomain, _counts, _domain, _real, _whole,
+)
 
 
 class DataFormatError(ValueError):
@@ -37,6 +39,7 @@ class GeneratorConfig:
 
     def __post_init__(self):
         _counts(self, seed=0, image_count=0, vocab_size=1, cluster_count=1)
+        _domain(self.domain)
         self.start_time = _whole(self.start_time, "start_time", ConfigError)
         for name in ("rate", "zipf_exponent", "mean_words", "cluster_sigma"):
             value = _real(getattr(self, name), name)

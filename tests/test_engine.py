@@ -358,9 +358,9 @@ def test_leaf_scorer_keeps_exactly_the_pairs_within_lam(cls, xi, domain):
             for leaf in leaves:
                 every = holding_pairs(qk, leaf, index.params)
                 seen["empty"] += leaf.t_max is None
-                bound = index.mind(qk, leaf)
+                floor = leaf_floor(qk, index, leaf)
                 for lam in lam_choices(rng, every):
-                    got = sorted(index.candidates(qk, leaf, lam, bound),
+                    got = sorted(index.candidates(qk, leaf, lam, floor),
                                  key=lambda pair: pair[1].id)
                     lam_only = [(f, im) for f, im in every if f <= lam]
                     assert got == within(every, lam, k)
@@ -375,9 +375,9 @@ def test_leaf_scorer_keeps_exactly_the_pairs_within_lam(cls, xi, domain):
 
 @pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
 def test_leaf_pairs_do_not_depend_on_the_bound(cls, domain):
-    # any valid bound gives the same pairs: the leaf's own bound, as the
-    # search passes it, and 0.0. One 1e-6 above it is no bound, and the
-    # radius it leaves loses a pair on some leaf. The default xi = 0.5 over
+    # any valid floor gives the same pairs: the leaf's bound less its
+    # spatial term, as the search passes it, and 0.0. One 1e-6 above it is
+    # no floor, and the radius it leaves loses a pair on some leaf. The default xi = 0.5 over
     # 60 words, then xi = 0.35 over 8 words, where the scale 1 - xi rounds
     # in the last bit of some costs
     for seed, xi, vocab, max_words in ((76, 0.5, 60, 20), (77, 0.35, 8, 3)):
@@ -388,15 +388,15 @@ def test_leaf_pairs_do_not_depend_on_the_bound(cls, domain):
         for _ in range(12):
             q = random_query(rng, images, domain, vocab=vocab, max_words=max_words)
             for leaf in leaves:
-                bound = index.mind(q, leaf)
+                floor = leaf_floor(q, index, leaf)
                 every = holding_pairs(q, leaf, index.params)
                 for lam in lam_choices(rng, every):
-                    got = sorted(index.candidates(q, leaf, lam, bound),
+                    got = sorted(index.candidates(q, leaf, lam, floor),
                                  key=lambda pair: pair[1].id)
                     assert got == within(every, lam, q.k)
                     assert got == sorted(index.candidates(q, leaf, lam, 0.0),
                                          key=lambda pair: pair[1].id)
-                    lost += len(index.candidates(q, leaf, lam, bound + 1e-6)) < len(got)
+                    lost += len(index.candidates(q, leaf, lam, floor + 1e-6)) < len(got)
         assert lost, xi
 
 
@@ -461,28 +461,41 @@ def test_leaf_bound_check_counts_an_understated_leaf(domain):
     assert leaf_bound_violations(q, leaf, index.params) > 0
 
 
-def kernel_bound(q, index, node):
-    """A node's bound from the kernels, one term at a time."""
-    p = index.params
+def node_rect(node):
+    """A HIQ or STVII node's ``(min_lat, min_lon, max_lat, max_lon)``."""
     if isinstance(node, QuadNode):
-        rect = (node.min_lat, node.min_lon, node.max_lat, node.max_lon)
-    else:
-        rect = (node.mbr[0], node.mbr[1], node.mbr[3], node.mbr[4])
-    f_s = kernels.rect_min_cost(q.loc[0], q.loc[1], *rect, p.domain.delta_max)
+        return node.min_lat, node.min_lon, node.max_lat, node.max_lon
+    return node.mbr[0], node.mbr[1], node.mbr[3], node.mbr[4]
+
+
+def kernel_terms(q, index, node):
+    """A node's spatial, visual and recency costs ``(f_s, f_v, f_t)``
+    from the kernels, one term at a time."""
+    p = index.params
+    f_s = kernels.rect_min_cost(q.loc[0], q.loc[1], *node_rect(node), p.domain.delta_max)
     f_v = mind_visual(q, node.max_freq, p)
     if node.t_max is None:
         f_t = 1.0
     else:
         f_t = kernels.recency_cost(q.t - node.t_max, p.decay_base, p.time_unit)
-    w1, w2, w3 = q.weights
-    return kernels.combine(w1, w2, w3, f_s, f_v, f_t)
+    return f_s, f_v, f_t
+
+
+def kernel_bound(q, index, node):
+    """A node's bound from the kernels, one term at a time."""
+    return kernels.combine(*q.weights, *kernel_terms(q, index, node))
+
+
+def leaf_floor(q, index, leaf):
+    """The floor of a leaf's images' visual and recency cost: its bound
+    less its weighted spatial term from the kernels."""
+    return index.mind(q, leaf) - q.weights[0] * kernels.rect_min_cost(
+        *q.loc, *node_rect(leaf), index.params.domain.delta_max)
 
 
 def contains(node, lat, lon):
-    if isinstance(node, QuadNode):
-        return node.min_lat <= lat <= node.max_lat and node.min_lon <= lon <= node.max_lon
-    m = node.mbr
-    return m[0] <= lat <= m[3] and m[1] <= lon <= m[4]
+    min_lat, min_lon, max_lat, max_lon = node_rect(node)
+    return min_lat <= lat <= max_lat and min_lon <= lon <= max_lon
 
 
 @pytest.mark.parametrize("xi", [0.0, 0.5])
@@ -512,15 +525,16 @@ def test_bounds_equal_the_kernel_reference(cls, xi, domain):
             seen["absent"] += any(v >= 60 for v in q.psi)
             got = index.bounds(q, nodes)
             assert len(got) == len(nodes)
-            visual = 0.25
-            deferred = index.bounds(q, nodes, visual)
-            for (bound, f_v), (key, spatial, recency), node in zip(got, deferred, nodes):
-                assert bound == kernel_bound(q, index, node)
+            w1, w2, w3 = q.weights
+            for (spatial, recency), node in zip(got, nodes):
+                bound = kernel_bound(q, index, node)
+                f_s, f_v, f_t = kernel_terms(q, index, node)
+                assert spatial == w1 * f_s
+                assert recency == w3 * f_t
+                # the terms with the node's visual bound give its bound bit for bit
+                assert spatial + w2 * f_v + recency == bound
                 assert index.mind(q, node) == bound
-                assert f_v == mind_visual(q, node.max_freq, index.params)
-                # a deferred key refines to the exact bound bit for bit
-                assert key == spatial + q.weights[1] * visual + recency
-                assert spatial + q.weights[1] * f_v + recency == bound
+                assert f_v == index.params.context(q).mind_visual(node.max_freq)
                 seen["inside" if contains(node, *q.loc) else "outside"] += 1
                 if node.t_max is None:
                     seen["empty"] += 1
@@ -533,7 +547,7 @@ def test_bounds_equal_the_kernel_reference(cls, xi, domain):
 
 class OneNodeAtATime:
     """An index whose ``bounds`` asks the index's ``bounds`` of each node
-    on its own, exact or deferred as the search asks."""
+    on its own."""
 
     def __init__(self, index):
         self.index = index
@@ -541,8 +555,8 @@ class OneNodeAtATime:
         self.roots = index.roots
         self.candidates = index.candidates
 
-    def bounds(self, q, nodes, visual=None):
-        return [self.index.bounds(q, [node], visual)[0] for node in nodes]
+    def bounds(self, q, nodes):
+        return [self.index.bounds(q, [node])[0] for node in nodes]
 
 
 @pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
@@ -563,12 +577,57 @@ def test_batched_bounds_decide_as_one_node_at_a_time(cls, domain):
     assert pruned
 
 
+class LeafFloors:
+    """An index that records the ``(leaf, floor)`` of every leaf the
+    search hands to ``candidates``."""
+
+    def __init__(self, index):
+        self.index = index
+        self.params = index.params
+        self.roots = index.roots
+        self.bounds = index.bounds
+        self.floors = []
+
+    def candidates(self, q, leaf, lam, floor):
+        self.floors.append((leaf, floor))
+        return self.index.candidates(q, leaf, lam, floor)
+
+
+@pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
+def test_each_leaf_gets_its_bound_less_its_spatial_term(cls, domain):
+    # trees several levels deep over streams longer than the window; a
+    # leaf under a parent whose visual bound is above 0.0 was pushed under
+    # a deferred key and refined on the heap
+    rng = random.Random(85)
+    deferred = 0
+    for _ in range(6):
+        images = random_images(rng, rng.randint(200, 600), domain, t_lo=0, t_hi=60_000)
+        index = cls(HiqConfig(domain=domain, segment_span=10_000, window=3,
+                              capacity=rng.choice((3, 6)), max_depth=8))
+        for img in sorted(images, key=lambda im: im.t_c):
+            index.insert(img)
+        parent = {child: node for node in walk(index.roots())
+                  for child in node.children or ()}
+        assert any(node in parent for node in parent.values())     # three levels or more
+        for _ in range(20):
+            q = random_query(rng, images, domain)
+            spy = LeafFloors(index)
+            assert top_k_search(q, spy) == top_k_search(q, index)
+            assert spy.floors
+            for leaf, floor in spy.floors:
+                assert floor == leaf_floor(q, index, leaf)
+                up = parent.get(leaf)
+                deferred += up is not None and mind_visual(q, up.max_freq, index.params) > 0.0
+    assert deferred
+
+
 def eager_top_k_search(q, index):
     """The search as it was before child bounds were deferred: every child
-    of a visited inner node goes on the heap under its exact bound. Kept
-    here as the reference the deferred search must equal. Its
-    ``bounds_evaluated`` counts the roots and the children of the inner
-    nodes it visits."""
+    of a visited inner node goes on the heap under its exact bound
+    (``mind``), and a leaf's floor is that bound less its spatial term
+    from the kernels (``leaf_floor``). Kept here as the reference the
+    deferred search must equal. Its ``bounds_evaluated`` counts the roots
+    and the children of the inner nodes it visits."""
     params = index.params
     params.context(q)
     k = q.k
@@ -577,8 +636,8 @@ def eager_top_k_search(q, index):
     heap = []
     roots = index.roots()
     stats.roots = stats.bounds_evaluated = len(roots)
-    for root, (bound, _) in zip(roots, index.bounds(q, roots)):
-        heapq.heappush(heap, (bound, next(order), root))
+    for root in roots:
+        heapq.heappush(heap, (index.mind(q, root), next(order), root))
     worst = []
     lam = math.inf
     while heap:
@@ -590,7 +649,7 @@ def eager_top_k_search(q, index):
         stats.nodes_visited += 1
         children = node.children
         if children is None:
-            scored = index.candidates(q, node, lam, bound)
+            scored = index.candidates(q, node, lam, leaf_floor(q, index, node))
             stats.images_scored += len(scored)
             for f, img in scored:
                 if len(worst) < k:
@@ -602,7 +661,8 @@ def eager_top_k_search(q, index):
                     lam = -worst[0][0]
         else:
             stats.bounds_evaluated += len(children)
-            for child, (b, _) in zip(children, index.bounds(q, children)):
+            for child in children:
+                b = index.mind(q, child)
                 if b <= lam:
                     heapq.heappush(heap, (b, next(order), child))
                 else:
@@ -702,3 +762,38 @@ def test_nesting_check_counts_a_child_above_its_parent(cls, domain):
     word = next(iter(child.max_freq))
     child.max_freq[word] = parent.max_freq[word] * 2.0
     assert nesting_violations(q, index) > 0
+
+
+# the search's counts on two fixed streams, recorded when the tree search
+# last changed shape while its decisions stayed the same: a move here is a
+# change in what the search does, found without a benchmark run
+PINNED = {
+    "hiq": dict(nodes_visited=3349, images_scored=2759, nodes_pruned=1597,
+                bounds_evaluated=3506, heap_peak=1626, bound=45, exhausted=5),
+    "stvii": dict(nodes_visited=2638, images_scored=2779, nodes_pruned=1990,
+                  bounds_evaluated=2794, heap_peak=1837, bound=45, exhausted=5),
+}
+
+
+@pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
+def test_search_counts_are_pinned(cls, domain):
+    # three HIQ segment trees and one STVII tree, several levels deep, over
+    # a stream longer than the window; every tenth query asks for more
+    # images than are live, so it ends exhausted
+    rng = random.Random(91)
+    images = random_images(rng, 1_200, domain, t_lo=0, t_hi=39_999)
+    index = cls(HiqConfig(domain=domain, segment_span=10_000, window=3, capacity=6))
+    for img in sorted(images, key=lambda im: im.t_c):
+        index.insert(img)
+    assert index.image_count() < len(images)
+    totals = dict.fromkeys(PINNED[cls.kind], 0)
+    for i in range(50):
+        q = random_query(rng, images, domain)
+        if i % 10 == 0:
+            q = dataclasses.replace(q, k=1_000)
+        _, stats = top_k_search(q, index)
+        for name in ("nodes_visited", "images_scored", "nodes_pruned", "bounds_evaluated",
+                     "heap_peak"):
+            totals[name] += getattr(stats, name)
+        totals[stats.stop] += 1
+    assert totals == PINNED[cls.kind]

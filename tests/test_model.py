@@ -6,6 +6,8 @@ from types import SimpleNamespace
 import pytest
 
 from geostream import kernels
+from geostream.baselines import IfaIndex, StviiIndex
+from geostream.hiq import HiqConfig, HiqIndex
 from geostream.model import (
     ConfigError,
     CorpusStats,
@@ -341,6 +343,16 @@ class TestValidation:
             ScoreParams(domain=domain, stats=empty_stats, xi=1.0)
         with pytest.raises(ConfigError):
             ScoreParams(domain=domain, stats=empty_stats, decay_base=1.0)
+
+    @pytest.mark.parametrize("bad", [None, (0.0, 1.0, 0.0, 1.0), "0,1,0,1"],
+                             ids=["none", "tuple", "string"])
+    def test_domain_must_be_a_spatial_domain(self, empty_stats, bad):
+        with pytest.raises(ConfigError, match="domain"):
+            ScoreParams(domain=bad, stats=empty_stats)
+        # each index builds its ScoreParams when it is made, before any insert
+        for cls in (HiqIndex, IfaIndex, StviiIndex):
+            with pytest.raises(ConfigError, match="domain"):
+                cls(HiqConfig(domain=bad))
 
     def test_degenerate_domain(self):
         with pytest.raises(ConfigError):

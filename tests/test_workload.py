@@ -33,6 +33,12 @@ class TestGenerateImages:
         with pytest.raises(ConfigError, match="must be"):
             GeneratorConfig(**kw)
 
+    @pytest.mark.parametrize("bad", [None, (0.0, 1.0, 0.0, 1.0), "0,1,0,1"],
+                             ids=["none", "tuple", "string"])
+    def test_domain_must_be_a_spatial_domain(self, bad):
+        with pytest.raises(ConfigError, match="domain"):
+            GeneratorConfig(domain=bad)
+
     def test_seed_determinism(self, tmp_path):
         cfg = GeneratorConfig(seed=7, image_count=200, vocab_size=100, mean_words=10)
         a = generate_images(cfg)
