@@ -4,7 +4,7 @@
 the live corpus, admission of an image and the sliding window.
 
 The search works against any index exposing the searchable surface:
-``roots()``, ``bounds(q, nodes)``, ``candidates(q, leaf, lam, floor)``
+``roots()``, ``bounds(q, nodes)``, ``candidates(q, leaf, worst, floor)``
 and a ``params`` attribute, with the bound dominance property (a node's
 bound <= f_stv of every image under the node) and nested aggregates (a
 child's ``t_max`` and each word of its ``max_freq`` at most its
@@ -20,19 +20,18 @@ an inner node and ``None`` at a leaf, which holds its ``images``.
 provides only ``roots()`` and ``_rect(node)``, a node's rectangle.
 
 ``candidates`` scores a leaf one image at a time
-(``QueryContext.score_leaf``) and returns ``(f_stv, image)`` pairs. The
-search passes it λ, the k-th best cost so far, and the leaf's floor, its
-exact bound less its spatial term. The floor leaves the leaf a spatial
-radius, and the scorer skips the images outside it, which cannot cost λ
-or less. It also lowers λ to the k-th best cost among the leaf's own
-images as it goes, so it returns only the pairs that can still reach
-the top k, and ``SearchStats.images_scored`` counts those. The search
-ranks on the pairs and builds the ``combined_score`` breakdown of the k
-results only, as IFA's column scorer does. The scorer records the
-spatial, visual and temporal terms of each pair it returns in the
-query's context, and ``combined_score`` takes a tree result's breakdown
-from there instead of computing it again; the query's word constants
-come from ``ScoreParams.word_table``, filled once per corpus state.
+(``QueryContext.score_leaf``) straight into the search's one running top
+k, ``worst``, whose k-th cost is λ, and returns the ``(f_stv, image)``
+pairs it admitted; ``SearchStats.images_scored`` counts those. The search
+also passes the leaf's floor, its exact bound less its spatial term. The
+floor leaves the leaf a spatial radius, and the scorer skips the images
+outside it, which cannot cost λ or less; the radius shrinks as λ falls.
+The search builds the ``combined_score`` breakdown of the k results
+only, as IFA's column scorer does. The scorer records the spatial,
+visual and temporal terms of each image it admits in the query's
+context, and ``combined_score`` takes a tree result's breakdown from
+there instead of computing it again; the query's word constants come
+from ``ScoreParams.word_table``, filled once per corpus state.
 """
 
 from __future__ import annotations
@@ -77,9 +76,11 @@ class ResultEntry(NamedTuple):
 
 @dataclass
 class SearchStats:
-    """What a search did. ``images_scored`` counts the ``(f_stv, image)``
-    pairs the search ranked. ``roots`` counts the trees the tree search
-    started from, ``len(index.roots())``, and reads 0 for IFA. In the
+    """What a search did. ``images_scored`` counts the images admitted to
+    the tree search's running top k, one that a later image pushed out
+    included; IFA counts every image it ranked. ``roots`` counts the
+    trees the tree search started from, ``len(index.roots())``, and reads
+    0 for IFA. In the
     tree search ``nodes_pruned`` counts the nodes whose bound or deferred
     key exceeded λ (the entries of ``audit``), ``bounds_evaluated``
     counts the visual node bounds it computed (``mind_visual`` of a
@@ -121,14 +122,14 @@ def top_k_search(q, index, audit=None):
     order), and only the visual bounds of the nodes that reach the top
     are computed.
 
-    A leaf's candidates are the images ``index.candidates(q, leaf, lam,
-    floor)`` gives for the current threshold and the leaf's floor, its
-    exact bound less the spatial term its heap entry carries, ranked on
-    the ``f_stv`` it pairs them with; only the k results get a breakdown
-    from ``combined_score``, which reads the terms the leaf scorer
-    recorded for them. ``audit``, when a list, is filled with the key or
-    bound of each pruned node (for dominance-safety tests).
-    ``stats.stop`` says whether λ ended the search early.
+    ``index.candidates(q, leaf, worst, floor)`` offers a leaf's images to
+    ``worst``, the running top k, under the leaf's floor, its exact bound
+    less the spatial term its heap entry carries; λ is read back from
+    ``worst``. Only the k results get a breakdown from ``combined_score``,
+    which reads the terms the leaf scorer recorded for them. ``audit``,
+    when a list, is filled with the key or bound of each pruned node (for
+    dominance-safety tests). ``stats.stop`` says whether λ ended the
+    search early.
     """
     params = index.params
     mind_visual = params.context(q).mind_visual     # checks the query location
@@ -195,16 +196,9 @@ def top_k_search(q, index, audit=None):
         stats.nodes_visited += 1
         nodes = node.children
         if nodes is None:
-            scored = index.candidates(q, node, lam, bound - spatial)
-            stats.images_scored += len(scored)
-            for f, img in scored:
-                if len(worst) < k:
-                    heapq.heappush(worst, (-f, -img.id, img))
-                    if len(worst) == k:
-                        lam = -worst[0][0]
-                elif f < lam or (f == lam and img.id < -worst[0][1]):
-                    heapq.heapreplace(worst, (-f, -img.id, img))
-                    lam = -worst[0][0]
+            stats.images_scored += len(index.candidates(q, node, worst, bound - spatial))
+            if len(worst) == k:
+                lam = -worst[0][0]
 
     stats.stop = "bound" if cut else "exhausted"
     stats.lam = lam
@@ -412,18 +406,17 @@ class TreeIndex(Index):
         [(spatial, recency)] = self.bounds(q, [node])
         return spatial + q.weights[1] * self.params.context(q).mind_visual(node.max_freq) + recency
 
-    def candidates(self, q, leaf, lam=math.inf, floor=0.0):
-        """``(f_stv, image)`` for each image in the leaf sharing at least
-        one query word and costing at most ``min(lam, c_k)``, where
-        ``c_k`` is the k-th lowest such cost in the leaf, in no set order
-        (the search's results do not depend on it): the query context's
-        ``score_leaf``.
+    def candidates(self, q, leaf, worst, floor=0.0):
+        """Offers each image in the leaf sharing at least one query word to
+        ``worst``, the search's running top k, a max-heap of ``(-f_stv,
+        -id, image)``, and returns the ``(f_stv, image)`` pairs it admitted:
+        the query context's ``score_leaf``.
 
         ``floor`` is a lower bound on each image's visual and recency cost,
         which sets the scorer's spatial radius; the search passes the
-        leaf's exact bound less its spatial term. Any valid floor gives
-        the same pairs; the default 0.0 gives a looser radius."""
-        return self.params.context(q).score_leaf(leaf, lam, floor)
+        leaf's exact bound less its spatial term. Any valid floor leaves
+        the same heap; the default 0.0 gives a looser radius."""
+        return self.params.context(q).score_leaf(leaf, worst, floor)
 
     def node_count(self):
         return sum(1 for _ in walk(self.roots()))

@@ -413,15 +413,15 @@ class QueryContext:
     words: a node's ``max_freq``, which gives its lower bound, or an
     image's ``freq``, which gives its cost. ``visual_columns`` scores a
     whole slot table in one numpy pass over the query words' joined
-    posting columns. ``score_leaf`` gives the combined score of the images
-    of a tree leaf that hold a query word and can reach the top k, one
-    image at a time, nearest first while no threshold is known. Both make
-    each image's sums in the order ``mind_visual`` makes them, query order.
+    posting columns. ``score_leaf`` offers the images of a tree leaf that
+    hold a query word to the search's running top k, one image at a time,
+    nearest first while no threshold is known. Both make each image's sums
+    in the order ``mind_visual`` makes them, query order.
 
     A word's floor, log floor and log live maximum are read from
     ``ScoreParams.word_table`` and computed only for a word no earlier
     query of the same corpus state asked for. ``terms`` maps an image id
-    to ``(image, f_s, f_v, f_t)`` for each pair ``score_leaf`` returned;
+    to ``(image, f_s, f_v, f_t)`` for each image ``score_leaf`` admitted;
     ``combined_score`` reads a breakdown from it. A context lives for one
     query object and one corpus state, so neither outlives a corpus
     change.
@@ -488,11 +488,15 @@ class QueryContext:
             ratio = 1.0
         return 1.0 - ratio
 
-    def score_leaf(self, leaf, lam=math.inf, floor=0.0):
-        """``(f_stv, image)`` for every image of a tree leaf that holds a
-        query word and costs at most ``min(lam, c_k)``, where ``c_k`` is
-        the k-th lowest cost among those images (infinite below k of
-        them), from one pass over ``leaf.images``.
+    def score_leaf(self, leaf, worst, floor=0.0):
+        """Offers every image of a tree leaf that holds a query word to
+        ``worst``, the search's running top k, a max-heap of ``(-f_stv,
+        -id, image)``, and returns the ``(f_stv, image)`` pairs it
+        admitted, from one pass over ``leaf.images``. An image goes in
+        while the heap holds fewer than k, or when it costs less than the
+        k-th, ``lam``, or ties it with a smaller id, and then replaces the
+        k-th. Afterwards ``worst`` holds the k lowest ``(f_stv, id)`` of
+        its entries before the call and the leaf's images.
 
         ``floor`` is a lower bound on ``w2 * f_v + w3 * f_t`` over the
         leaf's images: the leaf's node bound less its spatial part, or
@@ -500,12 +504,12 @@ class QueryContext:
         ``(lam + BOUND_TOL - floor) * delta_max / w1``. An image farther
         than that from the query costs more than ``lam``, so the pass
         skips it before it reads the image's words. The margin keeps every
-        image that costs ``lam`` exactly, which the search may still swap
-        in for a result with a larger id. The pass keeps the k lowest
-        costs so far in a heap; once it holds k, ``lam`` falls to the
-        k-th of them and the radius shrinks with it. When ``lam`` starts
-        infinite, the images are visited nearest first, so the pass ends
-        at the first image outside the radius.
+        image that costs ``lam`` exactly, which may still replace the k-th
+        if it has a smaller id. ``lam`` is infinite while the heap holds
+        fewer than k and falls to its k-th cost as images are admitted, so
+        the radius shrinks as the pass goes. When the heap starts below k,
+        the images are visited nearest first, so the pass ends at the first
+        image outside the radius.
 
         An image's held query words are ``floors.keys() & freq.keys()``,
         summed in ascending word order, which is query order, as in
@@ -513,18 +517,17 @@ class QueryContext:
         temporal costs and ``f_stv`` are ``kernels.spatial_cost``,
         ``recency_cost`` and ``combine``, all inline in their operands and
         order, so each ``f_stv`` equals the ``combined_score`` breakdown's
-        bit for bit. The three terms of each returned pair go into
-        ``terms``, where ``combined_score`` finds them; a pair dropped by
-        the final λ takes its terms out again."""
+        bit for bit. The three terms of each admitted image go into
+        ``terms``, where ``combined_score`` finds them."""
         w1, w2, w3 = self._weights
         lat, lon, t = self._lat, self._lon, self._t
         delta_max, decay_base, time_unit = self._delta_max, self._decay_base, self._time_unit
         k = self.q.k
-        lam0 = lam
+        nearest_first = len(worst) < k
+        lam = math.inf if nearest_first else -worst[0][0]
         r = (lam + BOUND_TOL - floor) * delta_max / w1
         r2 = r * r if r >= 0.0 else -1.0
         images = leaf.images
-        nearest_first = lam == math.inf
         if nearest_first:
             images = sorted(images, key=lambda img: (
                 (d_lat := lat - img.lat) * d_lat + (d_lon := lon - img.lon) * d_lon))
@@ -535,8 +538,7 @@ class QueryContext:
         scale, log_den, log_const = self._scale, self._log_den, self._log_const
         log, exp, sqrt = math.log, math.exp, math.sqrt
         terms = self.terms
-        top = []                # the k lowest costs so far, negated (a max-heap)
-        scored = []
+        admitted = []
         for img in images:
             d_lat = lat - img.lat
             d_lon = lon - img.lon
@@ -572,30 +574,19 @@ class QueryContext:
             f_s = sqrt(d2) / delta_max
             f_t = 1.0 - decay_base ** (-(age / time_unit))
             f = w1 * f_s + w2 * f_v + w3 * f_t
-            if f > lam:
-                continue
-            scored.append((f, img))
-            terms[img.id] = (img, f_s, f_v, f_t)
-            if len(top) < k:
-                heapq.heappush(top, -f)
-                if len(top) < k:
-                    continue
-            elif f < lam:
-                heapq.heapreplace(top, -f)
+            if len(worst) < k:
+                heapq.heappush(worst, (-f, -img.id, img))
+            elif f < lam or (f == lam and img.id < -worst[0][1]):
+                heapq.heapreplace(worst, (-f, -img.id, img))
             else:
                 continue
-            lam = -top[0]
-            r = (lam + BOUND_TOL - floor) * delta_max / w1
-            r2 = r * r if r >= 0.0 else -1.0
-        if lam < lam0:
-            kept = []
-            for pair in scored:
-                if pair[0] <= lam:
-                    kept.append(pair)
-                else:
-                    del terms[pair[1].id]
-            scored = kept
-        return scored
+            admitted.append((f, img))
+            terms[img.id] = (img, f_s, f_v, f_t)
+            if len(worst) == k:
+                lam = -worst[0][0]
+                r = (lam + BOUND_TOL - floor) * delta_max / w1
+                r2 = r * r if r >= 0.0 else -1.0
+        return admitted
 
     def visual_columns(self, postings, n):
         """Visual relevance of every slot of an ``n``-slot table, and the
@@ -721,7 +712,7 @@ def combined_score(q, img, params):
     ``params.context(q)`` scored ``img`` (the same object) over the
     current corpus, its ``(f_s, f_v, f_t)`` are taken from the context's
     ``terms``; they are the kernels' values bit for bit. Otherwise (IFA's
-    results, an image the scorer never kept, oracle callers) they are
+    results, an image the scorer never admitted, oracle callers) they are
     computed here: the spatial and recency kernels, and ``f_v`` as the
     context's ``mind_visual`` of ``img.freq`` (``visual_relevance``).
     ``f_stv`` is ``kernels.combine`` of the three either way.

@@ -285,3 +285,41 @@ def test_bench_pairs_marks_a_median_worse_than_its_bound():
     assert not unbounded[0]["worse"]
     lines = pairs_tool.format_rows(list(beyond.values()) + list(better.values()))
     assert [line.endswith("WORSE THAN BOUND") for line in lines[1:]] == [True, True, False, False]
+
+
+def test_bench_pairs_marks_a_metric_whose_parent_spreads_wider_than_its_bound():
+    pairs_tool = load_bench_pairs()
+
+    def rows(parent, change, bound=0.25):
+        metrics = [{"name": "q_ms", "unit": "ms", "better": "lower", "bound": bound},
+                   {"name": "ingest", "unit": "1/s", "better": "higher", "bound": bound}]
+        pairs = [({"correct": True, "metrics": {"q_ms": {"value": a, "unit": "ms"},
+                                                "ingest": {"value": 1.0 / a, "unit": "1/s"}}},
+                  {"correct": True, "metrics": {"q_ms": {"value": b, "unit": "ms"},
+                                                "ingest": {"value": 1.0 / b, "unit": "1/s"}}})
+                 for a, b in zip(parent, change)]
+        return pairs_tool.summarise(pairs, metrics)
+
+    # a bimodal parent: two slow runs of five give quartiles 0.65 and 3.7
+    # about a median of 0.70, a spread of 4.4 medians
+    bimodal = [0.63, 3.95, 0.65, 0.70, 3.7]
+    overlap = rows(bimodal, [0.62, 0.66, 0.71, 0.68, 4.1])
+    assert [r["unresolved"] for r in overlap] == [True, True]
+    assert not any(r["worse"] or r["gain"] for r in overlap)
+    # every run of the change better than every run of the parent resolves
+    # it, in either direction, though it is no gain within that spread
+    faster = rows(bimodal, [0.5, 0.55, 0.6, 0.58, 0.52])
+    assert [(r["unresolved"], r["gain"]) for r in faster] == [(False, False)] * 2
+    slower = rows(bimodal, [4.0, 4.2, 4.5, 4.1, 4.3])
+    assert [(r["unresolved"], r["worse"]) for r in slower] == [(True, True)] * 2
+    # a spread of 4% is within a bound of 0.25, not within one of 0.01;
+    # a metric with no bound is never unresolved
+    narrow = [1.0, 1.02, 1.04, 1.06, 1.08]
+    assert not any(r["unresolved"] for r in rows(narrow, narrow))
+    assert all(r["unresolved"] for r in rows(narrow, narrow, bound=0.01))
+    assert not any(r["unresolved"] for r in rows(bimodal, bimodal, bound=None))
+    # each mark stands beside the others on the metric's line
+    gain = rows(narrow, [0.5, 0.52, 0.54, 0.56, 0.58])[0]
+    marked = pairs_tool.format_rows([gain, overlap[0], slower[0]])
+    assert [line.split("  ")[-1] for line in marked[1:]] == ["gain", "unresolved", "unresolved"]
+    assert marked[3].endswith("  WORSE THAN BOUND  unresolved")

@@ -3,6 +3,7 @@ import heapq
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -175,9 +176,10 @@ def test_leaf_candidates_and_tree_counts(cls, domain):
         for _ in range(10):
             q = random_query(rng, images, domain, vocab=vocab, max_words=max_words)
             for leaf in leaves:
-                # pairs come in no set order, which the search does not depend on
-                scored = sorted(index.candidates(q, leaf), key=lambda pair: pair[1].id)
-                assert scored == within(holding_pairs(q, leaf, index.params), math.inf, q.k)
+                # from an empty heap: the leaf's k lowest (f_stv, id)
+                worst = []
+                index.candidates(q, leaf, worst)
+                assert heap_entries(worst) == lowest([], holding_pairs(q, leaf, index.params), q.k)
 
 
 def uncached(params):
@@ -197,12 +199,23 @@ def holding_pairs(q, leaf, params):
             if not qwords.isdisjoint(im.freq)]
 
 
-def within(pairs, lam, k):
-    """The pairs that cost at most ``lam`` and at most the k-th lowest
-    cost among them all."""
-    costs = sorted(f for f, _im in pairs)
-    cut = min(lam, costs[k - 1] if len(costs) >= k else math.inf)
-    return [(f, im) for f, im in pairs if f <= cut]
+def lowest(start, pairs, k):
+    """``(f_stv, id)`` of the k lowest of the ``start`` and ``pairs``
+    ``(f_stv, image)``, ascending."""
+    return sorted((f, im.id) for f, im in start + pairs)[:k]
+
+
+def heap_entries(worst):
+    """``(f_stv, id)`` of a running top k's entries, ascending."""
+    return sorted((-nf, -nid) for nf, nid, _im in worst)
+
+
+def running_top_k(pairs):
+    """A max-heap of ``(-f_stv, -id, image)`` over ``(f_stv, image)``
+    pairs, as the search keeps its running top k."""
+    worst = [(-f, -im.id, im) for f, im in pairs]
+    heapq.heapify(worst)
+    return worst
 
 
 def twinned_index(cls, domain, rng, vocab=60, **kw):
@@ -298,7 +311,8 @@ def test_search_says_why_it_stopped(cls, domain):
 @pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
 def test_breakdowns_for_the_results_only(cls, domain, monkeypatch):
     # a count, not a timing: one combined_score per result, whatever the
-    # machine, and every candidate drawn is counted as scored
+    # machine, and every image admitted to the running top k is counted
+    # as scored
     rng = random.Random(42)
     index, images = twinned_index(cls, domain, rng)
     broken_down, drawn = [], []
@@ -308,8 +322,8 @@ def test_breakdowns_for_the_results_only(cls, domain, monkeypatch):
         broken_down.append(img.id)
         return combined_score(q, img, params)
 
-    def counted_candidates(q, leaf, *lam):
-        drawn.append(leaf_candidates(q, leaf, *lam))
+    def counted_candidates(q, leaf, worst, floor):
+        drawn.append(leaf_candidates(q, leaf, worst, floor))
         return drawn[-1]
 
     monkeypatch.setattr(engine, "combined_score", counted_score)
@@ -326,48 +340,65 @@ def test_breakdowns_for_the_results_only(cls, domain, monkeypatch):
     assert more_drawn_than_kept
 
 
-def lam_choices(rng, pairs):
-    """Thresholds for a leaf: 0, infinity, a random cost, and for some of
-    its pairs the exact cost and the float just below it."""
-    lams = [0.0, math.inf, rng.uniform(0.0, 1.0)]
+def start_pairs(rng, pairs, k):
+    """Entries to start a leaf's running top k from: none, fewer than k
+    and k. They are stand-in images whose ids lie below or above every
+    image's, at 0.0, a random cost, and for some of the leaf's ``pairs``
+    the exact cost and the floats either side of it, so ties fall both
+    ways."""
+    costs = [0.0, rng.uniform(0.0, 1.0)]
     for f, _im in rng.sample(pairs, min(4, len(pairs))):
-        lams += [f, math.nextafter(f, -math.inf)]
-    return lams
+        costs += [f, f, math.nextafter(f, -math.inf), math.nextafter(f, math.inf)]
+    full = [(rng.choice(costs), SimpleNamespace(id=rng.choice((-1 - i, 10 ** 6 + i))))
+            for i in range(k)]
+    return [[], full[:k // 2], full]
 
 
 @pytest.mark.parametrize("xi", [0.0, 0.35, 0.5])
 @pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
 def test_leaf_scorer_keeps_exactly_the_pairs_within_lam(cls, xi, domain):
-    # xi = 0 gives every query word a zero floor. xi = 0.35 gives a scale
-    # 1 - xi whose products round, and with 8 words and short queries many
-    # images hold every query word at a visual cost well below 1.0, where
-    # that rounding shows in the last bit. Twins tie at every cost, the
-    # k-th included
+    # scored into a running top k that starts empty, partly full or full,
+    # a leaf leaves in it exactly the k lowest (f_stv, id) of its entries
+    # and the leaf's images that hold a query word. xi = 0 gives every
+    # query word a zero floor. xi = 0.35 gives a scale 1 - xi whose
+    # products round, and with 8 words and short queries many images hold
+    # every query word at a visual cost well below 1.0, where that
+    # rounding shows in the last bit. Twins tie at every cost, and the
+    # starting entries tie with the leaf's images, the k-th included
     vocab, max_words = (8, 3) if xi == 0.35 else (60, 20)
     rng = random.Random(71 + int(10 * xi))
     index, images = twinned_index(cls, domain, rng, vocab=vocab, xi=xi)
     leaves = [node for node in walk(index.roots()) if node.children is None]
     biggest = max(len(leaf.images) for leaf in leaves)
-    seen = dict(dropped=0, kept=0, empty=0, cut_by_k=0, whole=0)
+    seen = dict(empty=0, from_empty=0, from_part=0, from_full=0, pushed_out=0, refused=0,
+                tie_at_k=0)
     for _ in range(12):
         q = random_query(rng, images, domain, vocab=vocab, max_words=max_words)
-        # k = biggest covers every leaf, which then returns every pair
-        # within lam
+        # k = biggest covers every leaf
         for k in (1, 2, q.k, biggest):
             qk = dataclasses.replace(q, k=k)
             for leaf in leaves:
                 every = holding_pairs(qk, leaf, index.params)
+                by_id = {im.id: (f, im) for f, im in every}
                 seen["empty"] += leaf.t_max is None
                 floor = leaf_floor(qk, index, leaf)
-                for lam in lam_choices(rng, every):
-                    got = sorted(index.candidates(qk, leaf, lam, floor),
-                                 key=lambda pair: pair[1].id)
-                    lam_only = [(f, im) for f, im in every if f <= lam]
-                    assert got == within(every, lam, k)
-                    seen["dropped"] += len(lam_only) < len(every)
-                    seen["cut_by_k"] += len(got) < len(lam_only)
-                    seen["whole"] += k == biggest and 0 < len(got) == len(every)
-                    seen["kept"] += bool(got)
+                for kind, start in zip(("from_empty", "from_part", "from_full"),
+                                       start_pairs(rng, every, k)):
+                    worst = running_top_k(start)
+                    admitted = index.candidates(qk, leaf, worst, floor)
+                    union = lowest(start, every, k + 1)
+                    assert heap_entries(worst) == union[:k]
+                    # each admitted image holds a query word, once, at its
+                    # breakdown's f_stv bit for bit, and every image of the
+                    # leaf left in the heap was admitted
+                    ids = [im.id for _f, im in admitted]
+                    assert len(set(ids)) == len(ids)
+                    assert all(by_id[im.id] == (f, im) for f, im in admitted)
+                    assert {i for _f, i in union[:k] if i in by_id} <= set(ids)
+                    seen[kind] += bool(admitted)
+                    seen["pushed_out"] += not set(ids) <= {i for _f, i in union[:k]}
+                    seen["refused"] += len(admitted) < len(every)
+                    seen["tie_at_k"] += len(union) > k and union[k - 1][0] == union[k][0]
     if cls is StviiIndex:
         seen.pop("empty")       # an R-tree splits into non-empty groups
     assert all(seen.values()), seen
@@ -375,11 +406,12 @@ def test_leaf_scorer_keeps_exactly_the_pairs_within_lam(cls, xi, domain):
 
 @pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
 def test_leaf_pairs_do_not_depend_on_the_bound(cls, domain):
-    # any valid floor gives the same pairs: the leaf's bound less its
-    # spatial term, as the search passes it, and 0.0. One 1e-6 above it is
-    # no floor, and the radius it leaves loses a pair on some leaf. The default xi = 0.5 over
-    # 60 words, then xi = 0.35 over 8 words, where the scale 1 - xi rounds
-    # in the last bit of some costs
+    # any valid floor admits the same images and leaves the same heap: the
+    # leaf's bound less its spatial term, as the search passes it, and
+    # 0.0. One 1e-6 above it is no floor, and the radius it leaves loses an
+    # image on some leaf. The default xi = 0.5 over 60 words, then xi =
+    # 0.35 over 8 words, where the scale 1 - xi rounds in the last bit of
+    # some costs
     for seed, xi, vocab, max_words in ((76, 0.5, 60, 20), (77, 0.35, 8, 3)):
         rng = random.Random(seed)
         index, images = twinned_index(cls, domain, rng, vocab=vocab, xi=xi)
@@ -390,13 +422,14 @@ def test_leaf_pairs_do_not_depend_on_the_bound(cls, domain):
             for leaf in leaves:
                 floor = leaf_floor(q, index, leaf)
                 every = holding_pairs(q, leaf, index.params)
-                for lam in lam_choices(rng, every):
-                    got = sorted(index.candidates(q, leaf, lam, floor),
-                                 key=lambda pair: pair[1].id)
-                    assert got == within(every, lam, q.k)
-                    assert got == sorted(index.candidates(q, leaf, lam, 0.0),
-                                         key=lambda pair: pair[1].id)
-                    lost += len(index.candidates(q, leaf, lam, floor + 1e-6)) < len(got)
+                for start in start_pairs(rng, every, q.k):
+                    runs = []
+                    for f in (floor, 0.0, floor + 1e-6):
+                        worst = running_top_k(start)
+                        runs.append((index.candidates(q, leaf, worst, f), heap_entries(worst)))
+                    assert runs[0][1] == lowest(start, every, q.k)
+                    assert runs[1] == runs[0]
+                    lost += runs[2][1] != runs[0][1]
         assert lost, xi
 
 
@@ -588,9 +621,9 @@ class LeafFloors:
         self.bounds = index.bounds
         self.floors = []
 
-    def candidates(self, q, leaf, lam, floor):
+    def candidates(self, q, leaf, worst, floor):
         self.floors.append((leaf, floor))
-        return self.index.candidates(q, leaf, lam, floor)
+        return self.index.candidates(q, leaf, worst, floor)
 
 
 @pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
@@ -649,16 +682,10 @@ def eager_top_k_search(q, index):
         stats.nodes_visited += 1
         children = node.children
         if children is None:
-            scored = index.candidates(q, node, lam, leaf_floor(q, index, node))
-            stats.images_scored += len(scored)
-            for f, img in scored:
-                if len(worst) < k:
-                    heapq.heappush(worst, (-f, -img.id, img))
-                    if len(worst) == k:
-                        lam = -worst[0][0]
-                elif f < lam or (f == lam and img.id < -worst[0][1]):
-                    heapq.heapreplace(worst, (-f, -img.id, img))
-                    lam = -worst[0][0]
+            stats.images_scored += len(index.candidates(q, node, worst,
+                                                        leaf_floor(q, index, node)))
+            if len(worst) == k:
+                lam = -worst[0][0]
         else:
             stats.bounds_evaluated += len(children)
             for child in children:
@@ -766,11 +793,13 @@ def test_nesting_check_counts_a_child_above_its_parent(cls, domain):
 
 # the search's counts on two fixed streams, recorded when the tree search
 # last changed shape while its decisions stayed the same: a move here is a
-# change in what the search does, found without a benchmark run
+# change in what the search does, found without a benchmark run.
+# ``images_scored`` was recorded again when it came to count the images
+# admitted to the running top k
 PINNED = {
-    "hiq": dict(nodes_visited=3349, images_scored=2759, nodes_pruned=1597,
+    "hiq": dict(nodes_visited=3349, images_scored=2758, nodes_pruned=1597,
                 bounds_evaluated=3506, heap_peak=1626, bound=45, exhausted=5),
-    "stvii": dict(nodes_visited=2638, images_scored=2779, nodes_pruned=1990,
+    "stvii": dict(nodes_visited=2638, images_scored=2771, nodes_pruned=1990,
                   bounds_evaluated=2794, heap_peak=1837, bound=45, exhausted=5),
 }
 

@@ -760,13 +760,15 @@ class TestQueryContext:
             w1 = rng.uniform(0.05, 0.6)
             w2 = rng.uniform(0.05, 0.95 - w1)
             # k covers the whole leaf, so every image with a query word
-            # comes back
+            # is admitted to the empty running top k
             q = Query(psi=words,
                       loc=(rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)),
                       t=rng.randint(0, 10_000), k=30, weights=(w1, w2, 1.0 - w1 - w2))
             absent += any(v >= 60 for v in q.psi)
             leaf = SimpleNamespace(images=corpus)
-            scored = sorted(p.context(q).score_leaf(leaf), key=lambda pair: pair[1].id)
+            worst = []
+            scored = sorted(p.context(q).score_leaf(leaf, worst), key=lambda pair: pair[1].id)
+            assert sorted(-nid for _nf, nid, _im in worst) == [image.id for _f, image in scored]
             assert [image for _f, image in scored] == \
                 [image for image in corpus if set(q.psi) & set(image.freq)]
             # the reference has no word table and no recorded terms, so a
@@ -832,10 +834,13 @@ class TestQueryContext:
         corpus = random_images(rng, 40, domain, vocab=8, t_lo=0, t_hi=5000)
         p = params_for(domain, corpus, xi=0.35)
         q = query(psi=(1, 2, 3), loc=(30.0, 70.0), t=5000, k=3)
-        kept = {image.id for _f, image in p.context(q).score_leaf(SimpleNamespace(images=corpus))}
-        assert 3 <= len(kept) < len(corpus)
-        # a kept image's breakdown is the scorer's; any other, and an
-        # image object the scorer never saw under a kept id, is computed
+        worst = []
+        admitted = {image.id for _f, image in p.context(q).score_leaf(SimpleNamespace(images=corpus),
+                                                                 worst)}
+        # the scorer admitted images that later ones pushed out of the top 3
+        assert len(worst) == 3 < len(admitted) < len(corpus)
+        # an admitted image's breakdown is the scorer's; any other, and an
+        # image object the scorer never saw under an admitted id, is computed
         spatial = []
         spatial_cost = kernels.spatial_cost
         monkeypatch.setattr(kernels, "spatial_cost",
@@ -844,9 +849,9 @@ class TestQueryContext:
         for image in corpus:
             spatial.clear()
             got = combined_score(q, image, p)
-            assert len(spatial) == (image.id not in kept)
+            assert len(spatial) == (image.id not in admitted)
             assert got == combined_score(q, image, reference)
-        moved = next(image for image in corpus if image.id in kept)
+        moved = next(image for image in corpus if image.id in admitted)
         stranger = GeoTemporalImage(moved.id, (moved.lat + 50.0) % 100.0, moved.lon, moved.t_c,
                                     moved.psi)
         spatial.clear()

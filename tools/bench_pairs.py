@@ -15,8 +15,12 @@ at least nine tenths of the pairs and its median is better than the
 parent's by more than the distance between the parent's quartiles. A
 loss is marked where the change's median is worse than the parent's by
 more than the metric's ``bound``, a share of the parent's median, as the
-benchmark's gate reads it. The last line counts the runs that were not
-``correct``; any such run makes the exit status 1.
+benchmark's gate reads it. A metric is marked unresolved where its
+spread, the distance between the parent's quartiles over the parent's
+median, is wider than its bound, unless every run of the change is
+better than every run of the parent: such a metric cannot be called
+unchanged. The last line counts the runs that were not ``correct``; any
+such run makes the exit status 1.
 """
 
 from __future__ import annotations
@@ -66,6 +70,20 @@ def worse_than_bound(parent, change, lower, bound):
     return change < parent * (1.0 - bound)
 
 
+def unresolved(both, lower, bound):
+    """Whether the parent's runs of ``both``, ``(parent, change)`` pairs,
+    spread wider than ``bound``, their quartile distance over their
+    median, while some run of the change is no better than some run of
+    the parent; never for a metric with no bound."""
+    if bound is None:
+        return False
+    parent, change = [a for a, _ in both], [b for _, b in both]
+    q1, median, q3 = quartiles(parent)
+    if q3 - q1 <= bound * abs(median):
+        return False
+    return max(change) >= min(parent) if lower else min(change) <= max(parent)
+
+
 def summarise(pairs, metrics):
     """One row per end-to-end metric over ``pairs`` of ``(parent result,
     change result)``. A metric missing from either run of a pair leaves
@@ -92,6 +110,7 @@ def summarise(pairs, metrics):
             "pairs": len(both),
             "gain": wins >= 0.9 * len(both) and gap > parent[2] - parent[0],
             "worse": worse_than_bound(parent[1], change[1], lower, m.get("bound")),
+            "unresolved": unresolved(both, lower, m.get("bound")),
             "values": both,
         })
     return rows
@@ -109,7 +128,9 @@ def format_rows(rows):
              f"{'change median [q1, q3]':>28s} {'median':>7s} {'wins':>7s}"]
     for r in rows:
         delta = "-" if r["delta"] is None else f"{100 * r['delta']:+.1f}%"
-        mark = "  gain" if r["gain"] else "  WORSE THAN BOUND" if r["worse"] else ""
+        mark = "".join(f"  {name}" for name, on in (
+            ("gain", r["gain"]), ("WORSE THAN BOUND", r["worse"]),
+            ("unresolved", r["unresolved"])) if on)
         lines.append(f"{r['name']:26s} {r['unit']:5s} {side(r['parent']):>28s} "
                      f"{side(r['change']):>28s} {delta:>7s} {r['wins']:>3d}/{r['pairs']:<3d}{mark}")
     return lines

@@ -33,7 +33,7 @@ ZERO = {
     "kernels.relevance_cost.calls": "QueryContext folds visual relevance; only the oracle calls it",
     "kernels.visual_weight.calls": "QueryContext folds the word weights; only the oracle calls it",
     "model.mind_visual.calls":
-        "TreeIndex.bounds calls the query context directly; perfbench wraps the module names",
+        "top_k_search calls the query context directly; perfbench wraps the module names",
 }
 
 
