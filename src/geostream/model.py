@@ -75,7 +75,10 @@ def _whole(value, what, error):
     """``int(value)`` for a whole number; ``error`` for anything else (a
     bool, a string, None, a fraction, NaN or infinity), which ``int``
     would accept, truncate or refuse with an untyped error. The one
-    integer conversion of admitted input."""
+    integer conversion of admitted input. An exact ``int`` comes back as
+    it is, also beyond int64: its callers check the range."""
+    if type(value) is int:
+        return value
     try:
         n = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):

@@ -60,7 +60,9 @@ class QueryConfig:
     words_per_query: int = 20          # l
     k: int = 10
     weights: tuple = (1 / 3, 1 / 3, 1 / 3)
-    anchor_word_fraction: float = 0.5  # share of words drawn from the anchor image
+    # share of words drawn from the anchor image; at least one anchor word
+    # is drawn (max(1, ...)), also at 0.0
+    anchor_word_fraction: float = 0.5
 
     def __post_init__(self):
         _counts(self, seed=0, count=0, words_per_query=1, k=1)
@@ -75,17 +77,38 @@ class QueryWorkload:
     queries: list
 
 
+# Images whose word draws one pass of ``generate_images`` makes at once;
+# the pass's temporaries grow with it, not with the stream.
+_CHUNK = 1024
+
+
+def _zipf_cdf(vocab_size, exponent):
+    """The cumulative Zipf popularity of the dense word ids 0..vocab_size-1,
+    for draws by ``np.searchsorted(cdf, u, side="right")`` with u in [0, 1).
+    Rounding can leave the sum's end just below 1.0, where a draw would get
+    the word id vocab_size; the end is pinned to 1.0, so such a draw gets
+    the last word and no other draw changes."""
+    ranks = np.arange(1, vocab_size + 1, dtype=np.float64)
+    probs = ranks ** (-exponent)
+    probs /= probs.sum()
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0
+    return cdf
+
+
 def generate_images(cfg):
-    """Deterministic synthetic stream; timestamps are non-decreasing."""
+    """Deterministic synthetic stream; timestamps are non-decreasing.
+
+    The stream is fixed by ``cfg`` and numpy's ``Generator`` (PCG64): the
+    whole-stream draws of times, locations and word counts come first,
+    then each image's word draws in turn. The draws of ``_CHUNK`` images
+    are made in one call, which gives the same values as one call per
+    image, so the chunking does not show in the stream."""
     rng = np.random.default_rng(cfg.seed)
     n = cfg.image_count
     if n == 0:
         return []
-    # Zipf popularity over dense word ids; cumulative table for fast draws
-    ranks = np.arange(1, cfg.vocab_size + 1, dtype=np.float64)
-    probs = ranks ** (-cfg.zipf_exponent)
-    probs /= probs.sum()
-    cum = np.cumsum(probs)
+    cum = _zipf_cdf(cfg.vocab_size, cfg.zipf_exponent)
 
     times = cfg.start_time + np.floor(
         np.cumsum(rng.exponential(1.0 / cfg.rate, n))
@@ -108,13 +131,25 @@ def generate_images(cfg):
 
     word_counts = np.maximum(1, rng.poisson(cfg.mean_words, n))
     images = []
-    for i in range(n):
-        draws = np.searchsorted(cum, rng.random(word_counts[i]), side="right")
-        words, tfs = np.unique(draws, return_counts=True)
-        psi = list(zip(words.tolist(), tfs.tolist()))
-        images.append(
-            GeoTemporalImage(i, float(lats[i]), float(lons[i]), int(times[i]), psi)
-        )
+    for lo in range(0, n, _CHUNK):
+        chunk = slice(lo, lo + _CHUNK)
+        counts = word_counts[chunk]
+        draws = np.searchsorted(cum, rng.random(int(counts.sum())), side="right")
+        owner = np.repeat(np.arange(len(counts)), counts)
+        # (image, word) runs: sorted by image, then word; a run starts
+        # wherever either changes (every image draws at least one word)
+        order = np.lexsort((draws, owner))
+        draws, owner = draws[order], owner[order]
+        starts = np.flatnonzero(np.concatenate((
+            [True], (draws[1:] != draws[:-1]) | (owner[1:] != owner[:-1]))))
+        tfs = np.diff(np.append(starts, len(draws))).tolist()
+        words = draws[starts].tolist()
+        ends = np.cumsum(np.bincount(owner[starts], minlength=len(counts))).tolist()
+        a = 0
+        for i, lat, lon, t_c, b in zip(range(lo, n), lats[chunk].tolist(),
+                                       lons[chunk].tolist(), times[chunk].tolist(), ends):
+            images.append(GeoTemporalImage(i, lat, lon, t_c, list(zip(words[a:b], tfs[a:b]))))
+            a = b
     return images
 
 
@@ -125,19 +160,23 @@ def generate_queries(cfg, images):
     if not images:
         raise ValueError("cannot sample queries from an empty dataset")
     rng = np.random.default_rng(cfg.seed)
+    integers, choice = rng.integers, rng.choice
     vocab = sorted({w for img in images for w in img.freq})
     t = max(img.t_c for img in images)
+    n_images, n_vocab = len(images), len(vocab)
+    want = cfg.words_per_query
+    limit = min(want, n_vocab)
+    # at least one anchor word, also at an anchor_word_fraction of 0.0
+    n_wanted = max(1, round(want * cfg.anchor_word_fraction))
     queries = []
     for _ in range(cfg.count):
-        anchor = images[int(rng.integers(0, len(images)))]
-        want = cfg.words_per_query
-        n_anchor = min(len(anchor.freq), max(1, round(want * cfg.anchor_word_fraction)))
+        anchor = images[integers(0, n_images)]
         anchor_words = list(anchor.freq)
-        picked = set(
-            anchor_words[i] for i in rng.choice(len(anchor_words), n_anchor, replace=False)
-        )
-        while len(picked) < want and len(picked) < len(vocab):
-            picked.add(vocab[int(rng.integers(0, len(vocab)))])
+        n_anchor = min(len(anchor_words), n_wanted)
+        picked = {anchor_words[i] for i in choice(len(anchor_words), n_anchor,
+                                                  replace=False).tolist()}
+        while len(picked) < limit:
+            picked.add(vocab[integers(0, n_vocab)])
         queries.append(
             Query(
                 psi=tuple(sorted(picked)),

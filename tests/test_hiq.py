@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from geostream.baselines import IfaIndex, StviiIndex
@@ -25,8 +26,10 @@ def img(id, lat, lon, t_c, psi=((1, 1),)):
 
 
 class TestConfig:
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 1.5, True, None, "5"],
-                             ids=["nan", "inf", "fractional", "bool", "none", "string"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1.5, True, None, "5",
+                                       False, np.bool_(True), 3.5, "3"],
+                             ids=["nan", "inf", "fractional", "bool", "none", "string",
+                                  "false", "numpy-bool", "fractional-3.5", "string-3"])
     @pytest.mark.parametrize("name", ["segment_span", "window", "capacity", "max_depth"])
     def test_non_whole_sizes_rejected(self, domain, name, value):
         with pytest.raises(ConfigError, match=name):

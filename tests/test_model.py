@@ -3,6 +3,7 @@ import math
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from geostream import kernels
@@ -17,6 +18,7 @@ from geostream.model import (
     Query,
     ScoreParams,
     SpatialDomain,
+    _whole,
     combined_score,
     mind_visual,
     spatial_proximity,
@@ -337,6 +339,16 @@ class TestValidation:
         image = img(id=4.0, t_c=9.0)
         assert (image.id, image.t_c) == (4, 9)
         assert type(image.id) is int and type(image.t_c) is int
+        # the integer rule itself: an exact int comes back unchanged, also
+        # beyond int64 (its callers check the range); a numpy integer and
+        # a whole float become the int they equal
+        assert _whole(2**70, "n", ConfigError) == 2**70
+        for value in (np.int64(3), 3.0):
+            n = _whole(value, "n", ConfigError)
+            assert n == 3 and type(n) is int
+        for value in (True, False, np.bool_(True), 3.5, "3", None):
+            with pytest.raises(ConfigError, match="n must be an integer"):
+                _whole(value, "n", ConfigError)
 
     def test_bad_params(self, domain, empty_stats):
         with pytest.raises(ConfigError):

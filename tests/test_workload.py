@@ -1,9 +1,14 @@
 import math
-import random
+import struct
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geostream.model import ConfigError, SpatialDomain
+from geostream import workload
+from geostream.model import ConfigError, GeoTemporalImage, Query
 from geostream.workload import (
     DataFormatError,
     GeneratorConfig,
@@ -14,6 +19,100 @@ from geostream.workload import (
     parse_queries,
     write_dataset,
     write_queries,
+)
+
+
+# -- references: the generators as they were before chunked draws ----------
+# A seeded stream must stay the same across commits, so these per-image
+# loops pin generate_images and generate_queries value for value. The
+# image reference keeps the unpinned Zipf table; it differs from
+# generate_images only for a draw in the gap below 1.0 that the pin closes.
+
+
+def reference_images(cfg):
+    rng = np.random.default_rng(cfg.seed)
+    n = cfg.image_count
+    if n == 0:
+        return []
+    ranks = np.arange(1, cfg.vocab_size + 1, dtype=np.float64)
+    probs = ranks ** (-cfg.zipf_exponent)
+    probs /= probs.sum()
+    cum = np.cumsum(probs)
+
+    times = cfg.start_time + np.floor(
+        np.cumsum(rng.exponential(1.0 / cfg.rate, n))
+    ).astype(np.int64)
+
+    d = cfg.domain
+    if cfg.spatial_mode == "uniform":
+        lats = rng.uniform(d.min_lat, d.max_lat, n)
+        lons = rng.uniform(d.min_lon, d.max_lon, n)
+    else:
+        centers_lat = rng.uniform(d.min_lat, d.max_lat, cfg.cluster_count)
+        centers_lon = rng.uniform(d.min_lon, d.max_lon, cfg.cluster_count)
+        which = rng.integers(0, cfg.cluster_count, n)
+        lats = np.clip(
+            rng.normal(centers_lat[which], cfg.cluster_sigma), d.min_lat, d.max_lat
+        )
+        lons = np.clip(
+            rng.normal(centers_lon[which], cfg.cluster_sigma), d.min_lon, d.max_lon
+        )
+
+    word_counts = np.maximum(1, rng.poisson(cfg.mean_words, n))
+    images = []
+    for i in range(n):
+        draws = np.searchsorted(cum, rng.random(word_counts[i]), side="right")
+        words, tfs = np.unique(draws, return_counts=True)
+        psi = list(zip(words.tolist(), tfs.tolist()))
+        images.append(
+            GeoTemporalImage(i, float(lats[i]), float(lons[i]), int(times[i]), psi)
+        )
+    return images
+
+
+def reference_queries(cfg, images):
+    rng = np.random.default_rng(cfg.seed)
+    vocab = sorted({w for img in images for w in img.freq})
+    t = max(img.t_c for img in images)
+    queries = []
+    for _ in range(cfg.count):
+        anchor = images[int(rng.integers(0, len(images)))]
+        want = cfg.words_per_query
+        n_anchor = min(len(anchor.freq), max(1, round(want * cfg.anchor_word_fraction)))
+        anchor_words = list(anchor.freq)
+        picked = set(
+            anchor_words[i] for i in rng.choice(len(anchor_words), n_anchor, replace=False)
+        )
+        while len(picked) < want and len(picked) < len(vocab):
+            picked.add(vocab[int(rng.integers(0, len(vocab)))])
+        queries.append(
+            Query(psi=tuple(sorted(picked)), loc=(anchor.lat, anchor.lon), t=t,
+                  k=cfg.k, weights=cfg.weights)
+        )
+    return queries
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+def assert_same_images(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.id, bits(a.lat), bits(a.lon), a.t_c, a.psi) == \
+            (b.id, bits(b.lat), bits(b.lon), b.t_c, b.psi)
+        assert all(type(v) is int for v in (a.id, a.t_c, *(x for p in a.psi for x in p)))
+
+
+generator_configs = st.builds(
+    GeneratorConfig,
+    seed=st.integers(0, 2**32),
+    vocab_size=st.sampled_from([1, 2, 50, 5000]),
+    mean_words=st.sampled_from([0.0, 1.5, 15.0, 120.0]),
+    zipf_exponent=st.sampled_from([-0.5, 0.0, 1.0, 1.5]),
+    spatial_mode=st.sampled_from(["uniform", "clusters"]),
+    cluster_count=st.integers(1, 12),
+    rate=st.sampled_from([0.5, 10.0, 500.0]),
 )
 
 
@@ -58,6 +157,32 @@ class TestGenerateImages:
         images = generate_images(cfg)
         mean = sum(im.total_tf for im in images) / len(images)
         assert abs(mean - 40.0) / 40.0 < 0.05
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(cfg=generator_configs, chunk=st.sampled_from([1, 3, 16]),
+           count=st.sampled_from([0, 1, 2, 5, 40]))
+    def test_stream_equals_per_image_loop(self, cfg, chunk, count):
+        # small chunks put counts of 0, 1 and more than two chunks in reach
+        cfg.image_count = count
+        with mock.patch.object(workload, "_CHUNK", chunk):
+            assert_same_images(generate_images(cfg), reference_images(cfg))
+
+    @pytest.mark.parametrize("spatial_mode", ["uniform", "clusters"])
+    def test_stream_across_chunks_equals_per_image_loop(self, spatial_mode):
+        cfg = GeneratorConfig(seed=11, image_count=2 * workload._CHUNK + 5, vocab_size=5000,
+                              mean_words=15.0, spatial_mode=spatial_mode)
+        assert_same_images(generate_images(cfg), reference_images(cfg))
+
+    @pytest.mark.parametrize("vocab_size, exponent", [(2000, 1.0), (50, 1.5), (100, 0.5)])
+    def test_zipf_table_ends_at_one(self, vocab_size, exponent):
+        ranks = np.arange(1, vocab_size + 1, dtype=np.float64)
+        probs = ranks ** -exponent
+        assert np.cumsum(probs / probs.sum())[-1] < 1.0     # the gap is real
+        cdf = workload._zipf_cdf(vocab_size, exponent)
+        assert cdf[-1] == 1.0
+        # the largest draw of Generator.random, 1 - 2**-53, gets the last word
+        top = np.nextafter(1.0, 0.0)
+        assert np.searchsorted(cdf, top, side="right") == vocab_size - 1
 
     def test_invariants_hold(self):
         cfg = GeneratorConfig(seed=3, image_count=300, vocab_size=50, mean_words=8,
@@ -136,6 +261,24 @@ class TestQueries:
         a = generate_queries(QueryConfig(seed=2, count=20), images)
         b = generate_queries(QueryConfig(seed=2, count=20), images)
         assert a.queries == b.queries
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32), words=st.sampled_from([10, 50]),
+           fraction=st.sampled_from([0.0, 0.3, 1.0]), vocab_size=st.sampled_from([1, 40, 5000]))
+    def test_queries_equal_per_query_loop(self, seed, words, fraction, vocab_size):
+        images = generate_images(GeneratorConfig(seed=seed, image_count=60,
+                                                 vocab_size=vocab_size, mean_words=15))
+        cfg = QueryConfig(seed=seed + 1, count=25, words_per_query=words,
+                          anchor_word_fraction=fraction)
+        got = generate_queries(cfg, images).queries
+        want = reference_queries(cfg, images)
+        assert got == want
+        assert [[bits(x) for x in q.loc] for q in got] == [[bits(x) for x in q.loc] for q in want]
+
+    def test_anchor_word_drawn_at_fraction_zero(self, images):
+        wl = generate_queries(QueryConfig(seed=8, count=30, anchor_word_fraction=0.0), images)
+        locs = {(im.lat, im.lon): set(im.freq) for im in images}
+        assert all(set(q.psi) & locs[q.loc] for q in wl.queries)
 
     def test_locations_from_dataset(self, images):
         locs = {(im.lat, im.lon) for im in images}
