@@ -10,7 +10,9 @@ from __future__ import annotations
 import heapq
 import math
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +36,11 @@ class InvalidStateError(RuntimeError):
 # at most an image's visual cost only up to rounding, and the dominance
 # checks (``verify.check_dominance``) allow this much.
 BOUND_TOL = 1e-9
+
+# A visual ratio below e^-UNDERFLOW makes ``1.0 - ratio`` exactly 1.0:
+# e^-39 is about 1.2e-17, under 2^-54, the half ulp below 1.0, and the
+# margin to ln 2^-54 (about -37.4) covers the rounding of the log sums.
+UNDERFLOW = 39.0
 
 
 @dataclass(frozen=True)
@@ -429,12 +436,31 @@ class QueryContext:
     query object and one corpus state, so neither outlives a corpus
     change.
 
+    Lacking many query words forces a cost of exactly 1.0, which all
+    three scorers then give without a log. Each word ``v`` an image lacks
+    multiplies its ratio by ``floor_v / m_v``, that is e^-g_v with the
+    gain ``g_v = log m_v - log floor_v >= 0``, and each word it holds by
+    at most 1, since no live image or node holds a word above its live
+    maximum. So anything lacking ``c`` words has a log ratio of at most
+    minus the sum of the ``c`` smallest gains. ``_misses``, computed once
+    per context, is the fewest misses whose smallest gains sum past
+    ``UNDERFLOW``: from there on the ratio is below e^-39 and the cost
+    rounds to exactly 1.0, the value of the full formula. (A ratio map
+    above the live maxima, such as an image outside the corpus, is not
+    covered.) The rule is off, ``_misses`` one more than the ``n`` live
+    query words, when a query word has a zero floor, whose misses cost
+    1.0 anyway, or when all gains together stay within ``UNDERFLOW``.
+    ``mind_visual`` returns 1.0 at the ``_misses``-th word it finds
+    missing, ``score_leaf`` gives 1.0 to an image holding at most ``n -
+    _misses`` words, and ``visual_columns`` all 1.0 when no slot holds
+    more; every other cost keeps its sums, in their order, bit for bit.
+
     Building one checks the query location: ``DomainError`` outside the
     domain.
     """
 
     __slots__ = ("q", "stats", "version", "terms", "_scale", "_floors", "_zero_words",
-                 "_log_den", "_log_const", "_lat", "_lon", "_t", "_weights",
+                 "_log_den", "_log_const", "_misses", "_lat", "_lon", "_t", "_weights",
                  "_delta_max", "_decay_base", "_time_unit")
 
     def __init__(self, q, params):
@@ -480,16 +506,12 @@ class QueryContext:
         self._zero_words = tuple(zero_words)
         self._log_den = log_den
         self._log_const = log_floors - log_den
-
-    def _cost(self, log_num, log_diff, held):
-        if held == len(self._floors):
-            log_ratio = log_num - self._log_den
-        else:
-            log_ratio = log_diff + self._log_const
-        ratio = math.exp(log_ratio)
-        if ratio > 1.0:
-            ratio = 1.0
-        return 1.0 - ratio
+        self._misses = len(floors) + 1
+        if not zero_words and -self._log_const > UNDERFLOW:
+            # the gains log m_v - log floor_v are >= 0, so their prefix
+            # sums, smallest first, ascend
+            gains = sorted([words[v][1] - lf for v, (_floor, lf) in floors.items()])
+            self._misses = bisect_right(list(accumulate(gains)), UNDERFLOW) + 1
 
     def score_leaf(self, leaf, worst, floor=0.0):
         """Offers every image of a tree leaf that holds a query word to
@@ -516,12 +538,15 @@ class QueryContext:
 
         An image's held query words are ``floors.keys() & freq.keys()``,
         summed in ascending word order, which is query order, as in
-        ``mind_visual``. Its visual cost is ``_cost`` and its spatial and
-        temporal costs and ``f_stv`` are ``kernels.spatial_cost``,
-        ``recency_cost`` and ``combine``, all inline in their operands and
-        order, so each ``f_stv`` equals the ``combined_score`` breakdown's
-        bit for bit. The three terms of each admitted image go into
-        ``terms``, where ``combined_score`` finds them."""
+        ``mind_visual``. Its visual cost is 1.0 when it holds at most
+        ``n - _misses`` of the ``n`` live query words (the class
+        docstring), else the cost from its sums as ``mind_visual`` takes
+        it. Its spatial and temporal costs and ``f_stv`` are
+        ``kernels.spatial_cost``, ``recency_cost`` and ``combine``, all
+        inline in their operands and order, so each ``f_stv`` equals the
+        ``combined_score`` breakdown's bit for bit. The three terms of
+        each admitted image go into ``terms``, where ``combined_score``
+        finds them."""
         w1, w2, w3 = self._weights
         lat, lon, t = self._lat, self._lon, self._t
         delta_max, decay_base, time_unit = self._delta_max, self._decay_base, self._time_unit
@@ -538,6 +563,7 @@ class QueryContext:
         query_words = floors.keys()
         zero_words = self._zero_words
         n_words = len(floors)
+        few = n_words - self._misses    # an image holding at most this many costs 1.0
         scale, log_den, log_const = self._scale, self._log_den, self._log_const
         log, exp, sqrt = math.log, math.exp, math.sqrt
         terms = self.terms
@@ -554,23 +580,27 @@ class QueryContext:
             held = query_words & freq.keys()
             if not held:
                 continue
-            for v in zero_words:
-                if v not in freq:
-                    f_v = 1.0
-                    break
+            n_held = len(held)
+            if n_held <= few:
+                f_v = 1.0
             else:
-                log_num = 0.0
-                log_diff = 0.0
-                for v in sorted(held):
-                    floor_v, lf = floors[v]
-                    lw = log(scale * freq[v] + floor_v)
-                    log_num += lw
-                    log_diff += lw - lf
-                ratio = exp(log_num - log_den if len(held) == n_words
-                            else log_diff + log_const)
-                if ratio > 1.0:
-                    ratio = 1.0
-                f_v = 1.0 - ratio
+                for v in zero_words:
+                    if v not in freq:
+                        f_v = 1.0
+                        break
+                else:
+                    log_num = 0.0
+                    log_diff = 0.0
+                    for v in sorted(held):
+                        floor_v, lf = floors[v]
+                        lw = log(scale * freq[v] + floor_v)
+                        log_num += lw
+                        log_diff += lw - lf
+                    ratio = exp(log_num - log_den if n_held == n_words
+                                else log_diff + log_const)
+                    if ratio > 1.0:
+                        ratio = 1.0
+                    f_v = 1.0 - ratio
             age = t - img.t_c
             if age < 0.0:
                 age = 0.0
@@ -602,9 +632,12 @@ class QueryContext:
         ``np.bincount`` adds each slot's terms in that order from 0.0. So
         a slot gets the sums of ``mind_visual``, and its cost is
         ``mind_visual`` of its image's ``freq`` up to the rounding of
-        numpy's ``log`` and ``exp``. A slot
-        that holds no query word gets a meaningless cost; the caller drops
-        it by its zero count."""
+        numpy's ``log`` and ``exp``. The held counts come first: when
+        ``n - _misses``, over the ``n`` live query words, is at least 1 and
+        no slot holds more words than that, every cost is exactly 1.0 (the
+        class docstring) and no log is taken. A slot that holds no query
+        word, or no live image, gets a meaningless cost; the caller drops
+        it."""
         slot_cols, freq_cols, floors, log_floors, zero_cols = [], [], [], [], []
         for v, (floor, lf) in self._floors.items():
             cols = postings.get(v)
@@ -616,13 +649,16 @@ class QueryContext:
             log_floors.append(lf)
             if floor == 0.0:
                 zero_cols.append(cols[0])
-        counts = np.array([len(s) for s in slot_cols], dtype=np.intp)
         slots = np.frombuffer(b"".join(slot_cols), dtype=np.int64)
+        held = np.bincount(slots, minlength=n)
+        few = len(self._floors) - self._misses     # at most this many held cost 1.0
+        if few > 0 and held.max() <= few:
+            return np.ones(n), held
+        counts = np.array([len(s) for s in slot_cols], dtype=np.intp)
         lw = np.log(self._scale * np.frombuffer(b"".join(freq_cols))
                     + np.repeat(floors, counts))
         log_num = np.bincount(slots, weights=lw, minlength=n)
         log_diff = np.bincount(slots, weights=lw - np.repeat(log_floors, counts), minlength=n)
-        held = np.bincount(slots, minlength=n)
         log_ratio = np.where(held == len(self._floors),
                              log_num - self._log_den, log_diff + self._log_const)
         cost = 1.0 - np.minimum(np.exp(log_ratio), 1.0)
@@ -635,7 +671,9 @@ class QueryContext:
     def mind_visual(self, node_max_freq):
         """Lower bound on the visual relevance of any image under a node
         whose per-word max frequency ratios are ``node_max_freq``; given an
-        image's ``freq``, the image's own visual relevance."""
+        image's ``freq``, the image's own visual relevance. It is 1.0 at
+        once at the ``_misses``-th query word found missing (the class
+        docstring)."""
         for v in self._zero_words:
             if not node_max_freq.get(v):
                 return 1.0
@@ -643,15 +681,24 @@ class QueryContext:
         log = math.log
         log_num = 0.0
         log_diff = 0.0
-        held = 0
+        misses = self._misses       # the misses left until the cost is 1.0
         for v, (floor, lf) in self._floors.items():
             f = node_max_freq.get(v)
             if f:
                 lw = log(scale * f + floor)
                 log_num += lw
                 log_diff += lw - lf
-                held += 1
-        return self._cost(log_num, log_diff, held)
+            else:
+                misses -= 1
+                if not misses:
+                    return 1.0
+        if misses == self._misses:  # every word held
+            ratio = math.exp(log_num - self._log_den)
+        else:
+            ratio = math.exp(log_diff + self._log_const)
+        if ratio > 1.0:
+            ratio = 1.0
+        return 1.0 - ratio
 
 
 class ScoreBreakdown(NamedTuple):

@@ -139,7 +139,7 @@ def check_dominance(seed, pairs, domain, tol=BOUND_TOL):
     leaf's visual bound and its recency cost at ``t_max``. For every
     parent and child it asserts the nesting the search's deferred keys
     rest on (``nesting_violations``). Returns the number of
-    violations."""
+    violations (``dominance_violations``)."""
     rng = random.Random(seed)
     violations = 0
     done = 0
@@ -150,21 +150,28 @@ def check_dominance(seed, pairs, domain, tol=BOUND_TOL):
         hiq, _, stvii = build_all(images, config)
         for _ in range(min(10, pairs - done)):
             q = random_query(rng, images, domain)
-            for index in (hiq, stvii):
-                for node in walk(index.roots()):
-                    subtree = _subtree_images(node)
-                    if not subtree:
-                        continue
-                    bound = index.mind(q, node)
-                    low = min(combined_score(q, img, index.params).f_stv
-                              for img in subtree)
-                    if bound > low + tol:
-                        violations += 1
-                    if node.children is None:
-                        violations += leaf_bound_violations(q, node, index.params, tol)
-                violations += nesting_violations(q, index)
+            violations += dominance_violations(q, hiq, tol) + dominance_violations(q, stvii, tol)
             done += 1
     return violations
+
+
+def dominance_violations(q, index, tol=BOUND_TOL):
+    """The dominance checks of ``check_dominance`` for one query over one
+    tree index: the nodes whose ``mind`` exceeds the lowest f_stv under
+    them by more than ``tol``, the leaf images of
+    ``leaf_bound_violations`` and the pairs of ``nesting_violations``."""
+    violations = 0
+    for node in walk(index.roots()):
+        subtree = _subtree_images(node)
+        if not subtree:
+            continue
+        bound = index.mind(q, node)
+        low = min(combined_score(q, img, index.params).f_stv for img in subtree)
+        if bound > low + tol:
+            violations += 1
+        if node.children is None:
+            violations += leaf_bound_violations(q, node, index.params, tol)
+    return violations + nesting_violations(q, index)
 
 
 def nesting_violations(q, index):

@@ -11,8 +11,10 @@ from geostream import engine, kernels
 from geostream.baselines import IfaIndex, StviiIndex
 from geostream.engine import brute_force_oracle, top_k_search, walk
 from geostream.hiq import HiqConfig, HiqIndex, QuadNode
-from geostream.model import GeoTemporalImage, Query, combined_score, mind_visual
+from geostream.model import GeoTemporalImage, Query, QueryContext, combined_score, mind_visual
 from geostream.verify import (
+    build_all,
+    dominance_violations,
     leaf_bound_violations,
     nesting_violations,
     random_images,
@@ -287,6 +289,42 @@ def test_same_query_object_across_corpus_changes(cls, domain):
             assert e.score == combined_score(q, by_id[e.image_id], reference)
         moved += [e.score for e in after] != [e.score for e in before]
     assert moved == 12
+
+
+def test_long_queries_equal_the_oracle_and_keep_dominance(domain, monkeypatch):
+    # queries of 30-60 words over streams longer than the window: the count
+    # of missing query words decides most node bounds, and every index
+    # still gives the oracle's answer, which never reads a query context
+    rng = random.Random(46)
+    mind_visual = QueryContext.mind_visual
+    decided = []
+
+    def counted(ctx, ratios):
+        decided.append(len(ctx._floors) - len(ctx._floors.keys() & ratios.keys()) >= ctx._misses)
+        return mind_visual(ctx, ratios)
+
+    config = HiqConfig(domain=domain, segment_span=20_000, window=3, capacity=6, max_depth=6)
+    for _ in range(5):
+        images = random_images(rng, rng.randint(150, 400), domain, vocab=80)
+        hiq, ifa, stvii = build_all(images, config)
+        live = hiq.live_images()
+        assert len(live) < len(images)
+        for _ in range(8):
+            anchor = rng.choice(live)
+            words = set(rng.sample(range(80), rng.randint(30, 60))) | {min(anchor.freq)}
+            w1 = rng.uniform(0.05, 0.9)
+            w2 = rng.uniform(0.05, 0.95 - w1)
+            q = Query(psi=words, loc=(anchor.lat, anchor.lon),
+                      t=max(img.t_c for img in images) + rng.randint(0, 1000),
+                      k=rng.choice((1, 5, 10)), weights=(w1, w2, 1.0 - w1 - w2))
+            expected = brute_force_oracle(q, live, hiq.params)
+            with monkeypatch.context() as m:
+                m.setattr(QueryContext, "mind_visual", counted)
+                assert results_match(hiq.search(q)[0], expected)
+                assert results_match(stvii.search(q)[0], expected)
+            assert results_match(ifa.search(q)[0], expected)
+            assert dominance_violations(q, hiq) == dominance_violations(q, stvii) == 0
+    assert sum(decided) > len(decided) / 2
 
 
 @pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)

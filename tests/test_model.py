@@ -8,6 +8,7 @@ import pytest
 
 from geostream import kernels
 from geostream.baselines import IfaIndex, StviiIndex
+from geostream.engine import walk
 from geostream.hiq import HiqConfig, HiqIndex
 from geostream.model import (
     ConfigError,
@@ -17,6 +18,7 @@ from geostream.model import (
     InvalidStateError,
     Query,
     ScoreParams,
+    UNDERFLOW,
     SpatialDomain,
     _whole,
     combined_score,
@@ -26,7 +28,7 @@ from geostream.model import (
     visual_relevance,
     visual_weight,
 )
-from geostream.verify import random_images
+from geostream.verify import build_all, random_images
 
 
 def img(id=0, lat=50.0, lon=50.0, t_c=1000, psi=((1, 1),)):
@@ -649,7 +651,17 @@ def scalar_visual(ctx, image):
             log_num += lw
             log_diff += lw - fl[1]
             held += 1
-    return ctx._cost(log_num, log_diff, held)
+    return formula_cost(ctx, log_num, log_diff, held)
+
+
+def formula_cost(ctx, log_num, log_diff, held):
+    """The visual cost from an image's or node's log sums over its
+    ``held`` query words."""
+    if held == len(ctx._floors):
+        ratio = math.exp(log_num - ctx._log_den)
+    else:
+        ratio = math.exp(log_diff + ctx._log_const)
+    return 1.0 - min(ratio, 1.0)
 
 
 @pytest.mark.parametrize("xi", [0.0, 0.35, 0.5])
@@ -871,3 +883,189 @@ class TestQueryContext:
         assert len(spatial) == 1
         assert got == combined_score(q, stranger, reference)
         assert got.f_s != combined_score(q, moved, p).f_s
+
+
+def full_visual(ctx, ratios):
+    """The visual cost of a word -> ratio map by the whole formula: every
+    held word's log, summed in query order, and no count of missing words
+    consulted. The reference ``mind_visual`` equals bit for bit."""
+    for v in ctx._zero_words:
+        if not ratios.get(v):
+            return 1.0
+    log_num = 0.0
+    log_diff = 0.0
+    held = 0
+    for v, (floor, lf) in ctx._floors.items():
+        f = ratios.get(v)
+        if f:
+            lw = math.log(ctx._scale * f + floor)
+            log_num += lw
+            log_diff += lw - lf
+            held += 1
+    return formula_cost(ctx, log_num, log_diff, held)
+
+
+def full_columns(ctx, postings, n):
+    """``visual_columns`` by the whole numpy pass: the logs of every
+    posting of every query word, with no count of missing words
+    consulted."""
+    slot_cols, freq_cols, floors, log_floors, zero_cols = [], [], [], [], []
+    for v, (floor, lf) in ctx._floors.items():
+        cols = postings.get(v)
+        if cols is None:
+            continue
+        slot_cols.append(cols[0])
+        freq_cols.append(cols[1])
+        floors.append(floor)
+        log_floors.append(lf)
+        if floor == 0.0:
+            zero_cols.append(cols[0])
+    counts = np.array([len(s) for s in slot_cols], dtype=np.intp)
+    slots = np.frombuffer(b"".join(slot_cols), dtype=np.int64)
+    lw = np.log(ctx._scale * np.frombuffer(b"".join(freq_cols)) + np.repeat(floors, counts))
+    log_num = np.bincount(slots, weights=lw, minlength=n)
+    log_diff = np.bincount(slots, weights=lw - np.repeat(log_floors, counts), minlength=n)
+    held = np.bincount(slots, minlength=n)
+    log_ratio = np.where(held == len(ctx._floors),
+                         log_num - ctx._log_den, log_diff + ctx._log_const)
+    cost = 1.0 - np.minimum(np.exp(log_ratio), 1.0)
+    if ctx._zero_words:
+        zero_held = np.bincount(np.frombuffer(b"".join(zero_cols), dtype=np.int64), minlength=n)
+        cost[zero_held < len(ctx._zero_words)] = 1.0
+    return cost, held
+
+
+def gains_of(ctx, p):
+    """Each live query word with its gain ``log m_v - log floor_v``,
+    smallest first, from the statistics."""
+    return sorted(((math.log(p.stats.max_weight(v, p.xi)) - lf, v)
+                   for v, (_floor, lf) in ctx._floors.items()))
+
+
+def misses_to_underflow(ctx, p):
+    """The fewest missing query words whose smallest gains sum past
+    ``UNDERFLOW``; one more than the live query words when no count does
+    or a query word has a zero floor."""
+    n = len(ctx._floors)
+    if ctx._zero_words:
+        return n + 1
+    total = 0.0
+    for c, (g, _v) in enumerate(gains_of(ctx, p), 1):
+        total += g
+        if total > UNDERFLOW:
+            return c
+    return n + 1
+
+
+class TestMissBound:
+    @pytest.mark.parametrize("xi", [0.0, 0.2, 0.5, 0.9])
+    def test_every_scorer_equals_the_full_formula(self, domain, xi, monkeypatch):
+        # every tree node, image, leaf admission and IFA slot costs what the
+        # whole formula gives, bit for bit; where the miss count decides,
+        # that is exactly 1.0
+        rng = random.Random(int(xi * 10) + 401)
+        config = HiqConfig(domain=domain, segment_span=10**6, capacity=4, max_depth=6, xi=xi)
+        nodes_decided = images_decided = columns_decided = below_one = 0
+        for trial in range(24):
+            vocab = (8, 60, 500, 5000)[trial % 4]
+            corpus = random_images(rng, rng.randint(1, 80), domain, vocab=vocab,
+                                   t_lo=0, t_hi=10_000)
+            hiq, ifa, stvii = build_all(corpus, config)
+            p = hiq.params
+            live = sorted({w for image in corpus for w in image.freq})
+            for _ in range(4):
+                words = rng.sample(live, min(rng.randint(1, 60), len(live)))
+                words += rng.sample(range(vocab, vocab + 10), rng.randint(0, 2))
+                w1 = rng.uniform(0.05, 0.6)
+                w2 = rng.uniform(0.05, 0.95 - w1)
+                q = Query(psi=words, loc=(rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)),
+                          t=rng.randint(0, 10_000), k=len(corpus),
+                          weights=(w1, w2, 1.0 - w1 - w2))
+                ctx = p.context(q)
+                reference = uncached(p).context(q)
+                n = len(ctx._floors)
+                c = ctx._misses
+                assert c == misses_to_underflow(ctx, p)
+                if xi == 0.0:
+                    assert c == n + 1
+                for node in walk(hiq.roots() + stvii.roots()):
+                    want = full_visual(reference, node.max_freq)
+                    assert ctx.mind_visual(node.max_freq) == want
+                    if n - len(ctx._floors.keys() & node.max_freq.keys()) >= c:
+                        assert want == 1.0
+                        nodes_decided += 1
+                for image in corpus:
+                    want = full_visual(reference, image.freq)
+                    assert ctx.mind_visual(image.freq) == want
+                    if n - len(ctx._floors.keys() & image.freq.keys()) >= c:
+                        assert want == 1.0
+                        images_decided += 1
+                # the k of the query covers the corpus, so the leaf scorer
+                # admits every image that holds a query word
+                admitted = ctx.score_leaf(SimpleNamespace(images=corpus), [])
+                assert len(admitted) == sum(1 for image in corpus if set(q.psi) & image.freq.keys())
+                for f, image in admitted:
+                    _image, f_s, f_v, f_t = ctx.terms[image.id]
+                    assert f_s == kernels.spatial_cost(*q.loc, image.lat, image.lon,
+                                                       domain.delta_max)
+                    assert f_v == full_visual(reference, image.freq)
+                    assert f_t == kernels.recency_cost(q.t - image.t_c, p.decay_base,
+                                                       p.time_unit)
+                    assert f == kernels.combine(w1, w2, 1.0 - w1 - w2, f_s, f_v, f_t)
+                slots = len(ifa.ids)
+                got, held = ctx.visual_columns(ifa.postings, slots)
+                want, want_held = full_columns(reference, ifa.postings, slots)
+                assert got.tobytes() == want.tobytes()
+                assert np.array_equal(held, want_held)
+                assert (want[held <= n - c] == 1.0).all()
+                # what the count decides costs no log
+                few = [image for image in corpus
+                       if 0 < len(ctx._floors.keys() & image.freq.keys()) <= n - c]
+                logs = []
+                with monkeypatch.context() as m:
+                    m.setattr(math, "log", lambda x, log=math.log: logs.append(x) or log(x))
+                    m.setattr(np, "log", lambda x, log=np.log: logs.append(x) or log(x))
+                    assert all(ctx.terms[image.id][2] == 1.0
+                               for _f, image in ctx.score_leaf(SimpleNamespace(images=few), []))
+                    if n - c > 0 and not (held > n - c).any():
+                        ctx.visual_columns(ifa.postings, slots)
+                        columns_decided += 1
+                assert logs == []
+                # a node holding every word at its live maximum but the
+                # c - 1 of smallest gain takes the full path, and one that
+                # also lacks the c-th is 1.0 at once
+                if c <= n:
+                    top = {v: p.stats.max_freq(v) for v in ctx._floors}
+                    smallest = [v for _g, v in gains_of(ctx, p)[:c]]
+                    near = {v: f for v, f in top.items() if v not in smallest[:-1]}
+                    far = {v: f for v, f in top.items() if v not in smallest}
+                    exps = []
+                    with monkeypatch.context() as m:
+                        m.setattr(math, "exp", lambda x, exp=math.exp: exps.append(x) or exp(x))
+                        got_near, got_far = ctx.mind_visual(near), ctx.mind_visual(far)
+                    assert len(exps) == 1       # near's; far returns before its exp
+                    assert got_near == full_visual(reference, near)
+                    assert got_far == full_visual(reference, far) == 1.0
+                    below_one += got_near < 1.0
+        # with no floor of zero the rule decides some of every kind of cost
+        # and some held counts one short of it still cost below 1.0; at
+        # xi = 0 it never decides
+        decided = (nodes_decided, images_decided, columns_decided, below_one)
+        if xi == 0.0:
+            assert decided == (0, 0, 0, 0)
+        else:
+            assert all(decided), decided
+
+    def test_off_while_a_query_word_has_a_zero_floor(self, domain):
+        # at the smallest subnormal xi a word over half the corpus's terms
+        # has a floor of 5e-324, whose gain is about 744, and the others a
+        # floor of 0.0: the rule stays off, and every cost is the formula's
+        corpus = [img(id=i, psi=((1, 9), (2 + i, 1))) for i in range(6)]
+        p = params_for(domain, corpus, xi=5e-324)
+        q = query(psi=(1, 2, 3))
+        ctx = p.context(q)
+        assert ctx._zero_words == (2, 3) and ctx._floors[1][0] > 0.0
+        assert ctx._misses == len(ctx._floors) + 1
+        reference = uncached(p).context(q)
+        for ratios in [image.freq for image in corpus] + [{2: 0.1, 3: 0.1}, {1: 0.9}]:
+            assert ctx.mind_visual(ratios) == full_visual(reference, ratios)
