@@ -76,8 +76,7 @@ class IfaIndex(Index):
         p = self.params
         ctx = p.context(q)      # checks the query location
         stats = SearchStats()
-        corpus = p.stats.word_corpus_tf
-        stats.nodes_visited = sum(1 for v in q.psi if v in corpus)
+        stats.nodes_visited = len(ctx._floors)     # the query words of the live corpus
         f_v, held = ctx.visual_columns(self.postings, len(self.ids))
         rows = np.flatnonzero((held > 0) & np.frombuffer(self.alive, dtype=np.bool_))
         stats.images_scored = len(rows)

@@ -80,7 +80,8 @@ class SearchStats:
     the tree search's running top k, one that a later image pushed out
     included; IFA counts every image it ranked. ``roots`` counts the
     trees the tree search started from, ``len(index.roots())``, and reads
-    0 for IFA. In the
+    0 for IFA. ``nodes_visited`` counts the nodes the tree search
+    visited, and for IFA the query words of the live corpus. In the
     tree search ``nodes_pruned`` counts the nodes whose bound or deferred
     key exceeded λ (the entries of ``audit``), ``bounds_evaluated``
     counts the visual node bounds it computed (``mind_visual`` of a
@@ -290,7 +291,7 @@ class Index:
             )
         if self._head_end is None or img.t_c >= self._head_end:
             self.roll_segment(img.t_c)
-        self._add(img)
+        self._add(img)      # first: a new HIQ root takes its bucket's maxima, which add_image fills
         self._live[img.id] = img
         self.stats.add_image(img)
 

@@ -6,9 +6,14 @@ frequency ratios of the subtree; a leaf holds only a list of its images,
 which the search scores one image at a time (``QueryContext.score_leaf``).
 Node bounds and leaf candidates come from ``engine.TreeIndex``, which
 reads a node's rectangle from its four fields (``_rect``).
+A segment's root keeps only its own ``t_max``: its ``max_freq`` is the
+dict of the segment's bucket in the corpus statistics
+(``CorpusStats.bucket``), which ``CorpusStats.add_image`` folds each
+image into right after the tree takes it, so each segment holds one copy
+of its word maxima; ``add_to_aggregates`` folds the nodes below the root.
 A segment's tree opens with its first image and leaves whole, with its
-bucket of the corpus statistics, once the window starts after it; a tree
-a cutoff splits is rebuilt from its survivors.
+bucket, once the window starts after it; a tree a cutoff splits is
+rebuilt from its survivors under the bucket the statistics rebuilt.
 """
 
 from __future__ import annotations
@@ -77,9 +82,12 @@ class Segment(NamedTuple):
     root: QuadNode
 
 
-def _root(domain):
-    """An empty quadtree over the whole domain."""
-    return QuadNode(domain.min_lat, domain.min_lon, domain.max_lat, domain.max_lon)
+def _root(domain, max_freq):
+    """An empty quadtree over the whole domain whose word maxima are the
+    dict ``max_freq``."""
+    root = QuadNode(domain.min_lat, domain.min_lon, domain.max_lat, domain.max_lon)
+    root.max_freq = max_freq
+    return root
 
 
 def _split(node):
@@ -110,7 +118,7 @@ class HiqIndex(TreeIndex):
         if self._start is None:
             return []
         span, domain = self.config.segment_span, self.config.domain
-        return [Segment(s, s + span, self._trees.get(s // span) or _root(domain))
+        return [Segment(s, s + span, self._trees.get(s // span) or _root(domain, {}))
                 for s in range(self._start, self._head_end, span)]
 
     # -- ingestion ---------------------------------------------------
@@ -128,20 +136,21 @@ class HiqIndex(TreeIndex):
 
     def _add(self, img):
         cfg = self.config
-        key = img.t_c // cfg.segment_span
+        t = img.t_c
+        key = t // cfg.segment_span
         node = self._trees.get(key)
         if node is None:
-            node = self._trees[key] = _root(cfg.domain)
+            node = self._trees[key] = _root(cfg.domain, self.stats.bucket(t).max_freq)
+        if node.t_max is None or t > node.t_max:
+            node.t_max = t      # the root's max_freq is its bucket's: add_image folds it
         depth = 0
-        while True:
-            add_to_aggregates(node, img.t_c, img.freq)
-            if node.children is None:
-                node.images.append(img)
-                if len(node.images) > cfg.capacity and depth < cfg.max_depth:
-                    _split(node)
-                return
+        while node.children is not None:
             node = node.children[node.quadrant(img.lat, img.lon)]
             depth += 1
+            add_to_aggregates(node, t, img.freq)
+        node.images.append(img)
+        if len(node.images) > cfg.capacity and depth < cfg.max_depth:
+            _split(node)
 
     # -- search surface (TreeIndex) ------------------------------------
 

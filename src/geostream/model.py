@@ -152,22 +152,25 @@ class GeoTemporalImage:
     __slots__ = ("id", "lat", "lon", "t_c", "psi", "freq", "total_tf")
 
     def __init__(self, id, lat, lon, t_c, psi):
-        psi = tuple(
-            (w, tf) if type(w) is int and type(tf) is int
-            else (_whole(w, f"image {id}: word id", ValueError),
-                  _whole(tf, f"image {id}: tf", ValueError))
-            for w, tf in psi)
-        if not psi:
-            raise ValueError(f"image {id}: empty visual word vector")
+        pairs = []
         prev = -1
         total = 0
-        for w, tf in psi:
+        for pair in psi:
+            w, tf = pair
+            if type(w) is not int or type(tf) is not int or type(pair) is not tuple:
+                w = _whole(w, f"image {id}: word id", ValueError)
+                tf = _whole(tf, f"image {id}: tf", ValueError)
+                pair = (w, tf)
             if w <= prev:
                 raise ValueError(f"image {id}: words not strictly ascending")
             if tf <= 0 or w < 0:
                 raise ValueError(f"image {id}: invalid posting ({w}, {tf})")
             prev = w
             total += tf
+            pairs.append(pair)
+        if not pairs:
+            raise ValueError(f"image {id}: empty visual word vector")
+        psi = tuple(pairs)
         self.id = id if type(id) is int else _whole(id, "image id", ValueError)
         self.lat = lat if type(lat) is float and math.isfinite(lat) else _real(lat, f"image {id}: lat")
         self.lon = lon if type(lon) is float and math.isfinite(lon) else _real(lon, f"image {id}: lon")
@@ -223,14 +226,19 @@ class Query:
 
 
 class _Bucket:
-    """The live images of one window segment, by id, and their aggregates
-    as a tree node holds them (``add_to_aggregates``): ``t_max``, the
-    newest arrival, and the max tf/|I.psi| per word."""
+    """The live images of one window segment, by id, with their counts and
+    their aggregates: ``corpus_tf``, word -> the sum of the images' tfs,
+    and ``total_tf``, the sum of their |I.psi|; ``t_max``, the newest
+    arrival, and ``max_freq``, the max tf/|I.psi| per word, as a tree node
+    holds them (``add_to_aggregates``). A HIQ segment root holds this
+    ``max_freq`` dict as its own (``CorpusStats.bucket``)."""
 
-    __slots__ = ("images", "t_max", "max_freq")
+    __slots__ = ("images", "corpus_tf", "total_tf", "t_max", "max_freq")
 
     def __init__(self):
         self.images = {}
+        self.corpus_tf = {}
+        self.total_tf = 0
         self.t_max = None
         self.max_freq = {}
 
@@ -242,14 +250,18 @@ class CorpusStats:
     ``t_c // segment_span`` like the segments of ``engine.Index``, and
     are told apart by id; ``segment_span`` must be a whole number of at
     least 1, and anything else, a missing span included, raises
-    ``ConfigError``. A bucket keeps its images, its newest arrival and its
-    exact max frequency ratio per word; the corpus tf per word and the
-    total term count are kept over all buckets, and ``max_freq`` is the
-    maximum over the buckets. A bucket leaves whole, subtracting its images' counts;
-    one that loses only some images (to a cutoff inside it in ``expire``,
-    or to ``remove_image``) is dropped and rebuilt from its survivors.
-    ``version`` counts the updates, so a ``QueryContext`` can tell it is
-    stale.
+    ``ConfigError``. A bucket keeps its images, their corpus tf per word
+    and term total, their newest arrival and their exact max frequency
+    ratio per word (``_Bucket``). Only the total term count,
+    ``total_word_count``, is kept over all buckets; a word's corpus tf
+    is the sum, and its ``max_freq`` the maximum, over the live buckets,
+    of which an index's window holds at most ``window + 1``. So a bucket
+    leaves whole, as a basic window does in Datar et al.'s sliding-window
+    statistics, by one pop and one subtraction, reading none of its
+    images; one that loses only some images (to a cutoff inside it in
+    ``expire``, or to ``remove_image``) is dropped and rebuilt from its
+    survivors, into a new bucket. ``version`` counts the updates, so a
+    ``QueryContext`` can tell it is stale.
     """
 
     def __init__(self, segment_span=None):
@@ -258,29 +270,39 @@ class CorpusStats:
             raise ConfigError(f"segment_span must be >= 1, got {segment_span!r}")
         self.version = 0
         self.total_word_count = 0
-        self.word_corpus_tf = {}
         self._span = span
         self._buckets = {}      # t_c // segment_span -> _Bucket
 
     def _key(self, t):
         return t // self._span
 
-    def add_image(self, img):
-        self.version += 1
-        self.total_word_count += img.total_tf
-        key = self._key(img.t_c)
+    def bucket(self, t):
+        """The bucket of the segment holding time ``t``, made empty if it
+        is missing. A HIQ segment root takes its ``max_freq`` from here
+        before the segment's first image reaches ``add_image``."""
+        key = self._key(t)
         bucket = self._buckets.get(key)
         if bucket is None:
             bucket = self._buckets[key] = _Bucket()
+        return bucket
+
+    def add_image(self, img):
+        self.version += 1
+        total = img.total_tf
+        self.total_word_count += total
+        bucket = self.bucket(img.t_c)
         bucket.images[img.id] = img
+        bucket.total_tf += total
         add_to_aggregates(bucket, img.t_c, img.freq)
-        ctf = self.word_corpus_tf
+        ctf = bucket.corpus_tf
         for word, tf in img.psi:
             ctf[word] = ctf.get(word, 0) + tf
 
     def remove_image(self, img):
         """Drops a held image, by id; raises ``KeyError``, changing
-        nothing, for an image not held."""
+        nothing, for an image not held. Its bucket is rebuilt as a new
+        one, so no index calls this: a HIQ root would keep the old
+        bucket's maxima."""
         key = self._key(img.t_c)
         bucket = self._buckets.get(key)
         if bucket is None or img.id not in bucket.images:
@@ -304,20 +326,11 @@ class CorpusStats:
         return old
 
     def _drop(self, key):
-        """Drops a whole bucket, subtracting its images' counts; returns
-        its images."""
+        """Drops a whole bucket with its counts; returns its images."""
         self.version += 1
-        images = self._buckets.pop(key).images.values()
-        ctf = self.word_corpus_tf
-        for img in images:
-            self.total_word_count -= img.total_tf
-            for word, tf in img.psi:
-                left = ctf[word] - tf
-                if left:
-                    ctf[word] = left
-                else:
-                    del ctf[word]
-        return images
+        bucket = self._buckets.pop(key)
+        self.total_word_count -= bucket.total_tf
+        return bucket.images.values()
 
     def _rebuild(self, key, gone):
         """Drops bucket ``key`` and adds back its images whose ids are not
@@ -326,8 +339,21 @@ class CorpusStats:
             if img.id not in gone:
                 self.add_image(img)
 
+    @property
+    def word_corpus_tf(self):
+        """word -> corpus tf over the live buckets: a new dict, summed from
+        the buckets' counts at each read, for checks and reports."""
+        out = {}
+        for bucket in self._buckets.values():
+            for word, tf in bucket.corpus_tf.items():
+                out[word] = out.get(word, 0) + tf
+        return out
+
     def corpus_tf(self, word):
-        return self.word_corpus_tf.get(word, 0)
+        tf = 0
+        for bucket in self._buckets.values():
+            tf += bucket.corpus_tf.get(word, 0)
+        return tf
 
     def max_freq(self, word):
         """The live maximum of tf/|I.psi| over the images holding
@@ -341,15 +367,23 @@ class CorpusStats:
 
     def smoothing_floor(self, word, xi):
         # weight of a word for an image that does not contain it
-        if self.total_word_count == 0:
-            return 0.0
-        return xi * (self.word_corpus_tf.get(word, 0) / self.total_word_count)
+        return self.weight_range(word, xi)[0]
 
     def weight_range(self, word, xi):
-        """``(smoothing_floor, max_weight)`` of ``word``, from one read of
-        its corpus tf and its live maximum."""
-        floor = self.smoothing_floor(word, xi)
-        return floor, (1.0 - xi) * self.max_freq(word) + floor
+        """``(smoothing_floor, max_weight)`` of ``word``, from one pass
+        over the buckets for its corpus tf and its live maximum. A bucket
+        holds a word in ``max_freq`` exactly when it counts it in
+        ``corpus_tf``."""
+        tf = 0
+        m = 0.0
+        for bucket in self._buckets.values():
+            f = bucket.max_freq.get(word)
+            if f is not None:
+                tf += bucket.corpus_tf[word]
+                if f > m:
+                    m = f
+        floor = xi * (tf / self.total_word_count) if self.total_word_count else 0.0
+        return floor, (1.0 - xi) * m + floor
 
     def max_weight(self, word, xi):
         # max over live images of w_{word,I}; the floor alone when the

@@ -102,6 +102,26 @@ def _subtree_images(node):
     return out
 
 
+def audit_hiq(index):
+    """Checks every HIQ tree: each node's ``t_max`` and ``max_freq`` equal
+    a recount of the images below it (``None`` and ``{}`` for an empty
+    quadrant), and each root's ``max_freq`` is the very dict of its
+    segment's bucket in the corpus statistics."""
+    buckets = index.stats._buckets
+    span = index.config.segment_span
+    for key, root in index._trees.items():
+        assert root.max_freq is buckets[key].max_freq
+        for node in _walk(root):
+            subtree = _subtree_images(node)
+            assert all(im.t_c // span == key for im in subtree)
+            assert node.t_max == (max(im.t_c for im in subtree) if subtree else None)
+            expected = {}
+            for im in subtree:
+                for w, tf in im.psi:
+                    expected[w] = max(expected.get(w, 0.0), tf / im.total_tf)
+            assert node.max_freq == expected
+
+
 class TestStructuralInvariants:
     @pytest.fixture
     def built(self, domain):
@@ -122,6 +142,26 @@ class TestStructuralInvariants:
                         f = tf / im.total_tf
                         expected[w] = max(expected.get(w, 0.0), f)
                 assert node.max_freq == expected
+
+    def test_roots_share_their_buckets_maxima(self, built):
+        audit_hiq(built)
+        assert len(built.roots()) > 1
+
+    def test_cutoff_inside_a_segment_rebuilds_root_on_new_bucket(self, domain):
+        # the cutoff 150 splits the segment [100, 200): the statistics
+        # rebuild its bucket as a new one, and the tree rebuilt from the
+        # survivors must hold that bucket's dict, not the old one
+        rng = random.Random(31)
+        index = HiqIndex(make_config(domain, capacity=3, segment_span=100, window=5))
+        images = random_images(rng, 80, domain, t_lo=0, t_hi=399)
+        for im in sorted(images, key=lambda x: x.t_c):
+            index.insert(im)
+        audit_hiq(index)
+        old = index._trees[1].max_freq
+        assert index.expire(150) == sum(1 for im in images if im.t_c < 150)
+        audit_hiq(index)
+        assert index._trees[1].max_freq is not old
+        assert sorted(index._trees) == [1, 2, 3]
 
     def test_t_max_equals_subtree_max(self, built):
         for seg in built.segments:

@@ -474,6 +474,8 @@ class TestCorpusStats:
 
     @classmethod
     def assert_recount(cls, stats, survivors, vocab):
+        """The buckets, and every count and range of words below ``vocab``,
+        equal a fresh recount of ``survivors``."""
         cls.assert_buckets(stats)
         fresh = CorpusStats(100)
         for i in survivors:
@@ -482,6 +484,61 @@ class TestCorpusStats:
         assert stats.word_corpus_tf == fresh.word_corpus_tf
         for w in range(vocab):
             assert stats.max_freq(w) == fresh.max_freq(w)
+            assert stats.corpus_tf(w) == fresh.corpus_tf(w)
+            for xi in (0.0, 0.35):
+                assert stats.weight_range(w, xi) == fresh.weight_range(w, xi)
+
+    def test_whole_drop_reads_no_image(self):
+        # a bucket leaves with its own counts: no expired image's words
+        # or counts are read
+        class Counted(GeoTemporalImage):
+            reads = 0
+
+            def __getattribute__(self, name):
+                if name in ("psi", "freq", "total_tf"):
+                    Counted.reads += 1
+                return super().__getattribute__(name)
+
+        rng = random.Random(41)
+        images = [Counted(i, 50.0, 50.0, rng.randint(0, 299),
+                          sorted((w, rng.randint(1, 3)) for w in rng.sample(range(8), 3)))
+                  for i in range(60)]
+        stats = CorpusStats(100)
+        for i in images:
+            stats.add_image(i)
+        Counted.reads = 0
+        gone = stats.expire(200)
+        assert Counted.reads == 0
+        assert sorted(i.id for i in gone) == sorted(i.id for i in images if i.t_c < 200)
+        self.assert_recount(stats, [i for i in images if i.t_c >= 200], 8)
+
+    def test_counts_equal_a_recount_after_each_change(self):
+        # whole drops, a cutoff inside a bucket, a late arrival into an
+        # older bucket and remove_image, each checked against a recount
+        rng = random.Random(43)
+        images = []
+        for i in range(150):
+            psi = sorted((w, rng.randint(1, 4)) for w in rng.sample(range(12), rng.randint(1, 5)))
+            images.append(img(id=i, t_c=rng.randint(0, 499), psi=psi))
+        stats = CorpusStats(100)
+        for i in images:
+            stats.add_image(i)
+        self.assert_recount(stats, images, 13)
+        stats.expire(200)                       # two whole buckets
+        images = [i for i in images if i.t_c >= 200]
+        self.assert_recount(stats, images, 13)
+        stats.expire(250)                       # inside the bucket [200, 300)
+        images = [i for i in images if i.t_c >= 250]
+        self.assert_recount(stats, images, 13)
+        late = img(id=500, t_c=260, psi=((3, 2), (12, 1)))
+        stats.add_image(late)                   # into the oldest live bucket
+        images.append(late)
+        self.assert_recount(stats, images, 13)
+        removed = images[::7]
+        for i in removed:
+            stats.remove_image(i)
+        images = [i for i in images if i not in removed]
+        self.assert_recount(stats, images, 13)
 
     def test_dropped_bucket_takes_its_maximum(self):
         # word 1's only maximum (1.0) sits in the bucket [0, 100); the

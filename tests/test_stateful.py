@@ -2,9 +2,10 @@
 STVII take the same stream of inserts, rolls, expiries and queries, and
 after every step hold the same live images, the same window, term
 statistics equal to a recount, answers equal to the brute-force oracle,
-tree leaf inverted files equal to a rebuild from their images, one HIQ
-tree per segment that holds a live image, and an IFA slot table within
-twice its live images."""
+one HIQ tree per segment that holds a live image, HIQ and STVII node
+aggregates equal to a recount of the images below each node, each HIQ
+root sharing its segment bucket's word maxima, and an IFA slot table
+within twice its live images."""
 
 import pytest
 from hypothesis import settings
@@ -17,6 +18,7 @@ from geostream.hiq import ExpiredArrivalError, HiqConfig, HiqIndex
 from geostream.model import CorpusStats, GeoTemporalImage, Query, ScoreParams, SpatialDomain
 from geostream.verify import results_match
 from test_baselines import audit_stvii
+from test_hiq import audit_hiq
 
 DOMAIN = SpatialDomain(0.0, 100.0, 0.0, 100.0)
 SPAN = 100
@@ -185,6 +187,10 @@ class SharedWindow(RuleBasedStateMachine):
         assert all(root.t_max is not None for root in roots)
         held = {im.t_c // SPAN for im in self.hiq.live_images()}
         assert sorted(root.t_max // SPAN for root in roots) == sorted(held)
+
+    @invariant()
+    def hiq_aggregates_recount(self):
+        audit_hiq(self.hiq)
 
     @invariant()
     def stvii_tree_sound(self):
