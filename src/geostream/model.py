@@ -451,8 +451,7 @@ class QueryContext:
     ``log w_v - log floor_v`` over the words an image (or a node) holds,
     plus the constant ``sum(log floor_v) - sum(log m_v)``. When every word
     is held it is ``sum(log w_v) - sum(log m_v)`` in query order, as in
-    ``kernels.relevance_cost``, so the best image costs exactly 0.0. A
-    word with a zero floor (only when xi = 0) that is not held costs 1.0.
+    ``kernels.relevance_cost``, so the best image costs exactly 0.0.
     ``mind_visual`` scores a word -> ratio map in one pass over the query
     words: a node's ``max_freq``, which gives its lower bound, or an
     image's ``freq``, which gives its cost. ``visual_columns`` scores a
@@ -471,31 +470,42 @@ class QueryContext:
     change.
 
     Lacking many query words forces a cost of exactly 1.0, which all
-    three scorers then give without a log. Each word ``v`` an image lacks
-    multiplies its ratio by ``floor_v / m_v``, that is e^-g_v with the
-    gain ``g_v = log m_v - log floor_v >= 0``, and each word it holds by
-    at most 1, since no live image or node holds a word above its live
-    maximum. So anything lacking ``c`` words has a log ratio of at most
-    minus the sum of the ``c`` smallest gains. ``_misses``, computed once
-    per context, is the fewest misses whose smallest gains sum past
-    ``UNDERFLOW``: from there on the ratio is below e^-39 and the cost
-    rounds to exactly 1.0, the value of the full formula. (A ratio map
-    above the live maxima, such as an image outside the corpus, is not
-    covered.) The rule is off, ``_misses`` one more than the ``n`` live
-    query words, when a query word has a zero floor, whose misses cost
-    1.0 anyway, or when all gains together stay within ``UNDERFLOW``.
+    three scorers then give without a log, by one rule. Each word ``v``
+    an image lacks multiplies its ratio by ``floor_v / m_v``, that is
+    e^-g_v with the gain ``g_v = log m_v - log floor_v >= 0``, and each
+    word it holds by at most 1, since no live image or node holds a word
+    above its live maximum. So anything lacking ``c`` words has a log
+    ratio of at most minus the sum of the ``c`` smallest gains.
+    ``_misses``, computed once per context, is the fewest misses whose
+    smallest gains sum past ``UNDERFLOW``: from there on the ratio is
+    below e^-39 and the cost rounds to exactly 1.0, the value of the full
+    formula. (A ratio map above the live maxima, such as an image outside
+    the corpus, is not covered.) When all gains together stay within
+    ``UNDERFLOW``, it is one more than the ``n`` live query words, and the
+    rule is off.
+
+    ``_misses`` is 1 when a live query word has a floor of 0.0: then the
+    first miss of any word decides. At xi = 0 every floor is 0.0, so a
+    miss makes the ratio 0. Otherwise ``xi * ctf / |C|`` underflowed, so
+    xi is below about 2.5e-324 * |C|; each positive floor is at most xi
+    and each ``m_v`` at least ``(1 - xi) / max |I.psi|``. So one miss
+    multiplies the ratio by less than ``2.5e-324 * |C| * max |I.psi|``,
+    far below e^-39 for any corpus that fits in memory, and the cost
+    rounds to 1.0 as the full formula's does.
+
     ``mind_visual`` returns 1.0 at the ``_misses``-th word it finds
     missing, ``score_leaf`` gives 1.0 to an image holding at most ``n -
-    _misses`` words, and ``visual_columns`` all 1.0 when no slot holds
-    more; every other cost keeps its sums, in their order, bit for bit.
+    _misses`` words, and ``visual_columns`` gives 1.0 to every slot that
+    holds no more; every other cost keeps its sums, in their order, bit
+    for bit.
 
     Building one checks the query location: ``DomainError`` outside the
     domain.
     """
 
-    __slots__ = ("q", "stats", "version", "terms", "_scale", "_floors", "_zero_words",
-                 "_log_den", "_log_const", "_misses", "_lat", "_lon", "_t", "_weights",
-                 "_delta_max", "_decay_base", "_time_unit")
+    __slots__ = ("q", "stats", "version", "terms", "_scale", "_floors", "_log_den",
+                 "_log_const", "_misses", "_lat", "_lon", "_t", "_weights", "_delta_max",
+                 "_decay_base", "_time_unit")
 
     def __init__(self, q, params):
         if not params.domain.contains(q.loc[0], q.loc[1]):
@@ -515,7 +525,7 @@ class QueryContext:
         self._scale = 1.0 - xi
         words = params.word_table()
         floors = {}         # word -> (floor, log floor), in query order
-        zero_words = []
+        zero_floor = False
         log_den = 0.0
         log_floors = 0.0
         for v in q.psi:
@@ -534,14 +544,15 @@ class QueryContext:
             if fl[0] > 0.0:
                 log_floors += fl[1]
             else:
-                zero_words.append(v)
+                zero_floor = True
             floors[v] = fl
         self._floors = floors
-        self._zero_words = tuple(zero_words)
         self._log_den = log_den
         self._log_const = log_floors - log_den
         self._misses = len(floors) + 1
-        if not zero_words and -self._log_const > UNDERFLOW:
+        if zero_floor:
+            self._misses = 1        # the first miss decides (the class docstring)
+        elif -self._log_const > UNDERFLOW:
             # the gains log m_v - log floor_v are >= 0, so their prefix
             # sums, smallest first, ascend
             gains = sorted([words[v][1] - lf for v, (_floor, lf) in floors.items()])
@@ -574,8 +585,9 @@ class QueryContext:
         summed in ascending word order, which is query order, as in
         ``mind_visual``. Its visual cost is 1.0 when it holds at most
         ``n - _misses`` of the ``n`` live query words (the class
-        docstring), else the cost from its sums as ``mind_visual`` takes
-        it. Its spatial and temporal costs and ``f_stv`` are
+        docstring; with a zero floor among them, whenever it lacks one),
+        else the cost from its sums as ``mind_visual`` takes it. Its
+        spatial and temporal costs and ``f_stv`` are
         ``kernels.spatial_cost``, ``recency_cost`` and ``combine``, all
         inline in their operands and order, so each ``f_stv`` equals the
         ``combined_score`` breakdown's bit for bit. The three terms of
@@ -595,7 +607,6 @@ class QueryContext:
                 (d_lat := lat - img.lat) * d_lat + (d_lon := lon - img.lon) * d_lon))
         floors = self._floors
         query_words = floors.keys()
-        zero_words = self._zero_words
         n_words = len(floors)
         few = n_words - self._misses    # an image holding at most this many costs 1.0
         scale, log_den, log_const = self._scale, self._log_den, self._log_const
@@ -618,23 +629,18 @@ class QueryContext:
             if n_held <= few:
                 f_v = 1.0
             else:
-                for v in zero_words:
-                    if v not in freq:
-                        f_v = 1.0
-                        break
-                else:
-                    log_num = 0.0
-                    log_diff = 0.0
-                    for v in sorted(held):
-                        floor_v, lf = floors[v]
-                        lw = log(scale * freq[v] + floor_v)
-                        log_num += lw
-                        log_diff += lw - lf
-                    ratio = exp(log_num - log_den if n_held == n_words
-                                else log_diff + log_const)
-                    if ratio > 1.0:
-                        ratio = 1.0
-                    f_v = 1.0 - ratio
+                log_num = 0.0
+                log_diff = 0.0
+                for v in sorted(held):
+                    floor_v, lf = floors[v]
+                    lw = log(scale * freq[v] + floor_v)
+                    log_num += lw
+                    log_diff += lw - lf
+                ratio = exp(log_num - log_den if n_held == n_words
+                            else log_diff + log_const)
+                if ratio > 1.0:
+                    ratio = 1.0
+                f_v = 1.0 - ratio
             age = t - img.t_c
             if age < 0.0:
                 age = 0.0
@@ -667,12 +673,15 @@ class QueryContext:
         a slot gets the sums of ``mind_visual``, and its cost is
         ``mind_visual`` of its image's ``freq`` up to the rounding of
         numpy's ``log`` and ``exp``. The held counts come first: when
-        ``n - _misses``, over the ``n`` live query words, is at least 1 and
-        no slot holds more words than that, every cost is exactly 1.0 (the
-        class docstring) and no log is taken. A slot that holds no query
+        ``n - _misses``, over the ``n`` live query words, is at least 1, a
+        slot holding no more words than that costs exactly 1.0 (the class
+        docstring). If no slot holds more, no log is taken; otherwise the
+        pass runs and those slots are set to 1.0 after it. The log ratio is
+        clamped at 0.0 before the ``exp``, which gives the cost of a ratio
+        clamped at 1.0 and cannot overflow. A slot that holds no query
         word, or no live image, gets a meaningless cost; the caller drops
         it."""
-        slot_cols, freq_cols, floors, log_floors, zero_cols = [], [], [], [], []
+        slot_cols, freq_cols, floors, log_floors = [], [], [], []
         for v, (floor, lf) in self._floors.items():
             cols = postings.get(v)
             if cols is None:
@@ -681,12 +690,10 @@ class QueryContext:
             freq_cols.append(cols[1])
             floors.append(floor)
             log_floors.append(lf)
-            if floor == 0.0:
-                zero_cols.append(cols[0])
         slots = np.frombuffer(b"".join(slot_cols), dtype=np.int64)
         held = np.bincount(slots, minlength=n)
         few = len(self._floors) - self._misses     # at most this many held cost 1.0
-        if few > 0 and held.max() <= few:
+        if few > 0 and held.max(initial=0) <= few:
             return np.ones(n), held
         counts = np.array([len(s) for s in slot_cols], dtype=np.intp)
         lw = np.log(self._scale * np.frombuffer(b"".join(freq_cols))
@@ -695,22 +702,17 @@ class QueryContext:
         log_diff = np.bincount(slots, weights=lw - np.repeat(log_floors, counts), minlength=n)
         log_ratio = np.where(held == len(self._floors),
                              log_num - self._log_den, log_diff + self._log_const)
-        cost = 1.0 - np.minimum(np.exp(log_ratio), 1.0)
-        if self._zero_words:
-            zero_held = np.bincount(np.frombuffer(b"".join(zero_cols), dtype=np.int64),
-                                    minlength=n)
-            cost[zero_held < len(self._zero_words)] = 1.0
+        cost = 1.0 - np.exp(np.minimum(log_ratio, 0.0))
+        if few > 0:
+            cost[held <= few] = 1.0
         return cost, held
 
     def mind_visual(self, node_max_freq):
         """Lower bound on the visual relevance of any image under a node
         whose per-word max frequency ratios are ``node_max_freq``; given an
         image's ``freq``, the image's own visual relevance. It is 1.0 at
-        once at the ``_misses``-th query word found missing (the class
-        docstring)."""
-        for v in self._zero_words:
-            if not node_max_freq.get(v):
-                return 1.0
+        once at the ``_misses``-th query word found missing, the first
+        when a query word has a zero floor (the class docstring)."""
         scale = self._scale
         log = math.log
         log_num = 0.0
@@ -831,5 +833,8 @@ def add_to_aggregates(node, t, freq):
 
 def mind_visual(q, node_max_freq, params):
     """Lower bound on visual relevance for any image under a node whose
-    per-word max frequency ratios are ``node_max_freq``."""
+    per-word max frequency ratios are ``node_max_freq``: the query
+    context's ``mind_visual``. It stays only for perfbench's wrappers of
+    ``hiq.mind_visual`` and ``baselines.mind_visual``, until perfbench is
+    brought up to date with the package (ROADMAP item 6)."""
     return params.context(q).mind_visual(node_max_freq)

@@ -16,7 +16,6 @@ from .model import (
     GeoTemporalImage,
     Query,
     combined_score,
-    mind_visual,
     spatial_proximity,
 )
 
@@ -202,7 +201,7 @@ def leaf_bound_violations(q, leaf, params, tol=BOUND_TOL):
     ``w1 * f_s(image) + w2 * mind_visual(leaf) + w3 * recency(leaf.t_max)``
     by more than ``tol``."""
     w1, w2, w3 = q.weights
-    f_v = mind_visual(q, leaf.max_freq, params)
+    f_v = params.context(q).mind_visual(leaf.max_freq)
     f_t = kernels.recency_cost(q.t - leaf.t_max, params.decay_base, params.time_unit)
     return sum(
         1 for img in leaf.images

@@ -355,7 +355,7 @@ def _per_word_visual_columns(ctx, postings, n):
     log_ratio = np.where(held == len(ctx._floors),
                          log_num - ctx._log_den, log_diff + ctx._log_const)
     cost = 1.0 - np.minimum(np.exp(log_ratio), 1.0)
-    cost[zero_held < len(ctx._zero_words)] = 1.0
+    cost[zero_held < sum(1 for floor, _lf in ctx._floors.values() if floor == 0.0)] = 1.0
     return cost, held
 
 

@@ -327,6 +327,30 @@ def test_long_queries_equal_the_oracle_and_keep_dominance(domain, monkeypatch):
     assert sum(decided) > len(decided) / 2
 
 
+@pytest.mark.parametrize("whole", [False, True], ids=["one-word-each", "one-image-holds-all"])
+def test_long_query_at_xi_zero_equals_the_oracle(domain, whole):
+    # 300 images each hold one query word beside a filler word of tf 99,
+    # and one query asks for all 300 words at xi = 0. Every floor is 0.0,
+    # so an image lacking a word costs exactly 1.0, yet the log sums of
+    # its held words and the constant come to about +1376, whose exp
+    # overflows (an error under the suite's warning filter). With one
+    # more image holding every word, IFA's column pass is not decided by
+    # the held counts alone and runs over the others too
+    rng = random.Random(49)
+    images = [GeoTemporalImage(i, rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0),
+                               rng.randint(0, 1000), [(i, 1), (1000, 99)])
+              for i in range(300)]
+    if whole:
+        images.append(GeoTemporalImage(300, 50.0, 50.0, 500, [(w, 1) for w in range(300)]))
+    hiq, ifa, stvii = build_all(images, HiqConfig(domain=domain, xi=0.0))
+    q = Query(psi=range(300), loc=(50.0, 50.0), t=1000, k=10, weights=(1 / 3, 1 / 3, 1 / 3))
+    expected = brute_force_oracle(q, images, hiq.params)
+    _f_v, held = ifa.params.context(q).visual_columns(ifa.postings, len(ifa.ids))
+    assert held.max() == (300 if whole else 1)
+    for index in (hiq, ifa, stvii):
+        assert results_match(index.search(q)[0], expected)
+
+
 @pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
 def test_search_says_why_it_stopped(cls, domain):
     rng = random.Random(45)

@@ -695,7 +695,7 @@ def scalar_visual(ctx, image):
     reference that ``mind_visual`` of the image's ``freq`` equals bit for
     bit."""
     word_tf = dict(image.psi)
-    for v in ctx._zero_words:
+    for v in zero_floor_words(ctx):
         if v not in word_tf:
             return 1.0
     log_num = 0.0
@@ -709,6 +709,12 @@ def scalar_visual(ctx, image):
             log_diff += lw - fl[1]
             held += 1
     return formula_cost(ctx, log_num, log_diff, held)
+
+
+def zero_floor_words(ctx):
+    """The live query words whose smoothing floor is 0.0, read from the
+    context's floors: an image lacking one has a ratio of 0."""
+    return [v for v, (floor, _lf) in ctx._floors.items() if floor == 0.0]
 
 
 def formula_cost(ctx, log_num, log_diff, held):
@@ -739,7 +745,7 @@ def test_mind_visual_of_freq_is_the_scalar_visual_loop(domain, xi):
             assert ctx.mind_visual(image.freq) == scalar_visual(ctx, image)
             assert visual_relevance(ctx.q, image, p) == scalar_visual(ctx, image)
             holds_all += ctx._floors.keys() <= image.freq.keys()
-            lacks_zero_word += any(v not in image.freq for v in ctx._zero_words)
+            lacks_zero_word += any(v not in image.freq for v in zero_floor_words(ctx))
     assert holds_all
     assert bool(lacks_zero_word) == (xi == 0.0)
 
@@ -946,7 +952,7 @@ def full_visual(ctx, ratios):
     """The visual cost of a word -> ratio map by the whole formula: every
     held word's log, summed in query order, and no count of missing words
     consulted. The reference ``mind_visual`` equals bit for bit."""
-    for v in ctx._zero_words:
+    for v in zero_floor_words(ctx):
         if not ratios.get(v):
             return 1.0
     log_num = 0.0
@@ -986,9 +992,10 @@ def full_columns(ctx, postings, n):
     log_ratio = np.where(held == len(ctx._floors),
                          log_num - ctx._log_den, log_diff + ctx._log_const)
     cost = 1.0 - np.minimum(np.exp(log_ratio), 1.0)
-    if ctx._zero_words:
+    zero_words = zero_floor_words(ctx)
+    if zero_words:
         zero_held = np.bincount(np.frombuffer(b"".join(zero_cols), dtype=np.int64), minlength=n)
-        cost[zero_held < len(ctx._zero_words)] = 1.0
+        cost[zero_held < len(zero_words)] = 1.0
     return cost, held
 
 
@@ -1001,11 +1008,11 @@ def gains_of(ctx, p):
 
 def misses_to_underflow(ctx, p):
     """The fewest missing query words whose smallest gains sum past
-    ``UNDERFLOW``; one more than the live query words when no count does
-    or a query word has a zero floor."""
+    ``UNDERFLOW``; one more than the live query words when no count does,
+    and 1 when a query word has a zero floor."""
     n = len(ctx._floors)
-    if ctx._zero_words:
-        return n + 1
+    if zero_floor_words(ctx):
+        return 1
     total = 0.0
     for c, (g, _v) in enumerate(gains_of(ctx, p), 1):
         total += g
@@ -1014,21 +1021,96 @@ def misses_to_underflow(ctx, p):
     return n + 1
 
 
+def assert_scorers_equal_the_formula(p, trees, ifa, corpus, q, monkeypatch, seen):
+    """Every node of ``trees``, every image, every leaf admission and
+    every IFA slot costs what the whole formula gives for ``q``, bit for
+    bit; where the miss count decides, that is exactly 1.0 and the leaf
+    and column scorers take no log. ``seen`` counts the nodes, images and
+    column passes the count decided, and the nodes one miss short of it
+    that cost below 1.0. Returns the query's context."""
+    ctx = p.context(q)
+    reference = uncached(p).context(q)
+    n = len(ctx._floors)
+    c = ctx._misses
+    assert c == misses_to_underflow(ctx, p)
+    for node in walk(trees):
+        want = full_visual(reference, node.max_freq)
+        assert ctx.mind_visual(node.max_freq) == want
+        if n - len(ctx._floors.keys() & node.max_freq.keys()) >= c:
+            assert want == 1.0
+            seen["nodes"] += 1
+    for image in corpus:
+        want = full_visual(reference, image.freq)
+        assert ctx.mind_visual(image.freq) == want
+        if n - len(ctx._floors.keys() & image.freq.keys()) >= c:
+            assert want == 1.0
+            seen["images"] += 1
+    # the k of the query covers the corpus, so the leaf scorer admits
+    # every image that holds a query word
+    w1, w2, w3 = q.weights
+    admitted = ctx.score_leaf(SimpleNamespace(images=corpus), [])
+    assert len(admitted) == sum(1 for image in corpus if set(q.psi) & image.freq.keys())
+    for f, image in admitted:
+        _image, f_s, f_v, f_t = ctx.terms[image.id]
+        assert f_s == kernels.spatial_cost(*q.loc, image.lat, image.lon, p.domain.delta_max)
+        assert f_v == full_visual(reference, image.freq)
+        assert f_t == kernels.recency_cost(q.t - image.t_c, p.decay_base, p.time_unit)
+        assert f == kernels.combine(w1, w2, w3, f_s, f_v, f_t)
+    slots = len(ifa.ids)
+    got, held = ctx.visual_columns(ifa.postings, slots)
+    want, want_held = full_columns(reference, ifa.postings, slots)
+    assert np.array_equal(held, want_held)
+    # a slot holding no query word gets a meaningless cost, which IFA drops
+    assert got[held > 0].tobytes() == want[held > 0].tobytes()
+    assert (want[held <= n - c] == 1.0).all()
+    # what the count decides costs no log
+    few = [image for image in corpus
+           if 0 < len(ctx._floors.keys() & image.freq.keys()) <= n - c]
+    logs = []
+    with monkeypatch.context() as m:
+        m.setattr(math, "log", lambda x, log=math.log: logs.append(x) or log(x))
+        m.setattr(np, "log", lambda x, log=np.log: logs.append(x) or log(x))
+        assert all(ctx.terms[image.id][2] == 1.0
+                   for _f, image in ctx.score_leaf(SimpleNamespace(images=few), []))
+        if n - c > 0 and not (held > n - c).any():
+            ctx.visual_columns(ifa.postings, slots)
+            seen["columns"] += 1
+    assert logs == []
+    # a node holding every word at its live maximum but the c - 1 of
+    # smallest gain takes the full path, and one that also lacks the c-th
+    # is 1.0 at once
+    if c <= n:
+        top = {v: p.stats.max_freq(v) for v in ctx._floors}
+        smallest = [v for _g, v in gains_of(ctx, p)[:c]]
+        near = {v: f for v, f in top.items() if v not in smallest[:-1]}
+        far = {v: f for v, f in top.items() if v not in smallest}
+        exps = []
+        with monkeypatch.context() as m:
+            m.setattr(math, "exp", lambda x, exp=math.exp: exps.append(x) or exp(x))
+            got_near, got_far = ctx.mind_visual(near), ctx.mind_visual(far)
+        assert len(exps) == 1       # near's; far returns before its exp
+        assert got_near == full_visual(reference, near)
+        assert got_far == full_visual(reference, far) == 1.0
+        seen["below_one"] += got_near < 1.0
+    return ctx
+
+
+def tally():
+    return dict.fromkeys(("nodes", "images", "columns", "below_one"), 0)
+
+
 class TestMissBound:
     @pytest.mark.parametrize("xi", [0.0, 0.2, 0.5, 0.9])
     def test_every_scorer_equals_the_full_formula(self, domain, xi, monkeypatch):
-        # every tree node, image, leaf admission and IFA slot costs what the
-        # whole formula gives, bit for bit; where the miss count decides,
-        # that is exactly 1.0
+        # at xi = 0 every floor is zero, so the first miss decides
         rng = random.Random(int(xi * 10) + 401)
         config = HiqConfig(domain=domain, segment_span=10**6, capacity=4, max_depth=6, xi=xi)
-        nodes_decided = images_decided = columns_decided = below_one = 0
+        seen = tally()
         for trial in range(24):
             vocab = (8, 60, 500, 5000)[trial % 4]
             corpus = random_images(rng, rng.randint(1, 80), domain, vocab=vocab,
                                    t_lo=0, t_hi=10_000)
             hiq, ifa, stvii = build_all(corpus, config)
-            p = hiq.params
             live = sorted({w for image in corpus for w in image.freq})
             for _ in range(4):
                 words = rng.sample(live, min(rng.randint(1, 60), len(live)))
@@ -1038,91 +1120,63 @@ class TestMissBound:
                 q = Query(psi=words, loc=(rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)),
                           t=rng.randint(0, 10_000), k=len(corpus),
                           weights=(w1, w2, 1.0 - w1 - w2))
-                ctx = p.context(q)
-                reference = uncached(p).context(q)
-                n = len(ctx._floors)
-                c = ctx._misses
-                assert c == misses_to_underflow(ctx, p)
+                ctx = assert_scorers_equal_the_formula(hiq.params, hiq.roots() + stvii.roots(),
+                                                       ifa, corpus, q, monkeypatch, seen)
                 if xi == 0.0:
-                    assert c == n + 1
-                for node in walk(hiq.roots() + stvii.roots()):
-                    want = full_visual(reference, node.max_freq)
-                    assert ctx.mind_visual(node.max_freq) == want
-                    if n - len(ctx._floors.keys() & node.max_freq.keys()) >= c:
-                        assert want == 1.0
-                        nodes_decided += 1
-                for image in corpus:
-                    want = full_visual(reference, image.freq)
-                    assert ctx.mind_visual(image.freq) == want
-                    if n - len(ctx._floors.keys() & image.freq.keys()) >= c:
-                        assert want == 1.0
-                        images_decided += 1
-                # the k of the query covers the corpus, so the leaf scorer
-                # admits every image that holds a query word
-                admitted = ctx.score_leaf(SimpleNamespace(images=corpus), [])
-                assert len(admitted) == sum(1 for image in corpus if set(q.psi) & image.freq.keys())
-                for f, image in admitted:
-                    _image, f_s, f_v, f_t = ctx.terms[image.id]
-                    assert f_s == kernels.spatial_cost(*q.loc, image.lat, image.lon,
-                                                       domain.delta_max)
-                    assert f_v == full_visual(reference, image.freq)
-                    assert f_t == kernels.recency_cost(q.t - image.t_c, p.decay_base,
-                                                       p.time_unit)
-                    assert f == kernels.combine(w1, w2, 1.0 - w1 - w2, f_s, f_v, f_t)
-                slots = len(ifa.ids)
-                got, held = ctx.visual_columns(ifa.postings, slots)
-                want, want_held = full_columns(reference, ifa.postings, slots)
-                assert got.tobytes() == want.tobytes()
-                assert np.array_equal(held, want_held)
-                assert (want[held <= n - c] == 1.0).all()
-                # what the count decides costs no log
-                few = [image for image in corpus
-                       if 0 < len(ctx._floors.keys() & image.freq.keys()) <= n - c]
-                logs = []
-                with monkeypatch.context() as m:
-                    m.setattr(math, "log", lambda x, log=math.log: logs.append(x) or log(x))
-                    m.setattr(np, "log", lambda x, log=np.log: logs.append(x) or log(x))
-                    assert all(ctx.terms[image.id][2] == 1.0
-                               for _f, image in ctx.score_leaf(SimpleNamespace(images=few), []))
-                    if n - c > 0 and not (held > n - c).any():
-                        ctx.visual_columns(ifa.postings, slots)
-                        columns_decided += 1
-                assert logs == []
-                # a node holding every word at its live maximum but the
-                # c - 1 of smallest gain takes the full path, and one that
-                # also lacks the c-th is 1.0 at once
-                if c <= n:
-                    top = {v: p.stats.max_freq(v) for v in ctx._floors}
-                    smallest = [v for _g, v in gains_of(ctx, p)[:c]]
-                    near = {v: f for v, f in top.items() if v not in smallest[:-1]}
-                    far = {v: f for v, f in top.items() if v not in smallest}
-                    exps = []
-                    with monkeypatch.context() as m:
-                        m.setattr(math, "exp", lambda x, exp=math.exp: exps.append(x) or exp(x))
-                        got_near, got_far = ctx.mind_visual(near), ctx.mind_visual(far)
-                    assert len(exps) == 1       # near's; far returns before its exp
-                    assert got_near == full_visual(reference, near)
-                    assert got_far == full_visual(reference, far) == 1.0
-                    below_one += got_near < 1.0
-        # with no floor of zero the rule decides some of every kind of cost
-        # and some held counts one short of it still cost below 1.0; at
-        # xi = 0 it never decides
-        decided = (nodes_decided, images_decided, columns_decided, below_one)
-        if xi == 0.0:
-            assert decided == (0, 0, 0, 0)
-        else:
-            assert all(decided), decided
+                    assert ctx._misses == 1
+        # the rule decides some of every kind of cost, and some held counts
+        # one short of it still cost below 1.0
+        assert all(seen.values()), seen
 
-    def test_off_while_a_query_word_has_a_zero_floor(self, domain):
+    @pytest.mark.parametrize("xi", [3e-322, 1e-321])
+    def test_mixed_floors_equal_the_full_formula(self, domain, xi, monkeypatch):
+        # words 0-7 fill half the corpus and keep a positive floor at these
+        # subnormal xi, while a word of 8-4999 with a corpus tf of 1 gets a
+        # floor of 0.0. Every query has both kinds, so the first miss
+        # decides, also of a word whose floor is positive
+        rng = random.Random(repr(xi))
+        config = HiqConfig(domain=domain, segment_span=10**6, capacity=4, max_depth=6, xi=xi)
+        seen = tally()
+        for _ in range(12):
+            corpus = (random_images(rng, 40, domain, vocab=8, t_lo=0, t_hi=10_000)
+                      + random_images(rng, 40, domain, vocab=5000, t_lo=0, t_hi=10_000,
+                                      id_base=40))
+            hiq, ifa, stvii = build_all(corpus, config)
+            rare = sorted({w for image in corpus for w in image.freq if w >= 8})
+            once = [w for w in rare if hiq.params.stats.corpus_tf(w) == 1]
+            for _ in range(4):
+                words = sorted(set(rng.sample(range(8), rng.randint(1, 4)) + rng.sample(rare, 2)
+                                   + [rng.choice(once)]))
+                w1 = rng.uniform(0.05, 0.6)
+                w2 = rng.uniform(0.05, 0.95 - w1)
+                q = Query(psi=words, loc=(rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)),
+                          t=rng.randint(0, 10_000), k=len(corpus),
+                          weights=(w1, w2, 1.0 - w1 - w2))
+                ctx = assert_scorers_equal_the_formula(hiq.params, hiq.roots() + stvii.roots(),
+                                                       ifa, corpus, q, monkeypatch, seen)
+                floors = [floor for floor, _lf in ctx._floors.values()]
+                assert min(floors) == 0.0 < max(floors)
+                assert ctx._misses == 1
+        assert all(seen.values()), seen
+
+    def test_first_miss_decides_with_a_zero_floor(self, domain, monkeypatch):
         # at the smallest subnormal xi a word over half the corpus's terms
         # has a floor of 5e-324, whose gain is about 744, and the others a
-        # floor of 0.0: the rule stays off, and every cost is the formula's
+        # floor of 0.0: a map lacking any query word costs 1.0 before an
+        # exp, and every cost is the formula's
         corpus = [img(id=i, psi=((1, 9), (2 + i, 1))) for i in range(6)]
         p = params_for(domain, corpus, xi=5e-324)
         q = query(psi=(1, 2, 3))
         ctx = p.context(q)
-        assert ctx._zero_words == (2, 3) and ctx._floors[1][0] > 0.0
-        assert ctx._misses == len(ctx._floors) + 1
+        assert zero_floor_words(ctx) == [2, 3] and ctx._floors[1][0] > 0.0
+        assert ctx._misses == 1
         reference = uncached(p).context(q)
-        for ratios in [image.freq for image in corpus] + [{2: 0.1, 3: 0.1}, {1: 0.9}]:
-            assert ctx.mind_visual(ratios) == full_visual(reference, ratios)
+        holding_all = {1: 0.9, 2: 0.1, 3: 0.1}
+        for ratios in [image.freq for image in corpus] + [{2: 0.1, 3: 0.1}, {1: 0.9}, holding_all]:
+            exps = []
+            with monkeypatch.context() as m:
+                m.setattr(math, "exp", lambda x, exp=math.exp: exps.append(x) or exp(x))
+                got = ctx.mind_visual(ratios)
+            assert got == full_visual(reference, ratios)
+            assert len(exps) == (ratios is holding_all)
+            assert (got == 1.0) == (ratios is not holding_all)
