@@ -85,12 +85,14 @@ class SearchStats:
     tree search ``nodes_pruned`` counts the nodes whose bound or deferred
     key exceeded λ (the entries of ``audit``), ``bounds_evaluated``
     counts the visual node bounds it computed (``mind_visual`` of a
-    node's ``max_freq``; 0 for IFA), ``lam`` is the final λ, infinite
-    while fewer than k images were found, and ``stop`` says why it
-    ended: ``"exhausted"`` when it visited every root and every child
-    whose bound was at most λ when its parent was visited, ``"bound"``
-    when λ fell below the bound of such a node before the search reached
-    it. IFA, which scans every candidate, always reads ``"exhausted"``."""
+    node's ``max_freq``; 0 for IFA), which leaves out each child that
+    inherits the 1.0 the miss count decided for its parent, ``lam`` is
+    the final λ, infinite while fewer than k images were found, and
+    ``stop`` says why it ended: ``"exhausted"`` when it visited every
+    root and every child whose bound was at most λ when its parent was
+    visited, ``"bound"`` when λ fell below the bound of such a node
+    before the search reached it. IFA, which scans every candidate,
+    always reads ``"exhausted"``."""
 
     nodes_visited: int = 0
     images_scored: int = 0
@@ -111,17 +113,30 @@ def top_k_search(q, index, audit=None):
     λ are pruned. The roots and the children of each inner node visited
     go on the heap at one push site, each with its spatial and recency
     terms from ``index.bounds(q, nodes)``; a root counts as the child of
-    a parent whose visual bound ``f_v`` is 0.0. Under such a parent a
-    node goes on under its exact bound, with its own visual bound (the
-    query context's ``mind_visual`` of its ``max_freq``). Under any other
-    it goes on under a deferred key, with ``f_v`` in place of its own,
-    which bounds it because a child's ``max_freq`` is at most its
-    parent's, word by word. A deferred key that reaches the top of the
-    heap is refined in place to the exact bound; the node is pruned if
-    that exceeds λ, and is visited only once it is the top under its
-    exact bound. Nodes are thus visited in ascending (exact bound, push
-    order), and only the visual bounds of the nodes that reach the top
-    are computed.
+    a parent whose visual bound ``f_v`` is 0.0. The parent's ``f_v``
+    sets how a node's visual bound is taken:
+
+    - 0.0 (eager): a key would hold no visual term, so the node goes on
+      under its exact bound, with its own visual bound (the query
+      context's ``mind_visual`` of its ``max_freq``).
+    - 1.0 decided by the miss count (``misses_decide`` of the parent's
+      ``max_freq``; inherited): the node's ``max_freq`` keys are a
+      subset of its parent's, so it lacks the words its parent lacks,
+      and its own visual bound is exactly 1.0 as well. It goes on under
+      that exact bound, with no ``mind_visual``. A 1.0 that came out of
+      the log sums does not carry over to the children.
+    - any other (deferred): the node goes on under a deferred key, with
+      ``f_v`` in place of its own, which bounds it because a child's
+      ``max_freq`` is at most its parent's, word by word. A deferred key
+      that reaches the top of the heap is refined in place to the exact
+      bound; the node is pruned if that exceeds λ, and is visited only
+      once it is the top under its exact bound.
+
+    An inherited bound equals the key it replaces, ``spatial + w2 * 1.0
+    + recency``, so the heap's order, the pruning and the stop reason are
+    those of deferring it. Nodes are thus visited in ascending (exact
+    bound, push order), and only the visual bounds of the nodes that
+    reach the top are computed.
 
     ``index.candidates(q, leaf, worst, floor)`` offers a leaf's images to
     ``worst``, the running top k, under the leaf's floor, its exact bound
@@ -133,7 +148,8 @@ def top_k_search(q, index, audit=None):
     search early.
     """
     params = index.params
-    mind_visual = params.context(q).mind_visual     # checks the query location
+    ctx = params.context(q)     # checks the query location
+    mind_visual = ctx.mind_visual
     w2 = q.weights[1]
     k = q.k
     stats = SearchStats()
@@ -149,16 +165,19 @@ def top_k_search(q, index, audit=None):
     f_v = 0.0               # the roots' parent: each root is bounded at once
     while True:
         if nodes:
-            defer = f_v > 0.0   # a key under a visual bound of 0.0 would hold no visual term
-            if not defer:
+            eager = f_v == 0.0
+            if eager:
                 stats.bounds_evaluated += len(nodes)
-            for node, (spatial, recency) in zip(nodes, index.bounds(q, nodes)):
-                if defer:
-                    entry = (spatial + w2 * f_v + recency, next(order), node,
-                             spatial, recency, lam)
+            inherit = f_v == 1.0 and ctx.misses_decide(node.max_freq)
+            for child, (spatial, recency) in zip(nodes, index.bounds(q, nodes)):
+                if eager:
+                    own = mind_visual(child.max_freq)
+                    entry = (spatial + w2 * own + recency, next(order), child, own, spatial)
+                elif inherit:
+                    entry = (spatial + w2 * f_v + recency, next(order), child, f_v, spatial)
                 else:
-                    own = mind_visual(node.max_freq)
-                    entry = (spatial + w2 * own + recency, next(order), node, own, spatial)
+                    entry = (spatial + w2 * f_v + recency, next(order), child,
+                             spatial, recency, lam)
                 if entry[0] <= lam:
                     heapq.heappush(heap, entry)
                 else:

@@ -491,21 +491,28 @@ class QueryContext:
     and each ``m_v`` at least ``(1 - xi) / max |I.psi|``. So one miss
     multiplies the ratio by less than ``2.5e-324 * |C| * max |I.psi|``,
     far below e^-39 for any corpus that fits in memory, and the cost
-    rounds to 1.0 as the full formula's does.
+    rounds to 1.0 as the full formula's does. The constant ``_log_const``
+    of a map lacking a word is then ``-inf``, which makes its ratio 0.0.
 
-    ``mind_visual`` returns 1.0 at the ``_misses``-th word it finds
-    missing, ``score_leaf`` gives 1.0 to an image holding at most ``n -
-    _misses`` words, and ``visual_columns`` gives 1.0 to every slot that
-    holds no more; every other cost keeps its sums, in their order, bit
-    for bit.
+    ``misses_decide`` counts the live query words a map lacks with one
+    set difference. A node's ``max_freq`` keys are a subset of its
+    parent's, so a node lacks every word its parent lacks: when the count
+    decides a parent, it decides each of its children too, and the search
+    gives them 1.0 without scoring them. ``mind_visual`` takes the count
+    first when ``2 * _misses <= n``, so that it can decide a map that
+    still holds half the query, and returns 1.0 at the ``_misses``-th word
+    it finds missing otherwise; ``score_leaf`` gives 1.0 to an image
+    holding at most ``n - _misses`` words, and ``visual_columns`` comes
+    to 1.0 on every slot that holds no more. Every other cost keeps its
+    sums, in their order, bit for bit.
 
     Building one checks the query location: ``DomainError`` outside the
     domain.
     """
 
     __slots__ = ("q", "stats", "version", "terms", "_scale", "_floors", "_log_den",
-                 "_log_const", "_misses", "_lat", "_lon", "_t", "_weights", "_delta_max",
-                 "_decay_base", "_time_unit")
+                 "_log_const", "_misses", "_live_words", "_count_first", "_lat", "_lon",
+                 "_t", "_weights", "_delta_max", "_decay_base", "_time_unit")
 
     def __init__(self, q, params):
         if not params.domain.contains(q.loc[0], q.loc[1]):
@@ -552,11 +559,22 @@ class QueryContext:
         self._misses = len(floors) + 1
         if zero_floor:
             self._misses = 1        # the first miss decides (the class docstring)
+            self._log_const = -math.inf
         elif -self._log_const > UNDERFLOW:
             # the gains log m_v - log floor_v are >= 0, so their prefix
             # sums, smallest first, ascend
             gains = sorted([words[v][1] - lf for v, (_floor, lf) in floors.items()])
             self._misses = bisect_right(list(accumulate(gains)), UNDERFLOW) + 1
+        self._live_words = frozenset(floors)
+        self._count_first = 2 * self._misses <= len(floors)
+
+    def misses_decide(self, ratios):
+        """Whether the word -> ratio map ``ratios`` lacks at least
+        ``_misses`` of the live query words, counted by one set
+        difference. Then its visual cost is exactly 1.0 (the class
+        docstring), and so is that of every map whose words are a subset
+        of its own, such as a child node's ``max_freq``."""
+        return len(self._live_words.difference(ratios)) >= self._misses
 
     def score_leaf(self, leaf, worst, floor=0.0):
         """Offers every image of a tree leaf that holds a query word to
@@ -675,8 +693,10 @@ class QueryContext:
         numpy's ``log`` and ``exp``. The held counts come first: when
         ``n - _misses``, over the ``n`` live query words, is at least 1, a
         slot holding no more words than that costs exactly 1.0 (the class
-        docstring). If no slot holds more, no log is taken; otherwise the
-        pass runs and those slots are set to 1.0 after it. The log ratio is
+        docstring), and if no slot holds more, no log is taken. Otherwise
+        the pass runs, and such a slot comes out at exactly 1.0 from its
+        sums: its log ratio is below -``UNDERFLOW``, or ``-inf`` when a
+        query word has a zero floor, whose ``exp`` is 0.0. The log ratio is
         clamped at 0.0 before the ``exp``, which gives the cost of a ratio
         clamped at 1.0 and cannot overflow. A slot that holds no query
         word, or no live image, gets a meaningless cost; the caller drops
@@ -702,17 +722,25 @@ class QueryContext:
         log_diff = np.bincount(slots, weights=lw - np.repeat(log_floors, counts), minlength=n)
         log_ratio = np.where(held == len(self._floors),
                              log_num - self._log_den, log_diff + self._log_const)
-        cost = 1.0 - np.exp(np.minimum(log_ratio, 0.0))
-        if few > 0:
-            cost[held <= few] = 1.0
-        return cost, held
+        return 1.0 - np.exp(np.minimum(log_ratio, 0.0)), held
 
     def mind_visual(self, node_max_freq):
         """Lower bound on the visual relevance of any image under a node
         whose per-word max frequency ratios are ``node_max_freq``; given an
-        image's ``freq``, the image's own visual relevance. It is 1.0 at
-        once at the ``_misses``-th query word found missing, the first
-        when a query word has a zero floor (the class docstring)."""
+        image's ``freq``, the image's own visual relevance.
+
+        When ``2 * _misses <= n``, it first counts the live query words the
+        map lacks (``misses_decide``) and is 1.0 at once when they reach
+        ``_misses``. Otherwise, and on a map the count leaves undecided,
+        it walks the query words and is 1.0 at once at the ``_misses``-th
+        one found missing, the first when a query word has a zero floor.
+        Both are exact: anything lacking ``_misses`` words costs exactly
+        1.0 by the full formula (the class docstring), and a map the count
+        leaves undecided runs the walk it ran without the count. On a
+        shorter query the count rarely decides, and the walk's own
+        count costs less than a set difference."""
+        if self._count_first and self.misses_decide(node_max_freq):
+            return 1.0
         scale = self._scale
         log = math.log
         log_num = 0.0

@@ -352,8 +352,10 @@ def _per_word_visual_columns(ctx, postings, n):
         held[slots] += 1
         if floor == 0.0:
             zero_held[slots] += 1
+    # the formula's constant; the context's is -inf when a floor is zero
+    floor_const = sum(lf for floor, lf in ctx._floors.values() if floor > 0.0) - ctx._log_den
     log_ratio = np.where(held == len(ctx._floors),
-                         log_num - ctx._log_den, log_diff + ctx._log_const)
+                         log_num - ctx._log_den, log_diff + floor_const)
     cost = 1.0 - np.minimum(np.exp(log_ratio), 1.0)
     cost[zero_held < sum(1 for floor, _lf in ctx._floors.values() if floor == 0.0)] = 1.0
     return cost, held

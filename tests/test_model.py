@@ -17,6 +17,7 @@ from geostream.model import (
     GeoTemporalImage,
     InvalidStateError,
     Query,
+    QueryContext,
     ScoreParams,
     UNDERFLOW,
     SpatialDomain,
@@ -717,13 +718,25 @@ def zero_floor_words(ctx):
     return [v for v, (floor, _lf) in ctx._floors.items() if floor == 0.0]
 
 
+def floor_const(ctx):
+    """``sum(log floor_v) - sum(log m_v)`` over the live query words, the
+    log floors of the positive floors summed in query order: the
+    formula's constant for a map lacking a word. The context's own
+    ``_log_const`` is ``-inf`` when a floor is zero."""
+    log_floors = 0.0
+    for floor, lf in ctx._floors.values():
+        if floor > 0.0:
+            log_floors += lf
+    return log_floors - ctx._log_den
+
+
 def formula_cost(ctx, log_num, log_diff, held):
     """The visual cost from an image's or node's log sums over its
     ``held`` query words."""
     if held == len(ctx._floors):
         ratio = math.exp(log_num - ctx._log_den)
     else:
-        ratio = math.exp(log_diff + ctx._log_const)
+        ratio = math.exp(log_diff + floor_const(ctx))
     return 1.0 - min(ratio, 1.0)
 
 
@@ -990,7 +1003,7 @@ def full_columns(ctx, postings, n):
     log_diff = np.bincount(slots, weights=lw - np.repeat(log_floors, counts), minlength=n)
     held = np.bincount(slots, minlength=n)
     log_ratio = np.where(held == len(ctx._floors),
-                         log_num - ctx._log_den, log_diff + ctx._log_const)
+                         log_num - ctx._log_den, log_diff + floor_const(ctx))
     cost = 1.0 - np.minimum(np.exp(log_ratio), 1.0)
     zero_words = zero_floor_words(ctx)
     if zero_words:
@@ -1025,26 +1038,40 @@ def assert_scorers_equal_the_formula(p, trees, ifa, corpus, q, monkeypatch, seen
     """Every node of ``trees``, every image, every leaf admission and
     every IFA slot costs what the whole formula gives for ``q``, bit for
     bit; where the miss count decides, that is exactly 1.0 and the leaf
-    and column scorers take no log. ``seen`` counts the nodes, images and
-    column passes the count decided, and the nodes one miss short of it
-    that cost below 1.0. Returns the query's context."""
+    and column scorers take no log. ``mind_visual`` counts the missing
+    words of each map first (``misses_decide``) exactly when ``2 * c <=
+    n``, and the count decides a map exactly when it lacks ``c`` words.
+    ``seen`` counts the nodes, images and column passes the count
+    decided, the maps decided by the count taken first, the queries that
+    take no count first, and the nodes one miss short of it that cost
+    below 1.0. Returns the query's context."""
     ctx = p.context(q)
     reference = uncached(p).context(q)
     n = len(ctx._floors)
     c = ctx._misses
     assert c == misses_to_underflow(ctx, p)
-    for node in walk(trees):
-        want = full_visual(reference, node.max_freq)
-        assert ctx.mind_visual(node.max_freq) == want
-        if n - len(ctx._floors.keys() & node.max_freq.keys()) >= c:
+    nodes = list(walk(trees))
+    kinds = ["nodes"] * len(nodes) + ["images"] * len(corpus)
+    maps = [node.max_freq for node in nodes] + [image.freq for image in corpus]
+    counts = []
+
+    def counted(ctx, ratios, decide=QueryContext.misses_decide):
+        counts.append(decide(ctx, ratios))
+        return counts[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(QueryContext, "misses_decide", counted)
+        got = [ctx.mind_visual(ratios) for ratios in maps]
+    lacking = [n - len(ctx._floors.keys() & ratios.keys()) >= c for ratios in maps]
+    assert counts == (lacking if 2 * c <= n else [])
+    seen["count_first"] += sum(counts)
+    seen["walk_only"] += 2 * c > n
+    for kind, ratios, cost, decided in zip(kinds, maps, got, lacking):
+        want = full_visual(reference, ratios)
+        assert cost == want
+        if decided:
             assert want == 1.0
-            seen["nodes"] += 1
-    for image in corpus:
-        want = full_visual(reference, image.freq)
-        assert ctx.mind_visual(image.freq) == want
-        if n - len(ctx._floors.keys() & image.freq.keys()) >= c:
-            assert want == 1.0
-            seen["images"] += 1
+            seen[kind] += 1
     # the k of the query covers the corpus, so the leaf scorer admits
     # every image that holds a query word
     w1, w2, w3 = q.weights
@@ -1096,7 +1123,8 @@ def assert_scorers_equal_the_formula(p, trees, ifa, corpus, q, monkeypatch, seen
 
 
 def tally():
-    return dict.fromkeys(("nodes", "images", "columns", "below_one"), 0)
+    return dict.fromkeys(("nodes", "images", "columns", "count_first", "walk_only",
+                          "below_one"), 0)
 
 
 class TestMissBound:
@@ -1157,6 +1185,8 @@ class TestMissBound:
                 floors = [floor for floor, _lf in ctx._floors.values()]
                 assert min(floors) == 0.0 < max(floors)
                 assert ctx._misses == 1
+        # each query has three words or more, so the count always comes first
+        assert seen.pop("walk_only") == 0
         assert all(seen.values()), seen
 
     def test_first_miss_decides_with_a_zero_floor(self, domain, monkeypatch):
