@@ -37,7 +37,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _load_config_file(path):
+def _load_config_file(path, known):
+    """The ``key=value`` lines of a config file, keys with ``_`` for
+    ``-``. A line with no ``=`` or a key outside ``known`` raises
+    ``DataFormatError``."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -47,7 +50,10 @@ def _load_config_file(path):
             if "=" not in line:
                 raise DataFormatError(f"line {lineno}: expected key=value")
             key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("-", "_")
+            if key not in known:
+                raise DataFormatError(f"line {lineno}: unknown key {key!r}")
+            values[key] = val.strip()
     return values
 
 
@@ -252,15 +258,18 @@ def main(argv=None):
     peek.add_argument("--config")
     config = peek.parse_known_args(argv)[0].config
     if config:
+        # a key no subcommand takes is an error; one that another
+        # subcommand takes is ignored, so one file can serve them all
+        dests = {name: {a.dest for a in p._actions} - {"help"}
+                 for name, p in parser.commands.items()}
         try:
-            values = _load_config_file(config)
+            values = _load_config_file(config, set().union(*dests.values()))
         except (OSError, DataFormatError) as exc:
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_DATA
         # the file's keys this subcommand takes become flags ahead of the
         # command line's own, so a flag given there wins
-        command = parser.commands.get(argv[0])
-        taken = {a.dest for a in command._actions} - {"help"} if command else set()
+        taken = dests.get(argv[0], set())
         argv = [argv[0], *(f"--{key.replace('_', '-')}={val}"
                            for key, val in values.items() if key in taken), *argv[1:]]
     args = parser.parse_args(argv)

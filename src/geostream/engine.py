@@ -8,10 +8,11 @@ The search works against any index exposing the searchable surface:
 and a ``params`` attribute, with the bound dominance property (a node's
 bound <= f_stv of every image under the node) and nested aggregates (a
 child's ``t_max`` and each word of its ``max_freq`` at most its
-parent's). ``bounds`` gives each node's weighted spatial and recency
-terms, ``(spatial, recency)``, in one pass over a list; the visual term,
-the query context's ``mind_visual`` of the node's ``max_freq``, belongs
-to the search. ``mind(q, node)``, ``spatial + w2 * mind_visual +
+parent's; the search's inherited visual bounds rest on the latter).
+``bounds`` gives each node's weighted spatial and recency terms,
+``(spatial, recency)``, in one pass over a list; the visual term, the
+query context's ``mind_visual`` of the node's ``max_freq``, belongs to
+the search. ``mind(q, node)``, ``spatial + w2 * mind_visual +
 recency``, is a node's exact bound, the one-node reference that the
 dominance audit and the tests read. A node's ``children`` is a list at
 an inner node and ``None`` at a leaf, which holds its ``images``.
@@ -82,11 +83,13 @@ class SearchStats:
     trees the tree search started from, ``len(index.roots())``, and reads
     0 for IFA. ``nodes_visited`` counts the nodes the tree search
     visited, and for IFA the query words of the live corpus. In the
-    tree search ``nodes_pruned`` counts the nodes whose bound or deferred
-    key exceeded λ (the entries of ``audit``), ``bounds_evaluated``
-    counts the visual node bounds it computed (``mind_visual`` of a
-    node's ``max_freq``; 0 for IFA), which leaves out each child that
-    inherits the 1.0 the miss count decided for its parent, ``lam`` is
+    tree search ``nodes_pruned`` counts the nodes whose bound exceeded λ,
+    when they were pushed or when the search stopped (the entries of
+    ``audit``), ``bounds_evaluated`` counts the visual node bounds it
+    computed (``mind_visual`` of a node's ``max_freq``, one for each
+    root and each child of an inner node visited; 0 for IFA), which
+    leaves out each child that inherits the 1.0 the miss count decided
+    for its parent, ``lam`` is
     the final λ, infinite while fewer than k images were found, and
     ``stop`` says why it ended: ``"exhausted"`` when it visited every
     root and every child whose bound was at most λ when its parent was
@@ -108,42 +111,27 @@ def top_k_search(q, index, audit=None):
     """Returns (results, stats): the k lowest-cost images sharing at
     least one query word, ascending (f_stv, id).
 
-    Maintains a min-heap of nodes keyed by a lower bound and a threshold
-    λ equal to the k-th best score found so far; nodes whose key exceeds
-    λ are pruned. The roots and the children of each inner node visited
-    go on the heap at one push site, each with its spatial and recency
-    terms from ``index.bounds(q, nodes)``; a root counts as the child of
-    a parent whose visual bound ``f_v`` is 0.0. The parent's ``f_v``
-    sets how a node's visual bound is taken:
-
-    - 0.0 (eager): a key would hold no visual term, so the node goes on
-      under its exact bound, with its own visual bound (the query
-      context's ``mind_visual`` of its ``max_freq``).
-    - 1.0 decided by the miss count (``misses_decide`` of the parent's
-      ``max_freq``; inherited): the node's ``max_freq`` keys are a
-      subset of its parent's, so it lacks the words its parent lacks,
-      and its own visual bound is exactly 1.0 as well. It goes on under
-      that exact bound, with no ``mind_visual``. A 1.0 that came out of
-      the log sums does not carry over to the children.
-    - any other (deferred): the node goes on under a deferred key, with
-      ``f_v`` in place of its own, which bounds it because a child's
-      ``max_freq`` is at most its parent's, word by word. A deferred key
-      that reaches the top of the heap is refined in place to the exact
-      bound; the node is pruned if that exceeds λ, and is visited only
-      once it is the top under its exact bound.
-
-    An inherited bound equals the key it replaces, ``spatial + w2 * 1.0
-    + recency``, so the heap's order, the pruning and the stop reason are
-    those of deferring it. Nodes are thus visited in ascending (exact
-    bound, push order), and only the visual bounds of the nodes that
-    reach the top are computed.
+    Maintains a min-heap of nodes keyed by their exact bound and a
+    threshold λ equal to the k-th best score found so far. The roots and
+    the children of each inner node visited are bounded when they are
+    pushed, at one push site: their spatial and recency terms from
+    ``index.bounds(q, nodes)`` and their visual bound, the query
+    context's ``mind_visual`` of their ``max_freq``. A node whose bound
+    exceeds λ is pruned at once instead. The children of a parent whose
+    visual bound the miss count decided (1.0 with ``misses_decide`` of
+    the parent's ``max_freq``) inherit that 1.0 with no ``mind_visual``:
+    a child's ``max_freq`` keys are a subset of its parent's, so it
+    lacks the words its parent lacks, and its own visual bound is
+    exactly 1.0 as well. A 1.0 that came out of the log sums does not
+    carry over to the children. Nodes are visited in ascending (bound,
+    push order) until the heap is empty or its top exceeds λ.
 
     ``index.candidates(q, leaf, worst, floor)`` offers a leaf's images to
-    ``worst``, the running top k, under the leaf's floor, its exact bound
-    less the spatial term its heap entry carries; λ is read back from
+    ``worst``, the running top k, under the leaf's floor, its bound less
+    the spatial term its heap entry carries; λ is read back from
     ``worst``. Only the k results get a breakdown from ``combined_score``,
     which reads the terms the leaf scorer recorded for them. ``audit``,
-    when a list, is filled with the key or bound of each pruned node (for
+    when a list, is filled with the bound of each pruned node (for
     dominance-safety tests). ``stats.stop`` says whether λ ended the
     search early.
     """
@@ -154,92 +142,48 @@ def top_k_search(q, index, audit=None):
     k = q.k
     stats = SearchStats()
     order = itertools.count()
-    # an entry is (bound, push order, node, f_v, spatial term), or, for a
-    # deferred key, (key, push order, node, spatial term, recency term, λ at the push)
-    heap = []
+    heap = []               # (bound, push order, node, visual bound, spatial term)
     worst = []              # max-heap via (-f_stv, -id, image)
     lam = math.inf          # k-th best f_stv so far
-    cut = False             # a node left unvisited whose bound was <= λ at its push
     nodes = index.roots()   # to push: the roots, then the children of each inner node visited
     stats.roots = len(nodes)
-    f_v = 0.0               # the roots' parent: each root is bounded at once
+    inherit = False         # whether ``nodes`` inherit their parent's decided 1.0
     while True:
         if nodes:
-            eager = f_v == 0.0
-            if eager:
+            if not inherit:
                 stats.bounds_evaluated += len(nodes)
-            inherit = f_v == 1.0 and ctx.misses_decide(node.max_freq)
             for child, (spatial, recency) in zip(nodes, index.bounds(q, nodes)):
-                if eager:
-                    own = mind_visual(child.max_freq)
-                    entry = (spatial + w2 * own + recency, next(order), child, own, spatial)
-                elif inherit:
-                    entry = (spatial + w2 * f_v + recency, next(order), child, f_v, spatial)
-                else:
-                    entry = (spatial + w2 * f_v + recency, next(order), child,
-                             spatial, recency, lam)
-                if entry[0] <= lam:
-                    heapq.heappush(heap, entry)
+                f_v = 1.0 if inherit else mind_visual(child.max_freq)
+                bound = spatial + w2 * f_v + recency
+                if bound <= lam:
+                    heapq.heappush(heap, (bound, next(order), child, f_v, spatial))
                 else:
                     stats.nodes_pruned += 1
                     if audit is not None:
-                        audit.append(entry[0])
+                        audit.append(bound)
             if len(heap) > stats.heap_peak:
                 stats.heap_peak = len(heap)
-            nodes = None
-        if not heap:
+        if not heap or heap[0][0] > lam:
             break
-        entry = heap[0]
-        if entry[0] > lam:
-            stats.nodes_pruned += len(heap)
-            if audit is not None:
-                audit.extend(e[0] for e in heap)
-            cut = cut or _pushed_within(heap, w2, mind_visual, stats)
-            break
-        if len(entry) == 6:
-            # a deferred key at the top: refine it to the exact bound in place
-            _, seq, node, spatial, recency, pushed_lam = entry
-            f_v = mind_visual(node.max_freq)
-            stats.bounds_evaluated += 1
-            bound = spatial + w2 * f_v + recency
-            if bound > lam:
-                heapq.heappop(heap)
-                stats.nodes_pruned += 1
-                if audit is not None:
-                    audit.append(bound)
-                cut = cut or bound <= pushed_lam
-            else:
-                heapq.heapreplace(heap, (bound, seq, node, f_v, spatial))
-            continue
-        heapq.heappop(heap)
-        bound, _, node, f_v, spatial = entry
+        bound, _, node, f_v, spatial = heapq.heappop(heap)
         stats.nodes_visited += 1
         nodes = node.children
         if nodes is None:
             stats.images_scored += len(index.candidates(q, node, worst, bound - spatial))
             if len(worst) == k:
                 lam = -worst[0][0]
+        else:
+            inherit = f_v == 1.0 and ctx.misses_decide(node.max_freq)
 
-    stats.stop = "bound" if cut else "exhausted"
+    if heap:
+        stats.stop = "bound"
+        stats.nodes_pruned += len(heap)
+        if audit is not None:
+            audit.extend(e[0] for e in heap)
     stats.lam = lam
     results = [ResultEntry(img.id, combined_score(q, img, params)) for _, _, img in worst]
     results.sort(key=lambda e: (e.score.f_stv, e.image_id))
     return results, stats
-
-
-def _pushed_within(heap, w2, mind_visual, stats):
-    """Whether a node left on the search's heap had an exact bound at most
-    λ when it was pushed: a node under its exact bound did, and so did
-    one under a deferred key pushed while λ was infinite. Any other
-    deferred key is refined, each in ``stats.bounds_evaluated``, until
-    one did."""
-    if any(len(e) == 5 or e[5] == math.inf for e in heap):
-        return True
-    for _, _, node, spatial, recency, pushed_lam in heap:
-        stats.bounds_evaluated += 1
-        if spatial + w2 * mind_visual(node.max_freq) + recency <= pushed_lam:
-            return True
-    return False
 
 
 def walk(roots):

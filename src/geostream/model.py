@@ -365,15 +365,12 @@ class CorpusStats:
                 m = f
         return m
 
-    def smoothing_floor(self, word, xi):
-        # weight of a word for an image that does not contain it
-        return self.weight_range(word, xi)[0]
-
     def weight_range(self, word, xi):
-        """``(smoothing_floor, max_weight)`` of ``word``, from one pass
-        over the buckets for its corpus tf and its live maximum. A bucket
-        holds a word in ``max_freq`` exactly when it counts it in
-        ``corpus_tf``."""
+        """``(floor, max_weight)`` of ``word``: the smoothing floor, its
+        weight for an image that does not hold it, and its live maximum
+        weight, from one pass over the buckets for its corpus tf and its
+        live maximum. A bucket holds a word in ``max_freq`` exactly when
+        it counts it in ``corpus_tf``."""
         tf = 0
         m = 0.0
         for bucket in self._buckets.values():

@@ -136,8 +136,8 @@ def check_dominance(seed, pairs, domain, tol=BOUND_TOL):
     also asserts the bound behind the leaf scorer's spatial radius
     (``QueryContext.score_leaf``): the image's own spatial cost with the
     leaf's visual bound and its recency cost at ``t_max``. For every
-    parent and child it asserts the nesting the search's deferred keys
-    rest on (``nesting_violations``). Returns the number of
+    parent and child it asserts the nesting that the search's inherited
+    visual bounds rest on (``nesting_violations``). Returns the number of
     violations (``dominance_violations``)."""
     rng = random.Random(seed)
     violations = 0
@@ -176,9 +176,12 @@ def dominance_violations(q, index, tol=BOUND_TOL):
 def nesting_violations(q, index):
     """The number of (parent, child) pairs of ``index``'s trees where the
     child's ``t_max`` exceeds its parent's, a word of its ``max_freq``
-    exceeds its parent's, or its deferred key (its terms from
-    ``index.bounds`` with the parent's visual bound) exceeds its exact
-    bound ``index.mind(q, child)``; the key is compared with no tolerance."""
+    exceeds its parent's, or its terms from ``index.bounds`` with the
+    parent's visual bound exceed its exact bound ``index.mind(q, child)``,
+    compared with no tolerance. The search gives a child its parent's
+    visual bound, 1.0, when the miss count decided the parent's; that
+    rests on the child's ``max_freq`` keys being a subset of its
+    parent's, which the ``max_freq`` check implies."""
     context = index.params.context(q)
     violations = 0
     for parent in walk(index.roots()):

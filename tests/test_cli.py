@@ -349,6 +349,16 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "--capacity" in err and "abc" in err
 
+    @pytest.mark.parametrize("command", ["generate", "query", "bench", "verify"])
+    def test_unknown_config_key_exit_data(self, command, tmp_path, capsys):
+        # a misspelt key would otherwise leave its flag at the default
+        cfg = tmp_path / "geo.cfg"
+        cfg.write_text("seed=3\ncapacty=5\n")
+        code, out, err = run([command, "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "line 2" in err and "'capacty'" in err
+        assert out == ""
+
     def test_config_line_without_value_exit_data(self, tmp_path, capsys):
         cfg = tmp_path / "geo.cfg"
         cfg.write_text("capacity\n")

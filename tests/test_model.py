@@ -684,7 +684,7 @@ def reference_visual(q, image, p):
 
 def reference_mind(q, node_max_freq, p):
     stats, xi = p.stats, p.xi
-    weights = [(1.0 - xi) * node_max_freq.get(v, 0.0) + stats.smoothing_floor(v, xi)
+    weights = [(1.0 - xi) * node_max_freq.get(v, 0.0) + stats.weight_range(v, xi)[0]
                for v in q.psi]
     maxima = [stats.max_weight(v, xi) for v in q.psi]
     return kernels.relevance_cost(weights, maxima)
