@@ -131,7 +131,7 @@ def build_parser():
     q = sub.add_parser("query", help="build an index from a dataset and run queries",
                        parents=[common, indexed])
     q.add_argument("--data", required=True)
-    q.add_argument("--index", choices=("hiq", "ifa", "stvii"), default="hiq")
+    q.add_argument("--index", choices=bench_mod.INDEX_KINDS, default="hiq")
     q.add_argument("--queries", help="query TSV file; omit for a single inline query")
     q.add_argument("--lat", type=float)
     q.add_argument("--lon", type=float)
@@ -153,7 +153,7 @@ def build_parser():
     b.add_argument("--mean-words", type=float, default=40.0)
     b.add_argument("--spatial-mode", choices=("uniform", "clusters"), default="clusters")
 
-    v = sub.add_parser("verify", help="oracle-equivalence and bound-dominance suites",
+    v = sub.add_parser("verify", help="oracle-equivalence, structure and bound-dominance suites",
                        parents=[common, seeded])
     v.add_argument("--instances", type=_at_least_one, default=50)
     parser.commands = sub.choices

@@ -11,6 +11,9 @@ dict of the segment's bucket in the corpus statistics
 (``CorpusStats.bucket``), which ``CorpusStats.add_image`` folds each
 image into right after the tree takes it, so each segment holds one copy
 of its word maxima; ``add_to_aggregates`` folds the nodes below the root.
+A split recurses (``_split``), so a node is inner exactly when it lies
+above ``max_depth`` and holds more than ``capacity`` images: a segment's
+tree is a function of its images, leaf order aside.
 A segment's tree opens with its first image and leaves whole, with its
 bucket, once the window starts after it; a tree a cutoff splits is
 rebuilt from its survivors under the bucket the statistics rebuilt.
@@ -90,7 +93,10 @@ def _root(domain, max_freq):
     return root
 
 
-def _split(node):
+def _split(node, depth, cfg):
+    """Makes the leaf ``node``, at ``depth``, an inner node over its four
+    quadrants, each taking its images in arrival order, and splits again
+    each child above ``cfg.capacity`` at a depth below ``cfg.max_depth``."""
     children = node.make_children()
     for img in node.images:
         child = children[node.quadrant(img.lat, img.lon)]
@@ -98,6 +104,11 @@ def _split(node):
         child.images.append(img)
     node.children = children
     node.images = []
+    depth += 1
+    if depth < cfg.max_depth:
+        for child in children:
+            if len(child.images) > cfg.capacity:
+                _split(child, depth, cfg)
 
 
 class HiqIndex(TreeIndex):
@@ -150,7 +161,7 @@ class HiqIndex(TreeIndex):
             add_to_aggregates(node, t, img.freq)
         node.images.append(img)
         if len(node.images) > cfg.capacity and depth < cfg.max_depth:
-            _split(node)
+            _split(node, depth, cfg)
 
     # -- search surface (TreeIndex) ------------------------------------
 

@@ -339,31 +339,11 @@ class CorpusStats:
             if img.id not in gone:
                 self.add_image(img)
 
-    @property
-    def word_corpus_tf(self):
-        """word -> corpus tf over the live buckets: a new dict, summed from
-        the buckets' counts at each read, for checks and reports."""
-        out = {}
-        for bucket in self._buckets.values():
-            for word, tf in bucket.corpus_tf.items():
-                out[word] = out.get(word, 0) + tf
-        return out
-
     def corpus_tf(self, word):
         tf = 0
         for bucket in self._buckets.values():
             tf += bucket.corpus_tf.get(word, 0)
         return tf
-
-    def max_freq(self, word):
-        """The live maximum of tf/|I.psi| over the images holding
-        ``word``; 0.0 when none does."""
-        m = 0.0
-        for bucket in self._buckets.values():
-            f = bucket.max_freq.get(word, 0.0)
-            if f > m:
-                m = f
-        return m
 
     def weight_range(self, word, xi):
         """``(floor, max_weight)`` of ``word``: the smoothing floor, its

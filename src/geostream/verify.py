@@ -1,6 +1,8 @@
-"""Self-checks: oracle equivalence across all indexes and lower-bound
-dominance audits on seeded random instances. Shared by ``geostream
-verify`` and the test suite."""
+"""Self-checks: oracle equivalence across all indexes, lower-bound
+dominance audits on seeded random instances, and one structure check of
+any index against a recount of its live images
+(``structure_violations``). Shared by ``geostream verify`` and the test
+suite."""
 
 from __future__ import annotations
 
@@ -95,11 +97,13 @@ def results_match(a, b, tol=SCORE_TOL):
 def check_oracle_equivalence(seed, instances, domain, max_images=500,
                              queries_per_dataset=20, capacity=8):
     """Runs (instances) random (dataset, query) pairs through HIQ, IFA,
-    STVII and the oracle; returns the number of mismatches. The window
-    holds 3 of the data's 20,000 s segments, so the older part of each
-    dataset has expired before the queries."""
+    STVII and the oracle; returns the number of mismatches and the
+    ``structure_violations`` of each index built, each led by the index's
+    kind. The window holds 3 of the data's 20,000 s segments, so the
+    older part of each dataset has expired before the queries."""
     rng = random.Random(seed)
     failures = 0
+    faults = []
     done = 0
     while done < instances:
         n = rng.randint(5, max_images)
@@ -112,6 +116,8 @@ def check_oracle_equivalence(seed, instances, domain, max_images=500,
             max_depth=8,
         )
         hiq, ifa, stvii = build_all(images, config)
+        faults += [f"{index.kind}: {fault}" for index in (hiq, ifa, stvii)
+                   for fault in structure_violations(index)]
         live = list(hiq.live_images())
         for _ in range(min(queries_per_dataset, instances - done)):
             q = random_query(rng, images, domain)
@@ -122,7 +128,135 @@ def check_oracle_equivalence(seed, instances, domain, max_images=500,
             ):
                 failures += 1
             done += 1
-    return failures
+    return failures, faults
+
+
+def _maxima(images):
+    """``(t_max, max_freq)`` recounted from ``images``; None and {} for none."""
+    t_max, max_freq = None, {}
+    for img in images:
+        t_max = img.t_c if t_max is None else max(t_max, img.t_c)
+        for word, tf in img.psi:
+            max_freq[word] = max(max_freq.get(word, 0.0), tf / img.total_tf)
+    return t_max, max_freq
+
+
+def stats_violations(stats, images):
+    """How the ``CorpusStats`` ``stats`` differ from a recount of
+    ``images``, bucket by bucket (``t_c // segment_span``): the bucket keys,
+    each bucket's ids, ``total_tf``, ``corpus_tf``, ``t_max`` and
+    ``max_freq``, and ``total_word_count``, their sum. Empty when exact."""
+    groups = {}
+    for img in images:
+        groups.setdefault(img.t_c // stats._span, []).append(img)
+    out = [] if groups.keys() == stats._buckets.keys() else ["bucket keys"]
+    for key in groups.keys() & stats._buckets.keys():
+        group, bucket = groups[key], stats._buckets[key]
+        corpus_tf = {}
+        for img in group:
+            for word, tf in img.psi:
+                corpus_tf[word] = corpus_tf.get(word, 0) + tf
+        held = (sorted(bucket.images), bucket.total_tf, bucket.corpus_tf, bucket.t_max,
+                bucket.max_freq)
+        recount = (sorted(img.id for img in group), sum(corpus_tf.values()), corpus_tf,
+                   *_maxima(group))
+        out += [f"bucket {key}: {name}" for name, a, b in zip(
+            ("ids", "total_tf", "corpus_tf", "t_max", "max_freq"), held, recount) if a != b]
+    if stats.total_word_count != sum(tf for img in images for _word, tf in img.psi):
+        out.append("total_word_count")
+    return out
+
+
+def structure_violations(index):
+    """A short message per fault of ``index`` against a recount of its
+    live images; empty when it is sound. Beside ``stats_violations``: no
+    live image precedes the window; a tree's leaves hold the live images
+    once each, inside their ``_rect``, and each node's ``t_max`` and
+    ``max_freq`` are a recount of the images under it. HIQ keeps one tree
+    per held segment key, with only its images and its bucket's very
+    ``max_freq`` at the root; children tile their parent at the midpoints,
+    and a leaf exceeds ``capacity`` only at ``max_depth``. No STVII node is
+    empty, each ``mbr`` bounds its points, and fan-out and leaves are at
+    most ``capacity``. IFA: ``_ifa_violations``."""
+    live = index.live_images()
+    out = stats_violations(index.stats, live)
+    if live and min(img.t_c for img in live) < index.window_start():
+        out.append("a live image older than the window start")
+    if isinstance(index, IfaIndex):
+        return out + _ifa_violations(index, live)
+    hiq = isinstance(index, HiqIndex)
+    span = index.config.segment_span
+    trees = index._trees if hiq else dict(enumerate(index.roots()))
+    if hiq and trees.keys() != {img.t_c // span for img in live}:
+        out.append("not one tree per segment that holds an image")
+    held = []
+    for key, root in trees.items():
+        images = _node_violations(index, root, 0, out)
+        held += images
+        if hiq and root.max_freq is not getattr(index.stats._buckets.get(key), "max_freq", None):
+            out.append(f"root of segment {key}: max_freq is not its bucket's")
+        if hiq and any(img.t_c // span != key for img in images):
+            out.append(f"tree of segment {key}: an image of another segment")
+    if sorted(img.id for img in held) != sorted(img.id for img in live):
+        out.append("the leaves do not hold the live images once each")
+    return out
+
+
+def _node_violations(index, node, depth, out):
+    """Appends the tree faults of ``structure_violations`` at ``node``, at
+    ``depth``, and below it to ``out``; returns the images under it."""
+    hiq = isinstance(index, HiqIndex)
+    capacity = index.config.capacity
+    if node.children is None:
+        images = node.images
+        if len(images) > capacity and not (hiq and depth == index.config.max_depth):
+            out.append(f"leaf at depth {depth}: {len(images)} images")
+        if images:
+            min_lat, min_lon, max_lat, max_lon = index._rect(node)
+            out += [f"image {img.id} outside its leaf" for img in images
+                    if not (min_lat <= img.lat <= max_lat and min_lon <= img.lon <= max_lon)]
+    else:
+        if hiq and list(map(index._rect, node.children)) != \
+                list(map(index._rect, node.make_children())):
+            out.append(f"node at depth {depth}: children do not tile it")
+        if not hiq and len(node.children) > capacity:
+            out.append(f"node at depth {depth}: {len(node.children)} children")
+        images = [img for child in node.children
+                  for img in _node_violations(index, child, depth + 1, out)]
+    if not hiq and (not images or list(node.mbr) != [
+            f(getattr(img, axis) for img in images) for f in (min, max)
+            for axis in ("lat", "lon", "t_c")]):
+        out.append(f"node at depth {depth}: {'mbr' if images else 'empty'}")
+    t_max, max_freq = _maxima(images)
+    out += [f"node at depth {depth}: {name}" for name, a, b in (
+        ("t_max", node.t_max, t_max), ("max_freq", node.max_freq, max_freq)) if a != b]
+    return images
+
+
+def _ifa_violations(index, live):
+    """IFA's faults, each named by its message: the columns, the ``alive``
+    flags, the postings, and the slot count against twice the live count."""
+    ids, alive = index.ids, index.alive
+    n = len(ids)
+    if not len(index.lat) == len(index.lon) == len(index.t_c) == len(alive) == n:
+        return ["the slot columns differ in length"]
+    slot_of = {ids[s]: s for s in range(n) if alive[s]}
+    if sorted(ids[s] for s in range(n) if alive[s]) != sorted(img.id for img in live):
+        return ["the set alive flags are not the live images' slots"]
+    expected = {}
+    for img in live:
+        for word, tf in img.psi:
+            expected.setdefault(word, []).append((slot_of[img.id], tf / img.total_tf))
+    out, held = [], {}
+    for word, (slots, freqs) in index.postings.items():
+        if len(freqs) != len(slots) or list(slots) != sorted(set(slots)):
+            out.append(f"postings of word {word}: not one per slot in slot order")
+        held[word] = [(s, f) for s, f in zip(slots, freqs) if alive[s]]
+    if {w: p for w, p in held.items() if p} != {w: sorted(p) for w, p in expected.items()}:
+        out.append("the live postings are not the live images' words")
+    if n != len(live) and n >= 2 * len(live):
+        out.append(f"{n} slots for {len(live)} live images")
+    return out
 
 
 def _subtree_images(node):
@@ -218,10 +352,15 @@ def run_verification(seed=0, instances=50, domain=None):
     if domain is None:
         domain = SpatialDomain(0.0, 100.0, 0.0, 100.0)
     report = VerifyReport()
-    mismatches = check_oracle_equivalence(seed, instances, domain, max_images=200)
+    mismatches, faults = check_oracle_equivalence(seed, instances, domain, max_images=200)
     report.record(
         "oracle-equivalence", mismatches == 0,
         f"{instances} instances, {mismatches} mismatches",
+    )
+    report.record(
+        "structure", not faults,
+        f"every index the oracle check built, {len(faults)} violations"
+        + (f", first: {faults[0]}" if faults else ""),
     )
     violations = check_dominance(seed + 1, max(10, instances // 2), domain)
     report.record(

@@ -12,13 +12,14 @@ from geostream import bench
 from geostream.baselines import IfaIndex
 from geostream.engine import brute_force_oracle, top_k_search
 from geostream.hiq import HiqConfig, HiqIndex
-from geostream.model import CorpusStats, SpatialDomain
+from geostream.model import SpatialDomain
 from geostream.verify import (
     check_dominance,
     check_oracle_equivalence,
     random_images,
     random_query,
     results_match,
+    structure_violations,
 )
 from geostream.workload import (
     GeneratorConfig,
@@ -35,12 +36,14 @@ DOMAIN = SpatialDomain(0.0, 100.0, 0.0, 100.0)
 
 
 def test_oracle_equivalence_1000_instances():
-    mismatches = check_oracle_equivalence(
+    mismatches, faults = check_oracle_equivalence(
         seed=101, instances=1000, domain=DOMAIN,
         max_images=500, queries_per_dataset=20, capacity=8,
     )
     assert mismatches == 0
-    print("\nPASS oracle equivalence: 1000 instances, HIQ/IFA/STVII == oracle @1e-9")
+    assert faults == []
+    print("\nPASS oracle equivalence: 1000 instances, HIQ/IFA/STVII == oracle @1e-9,"
+          " each index's structure sound")
 
 
 def test_bound_dominance_200_pairs():
@@ -84,14 +87,8 @@ def test_streaming_consistency(window):
     cutoff = index.segments[0].start
     assert all(img.t_c >= cutoff for img in live)
 
-    # stats equal a from-scratch recomputation over the live window
-    fresh = CorpusStats(span)
-    for img in live:
-        fresh.add_image(img)
-    assert index.stats.total_word_count == fresh.total_word_count
-    assert index.stats.word_corpus_tf == fresh.word_corpus_tf
-    for w in fresh.word_corpus_tf:
-        assert index.stats.max_freq(w) == fresh.max_freq(w)
+    # stats and trees equal a recount of the live window
+    assert structure_violations(index) == []
 
     # queries equal the oracle over exactly the live window
     checked = 0

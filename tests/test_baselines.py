@@ -20,9 +20,14 @@ from geostream.model import (
     GeoTemporalImage,
     Query,
     ScoreParams,
-    combined_score,
 )
-from geostream.verify import random_images, random_query, results_match
+from geostream.verify import (
+    dominance_violations,
+    random_images,
+    random_query,
+    results_match,
+    structure_violations,
+)
 
 
 def make_config(domain, **kw):
@@ -178,13 +183,7 @@ def test_off_grid_expire_matches_recount(cls, domain):
                 index.insert(im)
             live += more
         assert sorted(im.id for im in index.live_images()) == sorted(im.id for im in live)
-        fresh = CorpusStats(index.config.segment_span)
-        for im in live:
-            fresh.add_image(im)
-        assert index.stats.total_word_count == fresh.total_word_count
-        assert index.stats.word_corpus_tf == fresh.word_corpus_tf
-        for w in range(20):
-            assert index.stats.max_freq(w) == fresh.max_freq(w)
+        assert structure_violations(index) == []
         for _ in range(5):
             q = random_query(rng, live, domain, vocab=22, max_words=6)
             assert results_match(index.search(q)[0], oracle_over_live_set(q, index))
@@ -217,17 +216,8 @@ class TestIfa:
             index.insert(im)
         for cutoff in (0, 30_000, 60_000):
             index.expire(cutoff)
+            assert structure_violations(index) == []
             live = {im.id: im for im in index.live_images()}
-            alive = [bool(a) for a in index.alive]
-            assert len(alive) == len(index.ids) == len(index.t_c) \
-                == len(index.lat) == len(index.lon)
-            assert sorted(index.ids[s] for s, a in enumerate(alive) if a) == sorted(live)
-            for word, (slots, freqs) in index.postings.items():
-                assert list(slots) == sorted(set(slots))
-                held = sorted((index.ids[s], f) for s, f in zip(slots, freqs) if alive[s])
-                assert held == sorted((iid, tf / im.total_tf)
-                                      for iid, im in live.items() for w, tf in im.psi if w == word)
-            assert {w for im in live.values() for w, _tf in im.psi} <= set(index.postings)
             for _ in range(10):
                 q = random_query(rng, list(live.values()), domain, max_words=5)
                 q = Query(psi=q.psi, loc=q.loc, t=q.t, k=50, weights=q.weights)
@@ -269,14 +259,7 @@ class TestIfa:
         survivors = {im.id for im in images if im.t_c >= 5000}
         assert removed == len(images) - len(survivors)
         assert {im.id for im in index.live_images()} == survivors
-        # stats reflect the survivors exactly
-        from geostream.model import CorpusStats
-
-        fresh = CorpusStats(index.config.segment_span)
-        for im in index.live_images():
-            fresh.add_image(im)
-        assert index.stats.word_corpus_tf == fresh.word_corpus_tf
-        assert index.stats.total_word_count == fresh.total_word_count
+        assert structure_violations(index) == []
 
     def test_expire_edge_cases(self, domain):
         index = IfaIndex(make_config(domain))
@@ -487,17 +470,15 @@ def test_expire_rejects_non_finite_cutoff(cls, cutoff, domain):
     index = cls(make_config(domain, segment_span=100))
     for i in range(6):
         index.insert(img(i, t_c=50 * i, psi=((i % 3, 1), (7, i + 1))))
-    stats = index.stats
 
     def state():
-        return ([im.id for im in index.live_images()], index.window_start(), stats.version,
-                stats.total_word_count, dict(stats.word_corpus_tf),
-                [stats.max_freq(w) for w in range(8)])
+        return [im.id for im in index.live_images()], index.window_start(), index.stats.version
 
     before = state()
     with pytest.raises(ConfigError, match="expire cutoff must be finite"):
         index.expire(cutoff)
     assert state() == before
+    assert structure_violations(index) == []
 
 
 @pytest.mark.parametrize("bad", [dict(id=2 ** 63), dict(id=2, t_c=2 ** 63),
@@ -541,35 +522,6 @@ def test_numpy_int_cutoff_is_exact(cls, domain):
     assert [im.id for im in index.live_images()] == [1, 2]
 
 
-def _subtree_images(node):
-    out = []
-    for n in walk([node]):
-        if n.children is None:
-            out.extend(n.images)
-    return out
-
-
-def audit_stvii(index):
-    """Checks every node of a STVII tree: it is not empty, its box is the
-    bounding box of the (lat, lon, t_c) points below it, its ``t_max``
-    and ``max_freq`` equal those recomputed from its images, and none of
-    them is older than the window start."""
-    for node in walk(index.roots()):
-        subtree = _subtree_images(node)
-        assert subtree
-        points = [(im.lat, im.lon, im.t_c) for im in subtree]
-        assert list(node.mbr) == [min(p[d] for p in points) for d in range(3)] + \
-            [max(p[d] for p in points) for d in range(3)]
-        expected = {}
-        for im in subtree:
-            for w, tf in im.psi:
-                f = tf / im.total_tf
-                expected[w] = max(expected.get(w, 0.0), f)
-        assert node.max_freq == expected
-        assert node.t_max == max(im.t_c for im in subtree)
-        assert min(im.t_c for im in subtree) >= index.window_start()
-
-
 class TestStvii:
     def test_first_insert_degenerate_mbr(self, domain):
         index = StviiIndex(make_config(domain))
@@ -600,7 +552,7 @@ class TestStvii:
         for im in images:
             index.insert(im)
         assert sorted(im.id for im in index.live_images()) == list(range(1000))
-        audit_stvii(index)
+        assert structure_violations(index) == []
 
     def test_mind_zero_inside_fresh_covering_node(self, domain):
         index = StviiIndex(make_config(domain))
@@ -618,11 +570,7 @@ class TestStvii:
             index.insert(im)
         for _ in range(20):
             q = random_query(rng, images, domain)
-            for node in walk([index.root]):
-                subtree = _subtree_images(node)
-                bound = index.mind(q, node)
-                low = min(combined_score(q, im, index.params).f_stv for im in subtree)
-                assert bound <= low + 1e-9
+            assert dominance_violations(q, index, tol=1e-9) == 0
 
     def test_search_matches_oracle(self, domain):
         rng = random.Random(37)
@@ -646,7 +594,7 @@ class TestStvii:
         survivors = {im.id for im in images if im.t_c >= 6000}
         assert removed == len(images) - len(survivors)
         assert {im.id for im in index.live_images()} == survivors
-        audit_stvii(index)
+        assert structure_violations(index) == []
         # four more expiries, each after arrivals no older than the last cutoff
         live = {im.id: im for im in images if im.t_c >= 6000}
         cutoffs = (6000, 7000, 8000, 9000, 9500)
@@ -660,7 +608,7 @@ class TestStvii:
             assert removed == sum(1 for im in live.values() if im.t_c < cutoff)
             live = {i: im for i, im in live.items() if im.t_c >= cutoff}
             assert {im.id for im in index.live_images()} == set(live)
-            audit_stvii(index)
+            assert structure_violations(index) == []
             for _ in range(5):
                 q = random_query(rng, list(live.values()), domain)
                 assert results_match(index.search(q)[0], oracle_over_live_set(q, index))
@@ -675,7 +623,7 @@ class TestStvii:
         index = StviiIndex(make_config(domain, capacity=20))
         for im in images:
             index.insert(im)
-        audit_stvii(index)
+        assert structure_violations(index) == []
         area = sum((n.mbr[3] - n.mbr[0]) * (n.mbr[4] - n.mbr[1])
                    for n in walk(index.roots()) if n.children is None)
         domain_area = (domain.max_lat - domain.min_lat) * (domain.max_lon - domain.min_lon)

@@ -271,6 +271,7 @@ class TestVerify:
         code, out, _ = run(["verify", "--instances", "10", "--seed", "3"], capsys)
         assert code == 0
         assert "PASS oracle-equivalence" in out
+        assert "PASS structure" in out
         assert "PASS bound-dominance" in out
 
     @pytest.mark.parametrize("instances", ["0", "-3"])

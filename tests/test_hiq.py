@@ -5,10 +5,16 @@ import numpy as np
 import pytest
 
 from geostream.baselines import IfaIndex, StviiIndex
-from geostream.engine import brute_force_oracle, top_k_search
+from geostream.engine import brute_force_oracle, top_k_search, walk
 from geostream.hiq import ExpiredArrivalError, HiqConfig, HiqIndex
-from geostream.model import ConfigError, CorpusStats, DomainError, GeoTemporalImage, Query
-from geostream.verify import random_images, random_query, results_match
+from geostream.model import ConfigError, DomainError, GeoTemporalImage, Query
+from geostream.verify import (
+    dominance_violations,
+    random_images,
+    random_query,
+    results_match,
+    structure_violations,
+)
 
 INDEX_CLASSES = [HiqIndex, IfaIndex, StviiIndex]
 
@@ -65,6 +71,24 @@ class TestInsert:
             assert len(child.images) == 1
             assert child.images[0].lat == lat and child.images[0].lon == lon
 
+    @pytest.mark.parametrize("capacity", [2, 4])
+    def test_tree_is_a_function_of_its_images(self, domain, capacity):
+        # five images in one corner share every cell down to depth 6; in
+        # either order a split recurses until no leaf above max_depth holds
+        # more than capacity, so the two trees are equal but for leaf order
+        rng = random.Random(capacity)
+        images = random_images(rng, 400, domain, t_lo=0, t_hi=99_000) + [
+            img(1000 + i, 0.5 + 0.1 * i, 0.5, 50_000) for i in range(5)]
+        trees = []
+        for order in (images, images[::-1]):
+            index = HiqIndex(make_config(domain, capacity=capacity, segment_span=100_000))
+            for im in order:
+                index.insert(im)
+            assert structure_violations(index) == []     # so children tile parents
+            trees.append([(node.children is None, sorted(im.id for im in node.images))
+                          for node in walk(index.roots())])
+        assert trees[0] == trees[1]
+
     def test_domain_violation(self, domain):
         index = HiqIndex(make_config(domain))
         with pytest.raises(DomainError):
@@ -87,41 +111,6 @@ class TestInsert:
         assert sorted(im.id for im in index.live_images()) == sorted(im.id for im in images)
 
 
-def _walk(node):
-    yield node
-    if node.children is not None:
-        for c in node.children:
-            yield from _walk(c)
-
-
-def _subtree_images(node):
-    out = []
-    for n in _walk(node):
-        if n.children is None:
-            out.extend(n.images)
-    return out
-
-
-def audit_hiq(index):
-    """Checks every HIQ tree: each node's ``t_max`` and ``max_freq`` equal
-    a recount of the images below it (``None`` and ``{}`` for an empty
-    quadrant), and each root's ``max_freq`` is the very dict of its
-    segment's bucket in the corpus statistics."""
-    buckets = index.stats._buckets
-    span = index.config.segment_span
-    for key, root in index._trees.items():
-        assert root.max_freq is buckets[key].max_freq
-        for node in _walk(root):
-            subtree = _subtree_images(node)
-            assert all(im.t_c // span == key for im in subtree)
-            assert node.t_max == (max(im.t_c for im in subtree) if subtree else None)
-            expected = {}
-            for im in subtree:
-                for w, tf in im.psi:
-                    expected[w] = max(expected.get(w, 0.0), tf / im.total_tf)
-            assert node.max_freq == expected
-
-
 class TestStructuralInvariants:
     @pytest.fixture
     def built(self, domain):
@@ -132,19 +121,9 @@ class TestStructuralInvariants:
             index.insert(im)
         return index
 
-    def test_inner_max_weight_equals_subtree_max(self, built):
-        for seg in built.segments:
-            for node in _walk(seg.root):
-                subtree = _subtree_images(node)
-                expected = {}
-                for im in subtree:
-                    for w, tf in im.psi:
-                        f = tf / im.total_tf
-                        expected[w] = max(expected.get(w, 0.0), f)
-                assert node.max_freq == expected
-
     def test_roots_share_their_buckets_maxima(self, built):
-        audit_hiq(built)
+        # and every other structure rule: aggregates, tiling, rectangles
+        assert structure_violations(built) == []
         assert len(built.roots()) > 1
 
     def test_cutoff_inside_a_segment_rebuilds_root_on_new_bucket(self, domain):
@@ -156,55 +135,20 @@ class TestStructuralInvariants:
         images = random_images(rng, 80, domain, t_lo=0, t_hi=399)
         for im in sorted(images, key=lambda x: x.t_c):
             index.insert(im)
-        audit_hiq(index)
+        assert structure_violations(index) == []
         old = index._trees[1].max_freq
         assert index.expire(150) == sum(1 for im in images if im.t_c < 150)
-        audit_hiq(index)
+        assert structure_violations(index) == []
         assert index._trees[1].max_freq is not old
         assert sorted(index._trees) == [1, 2, 3]
 
-    def test_t_max_equals_subtree_max(self, built):
-        for seg in built.segments:
-            for node in _walk(seg.root):
-                subtree = _subtree_images(node)
-                if subtree:
-                    assert node.t_max == max(im.t_c for im in subtree)
-
-    def test_children_tile_parent(self, built):
-        for seg in built.segments:
-            for node in _walk(seg.root):
-                if node.children is None:
-                    continue
-                nw, ne, sw, se = node.children
-                mid_lat = (node.min_lat + node.max_lat) / 2
-                mid_lon = (node.min_lon + node.max_lon) / 2
-                assert nw.min_lat == mid_lat and nw.max_lon == mid_lon
-                assert ne.min_lat == mid_lat and ne.min_lon == mid_lon
-                assert sw.max_lat == mid_lat and sw.max_lon == mid_lon
-                assert se.max_lat == mid_lat and se.min_lon == mid_lon
-                for child in node.children:
-                    assert child.min_lat >= node.min_lat and child.max_lat <= node.max_lat
-                    assert child.min_lon >= node.min_lon and child.max_lon <= node.max_lon
-
-    def test_images_inside_rects(self, built):
-        for seg in built.segments:
-            for node in _walk(seg.root):
-                if node.children is not None:
-                    continue
-                for im in node.images:
-                    assert node.min_lat <= im.lat <= node.max_lat
-                    assert node.min_lon <= im.lon <= node.max_lon
-
     def test_segment_spans_disjoint_contiguous(self, built):
+        # a tree holds one segment's images (structure_violations), so a
+        # root's t_max places the tree
         segs = built.segments
         for a, b in zip(segs, segs[1:]):
             assert a.end == b.start
-        held = 0
-        for seg in segs:
-            for im in _subtree_images(seg.root):
-                assert seg.start <= im.t_c < seg.end
-                held += 1
-        assert held == built.image_count()
+        assert all(s.start <= s.root.t_max < s.end for s in segs if s.root.t_max is not None)
 
 
 class TestRollSegment:
@@ -229,9 +173,9 @@ class TestRollSegment:
         for im in sorted(images, key=lambda x: x.t_c):
             index.insert(im)
         survivor_roots = [seg.root for seg in index.segments[1:]]
-        before = [sorted(im.id for im in _subtree_images(r)) for r in survivor_roots]
+        before = [[list(node.images) for node in walk([r])] for r in survivor_roots]
         index.roll_segment(60_000)
-        after = [sorted(im.id for im in _subtree_images(r)) for r in survivor_roots]
+        after = [[list(node.images) for node in walk([r])] for r in survivor_roots]
         assert before == after
 
     def test_roll_walks_no_tree(self, domain, monkeypatch):
@@ -269,8 +213,7 @@ class TestRollSegment:
         assert index.expire(4300) == 2
         assert walks == [[split]]
         assert sorted(im.id for im in index.live_images()) == [1000, 1003]
-        assert sorted(im.id for im in _subtree_images(index.segments[-1].root)) == \
-            [1000, 1003]
+        assert structure_violations(index) == []
 
     def test_sparse_window_keeps_a_tree_per_held_segment(self, domain):
         # two images, in the first and the last span of a 1000-span window:
@@ -313,13 +256,7 @@ class TestRollSegment:
             index.insert(im)
             if i % 37 == 0:
                 index.roll_segment(im.t_c)
-        fresh = CorpusStats(index.config.segment_span)
-        for im in index.live_images():
-            fresh.add_image(im)
-        assert index.stats.total_word_count == fresh.total_word_count
-        assert index.stats.word_corpus_tf == fresh.word_corpus_tf
-        for w in fresh.word_corpus_tf:
-            assert index.stats.max_freq(w) == fresh.max_freq(w)
+        assert structure_violations(index) == []
 
     def test_timestamp_jump_rolls_in_bounded_time(self, domain):
         rng = random.Random(6)
@@ -342,11 +279,7 @@ class TestRollSegment:
         assert [im.id for im in index.live_images()] == [10_000]
         assert len(index.segments) == 4
         assert index.segments[-1].start <= late.t_c < index.segments[-1].end
-        fresh = CorpusStats(index.config.segment_span)
-        fresh.add_image(late)
-        assert index.stats.total_word_count == fresh.total_word_count
-        assert index.stats.word_corpus_tf == fresh.word_corpus_tf
-        assert index.stats.max_freq(1) == fresh.max_freq(1)
+        assert structure_violations(index) == []
 
     @pytest.mark.parametrize("spans", [1, 2, 3, 4, 5, 9])
     def test_jump_leaves_the_segments_rolling_leaves(self, domain, spans):
@@ -393,10 +326,7 @@ def _assert_same_window(jumped, rolled, rng, domain):
     live = rolled.live_images()
     assert [im.id for im in jumped.live_images()] == [im.id for im in live]
     assert jumped.window_start() == rolled.window_start()
-    a, b = jumped.stats, rolled.stats
-    assert a.word_corpus_tf == b.word_corpus_tf
-    assert a.total_word_count == b.total_word_count
-    assert [a.max_freq(w) for w in range(60)] == [b.max_freq(w) for w in range(60)]
+    assert structure_violations(jumped) == structure_violations(rolled) == []
     if isinstance(jumped, HiqIndex):
         assert [(s.start, s.end) for s in jumped.segments] == \
             [(s.start, s.end) for s in rolled.segments]
@@ -427,8 +357,6 @@ class TestMind:
             assert bound <= combined_score(q, im, index.params).f_stv + 1e-12
 
     def test_dominance_random_subtrees(self, domain):
-        from geostream.model import combined_score
-
         rng = random.Random(6)
         index = HiqIndex(make_config(domain, capacity=4, segment_span=50_000))
         images = random_images(rng, 300, domain, t_lo=0, t_hi=49_000)
@@ -436,11 +364,4 @@ class TestMind:
             index.insert(im)
         for _ in range(20):
             q = random_query(rng, images, domain)
-            for seg in index.segments:
-                for node in _walk(seg.root):
-                    subtree = _subtree_images(node)
-                    if not subtree:
-                        continue
-                    bound = index.mind(q, node)
-                    low = min(combined_score(q, im, index.params).f_stv for im in subtree)
-                    assert bound <= low + 1e-9
+            assert dominance_violations(q, index, tol=1e-9) == 0

@@ -29,7 +29,7 @@ from geostream.model import (
     visual_relevance,
     visual_weight,
 )
-from geostream.verify import build_all, random_images
+from geostream.verify import build_all, random_images, stats_violations
 
 
 def img(id=0, lat=50.0, lon=50.0, t_c=1000, psi=((1, 1),)):
@@ -141,7 +141,7 @@ class TestVisualRelevance:
         for v in (1, 2):
             floor = 0.4 * p.stats.corpus_tf(v) / p.stats.total_word_count
             num *= floor
-            den *= (1 - 0.4) * p.stats.max_freq(v) + floor
+            den *= (1 - 0.4) * max_freq_of([holder, empty])[v] + floor
         assert got == pytest.approx(1.0 - num / den, abs=1e-12)
         assert 0.0 < got < 1.0
 
@@ -438,13 +438,7 @@ class TestCorpusStats:
         removed = images[:60]
         for i in removed:
             stats.remove_image(i)
-        fresh = CorpusStats(3600)
-        for i in images[60:]:
-            fresh.add_image(i)
-        assert stats.total_word_count == fresh.total_word_count
-        assert stats.word_corpus_tf == fresh.word_corpus_tf
-        for w in range(20):
-            assert stats.max_freq(w) == fresh.max_freq(w)
+        assert stats_violations(stats, images[60:]) == []
 
     @pytest.mark.parametrize("stranger", [
         img(id=7, t_c=150, psi=((1, 5),)),      # an id its bucket does not hold
@@ -452,42 +446,13 @@ class TestCorpusStats:
     ], ids=["unknown-id", "no-bucket"])
     def test_remove_image_not_held(self, stranger):
         stats = CorpusStats(100)
-        for i, t in enumerate((120, 180, 250)):
-            stats.add_image(img(id=i, t_c=t, psi=((1, i + 1), (2, 1))))
-
-        def state():
-            return (stats.version, stats.total_word_count, dict(stats.word_corpus_tf),
-                    [stats.max_freq(w) for w in range(4)])
-
-        before = state()
+        held = [img(id=i, t_c=t, psi=((1, i + 1), (2, 1))) for i, t in enumerate((120, 180, 250))]
+        for i in held:
+            stats.add_image(i)
+        version = stats.version
         with pytest.raises(KeyError):
             stats.remove_image(stranger)
-        assert state() == before
-
-    @staticmethod
-    def assert_buckets(stats):
-        """Each bucket's ``t_max`` and ``max_freq`` equal a recount of its
-        images from their counts."""
-        for bucket in stats._buckets.values():
-            images = list(bucket.images.values())
-            assert bucket.t_max == max(i.t_c for i in images)
-            assert bucket.max_freq == max_freq_of(images)
-
-    @classmethod
-    def assert_recount(cls, stats, survivors, vocab):
-        """The buckets, and every count and range of words below ``vocab``,
-        equal a fresh recount of ``survivors``."""
-        cls.assert_buckets(stats)
-        fresh = CorpusStats(100)
-        for i in survivors:
-            fresh.add_image(i)
-        assert stats.total_word_count == fresh.total_word_count
-        assert stats.word_corpus_tf == fresh.word_corpus_tf
-        for w in range(vocab):
-            assert stats.max_freq(w) == fresh.max_freq(w)
-            assert stats.corpus_tf(w) == fresh.corpus_tf(w)
-            for xi in (0.0, 0.35):
-                assert stats.weight_range(w, xi) == fresh.weight_range(w, xi)
+        assert stats.version == version and stats_violations(stats, held) == []
 
     def test_whole_drop_reads_no_image(self):
         # a bucket leaves with its own counts: no expired image's words
@@ -511,7 +476,7 @@ class TestCorpusStats:
         gone = stats.expire(200)
         assert Counted.reads == 0
         assert sorted(i.id for i in gone) == sorted(i.id for i in images if i.t_c < 200)
-        self.assert_recount(stats, [i for i in images if i.t_c >= 200], 8)
+        assert stats_violations(stats, [i for i in images if i.t_c >= 200]) == []
 
     def test_counts_equal_a_recount_after_each_change(self):
         # whole drops, a cutoff inside a bucket, a late arrival into an
@@ -524,22 +489,22 @@ class TestCorpusStats:
         stats = CorpusStats(100)
         for i in images:
             stats.add_image(i)
-        self.assert_recount(stats, images, 13)
+        assert stats_violations(stats, images) == []
         stats.expire(200)                       # two whole buckets
         images = [i for i in images if i.t_c >= 200]
-        self.assert_recount(stats, images, 13)
+        assert stats_violations(stats, images) == []
         stats.expire(250)                       # inside the bucket [200, 300)
         images = [i for i in images if i.t_c >= 250]
-        self.assert_recount(stats, images, 13)
+        assert stats_violations(stats, images) == []
         late = img(id=500, t_c=260, psi=((3, 2), (12, 1)))
         stats.add_image(late)                   # into the oldest live bucket
         images.append(late)
-        self.assert_recount(stats, images, 13)
+        assert stats_violations(stats, images) == []
         removed = images[::7]
         for i in removed:
             stats.remove_image(i)
         images = [i for i in images if i not in removed]
-        self.assert_recount(stats, images, 13)
+        assert stats_violations(stats, images) == []
 
     def test_dropped_bucket_takes_its_maximum(self):
         # word 1's only maximum (1.0) sits in the bucket [0, 100); the
@@ -549,15 +514,16 @@ class TestCorpusStats:
         second = [img(id=2, t_c=100, psi=((1, 1), (3, 3))), img(id=3, t_c=150, psi=((1, 2), (3, 2)))]
         for i in first + second:
             stats.add_image(i)
-        assert stats.max_freq(1) == 1.0
+        assert stats.weight_range(1, 0.0) == (0.0, 1.0)
         version = stats.version
         assert sorted(i.id for i in stats.expire(100)) == [0, 1]
         assert stats.version > version
-        assert stats.max_freq(1) == 0.5 and stats.max_freq(2) == 0.0
-        self.assert_recount(stats, second, 5)
+        assert stats.weight_range(1, 0.0) == (0.0, 0.5)
+        assert stats.weight_range(2, 0.0) == (0.0, 0.0)
+        assert stats_violations(stats, second) == []
         assert stats.expire(100) == []          # nothing left before it
         assert sorted(i.id for i in stats.expire(200)) == [2, 3]
-        self.assert_recount(stats, [], 5)
+        assert stats_violations(stats, []) == []
 
     def test_late_arrival_leaves_with_its_segment(self):
         # arrivals run ahead of time order: each segment gets images after
@@ -570,19 +536,19 @@ class TestCorpusStats:
         stats = CorpusStats(100)
         for i in images:
             stats.add_image(i)
-        self.assert_recount(stats, images, 14)
+        assert stats_violations(stats, images) == []
         for cutoff in (100, 300, 600):
             gone = stats.expire(cutoff)
             assert sorted(i.id for i in gone) == sorted(i.id for i in images if i.t_c < cutoff)
             images = [i for i in images if i.t_c >= cutoff]
-            self.assert_recount(stats, images, 14)
+            assert stats_violations(stats, images) == []
             # a late arrival into the oldest live bucket, which holds word
             # 13's only maximum until that bucket leaves
             late = img(id=1000 + cutoff, t_c=cutoff + 1, psi=((13, 1),))
             stats.add_image(late)
             images.append(late)
-            assert stats.max_freq(13) == 1.0
-            self.assert_recount(stats, images, 14)
+            assert stats.weight_range(13, 0.0) == (0.0, 1.0)
+            assert stats_violations(stats, images) == []
 
     def test_cutoff_inside_a_bucket(self):
         # the cutoff 150 splits the bucket [100, 200): its images before
@@ -598,18 +564,18 @@ class TestCorpusStats:
         stats = CorpusStats(100)
         for i in images:
             stats.add_image(i)
-        assert stats.max_freq(11) == 1.0
+        assert stats.weight_range(11, 0.0) == (0.0, 1.0)
         for cutoff in (150, 150, 199, 201):
             gone = stats.expire(cutoff)
             assert sorted(i.id for i in gone) == sorted(i.id for i in images if i.t_c < cutoff)
             images = [i for i in images if i.t_c >= cutoff]
-            self.assert_recount(stats, images, 12)
+            assert stats_violations(stats, images) == []
         # one bucket holding every image: the cutoff falls inside it
         whole = CorpusStats(1000)
         for i in images:
             whole.add_image(i)
         whole.expire(250)
-        self.assert_recount(whole, [i for i in images if i.t_c >= 250], 12)
+        assert stats_violations(whole, [i for i in images if i.t_c >= 250]) == []
 
     def test_bucket_aggregates_equal_a_recount(self, domain):
         # after each add_image, an expire whose cutoff splits the bucket
@@ -617,18 +583,17 @@ class TestCorpusStats:
         # the t_max of a bucket falls
         images = random_images(random.Random(71), 120, domain, vocab=10, t_lo=0, t_hi=399)
         stats = CorpusStats(100)
-        for i in images:
+        for n, i in enumerate(images, 1):
             stats.add_image(i)
-            self.assert_buckets(stats)
+            assert stats_violations(stats, images[:n]) == []
         gone = stats.expire(150)
         assert sorted(i.id for i in gone) == sorted(i.id for i in images if i.t_c < 150)
         images = [i for i in images if i.t_c >= 150]
-        self.assert_recount(stats, images, 10)
+        assert stats_violations(stats, images) == []
         for i in sorted(images, key=lambda i: -i.t_c)[:20]:
             stats.remove_image(i)
             images.remove(i)
-            self.assert_buckets(stats)
-        self.assert_recount(stats, images, 10)
+            assert stats_violations(stats, images) == []
 
     def test_max_weight_matches_per_image_max(self, domain):
         rng = random.Random(9)
@@ -1107,7 +1072,8 @@ def assert_scorers_equal_the_formula(p, trees, ifa, corpus, q, monkeypatch, seen
     # smallest gain takes the full path, and one that also lacks the c-th
     # is 1.0 at once
     if c <= n:
-        top = {v: p.stats.max_freq(v) for v in ctx._floors}
+        live_max = max_freq_of(corpus)
+        top = {v: live_max[v] for v in ctx._floors}
         smallest = [v for _g, v in gains_of(ctx, p)[:c]]
         near = {v: f for v, f in top.items() if v not in smallest[:-1]}
         far = {v: f for v, f in top.items() if v not in smallest}

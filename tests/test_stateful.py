@@ -1,11 +1,10 @@
 """A stateful property test of the shared sliding window: HIQ, IFA and
 STVII take the same stream of inserts, rolls, expiries and queries, and
-after every step hold the same live images, the same window, term
-statistics equal to a recount, answers equal to the brute-force oracle,
-one HIQ tree per segment that holds a live image, HIQ and STVII node
-aggregates equal to a recount of the images below each node, each HIQ
-root sharing its segment bucket's word maxima, and an IFA slot table
-within twice its live images."""
+after every step hold the same live images, the same window, answers
+equal to the brute-force oracle, and a structure equal to a recount of
+their live images (``verify.structure_violations``: term statistics,
+HIQ's one tree per held segment and its roots' shared word maxima, node
+aggregates and boxes, and IFA's slot table)."""
 
 import pytest
 from hypothesis import settings
@@ -16,9 +15,7 @@ from geostream.baselines import IfaIndex, StviiIndex
 from geostream.engine import brute_force_oracle
 from geostream.hiq import ExpiredArrivalError, HiqConfig, HiqIndex
 from geostream.model import CorpusStats, GeoTemporalImage, Query, ScoreParams, SpatialDomain
-from geostream.verify import results_match
-from test_baselines import audit_stvii
-from test_hiq import audit_hiq
+from geostream.verify import results_match, structure_violations
 
 DOMAIN = SpatialDomain(0.0, 100.0, 0.0, 100.0)
 SPAN = 100
@@ -159,42 +156,15 @@ class SharedWindow(RuleBasedStateMachine):
             return
         for index in self.indexes:
             assert index.window_start() == self.hiq.segments[0].start
-            fresh = recount(index.live_images())
-            stats = index.stats
-            assert stats.total_word_count == fresh.total_word_count
-            assert stats.word_corpus_tf == fresh.word_corpus_tf
-            for w in range(VOCAB):
-                assert stats.max_freq(w) == fresh.max_freq(w)
         q = Query(psi=(0, 1, 2), loc=(50.0, 50.0), t=self._latest(), k=5,
                   weights=(0.2, 0.6, 0.2))
         for index in self.indexes:
             assert results_match(index.search(q)[0], oracle(q, index))
 
     @invariant()
-    def ifa_slots_derived(self):
-        # IFA counts no dead slots: its set flags are its live images, and
-        # a table at twice its live images has been compacted
-        ifa = self.indexes[1]
-        live = ifa.image_count()
-        assert sum(ifa.alive) == live
-        assert len(ifa.ids) == live or len(ifa.ids) < 2 * live
-
-    @invariant()
-    def hiq_trees_hold_images(self):
-        # HIQ keeps one tree per segment that holds a live image, and
-        # every tree holds one
-        roots = self.hiq.roots()
-        assert all(root.t_max is not None for root in roots)
-        held = {im.t_c // SPAN for im in self.hiq.live_images()}
-        assert sorted(root.t_max // SPAN for root in roots) == sorted(held)
-
-    @invariant()
-    def hiq_aggregates_recount(self):
-        audit_hiq(self.hiq)
-
-    @invariant()
-    def stvii_tree_sound(self):
-        audit_stvii(self.indexes[2])
+    def structures_recount(self):
+        for index in self.indexes:
+            assert structure_violations(index) == []
 
 
 SharedWindow.TestCase.settings = settings(

@@ -1,0 +1,63 @@
+import random
+
+import pytest
+
+from geostream.engine import walk
+from geostream.hiq import HiqConfig
+from geostream.verify import build_all, random_images, structure_violations
+
+
+def node_max_freq(hiq, ifa, stvii):
+    roots = hiq.roots()
+    node = next(n for n in walk(roots) if n.max_freq and all(n is not r for r in roots))
+    node.max_freq[next(iter(node.max_freq))] /= 2
+    return hiq, ": max_freq"
+
+
+def root_copies_its_bucket(hiq, ifa, stvii):
+    root = hiq.roots()[0]
+    root.max_freq = dict(root.max_freq)
+    return hiq, "max_freq is not its bucket's"
+
+
+def leaf_above_capacity(hiq, ifa, stvii):
+    # four leaves folded into their parent, as a split that did not
+    # recurse would leave them
+    node = next(n for n in walk(hiq.roots())
+                if n.children and all(c.children is None for c in n.children))
+    node.images = [im for child in node.children for im in child.images]
+    node.children = None
+    return hiq, "images"
+
+
+def grown_box(hiq, ifa, stvii):
+    next(n for n in walk(stvii.roots()) if n.children is None).mbr[0] -= 1.0
+    return stvii, ": mbr"
+
+
+def alive_expired_slot(hiq, ifa, stvii):
+    ifa.alive[ifa.alive.index(0)] = 1
+    return ifa, "alive flags"
+
+
+def bucket_corpus_tf(hiq, ifa, stvii):
+    bucket = next(iter(stvii.stats._buckets.values()))
+    bucket.corpus_tf[next(iter(bucket.corpus_tf))] += 1
+    return stvii, ": corpus_tf"
+
+
+@pytest.mark.parametrize("plant", [
+    node_max_freq, root_copies_its_bucket, leaf_above_capacity, grown_box,
+    alive_expired_slot, bucket_corpus_tf,
+], ids=lambda plant: plant.__name__)
+def test_a_planted_fault_is_reported(domain, plant):
+    # a plant breaks one index of a sound trio, whose window rolled and
+    # whose last cutoff left IFA dead slots, and names the one fault
+    config = HiqConfig(domain=domain, segment_span=20_000, window=3, capacity=4)
+    hiq, ifa, stvii = build_all(random_images(random.Random(5), 400, domain), config)
+    for index in (hiq, ifa, stvii):
+        assert index.expire(index.window_start() + 2_000) > 0
+        assert structure_violations(index) == []
+    index, message = plant(hiq, ifa, stvii)
+    faults = structure_violations(index)
+    assert len(faults) == 1 and message in faults[0], faults
