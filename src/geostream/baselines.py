@@ -4,11 +4,13 @@ per-node word maxima (STVII).
 IFA keeps one posting list per word over a table of image slots and
 scores every candidate at query time (no early termination), as numpy
 columns in one pass over the query words' posting lists. STVII boxes
-images in raw (lat, lon, t), splits quadratically on overflow, expires
-by pruning only the subtrees older than the cutoff, and carries the same
-per-node word maxima as the quadtree so it plugs into the shared
-best-first search and node terms, ``engine.TreeIndex.bounds``, over its
-box's lat/lon extent (``_rect``).
+images in raw (lat, lon, t), splits quadratically on overflow, and
+carries the same per-node word maxima as the quadtree so it plugs into
+the shared best-first search and node terms, ``engine.TreeIndex.bounds``,
+over its box's lat/lon extent (``_rect``). It expires in place, touching
+only the nodes whose box starts before the cutoff: each drops its
+expired images or emptied children and folds back only the word maxima
+that what it dropped held (``StviiIndex._prune``).
 
 A timestamp is an integer tick, so a box's volume counts its time
 extent in ticks, ``t1 - t0 + 1``: a stream puts many images on one
@@ -25,7 +27,7 @@ from array import array
 import numpy as np
 
 from .engine import Index, ResultEntry, SearchStats, TreeIndex
-from .model import add_to_aggregates, combined_score
+from .model import ConfigError, add_to_aggregates, combined_score
 from .model import mind_visual  # noqa: F401 (perfbench wraps baselines.mind_visual)
 
 
@@ -182,9 +184,16 @@ class RTree3DNode:
 
 
 class StviiIndex(TreeIndex):
+    """STVII over the 3D R-tree of ``RTree3DNode``: ``config.capacity`` is
+    its M, the most images of a leaf and children of an inner node. A
+    split makes two nodes, so M below 2 raises ``ConfigError``: at M = 1
+    every split would add a level."""
+
     kind = "stvii"
 
     def __init__(self, config):
+        if config.capacity < 2:
+            raise ConfigError(f"stvii capacity must be >= 2, got {config.capacity}")
         super().__init__(config)
         self.capacity = config.capacity                  # M
         self.min_fill = max(1, math.ceil(0.4 * config.capacity))
@@ -280,24 +289,69 @@ class StviiIndex(TreeIndex):
     # -- maintenance -------------------------------------------------------
 
     def _drop_older(self, cutoff):
-        """Rebuilds only the nodes holding an image older than the cutoff
-        (``_prune``)."""
-        self.root = self._prune(self.root, cutoff) or RTree3DNode(leaf=True)
+        """Drops the images older than the cutoff from the tree in place
+        (``_prune``), or opens an empty root when none is left."""
+        if self.root.t_max < cutoff:
+            self.root = RTree3DNode(leaf=True)
+        else:
+            self._prune(self.root, cutoff)
 
     def _prune(self, node, cutoff):
-        """``node`` without its images older than ``cutoff``: the node
-        itself when none is, else a node rebuilt over the images or
-        pruned children left, or None when nothing is left. Underfull
-        nodes stay as they are; nothing is reinserted."""
-        if node.mbr[2] >= cutoff:
-            return node
-        leaf = node.children is None
-        if leaf:
-            items = [img for img in node.images if img.t_c >= cutoff]
+        """Drops from ``node``, which holds an image at or after ``cutoff``,
+        every image older than it, in place, as Guttman's condense of a
+        deletion path: a leaf drops its expired images and an inner node
+        the children left empty, the rest recursing; underfull nodes stay
+        as they are and nothing is reinserted. A node whose box starts at
+        or after the cutoff is left alone.
+
+        The node ends exactly as a rebuild over what it keeps would leave
+        it. Its newest image survives, so ``t_max`` and the box's ``t1``
+        hold. A word of ``max_freq`` is taken out and folded back from
+        the members kept only where a member dropped, or a child's fallen
+        maximum, held the node's maximum of it. A leaf's ``t0`` comes from
+        its survivors and its lat/lon edges only when an expired image lay
+        on one; an inner box is the union of its kept children's. Returns
+        ``{word: old maximum}`` of the words whose maximum fell or left."""
+        box = node.mbr
+        if box[2] >= cutoff:
+            return {}
+        mf = node.max_freq
+        if node.children is None:
+            kept, gone = [], []
+            for img in node.images:
+                (kept if img.t_c >= cutoff else gone).append(img)
+            node.images = kept
+            lost = {word for img in gone for word, f in img.freq.items() if mf[word] == f}
+            box[2] = min(img.t_c for img in kept)
+            if any(img.lat == box[0] or img.lat == box[3] or img.lon == box[1]
+                   or img.lon == box[4] for img in gone):
+                lat = [img.lat for img in kept]
+                lon = [img.lon for img in kept]
+                box[0], box[1], box[3], box[4] = min(lat), min(lon), max(lat), max(lon)
+            members = [img.freq for img in kept]
         else:
-            items = [c for c in (self._prune(c, cutoff) for c in node.children)
-                     if c is not None]
-        return self._build_node(leaf, items) if items else None
+            kept, lost = [], set()
+            for child in node.children:
+                if child.t_max < cutoff:
+                    fallen = child.max_freq         # every word of an emptied child
+                else:
+                    kept.append(child)
+                    fallen = self._prune(child, cutoff)
+                lost.update(word for word, f in fallen.items() if mf[word] == f)
+            node.children = kept
+            node.mbr = None
+            for c in kept:
+                node.mbr = _box_union(node.mbr, c.mbr)
+            members = [c.max_freq for c in kept]
+        if not lost:
+            return {}
+        old = {word: mf.pop(word) for word in lost}
+        for freq in members:
+            for word in lost.intersection(freq):
+                f = freq[word]
+                if f > mf.get(word, 0.0):
+                    mf[word] = f
+        return {word: f for word, f in old.items() if mf.get(word) != f}
 
 
 def _quadratic_split(boxes, min_fill):

@@ -94,20 +94,53 @@ def results_match(a, b, tol=SCORE_TOL):
     return True
 
 
+def oracle_stream(rng, n, domain, shape):
+    """``n`` random images (``random_images``) of one of the oracle check's
+    shapes. ``uniform`` as drawn. ``clustered`` puts every other image in
+    one of two squares 2% of the domain wide, so HIQ leaves split over
+    several levels at once. ``jump`` moves every image at or after t =
+    60,000 on by 100,000, so the roll past the gap expires every image
+    before it, about 60% of the table, and IFA compacts."""
+    images = random_images(rng, n, domain)
+    if shape == "clustered":
+        d_lat = 0.02 * (domain.max_lat - domain.min_lat)
+        d_lon = 0.02 * (domain.max_lon - domain.min_lon)
+        corners = [(rng.uniform(domain.min_lat, domain.max_lat - d_lat),
+                    rng.uniform(domain.min_lon, domain.max_lon - d_lon)) for _ in range(2)]
+        images = [im if i % 2 else GeoTemporalImage(
+            im.id, corners[i % 4 // 2][0] + rng.random() * d_lat,
+            corners[i % 4 // 2][1] + rng.random() * d_lon, im.t_c, im.psi)
+            for i, im in enumerate(images)]
+    elif shape == "jump":
+        images = [im if im.t_c < 60_000 else GeoTemporalImage(
+            im.id, im.lat, im.lon, im.t_c + 100_000, im.psi) for im in images]
+    return images
+
+
+ORACLE_SHAPES = ("uniform", "clustered", "jump")
+PATH_COUNTS = ("IFA compactions", "multi-level HIQ splits", "STVII prunes that emptied a node")
+
+
 def check_oracle_equivalence(seed, instances, domain, max_images=500,
                              queries_per_dataset=20, capacity=8):
     """Runs (instances) random (dataset, query) pairs through HIQ, IFA,
-    STVII and the oracle; returns the number of mismatches and the
+    STVII and the oracle; returns the number of mismatches, the
     ``structure_violations`` of each index built, each led by the index's
-    kind. The window holds 3 of the data's 20,000 s segments, so the
-    older part of each dataset has expired before the queries."""
+    kind, and how often the streams took each path of ``PATH_COUNTS``
+    (``insert_counting``). The datasets take the shapes of
+    ``oracle_stream`` in turn. The window holds 3 of the data's 20,000 s
+    segments, so the older part of each dataset has expired before the
+    queries."""
     rng = random.Random(seed)
     failures = 0
     faults = []
+    counts = dict.fromkeys(PATH_COUNTS, 0)
     done = 0
+    datasets = 0
     while done < instances:
         n = rng.randint(5, max_images)
-        images = random_images(rng, n, domain)
+        images = oracle_stream(rng, n, domain, ORACLE_SHAPES[datasets % len(ORACLE_SHAPES)])
+        datasets += 1
         config = HiqConfig(
             domain=domain,
             segment_span=20_000,
@@ -115,20 +148,49 @@ def check_oracle_equivalence(seed, instances, domain, max_images=500,
             capacity=capacity,
             max_depth=8,
         )
-        hiq, ifa, stvii = build_all(images, config)
-        faults += [f"{index.kind}: {fault}" for index in (hiq, ifa, stvii)
+        indexes = hiq, ifa, stvii = HiqIndex(config), IfaIndex(config), StviiIndex(config)
+        for img in sorted(images, key=lambda im: im.t_c):
+            insert_counting(indexes, img, counts)
+        faults += [f"{index.kind}: {fault}" for index in indexes
                    for fault in structure_violations(index)]
         live = list(hiq.live_images())
         for _ in range(min(queries_per_dataset, instances - done)):
             q = random_query(rng, images, domain)
             expected = brute_force_oracle(q, live, hiq.params)
-            if not all(
-                results_match(index.search(q)[0], expected)
-                for index in (hiq, ifa, stvii)
-            ):
+            if not all(results_match(index.search(q)[0], expected) for index in indexes):
                 failures += 1
             done += 1
-    return failures, faults
+    return failures, faults, counts
+
+
+def insert_counting(indexes, img, counts):
+    """Inserts ``img`` into the ``(hiq, ifa, stvii)`` indexes and adds to
+    ``counts`` each path of ``PATH_COUNTS`` it took: an IFA expiry that
+    compacted the table, a HIQ split that made more than one level, and a
+    roll whose STVII prune dropped an emptied node below a root it kept."""
+    hiq, ifa, stvii = indexes
+    depth = _leaf_depth(hiq, img)
+    slots = len(ifa.ids)
+    rolls = stvii._head_end is not None and img.t_c >= stvii._head_end
+    nodes = list(walk(stvii.roots())) if rolls else []
+    for index in indexes:
+        index.insert(img)
+    cutoff = stvii.window_start()
+    counts["IFA compactions"] += len(ifa.ids) <= slots
+    counts["multi-level HIQ splits"] += _leaf_depth(hiq, img) > depth + 1
+    counts["STVII prunes that emptied a node"] += bool(
+        nodes and nodes[0].t_max >= cutoff and any(n.t_max < cutoff for n in nodes))
+
+
+def _leaf_depth(hiq, img):
+    """The depth of the leaf of HIQ's tree of ``img``'s segment that holds,
+    or would take, its point; 0 where that segment has no tree."""
+    node = hiq._trees.get(img.t_c // hiq.config.segment_span)
+    depth = 0
+    while node is not None and node.children is not None:
+        node = node.children[node.quadrant(img.lat, img.lon)]
+        depth += 1
+    return depth
 
 
 def _maxima(images):
@@ -352,15 +414,17 @@ def run_verification(seed=0, instances=50, domain=None):
     if domain is None:
         domain = SpatialDomain(0.0, 100.0, 0.0, 100.0)
     report = VerifyReport()
-    mismatches, faults = check_oracle_equivalence(seed, instances, domain, max_images=200)
+    mismatches, faults, counts = check_oracle_equivalence(seed, instances, domain,
+                                                          max_images=200)
     report.record(
         "oracle-equivalence", mismatches == 0,
         f"{instances} instances, {mismatches} mismatches",
     )
     report.record(
         "structure", not faults,
-        f"every index the oracle check built, {len(faults)} violations"
-        + (f", first: {faults[0]}" if faults else ""),
+        f"every index the oracle check built, {len(faults)} violations; "
+        + ", ".join(f"{n} {name}" for name, n in counts.items())
+        + (f"; first: {faults[0]}" if faults else ""),
     )
     violations = check_dominance(seed + 1, max(10, instances // 2), domain)
     report.record(

@@ -36,12 +36,13 @@ DOMAIN = SpatialDomain(0.0, 100.0, 0.0, 100.0)
 
 
 def test_oracle_equivalence_1000_instances():
-    mismatches, faults = check_oracle_equivalence(
+    mismatches, faults, counts = check_oracle_equivalence(
         seed=101, instances=1000, domain=DOMAIN,
         max_images=500, queries_per_dataset=20, capacity=8,
     )
     assert mismatches == 0
     assert faults == []
+    assert all(counts.values()), counts
     print("\nPASS oracle equivalence: 1000 instances, HIQ/IFA/STVII == oracle @1e-9,"
           " each index's structure sound")
 

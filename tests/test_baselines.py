@@ -540,6 +540,18 @@ class TestStvii:
         for child in root.children:
             assert len(child.images) >= index.min_fill
 
+    def test_capacity_below_two_rejected(self, domain):
+        # a split makes two nodes: at capacity 1 each split would add a
+        # level. HIQ's leaf capacity may be 1
+        with pytest.raises(ConfigError, match="stvii capacity must be >= 2, got 1"):
+            StviiIndex(make_config(domain, capacity=1))
+        images = random_images(random.Random(1), 200, domain)
+        for index in (StviiIndex(make_config(domain, capacity=2, segment_span=ONE_SEGMENT)),
+                      HiqIndex(make_config(domain, capacity=1, segment_span=ONE_SEGMENT))):
+            for im in images:
+                index.insert(im)
+            assert structure_violations(index) == []
+
     def test_domain_violation(self, domain):
         index = StviiIndex(make_config(domain))
         with pytest.raises(DomainError):
@@ -644,6 +656,71 @@ class TestStvii:
         assert index.expire(5000) == 0
         assert index.root is root
         assert sorted(im.id for im in index.live_images()) == list(range(100))
+
+    @pytest.mark.parametrize("capacity", [3, 4, 8])
+    def test_prune_equals_a_rebuild(self, capacity, domain):
+        # twin trees of one stream: one expires in place, the other is
+        # rebuilt node by node from its survivors. The stream opens with a
+        # corner of early images, which the first cutoff empties as whole
+        # leaves and inner nodes; the cutoffs alternate between the
+        # segment grid and the inside of a segment.
+        config = make_config(domain, capacity=capacity, segment_span=5_000, window=20)
+        index, twin = StviiIndex(config), RebuiltStvii(config)
+        rng = random.Random(capacity)
+        corner = [GeoTemporalImage(im.id, im.lat / 4, im.lon / 4, im.t_c, im.psi)
+                  for im in random_images(rng, 40 * capacity, domain, t_lo=0, t_hi=4_999)]
+        batch = corner + random_images(rng, 60 * capacity, domain, t_lo=5_000, t_hi=40_000,
+                                       id_base=10_000)
+        cutoffs = (5_000, 12_345, 20_000, 26_001, 35_000)
+        for step, cutoff in enumerate(cutoffs):
+            for im in sorted(batch, key=lambda im: im.t_c):
+                index.insert(im)
+                twin.insert(im)
+            if step == 0:
+                assert tree_depth(index.root) >= 3
+                emptied = [n for n in walk(index.roots()) if n.t_max < cutoff]
+                assert any(n.children is None for n in emptied)
+                assert any(n.children is not None for n in emptied)
+            assert index.expire(cutoff) == twin.expire(cutoff) > 0
+            assert node_fields(index.root) == node_fields(twin.root)
+            assert structure_violations(index) == []
+            batch = random_images(rng, 20 * capacity, domain, t_lo=cutoff, t_hi=40_000,
+                                  id_base=10_000 * (step + 2))
+
+
+def tree_depth(node):
+    return 1 if node.children is None else 1 + max(map(tree_depth, node.children))
+
+
+class RebuiltStvii(StviiIndex):
+    """STVII whose expiry rebuilds every node that held an expired image."""
+
+    def _drop_older(self, cutoff):
+        self.root = rebuilt(self, self.root, cutoff) or RTree3DNode(leaf=True)
+
+
+def rebuilt(index, node, cutoff):
+    """A rebuild of ``node`` without its images older than ``cutoff``, the
+    reference for ``StviiIndex._prune``: the node itself when none is, else
+    a node built by ``_build_node`` over the images or rebuilt children
+    left, or None when nothing is left."""
+    if node.mbr[2] >= cutoff:
+        return node
+    leaf = node.children is None
+    if leaf:
+        items = [im for im in node.images if im.t_c >= cutoff]
+    else:
+        items = [c for c in (rebuilt(index, c, cutoff) for c in node.children) if c is not None]
+    return index._build_node(leaf, items) if items else None
+
+
+def node_fields(node):
+    """Everything of a tree node for node-by-node equality: box, ``t_max``,
+    ``max_freq`` as a dict, and the leaf's image ids or the children's
+    fields, in order."""
+    members = ([im.id for im in node.images] if node.children is None
+               else [node_fields(c) for c in node.children])
+    return list(node.mbr), node.t_max, node.max_freq, node.children is None, members
 
 
 def test_quadratic_split_respects_min_fill():

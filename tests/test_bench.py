@@ -323,3 +323,38 @@ def test_bench_pairs_marks_a_metric_whose_parent_spreads_wider_than_its_bound():
     marked = pairs_tool.format_rows([gain, overlap[0], slower[0]])
     assert [line.split("  ")[-1] for line in marked[1:]] == ["gain", "unresolved", "unresolved"]
     assert marked[3].endswith("  WORSE THAN BOUND  unresolved")
+
+
+def test_bench_pairs_lists_the_roll_stalls_unmarked():
+    pairs_tool = load_bench_pairs()
+    printed = [
+        "# geostream benchmark: workload=rolling-stream seed=1 seconds=8 trace=0",
+        "hiq.ingest_images_per_s        69423.848417 1/s    960 images; unscaled 69134",
+        "hiq.roll_stall_ms                  0.056276 ms     median of 32 rolls; unscaled 0.0613",
+        "stvii.roll_stall_ms                1.096662 ms     median of 32 rolls; unscaled 1.0367",
+        "stvii.query_p90_ms                        -        not reported: 9 of 96 queries",
+        "ifa.roll_stall_ms                         -        not reported",
+    ]
+    assert pairs_tool.roll_stalls(printed) == {"hiq.roll_stall_ms": 0.056276,
+                                               "stvii.roll_stall_ms": 1.096662}
+
+    def result(hiq, stvii=None):
+        stalls = {"hiq.roll_stall_ms": hiq}
+        if stvii is not None:
+            stalls["stvii.roll_stall_ms"] = stvii
+        return {"correct": True, "metrics": {}, "roll_stalls": stalls}
+
+    # the change's STVII stall is half the parent's; a pair whose change run
+    # lacks it, or that failed, leaves that row
+    pairs = [(result(0.06, 1.0), result(0.05, 0.5)), (result(0.08, 1.2), result(0.07, 0.6)),
+             (result(0.07, 1.1), result(0.06)), (result(0.07, 1.1), None)]
+    hiq, stvii = pairs_tool.summarise_stalls(pairs)
+    assert (hiq["name"], hiq["parent"], hiq["change"]) == ("hiq.roll_stall_ms", 0.07, 0.06)
+    assert (stvii["parent"], stvii["change"]) == (1.1, 0.55)
+    assert stvii["values"] == [(1.0, 0.5), (1.2, 0.6)]
+    lines = pairs_tool.format_stalls([hiq, stvii])
+    assert lines[2].split() == ["stvii.roll_stall_ms", "ms", "1.1000", "0.5500", "-50.0%"]
+    assert lines[4].split()[1:] == ["1.0000/0.5000", "1.2000/0.6000"]
+    # no row takes a mark of the gated metrics
+    assert not any(mark in line for line in lines
+                   for mark in ("gain", "WORSE THAN BOUND", "unresolved"))

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import shlex
 from dataclasses import fields
 from pathlib import Path
@@ -131,6 +132,15 @@ class TestQuery:
         ], capsys)
         assert code == 1
         assert "--w1" in err
+
+    def test_stvii_capacity_below_two_exit_usage(self, dataset, capsys):
+        argv = ["query", "--data", str(dataset), "--lat", "50", "--lon", "50",
+                "--words", "1,2,3", "--capacity", "1"]
+        code, out, err = run(argv + ["--index", "stvii"], capsys)
+        assert (code, out) == (1, "")
+        assert "capacity must be >= 2" in err
+        code, out, _ = run(argv + ["--index", "hiq"], capsys)
+        assert code == 0 and out.startswith("0\t1\t")
 
     def test_invalid_k_names_k(self, dataset, capsys):
         code, _, err = run([
@@ -273,6 +283,16 @@ class TestVerify:
         assert "PASS oracle-equivalence" in out
         assert "PASS structure" in out
         assert "PASS bound-dominance" in out
+
+    def test_structure_line_counts_the_paths_it_reached(self, capsys):
+        # CI's seed: the streams compact IFA, split HIQ leaves over more
+        # than one level and empty STVII nodes, so the check sees them
+        code, out, _ = run(["verify", "--instances", "100", "--seed", "7"], capsys)
+        assert code == 0
+        line = next(line for line in out.splitlines() if line.startswith("PASS structure"))
+        found = re.search(r"(\d+) IFA compactions, (\d+) multi-level HIQ splits, "
+                          r"(\d+) STVII prunes that emptied a node", line)
+        assert found and all(int(n) > 0 for n in found.groups()), line
 
     @pytest.mark.parametrize("instances", ["0", "-3"])
     def test_no_instances_exit_usage(self, instances, capsys):

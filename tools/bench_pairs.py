@@ -19,35 +19,52 @@ benchmark's gate reads it. A metric is marked unresolved where its
 spread, the distance between the parent's quartiles over the parent's
 median, is wider than its bound, unless every run of the change is
 better than every run of the parent: such a metric cannot be called
-unchanged. The last line counts the runs that were not ``correct``; any
-such run makes the exit status 1.
+unchanged. Then come informational rows for the roll stalls,
+``hiq/ifa/stvii.roll_stall_ms``, which perfbench prints on its
+human-readable lines but not in its JSON: each side's median and each
+pair's values, with no mark, as they are not metrics of
+``BENCHMARK.json``. The last line counts the runs that were not
+``correct``; any such run makes the exit status 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# a roll stall on perfbench's human-readable lines: name, value, unit
+ROLL_STALL = re.compile(r"^(\w+\.roll_stall_ms)\s+(-?\d[\d.eE+-]*)\s")
 
 
 def run_once(checkout, workload, seed, seconds):
-    """The result object of one untraced run in ``checkout``, or ``None``
-    when the run printed none."""
+    """The result object of one untraced run in ``checkout``, with the
+    roll stalls of its other lines under ``roll_stalls``, or ``None`` when
+    the run printed none."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     try:
-        return json.loads(lines[-1])
+        result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
         return None
+    result["roll_stalls"] = roll_stalls(lines[:-1])
+    return result
+
+
+def roll_stalls(lines):
+    """``{name: ms}`` of the roll stalls that perfbench's human-readable
+    ``lines`` give a value, in their order."""
+    found = (ROLL_STALL.match(line) for line in lines)
+    return {m.group(1): float(m.group(2)) for m in found if m}
 
 
 def quartiles(values):
@@ -116,6 +133,32 @@ def summarise(pairs, metrics):
     return rows
 
 
+def summarise_stalls(pairs):
+    """One informational row per roll stall over the pairs whose two runs
+    both give it: each side's median and the pairs' values, unmarked."""
+    values = {}
+    for a, b in pairs:
+        theirs = b.get("roll_stalls", {}) if b else {}
+        for name, ms in (a.get("roll_stalls", {}) if a else {}).items():
+            if name in theirs:
+                values.setdefault(name, []).append((ms, theirs[name]))
+    return [{"name": name, "parent": statistics.median(a for a, _ in both),
+             "change": statistics.median(b for _, b in both), "values": both}
+            for name, both in values.items()]
+
+
+def format_stalls(rows):
+    """Each roll stall's medians and change of the median, then each
+    pair's values."""
+    lines = [f"{'roll stall (no gate)':26s} {'unit':5s} {'parent median':>14s} "
+             f"{'change median':>14s} {'median':>7s}"]
+    for r in rows:
+        delta = f"{100 * (r['change'] - r['parent']) / r['parent']:+.1f}%" if r["parent"] else "-"
+        lines.append(f"{r['name']:26s} {'ms':5s} {num(r['parent']):>14s} "
+                     f"{num(r['change']):>14s} {delta:>7s}")
+    return lines + format_pairs(rows)
+
+
 def num(v):
     return f"{v:.4f}" if abs(v) < 100 else f"{v:.2f}" if abs(v) < 10_000 else f"{v:.0f}"
 
@@ -176,6 +219,9 @@ def main(argv=None):
         print(line)
     print("# each pair, parent/change")
     for line in format_pairs(rows):
+        print(line)
+    print("# informational, parent/change")
+    for line in format_stalls(summarise_stalls(pairs)):
         print(line)
     bad = not_correct(pairs)
     print(f"{bad} of {2 * len(pairs)} runs not correct")
