@@ -4,7 +4,10 @@ per-node word maxima (STVII).
 IFA keeps one posting list per word over a table of image slots and
 scores every candidate at query time (no early termination), as numpy
 columns in one pass over the query words' posting lists. STVII boxes
-images in raw (lat, lon, t), splits quadratically on overflow, and
+images in raw (lat, lon, t), grows each box on the insert path in place,
+and splits quadratically on overflow: each of a split's two groups keeps
+per-axis columns of its box's extent with every box, so a pick recomputes
+only the axes along which it grew the group (``_quadratic_split``). It
 carries the same per-node word maxima as the quadtree so it plugs into
 the shared best-first search and node terms, ``engine.TreeIndex.bounds``,
 over its box's lat/lon extent (``_rect``). It expires in place, touching
@@ -207,7 +210,25 @@ class StviiIndex(TreeIndex):
             self.root = self._build_node(False, list(split))
 
     def _insert_rec(self, node, img, ebox):
-        node.mbr = _box_union(node.mbr, ebox)
+        m = node.mbr
+        if m is None:
+            node.mbr = list(ebox)
+        else:
+            # the box grows in place; an edge the point only meets stays,
+            # as in ``_box_union``
+            lat, lon, t = ebox[0], ebox[1], ebox[2]
+            if lat < m[0]:
+                m[0] = lat
+            elif lat > m[3]:
+                m[3] = lat
+            if lon < m[1]:
+                m[1] = lon
+            elif lon > m[4]:
+                m[4] = lon
+            if t < m[2]:
+                m[2] = t
+            elif t > m[5]:
+                m[5] = t
         add_to_aggregates(node, img.t_c, img.freq)
         if node.children is None:
             node.images.append(img)
@@ -360,7 +381,12 @@ def _quadratic_split(boxes, min_fill):
 
     Each step scores every box at once over per-axis numpy columns, with
     the same arithmetic and tie-breaks as a box-at-a-time loop: t columns
-    of ints stay int64, so their extents are exact before the product."""
+    of ints stay int64, so their extents are exact before the product.
+    Each group keeps its box as scalars and, for each axis, the extent of
+    its box's union with every box (``_extents``); a group's enlargement
+    to take each box is their product less its volume, in the order of
+    ``_box_volume``. A pick that grows a group's box remakes only the
+    extents of the axes it grew."""
     n = len(boxes)
     lo = [np.array([b[k] for b in boxes]) for k in range(3)]
     hi = [np.array([b[k] for b in boxes]) for k in range(3, 6)]
@@ -371,49 +397,69 @@ def _quadratic_split(boxes, min_fill):
     waste[np.tril_indices(n)] = -np.inf
     s1, s2 = divmod(int(np.argmax(waste)), n)
     g1, g2 = [s1], [s2]
+    # each group's box, grown in place: a copy, never a member's own list
     mbr1, mbr2 = list(boxes[s1]), list(boxes[s2])
     vol1, vol2 = _box_volume(mbr1), _box_volume(mbr2)
-    d1, d2 = _enlargements(mbr1, lo, hi), _enlargements(mbr2, lo, hi)
-    free = np.ones(n, dtype=bool)
-    free[[s1, s2]] = False
+    e1 = [_extents(mbr1, lo, hi, a) for a in range(3)]
+    e2 = [_extents(mbr2, lo, hi, a) for a in range(3)]
+    d1, d2 = e1[0] * e1[1] * e1[2] - vol1, e2[0] * e2[1] * e2[2] - vol2
+    taken = np.zeros(n, dtype=bool)
+    taken[[s1, s2]] = True
     # PickNext's preference of each free box, -1 once taken; remade only
     # when a group's box grows. A box is compared, not its enlargement:
     # a zero-volume box can grow by 0
-    pref = np.where(free, np.abs(d1 - d2), -1.0)
+    pref = np.abs(d1 - d2)
+    pref[taken] = -1.0
     left = n - 2
     while left:
         if len(g1) + left == min_fill:
-            g1.extend(np.flatnonzero(free).tolist())
+            g1.extend(np.flatnonzero(~taken).tolist())
             break
         if len(g2) + left == min_fill:
-            g2.extend(np.flatnonzero(free).tolist())
+            g2.extend(np.flatnonzero(~taken).tolist())
             break
         # PickNext: strongest preference first, the first such box in
         # index order
-        i = int(np.argmax(pref))
-        free[i] = False
+        i = int(pref.argmax())
+        taken[i] = True
         pref[i] = -1.0
         left -= 1
         if (d1[i], vol1, len(g1)) <= (d2[i], vol2, len(g2)):
             g1.append(i)
-            grown = _box_union(mbr1, boxes[i])
-            if grown == mbr1:
+            if not _grow(mbr1, e1, boxes[i], lo, hi):
                 continue
-            mbr1, vol1 = grown, _box_volume(grown)
-            d1 = _enlargements(mbr1, lo, hi)
+            vol1 = _box_volume(mbr1)
+            d1 = e1[0] * e1[1] * e1[2] - vol1
         else:
             g2.append(i)
-            grown = _box_union(mbr2, boxes[i])
-            if grown == mbr2:
+            if not _grow(mbr2, e2, boxes[i], lo, hi):
                 continue
-            mbr2, vol2 = grown, _box_volume(grown)
-            d2 = _enlargements(mbr2, lo, hi)
-        pref = np.where(free, np.abs(d1 - d2), -1.0)
+            vol2 = _box_volume(mbr2)
+            d2 = e2[0] * e2[1] * e2[2] - vol2
+        pref = np.abs(d1 - d2)
+        pref[taken] = -1.0
     return g1, g2
 
 
-def _enlargements(mbr, lo, hi):
-    """How much ``mbr`` grows in volume to take each box of the columns."""
-    union = [np.minimum(l, mbr[k]) for k, l in enumerate(lo)] \
-        + [np.maximum(h, mbr[k + 3]) for k, h in enumerate(hi)]
-    return _box_volume(union) - _box_volume(mbr)
+def _extents(mbr, lo, hi, a):
+    """The extent along axis ``a`` of the union of ``mbr`` with each box
+    of the columns, counting ticks on t (axis 2) as ``_box_volume`` does."""
+    e = np.maximum(hi[a], mbr[a + 3]) - np.minimum(lo[a], mbr[a])
+    return e + 1 if a == 2 else e
+
+
+def _grow(mbr, ext, box, lo, hi):
+    """Grows the group box ``mbr`` in place to take ``box`` and remakes the
+    extent columns ``ext`` of each axis it grew along; returns whether it
+    grew."""
+    grew = False
+    for a in range(3):
+        low, high = box[a] < mbr[a], box[a + 3] > mbr[a + 3]
+        if low or high:
+            if low:
+                mbr[a] = box[a]
+            if high:
+                mbr[a + 3] = box[a + 3]
+            ext[a] = _extents(mbr, lo, hi, a)
+            grew = True
+    return grew

@@ -7,6 +7,7 @@ suite."""
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from . import kernels
@@ -72,15 +73,30 @@ def random_query(rng, images, domain, vocab=60, max_words=20):
     )
 
 
+class IndexRaised(Exception):
+    """An index raised inside an operation of a check; the message names
+    the index, the operation and the exception."""
+
+
+@contextmanager
+def _naming(index, operation):
+    """Re-raises any exception of the block as ``IndexRaised``, naming
+    ``index`` and ``operation``."""
+    try:
+        yield
+    except Exception as exc:
+        raise IndexRaised(f"{index.kind}: {operation} raised {type(exc).__name__}: {exc}") from exc
+
+
 def build_all(images, config):
-    hiq = HiqIndex(config)
-    ifa = IfaIndex(config)
-    stvii = StviiIndex(config)
+    """HIQ, IFA and STVII over ``images`` in time order; an exception of
+    an insert is re-raised as ``IndexRaised``."""
+    indexes = HiqIndex(config), IfaIndex(config), StviiIndex(config)
     for img in sorted(images, key=lambda im: im.t_c):
-        hiq.insert(img)
-        ifa.insert(img)
-        stvii.insert(img)
-    return hiq, ifa, stvii
+        for index in indexes:
+            with _naming(index, f"insert of image {img.id}"):
+                index.insert(img)
+    return indexes
 
 
 def results_match(a, b, tol=SCORE_TOL):
@@ -118,19 +134,22 @@ def oracle_stream(rng, n, domain, shape):
 
 
 ORACLE_SHAPES = ("uniform", "clustered", "jump")
-PATH_COUNTS = ("IFA compactions", "multi-level HIQ splits", "STVII prunes that emptied a node")
+PATH_COUNTS = ("IFA compactions", "multi-level HIQ splits", "STVII prunes that emptied a node",
+               "STVII inner splits")
 
 
 def check_oracle_equivalence(seed, instances, domain, max_images=500,
                              queries_per_dataset=20, capacity=8):
     """Runs (instances) random (dataset, query) pairs through HIQ, IFA,
-    STVII and the oracle; returns the number of mismatches, the
-    ``structure_violations`` of each index built, each led by the index's
-    kind, and how often the streams took each path of ``PATH_COUNTS``
-    (``insert_counting``). The datasets take the shapes of
-    ``oracle_stream`` in turn. The window holds 3 of the data's 20,000 s
-    segments, so the older part of each dataset has expired before the
-    queries."""
+    STVII and the oracle; returns the number of mismatches, the faults
+    found, each led by the index's kind, and how often the streams took
+    each path of ``PATH_COUNTS`` (``insert_counting``). The faults are the
+    ``structure_violations`` of each index, checked whenever the window
+    start moves and after the last insert, and any exception an index
+    raised (``IndexRaised``): that ends its dataset, whose queries left
+    count as mismatches. The datasets take the shapes of ``oracle_stream``
+    in turn. The window holds 3 of the data's 20,000 s segments, so the
+    older part of each dataset has expired before the queries."""
     rng = random.Random(seed)
     failures = 0
     faults = []
@@ -149,37 +168,70 @@ def check_oracle_equivalence(seed, instances, domain, max_images=500,
             max_depth=8,
         )
         indexes = hiq, ifa, stvii = HiqIndex(config), IfaIndex(config), StviiIndex(config)
-        for img in sorted(images, key=lambda im: im.t_c):
-            insert_counting(indexes, img, counts)
-        faults += [f"{index.kind}: {fault}" for index in indexes
-                   for fault in structure_violations(index)]
-        live = list(hiq.live_images())
-        for _ in range(min(queries_per_dataset, instances - done)):
-            q = random_query(rng, images, domain)
-            expected = brute_force_oracle(q, live, hiq.params)
-            if not all(results_match(index.search(q)[0], expected) for index in indexes):
-                failures += 1
-            done += 1
+        queries = [random_query(rng, images, domain)
+                   for _ in range(min(queries_per_dataset, instances - done))]
+        done += len(queries)
+        answered = 0
+        try:
+            start = None
+            for img in sorted(images, key=lambda im: im.t_c):
+                insert_counting(indexes, img, counts)
+                if hiq.window_start() != start:
+                    start = hiq.window_start()
+                    faults += _structure_faults(indexes)
+            faults += _structure_faults(indexes)
+            live = list(hiq.live_images())
+            for q in queries:
+                expected = brute_force_oracle(q, live, hiq.params)
+                if not all(_answers(index, q, expected) for index in indexes):
+                    failures += 1
+                answered += 1
+        except IndexRaised as exc:
+            faults.append(str(exc))
+            failures += len(queries) - answered
     return failures, faults, counts
+
+
+def _structure_faults(indexes):
+    """``structure_violations`` of each of ``indexes``, each led by its kind."""
+    out = []
+    for index in indexes:
+        with _naming(index, "structure check"):
+            out += [f"{index.kind}: {fault}" for fault in structure_violations(index)]
+    return out
+
+
+def _answers(index, q, expected):
+    """Whether ``index`` answers ``q`` with the oracle's ``expected``."""
+    with _naming(index, "search"):
+        return results_match(index.search(q)[0], expected)
 
 
 def insert_counting(indexes, img, counts):
     """Inserts ``img`` into the ``(hiq, ifa, stvii)`` indexes and adds to
     ``counts`` each path of ``PATH_COUNTS`` it took: an IFA expiry that
-    compacted the table, a HIQ split that made more than one level, and a
-    roll whose STVII prune dropped an emptied node below a root it kept."""
+    compacted the table, a HIQ split that made more than one level, a
+    roll whose STVII prune dropped an emptied node below a root it kept,
+    and each STVII split of an inner node. A split makes two new nodes of
+    the one it splits and a root split one more, the new root, while a
+    prune makes no inner node, so the inner splits are half the new inner
+    nodes, less a new inner root."""
     hiq, ifa, stvii = indexes
     depth = _leaf_depth(hiq, img)
     slots = len(ifa.ids)
+    nodes = list(walk(stvii.roots()))
     rolls = stvii._head_end is not None and img.t_c >= stvii._head_end
-    nodes = list(walk(stvii.roots())) if rolls else []
     for index in indexes:
-        index.insert(img)
+        with _naming(index, f"insert of image {img.id}"):
+            index.insert(img)
     cutoff = stvii.window_start()
     counts["IFA compactions"] += len(ifa.ids) <= slots
     counts["multi-level HIQ splits"] += _leaf_depth(hiq, img) > depth + 1
     counts["STVII prunes that emptied a node"] += bool(
-        nodes and nodes[0].t_max >= cutoff and any(n.t_max < cutoff for n in nodes))
+        rolls and nodes and nodes[0].t_max >= cutoff and any(n.t_max < cutoff for n in nodes))
+    before = set(map(id, nodes))        # ``nodes`` keeps them alive: no id is reused
+    new = [n for n in walk(stvii.roots()) if n.children is not None and id(n) not in before]
+    counts["STVII inner splits"] += (len(new) - (stvii.root in new)) // 2
 
 
 def _leaf_depth(hiq, img):
@@ -334,7 +386,8 @@ def check_dominance(seed, pairs, domain, tol=BOUND_TOL):
     leaf's visual bound and its recency cost at ``t_max``. For every
     parent and child it asserts the nesting that the search's inherited
     visual bounds rest on (``nesting_violations``). Returns the number of
-    violations (``dominance_violations``)."""
+    violations (``dominance_violations``); an exception of an index is
+    re-raised as ``IndexRaised``."""
     rng = random.Random(seed)
     violations = 0
     done = 0
@@ -345,7 +398,9 @@ def check_dominance(seed, pairs, domain, tol=BOUND_TOL):
         hiq, _, stvii = build_all(images, config)
         for _ in range(min(10, pairs - done)):
             q = random_query(rng, images, domain)
-            violations += dominance_violations(q, hiq, tol) + dominance_violations(q, stvii, tol)
+            for index in (hiq, stvii):
+                with _naming(index, "bound check"):
+                    violations += dominance_violations(q, index, tol)
             done += 1
     return violations
 
@@ -426,9 +481,12 @@ def run_verification(seed=0, instances=50, domain=None):
         + ", ".join(f"{n} {name}" for name, n in counts.items())
         + (f"; first: {faults[0]}" if faults else ""),
     )
-    violations = check_dominance(seed + 1, max(10, instances // 2), domain)
-    report.record(
-        "bound-dominance", violations == 0,
-        f"{max(10, instances // 2)} pairs, {violations} violations",
-    )
+    pairs = max(10, instances // 2)
+    try:
+        violations = check_dominance(seed + 1, pairs, domain)
+    except IndexRaised as exc:
+        report.record("bound-dominance", False, str(exc))
+    else:
+        report.record("bound-dominance", violations == 0,
+                      f"{pairs} pairs, {violations} violations")
     return report

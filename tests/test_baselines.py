@@ -8,6 +8,8 @@ from geostream.baselines import (
     IfaIndex,
     RTree3DNode,
     StviiIndex,
+    _box,
+    _box_union,
     _box_volume,
     _quadratic_split,
 )
@@ -23,6 +25,7 @@ from geostream.model import (
 )
 from geostream.verify import (
     dominance_violations,
+    oracle_stream,
     random_images,
     random_query,
     results_match,
@@ -850,6 +853,66 @@ def test_quadratic_split_matches_scalar_reference(t0):
                          + tuple(max(c[k] for c in corners) for k in range(3)))
         m = rng.randint(1, max(1, n // 2))
         assert _quadratic_split(boxes, m) == _scalar_quadratic_split(boxes, m)
+
+
+class ReferenceStvii(StviiIndex):
+    """STVII whose insert makes each level's box a new ``_box_union`` list
+    and splits through ``_scalar_quadratic_split``: the reference for the
+    boxes grown in place and the column-wise split. ``splits`` counts its
+    leaf (True) and inner (False) splits."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.splits = {True: 0, False: 0}
+
+    def _insert_rec(self, node, img, ebox):
+        # the box already holds the point, so the in-place growth is idle
+        node.mbr = _box_union(node.mbr, ebox)
+        return super()._insert_rec(node, img, ebox)
+
+    def _split(self, node):
+        leaf = node.children is None
+        self.splits[leaf] += 1
+        items = node.images if leaf else node.children
+        boxes = [_box(im) for im in items] if leaf else [c.mbr for c in items]
+        return tuple(self._build_node(leaf, [items[i] for i in g])
+                     for g in _scalar_quadratic_split(boxes, self.min_fill))
+
+
+def twin_stream(rng, n, domain, shape):
+    """``n`` images over t = 0..100,000 in time order: ``uniform`` and
+    ``clustered`` as ``oracle_stream`` draws them, ``one-tick`` the uniform
+    points on the ticks 25,000 apart, so that whole splits share one tick,
+    and ``t0`` the uniform stream moved on by 1.7e18."""
+    images = oracle_stream(rng, n, domain, "clustered" if shape == "clustered" else "uniform")
+    if shape == "one-tick":
+        images = [GeoTemporalImage(im.id, im.lat, im.lon, im.t_c // 25_000 * 25_000, im.psi)
+                  for im in images]
+    elif shape == "t0":
+        images = [GeoTemporalImage(im.id, im.lat, im.lon, im.t_c + 1_700_000_000_000_000_000,
+                                   im.psi) for im in images]
+    return sorted(images, key=lambda im: im.t_c)
+
+
+@pytest.mark.parametrize("shape", ["uniform", "clustered", "one-tick", "t0"])
+@pytest.mark.parametrize("capacity, n", [(3, 300), (8, 400), (100, 600)])
+def test_inserts_build_the_reference_tree(capacity, n, shape, domain):
+    # twin trees of one stream, equal node for node after every roll and
+    # at the end. The window holds 3 of the stream's ten 10,000 s
+    # segments, so rolls prune between the splits
+    config = make_config(domain, capacity=capacity, segment_span=10_000, window=3)
+    index, twin = StviiIndex(config), ReferenceStvii(config)
+    start = None
+    for im in twin_stream(random.Random(capacity), n, domain, shape):
+        index.insert(im)
+        twin.insert(im)
+        if index.window_start() != start:
+            start = index.window_start()
+            assert node_fields(index.root) == node_fields(twin.root)
+    assert node_fields(index.root) == node_fields(twin.root)
+    assert structure_violations(index) == []
+    assert twin.splits[True] >= 2
+    assert capacity == 100 or twin.splits[False] > 0, twin.splits
 
 
 def test_all_indexes_agree(domain):

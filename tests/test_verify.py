@@ -1,10 +1,18 @@
 import random
+import re
 
 import pytest
 
+from geostream.baselines import StviiIndex
 from geostream.engine import walk
 from geostream.hiq import HiqConfig
-from geostream.verify import build_all, random_images, structure_violations
+from geostream.verify import (
+    build_all,
+    check_oracle_equivalence,
+    random_images,
+    run_verification,
+    structure_violations,
+)
 
 
 def node_max_freq(hiq, ifa, stvii):
@@ -61,3 +69,23 @@ def test_a_planted_fault_is_reported(domain, plant):
     index, message = plant(hiq, ifa, stvii)
     faults = structure_violations(index)
     assert len(faults) == 1 and message in faults[0], faults
+
+
+def test_an_index_that_raises_is_a_fault(domain, monkeypatch):
+    # a roll whose prune raises ends its dataset with one fault naming the
+    # index, the operation and the exception; the check goes on to the
+    # next dataset, and the queries left unanswered count as mismatches
+    def broken_prune(self, node, cutoff):
+        raise KeyError(17)
+
+    monkeypatch.setattr(StviiIndex, "_prune", broken_prune)
+    mismatches, faults, _counts = check_oracle_equivalence(7, 100, domain, max_images=200)
+    assert len(faults) >= 2, faults
+    assert all(re.fullmatch(r"stvii: insert of image \d+ raised KeyError: 17", f) for f in faults)
+    assert mismatches == 20 * len(faults)
+    report = run_verification(seed=7, instances=100, domain=domain)
+    assert not report.ok
+    assert any(line.startswith("FAIL structure") and "raised KeyError: 17" in line
+               for line in report.lines), report.lines
+    assert any(line.startswith("FAIL bound-dominance (stvii: insert of image")
+               for line in report.lines), report.lines
