@@ -394,7 +394,7 @@ def _quadratic_split(boxes, min_fill):
     # PickSeeds: the pair wasting most volume, the first in (i, j) order
     waste = _box_volume([np.minimum.outer(l, l) for l in lo]
                         + [np.maximum.outer(h, h) for h in hi]) - vol[:, None] - vol[None, :]
-    waste[np.tril_indices(n)] = -np.inf
+    waste[np.tri(n, dtype=bool)] = -np.inf
     s1, s2 = divmod(int(np.argmax(waste)), n)
     g1, g2 = [s1], [s2]
     # each group's box, grown in place: a copy, never a member's own list

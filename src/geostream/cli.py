@@ -291,7 +291,7 @@ def main(argv=None):
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except (DataFormatError, DomainError, OSError, ValueError) as exc:
+    except (DataFormatError, DomainError, OSError, OverflowError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
 

@@ -27,12 +27,10 @@ pairs it admitted; ``SearchStats.images_scored`` counts those. The search
 also passes the leaf's floor, its exact bound less its spatial term. The
 floor leaves the leaf a spatial radius, and the scorer skips the images
 outside it, which cannot cost λ or less; the radius shrinks as λ falls.
-The search builds the ``combined_score`` breakdown of the k results
-only, as IFA's column scorer does. The scorer records the spatial,
-visual and temporal terms of each image it admits in the query's
-context, and ``combined_score`` takes a tree result's breakdown from
-there instead of computing it again; the query's word constants come
-from ``ScoreParams.word_table``, filled once per corpus state.
+Each entry of ``worst`` carries its image's spatial, visual and
+temporal terms, and the search builds the ``combined_score`` breakdown
+of the k results only, from those terms, as IFA's column scorer builds
+only its k; no result's terms are computed again.
 """
 
 from __future__ import annotations
@@ -51,6 +49,7 @@ from .model import (
     DomainError,
     ScoreBreakdown,
     ScoreParams,
+    _INT64,
     _real,
     _whole,
     combined_score,
@@ -58,9 +57,6 @@ from .model import (
     temporal_recency,
     visual_weight,
 )
-
-
-_INT64 = range(-2 ** 63, 2 ** 63)
 
 
 class ExpiredArrivalError(ValueError):
@@ -129,8 +125,9 @@ def top_k_search(q, index, audit=None):
     ``index.candidates(q, leaf, worst, floor)`` offers a leaf's images to
     ``worst``, the running top k, under the leaf's floor, its bound less
     the spatial term its heap entry carries; λ is read back from
-    ``worst``. Only the k results get a breakdown from ``combined_score``,
-    which reads the terms the leaf scorer recorded for them. ``audit``,
+    ``worst``. Its entries, ``(-f_stv, -id, image, f_s, f_v, f_t)``,
+    are the results: in ascending (f_stv, id), each gets its breakdown
+    from ``combined_score`` of the terms it carries. ``audit``,
     when a list, is filled with the bound of each pruned node (for
     dominance-safety tests). ``stats.stop`` says whether λ ended the
     search early.
@@ -143,7 +140,7 @@ def top_k_search(q, index, audit=None):
     stats = SearchStats()
     order = itertools.count()
     heap = []               # (bound, push order, node, visual bound, spatial term)
-    worst = []              # max-heap via (-f_stv, -id, image)
+    worst = []              # max-heap via (-f_stv, -id, image, f_s, f_v, f_t)
     lam = math.inf          # k-th best f_stv so far
     nodes = index.roots()   # to push: the roots, then the children of each inner node visited
     stats.roots = len(nodes)
@@ -181,8 +178,8 @@ def top_k_search(q, index, audit=None):
         if audit is not None:
             audit.extend(e[0] for e in heap)
     stats.lam = lam
-    results = [ResultEntry(img.id, combined_score(q, img, params)) for _, _, img in worst]
-    results.sort(key=lambda e: (e.score.f_stv, e.image_id))
+    results = [ResultEntry(img.id, combined_score(q, img, params, terms))
+               for _, _, img, *terms in sorted(worst, reverse=True)]
     return results, stats
 
 
@@ -373,8 +370,8 @@ class TreeIndex(Index):
     def candidates(self, q, leaf, worst, floor=0.0):
         """Offers each image in the leaf sharing at least one query word to
         ``worst``, the search's running top k, a max-heap of ``(-f_stv,
-        -id, image)``, and returns the ``(f_stv, image)`` pairs it admitted:
-        the query context's ``score_leaf``.
+        -id, image, f_s, f_v, f_t)``, and returns the ``(f_stv, image)``
+        pairs it admitted: the query context's ``score_leaf``.
 
         ``floor`` is a lower bound on each image's visual and recency cost,
         which sets the scorer's spatial radius; the search passes the

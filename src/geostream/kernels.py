@@ -19,7 +19,7 @@ terms of both trees, ``engine.TreeIndex.bounds``, inline
 ``rect_min_cost`` and ``recency_cost``. The functions stay as the
 reference that the tests compare against (the only use of
 ``rect_min_cost``), as the path of the oracle and of
-``model.combined_score`` for an image the leaf scorer did not admit,
+``model.combined_score`` when it is given no terms,
 and as what the benchmark's call counters wrap.
 """
 

@@ -42,6 +42,9 @@ BOUND_TOL = 1e-9
 # margin to ln 2^-54 (about -37.4) covers the rounding of the log sums.
 UNDERFLOW = 39.0
 
+# The timestamps an index admits, and the query times it answers.
+_INT64 = range(-2 ** 63, 2 ** 63)
+
 
 @dataclass(frozen=True)
 class SpatialDomain:
@@ -214,6 +217,8 @@ class Query:
         object.__setattr__(self, "loc", _reals(self.loc, 2, "query location"))
         object.__setattr__(self, "weights", _reals(self.weights, 3, "query weights"))
         object.__setattr__(self, "t", _whole(self.t, "query time t", ConfigError))
+        if self.t not in _INT64:
+            raise ConfigError(f"query time t must be within int64, got {self.t}")
         object.__setattr__(self, "k", _whole(self.k, "k", ConfigError))
         if not psi:
             raise ConfigError("query needs at least one visual word")
@@ -260,8 +265,8 @@ class CorpusStats:
     statistics, by one pop and one subtraction, reading none of its
     images; one that loses only some images (to a cutoff inside it in
     ``expire``, or to ``remove_image``) is dropped and rebuilt from its
-    survivors, into a new bucket. ``version`` counts the updates, so a
-    ``QueryContext`` can tell it is stale.
+    survivors, into a new bucket. ``version`` counts the updates, so
+    ``ScoreParams`` can tell that what it cached is stale.
     """
 
     def __init__(self, segment_span=None):
@@ -377,7 +382,7 @@ class ScoreParams:
     time_unit: float = 3600.0
     _context: object = field(default=None, init=False, repr=False, compare=False)
     _words: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _words_of: tuple = field(default=(None, -1), init=False, repr=False, compare=False)
+    _state: tuple = field(default=(None, -1), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _domain(self.domain)
@@ -391,31 +396,25 @@ class ScoreParams:
             raise ConfigError("time unit must be positive")
 
     def context(self, q):
-        """The ``QueryContext`` of ``q`` over the current corpus. The last
-        one is kept while the query object, the stats object and its
-        version stay the same; so are the breakdown terms its leaf scorer
-        recorded, which ``combined_score`` reads. A new context takes its
-        word constants from ``word_table``."""
-        c = self._context
+        """The ``QueryContext`` of ``q`` over the current corpus. One key,
+        the stats object and its version, guards all that is cached: when
+        it changes, the word table is emptied and the context dropped. The
+        last context is kept while the query object stays the same. The
+        word table, ``word -> ((floor, log floor), log max weight)`` or
+        ``()`` for a word absent from the live corpus, is handed to each
+        new context, which fills it as queries ask for words; so a word's
+        entry is computed once per corpus state, whatever the number of
+        queries that ask for it."""
         stats = self.stats
-        if c is None or c.q is not q or c.stats is not stats or c.version != stats.version:
-            c = self._context = QueryContext(q, self)
-        return c
-
-    def word_table(self):
-        """The word constants of the current corpus, filled by
-        ``QueryContext`` as queries ask for words: ``word -> ((floor, log
-        floor), log max weight)``, or ``()`` for a word absent from the live
-        corpus. It is emptied when the stats object or its version changes,
-        the key that ``context`` keeps its context by, so a word's entry is
-        computed once per corpus state whatever the number of queries that
-        ask for it."""
-        stats = self.stats
-        of = self._words_of
-        if of[0] is not stats or of[1] != stats.version:
+        state = self._state
+        if state[0] is not stats or state[1] != stats.version:
+            self._state = (stats, stats.version)
             self._words = {}
-            self._words_of = (stats, stats.version)
-        return self._words
+            self._context = None
+        c = self._context
+        if c is None or c.q is not q:
+            c = self._context = QueryContext(q, self, self._words)
+        return c
 
 
 class QueryContext:
@@ -439,12 +438,11 @@ class QueryContext:
     in the order ``mind_visual`` makes them, query order.
 
     A word's floor, log floor and log live maximum are read from
-    ``ScoreParams.word_table`` and computed only for a word no earlier
-    query of the same corpus state asked for. ``terms`` maps an image id
-    to ``(image, f_s, f_v, f_t)`` for each image ``score_leaf`` admitted;
-    ``combined_score`` reads a breakdown from it. A context lives for one
-    query object and one corpus state, so neither outlives a corpus
-    change.
+    ``words``, the word table ``ScoreParams.context`` hands over, and
+    computed only for a word no earlier query of the same corpus state
+    asked for. A context holds only constants of its query over one
+    corpus state, and ``ScoreParams.context`` drops it, with the table,
+    when that state changes.
 
     Lacking many query words forces a cost of exactly 1.0, which all
     three scorers then give without a log, by one rule. Each word ``v``
@@ -487,19 +485,16 @@ class QueryContext:
     domain.
     """
 
-    __slots__ = ("q", "stats", "version", "terms", "_scale", "_floors", "_log_den",
-                 "_log_const", "_misses", "_live_words", "_count_first", "_lat", "_lon",
-                 "_t", "_weights", "_delta_max", "_decay_base", "_time_unit")
+    __slots__ = ("q", "_scale", "_floors", "_log_den", "_log_const", "_misses", "_live_words",
+                 "_count_first", "_lat", "_lon", "_t", "_weights", "_delta_max", "_decay_base",
+                 "_time_unit")
 
-    def __init__(self, q, params):
+    def __init__(self, q, params, words):
         if not params.domain.contains(q.loc[0], q.loc[1]):
             raise DomainError(f"query location {q.loc} outside domain")
         stats = params.stats
         xi = params.xi
         self.q = q
-        self.stats = stats
-        self.version = stats.version
-        self.terms = {}
         self._lat, self._lon = q.loc
         self._t = q.t
         self._weights = q.weights
@@ -507,7 +502,6 @@ class QueryContext:
         self._decay_base = params.decay_base
         self._time_unit = params.time_unit
         self._scale = 1.0 - xi
-        words = params.word_table()
         floors = {}         # word -> (floor, log floor), in query order
         zero_floor = False
         log_den = 0.0
@@ -556,11 +550,11 @@ class QueryContext:
     def score_leaf(self, leaf, worst, floor=0.0):
         """Offers every image of a tree leaf that holds a query word to
         ``worst``, the search's running top k, a max-heap of ``(-f_stv,
-        -id, image)``, and returns the ``(f_stv, image)`` pairs it
-        admitted, from one pass over ``leaf.images``. An image goes in
-        while the heap holds fewer than k, or when it costs less than the
-        k-th, ``lam``, or ties it with a smaller id, and then replaces the
-        k-th. Afterwards ``worst`` holds the k lowest ``(f_stv, id)`` of
+        -id, image, f_s, f_v, f_t)``, and returns the ``(f_stv, image)``
+        pairs it admitted, from one pass over ``leaf.images``. An image
+        goes in while the heap holds fewer than k, or when it costs less
+        than the k-th, ``lam``, or ties it with a smaller id, and then
+        replaces the k-th. Afterwards ``worst`` holds the k lowest ``(f_stv, id)`` of
         its entries before the call and the leaf's images.
 
         ``floor`` is a lower bound on ``w2 * f_v + w3 * f_t`` over the
@@ -585,9 +579,9 @@ class QueryContext:
         spatial and temporal costs and ``f_stv`` are
         ``kernels.spatial_cost``, ``recency_cost`` and ``combine``, all
         inline in their operands and order, so each ``f_stv`` equals the
-        ``combined_score`` breakdown's bit for bit. The three terms of
-        each admitted image go into ``terms``, where ``combined_score``
-        finds them."""
+        ``combined_score`` breakdown's bit for bit. Each entry carries
+        its image's three terms, from which the search builds the
+        results."""
         w1, w2, w3 = self._weights
         lat, lon, t = self._lat, self._lon, self._t
         delta_max, decay_base, time_unit = self._delta_max, self._decay_base, self._time_unit
@@ -606,7 +600,6 @@ class QueryContext:
         few = n_words - self._misses    # an image holding at most this many costs 1.0
         scale, log_den, log_const = self._scale, self._log_den, self._log_const
         log, exp, sqrt = math.log, math.exp, math.sqrt
-        terms = self.terms
         admitted = []
         for img in images:
             d_lat = lat - img.lat
@@ -643,13 +636,12 @@ class QueryContext:
             f_t = 1.0 - decay_base ** (-(age / time_unit))
             f = w1 * f_s + w2 * f_v + w3 * f_t
             if len(worst) < k:
-                heapq.heappush(worst, (-f, -img.id, img))
+                heapq.heappush(worst, (-f, -img.id, img, f_s, f_v, f_t))
             elif f < lam or (f == lam and img.id < -worst[0][1]):
-                heapq.heapreplace(worst, (-f, -img.id, img))
+                heapq.heapreplace(worst, (-f, -img.id, img, f_s, f_v, f_t))
             else:
                 continue
             admitted.append((f, img))
-            terms[img.id] = (img, f_s, f_v, f_t)
             if len(worst) == k:
                 lam = -worst[0][0]
                 r = (lam + BOUND_TOL - floor) * delta_max / w1
@@ -796,24 +788,22 @@ def temporal_recency(q, t_c, params):
     return kernels.recency_cost(q.t - t_c, params.decay_base, params.time_unit)
 
 
-def combined_score(q, img, params):
+def combined_score(q, img, params, terms=None):
     """Full breakdown; the caller enforces the >= 1 common word filter.
 
-    The one breakdown path of every index. When the leaf scorer of
-    ``params.context(q)`` scored ``img`` (the same object) over the
-    current corpus, its ``(f_s, f_v, f_t)`` are taken from the context's
-    ``terms``; they are the kernels' values bit for bit. Otherwise (IFA's
-    results, an image the scorer never admitted, oracle callers) they are
-    computed here: the spatial and recency kernels, and ``f_v`` as the
+    The one breakdown path of every index. ``terms``, when given, is the
+    image's ``(f_s, f_v, f_t)`` as the tree search's leaf scorer computed
+    them, the kernels' values bit for bit, and is taken as it is.
+    Otherwise (IFA's results, verify, other callers) they are computed
+    here: the spatial and recency kernels, and ``f_v`` as the query
     context's ``mind_visual`` of ``img.freq`` (``visual_relevance``).
     ``f_stv`` is ``kernels.combine`` of the three either way.
 
     Locations are not checked here: the query's is checked when its
     context is built, an image's when an index admits it.
     """
-    terms = params.context(q).terms.get(img.id)
-    if terms is not None and terms[0] is img:
-        _, f_s, f_v, f_t = terms
+    if terms is not None:
+        f_s, f_v, f_t = terms
     else:
         f_s = kernels.spatial_cost(q.loc[0], q.loc[1], img.lat, img.lon, params.domain.delta_max)
         f_v = visual_relevance(q, img, params)

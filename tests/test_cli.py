@@ -174,6 +174,24 @@ class TestQuery:
         assert code == 2
         assert "line 1" in err
 
+    def test_query_time_outside_int64_exit_usage(self, dataset, capsys):
+        code, out, err = run([
+            "query", "--data", str(dataset), "--lat", "50", "--lon", "50",
+            "--words", "1", "--t", str(2 ** 63),
+        ], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--t" in err and "int64" in err
+
+    def test_timestamp_outside_int64_exit_data(self, tmp_path, capsys):
+        far = tmp_path / "far.tsv"
+        far.write_text(f"5\t10.0\t10.0\t{10 ** 30}\t1:2\n")
+        code, out, err = run([
+            "query", "--data", str(far), "--lat", "10", "--lon", "10", "--words", "1",
+        ], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: image 5: id or t_c outside int64\n"
+
     def test_unknown_flag_exit_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["query", "--bogus"])

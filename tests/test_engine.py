@@ -53,6 +53,21 @@ class TestTopKSearch:
         assert len(results) == 3
         assert all(e.image_id < 3 for e in results)
 
+    @pytest.mark.parametrize("t", [2 ** 63 - 1, -2 ** 63], ids=["latest", "earliest"])
+    def test_query_times_at_the_ends_of_int64(self, domain, t):
+        # a query time at either end of int64 builds, and every index
+        # answers it as the oracle does
+        rng = random.Random(61)
+        images = random_images(rng, 150, domain, vocab=20, t_lo=0, t_hi=50_000)
+        indexes = build_all(images, HiqConfig(domain=domain, segment_span=10_000, capacity=5))
+        for _ in range(10):
+            q = dataclasses.replace(random_query(rng, images, domain, vocab=20, max_words=4), t=t)
+            for index in indexes:
+                results, _ = index.search(q)
+                assert results
+                assert results_match(results,
+                                     brute_force_oracle(q, index.live_images(), index.params))
+
     def test_empty_index(self, domain):
         index = HiqIndex(HiqConfig(domain=domain))
         q = Query(psi=(1,), loc=(10.0, 10.0), t=0, k=3, weights=(1 / 3, 1 / 3, 1 / 3))
@@ -182,12 +197,16 @@ def test_leaf_candidates_and_tree_counts(cls, domain):
                 worst = []
                 index.candidates(q, leaf, worst)
                 assert heap_entries(worst) == lowest([], holding_pairs(q, leaf, index.params), q.k)
+                # each entry carries its image's terms, the breakdown's
+                reference = uncached(index.params)
+                for _nf, _nid, im, *terms in worst:
+                    assert tuple(terms) == combined_score(q, im, reference)[:3]
 
 
 def uncached(params):
     """New ``ScoreParams`` equal to ``params``, over the same stats, with
-    no context, word table or recorded terms yet: a reference that
-    nothing the scorer cached in ``params`` can reach."""
+    no context or word table yet: a reference that nothing the scorer
+    cached in ``params`` can reach."""
     return dataclasses.replace(params)
 
 
@@ -209,13 +228,16 @@ def lowest(start, pairs, k):
 
 def heap_entries(worst):
     """``(f_stv, id)`` of a running top k's entries, ascending."""
-    return sorted((-nf, -nid) for nf, nid, _im in worst)
+    return sorted((-nf, -nid) for nf, nid, _im, _f_s, _f_v, _f_t in worst)
 
 
 def running_top_k(pairs):
-    """A max-heap of ``(-f_stv, -id, image)`` over ``(f_stv, image)``
-    pairs, as the search keeps its running top k."""
-    worst = [(-f, -im.id, im) for f, im in pairs]
+    """A max-heap of ``(-f_stv, -id, image, f_s, f_v, f_t)`` over
+    ``(f_stv, image)`` pairs, as the search keeps its running top k. The
+    stand-in images of ``start_pairs`` have no terms, so each entry
+    carries NaN for them; only ``(-f_stv, -id)`` orders the heap."""
+    nan = math.nan
+    worst = [(-f, -im.id, im, nan, nan, nan) for f, im in pairs]
     heapq.heapify(worst)
     return worst
 
@@ -246,7 +268,7 @@ def test_result_scores_are_combined_scores(cls, domain):
             q = random_query(rng, images, domain, vocab=vocab, max_words=max_words)
             results, _ = top_k_search(q, index)
             assert results_match(results, brute_force_oracle(q, live.values(), index.params))
-            # after the search, so the index's context holds the scorer's terms
+            # after the search, so the index's context and word table are warm
             reference = uncached(index.params)
             for e in results:
                 assert e.score == combined_score(q, live[e.image_id], reference)
@@ -255,7 +277,7 @@ def test_result_scores_are_combined_scores(cls, domain):
 @pytest.mark.parametrize("cls", [HiqIndex, StviiIndex, IfaIndex], ids=lambda c: c.kind)
 def test_same_query_object_across_corpus_changes(cls, domain):
     # one Query object searched again after each insert and expiry: the
-    # word table and the scorer's terms of the state before must not
+    # word table and the context of the state before must not
     # leak into the answer after it
     rng = random.Random(44)
     images = random_images(rng, 300, domain, vocab=30, t_lo=0, t_hi=30_000)
@@ -373,16 +395,21 @@ def test_search_says_why_it_stopped(cls, domain):
 @pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
 def test_breakdowns_for_the_results_only(cls, domain, monkeypatch):
     # a count, not a timing: one combined_score per result, whatever the
-    # machine, and every image admitted to the running top k is counted
-    # as scored
+    # machine, each from the terms the search passed, with no spatial
+    # kernel run, and every image admitted to the running top k is
+    # counted as scored
     rng = random.Random(42)
     index, images = twinned_index(cls, domain, rng)
-    broken_down, drawn = [], []
+    broken_down, drawn, spatial = [], [], []
     leaf_candidates = index.candidates
+    spatial_cost = kernels.spatial_cost
 
-    def counted_score(q, img, params):
-        broken_down.append(img.id)
-        return combined_score(q, img, params)
+    def counted_score(q, img, params, terms=None):
+        broken_down.append((img.id, terms is not None))
+        spatial.clear()
+        breakdown = combined_score(q, img, params, terms)
+        assert spatial == []
+        return breakdown
 
     def counted_candidates(q, leaf, worst, floor):
         drawn.append(leaf_candidates(q, leaf, worst, floor))
@@ -390,13 +417,15 @@ def test_breakdowns_for_the_results_only(cls, domain, monkeypatch):
 
     monkeypatch.setattr(engine, "combined_score", counted_score)
     monkeypatch.setattr(index, "candidates", counted_candidates)
+    monkeypatch.setattr(kernels, "spatial_cost",
+                        lambda *a: spatial.append(a) or spatial_cost(*a))
     more_drawn_than_kept = False
     for _ in range(30):
         q = random_query(rng, images, domain)
         broken_down.clear()
         drawn.clear()
         results, stats = top_k_search(q, index)
-        assert sorted(broken_down) == sorted(e.image_id for e in results)
+        assert sorted(broken_down) == sorted((e.image_id, True) for e in results)
         assert stats.images_scored == sum(map(len, drawn))
         more_drawn_than_kept |= stats.images_scored > len(results)
     assert more_drawn_than_kept
@@ -755,7 +784,9 @@ def eager_top_k_search(q, index):
                     stats.nodes_pruned += 1
             stats.heap_peak = max(stats.heap_peak, len(heap))
     stats.lam = lam
-    results = [engine.ResultEntry(img.id, combined_score(q, img, params)) for _, _, img in worst]
+    # breakdowns computed afresh, not from the terms the entries carry
+    results = [engine.ResultEntry(img.id, combined_score(q, img, params))
+               for _, _, img, _f_s, _f_v, _f_t in worst]
     results.sort(key=lambda e: (e.score.f_stv, e.image_id))
     return results, stats
 

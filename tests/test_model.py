@@ -18,6 +18,7 @@ from geostream.model import (
     InvalidStateError,
     Query,
     QueryContext,
+    ScoreBreakdown,
     ScoreParams,
     UNDERFLOW,
     SpatialDomain,
@@ -49,8 +50,8 @@ def params_for(domain, images, **kw):
 
 def uncached(p):
     """New ``ScoreParams`` equal to ``p``, over the same stats, with no
-    context, word table or recorded terms yet: a reference that nothing
-    the scorer cached in ``p`` can reach."""
+    context or word table yet: a reference that nothing the scorer
+    cached in ``p`` can reach."""
     return dataclasses.replace(p)
 
 
@@ -268,6 +269,15 @@ class TestValidation:
     def test_bad_k(self):
         with pytest.raises(ConfigError):
             query(k=0)
+
+    @pytest.mark.parametrize("t", [2 ** 63, -2 ** 63 - 1, 10 ** 400])
+    def test_query_time_outside_int64(self, t):
+        # an index admits only int64 timestamps; a query time past them
+        # would end every search in an untyped OverflowError
+        with pytest.raises(ConfigError, match="query time t must be within int64"):
+            query(t=t)
+        assert query(t=2 ** 63 - 1).t == 2 ** 63 - 1
+        assert query(t=-2 ** 63).t == -2 ** 63
 
     def test_empty_query_words(self):
         with pytest.raises(ConfigError):
@@ -833,17 +843,22 @@ class TestQueryContext:
             leaf = SimpleNamespace(images=corpus)
             worst = []
             scored = sorted(p.context(q).score_leaf(leaf, worst), key=lambda pair: pair[1].id)
-            assert sorted(-nid for _nf, nid, _im in worst) == [image.id for _f, image in scored]
+            # each heap entry: (-f_stv, -id, image, f_s, f_v, f_t)
+            entries = {-nid: (-nf, image, (f_s, f_v, f_t))
+                       for nf, nid, image, f_s, f_v, f_t in worst}
+            assert sorted(entries) == [image.id for _f, image in scored]
             assert [image for _f, image in scored] == \
                 [image for image in corpus if set(q.psi) & set(image.freq)]
-            # the reference has no word table and no recorded terms, so a
-            # fault in the scorer cannot show in both sides
+            # the reference has no context or word table, so a fault in
+            # the scorer cannot show in both sides
             reference = uncached(p)
             for f, image in scored:
                 newer += image.t_c > q.t
                 lacking += not set(q.psi) <= set(image.freq)
                 expected = combined_score(q, image, reference)
                 assert f == expected.f_stv
+                assert entries[image.id] == (f, image, expected[:3])
+                assert combined_score(q, image, p, entries[image.id][2]) == expected
                 assert combined_score(q, image, p) == expected
         assert newer and lacking and absent
 
@@ -864,7 +879,6 @@ class TestQueryContext:
         # word 50, absent from the corpus, is remembered as absent
         ctx = p.context(query(psi=(2, 4, 50)))
         assert asked == [1, 2, 50, 4]
-        assert p.word_table()[50] == ()
         assert list(ctx._floors) == [2, 4]
         fresh = uncached(p).context(query(psi=(2, 4, 50)))
         assert (ctx._floors, ctx._log_den, ctx._log_const) == \
@@ -875,7 +889,7 @@ class TestQueryContext:
         assert asked[-2:] == [2, 50]
         assert list(ctx._floors) == [2, 50]
 
-    def test_swapping_the_stats_resets_the_word_table(self, domain):
+    def test_swapping_the_stats_resets_the_word_table(self, domain, monkeypatch):
         q = query(psi=(1, 2, 3), loc=(40.0, 60.0))
         before = [img(id=i, psi=((1, 1), (2, 1 + i))) for i in range(3)]
         after = [img(id=i, psi=((1, 5 + i), (3, 1))) for i in range(3)]
@@ -883,18 +897,27 @@ class TestQueryContext:
         swapped = params_for(domain, after, xi=0.35).stats
         # the same version, so only the stats object tells them apart
         assert swapped.version == p.stats.version
-        p.context(q)
-        table = p.word_table()
-        assert set(table) == {1, 2, 3} and table[3] == ()
+        asked = []
+        weight_range = CorpusStats.weight_range
+
+        def counted(stats, word, xi):
+            asked.append(word)
+            return weight_range(stats, word, xi)
+
+        monkeypatch.setattr(CorpusStats, "weight_range", counted)
+        ctx = p.context(q)
+        assert asked == [1, 2, 3] and list(ctx._floors) == [1, 2]     # word 3 absent
         p.stats = swapped
-        assert p.word_table() is not table
+        # the same query object: the context and every word go with the stats
+        swapped_ctx = p.context(q)
+        assert swapped_ctx is not ctx
+        assert asked == [1, 2, 3, 1, 2, 3] and list(swapped_ctx._floors) == [1, 3]
         reference = uncached(p)
         for image in after:
             assert combined_score(q, image, p) == combined_score(q, image, reference)
             assert visual_relevance(q, image, p) < 1.0
-        assert p.word_table()[3] != ()
 
-    def test_breakdown_of_an_image_the_scorer_did_not_keep_is_fresh(self, domain, monkeypatch):
+    def test_breakdown_computes_its_terms_unless_given_them(self, domain, monkeypatch):
         rng = random.Random(57)
         corpus = random_images(rng, 40, domain, vocab=8, t_lo=0, t_hi=5000)
         p = params_for(domain, corpus, xi=0.35)
@@ -904,26 +927,29 @@ class TestQueryContext:
                                                                  worst)}
         # the scorer admitted images that later ones pushed out of the top 3
         assert len(worst) == 3 < len(admitted) < len(corpus)
-        # an admitted image's breakdown is the scorer's; any other, and an
-        # image object the scorer never saw under an admitted id, is computed
         spatial = []
         spatial_cost = kernels.spatial_cost
         monkeypatch.setattr(kernels, "spatial_cost",
                             lambda *a: spatial.append(a) or spatial_cost(*a))
+        # with no terms, right after a search of the same query object,
+        # every breakdown is computed afresh, an admitted image's included
         reference = uncached(p)
         for image in corpus:
             spatial.clear()
             got = combined_score(q, image, p)
-            assert len(spatial) == (image.id not in admitted)
+            assert len(spatial) == 1
             assert got == combined_score(q, image, reference)
-        moved = next(image for image in corpus if image.id in admitted)
-        stranger = GeoTemporalImage(moved.id, (moved.lat + 50.0) % 100.0, moved.lon, moved.t_c,
-                                    moved.psi)
+        # with terms, exactly the ones given are combined, with no kernel:
+        # the heap's own, and ones that are no image's
+        w1, w2, w3 = q.weights
+        want = [combined_score(q, image, reference) for _nf, _nid, image, *_terms in worst]
         spatial.clear()
-        got = combined_score(q, stranger, p)
-        assert len(spatial) == 1
-        assert got == combined_score(q, stranger, reference)
-        assert got.f_s != combined_score(q, moved, p).f_s
+        assert [combined_score(q, image, p, terms)
+                for _nf, _nid, image, *terms in worst] == want
+        for terms in ((0.25, 0.5, 0.125), (1.0, 0.0, 1.0)):
+            assert combined_score(q, corpus[0], p, terms) == \
+                ScoreBreakdown(*terms, kernels.combine(w1, w2, w3, *terms))
+        assert spatial == []
 
 
 def full_visual(ctx, ratios):
@@ -1040,10 +1066,13 @@ def assert_scorers_equal_the_formula(p, trees, ifa, corpus, q, monkeypatch, seen
     # the k of the query covers the corpus, so the leaf scorer admits
     # every image that holds a query word
     w1, w2, w3 = q.weights
-    admitted = ctx.score_leaf(SimpleNamespace(images=corpus), [])
-    assert len(admitted) == sum(1 for image in corpus if set(q.psi) & image.freq.keys())
+    worst = []
+    admitted = ctx.score_leaf(SimpleNamespace(images=corpus), worst)
+    assert len(admitted) == len(worst) == \
+        sum(1 for image in corpus if set(q.psi) & image.freq.keys())
+    terms = {image.id: (f_s, f_v, f_t) for _nf, _nid, image, f_s, f_v, f_t in worst}
     for f, image in admitted:
-        _image, f_s, f_v, f_t = ctx.terms[image.id]
+        f_s, f_v, f_t = terms[image.id]
         assert f_s == kernels.spatial_cost(*q.loc, image.lat, image.lon, p.domain.delta_max)
         assert f_v == full_visual(reference, image.freq)
         assert f_t == kernels.recency_cost(q.t - image.t_c, p.decay_base, p.time_unit)
@@ -1062,8 +1091,10 @@ def assert_scorers_equal_the_formula(p, trees, ifa, corpus, q, monkeypatch, seen
     with monkeypatch.context() as m:
         m.setattr(math, "log", lambda x, log=math.log: logs.append(x) or log(x))
         m.setattr(np, "log", lambda x, log=np.log: logs.append(x) or log(x))
-        assert all(ctx.terms[image.id][2] == 1.0
-                   for _f, image in ctx.score_leaf(SimpleNamespace(images=few), []))
+        worst = []
+        ctx.score_leaf(SimpleNamespace(images=few), worst)
+        assert len(worst) == len(few)
+        assert all(f_v == 1.0 for _nf, _nid, _image, _f_s, f_v, _f_t in worst)
         if n - c > 0 and not (held > n - c).any():
             ctx.visual_columns(ifa.postings, slots)
             seen["columns"] += 1

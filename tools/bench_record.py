@@ -11,7 +11,8 @@ runs and processes. The file keeps every count-unit metric,
 workload. ``--check`` names each of them
 that moved; it prints the per-layer timings of the fresh run beside them
 but never gates on a timing. A change that moves a count commits its own
-``BENCH_<pr>.json``, so the diff between the files is the record.
+``BENCH_<pr>.json`` in place of the last one, and ``git log -p --
+'BENCH_*.json'`` is the record.
 """
 
 from __future__ import annotations
