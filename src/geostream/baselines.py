@@ -3,7 +3,9 @@ per-node word maxima (STVII).
 
 IFA keeps one posting list per word over a table of image slots and
 scores every candidate at query time (no early termination), as numpy
-columns in one pass over the query words' posting lists. STVII boxes
+columns in one pass over the query words' posting lists; a slot is live
+while its timestamp is at or after the window's cutoff, and expiry only
+compacts the table once half of it is dead. STVII boxes
 images in raw (lat, lon, t), grows each box on the insert path in place,
 and splits quadratically on overflow: each of a split's two groups keeps
 per-axis columns of its box's extent with every box, so a pick recomputes
@@ -36,12 +38,13 @@ from .model import mind_visual  # noqa: F401 (perfbench wraps baselines.mind_vis
 
 class IfaIndex(Index):
     """The inverted-file baseline over a slot table: every admitted image
-    takes the next slot, with its lat, lon, t_c and id in one column each
-    and a flag in ``alive``. ``postings`` maps a word to the ``(slot,
-    tf/|I.psi|)`` columns of the images holding it, in slot order.
+    takes the next slot, with its lat, lon, t_c and id in one column each.
+    ``postings`` maps a word to the ``(slot, tf/|I.psi|)`` columns of the
+    images holding it, in slot order.
 
-    Expiry clears the flags of the expired slots. Once the table holds at
-    least twice as many slots as live images, the columns and posting
+    A slot is live exactly when its t_c is at or after the cutoff,
+    ``_cutoff``, so expiry writes nothing into the table until it holds at
+    least twice as many slots as live images: then the columns and posting
     lists are compacted to the live slots, so after an expiry it holds
     fewer than twice as many. Ids and timestamps sit in int64 columns, which
     ``Index.insert`` guarantees."""
@@ -54,7 +57,6 @@ class IfaIndex(Index):
         self.lon = array("d")
         self.t_c = array("q")
         self.ids = array("q")
-        self.alive = bytearray()
         self.postings = {}     # word -> (array('q') slots, array('d') tf/|I.psi|)
 
     def _add(self, img):
@@ -63,7 +65,6 @@ class IfaIndex(Index):
         self.t_c.append(img.t_c)
         self.lat.append(img.lat)
         self.lon.append(img.lon)
-        self.alive.append(1)
         postings = self.postings
         for word, f in img.freq.items():
             cols = postings.get(word)
@@ -74,16 +75,17 @@ class IfaIndex(Index):
 
     def search(self, q):
         """Every live image sharing a query word, scored as columns in one
-        numpy pass (``QueryContext.visual_columns``). Only the rows costing
-        at most the k-th smallest f_stv are sorted by (f_stv, id), which
-        keeps every tie at the k-th place; the k best get their breakdown
-        from ``combined_score``."""
+        numpy pass (``QueryContext.visual_columns``) over the slots at or
+        after the cutoff. Only the rows costing at most the k-th smallest
+        f_stv are sorted by (f_stv, id), which keeps every tie at the k-th
+        place; the k best get their breakdown from ``combined_score``."""
         p = self.params
         ctx = p.context(q)      # checks the query location
         stats = SearchStats()
         stats.nodes_visited = len(ctx._floors)     # the query words of the live corpus
         f_v, held = ctx.visual_columns(self.postings, len(self.ids))
-        rows = np.flatnonzero((held > 0) & np.frombuffer(self.alive, dtype=np.bool_))
+        t_c = np.frombuffer(self.t_c, dtype=np.int64)
+        rows = np.flatnonzero((held > 0) & (t_c >= self._cutoff))
         stats.images_scored = len(rows)
         if not len(rows):
             return [], stats
@@ -93,7 +95,7 @@ class IfaIndex(Index):
         # ages from the window start: live slots are at or after it, so the
         # int64 offsets neither wrap nor, below 2**53 s, round as floats
         t0 = self.window_start()
-        t_c = (np.frombuffer(self.t_c, dtype=np.int64)[rows] - t0).astype(np.float64)
+        t_c = (t_c[rows] - t0).astype(np.float64)
         age = np.maximum((q.t - t0) - t_c, 0.0)
         f_t = 1.0 - p.decay_base ** (-(age / p.time_unit))
         w1, w2, w3 = q.weights
@@ -110,12 +112,8 @@ class IfaIndex(Index):
         return entries, stats
 
     def _drop_older(self, cutoff):
-        # t_c < cutoff as ints: against a float, numpy would round the
-        # int64 timestamps past 2**53
-        alive = np.frombuffer(self.alive, dtype=np.bool_)
-        alive[np.frombuffer(self.t_c, dtype=np.int64) < math.ceil(cutoff)] = False
         if len(self.ids) >= 2 * len(self._live):
-            self._compact(alive)
+            self._compact(np.frombuffer(self.t_c, dtype=np.int64) >= cutoff)
 
     def _compact(self, keep):
         """Drops the slots outside the mask ``keep``. The rest keep their
@@ -126,7 +124,6 @@ class IfaIndex(Index):
         self.lon = array("d", np.frombuffer(self.lon)[keep].tobytes())
         self.t_c = array("q", np.frombuffer(self.t_c, dtype=np.int64)[keep].tobytes())
         self.ids = array("q", np.frombuffer(self.ids, dtype=np.int64)[keep].tobytes())
-        self.alive = bytearray(b"\x01") * len(self.ids)
         # every posting list as one pair of columns, word after word: one
         # mask and one renumbering for all, then a cut at each word's end
         # (``ends``, in bytes)

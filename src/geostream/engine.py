@@ -210,8 +210,9 @@ class Index:
     start or than a cutoff ``expire`` was given is refused, while
     ``window_start()`` stays on the segment grid. A subclass implements two
     hooks: ``_add(img)`` adds an admitted image, and
-    ``_drop_older(cutoff)`` drops the images older than a cutoff, after
-    they left the stats and ``_live``.
+    ``_drop_older(cutoff)`` drops the images older than a cutoff, an
+    int, after they left the stats and ``_live`` and ``_cutoff`` became
+    that cutoff.
     """
 
     def __init__(self, config):
@@ -227,7 +228,9 @@ class Index:
         self._live = {}         # id -> image, in arrival order
         self._start = None      # start of the window
         self._head_end = None   # end of the head segment
-        self._cutoff = None     # oldest admissible t_c: the window start or a later cutoff
+        # oldest admissible t_c, an int: int64's least, then the window
+        # start or a later cutoff
+        self._cutoff = _INT64.start
 
     def window_start(self):
         """Start of the oldest live segment; None before the first arrival."""
@@ -245,13 +248,13 @@ class Index:
             raise ValueError(f"duplicate image id {img.id}")
         if not cfg.domain.contains(img.lat, img.lon):
             raise DomainError(f"image {img.id} location outside domain")
-        if self._cutoff is not None and img.t_c < self._cutoff:
+        if img.t_c < self._cutoff:
             raise ExpiredArrivalError(
                 f"image {img.id} older than the live window ({img.t_c} < {self._cutoff})"
             )
         if self._head_end is None or img.t_c >= self._head_end:
             self.roll_segment(img.t_c)
-        self._add(img)      # first: a new HIQ root takes its bucket's maxima, which add_image fills
+        self._add(img)
         self._live[img.id] = img
         self.stats.add_image(img)
 
@@ -273,14 +276,14 @@ class Index:
         if old is None:
             old = now // span * span                # an empty window
             head_end = old + span
+            # an ``expire`` before the first arrival may have set a later cutoff
+            self._cutoff = max(old, self._cutoff)
         elif now >= self._head_end:
             head_end = now // span * span + span
         else:
             head_end = self._head_end + span
         start = max(old, head_end - cfg.window * span)
-        if self._cutoff is None:
-            self._cutoff = start
-        elif start > old:
+        if start > old:
             self.expire(start)
         self._start, self._head_end = start, head_end
         return (start - old) // span
@@ -288,13 +291,16 @@ class Index:
     def expire(self, cutoff):
         """Drops every live image with t_c < cutoff and returns how many;
         0 at once for a cutoff at or before the window start or an earlier
-        cutoff. From then on an arrival older than the cutoff is refused.
-        A cutoff that is no finite real number raises ``ConfigError``."""
-        if isinstance(cutoff, numbers.Integral) and not isinstance(cutoff, bool):
-            cutoff = int(cutoff)        # exact past 2**53, as timestamps are
-        else:
-            cutoff = _real(cutoff, "expire cutoff")
-        if self._cutoff is None or cutoff <= self._cutoff:
+        cutoff. From then on an arrival older than the cutoff is refused,
+        also when it is given before the first arrival. A cutoff that is
+        no finite real number raises ``ConfigError``.
+
+        The cutoff is kept as the int ``ceil(cutoff)``, which leaves the
+        same timestamps older, so the stats and every ``_drop_older``
+        compare exact ints; an integral cutoff stays exact past 2**53."""
+        integral = isinstance(cutoff, numbers.Integral) and not isinstance(cutoff, bool)
+        cutoff = int(cutoff) if integral else math.ceil(_real(cutoff, "expire cutoff"))
+        if cutoff <= self._cutoff:
             return 0
         self._cutoff = cutoff
         old = self.stats.expire(cutoff)

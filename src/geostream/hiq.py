@@ -6,17 +6,17 @@ frequency ratios of the subtree; a leaf holds only a list of its images,
 which the search scores one image at a time (``QueryContext.score_leaf``).
 Node bounds and leaf candidates come from ``engine.TreeIndex``, which
 reads a node's rectangle from its four fields (``_rect``).
-A segment's root keeps only its own ``t_max``: its ``max_freq`` is the
-dict of the segment's bucket in the corpus statistics
-(``CorpusStats.bucket``), which ``CorpusStats.add_image`` folds each
-image into right after the tree takes it, so each segment holds one copy
-of its word maxima; ``add_to_aggregates`` folds the nodes below the root.
+Each tree hangs on its segment's bucket in the corpus statistics
+(``_Bucket.tree``), and its root keeps only its own ``t_max``: its
+``max_freq`` is the bucket's dict, which ``CorpusStats.add_image`` folds
+each image into, so each segment holds one copy of its word maxima;
+``add_to_aggregates`` folds the nodes below the root.
 A split recurses (``_split``), so a node is inner exactly when it lies
 above ``max_depth`` and holds more than ``capacity`` images: a segment's
-tree is a function of its images, leaf order aside.
-A segment's tree opens with its first image and leaves whole, with its
-bucket, once the window starts after it; a tree a cutoff splits is
-rebuilt from its survivors under the bucket the statistics rebuilt.
+tree is a function of its images, and a leaf lists its images in arrival
+order. A segment's tree opens with its first image and leaves whole with
+its bucket; the bucket a cutoff splits, which the statistics rebuild from
+its survivors as a new bucket, takes a new tree of them, in arrival order.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .engine import ExpiredArrivalError, TreeIndex, walk  # noqa: F401 (re-exported)
+from .engine import ExpiredArrivalError, TreeIndex  # noqa: F401 (re-exported)
 from .model import _counts, add_to_aggregates
 from .model import mind_visual  # noqa: F401 (perfbench wraps hiq.mind_visual)
 
@@ -112,15 +112,11 @@ def _split(node, depth, cfg):
 
 
 class HiqIndex(TreeIndex):
-    """Live sliding-window index over a stream of geo-temporal images.
-    ``_trees`` maps ``t_c // segment_span``, the key of the statistics'
-    buckets, to the quadtree of a segment that holds a live image."""
+    """Live sliding-window index over a stream of geo-temporal images: the
+    quadtree of each segment that holds a live image hangs on the
+    segment's bucket of ``stats``."""
 
     kind = "hiq"
-
-    def __init__(self, config):
-        super().__init__(config)
-        self._trees = {}
 
     @property
     def segments(self):
@@ -128,30 +124,29 @@ class HiqIndex(TreeIndex):
         empty one where no image arrived)."""
         if self._start is None:
             return []
-        span, domain = self.config.segment_span, self.config.domain
-        return [Segment(s, s + span, self._trees.get(s // span) or _root(domain, {}))
+        span, domain, buckets = self.config.segment_span, self.config.domain, self.stats.buckets
+        return [Segment(s, s + span, getattr(buckets.get(s // span), "tree", None)
+                        or _root(domain, {}))
                 for s in range(self._start, self._head_end, span)]
 
     # -- ingestion ---------------------------------------------------
 
     def _drop_older(self, cutoff):
-        """Pops the tree of each segment that starts before the cutoff and
-        adds back the images of the one it splits that are left."""
-        span = self.config.segment_span
-        for key in [key for key in self._trees if key * span < cutoff]:
-            root = self._trees.pop(key)
-            if (key + 1) * span > cutoff:
-                for img in [img for node in walk([root]) if node.children is None
-                            for img in node.images if img.t_c >= cutoff]:
+        """A segment wholly before the cutoff left with its bucket and tree;
+        the bucket the cutoff split is the one without a tree, which takes
+        one of its survivors, in arrival order."""
+        for bucket in self.stats.buckets.values():
+            if bucket.tree is None:
+                for img in bucket.images.values():
                     self._add(img)
 
     def _add(self, img):
         cfg = self.config
         t = img.t_c
-        key = t // cfg.segment_span
-        node = self._trees.get(key)
+        bucket = self.stats.bucket(t)
+        node = bucket.tree
         if node is None:
-            node = self._trees[key] = _root(cfg.domain, self.stats.bucket(t).max_freq)
+            node = bucket.tree = _root(cfg.domain, bucket.max_freq)
         if node.t_max is None or t > node.t_max:
             node.t_max = t      # the root's max_freq is its bucket's: add_image folds it
         depth = 0
@@ -167,7 +162,7 @@ class HiqIndex(TreeIndex):
 
     def roots(self):
         """One tree per segment that holds an image, in no set order."""
-        return list(self._trees.values())
+        return [bucket.tree for bucket in self.stats.buckets.values()]
 
     @staticmethod
     def _rect(node):

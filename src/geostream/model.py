@@ -231,14 +231,16 @@ class Query:
 
 
 class _Bucket:
-    """The live images of one window segment, by id, with their counts and
-    their aggregates: ``corpus_tf``, word -> the sum of the images' tfs,
-    and ``total_tf``, the sum of their |I.psi|; ``t_max``, the newest
-    arrival, and ``max_freq``, the max tf/|I.psi| per word, as a tree node
-    holds them (``add_to_aggregates``). A HIQ segment root holds this
-    ``max_freq`` dict as its own (``CorpusStats.bucket``)."""
+    """The live images of one window segment, by id in arrival order, with
+    their counts and their aggregates: ``corpus_tf``, word -> the sum of
+    the images' tfs, and ``total_tf``, the sum of their |I.psi|; ``t_max``,
+    the newest arrival, and ``max_freq``, the max tf/|I.psi| per word, as a
+    tree node holds them (``add_to_aggregates``). ``tree`` is the HIQ
+    quadtree of the segment, whose root holds this ``max_freq`` dict as its
+    own, so the tree leaves with its bucket; None in a bucket no HIQ index
+    has built a tree for, such as a new bucket rebuilt from survivors."""
 
-    __slots__ = ("images", "corpus_tf", "total_tf", "t_max", "max_freq")
+    __slots__ = ("images", "corpus_tf", "total_tf", "t_max", "max_freq", "tree")
 
     def __init__(self):
         self.images = {}
@@ -246,18 +248,20 @@ class _Bucket:
         self.total_tf = 0
         self.t_max = None
         self.max_freq = {}
+        self.tree = None
 
 
 class CorpusStats:
     """Term statistics over the live (non-expired) image set.
 
-    The images sit in one bucket per window segment, keyed by
-    ``t_c // segment_span`` like the segments of ``engine.Index``, and
-    are told apart by id; ``segment_span`` must be a whole number of at
-    least 1, and anything else, a missing span included, raises
-    ``ConfigError``. A bucket keeps its images, their corpus tf per word
-    and term total, their newest arrival and their exact max frequency
-    ratio per word (``_Bucket``). Only the total term count,
+    The images sit in one bucket per window segment, in ``buckets``,
+    keyed by ``t_c // segment_span`` like the segments of
+    ``engine.Index``, and are told apart by id; ``segment_span`` must be
+    a whole number of at least 1, and anything else, a missing span
+    included, raises ``ConfigError``. A bucket keeps its images, their
+    corpus tf per word and term total, their newest arrival and their
+    exact max frequency ratio per word (``_Bucket``), and HIQ hangs the
+    segment's tree on it. Only the total term count,
     ``total_word_count``, is kept over all buckets; a word's corpus tf
     is the sum, and its ``max_freq`` the maximum, over the live buckets,
     of which an index's window holds at most ``window + 1``. So a bucket
@@ -265,8 +269,8 @@ class CorpusStats:
     statistics, by one pop and one subtraction, reading none of its
     images; one that loses only some images (to a cutoff inside it in
     ``expire``, or to ``remove_image``) is dropped and rebuilt from its
-    survivors, into a new bucket. ``version`` counts the updates, so
-    ``ScoreParams`` can tell that what it cached is stale.
+    survivors, into a new bucket without a tree. ``version`` counts the
+    updates, so ``ScoreParams`` can tell that what it cached is stale.
     """
 
     def __init__(self, segment_span=None):
@@ -276,19 +280,16 @@ class CorpusStats:
         self.version = 0
         self.total_word_count = 0
         self._span = span
-        self._buckets = {}      # t_c // segment_span -> _Bucket
-
-    def _key(self, t):
-        return t // self._span
+        self.buckets = {}       # t_c // segment_span -> _Bucket
 
     def bucket(self, t):
         """The bucket of the segment holding time ``t``, made empty if it
-        is missing. A HIQ segment root takes its ``max_freq`` from here
-        before the segment's first image reaches ``add_image``."""
-        key = self._key(t)
-        bucket = self._buckets.get(key)
+        is missing. HIQ hangs a segment's tree on it, whether the
+        segment's first image reaches ``add_image`` before or after."""
+        key = t // self._span
+        bucket = self.buckets.get(key)
         if bucket is None:
-            bucket = self._buckets[key] = _Bucket()
+            bucket = self.buckets[key] = _Bucket()
         return bucket
 
     def add_image(self, img):
@@ -306,34 +307,33 @@ class CorpusStats:
     def remove_image(self, img):
         """Drops a held image, by id; raises ``KeyError``, changing
         nothing, for an image not held. Its bucket is rebuilt as a new
-        one, so no index calls this: a HIQ root would keep the old
-        bucket's maxima."""
-        key = self._key(img.t_c)
-        bucket = self._buckets.get(key)
+        one, without a tree, so no index calls this."""
+        key = img.t_c // self._span
+        bucket = self.buckets.get(key)
         if bucket is None or img.id not in bucket.images:
             raise KeyError(img.id)
         self._rebuild(key, {img.id})
 
     def expire(self, cutoff):
-        """Drops the images older than ``cutoff`` and returns them."""
+        """Drops the images older than the int ``cutoff`` and returns
+        them. A bucket the cutoff splits is rebuilt from its survivors as
+        a new bucket, without a tree."""
         span = self._span
         old = []
-        for key in [key for key in self._buckets if (key + 1) * span <= cutoff]:
-            old.extend(self._drop(key))
-        if cutoff % span:
-            key = self._key(cutoff)
-            bucket = self._buckets.get(key)
-            if bucket is not None:
-                part = [img for img in bucket.images.values() if img.t_c < cutoff]
-                if part:
-                    self._rebuild(key, {img.id for img in part})
-                    old.extend(part)
+        for key in [key for key in self.buckets if key * span < cutoff]:
+            if (key + 1) * span <= cutoff:
+                old.extend(self._drop(key))
+                continue
+            part = [img for img in self.buckets[key].images.values() if img.t_c < cutoff]
+            if part:
+                self._rebuild(key, {img.id for img in part})
+                old.extend(part)
         return old
 
     def _drop(self, key):
         """Drops a whole bucket with its counts; returns its images."""
         self.version += 1
-        bucket = self._buckets.pop(key)
+        bucket = self.buckets.pop(key)
         self.total_word_count -= bucket.total_tf
         return bucket.images.values()
 
@@ -346,7 +346,7 @@ class CorpusStats:
 
     def corpus_tf(self, word):
         tf = 0
-        for bucket in self._buckets.values():
+        for bucket in self.buckets.values():
             tf += bucket.corpus_tf.get(word, 0)
         return tf
 
@@ -358,7 +358,7 @@ class CorpusStats:
         it counts it in ``corpus_tf``."""
         tf = 0
         m = 0.0
-        for bucket in self._buckets.values():
+        for bucket in self.buckets.values():
             f = bucket.max_freq.get(word)
             if f is not None:
                 tf += bucket.corpus_tf[word]

@@ -135,7 +135,7 @@ def oracle_stream(rng, n, domain, shape):
 
 ORACLE_SHAPES = ("uniform", "clustered", "jump")
 PATH_COUNTS = ("IFA compactions", "multi-level HIQ splits", "STVII prunes that emptied a node",
-               "STVII inner splits")
+               "STVII inner splits", "HIQ trees rebuilt after a cutoff")
 
 
 def check_oracle_equivalence(seed, instances, domain, max_images=500,
@@ -149,7 +149,9 @@ def check_oracle_equivalence(seed, instances, domain, max_images=500,
     raised (``IndexRaised``): that ends its dataset, whose queries left
     count as mismatches. The datasets take the shapes of ``oracle_stream``
     in turn. The window holds 3 of the data's 20,000 s segments, so the
-    older part of each dataset has expired before the queries."""
+    older part of each dataset has expired before the queries, and each
+    dataset is then expired once more, at a cutoff inside its oldest held
+    segment, an int or, in every other dataset, a float."""
     rng = random.Random(seed)
     failures = 0
     faults = []
@@ -179,6 +181,19 @@ def check_oracle_equivalence(seed, instances, domain, max_images=500,
                 if hiq.window_start() != start:
                     start = hiq.window_start()
                     faults += _structure_faults(indexes)
+            faults += _structure_faults(indexes)
+            # a cutoff at one of the oldest held segment's images, a float
+            # in every other dataset; a HIQ tree no bucket held before is
+            # one the expiry rebuilt
+            buckets = hiq.stats.buckets
+            cutoff = rng.choice(list(buckets[min(buckets)].images.values())).t_c
+            cutoff = cutoff - 0.5 if datasets % 2 else cutoff
+            trees = [bucket.tree for bucket in buckets.values()]
+            for index in indexes:
+                with _naming(index, f"expire at {cutoff}"):
+                    index.expire(cutoff)
+            counts["HIQ trees rebuilt after a cutoff"] += sum(
+                bucket.tree not in trees for bucket in buckets.values())
             faults += _structure_faults(indexes)
             live = list(hiq.live_images())
             for q in queries:
@@ -237,7 +252,7 @@ def insert_counting(indexes, img, counts):
 def _leaf_depth(hiq, img):
     """The depth of the leaf of HIQ's tree of ``img``'s segment that holds,
     or would take, its point; 0 where that segment has no tree."""
-    node = hiq._trees.get(img.t_c // hiq.config.segment_span)
+    node = getattr(hiq.stats.buckets.get(img.t_c // hiq.config.segment_span), "tree", None)
     depth = 0
     while node is not None and node.children is not None:
         node = node.children[node.quadrant(img.lat, img.lon)]
@@ -263,9 +278,9 @@ def stats_violations(stats, images):
     groups = {}
     for img in images:
         groups.setdefault(img.t_c // stats._span, []).append(img)
-    out = [] if groups.keys() == stats._buckets.keys() else ["bucket keys"]
-    for key in groups.keys() & stats._buckets.keys():
-        group, bucket = groups[key], stats._buckets[key]
+    out = [] if groups.keys() == stats.buckets.keys() else ["bucket keys"]
+    for key in groups.keys() & stats.buckets.keys():
+        group, bucket = groups[key], stats.buckets[key]
         corpus_tf = {}
         for img in group:
             for word, tf in img.psi:
@@ -284,33 +299,38 @@ def stats_violations(stats, images):
 def structure_violations(index):
     """A short message per fault of ``index`` against a recount of its
     live images; empty when it is sound. Beside ``stats_violations``: no
-    live image precedes the window; a tree's leaves hold the live images
+    live image precedes the cutoff; a tree's leaves hold the live images
     once each, inside their ``_rect``, and each node's ``t_max`` and
-    ``max_freq`` are a recount of the images under it. HIQ keeps one tree
-    per held segment key, with only its images and its bucket's very
+    ``max_freq`` are a recount of the images under it. Each HIQ bucket
+    holds the tree of its own images, each leaf listing its own in the
+    bucket's order, which is arrival order, with the bucket's very
     ``max_freq`` at the root; children tile their parent at the midpoints,
     and a leaf exceeds ``capacity`` only at ``max_depth``. No STVII node is
     empty, each ``mbr`` bounds its points, and fan-out and leaves are at
     most ``capacity``. IFA: ``_ifa_violations``."""
     live = index.live_images()
     out = stats_violations(index.stats, live)
-    if live and min(img.t_c for img in live) < index.window_start():
-        out.append("a live image older than the window start")
+    if live and min(img.t_c for img in live) < index._cutoff:
+        out.append("a live image older than the cutoff")
     if isinstance(index, IfaIndex):
         return out + _ifa_violations(index, live)
-    hiq = isinstance(index, HiqIndex)
-    span = index.config.segment_span
-    trees = index._trees if hiq else dict(enumerate(index.roots()))
-    if hiq and trees.keys() != {img.t_c // span for img in live}:
-        out.append("not one tree per segment that holds an image")
+    if isinstance(index, HiqIndex):
+        trees = [(key, bucket.tree, bucket) for key, bucket in index.stats.buckets.items()]
+    else:
+        trees = [(0, root, None) for root in index.roots()]
     held = []
-    for key, root in trees.items():
+    for key, root, bucket in trees:
         images = _node_violations(index, root, 0, out)
         held += images
-        if hiq and root.max_freq is not getattr(index.stats._buckets.get(key), "max_freq", None):
+        if bucket is None:
+            continue
+        if root.max_freq is not bucket.max_freq:
             out.append(f"root of segment {key}: max_freq is not its bucket's")
-        if hiq and any(img.t_c // span != key for img in images):
-            out.append(f"tree of segment {key}: an image of another segment")
+        rank = {iid: i for i, iid in enumerate(bucket.images)}      # arrival order
+        ranks = [[rank.get(img.id, -1) for img in leaf.images]
+                 for leaf in walk([root]) if leaf.children is None]
+        if sorted(img.id for img in images) != sorted(rank) or any(r != sorted(r) for r in ranks):
+            out.append(f"tree of segment {key}: not its bucket's images in arrival order")
     if sorted(img.id for img in held) != sorted(img.id for img in live):
         out.append("the leaves do not hold the live images once each")
     return out
@@ -348,15 +368,16 @@ def _node_violations(index, node, depth, out):
 
 
 def _ifa_violations(index, live):
-    """IFA's faults, each named by its message: the columns, the ``alive``
-    flags, the postings, and the slot count against twice the live count."""
-    ids, alive = index.ids, index.alive
+    """IFA's faults, each named by its message: the columns, the slots at
+    or after the cutoff, which must be the live images', the postings, and
+    the slot count against twice the live count."""
+    ids, alive = index.ids, [t >= index._cutoff for t in index.t_c]
     n = len(ids)
-    if not len(index.lat) == len(index.lon) == len(index.t_c) == len(alive) == n:
+    if not len(index.lat) == len(index.lon) == len(alive) == n:
         return ["the slot columns differ in length"]
     slot_of = {ids[s]: s for s in range(n) if alive[s]}
     if sorted(ids[s] for s in range(n) if alive[s]) != sorted(img.id for img in live):
-        return ["the set alive flags are not the live images' slots"]
+        return ["the slots at or after the cutoff are not the live images' slots"]
     expected = {}
     for img in live:
         for word, tf in img.psi:

@@ -107,6 +107,32 @@ def test_arrival_older_than_an_expire_cutoff_is_refused(cls, domain):
 
 
 @pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda c: c.kind)
+def test_cutoff_before_the_first_arrival_is_kept(cls, domain):
+    # a cutoff given before any arrival expires nothing but refuses what is
+    # older; the first roll keeps the later of it and the window start
+    index = cls(make_config(domain, segment_span=100))
+    assert index.expire(1000.5) == 0
+    for t in (50, 1000):
+        with pytest.raises(ExpiredArrivalError, match="older than"):
+            index.insert(img(0, t_c=t))
+    assert index.window_start() is None and index.image_count() == 0
+    index.insert(img(1, t_c=1001))
+    assert index.window_start() == 1000
+    with pytest.raises(ExpiredArrivalError, match="older than"):
+        index.insert(img(2, t_c=1000))
+    assert [im.id for im in index.live_images()] == [1]
+    assert structure_violations(index) == []
+    # an earlier cutoff leaves the window start in force
+    index = cls(make_config(domain, segment_span=100))
+    assert index.expire(10) == 0
+    index.insert(img(3, t_c=1050))
+    with pytest.raises(ExpiredArrivalError, match="older than"):
+        index.insert(img(4, t_c=999))
+    assert [im.id for im in index.live_images()] == [3]
+    assert structure_violations(index) == []
+
+
+@pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda c: c.kind)
 def test_query_outside_domain_rejected(cls, domain):
     index = cls(make_config(domain))
 
@@ -266,12 +292,12 @@ class TestIfa:
 
     def test_expire_edge_cases(self, domain):
         index = IfaIndex(make_config(domain))
-        assert index.expire(100) == 0
+        assert index.expire(5) == 0
         index.insert(img(0, t_c=10))
         index.insert(img(1, t_c=20))
         assert index.expire(1000) == 2
         assert index.postings == {}
-        assert len(index.ids) == 0 and len(index.alive) == 0
+        assert len(index.ids) == len(index.t_c) == 0
 
     @pytest.mark.parametrize("field", ["id", "t_c"])
     def test_int64_overflow_admits_nothing(self, field, domain):
@@ -280,7 +306,7 @@ class TestIfa:
         with pytest.raises(OverflowError):
             index.insert(img(**kw))
         assert index.image_count() == 0 and index.stats.total_word_count == 0
-        assert len(index.ids) == len(index.t_c) == len(index.alive) == 0
+        assert len(index.ids) == len(index.t_c) == 0
         assert index.postings == {}
 
 
@@ -310,12 +336,13 @@ def test_ifa_columns_match_oracle(xi, domain):
             qwords = set(q.psi)
             assert stats.images_scored == sum(
                 1 for im in live if not qwords.isdisjoint(im.freq))
-            # the column pass gives every live candidate the scalar visual cost
+            # the column pass gives every live candidate, a slot at or
+            # after the cutoff, the scalar visual cost
             ctx = index.params.context(q)
             f_v, held = ctx.visual_columns(index.postings, len(index.ids))
             by_id = {im.id: im for im in live}
             for s, iid in enumerate(index.ids):
-                if index.alive[s] and held[s]:
+                if index.t_c[s] >= index._cutoff and held[s]:
                     assert abs(f_v[s] - ctx.mind_visual(by_id[iid].freq)) <= 1e-12
     assert rebuilds >= 2
 

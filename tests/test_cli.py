@@ -304,14 +304,15 @@ class TestVerify:
 
     def test_structure_line_counts_the_paths_it_reached(self, capsys):
         # CI's seed: the streams compact IFA, split HIQ leaves over more
-        # than one level, empty STVII nodes and split STVII inner nodes
-        # (the split's box path), so the check sees them
+        # than one level, empty STVII nodes, split STVII inner nodes (the
+        # split's box path) and rebuild HIQ trees after a cutoff inside
+        # their segment, so the check sees them
         code, out, _ = run(["verify", "--instances", "100", "--seed", "7"], capsys)
         assert code == 0
         line = next(line for line in out.splitlines() if line.startswith("PASS structure"))
         found = re.search(r"(\d+) IFA compactions, (\d+) multi-level HIQ splits, "
-                          r"(\d+) STVII prunes that emptied a node, (\d+) STVII inner splits",
-                          line)
+                          r"(\d+) STVII prunes that emptied a node, (\d+) STVII inner splits, "
+                          r"(\d+) HIQ trees rebuilt after a cutoff", line)
         assert found and all(int(n) > 0 for n in found.groups()), line
 
     @pytest.mark.parametrize("instances", ["0", "-3"])

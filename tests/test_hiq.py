@@ -31,6 +31,15 @@ def img(id, lat, lon, t_c, psi=((1, 1),)):
     return GeoTemporalImage(id, lat, lon, t_c, psi)
 
 
+def node_fields(node):
+    """Everything of a quadtree node for node-by-node equality: rectangle,
+    ``t_max``, ``max_freq``, and the leaf's image ids or the children's
+    fields, in order."""
+    members = ([im.id for im in node.images] if node.children is None
+               else [node_fields(c) for c in node.children])
+    return HiqIndex._rect(node), node.t_max, node.max_freq, members
+
+
 class TestConfig:
     @pytest.mark.parametrize("value", [math.nan, math.inf, 1.5, True, None, "5",
                                        False, np.bool_(True), 3.5, "3"],
@@ -128,19 +137,42 @@ class TestStructuralInvariants:
 
     def test_cutoff_inside_a_segment_rebuilds_root_on_new_bucket(self, domain):
         # the cutoff 150 splits the segment [100, 200): the statistics
-        # rebuild its bucket as a new one, and the tree rebuilt from the
-        # survivors must hold that bucket's dict, not the old one
+        # rebuild its bucket as a new one, which takes the tree rebuilt
+        # from the survivors, over its own dict, not the old one
         rng = random.Random(31)
         index = HiqIndex(make_config(domain, capacity=3, segment_span=100, window=5))
         images = random_images(rng, 80, domain, t_lo=0, t_hi=399)
         for im in sorted(images, key=lambda x: x.t_c):
             index.insert(im)
         assert structure_violations(index) == []
-        old = index._trees[1].max_freq
+        old = index.stats.buckets[1]
         assert index.expire(150) == sum(1 for im in images if im.t_c < 150)
         assert structure_violations(index) == []
-        assert index._trees[1].max_freq is not old
-        assert sorted(index._trees) == [1, 2, 3]
+        new = index.stats.buckets[1]
+        assert new is not old and new.tree is not old.tree
+        assert new.tree.max_freq is new.max_freq is not old.max_freq
+        assert sorted(index.stats.buckets) == [1, 2, 3]
+
+    def test_cutoff_inside_a_segment_leaves_the_tree_of_its_survivors(self, domain):
+        # twins: one index expires at cutoffs inside held segments, the
+        # other is fed only the survivors, in arrival order; each tree is
+        # the same node for node, each leaf's order included
+        rng = random.Random(7)
+        config = make_config(domain, capacity=3, segment_span=100, window=5)
+        images = sorted(random_images(rng, 200, domain, t_lo=0, t_hi=399),
+                        key=lambda x: x.t_c)
+        index = HiqIndex(config)
+        for im in images:
+            index.insert(im)
+        for cutoff in (180, 290.5):
+            assert index.expire(cutoff) > 0
+            twin = HiqIndex(config)
+            for im in images:
+                if im.t_c >= cutoff:
+                    twin.insert(im)
+            assert structure_violations(index) == []
+            assert {key: node_fields(b.tree) for key, b in index.stats.buckets.items()} \
+                == {key: node_fields(b.tree) for key, b in twin.stats.buckets.items()}
 
     def test_segment_spans_disjoint_contiguous(self, built):
         # a tree holds one segment's images (structure_violations), so a
@@ -178,40 +210,35 @@ class TestRollSegment:
         after = [[list(node.images) for node in walk([r])] for r in survivor_roots]
         assert before == after
 
-    def test_roll_walks_no_tree(self, domain, monkeypatch):
-        # a roll pops the leaving segments before it expires their images,
-        # so the expiry finds no tree to rebuild
-        from geostream import hiq
-
-        walks = []
-        walk = hiq.walk
-
-        def counted(roots):
-            walks.append(roots)
-            return walk(roots)
-
-        monkeypatch.setattr(hiq, "walk", counted)
+    def test_roll_walks_no_tree(self, domain):
+        # a roll pops the leaving segments' trees with their buckets, and
+        # each surviving segment keeps its tree object: none is rebuilt
         rng = random.Random(8)
         index = HiqIndex(make_config(domain, window=3, segment_span=1000, capacity=4))
         for im in sorted(random_images(rng, 120, domain, t_lo=0, t_hi=2999),
                          key=lambda x: x.t_c):
             index.insert(im)
-        held = index.image_count()
+
+        def trees():
+            return {key: bucket.tree for key, bucket in index.stats.buckets.items()}
+
+        held, before = index.image_count(), trees()
         assert index.roll_segment(2999) == 1
         index.insert(img(1000, 10.0, 10.0, 4500))     # rolls once more
         assert index.image_count() < held
-        assert walks == []
+        after = trees()
+        assert sorted(after) == [2, 4] and after[2] is before[2]
         # a cutoff inside the empty [3000, 4000) pops the tree of
-        # [2000, 3000) whole, so it walks none either
+        # [2000, 3000) whole and keeps the one of [4000, 5000)
         assert index.expire(3500) > 0
-        assert walks == []
-        # a cutoff inside [4000, 5000), which holds images, walks exactly
-        # that segment's tree and keeps its images at or after the cutoff
+        assert trees() == {4: after[4]} and trees()[4] is after[4]
+        # a cutoff inside [4000, 5000), which holds images, rebuilds exactly
+        # that segment's tree from its images at or after the cutoff
         for id, t in ((1001, 4100), (1002, 4200), (1003, 4700)):
             index.insert(img(id, 10.0, 10.0, t))
         split = index.segments[-1].root
         assert index.expire(4300) == 2
-        assert walks == [[split]]
+        assert index.segments[-1].root is not split
         assert sorted(im.id for im in index.live_images()) == [1000, 1003]
         assert structure_violations(index) == []
 

@@ -29,13 +29,20 @@ def root_copies_its_bucket(hiq, ifa, stvii):
 
 
 def leaf_above_capacity(hiq, ifa, stvii):
-    # four leaves folded into their parent, as a split that did not
-    # recurse would leave them
+    # four leaves folded into their parent in arrival order, as a split
+    # that did not recurse would leave them
     node = next(n for n in walk(hiq.roots())
                 if n.children and all(c.children is None for c in n.children))
-    node.images = [im for child in node.children for im in child.images]
+    arrival = {im.id: i for i, im in enumerate(hiq.live_images())}
+    node.images = sorted((im for child in node.children for im in child.images),
+                         key=lambda im: arrival[im.id])
     node.children = None
     return hiq, "images"
+
+
+def leaf_out_of_order(hiq, ifa, stvii):
+    next(n for n in walk(hiq.roots()) if n.children is None and len(n.images) > 1).images.reverse()
+    return hiq, "in arrival order"
 
 
 def grown_box(hiq, ifa, stvii):
@@ -44,18 +51,19 @@ def grown_box(hiq, ifa, stvii):
 
 
 def alive_expired_slot(hiq, ifa, stvii):
-    ifa.alive[ifa.alive.index(0)] = 1
-    return ifa, "alive flags"
+    # an expired slot moved to the cutoff, where a slot is live
+    ifa.t_c[next(s for s, t in enumerate(ifa.t_c) if t < ifa._cutoff)] = ifa._cutoff
+    return ifa, "slots at or after the cutoff"
 
 
 def bucket_corpus_tf(hiq, ifa, stvii):
-    bucket = next(iter(stvii.stats._buckets.values()))
+    bucket = next(iter(stvii.stats.buckets.values()))
     bucket.corpus_tf[next(iter(bucket.corpus_tf))] += 1
     return stvii, ": corpus_tf"
 
 
 @pytest.mark.parametrize("plant", [
-    node_max_freq, root_copies_its_bucket, leaf_above_capacity, grown_box,
+    node_max_freq, root_copies_its_bucket, leaf_above_capacity, leaf_out_of_order, grown_box,
     alive_expired_slot, bucket_corpus_tf,
 ], ids=lambda plant: plant.__name__)
 def test_a_planted_fault_is_reported(domain, plant):
@@ -72,16 +80,18 @@ def test_a_planted_fault_is_reported(domain, plant):
 
 
 def test_an_index_that_raises_is_a_fault(domain, monkeypatch):
-    # a roll whose prune raises ends its dataset with one fault naming the
-    # index, the operation and the exception; the check goes on to the
-    # next dataset, and the queries left unanswered count as mismatches
+    # a roll or an expiry whose prune raises ends its dataset with one
+    # fault naming the index, the operation and the exception; the check
+    # goes on to the next dataset, and the queries left unanswered count
+    # as mismatches
     def broken_prune(self, node, cutoff):
         raise KeyError(17)
 
     monkeypatch.setattr(StviiIndex, "_prune", broken_prune)
     mismatches, faults, _counts = check_oracle_equivalence(7, 100, domain, max_images=200)
     assert len(faults) >= 2, faults
-    assert all(re.fullmatch(r"stvii: insert of image \d+ raised KeyError: 17", f) for f in faults)
+    assert all(re.fullmatch(r"stvii: (insert of image \d+|expire at [\d.]+) raised KeyError: 17",
+                            f) for f in faults)
     assert mismatches == 20 * len(faults)
     report = run_verification(seed=7, instances=100, domain=domain)
     assert not report.ok
