@@ -76,16 +76,22 @@ class IfaIndex(Index):
     def search(self, q):
         """Every live image sharing a query word, scored as columns in one
         numpy pass (``QueryContext.visual_columns``) over the slots at or
-        after the cutoff. Only the rows costing at most the k-th smallest
-        f_stv are sorted by (f_stv, id), which keeps every tie at the k-th
-        place; the k best get their breakdown from ``combined_score``."""
+        after the cutoff; the ``t_c`` column is compared with the cutoff
+        only while some slot is dead, that is while the table holds more
+        slots than live images. Only the rows costing at most the k-th
+        smallest f_stv are sorted by (f_stv, id), which keeps every tie at
+        the k-th place; the k best get their breakdown from
+        ``combined_score``."""
         p = self.params
         ctx = p.context(q)      # checks the query location
         stats = SearchStats()
         stats.nodes_visited = len(ctx._floors)     # the query words of the live corpus
         f_v, held = ctx.visual_columns(self.postings, len(self.ids))
         t_c = np.frombuffer(self.t_c, dtype=np.int64)
-        rows = np.flatnonzero((held > 0) & (t_c >= self._cutoff))
+        rows = held > 0
+        if len(self.ids) != len(self._live):    # some slot is dead
+            rows &= t_c >= self._cutoff
+        rows = np.flatnonzero(rows)
         stats.images_scored = len(rows)
         if not len(rows):
             return [], stats

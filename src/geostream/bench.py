@@ -52,8 +52,11 @@ INDEX_KINDS = tuple(INDEX_CLASSES)
 NODE_BYTES = 64            # rectangle/MBR + t_max + pointers
 POSTING_BYTES = 16         # (image id, weight) pair
 AGG_ENTRY_BYTES = 16       # (word, max weight) at a node
-RECORD_BYTES = 40          # id + location + timestamp
-RECORD_WORD_BYTES = 8      # per (word, tf) pair
+# an image record, fitted to ``tools/record_bytes.py``'s measured bytes per
+# image (3,605 at 72.5 words, generator defaults; 1,023 at 13.4 words,
+# perfbench's clustered stream; 64-bit CPython 3.11)
+RECORD_BYTES = 440         # the object, its id, location, timestamp and empty containers
+RECORD_WORD_BYTES = 44     # per word: its ``freq`` entry and its tf in ``tfs``
 
 
 class AnswerMismatchError(Exception):
@@ -90,7 +93,8 @@ def _row(axis, value, kind, metric, samples):
 
 def _retime(images, rate, start):
     """Respace the stream's timestamps at the target arrival rate."""
-    return [type(img)(img.id, img.lat, img.lon, start + int(i / rate), img.psi)
+    return [type(img)(img.id, img.lat, img.lon, start + int(i / rate),
+                      zip(img.freq, img.tfs))
             for i, img in enumerate(images)]
 
 
@@ -213,14 +217,14 @@ def estimate_storage(index):
     not yet compacted away are not counted), and a tree holds its nodes,
     their aggregates and its leaves' image records."""
     if index.kind == "ifa":
-        return sum(RECORD_BYTES + (RECORD_WORD_BYTES + POSTING_BYTES) * len(img.psi)
+        return sum(RECORD_BYTES + (RECORD_WORD_BYTES + POSTING_BYTES) * len(img.freq)
                    for img in index.live_images())
     total = 0
     for node in walk(index.roots()):
         total += NODE_BYTES + AGG_ENTRY_BYTES * len(node.max_freq)
         if node.children is None:
             for img in node.images:
-                total += RECORD_BYTES + RECORD_WORD_BYTES * len(img.psi)
+                total += RECORD_BYTES + RECORD_WORD_BYTES * len(img.freq)
     return total
 
 

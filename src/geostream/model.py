@@ -29,7 +29,8 @@ class DomainError(ValueError):
 
 
 class InvalidStateError(RuntimeError):
-    """Scoring attempted against an empty image or an empty corpus."""
+    """A call the current state cannot serve: scoring against an empty
+    image or an empty corpus, or dropping one image from a HIQ segment."""
 
 
 # The slack of a lower bound over the costs it bounds: ``mind_visual`` is
@@ -141,46 +142,60 @@ def _counts(cfg, **least):
 class GeoTemporalImage:
     """An image record: id, location, creation time and sparse word vector.
 
-    ``psi`` is a tuple of (word_id, tf) pairs, strictly ascending by word
-    id. ``total_tf`` (the sum of tf counts) is |I.psi|, and ``freq`` maps
-    each word of ``psi``, in the same ascending order, to its ratio
-    tf/|I.psi|: the one place that ratio is computed, which the node
-    aggregates, the scorers and IFA's postings read. The id, ``t_c``, word
-    ids and tfs must be whole numbers, and ``lat`` and ``lon`` finite reals:
+    The record is built from ``psi``, an iterable of (word_id, tf) pairs
+    strictly ascending by word id, and holds them as ``freq``, which maps
+    each word, in that ascending order, to its ratio tf/|I.psi|, and
+    ``tfs``, the tuple of the tfs in ``freq``'s order. ``total_tf`` (the
+    sum of the tfs) is |I.psi|. ``freq`` is the one place the ratio is
+    computed, which the node aggregates, the scorers and IFA's postings
+    read; equal tfs share one ratio object. ``psi`` is derived: the tuple
+    of (word_id, tf) pairs, rebuilt on each read, for the cold paths that
+    want the pairs. The word ids are the ints given: a caller that passes
+    one object per word id, as ``generate_images`` and ``parse_dataset``
+    do within a stream, keeps one copy of each. The id, ``t_c``, word ids
+    and tfs must be whole numbers, and ``lat`` and ``lon`` finite reals:
     anything else (a fraction, a string, None, a bool, NaN or infinity)
     raises ``ValueError`` (for ``t_c``, ``lat`` and ``lon`` its subclass
     ``ConfigError``) instead of being truncated or converted.
     """
 
-    __slots__ = ("id", "lat", "lon", "t_c", "psi", "freq", "total_tf")
+    __slots__ = ("id", "lat", "lon", "t_c", "freq", "tfs", "total_tf")
 
     def __init__(self, id, lat, lon, t_c, psi):
-        pairs = []
+        freq = {}           # word -> tf, then word -> tf/|I.psi|
+        tfs = []
         prev = -1
-        total = 0
-        for pair in psi:
-            w, tf = pair
-            if type(w) is not int or type(tf) is not int or type(pair) is not tuple:
+        for w, tf in psi:
+            if type(w) is not int or type(tf) is not int:
                 w = _whole(w, f"image {id}: word id", ValueError)
                 tf = _whole(tf, f"image {id}: tf", ValueError)
-                pair = (w, tf)
             if w <= prev:
                 raise ValueError(f"image {id}: words not strictly ascending")
             if tf <= 0 or w < 0:
                 raise ValueError(f"image {id}: invalid posting ({w}, {tf})")
             prev = w
-            total += tf
-            pairs.append(pair)
-        if not pairs:
+            freq[w] = tf
+            tfs.append(tf)
+        if not tfs:
             raise ValueError(f"image {id}: empty visual word vector")
-        psi = tuple(pairs)
         self.id = id if type(id) is int else _whole(id, "image id", ValueError)
         self.lat = lat if type(lat) is float and math.isfinite(lat) else _real(lat, f"image {id}: lat")
         self.lon = lon if type(lon) is float and math.isfinite(lon) else _real(lon, f"image {id}: lon")
         self.t_c = t_c if type(t_c) is int else _whole(t_c, f"image {id}: t_c", ConfigError)
-        self.psi = psi
-        self.freq = {w: tf / total for w, tf in psi}
+        total = sum(tfs)
+        ratios = {}         # tf -> tf/|I.psi|, one object per distinct tf
+        for w, tf in freq.items():
+            f = ratios.get(tf)
+            if f is None:
+                f = ratios[tf] = tf / total
+            freq[w] = f
+        self.freq = freq
+        self.tfs = tuple(tfs)
         self.total_tf = total
+
+    @property
+    def psi(self):
+        return tuple(zip(self.freq, self.tfs))
 
     @property
     def loc(self):
@@ -193,7 +208,8 @@ class GeoTemporalImage:
             and self.lat == other.lat
             and self.lon == other.lon
             and self.t_c == other.t_c
-            and self.psi == other.psi
+            and self.tfs == other.tfs
+            and self.freq.keys() == other.freq.keys()
         )
 
     def __hash__(self):
@@ -268,8 +284,11 @@ class CorpusStats:
     leaves whole, as a basic window does in Datar et al.'s sliding-window
     statistics, by one pop and one subtraction, reading none of its
     images; one that loses only some images (to a cutoff inside it in
-    ``expire``, or to ``remove_image``) is dropped and rebuilt from its
-    survivors, into a new bucket without a tree. ``version`` counts the
+    ``expire``, or to ``remove_image``, which refuses a bucket that
+    carries a tree) is dropped and rebuilt from its survivors, into a new
+    bucket without a tree. ``add_image`` reads an image's words and
+    ratios from its ``freq`` and its counts from its ``tfs``, and keeps
+    the image itself, not a copy of its words. ``version`` counts the
     updates, so ``ScoreParams`` can tell that what it cached is stale.
     """
 
@@ -301,17 +320,25 @@ class CorpusStats:
         bucket.total_tf += total
         add_to_aggregates(bucket, img.t_c, img.freq)
         ctf = bucket.corpus_tf
-        for word, tf in img.psi:
-            ctf[word] = ctf.get(word, 0) + tf
+        tfs = img.tfs
+        i = 0
+        for word in img.freq:       # an index into tfs costs less than a zip
+            ctf[word] = ctf.get(word, 0) + tfs[i]
+            i += 1
 
     def remove_image(self, img):
         """Drops a held image, by id; raises ``KeyError``, changing
         nothing, for an image not held. Its bucket is rebuilt as a new
-        one, without a tree, so no index calls this."""
+        one, without a tree, so no index calls this; for an image whose
+        bucket carries a HIQ tree, which the rebuild would lose, it raises
+        ``InvalidStateError`` and changes nothing."""
         key = img.t_c // self._span
         bucket = self.buckets.get(key)
         if bucket is None or img.id not in bucket.images:
             raise KeyError(img.id)
+        if bucket.tree is not None:
+            raise InvalidStateError(
+                f"image {img.id}: its segment's HIQ tree cannot lose one image")
         self._rebuild(key, {img.id})
 
     def expire(self, cutoff):

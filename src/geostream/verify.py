@@ -125,11 +125,11 @@ def oracle_stream(rng, n, domain, shape):
                     rng.uniform(domain.min_lon, domain.max_lon - d_lon)) for _ in range(2)]
         images = [im if i % 2 else GeoTemporalImage(
             im.id, corners[i % 4 // 2][0] + rng.random() * d_lat,
-            corners[i % 4 // 2][1] + rng.random() * d_lon, im.t_c, im.psi)
+            corners[i % 4 // 2][1] + rng.random() * d_lon, im.t_c, zip(im.freq, im.tfs))
             for i, im in enumerate(images)]
     elif shape == "jump":
         images = [im if im.t_c < 60_000 else GeoTemporalImage(
-            im.id, im.lat, im.lon, im.t_c + 100_000, im.psi) for im in images]
+            im.id, im.lat, im.lon, im.t_c + 100_000, zip(im.freq, im.tfs)) for im in images]
     return images
 
 
@@ -265,7 +265,7 @@ def _maxima(images):
     t_max, max_freq = None, {}
     for img in images:
         t_max = img.t_c if t_max is None else max(t_max, img.t_c)
-        for word, tf in img.psi:
+        for word, tf in zip(img.freq, img.tfs):
             max_freq[word] = max(max_freq.get(word, 0.0), tf / img.total_tf)
     return t_max, max_freq
 
@@ -283,7 +283,7 @@ def stats_violations(stats, images):
         group, bucket = groups[key], stats.buckets[key]
         corpus_tf = {}
         for img in group:
-            for word, tf in img.psi:
+            for word, tf in zip(img.freq, img.tfs):
                 corpus_tf[word] = corpus_tf.get(word, 0) + tf
         held = (sorted(bucket.images), bucket.total_tf, bucket.corpus_tf, bucket.t_max,
                 bucket.max_freq)
@@ -291,7 +291,7 @@ def stats_violations(stats, images):
                    *_maxima(group))
         out += [f"bucket {key}: {name}" for name, a, b in zip(
             ("ids", "total_tf", "corpus_tf", "t_max", "max_freq"), held, recount) if a != b]
-    if stats.total_word_count != sum(tf for img in images for _word, tf in img.psi):
+    if stats.total_word_count != sum(tf for img in images for tf in img.tfs):
         out.append("total_word_count")
     return out
 
@@ -380,7 +380,7 @@ def _ifa_violations(index, live):
         return ["the slots at or after the cutoff are not the live images' slots"]
     expected = {}
     for img in live:
-        for word, tf in img.psi:
+        for word, tf in zip(img.freq, img.tfs):
             expected.setdefault(word, []).append((slot_of[img.id], tf / img.total_tf))
     out, held = [], {}
     for word, (slots, freqs) in index.postings.items():

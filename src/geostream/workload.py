@@ -103,12 +103,15 @@ def generate_images(cfg):
     whole-stream draws of times, locations and word counts come first,
     then each image's word draws in turn. The draws of ``_CHUNK`` images
     are made in one call, which gives the same values as one call per
-    image, so the chunking does not show in the stream."""
+    image, so the chunking does not show in the stream. Every image of the
+    stream holds the same int object for a word id, taken from one object
+    array of the vocabulary that lives as long as the call."""
     rng = np.random.default_rng(cfg.seed)
     n = cfg.image_count
     if n == 0:
         return []
     cum = _zipf_cdf(cfg.vocab_size, cfg.zipf_exponent)
+    vocab = np.arange(cfg.vocab_size).astype(object)
 
     times = cfg.start_time + np.floor(
         np.cumsum(rng.exponential(1.0 / cfg.rate, n))
@@ -143,7 +146,7 @@ def generate_images(cfg):
         starts = np.flatnonzero(np.concatenate((
             [True], (draws[1:] != draws[:-1]) | (owner[1:] != owner[:-1]))))
         tfs = np.diff(np.append(starts, len(draws))).tolist()
-        words = draws[starts].tolist()
+        words = vocab[draws[starts]].tolist()
         ends = np.cumsum(np.bincount(owner[starts], minlength=len(counts))).tolist()
         a = 0
         for i, lat, lon, t_c, b in zip(range(lo, n), lats[chunk].tolist(),
@@ -195,13 +198,15 @@ def generate_queries(cfg, images):
 def write_dataset(images, path):
     with open(path, "w", encoding="utf-8") as fh:
         for img in images:
-            words = ",".join(f"{w}:{tf}" for w, tf in img.psi)
+            words = ",".join(f"{w}:{tf}" for w, tf in zip(img.freq, img.tfs))
             fh.write(f"{img.id}\t{img.lat!r}\t{img.lon!r}\t{img.t_c}\t{words}\n")
 
 
 def parse_dataset(path):
-    """Yields images; raises DataFormatError with the offending line number."""
+    """Yields images; raises DataFormatError with the offending line number.
+    Every image of the file holds the same int object for a word id."""
     seen = set()
+    ids = {}        # word id -> its one int object in this file
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -218,7 +223,8 @@ def parse_dataset(path):
                 psi = []
                 for pair in parts[4].split(","):
                     w, tf = pair.split(":")
-                    psi.append((int(w), int(tf)))
+                    w = int(w)
+                    psi.append((ids.setdefault(w, w), int(tf)))
                 img = GeoTemporalImage(iid, lat, lon, t_c, psi)
             except (ValueError, TypeError) as exc:
                 raise DataFormatError(f"line {lineno}: {exc}") from exc
