@@ -98,10 +98,11 @@ class IfaIndex(Index):
         d_lat = q.loc[0] - np.frombuffer(self.lat)[rows]
         d_lon = q.loc[1] - np.frombuffer(self.lon)[rows]
         f_s = np.sqrt(d_lat * d_lat + d_lon * d_lon) / p.domain.delta_max
-        # ages from the window start: live slots are at or after it, so the
-        # int64 offsets neither wrap nor, below 2**53 s, round as floats
-        t0 = self.window_start()
-        t_c = (t_c[rows] - t0).astype(np.float64)
+        # ages from the cutoff, an int64 at or before every live slot: the
+        # int64 offsets may wrap, but read as uint64 they are exact, and
+        # below 2**53 s they do not round as floats
+        t0 = self._cutoff
+        t_c = (t_c[rows] - t0).view(np.uint64).astype(np.float64)
         age = np.maximum((q.t - t0) - t_c, 0.0)
         f_t = 1.0 - p.decay_base ** (-(age / p.time_unit))
         w1, w2, w3 = q.weights
@@ -119,6 +120,7 @@ class IfaIndex(Index):
 
     def _drop_older(self, cutoff):
         if len(self.ids) >= 2 * len(self._live):
+            self._took("IFA compactions")
             self._compact(np.frombuffer(self.t_c, dtype=np.int64) >= cutoff)
 
     def _compact(self, keep):
@@ -274,6 +276,7 @@ class StviiIndex(TreeIndex):
             items = node.images
             boxes = [_box(img) for img in items]
         else:
+            self._took("STVII inner splits")
             items = node.children
             boxes = [c.mbr for c in items]
         return tuple(
@@ -362,6 +365,8 @@ class StviiIndex(TreeIndex):
                     kept.append(child)
                     fallen = self._prune(child, cutoff)
                 lost.update(word for word, f in fallen.items() if mf[word] == f)
+            if len(kept) < len(node.children):
+                self._took("STVII prunes that emptied a node")
             node.children = kept
             node.mbr = None
             for c in kept:

@@ -212,7 +212,9 @@ class Index:
     hooks: ``_add(img)`` adds an admitted image, and
     ``_drop_older(cutoff)`` drops the images older than a cutoff, an
     int, after they left the stats and ``_live`` and ``_cutoff`` became
-    that cutoff.
+    that cutoff. ``paths`` counts, by name, how often the index took each
+    of its structural paths (a split, compaction or rebuild), each counted
+    where it is taken (``_took``).
     """
 
     def __init__(self, config):
@@ -231,6 +233,11 @@ class Index:
         # oldest admissible t_c, an int: int64's least, then the window
         # start or a later cutoff
         self._cutoff = _INT64.start
+        self.paths = {}
+
+    def _took(self, path):
+        """Counts one more taking of the structural path named ``path``."""
+        self.paths[path] = self.paths.get(path, 0) + 1
 
     def window_start(self):
         """Start of the oldest live segment; None before the first arrival."""

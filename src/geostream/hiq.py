@@ -25,8 +25,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .engine import ExpiredArrivalError, TreeIndex  # noqa: F401 (re-exported)
-from .model import _counts, add_to_aggregates
+from .model import ConfigError, _counts, add_to_aggregates
 from .model import mind_visual  # noqa: F401 (perfbench wraps hiq.mind_visual)
+
+
+# The deepest tree a config may ask for: a split recurses once per level,
+# and below 2**-64 of the domain a quadrant no longer separates
+# coordinates of the domain's size.
+MAX_DEPTH = 64
 
 
 @dataclass
@@ -42,6 +48,8 @@ class HiqConfig:
 
     def __post_init__(self):
         _counts(self, segment_span=1, window=1, capacity=1, max_depth=1)
+        if self.max_depth > MAX_DEPTH:
+            raise ConfigError(f"max_depth must be <= {MAX_DEPTH}, got {self.max_depth}")
 
 
 class QuadNode:
@@ -96,7 +104,8 @@ def _root(domain, max_freq):
 def _split(node, depth, cfg):
     """Makes the leaf ``node``, at ``depth``, an inner node over its four
     quadrants, each taking its images in arrival order, and splits again
-    each child above ``cfg.capacity`` at a depth below ``cfg.max_depth``."""
+    each child above ``cfg.capacity`` at a depth below ``cfg.max_depth``;
+    returns whether it split a child."""
     children = node.make_children()
     for img in node.images:
         child = children[node.quadrant(img.lat, img.lon)]
@@ -105,10 +114,13 @@ def _split(node, depth, cfg):
     node.children = children
     node.images = []
     depth += 1
+    split = False
     if depth < cfg.max_depth:
         for child in children:
             if len(child.images) > cfg.capacity:
                 _split(child, depth, cfg)
+                split = True
+    return split
 
 
 class HiqIndex(TreeIndex):
@@ -137,6 +149,7 @@ class HiqIndex(TreeIndex):
         one of its survivors, in arrival order."""
         for bucket in self.stats.buckets.values():
             if bucket.tree is None:
+                self._took("HIQ trees rebuilt after a cutoff")
                 for img in bucket.images.values():
                     self._add(img)
 
@@ -155,8 +168,9 @@ class HiqIndex(TreeIndex):
             depth += 1
             add_to_aggregates(node, t, img.freq)
         node.images.append(img)
-        if len(node.images) > cfg.capacity and depth < cfg.max_depth:
-            _split(node, depth, cfg)
+        if len(node.images) > cfg.capacity and depth < cfg.max_depth \
+                and _split(node, depth, cfg):
+            self._took("multi-level HIQ splits")
 
     # -- search surface (TreeIndex) ------------------------------------
 

@@ -60,14 +60,18 @@ class SpatialDomain:
             object.__setattr__(self, name, _real(getattr(self, name), name))
         if not (self.max_lat > self.min_lat and self.max_lon > self.min_lon):
             raise ConfigError("spatial domain must have positive extent on both axes")
-        object.__setattr__(
-            self,
-            "delta_max",
-            math.sqrt(
+        try:
+            delta_max = math.sqrt(
                 (self.max_lat - self.min_lat) ** 2
                 + (self.max_lon - self.min_lon) ** 2
-            ),
-        )
+            )
+        except OverflowError:
+            delta_max = math.inf
+        # every spatial cost divides by the diagonal
+        if not 0.0 < delta_max < math.inf:
+            raise ConfigError(f"spatial domain's diagonal must be finite and above 0, "
+                              f"got {delta_max!r}")
+        object.__setattr__(self, "delta_max", delta_max)
 
     def contains(self, lat, lon):
         return (

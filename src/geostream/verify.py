@@ -134,6 +134,7 @@ def oracle_stream(rng, n, domain, shape):
 
 
 ORACLE_SHAPES = ("uniform", "clustered", "jump")
+# every name an index counts in its ``paths``, in the structure line's order
 PATH_COUNTS = ("IFA compactions", "multi-level HIQ splits", "STVII prunes that emptied a node",
                "STVII inner splits", "HIQ trees rebuilt after a cutoff")
 
@@ -143,11 +144,11 @@ def check_oracle_equivalence(seed, instances, domain, max_images=500,
     """Runs (instances) random (dataset, query) pairs through HIQ, IFA,
     STVII and the oracle; returns the number of mismatches, the faults
     found, each led by the index's kind, and how often the streams took
-    each path of ``PATH_COUNTS`` (``insert_counting``). The faults are the
-    ``structure_violations`` of each index, checked whenever the window
-    start moves and after the last insert, and any exception an index
-    raised (``IndexRaised``): that ends its dataset, whose queries left
-    count as mismatches. The datasets take the shapes of ``oracle_stream``
+    each path of ``PATH_COUNTS``, summed over the indexes' own ``paths``.
+    The faults are the ``structure_violations`` of each index, checked
+    whenever the window start moves and after the last insert, and any
+    exception an index raised (``IndexRaised``): that ends its dataset,
+    whose queries left count as mismatches. The datasets take the shapes of ``oracle_stream``
     in turn. The window holds 3 of the data's 20,000 s segments, so the
     older part of each dataset has expired before the queries, and each
     dataset is then expired once more, at a cutoff inside its oldest held
@@ -177,23 +178,21 @@ def check_oracle_equivalence(seed, instances, domain, max_images=500,
         try:
             start = None
             for img in sorted(images, key=lambda im: im.t_c):
-                insert_counting(indexes, img, counts)
+                for index in indexes:
+                    with _naming(index, f"insert of image {img.id}"):
+                        index.insert(img)
                 if hiq.window_start() != start:
                     start = hiq.window_start()
                     faults += _structure_faults(indexes)
             faults += _structure_faults(indexes)
             # a cutoff at one of the oldest held segment's images, a float
-            # in every other dataset; a HIQ tree no bucket held before is
-            # one the expiry rebuilt
+            # in every other dataset
             buckets = hiq.stats.buckets
             cutoff = rng.choice(list(buckets[min(buckets)].images.values())).t_c
             cutoff = cutoff - 0.5 if datasets % 2 else cutoff
-            trees = [bucket.tree for bucket in buckets.values()]
             for index in indexes:
                 with _naming(index, f"expire at {cutoff}"):
                     index.expire(cutoff)
-            counts["HIQ trees rebuilt after a cutoff"] += sum(
-                bucket.tree not in trees for bucket in buckets.values())
             faults += _structure_faults(indexes)
             live = list(hiq.live_images())
             for q in queries:
@@ -204,6 +203,9 @@ def check_oracle_equivalence(seed, instances, domain, max_images=500,
         except IndexRaised as exc:
             faults.append(str(exc))
             failures += len(queries) - answered
+        for index in indexes:
+            for name, n in index.paths.items():
+                counts[name] += n
     return failures, faults, counts
 
 
@@ -220,44 +222,6 @@ def _answers(index, q, expected):
     """Whether ``index`` answers ``q`` with the oracle's ``expected``."""
     with _naming(index, "search"):
         return results_match(index.search(q)[0], expected)
-
-
-def insert_counting(indexes, img, counts):
-    """Inserts ``img`` into the ``(hiq, ifa, stvii)`` indexes and adds to
-    ``counts`` each path of ``PATH_COUNTS`` it took: an IFA expiry that
-    compacted the table, a HIQ split that made more than one level, a
-    roll whose STVII prune dropped an emptied node below a root it kept,
-    and each STVII split of an inner node. A split makes two new nodes of
-    the one it splits and a root split one more, the new root, while a
-    prune makes no inner node, so the inner splits are half the new inner
-    nodes, less a new inner root."""
-    hiq, ifa, stvii = indexes
-    depth = _leaf_depth(hiq, img)
-    slots = len(ifa.ids)
-    nodes = list(walk(stvii.roots()))
-    rolls = stvii._head_end is not None and img.t_c >= stvii._head_end
-    for index in indexes:
-        with _naming(index, f"insert of image {img.id}"):
-            index.insert(img)
-    cutoff = stvii.window_start()
-    counts["IFA compactions"] += len(ifa.ids) <= slots
-    counts["multi-level HIQ splits"] += _leaf_depth(hiq, img) > depth + 1
-    counts["STVII prunes that emptied a node"] += bool(
-        rolls and nodes and nodes[0].t_max >= cutoff and any(n.t_max < cutoff for n in nodes))
-    before = set(map(id, nodes))        # ``nodes`` keeps them alive: no id is reused
-    new = [n for n in walk(stvii.roots()) if n.children is not None and id(n) not in before]
-    counts["STVII inner splits"] += (len(new) - (stvii.root in new)) // 2
-
-
-def _leaf_depth(hiq, img):
-    """The depth of the leaf of HIQ's tree of ``img``'s segment that holds,
-    or would take, its point; 0 where that segment has no tree."""
-    node = getattr(hiq.stats.buckets.get(img.t_c // hiq.config.segment_span), "tree", None)
-    depth = 0
-    while node is not None and node.children is not None:
-        node = node.children[node.quadrant(img.lat, img.lon)]
-        depth += 1
-    return depth
 
 
 def _maxima(images):

@@ -345,6 +345,7 @@ def test_ifa_columns_match_oracle(xi, domain):
                 if index.t_c[s] >= index._cutoff and held[s]:
                     assert abs(f_v[s] - ctx.mind_visual(by_id[iid].freq)) <= 1e-12
     assert rebuilds >= 2
+    assert index.paths == {"IFA compactions": rebuilds}
 
 
 def _per_word_visual_columns(ctx, postings, n):
@@ -415,6 +416,7 @@ def test_visual_columns_match_per_word_reference(xi, domain):
         for _ in range(4):
             ctx = check(index.live_images())
     assert compactions >= 2
+    assert index.paths == {"IFA compactions": compactions}
     # no query word in the live corpus: no slot holds one
     outside = Query(psi=(100, 101), loc=(50.0, 50.0), t=10_000, k=5, weights=(0.3, 0.4, 0.3))
     held = _assert_columns_match_reference(index.params.context(outside), index.postings,
@@ -475,6 +477,28 @@ def test_large_timestamps_match_oracle(base, domain):
             for index in indexes:
                 assert results_match(index.search(q)[0], oracle_over_live_set(q, index))
     assert indexes[0].window_start() >= base + 4000     # the window rolled
+
+
+@pytest.mark.parametrize("case", ["window-start-below-int64", "span-past-2**63"])
+def test_ages_at_int64s_edges_match_oracle(case, domain):
+    # IFA took ages as int64 offsets from the window start: a segment grid
+    # whose floor lies below int64's least raised OverflowError, and live
+    # timestamps more than 2**63 apart wrapped, so the oldest image won
+    if case == "window-start-below-int64":
+        config = make_config(domain, segment_span=3)
+        times, t = [-2 ** 63], -2 ** 63 + 5
+    else:
+        config = make_config(domain, segment_span=2 ** 62, window=8, time_unit=1e18)
+        times, t = [-2 ** 63 + 1, 2 ** 62], 2 ** 62
+    indexes = [cls(config) for cls in INDEX_CLASSES]
+    for i, t_c in enumerate(times):
+        for index in indexes:
+            index.insert(img(i, t_c=t_c))
+    q = Query(psi=(1,), loc=(10.0, 10.0), t=t, k=1, weights=(0.3, 0.3, 0.4))
+    expected = oracle_over_live_set(q, indexes[0])
+    assert [e.image_id for e in expected] == [len(times) - 1]
+    for index in indexes:
+        assert results_match(index.search(q)[0], expected), index.kind
 
 
 @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf, 12.5, None, True, "5",
@@ -716,6 +740,49 @@ class TestStvii:
             assert structure_violations(index) == []
             batch = random_images(rng, 20 * capacity, domain, t_lo=cutoff, t_hi=40_000,
                                   id_base=10_000 * (step + 2))
+
+
+    @pytest.mark.parametrize("capacity", [3, 4])
+    def test_inner_splits_are_counted(self, capacity, domain):
+        # the witness: a split makes two nodes of the one it splits and a
+        # root split one more, the new root, while a prune makes no inner
+        # node, so an insert's inner splits are half its new inner nodes,
+        # less a new inner root
+        index = StviiIndex(make_config(domain, capacity=capacity, segment_span=5_000,
+                                       window=4))
+        rng = random.Random(capacity)
+        witnessed = 0
+        for im in sorted(random_images(rng, 400, domain, t_lo=0, t_hi=40_000),
+                         key=lambda im: im.t_c):
+            nodes = list(walk([index.root]))
+            before = set(map(id, nodes))    # ``nodes`` keeps them alive: no id is reused
+            index.insert(im)
+            new = [n for n in walk([index.root])
+                   if n.children is not None and id(n) not in before]
+            witnessed += (len(new) - (index.root in new)) // 2
+        assert witnessed > 0
+        assert index.paths["STVII inner splits"] == witnessed
+
+    def test_roll_that_empties_one_leaf_counts_one(self, domain):
+        # three old images near (10, 10) split off into a leaf of their
+        # own; the roll at t = 350 expires them, emptying that leaf under
+        # the root, which keeps the new images. The roll at t = 450
+        # expires image 3 from a leaf that keeps others: no node empties
+        index = StviiIndex(make_config(domain, capacity=4, segment_span=100, window=3))
+        for i in range(3):
+            index.insert(img(i, lat=10.0, lon=10.0 + i, t_c=i))
+        for i, t in zip(range(3, 7), (150, 250, 251, 252)):
+            index.insert(img(i, lat=90.0, lon=80.0 + i, t_c=t))
+        old = [n for n in walk(index.roots()) if n.t_max < 100]
+        assert [n.children is None for n in old] == [True] and old[0] is not index.root
+        assert index.paths == {}
+        index.insert(img(7, lat=90.0, lon=90.0, t_c=350))
+        assert index.window_start() == 100
+        assert index.paths == {"STVII prunes that emptied a node": 1}
+        index.insert(img(8, lat=90.0, lon=91.0, t_c=450))
+        assert index.window_start() == 200 and 3 not in {im.id for im in index.live_images()}
+        assert index.paths == {"STVII prunes that emptied a node": 1}
+        assert structure_violations(index) == []
 
 
 def tree_depth(node):

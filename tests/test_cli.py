@@ -183,6 +183,18 @@ class TestQuery:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "--t" in err and "int64" in err
 
+    def test_max_depth_past_its_bound_exit_usage(self, tmp_path, capsys):
+        # two images at one point split once per level down to max_depth,
+        # one recursion each: 1,200 levels overflowed Python's stack
+        twins = tmp_path / "twins.tsv"
+        twins.write_text("1\t10.0\t10.0\t5\t1:2\n2\t10.0\t10.0\t6\t1:2\n")
+        code, out, err = run([
+            "query", "--data", str(twins), "--lat", "10", "--lon", "10", "--words", "1",
+            "--capacity", "1", "--max-depth", "1200",
+        ], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: max_depth must be <= 64, got 1200\n"
+
     def test_timestamp_outside_int64_exit_data(self, tmp_path, capsys):
         far = tmp_path / "far.tsv"
         far.write_text(f"5\t10.0\t10.0\t{10 ** 30}\t1:2\n")
@@ -226,6 +238,8 @@ def test_bad_generator_parameter_exit_usage(flag, tmp_path, capsys):
     ("a,b,c,d", "could not convert"),
     ("0,100,0", "4 comma-separated values"),
     ("0,100,100,0", "positive extent"),
+    ("0,1e200,0,1", "diagonal"),
+    ("0,1e-200,0,1e-200", "diagonal"),
 ])
 def test_malformed_domain_exit_usage(spec, reason, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -50,6 +50,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match=name):
             make_config(domain, **{name: value})
 
+    def test_max_depth_past_its_bound_rejected(self, domain):
+        # a split recurses once per level, so two images at one point
+        # split down to max_depth: at 1,200 that overflowed Python's stack
+        with pytest.raises(ConfigError, match="max_depth must be <= 64, got 1200"):
+            make_config(domain, capacity=1, max_depth=1200)
+        with pytest.raises(ConfigError, match="max_depth must be <= 64, got 65"):
+            make_config(domain, max_depth=65)
+        index = HiqIndex(make_config(domain, capacity=1, max_depth=64))
+        for i in range(3):
+            index.insert(img(i, 10.0, 10.0, 5000 + i))
+        assert sum(1 for _ in walk(index.roots())) == 1 + 4 * 64
+        assert structure_violations(index) == []
+
     def test_whole_float_sizes_become_ints(self, domain):
         config = make_config(domain, segment_span=60.0, window=3.0)
         assert (config.segment_span, config.window) == (60, 3)
@@ -156,7 +169,8 @@ class TestStructuralInvariants:
     def test_cutoff_inside_a_segment_leaves_the_tree_of_its_survivors(self, domain):
         # twins: one index expires at cutoffs inside held segments, the
         # other is fed only the survivors, in arrival order; each tree is
-        # the same node for node, each leaf's order included
+        # the same node for node, each leaf's order included, and each
+        # cutoff rebuilt one
         rng = random.Random(7)
         config = make_config(domain, capacity=3, segment_span=100, window=5)
         images = sorted(random_images(rng, 200, domain, t_lo=0, t_hi=399),
@@ -173,6 +187,7 @@ class TestStructuralInvariants:
             assert structure_violations(index) == []
             assert {key: node_fields(b.tree) for key, b in index.stats.buckets.items()} \
                 == {key: node_fields(b.tree) for key, b in twin.stats.buckets.items()}
+        assert index.paths["HIQ trees rebuilt after a cutoff"] == 2
 
     def test_segment_spans_disjoint_contiguous(self, built):
         # a tree holds one segment's images (structure_violations), so a
@@ -181,6 +196,23 @@ class TestStructuralInvariants:
         for a, b in zip(segs, segs[1:]):
             assert a.end == b.start
         assert all(s.start <= s.root.t_max < s.end for s in segs if s.root.t_max is not None)
+
+
+class TestPathCounts:
+    def test_split_into_one_crowded_quadrant_counts_one(self, domain):
+        # both images lie in the NW quadrant and apart in its quadrants, so
+        # the root's split recurses once
+        index = HiqIndex(make_config(domain, capacity=1))
+        index.insert(img(0, 80.0, 10.0, 5000))
+        index.insert(img(1, 80.0, 30.0, 5001))
+        assert index.paths == {"multi-level HIQ splits": 1}
+
+    def test_one_level_split_counts_nothing(self, domain):
+        index = HiqIndex(make_config(domain, capacity=1))
+        index.insert(img(0, 80.0, 10.0, 5000))
+        index.insert(img(1, 10.0, 90.0, 5001))
+        assert index.segments[0].root.children is not None
+        assert index.paths == {}
 
 
 class TestRollSegment:

@@ -423,7 +423,14 @@ class TestValidation:
         (-math.inf, 10.0, 0.0, 10.0),
         (0.0, 10.0, 0.0, math.inf),
         ("a", 1, 0, 1),
-    ], ids=["inf-max-lat", "inf-min-lat", "inf-max-lon", "str-min-lat"])
+        # every spatial cost divides by the diagonal: an overflowing square
+        # raised an untyped OverflowError, an infinite diagonal made every
+        # cost 0.0 and a zero one divided by zero in the searches
+        (0.0, 1e200, 0.0, 1.0),
+        (-1e308, 1e308, 0.0, 1.0),
+        (0.0, 1e-200, 0.0, 1e-200),
+    ], ids=["inf-max-lat", "inf-min-lat", "inf-max-lon", "str-min-lat",
+            "diagonal-squares-overflow", "diagonal-extent-overflows", "diagonal-underflows"])
     def test_non_finite_domain(self, bounds):
         with pytest.raises(ConfigError):
             SpatialDomain(*bounds)
