@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, fields
 
@@ -31,6 +32,13 @@ EXIT_VERIFY = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token of a minus sign and a digit or a point, such as the
+        # domain -90,90,-180,180 or the latitude -1e1, is a value, which the
+        # flag before it takes; argparse reads only -N and -N.N so
+        self._negative_number_matcher = re.compile(r"-[\d.]")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")

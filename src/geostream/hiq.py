@@ -88,17 +88,10 @@ class QuadNode:
 
 
 class Segment(NamedTuple):
+    """One span of the window's grid, ``[start, end)``."""
+
     start: int
     end: int
-    root: QuadNode
-
-
-def _root(domain, max_freq):
-    """An empty quadtree over the whole domain whose word maxima are the
-    dict ``max_freq``."""
-    root = QuadNode(domain.min_lat, domain.min_lon, domain.max_lat, domain.max_lon)
-    root.max_freq = max_freq
-    return root
 
 
 def _split(node, depth, cfg):
@@ -132,14 +125,12 @@ class HiqIndex(TreeIndex):
 
     @property
     def segments(self):
-        """The window's segments, oldest first, each with its tree (an
-        empty one where no image arrived)."""
+        """The window's segments, oldest first, whether or not an image
+        arrived in them; a segment's tree is its bucket's (``roots``)."""
         if self._start is None:
             return []
-        span, domain, buckets = self.config.segment_span, self.config.domain, self.stats.buckets
-        return [Segment(s, s + span, getattr(buckets.get(s // span), "tree", None)
-                        or _root(domain, {}))
-                for s in range(self._start, self._head_end, span)]
+        span = self.config.segment_span
+        return [Segment(s, s + span) for s in range(self._start, self._head_end, span)]
 
     # -- ingestion ---------------------------------------------------
 
@@ -150,7 +141,7 @@ class HiqIndex(TreeIndex):
         for bucket in self.stats.buckets.values():
             if bucket.tree is None:
                 self._took("HIQ trees rebuilt after a cutoff")
-                for img in bucket.images.values():
+                for img in bucket.images:
                     self._add(img)
 
     def _add(self, img):
@@ -159,7 +150,10 @@ class HiqIndex(TreeIndex):
         bucket = self.stats.bucket(t)
         node = bucket.tree
         if node is None:
-            node = bucket.tree = _root(cfg.domain, bucket.max_freq)
+            # an empty tree over the domain, whose maxima are its bucket's
+            d = cfg.domain
+            node = bucket.tree = QuadNode(d.min_lat, d.min_lon, d.max_lat, d.max_lon)
+            node.max_freq = bucket.max_freq
         if node.t_max is None or t > node.t_max:
             node.t_max = t      # the root's max_freq is its bucket's: add_image folds it
         depth = 0

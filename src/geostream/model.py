@@ -30,7 +30,7 @@ class DomainError(ValueError):
 
 class InvalidStateError(RuntimeError):
     """A call the current state cannot serve: scoring against an empty
-    image or an empty corpus, or dropping one image from a HIQ segment."""
+    corpus, or ``CorpusStats.remove_image``, which is refused."""
 
 
 # The slack of a lower bound over the costs it bounds: ``mind_visual`` is
@@ -251,7 +251,7 @@ class Query:
 
 
 class _Bucket:
-    """The live images of one window segment, by id in arrival order, with
+    """The live images of one window segment, a list in arrival order, with
     their counts and their aggregates: ``corpus_tf``, word -> the sum of
     the images' tfs, and ``total_tf``, the sum of their |I.psi|; ``t_max``,
     the newest arrival, and ``max_freq``, the max tf/|I.psi| per word, as a
@@ -263,7 +263,7 @@ class _Bucket:
     __slots__ = ("images", "corpus_tf", "total_tf", "t_max", "max_freq", "tree")
 
     def __init__(self):
-        self.images = {}
+        self.images = []
         self.corpus_tf = {}
         self.total_tf = 0
         self.t_max = None
@@ -276,24 +276,25 @@ class CorpusStats:
 
     The images sit in one bucket per window segment, in ``buckets``,
     keyed by ``t_c // segment_span`` like the segments of
-    ``engine.Index``, and are told apart by id; ``segment_span`` must be
-    a whole number of at least 1, and anything else, a missing span
-    included, raises ``ConfigError``. A bucket keeps its images, their
-    corpus tf per word and term total, their newest arrival and their
-    exact max frequency ratio per word (``_Bucket``), and HIQ hangs the
-    segment's tree on it. Only the total term count,
+    ``engine.Index``, each bucket listing its images in arrival order;
+    ``segment_span`` must be a whole number of at least 1, and anything
+    else, a missing span included, raises ``ConfigError``. A bucket keeps
+    its images, their corpus tf per word and term total, their newest
+    arrival and their exact max frequency ratio per word (``_Bucket``),
+    and HIQ hangs the segment's tree on it. Only the total term count,
     ``total_word_count``, is kept over all buckets; a word's corpus tf
     is the sum, and its ``max_freq`` the maximum, over the live buckets,
     of which an index's window holds at most ``window + 1``. So a bucket
     leaves whole, as a basic window does in Datar et al.'s sliding-window
     statistics, by one pop and one subtraction, reading none of its
-    images; one that loses only some images (to a cutoff inside it in
-    ``expire``, or to ``remove_image``, which refuses a bucket that
-    carries a tree) is dropped and rebuilt from its survivors, into a new
-    bucket without a tree. ``add_image`` reads an image's words and
-    ratios from its ``freq`` and its counts from its ``tfs``, and keeps
-    the image itself, not a copy of its words. ``version`` counts the
-    updates, so ``ScoreParams`` can tell that what it cached is stale.
+    images; one that a cutoff cuts, in ``expire``, is dropped and rebuilt
+    from its survivors, into a new bucket without a tree, unless none of
+    its images is older than the cutoff. Images leave only by ``expire``,
+    so nothing here looks an image up by id. ``add_image`` reads an
+    image's words and ratios from its ``freq`` and its counts from its
+    ``tfs``, and keeps the image itself, not a copy of its words.
+    ``version`` counts the updates, so ``ScoreParams`` can tell that what
+    it cached is stale.
     """
 
     def __init__(self, segment_span=None):
@@ -320,7 +321,7 @@ class CorpusStats:
         total = img.total_tf
         self.total_word_count += total
         bucket = self.bucket(img.t_c)
-        bucket.images[img.id] = img
+        bucket.images.append(img)
         bucket.total_tf += total
         add_to_aggregates(bucket, img.t_c, img.freq)
         ctf = bucket.corpus_tf
@@ -331,33 +332,28 @@ class CorpusStats:
             i += 1
 
     def remove_image(self, img):
-        """Drops a held image, by id; raises ``KeyError``, changing
-        nothing, for an image not held. Its bucket is rebuilt as a new
-        one, without a tree, so no index calls this; for an image whose
-        bucket carries a HIQ tree, which the rebuild would lose, it raises
-        ``InvalidStateError`` and changes nothing."""
-        key = img.t_c // self._span
-        bucket = self.buckets.get(key)
-        if bucket is None or img.id not in bucket.images:
-            raise KeyError(img.id)
-        if bucket.tree is not None:
-            raise InvalidStateError(
-                f"image {img.id}: its segment's HIQ tree cannot lose one image")
-        self._rebuild(key, {img.id})
+        """Refused: raises ``InvalidStateError`` and changes nothing, since
+        images leave only by ``expire``. It stays only because perfbench's
+        traced run wraps it by name, as it does ``model.mind_visual``,
+        until the benchmark drops that swap (ROADMAP item 6)."""
+        raise InvalidStateError(f"image {img.id}: images leave only by expire")
 
     def expire(self, cutoff):
         """Drops the images older than the int ``cutoff`` and returns
         them. A bucket the cutoff splits is rebuilt from its survivors as
-        a new bucket, without a tree."""
+        a new bucket, without a tree; one that holds no older image stays
+        as it is."""
         span = self._span
         old = []
         for key in [key for key in self.buckets if key * span < cutoff]:
             if (key + 1) * span <= cutoff:
                 old.extend(self._drop(key))
                 continue
-            part = [img for img in self.buckets[key].images.values() if img.t_c < cutoff]
+            part = [img for img in self.buckets[key].images if img.t_c < cutoff]
             if part:
-                self._rebuild(key, {img.id for img in part})
+                for img in self._drop(key):
+                    if img.t_c >= cutoff:
+                        self.add_image(img)
                 old.extend(part)
         return old
 
@@ -366,14 +362,7 @@ class CorpusStats:
         self.version += 1
         bucket = self.buckets.pop(key)
         self.total_word_count -= bucket.total_tf
-        return bucket.images.values()
-
-    def _rebuild(self, key, gone):
-        """Drops bucket ``key`` and adds back its images whose ids are not
-        in ``gone``."""
-        for img in self._drop(key):
-            if img.id not in gone:
-                self.add_image(img)
+        return bucket.images
 
     def corpus_tf(self, word):
         tf = 0
@@ -790,8 +779,6 @@ def spatial_proximity(q, loc, domain):
 def visual_weight(word, img, params):
     """Smoothed per-word weight: (1-xi)*tf/|I.psi| + xi*ctf/|corpus|."""
     stats = params.stats
-    if img.total_tf == 0:
-        raise InvalidStateError("image with empty word vector")
     if stats.total_word_count == 0:
         raise InvalidStateError("empty corpus")
     return kernels.visual_weight(

@@ -188,7 +188,7 @@ def check_oracle_equivalence(seed, instances, domain, max_images=500,
             # a cutoff at one of the oldest held segment's images, a float
             # in every other dataset
             buckets = hiq.stats.buckets
-            cutoff = rng.choice(list(buckets[min(buckets)].images.values())).t_c
+            cutoff = rng.choice(buckets[min(buckets)].images).t_c
             cutoff = cutoff - 0.5 if datasets % 2 else cutoff
             for index in indexes:
                 with _naming(index, f"expire at {cutoff}"):
@@ -249,8 +249,8 @@ def stats_violations(stats, images):
         for img in group:
             for word, tf in zip(img.freq, img.tfs):
                 corpus_tf[word] = corpus_tf.get(word, 0) + tf
-        held = (sorted(bucket.images), bucket.total_tf, bucket.corpus_tf, bucket.t_max,
-                bucket.max_freq)
+        held = (sorted(img.id for img in bucket.images), bucket.total_tf, bucket.corpus_tf,
+                bucket.t_max, bucket.max_freq)
         recount = (sorted(img.id for img in group), sum(corpus_tf.values()), corpus_tf,
                    *_maxima(group))
         out += [f"bucket {key}: {name}" for name, a, b in zip(
@@ -290,7 +290,7 @@ def structure_violations(index):
             continue
         if root.max_freq is not bucket.max_freq:
             out.append(f"root of segment {key}: max_freq is not its bucket's")
-        rank = {iid: i for i, iid in enumerate(bucket.images)}      # arrival order
+        rank = {img.id: i for i, img in enumerate(bucket.images)}      # arrival order
         ranks = [[rank.get(img.id, -1) for img in leaf.images]
                  for leaf in walk([root]) if leaf.children is None]
         if sorted(img.id for img in images) != sorted(rank) or any(r != sorted(r) for r in ranks):

@@ -42,6 +42,16 @@ class TestGenerate:
               "--mean-words", "8", "--seed", "11"])
         assert other.read_bytes() == dataset.read_bytes()
 
+    def test_domain_that_starts_with_a_minus(self, tmp_path, capsys):
+        # the whole globe: a value that opens with a minus sign and a digit
+        # is the flag's, not an option
+        out = tmp_path / "globe.tsv"
+        code, _, err = run(["generate", "--out", str(out), "--count", "50",
+                            "--domain", "-90,90,-180,180"], capsys)
+        assert (code, err) == (0, "")
+        lats = [float(line.split("\t")[1]) for line in out.read_text().splitlines()]
+        assert len(lats) == 50 and min(lats) < 0
+
 
 class TestQuery:
     def test_single_match_k1(self, tmp_path, capsys):
@@ -57,6 +67,17 @@ class TestQuery:
         qid, rank, iid, score = lines[0].split("\t")
         assert (qid, rank, iid) == ("0", "1", "5")
         float(score)
+
+    @pytest.mark.parametrize("lat", ["-1e1", "-10", "-10.0", "-.1e2"])
+    def test_latitude_that_starts_with_a_minus(self, lat, tmp_path, capsys):
+        data = tmp_path / "south.tsv"
+        data.write_text("5\t-10.0\t-20.0\t1000\t1:2,3:1\n")
+        code, out, err = run([
+            "query", "--data", str(data), "--domain", "-90,90,-180,180",
+            "--lat", lat, "--lon", "-20", "--words", "1", "--k", "1",
+        ], capsys)
+        assert (code, err) == (0, "")
+        assert out == "0\t1\t5\t0.000000\n"
 
     def test_cross_index_byte_identical(self, dataset, tmp_path, capsys):
         outputs = []
@@ -315,6 +336,13 @@ class TestVerify:
         assert "PASS oracle-equivalence" in out
         assert "PASS structure" in out
         assert "PASS bound-dominance" in out
+
+    def test_domain_that_starts_with_a_minus(self, capsys):
+        code, out, err = run(["verify", "--instances", "5", "--domain", "-90,90,-180,180"],
+                             capsys)
+        assert (code, err) == (0, "")
+        assert [line.split()[:2] for line in out.splitlines()] == [
+            ["PASS", "oracle-equivalence"], ["PASS", "structure"], ["PASS", "bound-dominance"]]
 
     def test_structure_line_counts_the_paths_it_reached(self, capsys):
         # CI's seed: the streams compact IFA, split HIQ leaves over more

@@ -74,7 +74,7 @@ class TestInsert:
         index = HiqIndex(make_config(domain))
         index.insert(img(0, 10.0, 10.0, 5000))
         assert len(index.segments) == 1
-        root = index.segments[0].root
+        root, = index.roots()
         assert root.children is None and len(root.images) == 1
         assert root.t_max == 5000
         seg = index.segments[0]
@@ -87,7 +87,7 @@ class TestInsert:
         pts = [(80.0, 10.0), (80.0, 90.0), (10.0, 10.0), (10.0, 90.0)]
         for i, (lat, lon) in enumerate(pts):
             index.insert(img(i, lat, lon, 1000 + i))
-        root = index.segments[0].root
+        root, = index.roots()
         assert root.children is not None
         for child, (lat, lon) in zip(root.children, pts):
             assert len(child.images) == 1
@@ -189,13 +189,46 @@ class TestStructuralInvariants:
                 == {key: node_fields(b.tree) for key, b in twin.stats.buckets.items()}
         assert index.paths["HIQ trees rebuilt after a cutoff"] == 2
 
+    @pytest.mark.parametrize("older", [True, False],
+                             ids=["older-bucket-expires", "nothing-expires"])
+    def test_cutoff_before_a_buckets_images_keeps_its_tree(self, domain, older):
+        # the cutoff 120 falls inside the segment [100, 200), whose images
+        # all arrived at 150 or later: its bucket and tree stay as they
+        # are and no tree is rebuilt, whether the older segment [0, 100)
+        # leaves or holds nothing
+        rng = random.Random(12)
+        images = random_images(rng, 60, domain, t_lo=150, t_hi=299)
+        if older:
+            images += random_images(rng, 30, domain, t_lo=0, t_hi=99, id_base=1000)
+        index = HiqIndex(make_config(domain, capacity=3, segment_span=100, window=5))
+        for im in sorted(images, key=lambda x: x.t_c):
+            index.insert(im)
+        bucket = index.stats.buckets[1]
+        tree, held = bucket.tree, list(bucket.images)
+        assert len(held) > 3 and tree.children is not None
+        assert index.expire(120) == (30 if older else 0)
+        assert index.stats.buckets[1] is bucket
+        assert bucket.tree is tree and list(bucket.images) == held
+        assert "HIQ trees rebuilt after a cutoff" not in index.paths
+        assert sorted(index.stats.buckets) == [1, 2]
+        assert structure_violations(index) == []
+        live = index.live_images()
+        assert len(live) == 60
+        for _ in range(20):
+            q = random_query(rng, live, domain)
+            expected = brute_force_oracle(q, live, index.params)
+            assert results_match(index.search(q)[0], expected)
+
     def test_segment_spans_disjoint_contiguous(self, built):
         # a tree holds one segment's images (structure_violations), so a
-        # root's t_max places the tree
+        # root's t_max places the tree in its bucket's segment
         segs = built.segments
         for a, b in zip(segs, segs[1:]):
             assert a.end == b.start
-        assert all(s.start <= s.root.t_max < s.end for s in segs if s.root.t_max is not None)
+        by_start = {s.start: s for s in segs}
+        for key, bucket in built.stats.buckets.items():
+            seg = by_start[key * built.config.segment_span]
+            assert seg.start <= bucket.tree.t_max < seg.end
 
 
 class TestPathCounts:
@@ -211,7 +244,7 @@ class TestPathCounts:
         index = HiqIndex(make_config(domain, capacity=1))
         index.insert(img(0, 80.0, 10.0, 5000))
         index.insert(img(1, 10.0, 90.0, 5001))
-        assert index.segments[0].root.children is not None
+        assert index.roots()[0].children is not None
         assert index.paths == {}
 
 
@@ -236,7 +269,9 @@ class TestRollSegment:
         images = random_images(rng, 200, domain, t_lo=0, t_hi=49_000)
         for im in sorted(images, key=lambda x: x.t_c):
             index.insert(im)
-        survivor_roots = [seg.root for seg in index.segments[1:]]
+        first = index.window_start() // 10_000
+        survivor_roots = [b.tree for key, b in index.stats.buckets.items() if key > first]
+        assert survivor_roots
         before = [[list(node.images) for node in walk([r])] for r in survivor_roots]
         index.roll_segment(60_000)
         after = [[list(node.images) for node in walk([r])] for r in survivor_roots]
@@ -268,9 +303,9 @@ class TestRollSegment:
         # that segment's tree from its images at or after the cutoff
         for id, t in ((1001, 4100), (1002, 4200), (1003, 4700)):
             index.insert(img(id, 10.0, 10.0, t))
-        split = index.segments[-1].root
+        split = index.stats.buckets[4].tree
         assert index.expire(4300) == 2
-        assert index.segments[-1].root is not split
+        assert index.stats.buckets[4].tree is not split
         assert sorted(im.id for im in index.live_images()) == [1000, 1003]
         assert structure_violations(index) == []
 
@@ -398,7 +433,7 @@ class TestMind:
     def test_zero_when_node_holds_everything(self, domain):
         index = HiqIndex(make_config(domain))
         index.insert(img(0, 50.0, 50.0, 5000, psi=((1, 2), (2, 3))))
-        root = index.segments[0].root
+        root, = index.roots()
         q = Query(psi=(1, 2), loc=(50.0, 50.0), t=4000, k=1, weights=(1 / 3, 1 / 3, 1 / 3))
         assert index.mind(q, root) == 0.0
 
@@ -406,7 +441,7 @@ class TestMind:
         index = HiqIndex(make_config(domain))
         index.insert(img(0, 10.0, 10.0, 1000, psi=((1, 1),)))
         index.insert(img(1, 90.0, 90.0, 1000, psi=((2, 1), (3, 1))))
-        root = index.segments[0].root
+        root, = index.roots()
         from geostream.model import combined_score
 
         q = Query(psi=(9,), loc=(50.0, 50.0), t=2000, k=1, weights=(0.4, 0.3, 0.3))

@@ -8,7 +8,7 @@ import pytest
 
 from geostream import kernels
 from geostream.baselines import IfaIndex, StviiIndex
-from geostream.engine import walk
+from geostream.engine import brute_force_oracle, walk
 from geostream.hiq import HiqConfig, HiqIndex
 from geostream.model import (
     ConfigError,
@@ -30,7 +30,13 @@ from geostream.model import (
     visual_relevance,
     visual_weight,
 )
-from geostream.verify import build_all, random_images, stats_violations
+from geostream.verify import (
+    build_all,
+    random_images,
+    random_query,
+    results_match,
+    stats_violations,
+)
 
 
 def img(id=0, lat=50.0, lon=50.0, t_c=1000, psi=((1, 1),)):
@@ -443,33 +449,29 @@ class TestCorpusStats:
         with pytest.raises(ConfigError, match="segment_span"):
             CorpusStats(span)
 
-    def test_add_remove_roundtrip(self):
-        rng = random.Random(5)
-        stats = CorpusStats(3600)
-        images = []
-        for i in range(100):
-            psi = sorted((w, rng.randint(1, 3)) for w in rng.sample(range(20), rng.randint(1, 5)))
-            images.append(img(id=i, psi=psi))
+    @pytest.mark.parametrize("cls", [HiqIndex, IfaIndex, StviiIndex], ids=lambda c: c.kind)
+    def test_remove_image_raises_and_changes_nothing(self, domain, cls):
+        # images leave only by expire: dropping one, held or not, is refused,
+        # and a HIQ index keeps its trees and answers as the oracle does
+        rng = random.Random(8)
+        index = cls(HiqConfig(domain=domain, segment_span=20_000, window=5, capacity=8))
+        images = sorted(random_images(rng, 60, domain), key=lambda i: i.t_c)
         for i in images:
-            stats.add_image(i)
-        removed = images[:60]
-        for i in removed:
-            stats.remove_image(i)
-        assert stats_violations(stats, images[60:]) == []
-
-    @pytest.mark.parametrize("stranger", [
-        img(id=7, t_c=150, psi=((1, 5),)),      # an id its bucket does not hold
-        img(id=0, t_c=950, psi=((1, 5),)),      # a held id, in a bucket that is not there
-    ], ids=["unknown-id", "no-bucket"])
-    def test_remove_image_not_held(self, stranger):
-        stats = CorpusStats(100)
-        held = [img(id=i, t_c=t, psi=((1, i + 1), (2, 1))) for i, t in enumerate((120, 180, 250))]
-        for i in held:
-            stats.add_image(i)
-        version = stats.version
-        with pytest.raises(KeyError):
-            stats.remove_image(stranger)
-        assert stats.version == version and stats_violations(stats, held) == []
+            index.insert(i)
+        stats = index.stats
+        version, buckets = stats.version, dict(stats.buckets)
+        held = {key: (list(b.images), b.tree) for key, b in buckets.items()}
+        for i in (images[17], img(id=10**6, t_c=images[-1].t_c)):
+            with pytest.raises(InvalidStateError):
+                stats.remove_image(i)
+        assert stats.version == version and stats.buckets == buckets
+        assert {key: (list(b.images), b.tree) for key, b in buckets.items()} == held
+        assert stats_violations(stats, images) == []
+        assert all((b.tree is not None) == (cls is HiqIndex) for b in buckets.values())
+        for _ in range(10):
+            q = random_query(rng, images, domain)
+            expected = brute_force_oracle(q, index.live_images(), index.params)
+            assert results_match(index.search(q)[0], expected)
 
     def test_whole_drop_reads_no_image(self):
         # a bucket leaves with its own counts: no expired image's words
@@ -496,8 +498,8 @@ class TestCorpusStats:
         assert stats_violations(stats, [i for i in images if i.t_c >= 200]) == []
 
     def test_counts_equal_a_recount_after_each_change(self):
-        # whole drops, a cutoff inside a bucket, a late arrival into an
-        # older bucket and remove_image, each checked against a recount
+        # whole drops, a cutoff inside a bucket and a late arrival into an
+        # older bucket, each checked against a recount
         rng = random.Random(43)
         images = []
         for i in range(150):
@@ -516,11 +518,6 @@ class TestCorpusStats:
         late = img(id=500, t_c=260, psi=((3, 2), (12, 1)))
         stats.add_image(late)                   # into the oldest live bucket
         images.append(late)
-        assert stats_violations(stats, images) == []
-        removed = images[::7]
-        for i in removed:
-            stats.remove_image(i)
-        images = [i for i in images if i not in removed]
         assert stats_violations(stats, images) == []
 
     def test_dropped_bucket_takes_its_maximum(self):
@@ -595,9 +592,8 @@ class TestCorpusStats:
         assert stats_violations(whole, [i for i in images if i.t_c >= 250]) == []
 
     def test_bucket_aggregates_equal_a_recount(self, domain):
-        # after each add_image, an expire whose cutoff splits the bucket
-        # [100, 200), and each remove_image, newest arrivals first so that
-        # the t_max of a bucket falls
+        # after each add_image and an expire whose cutoff splits the bucket
+        # [100, 200)
         images = random_images(random.Random(71), 120, domain, vocab=10, t_lo=0, t_hi=399)
         stats = CorpusStats(100)
         for n, i in enumerate(images, 1):
@@ -607,10 +603,6 @@ class TestCorpusStats:
         assert sorted(i.id for i in gone) == sorted(i.id for i in images if i.t_c < 150)
         images = [i for i in images if i.t_c >= 150]
         assert stats_violations(stats, images) == []
-        for i in sorted(images, key=lambda i: -i.t_c)[:20]:
-            stats.remove_image(i)
-            images.remove(i)
-            assert stats_violations(stats, images) == []
 
     def test_max_weight_matches_per_image_max(self, domain):
         rng = random.Random(9)
@@ -805,7 +797,7 @@ class TestQueryContext:
             assert mind_visual(q, max_freq_of(others + [best]), p) == 0.0
 
     def test_cached_until_the_corpus_changes(self, domain):
-        first = img(id=0, psi=((1, 2), (2, 1)))
+        first = img(id=0, t_c=10, psi=((1, 2), (2, 1)))
         p = params_for(domain, [first])
         q = query(psi=(1, 2))
         ctx = p.context(q)
@@ -815,7 +807,7 @@ class TestQueryContext:
         p.stats.add_image(img(id=1, psi=((1, 1),)))
         assert p.context(q) is not ctx
         ctx = p.context(q)
-        p.stats.remove_image(first)
+        assert p.stats.expire(first.t_c + 1) == [first]
         assert p.context(q) is not ctx
         ctx = p.context(q)
         p.stats = CorpusStats(3600)

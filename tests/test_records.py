@@ -10,10 +10,8 @@ from unittest import mock
 import pytest
 
 from geostream import verify, workload
-from geostream.engine import brute_force_oracle
-from geostream.hiq import HiqConfig, HiqIndex
-from geostream.model import ConfigError, GeoTemporalImage, InvalidStateError, _real, _whole
-from geostream.verify import random_images, random_query, results_match, stats_violations
+from geostream.model import ConfigError, GeoTemporalImage, _real, _whole
+from geostream.verify import random_images
 from geostream.workload import GeneratorConfig, generate_images, parse_dataset, write_dataset
 
 
@@ -217,23 +215,3 @@ class TestLayout:
         write_dataset(images, path)
         self.assert_one_object_per_word(parse_dataset(path))
 
-
-def test_remove_image_refuses_a_bucket_with_a_tree(domain):
-    """Dropping one image from a HIQ index's statistics would rebuild its
-    bucket without the segment's tree; it is refused, and the index still
-    answers as the oracle does."""
-    rng = random.Random(8)
-    index = HiqIndex(HiqConfig(domain=domain, segment_span=10**9, window=2, capacity=8))
-    images = random_images(rng, 50, domain)
-    for image in images:
-        index.insert(image)
-    version = index.stats.version
-    with pytest.raises(InvalidStateError):
-        index.stats.remove_image(images[17])
-    assert index.stats.version == version
-    assert stats_violations(index.stats, images) == []
-    assert all(bucket.tree is not None for bucket in index.stats.buckets.values())
-    for _ in range(20):
-        q = random_query(rng, images, domain)
-        expected = brute_force_oracle(q, index.live_images(), index.params)
-        assert results_match(index.search(q)[0], expected)
