@@ -2,7 +2,7 @@
 and segment-roll latency against arrival rate; response time, node
 accesses, visual node bounds evaluated and images scored against node
 capacity, query-word count l, k, dataset size n and the weights;
-modelled storage.
+modelled storage against n.
 
 Every answer is checked: each index must return the first index's
 answer to every query (at 1e-9), and each index's answer to the first
@@ -42,7 +42,6 @@ AXES = {
     "omega1": _WEIGHT_SHARES,
     "omega2": _WEIGHT_SHARES,
     "omega3": _WEIGHT_SHARES,
-    "storage": None,
 }
 
 INDEX_CLASSES = {cls.kind: cls for cls in (HiqIndex, IfaIndex, StviiIndex)}
@@ -111,16 +110,19 @@ def _build(kinds, config, images):
     return indexes, insert_us
 
 
-def _roll_half(index, start, horizon):
-    """Latencies (µs) of segment rolls, each sliding the window by one
-    span and expiring what leaves it, over roughly half the stream."""
-    samples = []
-    cutoff, mid = start, (start + horizon) // 2
-    while cutoff < mid:
-        cutoff += index.config.segment_span
+def _roll_half(index, mid):
+    """Latencies (µs) of segment rolls of an index that holds a window, at
+    least one and on until the window starts past ``mid``, the stream's
+    midpoint; none for an index that never held an image. Each roll goes
+    to ``window_start() + window * segment_span``, which drops exactly the
+    window's oldest segment and expires its images."""
+    samples, reach = [], index.config.window * index.config.segment_span
+    start = index.window_start()
+    while start is not None and (start <= mid or not samples):
         t0 = time.perf_counter()
-        index.roll_segment(cutoff)
+        index.roll_segment(start + reach)
         samples.append((time.perf_counter() - t0) * 1e6)
+        start = index.window_start()
     return samples
 
 
@@ -155,17 +157,17 @@ def _query_rows(axis, value, indexes, queries):
 
 def sweep(gen_cfg, index_cfg, axis, values=None, query_cfg=None, kinds=INDEX_KINDS):
     """Rows of ``axis`` swept over ``values`` (default ``AXES[axis]``;
-    for ``n`` and ``storage``, the distinct positive prefix sizes
-    ``image_count * i // 5``, i = 1..5).
+    for ``n``, the distinct positive prefix sizes ``image_count * i //
+    5``, i = 1..5).
 
     ``arrival_rate`` retimes the stream and measures ``insert_us`` and
     ``delete_us``; ``n`` takes a prefix of the stream; ``node_capacity``
     replaces the capacity; ``l``, ``k`` and ``omega1..3`` replace a field
     of the query config; those measure ``response_ms``, ``nodes``,
-    ``bounds`` and ``images_scored``. ``storage`` gives each index's
-    modelled ``bytes`` at a prefix of ``n`` images (rows on axis ``n``), as built: a search
-    adds nothing that the model counts, so the point runs no queries. Indexes are rebuilt only when a point's images or index
-    config change. Raises ``AnswerMismatchError`` on a wrong answer."""
+    ``bounds`` and ``images_scored``. ``n`` also gives each index's
+    modelled ``bytes``, which a search leaves as the build made them.
+    Indexes are rebuilt only when a point's images or index config
+    change. Raises ``AnswerMismatchError`` on a wrong answer."""
     if axis not in AXES:
         raise ValueError(f"unknown axis {axis!r}")
     if values is None:
@@ -179,7 +181,7 @@ def sweep(gen_cfg, index_cfg, axis, values=None, query_cfg=None, kinds=INDEX_KIN
         images, cfg, qc = stream, index_cfg, query_cfg
         if axis == "arrival_rate":
             images = _retime(stream, value, gen_cfg.start_time)
-        elif axis in ("n", "storage"):
+        elif axis == "n":
             images = stream[: int(value)]
         elif axis == "node_capacity":
             cfg = replace(index_cfg, capacity=int(value))
@@ -198,16 +200,15 @@ def sweep(gen_cfg, index_cfg, axis, values=None, query_cfg=None, kinds=INDEX_KIN
         if axis == "arrival_rate":
             rows += [_row(axis, value, kind, "insert_us", samples)
                      for kind, samples in insert_us.items()]
-            horizon = images[-1].t_c if images else gen_cfg.start_time
-            rows += [_row(axis, value, kind, "delete_us",
-                          _roll_half(index, gen_cfg.start_time, horizon))
-                     for kind, index in indexes.items()]
-        elif axis == "storage":
-            rows += [_row("n", value, kind, "bytes", [float(estimate_storage(index))])
+            mid = (images[0].t_c + images[-1].t_c) // 2 if images else None
+            rows += [_row(axis, value, kind, "delete_us", _roll_half(index, mid))
                      for kind, index in indexes.items()]
         else:
             queries = generate_queries(qc, images).queries if images else []
             rows += _query_rows(axis, value, indexes, queries)
+            if axis == "n":
+                rows += [_row(axis, value, kind, "bytes", [float(estimate_storage(index))])
+                         for kind, index in indexes.items()]
     return rows
 
 

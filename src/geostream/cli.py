@@ -187,16 +187,24 @@ def cmd_generate(args):
 
 
 def cmd_query(args):
+    """Inserts the images in file order and answers each query at its own
+    time: in ascending ``t``, each once every image before the first one
+    newer than its ``t`` is in (at equal times, images first). The images
+    left are inserted after the last query, and the answers are printed in
+    qid order. An inline query without ``--t`` asks at the file's newest
+    timestamp, after every image is in."""
     config = _index_config(args)
     index = bench_mod.build_index(args.index, config)
-    for img in parse_dataset(args.data):
-        index.insert(img)
+    images = parse_dataset(args.data)
 
     if args.queries:
         queries = parse_queries(args.queries)
     else:
         if args.words is None or args.lat is None or args.lon is None:
             raise ConfigError("inline query needs --words, --lat and --lon")
+        if args.t is None:
+            for img in images:
+                index.insert(img)
         try:
             q = Query(
                 psi=args.words,
@@ -211,8 +219,19 @@ def cmd_query(args):
             raise ConfigError(f"--words/--lat/--lon/--t/--k/--w1/--w2/--w3: {exc}") from exc
         queries = [q]
 
-    for qid, q in enumerate(queries):
-        results, stats = index.search(q)
+    answers = [None] * len(queries)
+    pending = next(images, None)
+    for qid in sorted(range(len(queries)), key=lambda i: queries[i].t):
+        while pending is not None and pending.t_c <= queries[qid].t:
+            index.insert(pending)
+            pending = next(images, None)
+        answers[qid] = index.search(queries[qid])
+    if pending is not None:
+        index.insert(pending)
+    for img in images:
+        index.insert(img)
+
+    for qid, (results, stats) in enumerate(answers):
         for rank, entry in enumerate(results, start=1):
             print(f"{qid}\t{rank}\t{entry.image_id}\t{entry.score.f_stv:.6f}")
         if args.explain:

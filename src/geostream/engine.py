@@ -199,10 +199,11 @@ class Index:
     of the live corpus, the live images by id, admission and the window.
 
     The window is a run of ``segment_span``-long segments whose newest
-    (head) segment only ``roll_segment`` moves: the first arrival opens
-    the segment ``[t // span * span, +span)``, and an arrival at or past
-    the end of the head moves the head to the segment that holds it; the
-    window starts at ``window_start()``, the later of the first segment's
+    (head) segment only ``roll_segment`` moves, always to the segment
+    that holds the time it is given, never past it: the first arrival
+    opens the segment ``[t // span * span, +span)``, and an arrival at or
+    past the end of the head moves the head to the segment that holds it;
+    the window starts at ``window_start()``, the later of the first segment's
     start and ``window`` spans before the head's end. As the head moves,
     ``expire`` drops what left the window: a segment wholly before a
     cutoff leaves the stats (``CorpusStats``) at once, and one the cutoff
@@ -266,10 +267,9 @@ class Index:
         self.stats.add_image(img)
 
     def roll_segment(self, now):
-        """Moves the head and drops what leaves the window: the first call
-        opens the segment holding ``now``, a ``now`` at or past the head's
-        end moves the head to the segment holding it, and an earlier
-        ``now`` moves it one span on.
+        """Moves the head to the segment that holds ``now`` and drops what
+        leaves the window; the first call opens the window there. A
+        ``now`` before the head's end changes nothing.
 
         Returns the number of segments that left the window. A ``now``
         that is not a whole number raises ``ConfigError``, and one outside
@@ -279,16 +279,14 @@ class Index:
             raise OverflowError(f"roll_segment now outside int64, got {now}")
         cfg = self.config
         span = cfg.segment_span
+        head_end = now // span * span + span
         old = self._start
         if old is None:
-            old = now // span * span                # an empty window
-            head_end = old + span
+            old = head_end - span                   # an empty window
             # an ``expire`` before the first arrival may have set a later cutoff
             self._cutoff = max(old, self._cutoff)
-        elif now >= self._head_end:
-            head_end = now // span * span + span
-        else:
-            head_end = self._head_end + span
+        elif head_end <= self._head_end:
+            return 0
         start = max(old, head_end - cfg.window * span)
         if start > old:
             self.expire(start)

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (
-    ConfigError, GeoTemporalImage, Query, SpatialDomain, _counts, _domain, _real, _whole,
+    ConfigError, GeoTemporalImage, Query, SpatialDomain, _INT64, _counts, _domain, _real,
+    _whole,
 )
 
 
@@ -41,6 +42,8 @@ class GeneratorConfig:
         _counts(self, seed=0, image_count=0, vocab_size=1, cluster_count=1)
         _domain(self.domain)
         self.start_time = _whole(self.start_time, "start_time", ConfigError)
+        if self.start_time not in _INT64:
+            raise ConfigError(f"start_time must be within int64, got {self.start_time}")
         for name in ("rate", "zipf_exponent", "mean_words", "cluster_sigma"):
             value = _real(getattr(self, name), name)
             setattr(self, name, value)
@@ -113,9 +116,12 @@ def generate_images(cfg):
     cum = _zipf_cdf(cfg.vocab_size, cfg.zipf_exponent)
     vocab = np.arange(cfg.vocab_size).astype(object)
 
-    times = cfg.start_time + np.floor(
-        np.cumsum(rng.exponential(1.0 / cfg.rate, n))
-    ).astype(np.int64)
+    offsets = np.floor(np.cumsum(rng.exponential(1.0 / cfg.rate, n)))
+    last = offsets[-1]      # the largest offset, a whole number or inf
+    if not (np.isfinite(last) and cfg.start_time + int(last) in _INT64):
+        raise ConfigError(f"the stream's last timestamp, start_time {cfg.start_time} "
+                          f"+ {last:.4g}, is outside int64")
+    times = cfg.start_time + offsets.astype(np.int64)
 
     d = cfg.domain
     if cfg.spatial_mode == "uniform":

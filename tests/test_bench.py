@@ -101,14 +101,49 @@ class TestMaintenanceBench:
         assert len(rows) == 2
         assert all(r.metric == "delete_us" for r in rows)
 
+    @pytest.mark.parametrize("span, window", [(3600, 24), (1, 2)],
+                             ids=["one-segment-stream", "many-segment-stream"])
+    def test_every_delete_row_times_rolls_that_expire(self, monkeypatch, span, window):
+        # each arrival rate's delete_us row of each index comes from at
+        # least one roll, and each roll drops the window's oldest segment
+        # with its images
+        rolls, real = [], bench._roll_half
+
+        def roll_half(index, mid):
+            roll, dropped = index.roll_segment, []
+
+            def counted(now):
+                held = index.image_count()
+                assert roll(now) == 1
+                dropped.append(held - index.image_count())
+
+            index.roll_segment = counted
+            samples = real(index, mid)
+            rolls.append((index.kind, dropped))
+            assert len(samples) == len(dropped)
+            return samples
+
+        monkeypatch.setattr(bench, "_roll_half", roll_half)
+        rows = bench.sweep(small_gen(image_count=2000), small_index(segment_span=span,
+                                                                    window=window),
+                           "arrival_rate")
+        deletes = [r for r in rows if r.metric == "delete_us"]
+        assert [(r.value, r.index) for r in deletes] == list(
+            itertools.product(bench.AXES["arrival_rate"], bench.INDEX_KINDS))
+        assert [kind for kind, _ in rolls] == [r.index for r in deletes]
+        assert all(dropped and min(dropped) > 0 for _, dropped in rolls)
+        if span == 3600:
+            # the whole stream lies in one segment: one roll drops it all
+            assert all(dropped == [2000] for _, dropped in rolls)
+
 
 class TestStorage:
     def test_estimates_positive_and_grow(self):
         cfg = small_index(segment_span=10_000)
-        small_rows = bench.sweep(small_gen(image_count=100), cfg, "storage")
-        big_rows = bench.sweep(small_gen(image_count=400), cfg, "storage")
-        small_sizes = {r.index: r.mean for r in small_rows}
-        big_sizes = {r.index: r.mean for r in big_rows}
+        small_rows = bench.sweep(small_gen(image_count=100), cfg, "n", values=(100,))
+        big_rows = bench.sweep(small_gen(image_count=400), cfg, "n", values=(400,))
+        small_sizes = {r.index: r.mean for r in small_rows if r.metric == "bytes"}
+        big_sizes = {r.index: r.mean for r in big_rows if r.metric == "bytes"}
         for kind in ("hiq", "ifa", "stvii"):
             assert 0 < small_sizes[kind] < big_sizes[kind]
 
@@ -127,11 +162,13 @@ class TestStorage:
                      for q in generate_queries(QueryConfig(seed=1, count=3), images).queries)
         assert scored
         assert bench.estimate_storage(index) == built
-        rows = bench.sweep(gen, cfg, "storage", values=(200,), kinds=(kind,))
-        assert [r.mean for r in rows] == [built]
+        # the n point that built the index writes its bytes after its queries
+        rows = bench.sweep(gen, cfg, "n", values=(200,), kinds=(kind,))
+        assert [r.mean for r in rows if r.metric == "bytes"] == [built]
 
 
-AXIS_METRICS = {"arrival_rate": ("insert_us", "delete_us"), "storage": ("bytes",)}
+AXIS_METRICS = {"arrival_rate": ("insert_us", "delete_us"),
+                "n": ("response_ms", "nodes", "bounds", "images_scored", "bytes")}
 
 
 @pytest.mark.parametrize("axis", bench.AXES)
@@ -140,10 +177,9 @@ def test_every_axis_gives_its_row_keys(axis):
     rows = bench.sweep(gen, small_index(), axis, query_cfg=QueryConfig(seed=1, count=2))
     values = bench.AXES[axis] or (12, 24, 36, 48, 60)
     metrics = AXIS_METRICS.get(axis, ("response_ms", "nodes", "bounds", "images_scored"))
-    label = "n" if axis == "storage" else axis
     keys = [(r.axis, r.value, r.index, r.metric) for r in rows]
     assert len(keys) == len(set(keys))
-    assert set(keys) == set(itertools.product((label,), values, bench.INDEX_KINDS, metrics))
+    assert set(keys) == set(itertools.product((axis,), values, bench.INDEX_KINDS, metrics))
 
 
 def drop_last_result(monkeypatch, cls, after=0):

@@ -2,14 +2,14 @@ import csv
 import json
 import re
 import shlex
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from geostream.baselines import IfaIndex
 from geostream.cli import _index_config, build_parser, main
-from geostream.hiq import HiqConfig
+from geostream.hiq import HiqConfig, HiqIndex
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -106,6 +106,63 @@ class TestQuery:
             outputs.append(out)
         assert outputs[0] == outputs[1] == outputs[2]
         assert [line.split("\t")[2] for line in outputs[0].splitlines()] == ["9", "8", "7"]
+
+    def test_each_query_is_answered_at_its_own_time(self, tmp_path, capsys):
+        # ten images one hour apart: a query at t = 3600 sees images 0 and
+        # 1 only, not the later ones that would score f_t = 0
+        data = tmp_path / "hourly.tsv"
+        data.write_text("".join(f"{i}\t10.0\t10.0\t{3600 * i}\t1:1\n" for i in range(10)))
+        queries = tmp_path / "early.tsv"
+        queries.write_text("0\t10.0\t10.0\t3600\t3\t0.2,0.2,0.6\t1\n")
+        for kind in ("hiq", "ifa", "stvii"):
+            for argv in (["--queries", str(queries)],
+                         ["--lat", "10", "--lon", "10", "--words", "1", "--k", "3",
+                          "--w1", "0.2", "--w2", "0.2", "--w3", "0.6", "--t", "3600"]):
+                code, out, err = run(["query", "--data", str(data), "--index", kind, *argv],
+                                     capsys)
+                assert (code, err) == (0, "")
+                assert [line.split("\t")[2] for line in out.splitlines()] == ["1", "0"]
+
+    def test_query_inside_a_long_stream_equals_the_oracle_at_its_time(self, tmp_path, capsys):
+        # a stream of about 13 ten-minute segments through a window of 3;
+        # the query file lists its times out of order
+        from geostream.engine import brute_force_oracle
+        from geostream.workload import (
+            DEFAULT_DOMAIN, GeneratorConfig, QueryConfig, generate_images, generate_queries,
+            write_dataset, write_queries,
+        )
+
+        images = generate_images(GeneratorConfig(seed=4, image_count=400, vocab_size=20,
+                                                 mean_words=3.0, rate=0.05))
+        data = tmp_path / "stream.tsv"
+        write_dataset(images, data)
+        last = images[-1].t_c
+        times = [images[0].t_c + (last - images[0].t_c) * i // 6 for i in (3, 1, 5, 2, 4)]
+        queries = [replace(q, t=t) for q, t in zip(
+            generate_queries(QueryConfig(seed=5, count=5, words_per_query=3, k=8),
+                             images).queries, times)]
+        qfile = tmp_path / "queries.tsv"
+        write_queries(queries, qfile)
+        window = ["--segment-span", "600", "--window", "3"]
+        for kind in ("hiq", "ifa", "stvii"):
+            code, out, err = run(["query", "--data", str(data), "--queries", str(qfile),
+                                  "--index", kind, *window], capsys)
+            assert (code, err) == (0, "")
+            lines = [line.split("\t") for line in out.splitlines()]
+            assert [int(f[0]) for f in lines] == sorted(int(f[0]) for f in lines)
+            for qid, q in enumerate(queries):
+                at_t = HiqIndex(HiqConfig(domain=DEFAULT_DOMAIN, segment_span=600, window=3))
+                for img in images:
+                    if img.t_c > q.t:
+                        break
+                    at_t.insert(img)
+                want = brute_force_oracle(q, at_t.live_images(), at_t.params)
+                got = [(int(f[2]), float(f[3])) for f in lines if int(f[0]) == qid]
+                assert [i for i, _ in got] == [e.image_id for e in want]
+                assert [f for _, f in got] == pytest.approx(
+                    [e.score.f_stv for e in want], abs=1e-6)
+                assert all(images[i].t_c <= q.t for i, _ in got)
+                assert len(got) == q.k
 
     def test_query_file(self, dataset, tmp_path, capsys):
         from geostream.workload import QueryConfig, generate_queries, parse_dataset, write_queries
@@ -253,6 +310,21 @@ def test_bad_generator_parameter_exit_usage(flag, tmp_path, capsys):
     code, _, err = run(["generate", "--out", str(out), "--count", "5", flag], capsys)
     assert code == 1
     assert "must be" in err and not out.exists()
+
+
+@pytest.mark.parametrize("flags, reason", [
+    (["--start-time", str(2 ** 63 - 1), "--rate", "0.5"], "last timestamp"),
+    (["--rate", "1e-300"], "last timestamp"),
+    (["--start-time", str(2 ** 70)], "start_time must be within int64"),
+], ids=["start-at-the-last-second", "rate-1e-300", "start-past-int64"])
+def test_generated_timestamps_outside_int64_exit_usage(flags, reason, tmp_path, capsys):
+    # an int64 add would wrap the first two to negative timestamps, and
+    # numpy cannot take the third's start as an int64
+    out = tmp_path / "w.tsv"
+    code, stdout, err = run(["generate", "--out", str(out), "--count", "3", *flags], capsys)
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and reason in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("spec, reason", [

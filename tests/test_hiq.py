@@ -118,9 +118,9 @@ class TestInsert:
 
     def test_late_arrival_before_window_rejected(self, domain):
         index = HiqIndex(make_config(domain, window=2))
-        index.insert(img(0, 10.0, 10.0, 100_000))
-        for _ in range(5):
-            index.roll_segment(0)
+        index.insert(img(0, 10.0, 10.0, 100_000))     # the head is [97_200, 100_800)
+        for i in range(5):
+            index.roll_segment(100_800 + i * 3600)     # a time in the next segment
         with pytest.raises(ExpiredArrivalError):
             index.insert(img(1, 10.0, 10.0, 100_000))
 
@@ -257,11 +257,35 @@ class TestRollSegment:
         assert index.image_count() == 0
         assert index.stats.total_word_count == 0
 
+    @pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda c: c.kind)
+    def test_roll_before_the_heads_end_changes_nothing(self, domain, cls):
+        # a roll moves the head to the segment that holds its time, never
+        # past it: a time in the head or before it leaves everything as it was
+        index = cls(make_config(domain, window=3, segment_span=1000))
+        for im in sorted(random_images(random.Random(9), 60, domain, t_lo=0, t_hi=4999),
+                         key=lambda x: x.t_c):
+            index.insert(im)
+        assert index.expire(2500) > 0                  # a cutoff past the window start
+
+        def state():
+            return (index.window_start(), index._cutoff, index.stats.version,
+                    [im.id for im in index.live_images()])
+
+        before = state()
+        assert before[:2] == (2000, 2500)
+        for now in (4999, 4000, 2500, 2000, 0, -10**12):
+            assert index.roll_segment(now) == 0
+            assert state() == before
+        assert structure_violations(index) == []
+        assert index.roll_segment(5000) == 1           # the head's end moves it
+        assert index.window_start() == 3000
+
     def test_window_arithmetic(self, domain):
         index = HiqIndex(make_config(domain, window=3))
-        for _ in range(5):
-            index.roll_segment(0)
+        for i in range(5):
+            index.roll_segment(i * 3600)                # the first opens [0, 3600)
         assert len(index.segments) == 3
+        assert index.window_start() == 2 * 3600
 
     def test_roll_preserves_surviving_trees(self, domain):
         rng = random.Random(3)
@@ -290,7 +314,7 @@ class TestRollSegment:
             return {key: bucket.tree for key, bucket in index.stats.buckets.items()}
 
         held, before = index.image_count(), trees()
-        assert index.roll_segment(2999) == 1
+        assert index.roll_segment(3000) == 1           # to the next segment
         index.insert(img(1000, 10.0, 10.0, 4500))     # rolls once more
         assert index.image_count() < held
         after = trees()
@@ -349,7 +373,7 @@ class TestRollSegment:
         for i, im in enumerate(ops):
             index.insert(im)
             if i % 37 == 0:
-                index.roll_segment(im.t_c)
+                index.roll_segment(im.t_c // 5000 * 5000 + 5000)   # to the next segment
         assert structure_violations(index) == []
 
     def test_timestamp_jump_rolls_in_bounded_time(self, domain):
@@ -410,9 +434,8 @@ def _rolled_pair(cls, domain, spans):
         jumped.insert(im)
         rolled.insert(im)
     head_end = images[-1].t_c // 3000 * 3000 + 3000
-    for _ in range(spans):
-        # a now before the head's end moves the head one span
-        rolled.roll_segment(rolled.window_start())
+    for i in range(spans):
+        rolled.roll_segment(head_end + i * 3000)      # a time in the next segment
     return jumped, rolled, head_end + spans * 3000 - 1, rng
 
 

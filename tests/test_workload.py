@@ -120,6 +120,27 @@ class TestGenerateImages:
     def test_zero_count(self):
         assert generate_images(GeneratorConfig(image_count=0)) == []
 
+    @pytest.mark.parametrize("start_time", [2 ** 63, -2 ** 63 - 1, 2 ** 70])
+    def test_start_time_outside_int64_is_config_error(self, start_time):
+        with pytest.raises(ConfigError, match="start_time must be within int64"):
+            GeneratorConfig(start_time=start_time)
+
+    @pytest.mark.parametrize("kw", [dict(start_time=2 ** 63 - 1, rate=0.5), dict(rate=1e-300)],
+                             ids=["start-at-the-last-second", "rate-1e-300"])
+    def test_stream_past_int64_is_config_error(self, kw):
+        # an int64 add would wrap these to negative timestamps
+        with pytest.raises(ConfigError, match="last timestamp.*outside int64"):
+            generate_images(GeneratorConfig(image_count=3, **kw))
+
+    def test_stream_may_end_at_int64s_last_second(self):
+        # seed 0 at rate 0.5 draws the offsets 1, 3 and 3
+        cfg = GeneratorConfig(image_count=3, rate=0.5, start_time=2 ** 63 - 4)
+        images = generate_images(cfg)
+        assert [im.t_c for im in images] == [2 ** 63 - 3, 2 ** 63 - 1, 2 ** 63 - 1]
+        assert_same_images(images, reference_images(cfg))
+        with pytest.raises(ConfigError, match="outside int64"):
+            generate_images(GeneratorConfig(image_count=3, rate=0.5, start_time=2 ** 63 - 3))
+
     @pytest.mark.parametrize("kw", [
         dict(rate=0.0), dict(image_count=-1), dict(vocab_size=0), dict(spatial_mode="grid"),
         dict(image_count=2.5), dict(cluster_count=2.5), dict(vocab_size=2.5),
