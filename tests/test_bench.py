@@ -168,18 +168,24 @@ class TestStorage:
 
 
 AXIS_METRICS = {"arrival_rate": ("insert_us", "delete_us"),
-                "n": ("response_ms", "nodes", "bounds", "images_scored", "bytes")}
+                "n": ("response_ms", "nodes", "bounds", "images_scored", "bytes"),
+                "storage": ("bytes",)}
 
 
-@pytest.mark.parametrize("axis", bench.AXES)
+@pytest.mark.parametrize("axis", [*bench.AXES, "storage"])
 def test_every_axis_gives_its_row_keys(axis):
+    # storage has no axis of its own: its bytes rows come from the n points
+    swept = "n" if axis == "storage" else axis
     gen = small_gen(image_count=60, vocab_size=40, mean_words=5.0)
-    rows = bench.sweep(gen, small_index(), axis, query_cfg=QueryConfig(seed=1, count=2))
-    values = bench.AXES[axis] or (12, 24, 36, 48, 60)
+    rows = bench.sweep(gen, small_index(), swept, query_cfg=QueryConfig(seed=1, count=2))
+    if axis == "storage":
+        rows = [r for r in rows if r.metric == "bytes"]
+        assert all(r.mean > 0 for r in rows)
+    values = bench.AXES[swept] or (12, 24, 36, 48, 60)
     metrics = AXIS_METRICS.get(axis, ("response_ms", "nodes", "bounds", "images_scored"))
     keys = [(r.axis, r.value, r.index, r.metric) for r in rows]
     assert len(keys) == len(set(keys))
-    assert set(keys) == set(itertools.product((axis,), values, bench.INDEX_KINDS, metrics))
+    assert set(keys) == set(itertools.product((swept,), values, bench.INDEX_KINDS, metrics))
 
 
 def drop_last_result(monkeypatch, cls, after=0):
