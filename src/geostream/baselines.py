@@ -4,12 +4,14 @@ per-node word maxima (STVII).
 IFA keeps one posting list per word over a table of image slots and
 scores every candidate at query time (no early termination), as numpy
 columns in one pass over the query words' posting lists; a slot is live
-while its timestamp is at or after the window's cutoff, and expiry only
-compacts the table once half of it is dead. STVII boxes
-images in raw (lat, lon, t), grows each box on the insert path in place,
-and splits quadratically on overflow: each of a split's two groups keeps
-per-axis columns of its box's extent with every box, so a pick recomputes
-only the axes along which it grew the group (``_quadratic_split``). It
+while its timestamp is at or after the window's cutoff, slot ids are
+never renumbered, and expiry only cuts the table's dead prefix and the
+dead heads of its append-only posting lists, once half of the table is
+dead. STVII boxes images in raw (lat, lon, t), grows each box on the
+insert path in place, and splits quadratically on overflow: each of a
+split's two groups keeps per-axis columns of its box's extent with every
+box, so a pick recomputes only the axes along which it grew the group
+(``_quadratic_split``). It
 carries the same per-node word maxima as the quadtree so it plugs into
 the shared best-first search and node terms, ``engine.TreeIndex.bounds``,
 over its box's lat/lon extent (``_rect``). It expires in place, touching
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 
 import numpy as np
 
@@ -38,16 +41,22 @@ from .model import mind_visual  # noqa: F401 (perfbench wraps baselines.mind_vis
 
 class IfaIndex(Index):
     """The inverted-file baseline over a slot table: every admitted image
-    takes the next slot, with its lat, lon, t_c and id in one column each.
-    ``postings`` maps a word to the ``(slot, tf/|I.psi|)`` columns of the
-    images holding it, in slot order.
+    takes the next slot id, counted from 0 when the index is made, with
+    its lat, lon, t_c and id in one column each. The columns hold the
+    slots from ``_base`` on, so slot ``s`` sits at column index
+    ``s - _base``. ``postings`` maps a word to the ``(slot, tf/|I.psi|)``
+    columns of the images holding it, in arrival order, so its slot ids
+    ascend. No slot id is ever renumbered.
 
     A slot is live exactly when its t_c is at or after the cutoff,
     ``_cutoff``, so expiry writes nothing into the table until it holds at
-    least twice as many slots as live images: then the columns and posting
-    lists are compacted to the live slots, so after an expiry it holds
-    fewer than twice as many. Ids and timestamps sit in int64 columns, which
-    ``Index.insert`` guarantees."""
+    least twice as many slots as live images: then it cuts the table's
+    dead prefix, the leading slots older than the cutoff, from each column
+    and the dead head of each posting list. The table holds the live
+    images and the dead slots behind the oldest live one; on in-order
+    arrival every dead slot is in the prefix, so after an expiry it holds
+    fewer than twice as many slots as live images. Ids and timestamps sit
+    in int64 columns, which ``Index.insert`` guarantees."""
 
     kind = "ifa"
 
@@ -57,10 +66,11 @@ class IfaIndex(Index):
         self.lon = array("d")
         self.t_c = array("q")
         self.ids = array("q")
+        self._base = 0          # the slot id of the first column entry
         self.postings = {}     # word -> (array('q') slots, array('d') tf/|I.psi|)
 
     def _add(self, img):
-        slot = len(self.ids)
+        slot = self._base + len(self.ids)
         self.ids.append(img.id)
         self.t_c.append(img.t_c)
         self.lat.append(img.lat)
@@ -86,7 +96,7 @@ class IfaIndex(Index):
         ctx = p.context(q)      # checks the query location
         stats = SearchStats()
         stats.nodes_visited = len(ctx._floors)     # the query words of the live corpus
-        f_v, held = ctx.visual_columns(self.postings, len(self.ids))
+        f_v, held = ctx.visual_columns(self.postings, len(self.ids), self._base)
         t_c = np.frombuffer(self.t_c, dtype=np.int64)
         rows = held > 0
         if len(self.ids) != len(self._live):    # some slot is dead
@@ -119,35 +129,35 @@ class IfaIndex(Index):
         return entries, stats
 
     def _drop_older(self, cutoff):
-        if len(self.ids) >= 2 * len(self._live):
-            self._took("IFA compactions")
-            self._compact(np.frombuffer(self.t_c, dtype=np.int64) >= cutoff)
-
-    def _compact(self, keep):
-        """Drops the slots outside the mask ``keep``. The rest keep their
-        order and are renumbered from 0 (a prefix sum of the mask) in
-        every column and posting list; a word left without a posting
-        leaves ``postings``."""
-        self.lat = array("d", np.frombuffer(self.lat)[keep].tobytes())
-        self.lon = array("d", np.frombuffer(self.lon)[keep].tobytes())
-        self.t_c = array("q", np.frombuffer(self.t_c, dtype=np.int64)[keep].tobytes())
-        self.ids = array("q", np.frombuffer(self.ids, dtype=np.int64)[keep].tobytes())
-        # every posting list as one pair of columns, word after word: one
-        # mask and one renumbering for all, then a cut at each word's end
-        # (``ends``, in bytes)
-        cols = list(self.postings.values())
-        slots = np.frombuffer(b"".join([s for s, _f in cols]), dtype=np.int64)
-        kept = keep[slots]
-        ends = 8 * np.cumsum(kept)[np.cumsum([len(s) for s, _f in cols], dtype=np.intp) - 1]
-        slots = (np.cumsum(keep) - 1)[slots[kept]].astype(np.int64).tobytes()
-        freqs = np.frombuffer(b"".join([f for _s, f in cols]))[kept].tobytes()
-        postings = {}
-        start = 0
-        for word, end in zip(self.postings, ends.tolist()):
-            if end > start:
-                postings[word] = (array("q", slots[start:end]), array("d", freqs[start:end]))
-                start = end
-        self.postings = postings
+        """Once the table holds at least twice as many slots as live
+        images, cuts its dead prefix: each column loses it with one
+        ``del``, ``_base`` moves past it, and each posting list loses the
+        head of slot ids below the new base, found by ``bisect_left``; a
+        word left without a posting leaves ``postings``. With no live
+        image the whole table is the prefix, and it is emptied at once.
+        A dead slot behind the oldest live one stays until the prefix
+        before it dies."""
+        if len(self.ids) < 2 * len(self._live):
+            return
+        dead = next((s for s, t in enumerate(self.t_c) if t >= cutoff), len(self.ids))
+        if not dead:
+            return
+        self._took("IFA compactions")
+        for col in (self.lat, self.lon, self.t_c, self.ids):
+            del col[:dead]
+        self._base = base = self._base + dead
+        if not self._live:
+            self.postings = {}
+        emptied = []
+        for word, (slots, freqs) in self.postings.items():
+            if slots[0] < base:
+                cut = bisect_left(slots, base)
+                if cut == len(slots):
+                    emptied.append(word)
+                else:
+                    del slots[:cut], freqs[:cut]
+        for word in emptied:
+            del self.postings[word]
 
 
 # ---------------------------------------------------------------------
@@ -375,8 +385,11 @@ class StviiIndex(TreeIndex):
         if not lost:
             return {}
         old = {word: mf.pop(word) for word in lost}
+        # the smaller side is scanned: an image's few words at a leaf, the
+        # lost words against a child's many (``keys() &`` walks ``lost``)
+        leaf = node.children is None
         for freq in members:
-            for word in lost.intersection(freq):
+            for word in (lost.intersection(freq) if leaf else freq.keys() & lost):
                 f = freq[word]
                 if f > mf.get(word, 0.0):
                     mf[word] = f

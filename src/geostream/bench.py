@@ -215,7 +215,7 @@ def sweep(gen_cfg, index_cfg, axis, values=None, query_cfg=None, kinds=INDEX_KIN
 def estimate_storage(index):
     """Bytes under the documented per-type size model: IFA holds one
     posting per word of each live image (the postings of expired slots
-    not yet compacted away are not counted), and a tree holds its nodes,
+    not yet trimmed away are not counted), and a tree holds its nodes,
     their aggregates and its leaves' image records."""
     if index.kind == "ifa":
         return sum(RECORD_BYTES + (RECORD_WORD_BYTES + POSTING_BYTES) * len(img.freq)

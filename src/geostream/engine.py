@@ -214,7 +214,7 @@ class Index:
     ``_drop_older(cutoff)`` drops the images older than a cutoff, an
     int, after they left the stats and ``_live`` and ``_cutoff`` became
     that cutoff. ``paths`` counts, by name, how often the index took each
-    of its structural paths (a split, compaction or rebuild), each counted
+    of its structural paths (a split, trim or rebuild), each counted
     where it is taken (``_took``).
     """
 

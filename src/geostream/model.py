@@ -668,16 +668,18 @@ class QueryContext:
                 r2 = r * r if r >= 0.0 else -1.0
         return admitted
 
-    def visual_columns(self, postings, n):
-        """Visual relevance of every slot of an ``n``-slot table, and the
-        number of query words each slot holds. ``postings`` maps a word to
-        its ``(slot, tf/|I.psi|)`` columns (``array('q')``, ``array('d')``),
-        a slot at most once per word.
+    def visual_columns(self, postings, n, base):
+        """Visual relevance of every slot of an ``n``-slot table that holds
+        the slots ``base`` to ``base + n - 1``, and the number of query
+        words each slot holds, both by column index ``slot - base``.
+        ``postings`` maps a word to its ``(slot, tf/|I.psi|)`` columns
+        (``array('q')``, ``array('d')``), a slot at most once per word and
+        none outside the table.
 
         One numpy pass, whatever the number of query words: the columns of
-        the query words with postings are joined in query order, and
-        ``np.bincount`` adds each slot's terms in that order from 0.0. So
-        a slot gets the sums of ``mind_visual``, and its cost is
+        the query words with postings are joined in query order, less the
+        base, and ``np.bincount`` adds each slot's terms in that order from
+        0.0. So a slot gets the sums of ``mind_visual``, and its cost is
         ``mind_visual`` of its image's ``freq`` up to the rounding of
         numpy's ``log`` and ``exp``. The held counts come first: when
         ``n - _misses``, over the ``n`` live query words, is at least 1, a
@@ -699,7 +701,7 @@ class QueryContext:
             freq_cols.append(cols[1])
             floors.append(floor)
             log_floors.append(lf)
-        slots = np.frombuffer(b"".join(slot_cols), dtype=np.int64)
+        slots = np.frombuffer(b"".join(slot_cols), dtype=np.int64) - base
         held = np.bincount(slots, minlength=n)
         few = len(self._floors) - self._misses     # at most this many held cost 1.0
         if few > 0 and held.max(initial=0) <= few:

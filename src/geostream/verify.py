@@ -112,11 +112,19 @@ def results_match(a, b, tol=SCORE_TOL):
 
 def oracle_stream(rng, n, domain, shape):
     """``n`` random images (``random_images``) of one of the oracle check's
-    shapes. ``uniform`` as drawn. ``clustered`` puts every other image in
-    one of two squares 2% of the domain wide, so HIQ leaves split over
-    several levels at once. ``jump`` moves every image at or after t =
-    60,000 on by 100,000, so the roll past the gap expires every image
-    before it, about 60% of the table, and IFA compacts."""
+    shapes, in the order they arrive. ``uniform`` as drawn. ``clustered``
+    puts every other image in one of two squares 2% of the domain wide, so
+    HIQ leaves split over several levels at once. ``jump`` moves every
+    image at or after t = 60,000 on by 100,000, so the roll past the gap
+    expires every image before it, about 60% of the table, and IFA trims
+    it. These three arrive in ``t_c`` order. ``late`` is ``uniform`` with
+    every third image arriving up to 20,000 s late, after images of a
+    later segment: an image arrives once every image whose ``t_c`` plus
+    delay is smaller has arrived. At the check's 20,000 s segments the head
+    is then at most one segment past the late image's, so the window never
+    starts after it and no arrival is refused; such an image lands in an
+    older segment's HIQ tree, may grow an old STVII box, and dies as an
+    IFA slot behind live ones."""
     images = random_images(rng, n, domain)
     if shape == "clustered":
         d_lat = 0.02 * (domain.max_lat - domain.min_lat)
@@ -130,10 +138,14 @@ def oracle_stream(rng, n, domain, shape):
     elif shape == "jump":
         images = [im if im.t_c < 60_000 else GeoTemporalImage(
             im.id, im.lat, im.lon, im.t_c + 100_000, zip(im.freq, im.tfs)) for im in images]
-    return images
+    elif shape == "late":
+        delay = {im.id: rng.randrange(20_000) if i % 3 == 0 else 0
+                 for i, im in enumerate(images)}
+        return sorted(images, key=lambda im: im.t_c + delay[im.id])
+    return sorted(images, key=lambda im: im.t_c)
 
 
-ORACLE_SHAPES = ("uniform", "clustered", "jump")
+ORACLE_SHAPES = ("uniform", "clustered", "jump", "late")
 # every name an index counts in its ``paths``, in the structure line's order
 PATH_COUNTS = ("IFA compactions", "multi-level HIQ splits", "STVII prunes that emptied a node",
                "STVII inner splits", "HIQ trees rebuilt after a cutoff")
@@ -148,11 +160,12 @@ def check_oracle_equivalence(seed, instances, domain, max_images=500,
     The faults are the ``structure_violations`` of each index, checked
     whenever the window start moves and after the last insert, and any
     exception an index raised (``IndexRaised``): that ends its dataset,
-    whose queries left count as mismatches. The datasets take the shapes of ``oracle_stream``
-    in turn. The window holds 3 of the data's 20,000 s segments, so the
-    older part of each dataset has expired before the queries, and each
-    dataset is then expired once more, at a cutoff inside its oldest held
-    segment, an int or, in every other dataset, a float."""
+    whose queries left count as mismatches. The datasets take the shapes
+    of ``oracle_stream`` in turn and arrive in its order. The window holds
+    3 of the data's 20,000 s segments, so the older part of each dataset
+    has expired before the queries, and each dataset is then expired once
+    more, at a cutoff inside its oldest held segment: a float in the first
+    round of the shapes and every other round after it, else an int."""
     rng = random.Random(seed)
     failures = 0
     faults = []
@@ -161,7 +174,8 @@ def check_oracle_equivalence(seed, instances, domain, max_images=500,
     datasets = 0
     while done < instances:
         n = rng.randint(5, max_images)
-        images = oracle_stream(rng, n, domain, ORACLE_SHAPES[datasets % len(ORACLE_SHAPES)])
+        rounds, shape = divmod(datasets, len(ORACLE_SHAPES))
+        images = oracle_stream(rng, n, domain, ORACLE_SHAPES[shape])
         datasets += 1
         config = HiqConfig(
             domain=domain,
@@ -177,7 +191,7 @@ def check_oracle_equivalence(seed, instances, domain, max_images=500,
         answered = 0
         try:
             start = None
-            for img in sorted(images, key=lambda im: im.t_c):
+            for img in images:
                 for index in indexes:
                     with _naming(index, f"insert of image {img.id}"):
                         index.insert(img)
@@ -186,10 +200,10 @@ def check_oracle_equivalence(seed, instances, domain, max_images=500,
                     faults += _structure_faults(indexes)
             faults += _structure_faults(indexes)
             # a cutoff at one of the oldest held segment's images, a float
-            # in every other dataset
+            # in the first round of the shapes and every other one after it
             buckets = hiq.stats.buckets
             cutoff = rng.choice(buckets[min(buckets)].images).t_c
-            cutoff = cutoff - 0.5 if datasets % 2 else cutoff
+            cutoff = cutoff if rounds % 2 else cutoff - 0.5
             for index in indexes:
                 with _naming(index, f"expire at {cutoff}"):
                     index.expire(cutoff)
@@ -332,14 +346,17 @@ def _node_violations(index, node, depth, out):
 
 
 def _ifa_violations(index, live):
-    """IFA's faults, each named by its message: the columns, the slots at
-    or after the cutoff, which must be the live images', the postings, and
-    the slot count against twice the live count."""
-    ids, alive = index.ids, [t >= index._cutoff for t in index.t_c]
+    """IFA's faults, each named by its message: the four columns of equal
+    length; the slots at or after the cutoff, which must be the live
+    images'; each posting list's slot ids strictly ascending inside the
+    table, ``[_base, _base + n)``, so none before ``_base``; the live
+    postings, exactly the live images' words and ratios; and the table
+    below twice the live count, or its first slot live."""
+    ids, base, alive = index.ids, index._base, [t >= index._cutoff for t in index.t_c]
     n = len(ids)
     if not len(index.lat) == len(index.lon) == len(alive) == n:
         return ["the slot columns differ in length"]
-    slot_of = {ids[s]: s for s in range(n) if alive[s]}
+    slot_of = {ids[s]: base + s for s in range(n) if alive[s]}
     if sorted(ids[s] for s in range(n) if alive[s]) != sorted(img.id for img in live):
         return ["the slots at or after the cutoff are not the live images' slots"]
     expected = {}
@@ -350,10 +367,13 @@ def _ifa_violations(index, live):
     for word, (slots, freqs) in index.postings.items():
         if len(freqs) != len(slots) or list(slots) != sorted(set(slots)):
             out.append(f"postings of word {word}: not one per slot in slot order")
-        held[word] = [(s, f) for s, f in zip(slots, freqs) if alive[s]]
+        inside = [(s, f) for s, f in zip(slots, freqs) if base <= s < base + n]
+        if len(inside) != len(slots):
+            out.append(f"postings of word {word}: a slot outside the table")
+        held[word] = [(s, f) for s, f in inside if alive[s - base]]
     if {w: p for w, p in held.items() if p} != {w: sorted(p) for w, p in expected.items()}:
         out.append("the live postings are not the live images' words")
-    if n != len(live) and n >= 2 * len(live):
+    if n >= 2 * len(live) and n != len(live) and not alive[0]:
         out.append(f"{n} slots for {len(live)} live images")
     return out
 

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from geostream import baselines
 from geostream.baselines import (
     IfaIndex,
     RTree3DNode,
@@ -299,6 +300,76 @@ class TestIfa:
         assert index.postings == {}
         assert len(index.ids) == len(index.t_c) == 0
 
+    def test_expiry_that_leaves_no_live_image_empties_the_table(self, domain, monkeypatch):
+        # the whole table is the dead prefix: the columns and postings are
+        # emptied without a walk of the posting lists, and slot ids go on
+        # from where they were
+        index = IfaIndex(make_config(domain))
+        for i in range(3):
+            index.insert(img(i, t_c=10 * i + 10, psi=((1, 1), (i + 2, 1))))
+
+        def walked(*args):
+            raise AssertionError("a posting list was walked")
+
+        with monkeypatch.context() as m:
+            m.setattr(baselines, "bisect_left", walked)
+            assert index.expire(1000) == 3
+        assert [len(col) for col in (index.lat, index.lon, index.t_c, index.ids)] == [0] * 4
+        assert index.postings == {}
+        assert index._base == 3 and index.paths == {"IFA compactions": 1}
+        index.insert(img(7, t_c=2000, psi=((1, 2), (9, 1))))
+        assert list(index.ids) == [7]
+        assert {w: list(slots) for w, (slots, _f) in index.postings.items()} == {1: [3], 9: [3]}
+        assert structure_violations(index) == []
+        q = Query(psi=(1, 9), loc=(10.0, 10.0), t=2000, k=3, weights=(0.3, 0.4, 0.3))
+        assert [e.image_id for e in index.search(q)[0]] == [7]
+
+    def test_trim_on_an_in_order_stream_keeps_exactly_the_live_images(self, domain):
+        # every dead slot is in the prefix, so each trim leaves the table
+        # holding the live images and nothing else, in arrival order
+        rng = random.Random(53)
+        index = IfaIndex(make_config(domain, segment_span=1000, window=3))
+        images = sorted(random_images(rng, 600, domain, vocab=20, t_hi=19_999),
+                        key=lambda im: im.t_c)
+        trims = 0
+        for im in images:
+            before = index.paths.get("IFA compactions", 0)
+            index.insert(im)
+            if index.paths.get("IFA compactions", 0) > before:
+                trims += 1
+                live = [i.id for i in index.live_images()]
+                assert list(index.ids) == live
+                assert index._base == images.index(im) + 1 - len(live)
+                assert all(slots[0] >= index._base for slots, _f in index.postings.values())
+                assert structure_violations(index) == []
+            assert len(index.ids) < 2 * index.image_count()
+        assert trims >= 5
+
+    def test_late_arrivals_leave_dead_slots_masked_until_the_prefix_dies(self, domain):
+        # a late image arrives behind an image of a later segment; when the
+        # window leaves its segment it is a dead slot behind a live one,
+        # kept but never answered, and it goes once the slots before it die
+        index = IfaIndex(make_config(domain, segment_span=1000, window=2))
+        stream = [img(0, t_c=100), img(1, t_c=200), img(2, t_c=1100), img(3, t_c=300),
+                  img(4, t_c=1200), img(5, t_c=2100)]
+        for im in stream:
+            index.insert(im)
+        # the roll to t = 2100 cut the slots of images 0 and 1 only
+        assert index._base == 2 and list(index.ids) == [2, 3, 4, 5]
+        assert [t >= index._cutoff for t in index.t_c] == [True, False, True, True]
+        assert structure_violations(index) == []
+        q = Query(psi=(1,), loc=(10.0, 10.0), t=2200, k=10, weights=(0.3, 0.4, 0.3))
+        got, stats = index.search(q)
+        assert [e.image_id for e in got] == [5, 4, 2] and stats.images_scored == 3
+        assert results_match(got, oracle_over_live_set(q, index))
+        # the roll to t = 3100 kills images 2 and 4: the prefix is now
+        # every slot before image 5's, the dead late one among them
+        index.insert(img(6, t_c=3100))
+        assert index._base == 5 and list(index.ids) == [5, 6]
+        assert list(index.postings[1][0]) == [5, 6]
+        assert index.paths == {"IFA compactions": 2}
+        assert structure_violations(index) == []
+
     @pytest.mark.parametrize("field", ["id", "t_c"])
     def test_int64_overflow_admits_nothing(self, field, domain):
         index = IfaIndex(make_config(domain))
@@ -339,7 +410,7 @@ def test_ifa_columns_match_oracle(xi, domain):
             # the column pass gives every live candidate, a slot at or
             # after the cutoff, the scalar visual cost
             ctx = index.params.context(q)
-            f_v, held = ctx.visual_columns(index.postings, len(index.ids))
+            f_v, held = ctx.visual_columns(index.postings, len(index.ids), index._base)
             by_id = {im.id: im for im in live}
             for s, iid in enumerate(index.ids):
                 if index.t_c[s] >= index._cutoff and held[s]:
@@ -348,9 +419,10 @@ def test_ifa_columns_match_oracle(xi, domain):
     assert index.paths == {"IFA compactions": rebuilds}
 
 
-def _per_word_visual_columns(ctx, postings, n):
+def _per_word_visual_columns(ctx, postings, n, base):
     """The visual columns one numpy pass per query word, in query order,
-    the reference for the one-pass ``QueryContext.visual_columns``."""
+    by column index ``slot - base``, the reference for the one-pass
+    ``QueryContext.visual_columns``."""
     log_num = np.zeros(n)
     log_diff = np.zeros(n)
     held = np.zeros(n, dtype=np.intp)
@@ -359,7 +431,7 @@ def _per_word_visual_columns(ctx, postings, n):
         cols = postings.get(v)
         if cols is None:
             continue
-        slots = np.frombuffer(cols[0], dtype=np.int64)
+        slots = np.frombuffer(cols[0], dtype=np.int64) - base
         lw = np.log(ctx._scale * np.frombuffer(cols[1]) + floor)
         log_num[slots] += lw
         log_diff[slots] += lw - lf
@@ -375,9 +447,9 @@ def _per_word_visual_columns(ctx, postings, n):
     return cost, held
 
 
-def _assert_columns_match_reference(ctx, postings, n):
-    cost, held = ctx.visual_columns(postings, n)
-    ref_cost, ref_held = _per_word_visual_columns(ctx, postings, n)
+def _assert_columns_match_reference(ctx, postings, n, base):
+    cost, held = ctx.visual_columns(postings, n, base)
+    ref_cost, ref_held = _per_word_visual_columns(ctx, postings, n, base)
     assert len(cost) == n
     assert held.tolist() == ref_held.tolist()
     assert np.all(np.abs(cost - ref_cost)[held > 0] <= 1e-12)
@@ -395,12 +467,12 @@ def test_visual_columns_match_per_word_reference(xi, domain):
     def check(live):
         q = random_query(rng, live, domain, vocab=26, max_words=8)
         ctx = index.params.context(q)
-        n = len(index.ids)
-        held = _assert_columns_match_reference(ctx, index.postings, n)
+        n, base = len(index.ids), index._base
+        held = _assert_columns_match_reference(ctx, index.postings, n, base)
         assert held.any()
         some = {w: cols for w, cols in index.postings.items() if w % 3}
-        _assert_columns_match_reference(ctx, some, n)
-        assert not _assert_columns_match_reference(ctx, {}, n).any()
+        _assert_columns_match_reference(ctx, some, n, base)
+        assert not _assert_columns_match_reference(ctx, {}, n, base).any()
         return ctx
 
     compactions = 0
@@ -420,13 +492,13 @@ def test_visual_columns_match_per_word_reference(xi, domain):
     # no query word in the live corpus: no slot holds one
     outside = Query(psi=(100, 101), loc=(50.0, 50.0), t=10_000, k=5, weights=(0.3, 0.4, 0.3))
     held = _assert_columns_match_reference(index.params.context(outside), index.postings,
-                                           len(index.ids))
+                                           len(index.ids), index._base)
     assert len(held) == len(index.ids) and not held.any()
     # everything expired: an empty table, scored with the last context too
     index.expire(100_000)
     assert len(index.ids) == 0 and index.postings == {}
     for c in (ctx, index.params.context(outside)):
-        assert len(_assert_columns_match_reference(c, index.postings, 0)) == 0
+        assert len(_assert_columns_match_reference(c, index.postings, 0, index._base)) == 0
 
 
 @pytest.mark.parametrize("tied", [6, 2, 3], ids=["tie-at-kth", "fewer-than-k", "exactly-k"])

@@ -417,7 +417,7 @@ class TestVerify:
             ["PASS", "oracle-equivalence"], ["PASS", "structure"], ["PASS", "bound-dominance"]]
 
     def test_structure_line_counts_the_paths_it_reached(self, capsys):
-        # CI's seed: the streams compact IFA, split HIQ leaves over more
+        # CI's seed: the streams trim IFA, split HIQ leaves over more
         # than one level, empty STVII nodes, split STVII inner nodes (the
         # split's box path) and rebuild HIQ trees after a cutoff inside
         # their segment, so the check sees them

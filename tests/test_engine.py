@@ -367,7 +367,7 @@ def test_long_query_at_xi_zero_equals_the_oracle(domain, whole):
     hiq, ifa, stvii = build_all(images, HiqConfig(domain=domain, xi=0.0))
     q = Query(psi=range(300), loc=(50.0, 50.0), t=1000, k=10, weights=(1 / 3, 1 / 3, 1 / 3))
     expected = brute_force_oracle(q, images, hiq.params)
-    _f_v, held = ifa.params.context(q).visual_columns(ifa.postings, len(ifa.ids))
+    _f_v, held = ifa.params.context(q).visual_columns(ifa.postings, len(ifa.ids), ifa._base)
     assert held.max() == (300 if whole else 1)
     for index in (hiq, ifa, stvii):
         assert results_match(index.search(q)[0], expected)

@@ -971,7 +971,7 @@ def full_visual(ctx, ratios):
     return formula_cost(ctx, log_num, log_diff, held)
 
 
-def full_columns(ctx, postings, n):
+def full_columns(ctx, postings, n, base):
     """``visual_columns`` by the whole numpy pass: the logs of every
     posting of every query word, with no count of missing words
     consulted."""
@@ -987,7 +987,7 @@ def full_columns(ctx, postings, n):
         if floor == 0.0:
             zero_cols.append(cols[0])
     counts = np.array([len(s) for s in slot_cols], dtype=np.intp)
-    slots = np.frombuffer(b"".join(slot_cols), dtype=np.int64)
+    slots = np.frombuffer(b"".join(slot_cols), dtype=np.int64) - base
     lw = np.log(ctx._scale * np.frombuffer(b"".join(freq_cols)) + np.repeat(floors, counts))
     log_num = np.bincount(slots, weights=lw, minlength=n)
     log_diff = np.bincount(slots, weights=lw - np.repeat(log_floors, counts), minlength=n)
@@ -997,7 +997,8 @@ def full_columns(ctx, postings, n):
     cost = 1.0 - np.minimum(np.exp(log_ratio), 1.0)
     zero_words = zero_floor_words(ctx)
     if zero_words:
-        zero_held = np.bincount(np.frombuffer(b"".join(zero_cols), dtype=np.int64), minlength=n)
+        zero_held = np.bincount(np.frombuffer(b"".join(zero_cols), dtype=np.int64) - base,
+                                minlength=n)
         cost[zero_held < len(zero_words)] = 1.0
     return cost, held
 
@@ -1077,8 +1078,8 @@ def assert_scorers_equal_the_formula(p, trees, ifa, corpus, q, monkeypatch, seen
         assert f_t == kernels.recency_cost(q.t - image.t_c, p.decay_base, p.time_unit)
         assert f == kernels.combine(w1, w2, w3, f_s, f_v, f_t)
     slots = len(ifa.ids)
-    got, held = ctx.visual_columns(ifa.postings, slots)
-    want, want_held = full_columns(reference, ifa.postings, slots)
+    got, held = ctx.visual_columns(ifa.postings, slots, ifa._base)
+    want, want_held = full_columns(reference, ifa.postings, slots, ifa._base)
     assert np.array_equal(held, want_held)
     # a slot holding no query word gets a meaningless cost, which IFA drops
     assert got[held > 0].tobytes() == want[held > 0].tobytes()
@@ -1095,7 +1096,7 @@ def assert_scorers_equal_the_formula(p, trees, ifa, corpus, q, monkeypatch, seen
         assert len(worst) == len(few)
         assert all(f_v == 1.0 for _nf, _nid, _image, _f_s, f_v, _f_t in worst)
         if n - c > 0 and not (held > n - c).any():
-            ctx.visual_columns(ifa.postings, slots)
+            ctx.visual_columns(ifa.postings, slots, ifa._base)
             seen["columns"] += 1
     assert logs == []
     # a node holding every word at its live maximum but the c - 1 of

@@ -1,14 +1,17 @@
 import random
 import re
+from itertools import accumulate
 
 import pytest
 
-from geostream.baselines import StviiIndex
+from geostream import verify
+from geostream.baselines import IfaIndex, StviiIndex
 from geostream.engine import walk
 from geostream.hiq import HiqConfig
 from geostream.verify import (
     build_all,
     check_oracle_equivalence,
+    oracle_stream,
     random_images,
     run_verification,
     structure_violations,
@@ -56,6 +59,14 @@ def alive_expired_slot(hiq, ifa, stvii):
     return ifa, "slots at or after the cutoff"
 
 
+def slot_before_the_base(hiq, ifa, stvii):
+    # a dead posting kept at a slot id the table no longer holds
+    slots, freqs = next(iter(ifa.postings.values()))
+    slots.insert(0, ifa._base - 1)
+    freqs.insert(0, 0.5)
+    return ifa, "a slot outside the table"
+
+
 def bucket_corpus_tf(hiq, ifa, stvii):
     bucket = next(iter(stvii.stats.buckets.values()))
     bucket.corpus_tf[next(iter(bucket.corpus_tf))] += 1
@@ -64,7 +75,7 @@ def bucket_corpus_tf(hiq, ifa, stvii):
 
 @pytest.mark.parametrize("plant", [
     node_max_freq, root_copies_its_bucket, leaf_above_capacity, leaf_out_of_order, grown_box,
-    alive_expired_slot, bucket_corpus_tf,
+    alive_expired_slot, slot_before_the_base, bucket_corpus_tf,
 ], ids=lambda plant: plant.__name__)
 def test_a_planted_fault_is_reported(domain, plant):
     # a plant breaks one index of a sound trio, whose window rolled and
@@ -99,3 +110,24 @@ def test_an_index_that_raises_is_a_fault(domain, monkeypatch):
                for line in report.lines), report.lines
     assert any(line.startswith("FAIL bound-dominance (stvii: insert of image")
                for line in report.lines), report.lines
+
+
+def test_late_arrivals_reach_the_checks(domain, monkeypatch):
+    # the ``late`` shape puts images behind images of a later segment;
+    # at CI's seed and sizes no arrival is refused, and some structure
+    # check meets an IFA table with a dead slot behind a live one
+    images = oracle_stream(random.Random(3), 200, domain, "late")
+    heads = accumulate((im.t_c // 20_000 for im in images), max)
+    assert any(im.t_c // 20_000 < head for im, head in zip(images[1:], heads))
+    seen = []
+    check = verify.structure_violations
+
+    def watched(index):
+        if isinstance(index, IfaIndex):
+            alive = [t >= index._cutoff for t in index.t_c]
+            seen.append(True in alive and False in alive[alive.index(True):])
+        return check(index)
+
+    monkeypatch.setattr(verify, "structure_violations", watched)
+    assert check_oracle_equivalence(7, 500, domain, max_images=200)[:2] == (0, [])
+    assert any(seen)
