@@ -8,10 +8,11 @@ while its timestamp is at or after the window's cutoff, slot ids are
 never renumbered, and expiry only cuts the table's dead prefix and the
 dead heads of its append-only posting lists, once half of the table is
 dead. STVII boxes images in raw (lat, lon, t), grows each box on the
-insert path in place, and splits quadratically on overflow: each of a
+insert path in place, makes any other box as the cover of its members'
+boxes (``_cover``), and splits quadratically on overflow: each of a
 split's two groups keeps per-axis columns of its box's extent with every
-box, so a pick recomputes only the axes along which it grew the group
-(``_quadratic_split``). It
+box, so a pick recomputes only the axes along which it grew the group,
+and one PickNext step serves either group (``_quadratic_split``). It
 carries the same per-node word maxima as the quadtree so it plugs into
 the shared best-first search and node terms, ``engine.TreeIndex.bounds``,
 over its box's lat/lon extent (``_rect``). It expires in place, touching
@@ -169,13 +170,12 @@ def _box(img):
     return (img.lat, img.lon, img.t_c, img.lat, img.lon, img.t_c)
 
 
-def _box_union(a, b):
-    if a is None:
-        return list(b)
-    return [
-        min(a[0], b[0]), min(a[1], b[1]), min(a[2], b[2]),
-        max(a[3], b[3]), max(a[4], b[4]), max(a[5], b[5]),
-    ]
+def _cover(boxes):
+    """The least box holding every box of the non-empty iterable
+    ``boxes``, a new list: per axis, the least low edge and the greatest
+    high edge."""
+    lat0, lon0, t0, lat1, lon1, t1 = zip(*boxes)
+    return [min(lat0), min(lon0), min(t0), max(lat1), max(lon1), max(t1)]
 
 
 def _box_volume(b):
@@ -230,7 +230,7 @@ class StviiIndex(TreeIndex):
             node.mbr = list(ebox)
         else:
             # the box grows in place; an edge the point only meets stays,
-            # as in ``_box_union``
+            # as in ``_cover``
             lat, lon, t = ebox[0], ebox[1], ebox[2]
             if lat < m[0]:
                 m[0] = lat
@@ -262,7 +262,7 @@ class StviiIndex(TreeIndex):
     def _choose_subtree(self, node, ebox):
         """The child whose box grows least in volume to take the point
         ``ebox``; ties by smaller volume, then fewer members. Each box
-        grows inline, in the arithmetic of ``_box_union`` and
+        grows inline, in the arithmetic of ``_cover`` and
         ``_box_volume``, and the key is built only for a child that can
         win."""
         lat, lon, t = ebox[0], ebox[1], ebox[2]
@@ -300,16 +300,13 @@ class StviiIndex(TreeIndex):
         node = RTree3DNode(leaf=leaf)
         if leaf:
             node.images = items
-            lat = [img.lat for img in items]
-            lon = [img.lon for img in items]
-            t = [img.t_c for img in items]
-            node.mbr = [min(lat), min(lon), min(t), max(lat), max(lon), max(t)]
+            node.mbr = _cover(map(_box, items))
             for img in items:
                 add_to_aggregates(node, img.t_c, img.freq)
         else:
             node.children = items
+            node.mbr = _cover(c.mbr for c in items)
             for c in items:
-                node.mbr = _box_union(node.mbr, c.mbr)
                 add_to_aggregates(node, c.t_max, c.max_freq)
         return node
 
@@ -345,9 +342,10 @@ class StviiIndex(TreeIndex):
         it. Its newest image survives, so ``t_max`` and the box's ``t1``
         hold. A word of ``max_freq`` is taken out and folded back from
         the members kept only where a member dropped, or a child's fallen
-        maximum, held the node's maximum of it. A leaf's ``t0`` comes from
-        its survivors and its lat/lon edges only when an expired image lay
-        on one; an inner box is the union of its kept children's. Returns
+        maximum, held the node's maximum of it. A leaf's box is remade as
+        the cover of its survivors (``_cover``) only when an expired image
+        lay on a lat/lon edge, and else only its ``t0`` moves; an inner box
+        is the cover of its kept children's. Returns
         ``{word: old maximum}`` of the words whose maximum fell or left."""
         box = node.mbr
         if box[2] >= cutoff:
@@ -359,12 +357,11 @@ class StviiIndex(TreeIndex):
                 (kept if img.t_c >= cutoff else gone).append(img)
             node.images = kept
             lost = {word for img in gone for word, f in img.freq.items() if mf[word] == f}
-            box[2] = min(img.t_c for img in kept)
             if any(img.lat == box[0] or img.lat == box[3] or img.lon == box[1]
                    or img.lon == box[4] for img in gone):
-                lat = [img.lat for img in kept]
-                lon = [img.lon for img in kept]
-                box[0], box[1], box[3], box[4] = min(lat), min(lon), max(lat), max(lon)
+                node.mbr = _cover(map(_box, kept))
+            else:
+                box[2] = min(img.t_c for img in kept)
             members = [img.freq for img in kept]
         else:
             kept, lost = [], set()
@@ -378,9 +375,7 @@ class StviiIndex(TreeIndex):
             if len(kept) < len(node.children):
                 self._took("STVII prunes that emptied a node")
             node.children = kept
-            node.mbr = None
-            for c in kept:
-                node.mbr = _box_union(node.mbr, c.mbr)
+            node.mbr = _cover(c.mbr for c in kept)
             members = [c.max_freq for c in kept]
         if not lost:
             return {}
@@ -403,11 +398,12 @@ def _quadratic_split(boxes, min_fill):
     Each step scores every box at once over per-axis numpy columns, with
     the same arithmetic and tie-breaks as a box-at-a-time loop: t columns
     of ints stay int64, so their extents are exact before the product.
-    Each group keeps its box as scalars and, for each axis, the extent of
-    its box's union with every box (``_extents``); a group's enlargement
-    to take each box is their product less its volume, in the order of
-    ``_box_volume``. A pick that grows a group's box remakes only the
-    extents of the axes it grew."""
+    Each group, side 0 or 1, keeps its members, its box as scalars, for
+    each axis the extent of its box's union with every box
+    (``_extents``), its box's volume and the column of its enlargement to
+    take each box, their product less that volume, in the order of
+    ``_box_volume``; one PickNext step serves either side. A pick that
+    grows a group's box remakes only the extents of the axes it grew."""
     n = len(boxes)
     lo = [np.array([b[k] for b in boxes]) for k in range(3)]
     hi = [np.array([b[k] for b in boxes]) for k in range(3, 6)]
@@ -416,50 +412,43 @@ def _quadratic_split(boxes, min_fill):
     waste = _box_volume([np.minimum.outer(l, l) for l in lo]
                         + [np.maximum.outer(h, h) for h in hi]) - vol[:, None] - vol[None, :]
     waste[np.tri(n, dtype=bool)] = -np.inf
-    s1, s2 = divmod(int(np.argmax(waste)), n)
-    g1, g2 = [s1], [s2]
+    s0, s1 = divmod(int(np.argmax(waste)), n)
+    groups = g0, g1 = [s0], [s1]
     # each group's box, grown in place: a copy, never a member's own list
-    mbr1, mbr2 = list(boxes[s1]), list(boxes[s2])
-    vol1, vol2 = _box_volume(mbr1), _box_volume(mbr2)
-    e1 = [_extents(mbr1, lo, hi, a) for a in range(3)]
-    e2 = [_extents(mbr2, lo, hi, a) for a in range(3)]
-    d1, d2 = e1[0] * e1[1] * e1[2] - vol1, e2[0] * e2[1] * e2[2] - vol2
+    mbrs = [list(boxes[s0]), list(boxes[s1])]
+    vols = [_box_volume(m) for m in mbrs]
+    exts = [[_extents(m, lo, hi, a) for a in range(3)] for m in mbrs]
+    grows = [e[0] * e[1] * e[2] - v for e, v in zip(exts, vols)]
     taken = np.zeros(n, dtype=bool)
-    taken[[s1, s2]] = True
+    taken[[s0, s1]] = True
     # PickNext's preference of each free box, -1 once taken; remade only
     # when a group's box grows. A box is compared, not its enlargement:
     # a zero-volume box can grow by 0
-    pref = np.abs(d1 - d2)
+    pref = np.abs(grows[0] - grows[1])
     pref[taken] = -1.0
     left = n - 2
     while left:
-        if len(g1) + left == min_fill:
-            g1.extend(np.flatnonzero(~taken).tolist())
-            break
-        if len(g2) + left == min_fill:
-            g2.extend(np.flatnonzero(~taken).tolist())
+        # the smaller group, side 0 on a tie, is the first that can need
+        # every box left to reach ``min_fill``
+        small = groups[len(g1) < len(g0)]
+        if len(small) + left == min_fill:
+            small.extend(np.flatnonzero(~taken).tolist())
             break
         # PickNext: strongest preference first, the first such box in
-        # index order
+        # index order, to the side it enlarges least; ties by smaller
+        # volume, then fewer members, then side 0
         i = int(pref.argmax())
         taken[i] = True
         pref[i] = -1.0
         left -= 1
-        if (d1[i], vol1, len(g1)) <= (d2[i], vol2, len(g2)):
-            g1.append(i)
-            if not _grow(mbr1, e1, boxes[i], lo, hi):
-                continue
-            vol1 = _box_volume(mbr1)
-            d1 = e1[0] * e1[1] * e1[2] - vol1
-        else:
-            g2.append(i)
-            if not _grow(mbr2, e2, boxes[i], lo, hi):
-                continue
-            vol2 = _box_volume(mbr2)
-            d2 = e2[0] * e2[1] * e2[2] - vol2
-        pref = np.abs(d1 - d2)
-        pref[taken] = -1.0
-    return g1, g2
+        side = 0 if (grows[0][i], vols[0], len(g0)) <= (grows[1][i], vols[1], len(g1)) else 1
+        groups[side].append(i)
+        if _grow(mbrs[side], exts[side], boxes[i], lo, hi):
+            vols[side] = _box_volume(mbrs[side])
+            grows[side] = exts[side][0] * exts[side][1] * exts[side][2] - vols[side]
+            pref = np.abs(grows[0] - grows[1])
+            pref[taken] = -1.0
+    return groups
 
 
 def _extents(mbr, lo, hi, a):

@@ -210,7 +210,8 @@ class Index:
     splits is rebuilt from its survivors. An arrival older than the window
     start or than a cutoff ``expire`` was given is refused, while
     ``window_start()`` stays on the segment grid. A subclass implements two
-    hooks: ``_add(img)`` adds an admitted image, and
+    hooks: ``_add(img)`` adds an admitted image, which the stats
+    (``CorpusStats.add_image``) already hold, and
     ``_drop_older(cutoff)`` drops the images older than a cutoff, an
     int, after they left the stats and ``_live`` and ``_cutoff`` became
     that cutoff. ``paths`` counts, by name, how often the index took each
@@ -262,9 +263,9 @@ class Index:
             )
         if self._head_end is None or img.t_c >= self._head_end:
             self.roll_segment(img.t_c)
+        self.stats.add_image(img)
         self._add(img)
         self._live[img.id] = img
-        self.stats.add_image(img)
 
     def roll_segment(self, now):
         """Moves the head to the segment that holds ``now`` and drops what

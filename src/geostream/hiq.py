@@ -7,9 +7,10 @@ which the search scores one image at a time (``QueryContext.score_leaf``).
 Node bounds and leaf candidates come from ``engine.TreeIndex``, which
 reads a node's rectangle from its four fields (``_rect``).
 Each tree hangs on its segment's bucket in the corpus statistics
-(``_Bucket.tree``), and its root keeps only its own ``t_max``: its
-``max_freq`` is the bucket's dict, which ``CorpusStats.add_image`` folds
-each image into, so each segment holds one copy of its word maxima;
+(``_Bucket.tree``), which already hold the image when HIQ adds it: the
+root's ``max_freq`` is the bucket's dict, which ``CorpusStats.add_image``
+folds each image into, so each segment holds one copy of its word
+maxima, and the root's ``t_max`` is copied from the bucket's;
 ``add_to_aggregates`` folds the nodes below the root.
 A split recurses (``_split``), so a node is inner exactly when it lies
 above ``max_depth`` and holds more than ``capacity`` images: a segment's
@@ -147,15 +148,14 @@ class HiqIndex(TreeIndex):
     def _add(self, img):
         cfg = self.config
         t = img.t_c
-        bucket = self.stats.bucket(t)
+        bucket = self.stats.buckets[t // cfg.segment_span]
         node = bucket.tree
         if node is None:
             # an empty tree over the domain, whose maxima are its bucket's
             d = cfg.domain
             node = bucket.tree = QuadNode(d.min_lat, d.min_lon, d.max_lat, d.max_lon)
             node.max_freq = bucket.max_freq
-        if node.t_max is None or t > node.t_max:
-            node.t_max = t      # the root's max_freq is its bucket's: add_image folds it
+        node.t_max = bucket.t_max   # the bucket already holds the image
         depth = 0
         while node.children is not None:
             node = node.children[node.quadrant(img.lat, img.lon)]

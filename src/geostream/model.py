@@ -257,8 +257,10 @@ class _Bucket:
     the newest arrival, and ``max_freq``, the max tf/|I.psi| per word, as a
     tree node holds them (``add_to_aggregates``). ``tree`` is the HIQ
     quadtree of the segment, whose root holds this ``max_freq`` dict as its
-    own, so the tree leaves with its bucket; None in a bucket no HIQ index
-    has built a tree for, such as a new bucket rebuilt from survivors."""
+    own and copies this ``t_max``, so the tree leaves with its bucket; None
+    in a bucket no HIQ index has built a tree for, such as a new bucket
+    rebuilt from survivors. ``CorpusStats.add_image`` makes a bucket with
+    the segment's first image, before any index adds that image."""
 
     __slots__ = ("images", "corpus_tf", "total_tf", "t_max", "max_freq", "tree")
 
@@ -281,18 +283,20 @@ class CorpusStats:
     else, a missing span included, raises ``ConfigError``. A bucket keeps
     its images, their corpus tf per word and term total, their newest
     arrival and their exact max frequency ratio per word (``_Bucket``),
-    and HIQ hangs the segment's tree on it. Only the total term count,
-    ``total_word_count``, is kept over all buckets; a word's corpus tf
-    is the sum, and its ``max_freq`` the maximum, over the live buckets,
-    of which an index's window holds at most ``window + 1``. So a bucket
-    leaves whole, as a basic window does in Datar et al.'s sliding-window
-    statistics, by one pop and one subtraction, reading none of its
-    images; one that a cutoff cuts, in ``expire``, is dropped and rebuilt
-    from its survivors, into a new bucket without a tree, unless none of
-    its images is older than the cutoff. Images leave only by ``expire``,
-    so nothing here looks an image up by id. ``add_image`` reads an
-    image's words and ratios from its ``freq`` and its counts from its
-    ``tfs``, and keeps the image itself, not a copy of its words.
+    and HIQ hangs the segment's tree on it; ``add_image`` makes a missing
+    bucket, and ``engine.Index.insert`` calls it before the index adds
+    the image, so HIQ finds the bucket already holding it. Only the total
+    term count, ``total_word_count``, is kept over all buckets; a word's
+    corpus tf is the sum, and its ``max_freq`` the maximum, over the live
+    buckets, of which an index's window holds at most ``window + 1``. So
+    a bucket leaves whole, as a basic window does in Datar et al.'s
+    sliding-window statistics, by one pop and one subtraction, reading
+    none of its images; one that a cutoff cuts, in ``expire``, is dropped
+    and rebuilt from its survivors, into a new bucket without a tree,
+    unless none of its images is older than the cutoff. Images leave only
+    by ``expire``, so nothing here looks an image up by id. ``add_image``
+    reads an image's words and ratios from its ``freq`` and its counts
+    from its ``tfs``, and keeps the image itself, not a copy of its words.
     ``version`` counts the updates, so ``ScoreParams`` can tell that what
     it cached is stale.
     """
@@ -306,21 +310,14 @@ class CorpusStats:
         self._span = span
         self.buckets = {}       # t_c // segment_span -> _Bucket
 
-    def bucket(self, t):
-        """The bucket of the segment holding time ``t``, made empty if it
-        is missing. HIQ hangs a segment's tree on it, whether the
-        segment's first image reaches ``add_image`` before or after."""
-        key = t // self._span
-        bucket = self.buckets.get(key)
-        if bucket is None:
-            bucket = self.buckets[key] = _Bucket()
-        return bucket
-
     def add_image(self, img):
         self.version += 1
         total = img.total_tf
         self.total_word_count += total
-        bucket = self.bucket(img.t_c)
+        key = img.t_c // self._span
+        bucket = self.buckets.get(key)
+        if bucket is None:
+            bucket = self.buckets[key] = _Bucket()
         bucket.images.append(img)
         bucket.total_tf += total
         add_to_aggregates(bucket, img.t_c, img.freq)

@@ -10,7 +10,6 @@ from geostream.baselines import (
     RTree3DNode,
     StviiIndex,
     _box,
-    _box_union,
     _box_volume,
     _quadratic_split,
 )
@@ -953,20 +952,23 @@ def test_choose_subtree_matches_reference(t0, domain):
         assert index._choose_subtree(node, ebox) is _reference_choose_subtree(node, ebox)
 
 
+def _union(a, b):
+    """The least box holding the boxes ``a`` and ``b``, a new list: the
+    references' own union, apart from ``_cover``."""
+    return [min(a[k], b[k]) for k in range(3)] + [max(a[k], b[k]) for k in range(3, 6)]
+
+
 def _scalar_quadratic_split(boxes, min_fill):
     """Guttman's PickSeeds/PickNext one box at a time, the reference for
     the column-wise ``_quadratic_split``."""
-    def union(a, b):
-        return [min(a[k], b[k]) for k in range(3)] + [max(a[k], b[k]) for k in range(3, 6)]
-
     def grow(box, item):
-        return _box_volume(union(box, item)) - _box_volume(box)
+        return _box_volume(_union(box, item)) - _box_volume(box)
 
     n = len(boxes)
     best, seeds = None, None
     for i in range(n):
         for j in range(i + 1, n):
-            d = _box_volume(union(boxes[i], boxes[j])) \
+            d = _box_volume(_union(boxes[i], boxes[j])) \
                 - _box_volume(boxes[i]) - _box_volume(boxes[j])
             if best is None or d > best:
                 best, seeds = d, (i, j)
@@ -988,10 +990,10 @@ def _scalar_quadratic_split(boxes, min_fill):
         d1, d2 = grow(mbr1, boxes[i]), grow(mbr2, boxes[i])
         if (d1, _box_volume(mbr1), len(g1)) <= (d2, _box_volume(mbr2), len(g2)):
             g1.append(i)
-            mbr1 = union(mbr1, boxes[i])
+            mbr1 = _union(mbr1, boxes[i])
         else:
             g2.append(i)
-            mbr2 = union(mbr2, boxes[i])
+            mbr2 = _union(mbr2, boxes[i])
     return g1, g2
 
 
@@ -1022,7 +1024,7 @@ def test_quadratic_split_matches_scalar_reference(t0):
 
 
 class ReferenceStvii(StviiIndex):
-    """STVII whose insert makes each level's box a new ``_box_union`` list
+    """STVII whose insert makes each level's box a new ``_union`` list
     and splits through ``_scalar_quadratic_split``: the reference for the
     boxes grown in place and the column-wise split. ``splits`` counts its
     leaf (True) and inner (False) splits."""
@@ -1033,7 +1035,7 @@ class ReferenceStvii(StviiIndex):
 
     def _insert_rec(self, node, img, ebox):
         # the box already holds the point, so the in-place growth is idle
-        node.mbr = _box_union(node.mbr, ebox)
+        node.mbr = list(ebox) if node.mbr is None else _union(node.mbr, ebox)
         return super()._insert_rec(node, img, ebox)
 
     def _split(self, node):

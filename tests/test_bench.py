@@ -223,16 +223,17 @@ class TestAnswerChecks:
                         query_cfg=QueryConfig(seed=1, count=4), kinds=("hiq",))
 
 
-def load_bench_record():
-    path = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
-    spec = importlib.util.spec_from_file_location("bench_record", path)
+def load_tool(name):
+    """The module of ``tools/<name>.py``."""
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_bench_record_names_each_moved_count():
-    record = load_bench_record()
+    record = load_tool("bench_record")
     old = {"a": {"x": 1, "y": 2}, "b": {"x": 5}}
     new = {"a": {"x": 1, "y": 3, "z": 0}, "c": {"x": 5}}
     assert record.moved(old, new) == [
@@ -246,23 +247,15 @@ def test_bench_record_names_each_moved_count():
 def test_newest_bench_record_lists_and_reads_the_zero_counts():
     # a count that falls to 0 goes on ZERO with the record that shows it,
     # and one that no longer reads 0 comes off
-    record = load_bench_record()
+    record = load_tool("bench_record")
     data = json.loads(record.newest().read_text())
     assert data["zero_counts"] == record.ZERO
     for counts in data["counts"].values():
         assert {name: counts.get(name) for name in record.ZERO} == dict.fromkeys(record.ZERO, 0)
 
 
-def load_bench_pairs():
-    path = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
-    spec = importlib.util.spec_from_file_location("bench_pairs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_bench_pairs_summarises_each_metric_over_the_pairs():
-    pairs_tool = load_bench_pairs()
+    pairs_tool = load_tool("bench_pairs")
 
     def result(ms, per_s, correct=True):
         return {"correct": correct, "metrics": {"q_ms": {"value": ms, "unit": "ms"},
@@ -296,7 +289,7 @@ def test_bench_pairs_summarises_each_metric_over_the_pairs():
 
 
 def test_bench_pairs_marks_a_median_worse_than_its_bound():
-    pairs_tool = load_bench_pairs()
+    pairs_tool = load_tool("bench_pairs")
 
     def result(ms, per_s):
         return {"correct": True, "metrics": {"q_ms": {"value": ms, "unit": "ms"},
@@ -330,7 +323,7 @@ def test_bench_pairs_marks_a_median_worse_than_its_bound():
 
 
 def test_bench_pairs_marks_a_metric_whose_parent_spreads_wider_than_its_bound():
-    pairs_tool = load_bench_pairs()
+    pairs_tool = load_tool("bench_pairs")
 
     def rows(parent, change, bound=0.25):
         metrics = [{"name": "q_ms", "unit": "ms", "better": "lower", "bound": bound},
@@ -368,7 +361,7 @@ def test_bench_pairs_marks_a_metric_whose_parent_spreads_wider_than_its_bound():
 
 
 def test_bench_pairs_lists_the_roll_stalls_unmarked():
-    pairs_tool = load_bench_pairs()
+    pairs_tool = load_tool("bench_pairs")
     printed = [
         "# geostream benchmark: workload=rolling-stream seed=1 seconds=8 trace=0",
         "hiq.ingest_images_per_s        69423.848417 1/s    960 images; unscaled 69134",
@@ -400,3 +393,36 @@ def test_bench_pairs_lists_the_roll_stalls_unmarked():
     # no row takes a mark of the gated metrics
     assert not any(mark in line for line in lines
                    for mark in ("gain", "WORSE THAN BOUND", "unresolved"))
+
+
+def test_code_lines_skips_blank_comment_and_docstring_lines(tmp_path, capsys):
+    source = '''"""A module docstring
+over two lines."""
+import os  # a comment after code counts
+
+
+class A:
+    """A class docstring."""
+
+    def f(self):
+        # a comment line
+        """A method docstring, after a comment."""
+        y = """a string
+        over two lines"""
+        return y
+
+
+async def g():
+    "An async function's docstring."
+    x = 1; """a string after code, not first in its body"""
+'''
+    code_lines = load_tool("code_lines")
+    # import, class, def, y over 2 lines, return, async def, x
+    assert code_lines.code_lines(source) == 8
+    (tmp_path / "m.py").write_text(source)
+    (tmp_path / "empty.py").write_text("# only a comment\n\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "other.py").write_text("x = 1\n")
+    assert code_lines.main([str(tmp_path)]) == 8
+    assert capsys.readouterr().out.split("\n") == [
+        "     0  empty.py", "     8  m.py", "     8  total", ""]

@@ -420,14 +420,16 @@ class TestVerify:
         # CI's seed: the streams trim IFA, split HIQ leaves over more
         # than one level, empty STVII nodes, split STVII inner nodes (the
         # split's box path) and rebuild HIQ trees after a cutoff inside
-        # their segment, so the check sees them
+        # their segment, so the check sees them. The exact counts pin the
+        # trees on the late, clustered and jump shapes and after off-grid
+        # expiry: a change that builds other trees moves them
         code, out, _ = run(["verify", "--instances", "100", "--seed", "7"], capsys)
         assert code == 0
         line = next(line for line in out.splitlines() if line.startswith("PASS structure"))
         found = re.search(r"(\d+) IFA compactions, (\d+) multi-level HIQ splits, "
                           r"(\d+) STVII prunes that emptied a node, (\d+) STVII inner splits, "
                           r"(\d+) HIQ trees rebuilt after a cutoff", line)
-        assert found and all(int(n) > 0 for n in found.groups()), line
+        assert found and [int(n) for n in found.groups()] == [3, 5, 9, 8, 4], line
 
     @pytest.mark.parametrize("instances", ["0", "-3"])
     def test_no_instances_exit_usage(self, instances, capsys):

@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import heapq
 import itertools
 import math
 import random
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -311,6 +313,30 @@ def test_same_query_object_across_corpus_changes(cls, domain):
             assert e.score == combined_score(q, by_id[e.image_id], reference)
         moved += [e.score for e in after] != [e.score for e in before]
     assert moved == 12
+
+
+@pytest.mark.parametrize("cls", [HiqIndex, IfaIndex, StviiIndex], ids=lambda c: c.kind)
+def test_a_dropped_index_is_freed_by_reference_counting(cls, domain):
+    # with the cycle collector off, an index over a stream longer than its
+    # window, with a query context cached, is freed as soon as its last
+    # reference goes: no cycle runs through its stats, its score
+    # parameters or their cached context
+    rng = random.Random(48)
+    images = random_images(rng, 300, domain, vocab=30, t_lo=0, t_hi=50_000)
+    gc.disable()
+    try:
+        index = cls(HiqConfig(domain=domain, segment_span=10_000, window=3, capacity=6))
+        for img in sorted(images, key=lambda im: im.t_c):
+            index.insert(img)
+        assert index.window_start() > min(img.t_c for img in images)
+        for _ in range(3):
+            index.search(random_query(rng, images, domain, vocab=30, max_words=4))
+        assert index.params._context is not None
+        stats = weakref.ref(index.stats)
+        del index
+        assert stats() is None
+    finally:
+        gc.enable()
 
 
 def test_long_queries_equal_the_oracle_and_keep_dominance(domain, monkeypatch):
