@@ -16,7 +16,9 @@ from dataclasses import asdict, fields
 from . import bench as bench_mod
 from .hiq import HiqConfig
 from .model import ConfigError, DomainError, Query, SpatialDomain
+from .verify import run_verification
 from .workload import (
+    SPATIAL_MODES,
     DataFormatError,
     GeneratorConfig,
     generate_images,
@@ -107,6 +109,23 @@ def _index_config(args):
                      **{f.name: getattr(args, f.name) for f in _INDEX_FIELDS})
 
 
+# every GeneratorConfig field but the seed and the domain is one generate
+# flag, of the field's name unless it has a short one here
+_SHORT = {"image_count": "count", "vocab_size": "vocab", "zipf_exponent": "zipf",
+          "cluster_count": "clusters", "cluster_sigma": "sigma"}
+_STREAM_FIELDS = {f: _SHORT.get(f.name, f.name) for f in fields(GeneratorConfig)
+                  if f.name not in ("seed", "domain")}
+
+
+def _generator_config(args):
+    """The stream of ``generate`` or ``bench``: each stream flag the
+    subcommand has, and ``GeneratorConfig``'s default for the rest."""
+    given = vars(args)
+    return GeneratorConfig(seed=args.seed, domain=args.domain,
+                           **{f.name: given[dest] for f, dest in _STREAM_FIELDS.items()
+                              if dest in given})
+
+
 def build_parser():
     parser = _Parser(prog="geostream",
                      description="streaming top-k spatial-temporal image search")
@@ -125,16 +144,9 @@ def build_parser():
 
     g = sub.add_parser("generate", help="write a synthetic dataset", parents=[common, seeded])
     g.add_argument("--out", required=True)
-    g.add_argument("--count", type=int, default=GeneratorConfig.image_count)
-    g.add_argument("--vocab", type=int, default=GeneratorConfig.vocab_size)
-    g.add_argument("--mean-words", type=float, default=GeneratorConfig.mean_words)
-    g.add_argument("--zipf", type=float, default=GeneratorConfig.zipf_exponent)
-    g.add_argument("--rate", type=float, default=GeneratorConfig.rate)
-    g.add_argument("--start-time", type=int, default=GeneratorConfig.start_time)
-    g.add_argument("--spatial-mode", choices=("uniform", "clusters"),
-                   default=GeneratorConfig.spatial_mode)
-    g.add_argument("--clusters", type=int, default=GeneratorConfig.cluster_count)
-    g.add_argument("--sigma", type=float, default=GeneratorConfig.cluster_sigma)
+    for f, dest in _STREAM_FIELDS.items():
+        g.add_argument("--" + dest.replace("_", "-"), type=type(f.default), default=f.default,
+                       choices=SPATIAL_MODES if f.name == "spatial_mode" else None)
 
     q = sub.add_parser("query", help="build an index from a dataset and run queries",
                        parents=[common, indexed])
@@ -159,7 +171,7 @@ def build_parser():
     b.add_argument("--count", type=_at_least_one, default=5000)
     b.add_argument("--vocab", type=int, default=500)
     b.add_argument("--mean-words", type=float, default=40.0)
-    b.add_argument("--spatial-mode", choices=("uniform", "clusters"), default="clusters")
+    b.add_argument("--spatial-mode", choices=SPATIAL_MODES, default="clusters")
 
     v = sub.add_parser("verify", help="oracle-equivalence, structure and bound-dominance suites",
                        parents=[common, seeded])
@@ -169,20 +181,7 @@ def build_parser():
 
 
 def cmd_generate(args):
-    cfg = GeneratorConfig(
-        seed=args.seed,
-        image_count=args.count,
-        vocab_size=args.vocab,
-        mean_words=args.mean_words,
-        zipf_exponent=args.zipf,
-        spatial_mode=args.spatial_mode,
-        cluster_count=args.clusters,
-        cluster_sigma=args.sigma,
-        rate=args.rate,
-        start_time=args.start_time,
-        domain=args.domain,
-    )
-    write_dataset(generate_images(cfg), args.out)
+    write_dataset(generate_images(_generator_config(args)), args.out)
     return EXIT_OK
 
 
@@ -249,14 +248,7 @@ def _explain(qid, stats):
 
 
 def cmd_bench(args):
-    gen_cfg = GeneratorConfig(
-        seed=args.seed,
-        image_count=args.count,
-        vocab_size=args.vocab,
-        mean_words=args.mean_words,
-        spatial_mode=args.spatial_mode,
-        domain=args.domain,
-    )
+    gen_cfg = _generator_config(args)
     index_cfg = _index_config(args)
     # ``all`` sweeps one weight, omega1
     axes = ([a for a in bench_mod.AXES if a not in ("omega2", "omega3")]
@@ -267,13 +259,15 @@ def cmd_bench(args):
 
 
 def cmd_verify(args):
-    from .verify import run_verification
-
     report = run_verification(seed=args.seed, instances=args.instances,
                               domain=args.domain)
     for line in report.lines:
         print(line)
     return EXIT_OK if report.ok else EXIT_VERIFY
+
+
+_COMMANDS = {"generate": cmd_generate, "query": cmd_query, "bench": cmd_bench,
+             "verify": cmd_verify}
 
 
 def main(argv=None):
@@ -303,15 +297,7 @@ def main(argv=None):
     if args.config != config:
         parser.error("--config must be spelled out in full")
     try:
-        if args.command == "generate":
-            return cmd_generate(args)
-        if args.command == "query":
-            return cmd_query(args)
-        if args.command == "bench":
-            return cmd_bench(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        return EXIT_USAGE
+        return _COMMANDS[args.command](args)
     except bench_mod.AnswerMismatchError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VERIFY

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .engine import ExpiredArrivalError, TreeIndex  # noqa: F401 (re-exported)
+from .engine import TreeIndex
 from .model import ConfigError, _counts, add_to_aggregates
 from .model import mind_visual  # noqa: F401 (perfbench wraps hiq.mind_visual)
 

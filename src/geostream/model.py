@@ -503,8 +503,7 @@ class QueryContext:
     """
 
     __slots__ = ("q", "_scale", "_floors", "_log_den", "_log_const", "_misses", "_live_words",
-                 "_count_first", "_lat", "_lon", "_t", "_weights", "_delta_max", "_decay_base",
-                 "_time_unit")
+                 "_count_first", "_delta_max", "_decay_base", "_time_unit")
 
     def __init__(self, q, params, words):
         if not params.domain.contains(q.loc[0], q.loc[1]):
@@ -512,9 +511,6 @@ class QueryContext:
         stats = params.stats
         xi = params.xi
         self.q = q
-        self._lat, self._lon = q.loc
-        self._t = q.t
-        self._weights = q.weights
         self._delta_max = params.domain.delta_max
         self._decay_base = params.decay_base
         self._time_unit = params.time_unit
@@ -599,10 +595,10 @@ class QueryContext:
         ``combined_score`` breakdown's bit for bit. Each entry carries
         its image's three terms, from which the search builds the
         results."""
-        w1, w2, w3 = self._weights
-        lat, lon, t = self._lat, self._lon, self._t
+        q = self.q
+        w1, w2, w3 = q.weights
+        (lat, lon), t, k = q.loc, q.t, q.k
         delta_max, decay_base, time_unit = self._delta_max, self._decay_base, self._time_unit
-        k = self.q.k
         nearest_first = len(worst) < k
         lam = math.inf if nearest_first else -worst[0][0]
         r = (lam + BOUND_TOL - floor) * delta_max / w1

@@ -133,11 +133,11 @@ def oracle_stream(rng, n, domain, shape):
                     rng.uniform(domain.min_lon, domain.max_lon - d_lon)) for _ in range(2)]
         images = [im if i % 2 else GeoTemporalImage(
             im.id, corners[i % 4 // 2][0] + rng.random() * d_lat,
-            corners[i % 4 // 2][1] + rng.random() * d_lon, im.t_c, zip(im.freq, im.tfs))
+            corners[i % 4 // 2][1] + rng.random() * d_lon, im.t_c, im.psi)
             for i, im in enumerate(images)]
     elif shape == "jump":
         images = [im if im.t_c < 60_000 else GeoTemporalImage(
-            im.id, im.lat, im.lon, im.t_c + 100_000, zip(im.freq, im.tfs)) for im in images]
+            im.id, im.lat, im.lon, im.t_c + 100_000, im.psi) for im in images]
     elif shape == "late":
         delay = {im.id: rng.randrange(20_000) if i % 3 == 0 else 0
                  for i, im in enumerate(images)}
@@ -243,7 +243,7 @@ def _maxima(images):
     t_max, max_freq = None, {}
     for img in images:
         t_max = img.t_c if t_max is None else max(t_max, img.t_c)
-        for word, tf in zip(img.freq, img.tfs):
+        for word, tf in img.psi:
             max_freq[word] = max(max_freq.get(word, 0.0), tf / img.total_tf)
     return t_max, max_freq
 
@@ -261,7 +261,7 @@ def stats_violations(stats, images):
         group, bucket = groups[key], stats.buckets[key]
         corpus_tf = {}
         for img in group:
-            for word, tf in zip(img.freq, img.tfs):
+            for word, tf in img.psi:
                 corpus_tf[word] = corpus_tf.get(word, 0) + tf
         held = (sorted(img.id for img in bucket.images), bucket.total_tf, bucket.corpus_tf,
                 bucket.t_max, bucket.max_freq)
@@ -361,7 +361,7 @@ def _ifa_violations(index, live):
         return ["the slots at or after the cutoff are not the live images' slots"]
     expected = {}
     for img in live:
-        for word, tf in zip(img.freq, img.tfs):
+        for word, tf in img.psi:
             expected.setdefault(word, []).append((slot_of[img.id], tf / img.total_tf))
     out, held = [], {}
     for word, (slots, freqs) in index.postings.items():

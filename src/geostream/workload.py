@@ -22,6 +22,7 @@ class DataFormatError(ValueError):
 
 
 DEFAULT_DOMAIN = SpatialDomain(0.0, 100.0, 0.0, 100.0)
+SPATIAL_MODES = ("uniform", "clusters")
 
 
 @dataclass
@@ -31,7 +32,7 @@ class GeneratorConfig:
     vocab_size: int = 1000
     mean_words: float = 120.0          # mean total word draws per image
     zipf_exponent: float = 1.0
-    spatial_mode: str = "uniform"      # "uniform" | "clusters"
+    spatial_mode: str = "uniform"      # one of SPATIAL_MODES
     cluster_count: int = 8
     cluster_sigma: float = 2.0
     rate: float = 200.0                # Poisson arrivals per second
@@ -51,8 +52,8 @@ class GeneratorConfig:
                 raise ConfigError(f"{name} must be >= 0, got {value!r}")
         if self.rate <= 0:
             raise ConfigError(f"rate must be > 0, got {self.rate!r}")
-        if self.spatial_mode not in ("uniform", "clusters"):
-            raise ConfigError(f"spatial_mode must be 'uniform' or 'clusters', "
+        if self.spatial_mode not in SPATIAL_MODES:
+            raise ConfigError(f"spatial_mode must be {' or '.join(map(repr, SPATIAL_MODES))}, "
                               f"got {self.spatial_mode!r}")
 
 
@@ -204,7 +205,7 @@ def generate_queries(cfg, images):
 def write_dataset(images, path):
     with open(path, "w", encoding="utf-8") as fh:
         for img in images:
-            words = ",".join(f"{w}:{tf}" for w, tf in zip(img.freq, img.tfs))
+            words = ",".join(f"{w}:{tf}" for w, tf in img.psi)
             fh.write(f"{img.id}\t{img.lat!r}\t{img.lon!r}\t{img.t_c}\t{words}\n")
 
 

@@ -244,6 +244,14 @@ def test_bench_record_names_each_moved_count():
     assert all("engine.images_scored" in counts for counts in newest.values())
 
 
+def test_bench_record_runs_every_workload_of_the_benchmark():
+    # a workload added to BENCHMARK.json is recorded and checked with no
+    # edit to the tool
+    record = load_tool("bench_record")
+    bench = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+    assert record.WORKLOADS == tuple(w["name"] for w in bench["workloads"])
+
+
 def test_newest_bench_record_lists_and_reads_the_zero_counts():
     # a count that falls to 0 goes on ZERO with the record that shows it,
     # and one that no longer reads 0 comes off

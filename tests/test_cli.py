@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from geostream import bench, cli
 from geostream.baselines import IfaIndex
 from geostream.cli import _index_config, build_parser, main
 from geostream.hiq import HiqConfig, HiqIndex
+from geostream.workload import SPATIAL_MODES, GeneratorConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -356,6 +358,67 @@ def test_every_index_flag_reaches_the_config(command):
     config = _index_config(build_parser().parse_args(argv))
     assert {name: getattr(config, name) for name in expected} == expected
     assert (config.domain.max_lat, config.domain.max_lon) == (10.0, 20.0)
+
+
+class _Captured(Exception):
+    pass
+
+
+def stream_config(module, argv, monkeypatch):
+    """The ``GeneratorConfig`` that ``main(argv)`` hands to
+    ``module.generate_images``, which then stops the run."""
+    seen = []
+
+    def capture(cfg):
+        seen.append(cfg)
+        raise _Captured
+
+    monkeypatch.setattr(module, "generate_images", capture)
+    with pytest.raises(_Captured):
+        main(argv)
+    return seen[0]
+
+
+def test_every_generator_field_is_a_generate_flag(tmp_path, monkeypatch):
+    # each field but the seed and the domain, under its short name where
+    # it has one, and no other stream flag
+    short = {"image_count": "count", "vocab_size": "vocab", "zipf_exponent": "zipf",
+             "cluster_count": "clusters", "cluster_sigma": "sigma"}
+    argv = ["generate", "--out", str(tmp_path / "d.tsv"), "--seed", "4",
+            "--domain", "0,10,0,20"]
+    expected, flags = {}, set()
+    for f in fields(GeneratorConfig):
+        if f.name in ("seed", "domain"):
+            continue
+        if f.name == "spatial_mode":
+            value = next(mode for mode in SPATIAL_MODES if mode != f.default)
+        else:
+            value = f.default + 1 if isinstance(f.default, int) else f.default + 0.25
+        flag = "--" + short.get(f.name, f.name).replace("_", "-")
+        flags.add(flag)
+        expected[f.name] = value
+        argv += [flag, str(value)]
+    config = stream_config(cli, argv, monkeypatch)
+    assert {name: getattr(config, name) for name in expected} == expected
+    assert (config.seed, config.domain.max_lat, config.domain.max_lon) == (4, 10.0, 20.0)
+    taken = {s for a in build_parser().commands["generate"]._actions for s in a.option_strings}
+    assert taken - flags == {"-h", "--help", "--out", "--seed", "--domain", "--config"}
+
+
+@pytest.mark.parametrize("flags, given", [
+    ([], dict(image_count=5000, vocab_size=500, mean_words=40.0, spatial_mode="clusters")),
+    (["--count", "7", "--vocab", "33", "--mean-words", "5.5", "--spatial-mode", "uniform"],
+     dict(image_count=7, vocab_size=33, mean_words=5.5, spatial_mode="uniform")),
+], ids=["defaults", "flags"])
+def test_bench_stream_flags_reach_the_config(flags, given, tmp_path, monkeypatch):
+    # bench's four stream flags keep their own defaults; every other
+    # field keeps GeneratorConfig's
+    config = stream_config(bench, ["bench", "--out", str(tmp_path / "b.csv"), "--seed", "3",
+                                   *flags], monkeypatch)
+    expected = {f.name: f.default for f in fields(GeneratorConfig) if f.name != "domain"}
+    expected.update(given, seed=3)
+    assert {name: getattr(config, name) for name in expected} == expected
+    assert config.domain == GeneratorConfig().domain
 
 
 class TestBench:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from geostream.baselines import IfaIndex, StviiIndex
-from geostream.engine import brute_force_oracle, top_k_search, walk
-from geostream.hiq import ExpiredArrivalError, HiqConfig, HiqIndex
+from geostream.engine import ExpiredArrivalError, brute_force_oracle, top_k_search, walk
+from geostream.hiq import HiqConfig, HiqIndex
 from geostream.model import ConfigError, DomainError, GeoTemporalImage, Query
 from geostream.verify import (
     dominance_violations,

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from geostream.baselines import IfaIndex, StviiIndex
-from geostream.engine import brute_force_oracle
-from geostream.hiq import ExpiredArrivalError, HiqConfig, HiqIndex
+from geostream.engine import ExpiredArrivalError, brute_force_oracle
+from geostream.hiq import HiqConfig, HiqIndex
 from geostream.model import CorpusStats, GeoTemporalImage, Query, ScoreParams, SpatialDomain
 from geostream.verify import results_match, structure_violations
 

@@ -4,9 +4,9 @@ checks a fresh run against the newest such file.
     python tools/bench_record.py N         # writes BENCH_N.json at the root
     python tools/bench_record.py --check   # exit 1 if a count moved
 
-Each workload runs once as ``perfbench/run.py --trace 1 --seed 1
---seconds 8``, a single traced pass whose counts repeat exactly across
-runs and processes. The file keeps every count-unit metric,
+Each workload of ``BENCHMARK.json`` runs once as ``perfbench/run.py
+--trace 1 --seed 1 --seconds 8``, a single traced pass whose counts
+repeat exactly across runs and processes. The file keeps every count-unit metric,
 ``engine.scored_per_result`` and the modelled ``*.model_bytes`` per
 workload. ``--check`` names each of them
 that moved; it prints the per-layer timings of the fresh run beside them
@@ -25,7 +25,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("clustered-read", "rolling-stream", "wide-query")
+# read, not listed, so that a workload the benchmark adds is not skipped
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
 RUN_ARGS = ("--trace", "1", "--seed", "1", "--seconds", "8")
 # counts that read 0 on every workload, and why
 ZERO = {
