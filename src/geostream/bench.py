@@ -82,11 +82,14 @@ def build_index(kind, config):
 
 
 def _row(axis, value, kind, metric, samples):
+    """The mean, p50 and p95 of ``samples``; each percentile by the
+    nearest rank, the ``ceil(p * n)``-th smallest of the ``n``, as
+    perfbench's ``percentile`` takes it."""
     if not samples:
         return BenchRow(axis, value, kind, metric, 0.0, 0.0, 0.0)
     ordered = sorted(samples)
-    p50 = ordered[len(ordered) // 2]
-    p95 = ordered[min(len(ordered) - 1, int(0.95 * len(ordered)))]
+    n = len(ordered)
+    p50, p95 = (ordered[-(-pct * n // 100) - 1] for pct in (50, 95))
     return BenchRow(axis, value, kind, metric, statistics.fmean(samples), p50, p95)
 
 

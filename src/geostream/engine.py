@@ -14,8 +14,12 @@ parent's; the search's inherited visual bounds rest on the latter).
 query context's ``mind_visual`` of the node's ``max_freq``, belongs to
 the search. ``mind(q, node)``, ``spatial + w2 * mind_visual +
 recency``, is a node's exact bound, the one-node reference that the
-dominance audit and the tests read. A node's ``children`` is a list at
-an inner node and ``None`` at a leaf, which holds its ``images``.
+dominance audit and the tests read. A lone root, when ``roots()`` gives
+exactly one node, must hold every live image of ``params.stats``: its
+per-word maxima are then the live maxima, and the search gives it the
+visual bound 0.0 without a ``mind_visual`` (``top_k_search``). A node's
+``children`` is a list at an inner node and ``None`` at a leaf, which
+holds its ``images``.
 ``TreeIndex`` gives the tree indexes (HIQ, STVII) one ``search``,
 ``bounds``, ``mind``, ``candidates`` and ``node_count``; a subclass
 provides only ``roots()`` and ``_rect(node)``, a node's rectangle.
@@ -84,9 +88,10 @@ class SearchStats:
     ``audit``), ``bounds_evaluated`` counts the visual node bounds it
     computed (``mind_visual`` of a node's ``max_freq``, one for each
     root and each child of an inner node visited; 0 for IFA), which
-    leaves out each child that inherits the 1.0 the miss count decided
-    for its parent, ``lam`` is
-    the final λ, infinite while fewer than k images were found, and
+    leaves out a lone root, whose 0.0 the search gives it, and each
+    child that inherits the 1.0 the miss count decided for its parent,
+    ``lam`` is the final λ, infinite while fewer than k images were
+    found, and
     ``stop`` says why it ended: ``"exhausted"`` when it visited every
     root and every child whose bound was at most λ when its parent was
     visited, ``"bound"`` when λ fell below the bound of such a node
@@ -113,14 +118,21 @@ def top_k_search(q, index, audit=None):
     pushed, at one push site: their spatial and recency terms from
     ``index.bounds(q, nodes)`` and their visual bound, the query
     context's ``mind_visual`` of their ``max_freq``. A node whose bound
-    exceeds λ is pruned at once instead. The children of a parent whose
-    visual bound the miss count decided (1.0 with ``misses_decide`` of
-    the parent's ``max_freq``) inherit that 1.0 with no ``mind_visual``:
-    a child's ``max_freq`` keys are a subset of its parent's, so it
-    lacks the words its parent lacks, and its own visual bound is
-    exactly 1.0 as well. A 1.0 that came out of the log sums does not
-    carry over to the children. Nodes are visited in ascending (bound,
-    push order) until the heap is empty or its top exceeds λ.
+    exceeds λ is pruned at once instead. A lone root, when
+    ``index.roots()`` gives one node, takes the visual bound 0.0 with no
+    ``mind_visual``, and ``bounds_evaluated`` does not count it. That is
+    exact: the root holds every live image (the module docstring), so
+    each word of its ``max_freq`` is the word's live maximum, and
+    ``mind_visual`` would sum, in query order, the very floats whose sum
+    is the context's ``log_den``: its ratio is 1.0 and its cost 0.0. The
+    children of a parent whose visual bound the miss count decided (1.0
+    with ``misses_decide`` of the parent's ``max_freq``) inherit that 1.0
+    with no ``mind_visual``: a child's ``max_freq`` keys are a subset of
+    its parent's, so it lacks the words its parent lacks, and its own
+    visual bound is exactly 1.0 as well. A 1.0 that came out of the log
+    sums does not carry over to the children. Nodes are visited in
+    ascending (bound, push order) until the heap is empty or its top
+    exceeds λ.
 
     ``index.candidates(q, leaf, worst, floor)`` offers a leaf's images to
     ``worst``, the running top k, under the leaf's floor, its bound less
@@ -144,13 +156,15 @@ def top_k_search(q, index, audit=None):
     lam = math.inf          # k-th best f_stv so far
     nodes = index.roots()   # to push: the roots, then the children of each inner node visited
     stats.roots = len(nodes)
-    inherit = False         # whether ``nodes`` inherit their parent's decided 1.0
+    # the visual bound ``nodes`` take without ``mind_visual``, or None: a
+    # lone root's 0.0, then the 1.0 a parent's miss count decided
+    given = 0.0 if len(nodes) == 1 else None
     while True:
         if nodes:
-            if not inherit:
+            if given is None:
                 stats.bounds_evaluated += len(nodes)
             for child, (spatial, recency) in zip(nodes, index.bounds(q, nodes)):
-                f_v = 1.0 if inherit else mind_visual(child.max_freq)
+                f_v = mind_visual(child.max_freq) if given is None else given
                 bound = spatial + w2 * f_v + recency
                 if bound <= lam:
                     heapq.heappush(heap, (bound, next(order), child, f_v, spatial))
@@ -170,7 +184,7 @@ def top_k_search(q, index, audit=None):
             if len(worst) == k:
                 lam = -worst[0][0]
         else:
-            inherit = f_v == 1.0 and ctx.misses_decide(node.max_freq)
+            given = 1.0 if f_v == 1.0 and ctx.misses_decide(node.max_freq) else None
 
     if heap:
         stats.stop = "bound"

@@ -444,7 +444,10 @@ class QueryContext:
     ``log w_v - log floor_v`` over the words an image (or a node) holds,
     plus the constant ``sum(log floor_v) - sum(log m_v)``. When every word
     is held it is ``sum(log w_v) - sum(log m_v)`` in query order, as in
-    ``kernels.relevance_cost``, so the best image costs exactly 0.0.
+    ``kernels.relevance_cost``, so the best image costs exactly 0.0, and
+    so does a map holding every live word at its live maximum, such as
+    the ``max_freq`` of a root over every live image, which the search
+    therefore gives 0.0 unscored (``engine.top_k_search``).
     ``mind_visual`` scores a word -> ratio map in one pass over the query
     words: a node's ``max_freq``, which gives its lower bound, or an
     image's ``freq``, which gives its cost. ``visual_columns`` scores a
@@ -457,7 +460,11 @@ class QueryContext:
     A word's floor, log floor and log live maximum are read from
     ``words``, the word table ``ScoreParams.context`` hands over, and
     computed only for a word no earlier query of the same corpus state
-    asked for. A context holds only constants of its query over one
+    asked for. One pass over the query words builds the context: it
+    takes each live word's floor, adds its log maximum to ``_log_den``
+    and its log floor to the constant, and keeps its gain (below), which
+    is sorted only when the miss rule is on; no step reads the table a
+    second time. A context holds only constants of its query over one
     corpus state, and ``ScoreParams.context`` drops it, with the table,
     when that state changes.
 
@@ -516,6 +523,7 @@ class QueryContext:
         self._time_unit = params.time_unit
         self._scale = 1.0 - xi
         floors = {}         # word -> (floor, log floor), in query order
+        gains = []          # log m_v - log floor_v of each live word
         zero_floor = False
         log_den = 0.0
         log_floors = 0.0
@@ -537,6 +545,7 @@ class QueryContext:
             else:
                 zero_floor = True
             floors[v] = fl
+            gains.append(log_m - fl[1])
         self._floors = floors
         self._log_den = log_den
         self._log_const = log_floors - log_den
@@ -545,10 +554,8 @@ class QueryContext:
             self._misses = 1        # the first miss decides (the class docstring)
             self._log_const = -math.inf
         elif -self._log_const > UNDERFLOW:
-            # the gains log m_v - log floor_v are >= 0, so their prefix
-            # sums, smallest first, ascend
-            gains = sorted([words[v][1] - lf for v, (_floor, lf) in floors.items()])
-            self._misses = bisect_right(list(accumulate(gains)), UNDERFLOW) + 1
+            # the gains are >= 0, so their prefix sums, smallest first, ascend
+            self._misses = bisect_right(list(accumulate(sorted(gains))), UNDERFLOW) + 1
         self._live_words = frozenset(floors)
         self._count_first = 2 * self._misses <= len(floors)
 

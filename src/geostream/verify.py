@@ -390,20 +390,39 @@ def check_dominance(seed, pairs, domain, tol=BOUND_TOL):
     (``QueryContext.score_leaf``): the image's own spatial cost with the
     leaf's visual bound and its recency cost at ``t_max``. For every
     parent and child it asserts the nesting that the search's inherited
-    visual bounds rest on (``nesting_violations``). Returns the number of
-    violations (``dominance_violations``); an exception of an index is
-    re-raised as ``IndexRaised``."""
+    visual bounds rest on (``nesting_violations``), and for a lone root
+    the 0.0 visual bound the search gives it (``lone_root_violations``).
+    The datasets take the shapes of ``oracle_stream`` in turn and arrive
+    in its order; the window holds 3 of their 20,000 s segments, and
+    each dataset is then expired once more, half a second before one
+    image of a held segment drawn at random: HIQ rebuilds that segment's
+    tree from its survivors when the cutoff splits it, and is left one
+    tree when the segment is the newest.
+    Returns the number of violations (``dominance_violations``); an
+    exception of an index is re-raised as ``IndexRaised``."""
     rng = random.Random(seed)
     violations = 0
     done = 0
+    datasets = 0
     while done < pairs:
-        images = random_images(rng, rng.randint(20, 150), domain)
+        shape = ORACLE_SHAPES[datasets % len(ORACLE_SHAPES)]
+        datasets += 1
+        images = oracle_stream(rng, rng.randint(20, 150), domain, shape)
         config = HiqConfig(domain=domain, segment_span=20_000, window=3,
                            capacity=6, max_depth=6)
-        hiq, _, stvii = build_all(images, config)
+        indexes = HiqIndex(config), StviiIndex(config)
+        for img in images:
+            for index in indexes:
+                with _naming(index, f"insert of image {img.id}"):
+                    index.insert(img)
+        buckets = indexes[0].stats.buckets
+        cutoff = rng.choice(buckets[rng.choice(list(buckets))].images).t_c - 0.5
+        for index in indexes:
+            with _naming(index, f"expire at {cutoff}"):
+                index.expire(cutoff)
         for _ in range(min(10, pairs - done)):
             q = random_query(rng, images, domain)
-            for index in (hiq, stvii):
+            for index in indexes:
                 with _naming(index, "bound check"):
                     violations += dominance_violations(q, index, tol)
             done += 1
@@ -414,7 +433,8 @@ def dominance_violations(q, index, tol=BOUND_TOL):
     """The dominance checks of ``check_dominance`` for one query over one
     tree index: the nodes whose ``mind`` exceeds the lowest f_stv under
     them by more than ``tol``, the leaf images of
-    ``leaf_bound_violations`` and the pairs of ``nesting_violations``."""
+    ``leaf_bound_violations``, the pairs of ``nesting_violations`` and
+    the lone root of ``lone_root_violations``."""
     violations = 0
     for node in walk(index.roots()):
         subtree = _subtree_images(node)
@@ -426,7 +446,20 @@ def dominance_violations(q, index, tol=BOUND_TOL):
             violations += 1
         if node.children is None:
             violations += leaf_bound_violations(q, node, index.params, tol)
-    return violations + nesting_violations(q, index)
+    return violations + nesting_violations(q, index) + lone_root_violations(q, index)
+
+
+def lone_root_violations(q, index):
+    """1 when ``index`` has exactly one root and the query context's
+    ``mind_visual`` of the root's ``max_freq`` is not exactly 0.0, else
+    0, compared with no tolerance. The search gives a lone root the
+    visual bound 0.0 without computing it; that rests on the root
+    holding every live image, so that its per-word maxima are the live
+    maxima and ``mind_visual`` sums the very logs of the context's
+    denominator."""
+    roots = index.roots()
+    return int(len(roots) == 1
+               and index.params.context(q).mind_visual(roots[0].max_freq) != 0.0)
 
 
 def nesting_violations(q, index):

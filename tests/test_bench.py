@@ -200,6 +200,16 @@ def drop_last_result(monkeypatch, cls, after=0):
     monkeypatch.setattr(cls, "search", search)
 
 
+@pytest.mark.parametrize("n, p50, p95", [(20, 10, 19), (100, 50, 95), (1, 1, 1), (5, 3, 5)])
+def test_row_percentiles_take_the_nearest_rank(n, p50, p95):
+    # the ceil(p * n)-th smallest sample, as perfbench's ``percentile``
+    # takes it: of 20 samples the 19th is the p95, not the largest
+    samples = [float(i) for i in range(n, 0, -1)]     # sorted by the row
+    row = bench._row("k", 10, "hiq", "nodes", samples)
+    assert (row.p50, row.p95) == (p50, p95)
+    assert row.mean == (n + 1) / 2
+
+
 class TestAnswerChecks:
     def test_one_wrong_index_raises(self, monkeypatch):
         drop_last_result(monkeypatch, IfaIndex)

@@ -131,3 +131,19 @@ def test_late_arrivals_reach_the_checks(domain, monkeypatch):
     monkeypatch.setattr(verify, "structure_violations", watched)
     assert check_oracle_equivalence(7, 500, domain, max_images=200)[:2] == (0, [])
     assert any(seen)
+
+
+def test_the_dominance_check_meets_lone_and_several_roots(domain, monkeypatch):
+    # at CI's seed and size the bound-dominance check (``run_verification``
+    # seeds it one past its own) meets STVII's lone root on every pair,
+    # HIQ's when the expiry left it one segment, and HIQ's several roots
+    seen = set()
+    check = verify.lone_root_violations
+
+    def watched(q, index):
+        seen.add((index.kind, min(len(index.roots()), 2)))
+        return check(q, index)
+
+    monkeypatch.setattr(verify, "lone_root_violations", watched)
+    assert verify.check_dominance(8, 250, domain) == 0
+    assert seen == {("hiq", 1), ("hiq", 2), ("stvii", 1)}
