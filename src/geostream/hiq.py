@@ -10,8 +10,14 @@ Each tree hangs on its segment's bucket in the corpus statistics
 (``_Bucket.tree``), which already hold the image when HIQ adds it: the
 root's ``max_freq`` is the bucket's dict, which ``CorpusStats.add_image``
 folds each image into, so each segment holds one copy of its word
-maxima, and the root's ``t_max`` is copied from the bucket's;
-``add_to_aggregates`` folds the nodes below the root.
+maxima, and the root's ``t_max`` is copied from the bucket's.
+An insert folds the nodes below the root itself (``HiqIndex._add``): it
+descends once, setting each node's ``t_max``, and then climbs each word of
+the image from the leaf, writing its ratio into each node until it meets
+one that already holds the word at least as high. The climb stops there
+exactly, because a node's maxima are never below its child's (the nesting
+that ``verify.nesting_violations`` checks): every node above holds the word
+at least as high too. ``add_to_aggregates`` folds the children of a split.
 A split recurses (``_split``), so a node is inner exactly when it lies
 above ``max_depth`` and holds more than ``capacity`` images: a segment's
 tree is a function of its images, and a leaf lists its images in arrival
@@ -69,14 +75,6 @@ class QuadNode:
         self.images = []         # leaf only
         self.max_freq = {}       # word -> max tf/|I.psi| in subtree
 
-    def quadrant(self, lat, lon):
-        # boundary points go to the lowest-indexed containing quadrant
-        mid_lat = (self.min_lat + self.max_lat) / 2.0
-        mid_lon = (self.min_lon + self.max_lon) / 2.0
-        if lat >= mid_lat:
-            return 0 if lon <= mid_lon else 1   # NW, NE
-        return 2 if lon <= mid_lon else 3       # SW, SE
-
     def make_children(self):
         mid_lat = (self.min_lat + self.max_lat) / 2.0
         mid_lon = (self.min_lon + self.max_lon) / 2.0
@@ -101,8 +99,15 @@ def _split(node, depth, cfg):
     each child above ``cfg.capacity`` at a depth below ``cfg.max_depth``;
     returns whether it split a child."""
     children = node.make_children()
+    nw, ne, sw, se = children
+    # the midpoints are NW's lower and right edges; a point on a midpoint
+    # goes to the lowest-indexed quadrant that holds it
+    mid_lat, mid_lon = nw.min_lat, nw.max_lon
     for img in node.images:
-        child = children[node.quadrant(img.lat, img.lon)]
+        if img.lat >= mid_lat:
+            child = nw if img.lon <= mid_lon else ne
+        else:
+            child = sw if img.lon <= mid_lon else se
         add_to_aggregates(child, img.t_c, img.freq)
         child.images.append(img)
     node.children = children
@@ -157,10 +162,28 @@ class HiqIndex(TreeIndex):
             node.max_freq = bucket.max_freq
         node.t_max = bucket.t_max   # the bucket already holds the image
         depth = 0
-        while node.children is not None:
-            node = node.children[node.quadrant(img.lat, img.lon)]
-            depth += 1
-            add_to_aggregates(node, t, img.freq)
+        if node.children is not None:
+            lat, lon = img.lat, img.lon
+            path = []           # the maxima below the root, leaf last
+            while node.children is not None:
+                # routed by the midpoints, NW's edges, as in _split
+                nw, ne, sw, se = node.children
+                if lat >= nw.min_lat:
+                    node = nw if lon <= nw.max_lon else ne
+                else:
+                    node = sw if lon <= nw.max_lon else se
+                if node.t_max is None or t > node.t_max:
+                    node.t_max = t
+                path.append(node.max_freq)
+            depth = len(path)
+            path.reverse()
+            # each word climbs from the leaf to the first node that holds it
+            # at least as high; every node above that one does too
+            for word, f in img.freq.items():
+                for mf in path:
+                    if f <= mf.get(word, 0.0):
+                        break
+                    mf[word] = f
         node.images.append(img)
         if len(node.images) > cfg.capacity and depth < cfg.max_depth \
                 and _split(node, depth, cfg):

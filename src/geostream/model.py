@@ -837,7 +837,11 @@ def add_to_aggregates(node, t, freq):
     below the node, and ``max_freq``, word -> max tf/|I.psi| below the
     node, take in a timestamp ``t`` and a word -> ratio map ``freq``. An
     image folds in as ``(img.t_c, img.freq)``, a child node as ``(c.t_max,
-    c.max_freq)``. ``mind_visual`` reads ``max_freq``."""
+    c.max_freq)``. ``mind_visual`` reads ``max_freq``. It folds the
+    statistics' buckets, the children of a HIQ split and every STVII node;
+    a HIQ insert folds the nodes below the root with an early stop per word
+    (``hiq.HiqIndex._add``), which is exact because each node's maxima
+    nest in its parent's."""
     if node.t_max is None or t > node.t_max:
         node.t_max = t
     mf = node.max_freq

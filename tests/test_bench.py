@@ -2,6 +2,8 @@ import csv
 import importlib.util
 import itertools
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -444,3 +446,21 @@ async def g():
     assert code_lines.main([str(tmp_path)]) == 8
     assert capsys.readouterr().out.split("\n") == [
         "     0  empty.py", "     8  m.py", "     8  total", ""]
+
+
+def test_scale_gives_each_build_its_row_keys():
+    # each build runs in a process of its own; 120 images split HIQ's root
+    tool = Path(__file__).resolve().parent.parent / "tools" / "scale.py"
+    out = subprocess.run([sys.executable, str(tool), "--counts", "120", "--json"],
+                         capture_output=True, text=True, check=True).stdout
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [row["kind"] for row in rows] == list(bench.INDEX_KINDS)
+    for row in rows:
+        assert list(row) == ["kind", "images", "us_per_image", "sixths", "mean_depth",
+                             "max_depth", "nodes"]
+        assert row["images"] == 120 and len(row["sixths"]) == 6
+        assert all(v > 0 for v in row["sixths"])
+    hiq, ifa, stvii = rows
+    assert hiq["max_depth"] == 1 and hiq["nodes"] == 5 and hiq["mean_depth"] == 1.0
+    assert ifa["mean_depth"] is ifa["max_depth"] is ifa["nodes"] is None
+    assert stvii["nodes"] > 1

@@ -6,15 +6,18 @@ import pytest
 
 from geostream.baselines import IfaIndex, StviiIndex
 from geostream.engine import ExpiredArrivalError, brute_force_oracle, top_k_search, walk
-from geostream.hiq import HiqConfig, HiqIndex
-from geostream.model import ConfigError, DomainError, GeoTemporalImage, Query
+from geostream.hiq import HiqConfig, HiqIndex, QuadNode
+from geostream.model import ConfigError, DomainError, GeoTemporalImage, Query, add_to_aggregates
 from geostream.verify import (
+    ORACLE_SHAPES,
     dominance_violations,
+    oracle_stream,
     random_images,
     random_query,
     results_match,
     structure_violations,
 )
+from geostream.workload import DEFAULT_DOMAIN, GeneratorConfig, generate_images
 
 INDEX_CLASSES = [HiqIndex, IfaIndex, StviiIndex]
 
@@ -38,6 +41,57 @@ def node_fields(node):
     members = ([im.id for im in node.images] if node.children is None
                else [node_fields(c) for c in node.children])
     return HiqIndex._rect(node), node.t_max, node.max_freq, members
+
+
+def quadrant(node, lat, lon):
+    """The index of ``node``'s quadrant (NW, NE, SW, SE) that holds
+    ``(lat, lon)``, by its midpoints: a point on a midpoint goes to the
+    lowest-indexed quadrant that contains it."""
+    mid_lat = (node.min_lat + node.max_lat) / 2.0
+    mid_lon = (node.min_lon + node.max_lon) / 2.0
+    if lat >= mid_lat:
+        return 0 if lon <= mid_lon else 1
+    return 2 if lon <= mid_lon else 3
+
+
+class TopDownHiq(HiqIndex):
+    """HIQ with a reference insert: it routes each image by ``quadrant``
+    and folds it into every node below the root on its path, top-down, and
+    a split routes each image of the leaf the same way."""
+
+    def _add(self, img):
+        cfg = self.config
+        bucket = self.stats.buckets[img.t_c // cfg.segment_span]
+        if bucket.tree is None:
+            d = cfg.domain
+            bucket.tree = QuadNode(d.min_lat, d.min_lon, d.max_lat, d.max_lon)
+            bucket.tree.max_freq = bucket.max_freq
+        node = bucket.tree
+        node.t_max = bucket.t_max
+        depth = 0
+        while node.children is not None:
+            node = node.children[quadrant(node, img.lat, img.lon)]
+            add_to_aggregates(node, img.t_c, img.freq)
+            depth += 1
+        node.images.append(img)
+        self._split(node, depth)
+
+    def _split(self, node, depth):
+        if len(node.images) <= self.config.capacity or depth >= self.config.max_depth:
+            return
+        node.children = node.make_children()
+        for img in node.images:
+            child = node.children[quadrant(node, img.lat, img.lon)]
+            add_to_aggregates(child, img.t_c, img.freq)
+            child.images.append(img)
+        node.images = []
+        for child in node.children:
+            self._split(child, depth + 1)
+
+
+def trees(index):
+    """``node_fields`` of each segment's tree, by bucket key."""
+    return {key: node_fields(bucket.tree) for key, bucket in index.stats.buckets.items()}
 
 
 class TestConfig:
@@ -229,6 +283,96 @@ class TestStructuralInvariants:
         for key, bucket in built.stats.buckets.items():
             seg = by_start[key * built.config.segment_span]
             assert seg.start <= bucket.tree.t_max < seg.end
+
+
+class TestTwinOfTopDownInsert:
+    """HIQ's insert climbs each word up from the leaf and stops at the
+    first node that holds it at least as high; its trees equal, node for
+    node, those of the top-down reference insert (``TopDownHiq``)."""
+
+    @staticmethod
+    def twins(config, images):
+        index, reference = HiqIndex(config), TopDownHiq(config)
+        for im in images:
+            index.insert(im)
+            reference.insert(im)
+        return index, reference
+
+    @staticmethod
+    def assert_twins(index, reference):
+        assert structure_violations(index) == []
+        assert trees(index) == trees(reference)
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_oracle_shapes(self, domain, shape):
+        # clustered splits over several levels at once; a late arrival
+        # lands in an older segment's tree, below nodes of a later t_max
+        images = oracle_stream(random.Random(17), 1500, domain, shape)
+        config = make_config(domain, capacity=4, max_depth=12, segment_span=20_000)
+        index, reference = self.twins(config, images[:700])
+        self.assert_twins(index, reference)
+        for im in images[700:]:
+            index.insert(im)
+            reference.insert(im)
+        self.assert_twins(index, reference)
+        assert max(len(path) for path in _leaf_paths(index.roots())) >= 5
+
+    def test_perfbench_clustered_stream(self):
+        # the zipf words of a real-shaped stream give many equal ratios,
+        # which stop a climb where the node already holds the word
+        images = generate_images(GeneratorConfig(
+            seed=3, image_count=3000, vocab_size=500, mean_words=15.0,
+            spatial_mode="clusters", cluster_count=4, cluster_sigma=1.0, rate=500.0))
+        config = HiqConfig(domain=DEFAULT_DOMAIN, segment_span=10_000_000, capacity=10)
+        self.assert_twins(*self.twins(config, images))
+
+    def test_points_on_midpoints_at_several_depths(self, domain):
+        # every point lies on a midline of depth 1-5, many on two at once
+        rng = random.Random(5)
+        grid = [100.0 * k / 32 for k in range(33)]
+        images = [img(i, rng.choice(grid), rng.choice(grid), 1000 + i,
+                      psi=((rng.randrange(6), rng.randint(1, 3)), (6 + i % 4, 1)))
+                  for i in range(600)]
+        index, reference = self.twins(make_config(domain, capacity=3), images)
+        self.assert_twins(index, reference)
+        assert index.node_count() > 100
+
+    def test_split_down_to_max_depth(self, domain):
+        # twelve images at one point split one corner down to max_depth,
+        # whose leaf then holds them all
+        images = [img(i, 30.0, 70.0, 1000 + i, psi=((i % 3, 1 + i % 2),)) for i in range(12)]
+        images += random_images(random.Random(4), 40, domain, t_lo=1000, t_hi=2000,
+                                id_base=100)
+        config = make_config(domain, capacity=2, max_depth=5)
+        index, reference = self.twins(config, images)
+        self.assert_twins(index, reference)
+        assert max(len(path) for path in _leaf_paths(index.roots())) == 5 + 1
+
+    def test_rebuild_after_an_off_grid_expire(self, domain):
+        rng = random.Random(21)
+        images = sorted(random_images(rng, 600, domain, t_lo=0, t_hi=399),
+                        key=lambda x: x.t_c)
+        config = make_config(domain, capacity=3, segment_span=100, window=5)
+        index, reference = self.twins(config, images[:500])
+        for cutoff in (150.5, 290.5):
+            assert index.expire(cutoff) == reference.expire(cutoff) > 0
+            self.assert_twins(index, reference)
+        assert index.paths["HIQ trees rebuilt after a cutoff"] == 2
+        for im in images[500:]:
+            index.insert(im)
+            reference.insert(im)
+        self.assert_twins(index, reference)
+
+
+def _leaf_paths(roots):
+    """The nodes from a root down to each leaf under ``roots``."""
+    stack = [[root] for root in roots]
+    while stack:
+        path = stack.pop()
+        if path[-1].children is None:
+            yield path
+        else:
+            stack.extend(path + [child] for child in path[-1].children)
 
 
 class TestPathCounts:

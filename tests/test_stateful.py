@@ -6,6 +6,11 @@ their live images (``verify.structure_violations``: term statistics,
 HIQ's one tree per held segment and its roots' shared word maxima, node
 aggregates and boxes, and IFA's slot table)."""
 
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -174,3 +179,23 @@ SharedWindow.TestCase.settings = settings(
     database=None,
 )
 test_shared_window = SharedWindow.TestCase
+
+
+def test_a_failing_property_reports_its_falsifying_example(tmp_path):
+    # under the repo's warning filters, a failing property must end in
+    # hypothesis's report of its example, not in a pytest INTERNALERROR
+    (tmp_path / "test_fails.py").write_text(textwrap.dedent("""
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_always_fails(x):
+            assert False
+    """))
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         str(tmp_path / "test_fails.py")],
+        cwd=tmp_path, capture_output=True, text=True)
+    out = proc.stdout + proc.stderr
+    assert proc.returncode == 1, out
+    assert "Falsifying example" in out and "INTERNALERROR" not in out, out
