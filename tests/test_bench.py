@@ -448,13 +448,12 @@ async def g():
         "     0  empty.py", "     8  m.py", "     8  total", ""]
 
 
-def test_scale_gives_each_build_its_row_keys():
-    # each build runs in a process of its own; 120 images split HIQ's root
-    tool = Path(__file__).resolve().parent.parent / "tools" / "scale.py"
-    out = subprocess.run([sys.executable, str(tool), "--counts", "120", "--json"],
-                         capture_output=True, text=True, check=True).stdout
-    rows = [json.loads(line) for line in out.splitlines()]
-    assert [row["kind"] for row in rows] == list(bench.INDEX_KINDS)
+def test_scale_gives_each_build_its_row_keys(monkeypatch):
+    # scale.py imports record_bytes from beside it, as a script does
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "tools"))
+    scale = load_tool("scale")
+    # 120 images split HIQ's root
+    rows = [scale.build(kind, 120) for kind in bench.INDEX_KINDS]
     for row in rows:
         assert list(row) == ["kind", "images", "us_per_image", "sixths", "mean_depth",
                              "max_depth", "nodes"]
@@ -464,3 +463,9 @@ def test_scale_gives_each_build_its_row_keys():
     assert hiq["max_depth"] == 1 and hiq["nodes"] == 5 and hiq["mean_depth"] == 1.0
     assert ifa["mean_depth"] is ifa["max_depth"] is ifa["nodes"] is None
     assert stvii["nodes"] > 1
+    # the table: its header, then each build's row from a process of its own
+    out = subprocess.run([sys.executable, str(Path(scale.__file__)), "--counts", "120"],
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out[0] == scale.HEADER
+    assert [line.split()[:2] for line in out[1:]] == [[k, "120"] for k in bench.INDEX_KINDS]
+    assert out[1].split()[3:6] == ["1.0", "1", "5"] and out[2].split()[3:6] == ["-"] * 3

@@ -1,14 +1,15 @@
 """Builds each index kind at growing live counts, each build in a process of
 its own, and prints how its ingest cost and its tree grow with the count.
 
-    python tools/scale.py [--kinds K ...] [--counts N ...] [--seed S] [--json]
+    python tools/scale.py [--kinds K ...] [--counts N ...]
 
-The stream has perfbench's clustered shape (``record_bytes.SHAPES``), and
+The stream has perfbench's clustered shape (``record_bytes.SHAPES``) and
+the seed ``record_bytes.py`` uses by default, and
 every index uses perfbench's static configuration, so the whole stream
 sits in one segment of the window (``record_bytes.CONFIG``). For each kind
 and count, a fresh process generates the stream, collects the heap and
-inserts every image, timing each sixth of the inserts on its own. One row
-per build:
+inserts every image, timing each sixth of the inserts on its own, and
+prints its row of the table. One row per build (``build``):
 
 - ``kind``, ``images``: the index kind and the live count it was built to;
 - ``us_per_image``: the build's ingest µs per image;
@@ -19,6 +20,8 @@ per build:
   which has no tree;
 - ``nodes``: the trees' node count; None for IFA.
 
+The table prints None as ``-``.
+
 Times are wall-clock and one build each; the depths and node counts do
 not depend on the host. It imports the package from the ``src/`` beside
 it, so it measures the checkout it sits in. Nothing is gated.
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import subprocess
 import sys
 import time
@@ -44,6 +46,9 @@ from geostream.workload import GeneratorConfig, generate_images  # noqa: E402
 
 COUNTS = (30_000, 100_000, 300_000)
 PARTS = 6
+SEED = 1
+HEADER = (f"{'kind':6s} {'images':>8s} {'us/img':>7s} {'mean d':>7s} {'max d':>6s} "
+          f"{'nodes':>8s}  us/img per sixth of the build")
 
 
 def leaf_depths(roots):
@@ -58,10 +63,9 @@ def leaf_depths(roots):
             stack.extend((child, depth + 1) for child in node.children)
 
 
-def build(kind, count, seed):
-    """The row of one build of ``kind`` over ``count`` images of the stream
-    of ``seed``."""
-    images = generate_images(GeneratorConfig(seed=seed, image_count=count,
+def build(kind, count):
+    """The row of one build of ``kind`` over ``count`` images."""
+    images = generate_images(GeneratorConfig(seed=SEED, image_count=count,
                                              **SHAPES["perfbench clustered"]))
     index = INDEX_CLASSES[kind](CONFIG)
     cuts = [count * i // PARTS for i in range(PARTS + 1)]
@@ -85,8 +89,12 @@ def build(kind, count, seed):
     return row
 
 
-def _cell(value):
-    return "-" if value is None else str(value)
+def row_line(row):
+    """``row`` as a line of the table under ``HEADER``."""
+    mean, top, nodes = ("-" if row[key] is None else str(row[key])
+                        for key in ("mean_depth", "max_depth", "nodes"))
+    return (f"{row['kind']:6s} {row['images']:8d} {row['us_per_image']:7.2f} "
+            f"{mean:>7s} {top:>6s} {nodes:>8s}  " + " ".join(f"{v:.1f}" for v in row["sixths"]))
 
 
 def main(argv=None):
@@ -95,31 +103,17 @@ def main(argv=None):
                     default=list(INDEX_CLASSES))
     ap.add_argument("--counts", nargs="+", type=int, default=list(COUNTS),
                     help="live counts, one build each")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--json", action="store_true", help="one JSON object per row")
     ap.add_argument("--one", nargs=2, metavar=("KIND", "COUNT"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.one:
         kind, count = args.one
-        print(json.dumps(build(kind, int(count), args.seed)))
+        print(row_line(build(kind, int(count))), flush=True)
         return 0
-    if not args.json:
-        print(f"{'kind':6s} {'images':>8s} {'us/img':>7s} {'mean d':>7s} {'max d':>6s} "
-              f"{'nodes':>8s}  us/img per sixth of the build")
+    print(HEADER, flush=True)
     script = str(Path(__file__).resolve())
     for kind in args.kinds:
         for count in args.counts:
-            out = subprocess.run(
-                [sys.executable, script, "--one", kind, str(count), "--seed", str(args.seed)],
-                stdout=subprocess.PIPE, text=True, check=True).stdout
-            row = json.loads(out.splitlines()[-1])
-            if args.json:
-                print(json.dumps(row))
-                continue
-            print(f"{kind:6s} {row['images']:8d} {row['us_per_image']:7.2f} "
-                  f"{_cell(row['mean_depth']):>7s} {_cell(row['max_depth']):>6s} "
-                  f"{_cell(row['nodes']):>8s}  " + " ".join(f"{v:.1f}" for v in row["sixths"]),
-                  flush=True)
+            subprocess.run([sys.executable, script, "--one", kind, str(count)], check=True)
     return 0
 
 
