@@ -143,7 +143,7 @@ class IfaIndex(Index):
         dead = next((s for s, t in enumerate(self.t_c) if t >= cutoff), len(self.ids))
         if not dead:
             return
-        self._took("IFA compactions")
+        self._took("IFA trims")
         for col in (self.lat, self.lon, self.t_c, self.ids):
             del col[:dead]
         self._base = base = self._base + dead

@@ -279,8 +279,8 @@ class CorpusStats:
     The images sit in one bucket per window segment, in ``buckets``,
     keyed by ``t_c // segment_span`` like the segments of
     ``engine.Index``, each bucket listing its images in arrival order;
-    ``segment_span`` must be a whole number of at least 1, and anything
-    else, a missing span included, raises ``ConfigError``. A bucket keeps
+    ``segment_span``, which has no default, must be a whole number of at
+    least 1, and anything else raises ``ConfigError``. A bucket keeps
     its images, their corpus tf per word and term total, their newest
     arrival and their exact max frequency ratio per word (``_Bucket``),
     and HIQ hangs the segment's tree on it; ``add_image`` makes a missing
@@ -301,7 +301,7 @@ class CorpusStats:
     it cached is stale.
     """
 
-    def __init__(self, segment_span=None):
+    def __init__(self, segment_span):
         span = _whole(segment_span, "segment_span", ConfigError)
         if span < 1:
             raise ConfigError(f"segment_span must be >= 1, got {segment_span!r}")
@@ -398,7 +398,6 @@ class ScoreParams:
     decay_base: float = 2.0
     time_unit: float = 3600.0
     _context: object = field(default=None, init=False, repr=False, compare=False)
-    _words: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _state: tuple = field(default=(None, -1), init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -413,24 +412,18 @@ class ScoreParams:
             raise ConfigError("time unit must be positive")
 
     def context(self, q):
-        """The ``QueryContext`` of ``q`` over the current corpus. One key,
-        the stats object and its version, guards all that is cached: when
-        it changes, the word table is emptied and the context dropped. The
-        last context is kept while the query object stays the same. The
-        word table, ``word -> ((floor, log floor), log max weight)`` or
-        ``()`` for a word absent from the live corpus, is handed to each
-        new context, which fills it as queries ask for words; so a word's
-        entry is computed once per corpus state, whatever the number of
-        queries that ask for it."""
+        """The ``QueryContext`` of ``q`` over the current corpus. One
+        context is cached, the last one built, under one key, the stats
+        object and its version: it is kept while the key and the query
+        object stay the same, and dropped when the key changes."""
         stats = self.stats
         state = self._state
         if state[0] is not stats or state[1] != stats.version:
             self._state = (stats, stats.version)
-            self._words = {}
             self._context = None
         c = self._context
         if c is None or c.q is not q:
-            c = self._context = QueryContext(q, self, self._words)
+            c = self._context = QueryContext(q, self)
         return c
 
 
@@ -457,16 +450,13 @@ class QueryContext:
     nearest first while no threshold is known. Both make each image's sums
     in the order ``mind_visual`` makes them, query order.
 
-    A word's floor, log floor and log live maximum are read from
-    ``words``, the word table ``ScoreParams.context`` hands over, and
-    computed only for a word no earlier query of the same corpus state
-    asked for. One pass over the query words builds the context: it
-    takes each live word's floor, adds its log maximum to ``_log_den``
+    One pass over the query words builds the context: it takes each
+    word's floor and live maximum from ``CorpusStats.weight_range`` and
+    their logs, adds the log maximum of each live word to ``_log_den``
     and its log floor to the constant, and keeps its gain (below), which
-    is sorted only when the miss rule is on; no step reads the table a
-    second time. A context holds only constants of its query over one
-    corpus state, and ``ScoreParams.context`` drops it, with the table,
-    when that state changes.
+    is sorted only when the miss rule is on. A context holds only
+    constants of its query over one corpus state, and
+    ``ScoreParams.context`` drops it when that state changes.
 
     Lacking many query words forces a cost of exactly 1.0, which all
     three scorers then give without a log, by one rule. Each word ``v``
@@ -512,7 +502,7 @@ class QueryContext:
     __slots__ = ("q", "_scale", "_floors", "_log_den", "_log_const", "_misses", "_live_words",
                  "_count_first", "_delta_max", "_decay_base", "_time_unit")
 
-    def __init__(self, q, params, words):
+    def __init__(self, q, params):
         if not params.domain.contains(q.loc[0], q.loc[1]):
             raise DomainError(f"query location {q.loc} outside domain")
         stats = params.stats
@@ -527,25 +517,21 @@ class QueryContext:
         zero_floor = False
         log_den = 0.0
         log_floors = 0.0
+        log = math.log
         for v in q.psi:
-            entry = words.get(v)
-            if entry is None:
-                floor, m = stats.weight_range(v, xi)
-                if m <= 0.0:
-                    entry = ()
-                else:
-                    entry = ((floor, math.log(floor) if floor > 0.0 else 0.0), math.log(m))
-                words[v] = entry
-            if not entry:
+            floor, m = stats.weight_range(v, xi)
+            if m <= 0.0:
                 continue
-            fl, log_m = entry
+            log_m = log(m)
             log_den += log_m
-            if fl[0] > 0.0:
-                log_floors += fl[1]
+            if floor > 0.0:
+                lf = log(floor)
+                log_floors += lf
             else:
+                lf = 0.0
                 zero_floor = True
-            floors[v] = fl
-            gains.append(log_m - fl[1])
+            floors[v] = (floor, lf)
+            gains.append(log_m - lf)
         self._floors = floors
         self._log_den = log_den
         self._log_const = log_floors - log_den

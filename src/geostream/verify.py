@@ -147,7 +147,7 @@ def oracle_stream(rng, n, domain, shape):
 
 ORACLE_SHAPES = ("uniform", "clustered", "jump", "late")
 # every name an index counts in its ``paths``, in the structure line's order
-PATH_COUNTS = ("IFA compactions", "multi-level HIQ splits", "STVII prunes that emptied a node",
+PATH_COUNTS = ("IFA trims", "multi-level HIQ splits", "STVII prunes that emptied a node",
                "STVII inner splits", "HIQ trees rebuilt after a cutoff")
 
 

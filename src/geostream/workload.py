@@ -146,15 +146,14 @@ def generate_images(cfg):
         counts = word_counts[chunk]
         draws = np.searchsorted(cum, rng.random(int(counts.sum())), side="right")
         owner = np.repeat(np.arange(len(counts)), counts)
-        # (image, word) runs: sorted by image, then word; a run starts
-        # wherever either changes (every image draws at least one word)
-        order = np.lexsort((draws, owner))
-        draws, owner = draws[order], owner[order]
-        starts = np.flatnonzero(np.concatenate((
-            [True], (draws[1:] != draws[:-1]) | (owner[1:] != owner[:-1]))))
-        tfs = np.diff(np.append(starts, len(draws))).tolist()
-        words = vocab[draws[starts]].tolist()
-        ends = np.cumsum(np.bincount(owner[starts], minlength=len(counts))).tolist()
+        # (image, word) runs, sorted by image, then word, under one int64
+        # key: ``_zipf_cdf`` holds vocab_size floats in memory, so
+        # vocab_size * _CHUNK stays far below 2^63
+        keys, tfs = np.unique(owner * cfg.vocab_size + draws, return_counts=True)
+        owner, draws = np.divmod(keys, cfg.vocab_size)
+        tfs = tfs.tolist()
+        words = vocab[draws].tolist()
+        ends = np.cumsum(np.bincount(owner, minlength=len(counts))).tolist()
         a = 0
         for i, lat, lon, t_c, b in zip(range(lo, n), lats[chunk].tolist(),
                                        lons[chunk].tolist(), times[chunk].tolist(), ends):
@@ -209,36 +208,44 @@ def write_dataset(images, path):
             fh.write(f"{img.id}\t{img.lat!r}\t{img.lon!r}\t{img.t_c}\t{words}\n")
 
 
-def parse_dataset(path):
-    """Yields images; raises DataFormatError with the offending line number.
-    Every image of the file holds the same int object for a word id."""
-    seen = set()
-    ids = {}        # word id -> its one int object in this file
+def _rows(path, fields):
+    """Yields ``(lineno, parts)``, the line number and the tab-separated
+    fields of each non-blank line of ``path``; ``DataFormatError`` for a
+    line that has not ``fields`` fields."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split("\t")
-            if len(parts) != 5:
-                raise DataFormatError(f"line {lineno}: expected 5 fields, got {len(parts)}")
-            try:
-                iid = int(parts[0])
-                lat = float(parts[1])
-                lon = float(parts[2])
-                t_c = int(parts[3])
-                psi = []
-                for pair in parts[4].split(","):
-                    w, tf = pair.split(":")
-                    w = int(w)
-                    psi.append((ids.setdefault(w, w), int(tf)))
-                img = GeoTemporalImage(iid, lat, lon, t_c, psi)
-            except (ValueError, TypeError) as exc:
-                raise DataFormatError(f"line {lineno}: {exc}") from exc
-            if iid in seen:
-                raise DataFormatError(f"line {lineno}: duplicate image id {iid}")
-            seen.add(iid)
-            yield img
+            if len(parts) != fields:
+                raise DataFormatError(f"line {lineno}: expected {fields} fields, got {len(parts)}")
+            yield lineno, parts
+
+
+def parse_dataset(path):
+    """Yields images; raises DataFormatError with the offending line number.
+    Every image of the file holds the same int object for a word id."""
+    seen = set()
+    ids = {}        # word id -> its one int object in this file
+    for lineno, parts in _rows(path, 5):
+        try:
+            iid = int(parts[0])
+            lat = float(parts[1])
+            lon = float(parts[2])
+            t_c = int(parts[3])
+            psi = []
+            for pair in parts[4].split(","):
+                w, tf = pair.split(":")
+                w = int(w)
+                psi.append((ids.setdefault(w, w), int(tf)))
+            img = GeoTemporalImage(iid, lat, lon, t_c, psi)
+        except (ValueError, TypeError) as exc:
+            raise DataFormatError(f"line {lineno}: {exc}") from exc
+        if iid in seen:
+            raise DataFormatError(f"line {lineno}: duplicate image id {iid}")
+        seen.add(iid)
+        yield img
 
 
 def write_queries(queries, path):
@@ -251,24 +258,17 @@ def write_queries(queries, path):
 
 def parse_queries(path):
     queries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 7:
-                raise DataFormatError(f"line {lineno}: expected 7 fields, got {len(parts)}")
-            try:
-                queries.append(
-                    Query(
-                        psi=tuple(int(w) for w in parts[6].split(",")),
-                        loc=(float(parts[1]), float(parts[2])),
-                        t=int(parts[3]),
-                        k=int(parts[4]),
-                        weights=tuple(float(w) for w in parts[5].split(",")),
-                    )
+    for lineno, parts in _rows(path, 7):
+        try:
+            queries.append(
+                Query(
+                    psi=tuple(int(w) for w in parts[6].split(",")),
+                    loc=(float(parts[1]), float(parts[2])),
+                    t=int(parts[3]),
+                    k=int(parts[4]),
+                    weights=tuple(float(w) for w in parts[5].split(",")),
                 )
-            except ValueError as exc:
-                raise DataFormatError(f"line {lineno}: {exc}") from exc
+            )
+        except ValueError as exc:
+            raise DataFormatError(f"line {lineno}: {exc}") from exc
     return queries

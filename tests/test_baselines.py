@@ -315,7 +315,7 @@ class TestIfa:
             assert index.expire(1000) == 3
         assert [len(col) for col in (index.lat, index.lon, index.t_c, index.ids)] == [0] * 4
         assert index.postings == {}
-        assert index._base == 3 and index.paths == {"IFA compactions": 1}
+        assert index._base == 3 and index.paths == {"IFA trims": 1}
         index.insert(img(7, t_c=2000, psi=((1, 2), (9, 1))))
         assert list(index.ids) == [7]
         assert {w: list(slots) for w, (slots, _f) in index.postings.items()} == {1: [3], 9: [3]}
@@ -332,9 +332,9 @@ class TestIfa:
                         key=lambda im: im.t_c)
         trims = 0
         for im in images:
-            before = index.paths.get("IFA compactions", 0)
+            before = index.paths.get("IFA trims", 0)
             index.insert(im)
-            if index.paths.get("IFA compactions", 0) > before:
+            if index.paths.get("IFA trims", 0) > before:
                 trims += 1
                 live = [i.id for i in index.live_images()]
                 assert list(index.ids) == live
@@ -366,7 +366,7 @@ class TestIfa:
         index.insert(img(6, t_c=3100))
         assert index._base == 5 and list(index.ids) == [5, 6]
         assert list(index.postings[1][0]) == [5, 6]
-        assert index.paths == {"IFA compactions": 2}
+        assert index.paths == {"IFA trims": 2}
         assert structure_violations(index) == []
 
     @pytest.mark.parametrize("field", ["id", "t_c"])
@@ -415,7 +415,7 @@ def test_ifa_columns_match_oracle(xi, domain):
                 if index.t_c[s] >= index._cutoff and held[s]:
                     assert abs(f_v[s] - ctx.mind_visual(by_id[iid].freq)) <= 1e-12
     assert rebuilds >= 2
-    assert index.paths == {"IFA compactions": rebuilds}
+    assert index.paths == {"IFA trims": rebuilds}
 
 
 def _per_word_visual_columns(ctx, postings, n, base):
@@ -474,7 +474,7 @@ def test_visual_columns_match_per_word_reference(xi, domain):
         assert not _assert_columns_match_reference(ctx, {}, n, base).any()
         return ctx
 
-    compactions = 0
+    trims = 0
     for seg in range(10):
         batch = random_images(rng, 30, domain, vocab=20, t_lo=seg * 1000,
                               t_hi=seg * 1000 + 999, id_base=seg * 30)
@@ -482,12 +482,12 @@ def test_visual_columns_match_per_word_reference(xi, domain):
             slots = len(index.ids)
             index.insert(im)
             if len(index.ids) <= slots:
-                compactions += 1
+                trims += 1
                 check(index.live_images())
         for _ in range(4):
             ctx = check(index.live_images())
-    assert compactions >= 2
-    assert index.paths == {"IFA compactions": compactions}
+    assert trims >= 2
+    assert index.paths == {"IFA trims": trims}
     # no query word in the live corpus: no slot holds one
     outside = Query(psi=(100, 101), loc=(50.0, 50.0), t=10_000, k=5, weights=(0.3, 0.4, 0.3))
     held = _assert_columns_match_reference(index.params.context(outside), index.postings,

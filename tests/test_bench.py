@@ -448,6 +448,16 @@ async def g():
         "     0  empty.py", "     8  m.py", "     8  total", ""]
 
 
+def test_record_bytes_measures_each_shape():
+    record_bytes = load_tool("record_bytes")
+    for kw in record_bytes.SHAPES.values():
+        words, out = record_bytes.measure(
+            GeneratorConfig(seed=record_bytes.SEED, image_count=60, **kw))
+        assert words >= 1
+        assert list(out) == ["record", *bench.INDEX_CLASSES]
+        assert all(b > 0 for b in out.values()), out
+
+
 def test_scale_gives_each_build_its_row_keys(monkeypatch):
     # scale.py imports record_bytes from beside it, as a script does
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "tools"))
@@ -455,10 +465,11 @@ def test_scale_gives_each_build_its_row_keys(monkeypatch):
     # 120 images split HIQ's root
     rows = [scale.build(kind, 120) for kind in bench.INDEX_KINDS]
     for row in rows:
-        assert list(row) == ["kind", "images", "us_per_image", "sixths", "mean_depth",
-                             "max_depth", "nodes"]
+        assert list(row) == ["kind", "images", "us_per_image", "us_min", "us_max", "sixths",
+                             "mean_depth", "max_depth", "nodes"]
         assert row["images"] == 120 and len(row["sixths"]) == 6
         assert all(v > 0 for v in row["sixths"])
+        assert 0 < row["us_min"] <= row["us_per_image"] <= row["us_max"]
     hiq, ifa, stvii = rows
     assert hiq["max_depth"] == 1 and hiq["nodes"] == 5 and hiq["mean_depth"] == 1.0
     assert ifa["mean_depth"] is ifa["max_depth"] is ifa["nodes"] is None
@@ -468,4 +479,4 @@ def test_scale_gives_each_build_its_row_keys(monkeypatch):
                          capture_output=True, text=True, check=True).stdout.splitlines()
     assert out[0] == scale.HEADER
     assert [line.split()[:2] for line in out[1:]] == [[k, "120"] for k in bench.INDEX_KINDS]
-    assert out[1].split()[3:6] == ["1.0", "1", "5"] and out[2].split()[3:6] == ["-"] * 3
+    assert out[1].split()[5:8] == ["1.0", "1", "5"] and out[2].split()[5:8] == ["-"] * 3

@@ -489,7 +489,7 @@ class TestVerify:
         code, out, _ = run(["verify", "--instances", "100", "--seed", "7"], capsys)
         assert code == 0
         line = next(line for line in out.splitlines() if line.startswith("PASS structure"))
-        found = re.search(r"(\d+) IFA compactions, (\d+) multi-level HIQ splits, "
+        found = re.search(r"(\d+) IFA trims, (\d+) multi-level HIQ splits, "
                           r"(\d+) STVII prunes that emptied a node, (\d+) STVII inner splits, "
                           r"(\d+) HIQ trees rebuilt after a cutoff", line)
         assert found and [int(n) for n in found.groups()] == [3, 5, 9, 8, 4], line

@@ -217,8 +217,8 @@ def test_leaf_candidates_and_tree_counts(cls, domain):
 
 def uncached(params):
     """New ``ScoreParams`` equal to ``params``, over the same stats, with
-    no context or word table yet: a reference that nothing the scorer
-    cached in ``params`` can reach."""
+    no context yet: a reference that nothing the scorer cached in
+    ``params`` can reach."""
     return dataclasses.replace(params)
 
 
@@ -280,7 +280,7 @@ def test_result_scores_are_combined_scores(cls, domain):
             q = random_query(rng, images, domain, vocab=vocab, max_words=max_words)
             results, _ = top_k_search(q, index)
             assert results_match(results, brute_force_oracle(q, live.values(), index.params))
-            # after the search, so the index's context and word table are warm
+            # after the search, so the index's context is warm
             reference = uncached(index.params)
             for e in results:
                 assert e.score == combined_score(q, live[e.image_id], reference)
@@ -289,8 +289,7 @@ def test_result_scores_are_combined_scores(cls, domain):
 @pytest.mark.parametrize("cls", [HiqIndex, StviiIndex, IfaIndex], ids=lambda c: c.kind)
 def test_same_query_object_across_corpus_changes(cls, domain):
     # one Query object searched again after each insert and expiry: the
-    # word table and the context of the state before must not
-    # leak into the answer after it
+    # context of the state before must not leak into the answer after it
     rng = random.Random(44)
     images = random_images(rng, 300, domain, vocab=30, t_lo=0, t_hi=30_000)
     index = cls(HiqConfig(domain=domain, segment_span=10_000, window=4, capacity=6))

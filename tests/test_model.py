@@ -56,8 +56,8 @@ def params_for(domain, images, **kw):
 
 def uncached(p):
     """New ``ScoreParams`` equal to ``p``, over the same stats, with no
-    context or word table yet: a reference that nothing the scorer
-    cached in ``p`` can reach."""
+    context yet: a reference that nothing the scorer cached in ``p`` can
+    reach."""
     return dataclasses.replace(p)
 
 
@@ -445,7 +445,6 @@ class TestValidation:
 class TestCorpusStats:
     @pytest.mark.parametrize("span", [None, 0, -100, 1.5, "100", True, math.inf])
     def test_segment_span_is_a_whole_number_of_at_least_one(self, span):
-        # None is also what CorpusStats() passes
         with pytest.raises(ConfigError, match="segment_span"):
             CorpusStats(span)
 
@@ -848,8 +847,8 @@ class TestQueryContext:
             assert sorted(entries) == [image.id for _f, image in scored]
             assert [image for _f, image in scored] == \
                 [image for image in corpus if set(q.psi) & set(image.freq)]
-            # the reference has no context or word table, so a fault in
-            # the scorer cannot show in both sides
+            # the reference has no context, so a fault in the scorer
+            # cannot show in both sides
             reference = uncached(p)
             for f, image in scored:
                 newer += image.t_c > q.t
@@ -861,34 +860,28 @@ class TestQueryContext:
                 assert combined_score(q, image, p) == expected
         assert newer and lacking and absent
 
-    def test_word_table_filled_once_per_corpus_state(self, domain, monkeypatch):
+    def test_context_equals_a_fresh_one_per_corpus_state(self, domain):
         images = [img(id=i, psi=((1, 1 + i), (2, 1), (3 + i, 2))) for i in range(4)]
         p = params_for(domain, images, xi=0.35)
-        asked = []
-        weight_range = CorpusStats.weight_range
-
-        def counted(stats, word, xi):
-            asked.append(word)
-            return weight_range(stats, word, xi)
-
-        monkeypatch.setattr(CorpusStats, "weight_range", counted)
         p.context(query(psi=(1, 2, 50)))
-        assert asked == [1, 2, 50]
-        # another query object reads the words it shares with the first;
-        # word 50, absent from the corpus, is remembered as absent
-        ctx = p.context(query(psi=(2, 4, 50)))
-        assert asked == [1, 2, 50, 4]
+        # another query object gets its own context; word 50, absent from
+        # the corpus, is left out
+        q = query(psi=(2, 4, 50))
+        ctx = p.context(q)
         assert list(ctx._floors) == [2, 4]
-        fresh = uncached(p).context(query(psi=(2, 4, 50)))
-        assert (ctx._floors, ctx._log_den, ctx._log_const) == \
-            (fresh._floors, fresh._log_den, fresh._log_const)
-        # a new version empties the table
+        fresh = uncached(p).context(q)
+        assert (ctx._floors, ctx._log_den, ctx._log_const, ctx._misses) == \
+            (fresh._floors, fresh._log_den, fresh._log_const, fresh._misses)
+        # a new version gives a new context, which reads the new corpus
         p.stats.add_image(img(id=9, psi=((50, 1),)))
-        ctx = p.context(query(psi=(2, 50)))
-        assert asked[-2:] == [2, 50]
-        assert list(ctx._floors) == [2, 50]
+        new_ctx = p.context(q)
+        assert new_ctx is not ctx
+        assert list(new_ctx._floors) == [2, 4, 50]
+        fresh = uncached(p).context(q)
+        assert (new_ctx._floors, new_ctx._log_den, new_ctx._log_const) == \
+            (fresh._floors, fresh._log_den, fresh._log_const)
 
-    def test_swapping_the_stats_resets_the_word_table(self, domain, monkeypatch):
+    def test_swapping_the_stats_resets_the_context(self, domain):
         q = query(psi=(1, 2, 3), loc=(40.0, 60.0))
         before = [img(id=i, psi=((1, 1), (2, 1 + i))) for i in range(3)]
         after = [img(id=i, psi=((1, 5 + i), (3, 1))) for i in range(3)]
@@ -896,21 +889,13 @@ class TestQueryContext:
         swapped = params_for(domain, after, xi=0.35).stats
         # the same version, so only the stats object tells them apart
         assert swapped.version == p.stats.version
-        asked = []
-        weight_range = CorpusStats.weight_range
-
-        def counted(stats, word, xi):
-            asked.append(word)
-            return weight_range(stats, word, xi)
-
-        monkeypatch.setattr(CorpusStats, "weight_range", counted)
         ctx = p.context(q)
-        assert asked == [1, 2, 3] and list(ctx._floors) == [1, 2]     # word 3 absent
+        assert list(ctx._floors) == [1, 2]      # word 3 absent
         p.stats = swapped
-        # the same query object: the context and every word go with the stats
+        # the same query object: the context goes with the stats
         swapped_ctx = p.context(q)
         assert swapped_ctx is not ctx
-        assert asked == [1, 2, 3, 1, 2, 3] and list(swapped_ctx._floors) == [1, 3]
+        assert list(swapped_ctx._floors) == [1, 3]
         reference = uncached(p)
         for image in after:
             assert combined_score(q, image, p) == combined_score(q, image, reference)

@@ -1,11 +1,12 @@
 """Measures the bytes of the image records and of each index, per image, by
 tracemalloc.
 
-    python tools/record_bytes.py [--count N] [--seed S]
+    python tools/record_bytes.py
 
-For two stream shapes, the generator's defaults and perfbench's
-clustered-read stream (3,000 images, vocabulary 5,000, 15 mean word
-draws, 12 clusters of sigma 1.5), it prints one row:
+For two stream shapes of ``COUNT`` = 3,000 images drawn with the seed
+``SEED`` = 1, the generator's defaults and perfbench's clustered-read
+stream (vocabulary 5,000, 15 mean word draws, 12 clusters of sigma 1.5),
+it prints one row:
 
 - ``record``: what ``generate_images`` leaves allocated, per image: the
   records and the list that holds them, with the int of each word id, one
@@ -22,7 +23,6 @@ in. The figures are informational; nothing is gated.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
 import tracemalloc
@@ -34,6 +34,8 @@ from geostream.bench import INDEX_CLASSES  # noqa: E402
 from geostream.hiq import HiqConfig  # noqa: E402
 from geostream.workload import DEFAULT_DOMAIN, GeneratorConfig, generate_images  # noqa: E402
 
+COUNT = 3000
+SEED = 1
 SHAPES = {
     "generator defaults": {},
     "perfbench clustered": dict(vocab_size=5000, mean_words=15.0, zipf_exponent=1.0,
@@ -71,15 +73,11 @@ def measure(cfg):
     return sum(len(img.freq) for img in images) / n, out
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--count", type=int, default=3000, help="images per stream")
-    ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args(argv)
+def main():
     print(f"{'stream':22s} {'words/img':>9s} {'record B':>9s} "
           + " ".join(f"{kind + ' B':>9s}" for kind in INDEX_CLASSES))
     for name, kw in SHAPES.items():
-        words, out = measure(GeneratorConfig(seed=args.seed, image_count=args.count, **kw))
+        words, out = measure(GeneratorConfig(seed=SEED, image_count=COUNT, **kw))
         print(f"{name:22s} {words:9.1f} {out['record']:9.0f} "
               + " ".join(f"{out[kind]:9.0f}" for kind in INDEX_CLASSES))
     return 0

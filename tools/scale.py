@@ -1,36 +1,41 @@
-"""Builds each index kind at growing live counts, each build in a process of
+"""Builds each index kind at growing live counts, each point in a process of
 its own, and prints how its ingest cost and its tree grow with the count.
 
     python tools/scale.py [--kinds K ...] [--counts N ...]
 
 The stream has perfbench's clustered shape (``record_bytes.SHAPES``) and
-the seed ``record_bytes.py`` uses by default, and
-every index uses perfbench's static configuration, so the whole stream
-sits in one segment of the window (``record_bytes.CONFIG``). For each kind
-and count, a fresh process generates the stream, collects the heap and
-inserts every image, timing each sixth of the inserts on its own, and
-prints its row of the table. One row per build (``build``):
+the seed ``record_bytes.SEED``, and every index uses perfbench's static
+configuration, so the whole stream sits in one segment of the window
+(``record_bytes.CONFIG``). For each kind and count, a fresh process
+generates the stream and builds ``REPEATS`` fresh indexes over it back to
+back; for each, it collects the heap and inserts every image, timing each
+sixth of the inserts on its own. It prints one row of the table per kind
+and count (``build``):
 
 - ``kind``, ``images``: the index kind and the live count it was built to;
-- ``us_per_image``: the build's ingest µs per image;
-- ``sixths``: ingest µs per image over each sixth of the build, in order,
-  so that growth with the tree's depth shows;
+- ``us_per_image``, ``us_min``, ``us_max``: the median, least and largest
+  of the builds' ingest µs per image;
+- ``sixths``: the median over the builds of the ingest µs per image over
+  each sixth of the build, in order, so that growth with the tree's depth
+  shows;
 - ``mean_depth``, ``max_depth``: the depth of each image's leaf, the root
   at depth 0, averaged over the images and at its largest; None for IFA,
   which has no tree;
 - ``nodes``: the trees' node count; None for IFA.
 
-The table prints None as ``-``.
+The depths and node counts are the same in every build, which ``build``
+asserts. The table prints None as ``-``.
 
-Times are wall-clock and one build each; the depths and node counts do
-not depend on the host. It imports the package from the ``src/`` beside
-it, so it measures the checkout it sits in. Nothing is gated.
+Times are wall-clock; the depths and node counts do not depend on the
+host. It imports the package from the ``src/`` beside it, so it measures
+the checkout it sits in. Nothing is gated.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import statistics
 import subprocess
 import sys
 import time
@@ -38,7 +43,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from record_bytes import CONFIG, SHAPES  # noqa: E402
+from record_bytes import CONFIG, SEED, SHAPES  # noqa: E402
 
 from geostream.bench import INDEX_CLASSES  # noqa: E402
 from geostream.engine import TreeIndex  # noqa: E402
@@ -46,9 +51,9 @@ from geostream.workload import GeneratorConfig, generate_images  # noqa: E402
 
 COUNTS = (30_000, 100_000, 300_000)
 PARTS = 6
-SEED = 1
-HEADER = (f"{'kind':6s} {'images':>8s} {'us/img':>7s} {'mean d':>7s} {'max d':>6s} "
-          f"{'nodes':>8s}  us/img per sixth of the build")
+REPEATS = 3
+HEADER = (f"{'kind':6s} {'images':>8s} {'us/img':>7s} {'min':>7s} {'max':>7s} "
+          f"{'mean d':>7s} {'max d':>6s} {'nodes':>8s}  us/img per sixth of the build")
 
 
 def leaf_depths(roots):
@@ -63,10 +68,11 @@ def leaf_depths(roots):
             stack.extend((child, depth + 1) for child in node.children)
 
 
-def build(kind, count):
-    """The row of one build of ``kind`` over ``count`` images."""
-    images = generate_images(GeneratorConfig(seed=SEED, image_count=count,
-                                             **SHAPES["perfbench clustered"]))
+def _one_build(kind, images):
+    """``(µs per image, µs per image of each sixth, shape)`` of one fresh
+    ``kind`` index built over ``images``; ``shape`` is ``(live count, mean
+    depth, max depth, nodes)``, the last three None for IFA."""
+    count = len(images)
     index = INDEX_CLASSES[kind](CONFIG)
     cuts = [count * i // PARTS for i in range(PARTS + 1)]
     sixths, total_ns = [], 0
@@ -77,16 +83,29 @@ def build(kind, count):
             index.insert(img)
         dt = time.perf_counter_ns() - t0
         total_ns += dt
-        sixths.append(round(dt / 1e3 / max(hi - lo, 1), 2))
-    row = {"kind": kind, "images": index.image_count(),
-           "us_per_image": round(total_ns / 1e3 / max(count, 1), 2), "sixths": sixths,
-           "mean_depth": None, "max_depth": None, "nodes": None}
+        sixths.append(dt / 1e3 / max(hi - lo, 1))
+    shape = (index.image_count(), None, None, None)
     if isinstance(index, TreeIndex):
         leaves = list(leaf_depths(index.roots()))
-        row.update(mean_depth=round(sum(n * d for n, d in leaves) / max(count, 1), 3),
-                   max_depth=max((d for _, d in leaves), default=0),
-                   nodes=index.node_count())
-    return row
+        shape = (index.image_count(), round(sum(n * d for n, d in leaves) / max(count, 1), 3),
+                 max((d for _, d in leaves), default=0), index.node_count())
+    return total_ns / 1e3 / max(count, 1), sixths, shape
+
+
+def build(kind, count):
+    """The row of ``REPEATS`` builds of ``kind`` over one stream of
+    ``count`` images."""
+    images = generate_images(GeneratorConfig(seed=SEED, image_count=count,
+                                             **SHAPES["perfbench clustered"]))
+    runs = [_one_build(kind, images) for _ in range(REPEATS)]
+    shapes = {shape for _us, _sixths, shape in runs}
+    assert len(shapes) == 1, f"{kind} at {count}: the builds differ in shape {shapes}"
+    us = [run[0] for run in runs]
+    live, mean_depth, max_depth, nodes = shapes.pop()
+    return {"kind": kind, "images": live, "us_per_image": round(statistics.median(us), 2),
+            "us_min": round(min(us), 2), "us_max": round(max(us), 2),
+            "sixths": [round(statistics.median(part), 2) for part in zip(*(r[1] for r in runs))],
+            "mean_depth": mean_depth, "max_depth": max_depth, "nodes": nodes}
 
 
 def row_line(row):
@@ -94,7 +113,8 @@ def row_line(row):
     mean, top, nodes = ("-" if row[key] is None else str(row[key])
                         for key in ("mean_depth", "max_depth", "nodes"))
     return (f"{row['kind']:6s} {row['images']:8d} {row['us_per_image']:7.2f} "
-            f"{mean:>7s} {top:>6s} {nodes:>8s}  " + " ".join(f"{v:.1f}" for v in row["sixths"]))
+            f"{row['us_min']:7.2f} {row['us_max']:7.2f} {mean:>7s} {top:>6s} {nodes:>8s}  "
+            + " ".join(f"{v:.1f}" for v in row["sixths"]))
 
 
 def main(argv=None):
@@ -102,7 +122,7 @@ def main(argv=None):
     ap.add_argument("--kinds", nargs="+", choices=list(INDEX_CLASSES),
                     default=list(INDEX_CLASSES))
     ap.add_argument("--counts", nargs="+", type=int, default=list(COUNTS),
-                    help="live counts, one build each")
+                    help="live counts, one point each")
     ap.add_argument("--one", nargs=2, metavar=("KIND", "COUNT"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.one:
