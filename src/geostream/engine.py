@@ -11,13 +11,14 @@ child's ``t_max`` and each word of its ``max_freq`` at most its
 parent's; the search's inherited visual bounds rest on the latter).
 ``bounds`` gives each node's weighted spatial and recency terms,
 ``(spatial, recency)``, in one pass over a list; the visual term, the
-query context's ``mind_visual`` of the node's ``max_freq``, belongs to
-the search. ``mind(q, node)``, ``spatial + w2 * mind_visual +
+query context's ``visual_bound`` of the node's ``max_freq``, belongs to
+the search, which keeps in each node's heap entry whether the miss
+count decided it. ``mind(q, node)``, ``spatial + w2 * mind_visual +
 recency``, is a node's exact bound, the one-node reference that the
 dominance audit and the tests read. A lone root, when ``roots()`` gives
 exactly one node, must hold every live image of ``params.stats``: its
 per-word maxima are then the live maxima, and the search gives it the
-visual bound 0.0 without a ``mind_visual`` (``top_k_search``). A node's
+visual bound 0.0 without a ``visual_bound`` (``top_k_search``). A node's
 ``children`` is a list at an inner node and ``None`` at a leaf, which
 holds its ``images``.
 ``TreeIndex`` gives the tree indexes (HIQ, STVII) one ``search``,
@@ -86,7 +87,7 @@ class SearchStats:
     tree search ``nodes_pruned`` counts the nodes whose bound exceeded λ,
     when they were pushed or when the search stopped (the entries of
     ``audit``), ``bounds_evaluated`` counts the visual node bounds it
-    computed (``mind_visual`` of a node's ``max_freq``, one for each
+    computed (``visual_bound`` of a node's ``max_freq``, one for each
     root and each child of an inner node visited; 0 for IFA), which
     leaves out a lone root, whose 0.0 the search gives it, and each
     child that inherits the 1.0 the miss count decided for its parent,
@@ -117,22 +118,29 @@ def top_k_search(q, index, audit=None):
     the children of each inner node visited are bounded when they are
     pushed, at one push site: their spatial and recency terms from
     ``index.bounds(q, nodes)`` and their visual bound, the query
-    context's ``mind_visual`` of their ``max_freq``. A node whose bound
-    exceeds λ is pruned at once instead. A lone root, when
+    context's ``visual_bound`` of their ``max_freq``, which is None when
+    the miss count decided it (then the bound takes 1.0). A node whose
+    bound exceeds λ is pruned at once instead. A lone root, when
     ``index.roots()`` gives one node, takes the visual bound 0.0 with no
-    ``mind_visual``, and ``bounds_evaluated`` does not count it. That is
+    ``visual_bound``, and ``bounds_evaluated`` does not count it. That is
     exact: the root holds every live image (the module docstring), so
     each word of its ``max_freq`` is the word's live maximum, and
     ``mind_visual`` would sum, in query order, the very floats whose sum
     is the context's ``log_den``: its ratio is 1.0 and its cost 0.0. The
-    children of a parent whose visual bound the miss count decided (1.0
-    with ``misses_decide`` of the parent's ``max_freq``) inherit that 1.0
-    with no ``mind_visual``: a child's ``max_freq`` keys are a subset of
-    its parent's, so it lacks the words its parent lacks, and its own
-    visual bound is exactly 1.0 as well. A 1.0 that came out of the log
-    sums does not carry over to the children. Nodes are visited in
-    ascending (bound, push order) until the heap is empty or its top
-    exceeds λ.
+    children of a parent whose visual bound the miss count decided
+    inherit that 1.0 with no ``visual_bound``: a child's ``max_freq``
+    keys are a subset of its parent's, so it lacks the words its parent
+    lacks, and its own visual bound is exactly 1.0 as well. A 1.0 that
+    came out of the log sums does not carry over to the children.
+
+    A heap entry is ``(bound, push order, node, visual, spatial)``:
+    ``visual`` is the node's visual bound, or None when the miss count
+    decided it, at its own bound or at an ancestor's, and ``spatial`` is
+    its weighted spatial term. A popped inner node hands its children
+    the decision its entry keeps, so the search counts a node's missing
+    words at most once, when it bounds the node, and never when it pops
+    one. Nodes are visited in ascending (bound, push order) until the
+    heap is empty or its top exceeds λ.
 
     ``index.candidates(q, leaf, worst, floor)`` offers a leaf's images to
     ``worst``, the running top k, under the leaf's floor, its bound less
@@ -146,26 +154,28 @@ def top_k_search(q, index, audit=None):
     """
     params = index.params
     ctx = params.context(q)     # checks the query location
-    mind_visual = ctx.mind_visual
+    visual_bound = ctx.visual_bound
     w2 = q.weights[1]
     k = q.k
     stats = SearchStats()
     order = itertools.count()
-    heap = []               # (bound, push order, node, visual bound, spatial term)
+    heap = []               # (bound, push order, node, visual bound or None, spatial term)
     worst = []              # max-heap via (-f_stv, -id, image, f_s, f_v, f_t)
     lam = math.inf          # k-th best f_stv so far
     nodes = index.roots()   # to push: the roots, then the children of each inner node visited
     stats.roots = len(nodes)
-    # the visual bound ``nodes`` take without ``mind_visual``, or None: a
-    # lone root's 0.0, then the 1.0 a parent's miss count decided
-    given = 0.0 if len(nodes) == 1 else None
+    # whether ``nodes`` are bounded by ``visual_bound``; if not, they take
+    # ``given``: a lone root's 0.0, then None, the 1.0 a parent's miss
+    # count decided
+    bounded = len(nodes) != 1
+    given = 0.0
     while True:
         if nodes:
-            if given is None:
+            if bounded:
                 stats.bounds_evaluated += len(nodes)
             for child, (spatial, recency) in zip(nodes, index.bounds(q, nodes)):
-                f_v = mind_visual(child.max_freq) if given is None else given
-                bound = spatial + w2 * f_v + recency
+                f_v = visual_bound(child.max_freq) if bounded else given
+                bound = spatial + w2 * (1.0 if f_v is None else f_v) + recency
                 if bound <= lam:
                     heapq.heappush(heap, (bound, next(order), child, f_v, spatial))
                 else:
@@ -184,7 +194,8 @@ def top_k_search(q, index, audit=None):
             if len(worst) == k:
                 lam = -worst[0][0]
         else:
-            given = 1.0 if f_v == 1.0 and ctx.misses_decide(node.max_freq) else None
+            bounded = f_v is not None
+            given = None
 
     if heap:
         stats.stop = "bound"

@@ -10,9 +10,7 @@ from __future__ import annotations
 import heapq
 import math
 import numbers
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -372,7 +370,10 @@ class CorpusStats:
         weight for an image that does not hold it, and its live maximum
         weight, from one pass over the buckets for its corpus tf and its
         live maximum. A bucket holds a word in ``max_freq`` exactly when
-        it counts it in ``corpus_tf``."""
+        it counts it in ``corpus_tf``. It is the reference that
+        ``max_weight``, the oracle and the tests read; a ``QueryContext``
+        makes the same pass inline for each of its query words, over one
+        list of the buckets, to the same floats."""
         tf = 0
         m = 0.0
         for bucket in self.buckets.values():
@@ -450,13 +451,16 @@ class QueryContext:
     nearest first while no threshold is known. Both make each image's sums
     in the order ``mind_visual`` makes them, query order.
 
-    One pass over the query words builds the context: it takes each
-    word's floor and live maximum from ``CorpusStats.weight_range`` and
-    their logs, adds the log maximum of each live word to ``_log_den``
-    and its log floor to the constant, and keeps its gain (below), which
-    is sorted only when the miss rule is on. A context holds only
-    constants of its query over one corpus state, and
-    ``ScoreParams.context`` drops it when that state changes.
+    One pass over the query words builds the context. It takes the live
+    buckets once, and for each word reads its corpus tf and live maximum
+    straight from each bucket's ``corpus_tf`` and ``max_freq``, the
+    arithmetic of ``CorpusStats.weight_range`` inline (its floor ``xi *
+    (tf / total)`` and weight ``(1 - xi) * m + floor``, bit for bit). It
+    takes their logs, adds the log maximum of each live word to
+    ``_log_den`` and its log floor to the constant, in query order, and
+    keeps its gain (below), which is sorted only when the miss rule is
+    on. A context holds only constants of its query over one corpus
+    state, and ``ScoreParams.context`` drops it when that state changes.
 
     Lacking many query words forces a cost of exactly 1.0, which all
     three scorers then give without a log, by one rule. Each word ``v``
@@ -466,12 +470,14 @@ class QueryContext:
     above its live maximum. So anything lacking ``c`` words has a log
     ratio of at most minus the sum of the ``c`` smallest gains.
     ``_misses``, computed once per context, is the fewest misses whose
-    smallest gains sum past ``UNDERFLOW``: from there on the ratio is
-    below e^-39 and the cost rounds to exactly 1.0, the value of the full
-    formula. (A ratio map above the live maxima, such as an image outside
-    the corpus, is not covered.) When all gains together stay within
-    ``UNDERFLOW``, it is one more than the ``n`` live query words, and the
-    rule is off.
+    smallest gains sum past ``UNDERFLOW``, found by a running sum over
+    the sorted gains that stops at the first prefix past it (the
+    ``bisect_right`` of ``UNDERFLOW`` in the prefix sums, plus 1): from
+    there on the ratio is below e^-39 and the cost rounds to exactly 1.0,
+    the value of the full formula. (A ratio map above the live maxima,
+    such as an image outside the corpus, is not covered.) When all gains
+    together stay within ``UNDERFLOW``, or no sorted prefix passes it, it
+    is one more than the ``n`` live query words, and the rule is off.
 
     ``_misses`` is 1 when a live query word has a floor of 0.0: then the
     first miss of any word decides. At xi = 0 every floor is 0.0, so a
@@ -487,13 +493,15 @@ class QueryContext:
     set difference. A node's ``max_freq`` keys are a subset of its
     parent's, so a node lacks every word its parent lacks: when the count
     decides a parent, it decides each of its children too, and the search
-    gives them 1.0 without scoring them. ``mind_visual`` takes the count
+    gives them 1.0 without scoring them. ``visual_bound`` takes the count
     first when ``2 * _misses <= n``, so that it can decide a map that
-    still holds half the query, and returns 1.0 at the ``_misses``-th word
-    it finds missing otherwise; ``score_leaf`` gives 1.0 to an image
-    holding at most ``n - _misses`` words, and ``visual_columns`` comes
-    to 1.0 on every slot that holds no more. Every other cost keeps its
-    sums, in their order, bit for bit.
+    still holds half the query, and stops at the ``_misses``-th word it
+    finds missing otherwise; either way it returns None for a decided
+    map, which ``mind_visual`` reads as 1.0 and the search keeps in the
+    node's heap entry. ``score_leaf`` gives 1.0 to an image holding at
+    most ``n - _misses`` words, and ``visual_columns`` comes to 1.0 on
+    every slot that holds no more. Every other cost keeps its sums, in
+    their order, bit for bit.
 
     Building one checks the query location: ``DomainError`` outside the
     domain.
@@ -518,10 +526,22 @@ class QueryContext:
         log_den = 0.0
         log_floors = 0.0
         log = math.log
+        total = stats.total_word_count
+        buckets = [(b.max_freq.get, b.corpus_tf) for b in stats.buckets.values()]
         for v in q.psi:
-            floor, m = stats.weight_range(v, xi)
+            # ``CorpusStats.weight_range(v, xi)``, inline
+            tf = 0
+            m = 0.0
+            for max_freq, corpus_tf in buckets:
+                f = max_freq(v)
+                if f is not None:
+                    tf += corpus_tf[v]
+                    if f > m:
+                        m = f
             if m <= 0.0:
                 continue
+            floor = xi * (tf / total)
+            m = (1.0 - xi) * m + floor
             log_m = log(m)
             log_den += log_m
             if floor > 0.0:
@@ -540,8 +560,16 @@ class QueryContext:
             self._misses = 1        # the first miss decides (the class docstring)
             self._log_const = -math.inf
         elif -self._log_const > UNDERFLOW:
-            # the gains are >= 0, so their prefix sums, smallest first, ascend
-            self._misses = bisect_right(list(accumulate(sorted(gains))), UNDERFLOW) + 1
+            # the gains are >= 0, so their prefix sums, smallest first,
+            # ascend: the count stops at the first one past UNDERFLOW
+            misses = 1
+            prefix = 0.0
+            for gain in sorted(gains):
+                prefix += gain
+                if prefix > UNDERFLOW:
+                    break
+                misses += 1
+            self._misses = misses
         self._live_words = frozenset(floors)
         self._count_first = 2 * self._misses <= len(floors)
 
@@ -704,20 +732,35 @@ class QueryContext:
     def mind_visual(self, node_max_freq):
         """Lower bound on the visual relevance of any image under a node
         whose per-word max frequency ratios are ``node_max_freq``; given an
-        image's ``freq``, the image's own visual relevance.
+        image's ``freq``, the image's own visual relevance. It is
+        ``visual_bound`` with its None, the miss rule's decision, read as
+        the 1.0 it stands for."""
+        f_v = self.visual_bound(node_max_freq)
+        return 1.0 if f_v is None else f_v
+
+    def visual_bound(self, node_max_freq):
+        """``mind_visual`` of ``node_max_freq``, or None when the map lacks
+        at least ``_misses`` of the live query words: then its cost is
+        exactly 1.0, and so is that of every map whose words are a subset
+        of its own, such as a child node's ``max_freq``. None is exactly
+        when ``misses_decide`` is true (no map holds a ratio of 0.0), and
+        is found by the count or the walk below, so the search takes the
+        decision from the bound it makes anyway.
 
         When ``2 * _misses <= n``, it first counts the live query words the
-        map lacks (``misses_decide``) and is 1.0 at once when they reach
+        map lacks (``misses_decide``) and is None at once when they reach
         ``_misses``. Otherwise, and on a map the count leaves undecided,
-        it walks the query words and is 1.0 at once at the ``_misses``-th
+        it walks the query words and is None at once at the ``_misses``-th
         one found missing, the first when a query word has a zero floor.
         Both are exact: anything lacking ``_misses`` words costs exactly
         1.0 by the full formula (the class docstring), and a map the count
         leaves undecided runs the walk it ran without the count. On a
         shorter query the count rarely decides, and the walk's own
-        count costs less than a set difference."""
+        count costs less than a set difference. A 1.0 that comes out of
+        the log sums is returned as 1.0, not None: it says nothing of a
+        submap."""
         if self._count_first and self.misses_decide(node_max_freq):
-            return 1.0
+            return None
         scale = self._scale
         log = math.log
         log_num = 0.0
@@ -732,7 +775,7 @@ class QueryContext:
             else:
                 misses -= 1
                 if not misses:
-                    return 1.0
+                    return None
         if misses == self._misses:  # every word held
             ratio = math.exp(log_num - self._log_den)
         else:

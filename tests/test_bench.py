@@ -463,7 +463,8 @@ def test_scale_gives_each_build_its_row_keys(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "tools"))
     scale = load_tool("scale")
     # 120 images split HIQ's root
-    rows = [scale.build(kind, 120) for kind in bench.INDEX_KINDS]
+    rows = [scale.row(kind, [scale.one_build(kind, 120) for _ in range(scale.REPEATS)])
+            for kind in bench.INDEX_KINDS]
     for row in rows:
         assert list(row) == ["kind", "images", "us_per_image", "us_min", "us_max", "sixths",
                              "mean_depth", "max_depth", "nodes"]
@@ -474,7 +475,15 @@ def test_scale_gives_each_build_its_row_keys(monkeypatch):
     assert hiq["max_depth"] == 1 and hiq["nodes"] == 5 and hiq["mean_depth"] == 1.0
     assert ifa["mean_depth"] is ifa["max_depth"] is ifa["nodes"] is None
     assert stvii["nodes"] > 1
-    # the table: its header, then each build's row from a process of its own
+    # each round starts the kinds one further on, so each kind leads one
+    kinds = list(bench.INDEX_KINDS)
+    order = scale.schedule(kinds, [120, 240])
+    assert len(order) == scale.REPEATS * len(kinds) * 2
+    rounds = [order[i:i + 2 * len(kinds)] for i in range(0, len(order), 2 * len(kinds))]
+    assert [r[0][0] for r in rounds] == kinds[:scale.REPEATS]
+    assert all(sorted(r) == sorted(rounds[0]) for r in rounds)
+    # the table: its header, then a row per kind from builds in processes
+    # of their own
     out = subprocess.run([sys.executable, str(Path(scale.__file__)), "--counts", "120"],
                          capture_output=True, text=True, check=True).stdout.splitlines()
     assert out[0] == scale.HEADER

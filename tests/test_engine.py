@@ -353,12 +353,12 @@ def test_long_queries_equal_the_oracle_and_keep_dominance(domain, monkeypatch):
     # of missing query words decides most node bounds, and every index
     # still gives the oracle's answer, which never reads a query context
     rng = random.Random(46)
-    mind_visual = QueryContext.mind_visual
+    visual_bound = QueryContext.visual_bound
     decided = []
 
     def counted(ctx, ratios):
         decided.append(len(ctx._floors) - len(ctx._floors.keys() & ratios.keys()) >= ctx._misses)
-        return mind_visual(ctx, ratios)
+        return visual_bound(ctx, ratios)
 
     config = HiqConfig(domain=domain, segment_span=20_000, window=3, capacity=6, max_depth=6)
     for _ in range(5):
@@ -376,7 +376,7 @@ def test_long_queries_equal_the_oracle_and_keep_dominance(domain, monkeypatch):
                       k=rng.choice((1, 5, 10)), weights=(w1, w2, 1.0 - w1 - w2))
             expected = brute_force_oracle(q, live, hiq.params)
             with monkeypatch.context() as m:
-                m.setattr(QueryContext, "mind_visual", counted)
+                m.setattr(QueryContext, "visual_bound", counted)
                 assert results_match(hiq.search(q)[0], expected)
                 assert results_match(stvii.search(q)[0], expected)
             assert results_match(ifa.search(q)[0], expected)
@@ -781,9 +781,9 @@ def eager_top_k_search(q, index):
     the kernels (``leaf_floor``). Its ``bounds_evaluated`` counts the
     roots, unless there is only one, whose visual bound 0.0 the search
     gives it, and the children of the inner nodes it visits; its
-    ``heap_peak`` is the largest heap after a batch of pushes. With no
-    miss count (``misses_decide`` never true) the search must equal it
-    field for field."""
+    ``heap_peak`` is the largest heap after a batch of pushes. With the
+    miss count's decision switched off (``undecided``) the search must
+    equal it field for field."""
     params = index.params
     params.context(q)
     k = q.k
@@ -828,6 +828,19 @@ def eager_top_k_search(q, index):
     return results, stats
 
 
+def undecided(monkeypatch):
+    """Switches the miss count's decision off where the search reads it:
+    ``visual_bound`` gives the 1.0 the count decided as a float, not None,
+    so no node hands it to its children and every child is bounded."""
+    bound = QueryContext.visual_bound
+
+    def visual_bound(ctx, ratios):
+        f_v = bound(ctx, ratios)
+        return 1.0 if f_v is None else f_v
+
+    monkeypatch.setattr(QueryContext, "visual_bound", visual_bound)
+
+
 def _decisions(stats):
     return (stats.roots, stats.nodes_visited, stats.images_scored, stats.nodes_pruned,
             stats.lam, stats.stop)
@@ -838,9 +851,9 @@ def test_uncounted_search_equals_the_eager_reference(cls, domain, monkeypatch):
     # streams of six 10,000 s segments through a window of three, so part
     # of each has expired, and last one stream inside one segment, whose
     # HIQ tree is a lone root; small capacities give trees several levels
-    # deep. With no miss count every child is bounded as the reference
-    # bounds it
-    monkeypatch.setattr(QueryContext, "misses_decide", lambda ctx, ratios: False)
+    # deep. With the miss count's decision switched off every child is
+    # bounded as the reference bounds it
+    undecided(monkeypatch)
     rng = random.Random(81)
     stops = set()
     for t_hi in [60_000] * 12 + [9_999]:
@@ -865,8 +878,8 @@ def test_uncounted_search_equals_the_eager_reference(cls, domain, monkeypatch):
 def test_decided_parents_equal_the_eager_reference(cls, domain, monkeypatch):
     # queries of 30-60 of the 60 words: most nodes lack enough of them that
     # the miss count decides their visual bound, and then each child's. The
-    # same search with no count (``misses_decide`` never true) bounds every
-    # such child and must give the same answer and decisions
+    # same search with the decision switched off (``undecided``) bounds
+    # every such child and must give the same answer and decisions
     rng = random.Random(86)
     stops = set()
     fewer = 0
@@ -884,7 +897,7 @@ def test_decided_parents_equal_the_eager_reference(cls, domain, monkeypatch):
             results, stats = top_k_search(q, index)
             want, eager = eager_top_k_search(q, index)
             with monkeypatch.context() as m:
-                m.setattr(QueryContext, "misses_decide", lambda ctx, ratios: False)
+                undecided(m)
                 uncounted, walked = top_k_search(q, index)
             assert results == want == uncounted
             assert _decisions(stats) == _decisions(eager) == _decisions(walked)
@@ -893,6 +906,101 @@ def test_decided_parents_equal_the_eager_reference(cls, domain, monkeypatch):
             stops.add(stats.stop)
     assert stops == {"bound", "exhausted"}
     assert fewer > 0
+
+
+def recounting_top_k_search(q, index):
+    """The search with the visual bound itself in each heap entry: a
+    popped inner node whose bound is 1.0 counts its missing words again
+    (``misses_decide``) to decide whether its children inherit the 1.0.
+    Every decision and count of the search must equal this one's."""
+    params = index.params
+    ctx = params.context(q)
+    w2 = q.weights[1]
+    stats = engine.SearchStats()
+    order = itertools.count()
+    heap, worst, lam = [], [], math.inf
+    nodes = index.roots()
+    stats.roots = len(nodes)
+    given = 0.0 if len(nodes) == 1 else None
+    while True:
+        if nodes:
+            if given is None:
+                stats.bounds_evaluated += len(nodes)
+            for child, (spatial, recency) in zip(nodes, index.bounds(q, nodes)):
+                f_v = ctx.mind_visual(child.max_freq) if given is None else given
+                bound = spatial + w2 * f_v + recency
+                if bound <= lam:
+                    heapq.heappush(heap, (bound, next(order), child, f_v, spatial))
+                else:
+                    stats.nodes_pruned += 1
+            stats.heap_peak = max(stats.heap_peak, len(heap))
+        if not heap or heap[0][0] > lam:
+            break
+        bound, _, node, f_v, spatial = heapq.heappop(heap)
+        stats.nodes_visited += 1
+        nodes = node.children
+        if nodes is None:
+            stats.images_scored += len(index.candidates(q, node, worst, bound - spatial))
+            if len(worst) == q.k:
+                lam = -worst[0][0]
+        else:
+            given = 1.0 if f_v == 1.0 and ctx.misses_decide(node.max_freq) else None
+    if heap:
+        stats.stop = "bound"
+        stats.nodes_pruned += len(heap)
+    stats.lam = lam
+    results = [engine.ResultEntry(img.id, combined_score(q, img, params, terms))
+               for _, _, img, *terms in sorted(worst, reverse=True)]
+    return results, stats
+
+
+@pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
+def test_a_search_counts_each_nodes_misses_at_most_once(cls, domain, monkeypatch):
+    # queries of 30-60 of the 60 words, so the count comes first in most
+    # bounds and decides most of them: the search counts a node's missing
+    # words only while it bounds the node (``visual_bound``), at most once
+    # a node and never when it pops one, and ends with every field of
+    # ``SearchStats`` equal to the recounting reference's
+    rng = random.Random(89)
+    decide, bound = QueryContext.misses_decide, QueryContext.visual_bound
+    bounding = []           # the map being bounded, while it is
+    counted = []            # (map counted, whether inside a bound)
+
+    def spy_decide(ctx, ratios):
+        counted.append((id(ratios), bool(bounding)))
+        return decide(ctx, ratios)
+
+    def spy_bound(ctx, ratios):
+        bounding.append(ratios)
+        try:
+            return bound(ctx, ratios)
+        finally:
+            bounding.pop()
+
+    total = 0
+    for _ in range(4):
+        images = random_images(rng, rng.randint(200, 600), domain, t_lo=0, t_hi=60_000)
+        index = cls(HiqConfig(domain=domain, segment_span=10_000, window=3,
+                              capacity=rng.choice((3, 6)), max_depth=8))
+        for img in sorted(images, key=lambda im: im.t_c):
+            index.insert(img)
+        for i in range(20):
+            q = dataclasses.replace(random_query(rng, images, domain),
+                                    psi=rng.sample(range(60), rng.randint(30, 60)))
+            if i % 10 == 0:
+                q = dataclasses.replace(q, k=1_000)     # more than are live: exhausted
+            want = recounting_top_k_search(q, index)
+            counted.clear()
+            with monkeypatch.context() as m:
+                m.setattr(QueryContext, "misses_decide", spy_decide)
+                m.setattr(QueryContext, "visual_bound", spy_bound)
+                results, stats = top_k_search(q, index)
+            maps = [ratios for ratios, inside in counted]
+            assert all(inside for _, inside in counted)
+            assert len(set(maps)) == len(maps) <= stats.bounds_evaluated
+            assert (results, stats) == want
+            total += len(maps)
+    assert total > 0
 
 
 @pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
@@ -976,13 +1084,13 @@ def test_the_search_bounds_every_root_but_a_lone_one(cls, t_hi, n_roots, domain,
     roots = index.roots()
     assert len(roots) == n_roots
     calls = []
-    visual = QueryContext.mind_visual
+    visual = QueryContext.visual_bound
 
     def spy(ctx, ratios):
         calls.append(ratios)
         return visual(ctx, ratios)
 
-    monkeypatch.setattr(QueryContext, "mind_visual", spy)
+    monkeypatch.setattr(QueryContext, "visual_bound", spy)
     for _ in range(20):
         q = random_query(rng, images, domain)
         calls.clear()

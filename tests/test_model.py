@@ -1,12 +1,14 @@
 import dataclasses
 import math
 import random
+from bisect import bisect_right
+from itertools import accumulate
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from geostream import kernels
+from geostream import kernels, model
 from geostream.baselines import IfaIndex, StviiIndex
 from geostream.engine import brute_force_oracle, walk
 from geostream.hiq import HiqConfig, HiqIndex
@@ -1192,3 +1194,119 @@ class TestMissBound:
             assert got == full_visual(reference, ratios)
             assert len(exps) == (ratios is holding_all)
             assert (got == 1.0) == (ratios is not holding_all)
+
+
+def reference_constants(q, params):
+    """The query context's constants from their definitions, as ``(floors,
+    log_den, log_const, misses, live_words, count_first, gains)``: each
+    live word's ``(floor, max weight)`` from ``CorpusStats.weight_range``,
+    the logs summed in query order, and ``misses`` from a bisection of the
+    prefix sums of the sorted gains, under ``model.UNDERFLOW`` as it is
+    when called."""
+    stats, xi = params.stats, params.xi
+    floors, gains = {}, []
+    log_den = log_floors = 0.0
+    zero_floor = False
+    for v in q.psi:
+        floor, m = stats.weight_range(v, xi)
+        if m <= 0.0:
+            continue
+        log_den += math.log(m)
+        lf = math.log(floor) if floor > 0.0 else 0.0
+        log_floors += lf
+        zero_floor |= floor == 0.0
+        floors[v] = (floor, lf)
+        gains.append(math.log(m) - lf)
+    log_const = log_floors - log_den
+    misses = len(floors) + 1
+    if zero_floor:
+        misses, log_const = 1, -math.inf
+    elif -log_const > model.UNDERFLOW:
+        misses = bisect_right(list(accumulate(sorted(gains))), model.UNDERFLOW) + 1
+    return (list(floors.items()), log_den, log_const, misses, frozenset(floors),
+            2 * misses <= len(floors), gains)
+
+
+def context_constants(ctx):
+    return (list(ctx._floors.items()), ctx._log_den, ctx._log_const, ctx._misses,
+            ctx._live_words, ctx._count_first)
+
+
+def assert_context_is_its_reference(q, params):
+    """``QueryContext(q, params)`` and ``reference_constants`` agree bit
+    for bit: the floats by ``repr``, which tells -0.0 from 0.0."""
+    got, want = context_constants(QueryContext(q, params)), reference_constants(q, params)
+    assert repr(got[:4]) == repr(want[:4])
+    assert got[4:] == want[4:6]
+    return want
+
+
+def twin_corpora(rng, domain):
+    """``(name, stats)`` of the corpora the context twin test reads: one
+    segment, thirteen segments as a rolling stream keeps them, the same
+    after an expiry off the segment grid, and an empty corpus."""
+    span = 3_600
+    one = CorpusStats(span)
+    for image in random_images(rng, 200, domain, t_lo=0, t_hi=span - 1):
+        one.add_image(image)
+    assert len(one.buckets) == 1
+    yield "one bucket", one
+    rolling = CorpusStats(span)
+    for image in sorted(random_images(rng, 400, domain, t_lo=0, t_hi=13 * span - 1),
+                        key=lambda im: im.t_c):
+        rolling.add_image(image)
+    assert len(rolling.buckets) == 13
+    yield "13 buckets", rolling
+    cutoff = 5 * span + 1_234
+    old = rolling.expire(cutoff)
+    assert old and max(image.t_c for image in old) < cutoff
+    assert min(image.t_c for image in rolling.buckets[5].images) >= cutoff
+    yield "rebuilt after an expiry", rolling
+    yield "empty", CorpusStats(span)
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.5, 0.9])
+def test_context_constants_equal_the_weight_range_reference(domain, xi):
+    # the query words are drawn from 90 ids, of which the images use 60;
+    # the long queries' gains sum past UNDERFLOW, so ``_misses`` lies
+    # between 1 and n + 1
+    rng = random.Random(51)
+    middle = 0
+    for name, stats in twin_corpora(rng, domain):
+        params = ScoreParams(domain=domain, stats=stats, xi=xi)
+        for _ in range(40):
+            q = query(psi=rng.sample(range(90), rng.randint(1, 60)),
+                      loc=(rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)))
+            floors, _, log_const, misses, *_ = assert_context_is_its_reference(q, params)
+            if name == "empty":
+                assert floors == [] and misses == 1 and log_const == 0.0
+            elif xi == 0.0 and floors:
+                assert {floor for _, (floor, _lf) in floors} == {0.0}
+                assert misses == 1 and log_const == -math.inf
+            middle += 1 < misses < len(floors) + 1
+    assert middle > 0 if xi > 0.0 else middle == 0
+
+
+def test_context_misses_when_no_sorted_prefix_passes(domain, monkeypatch):
+    # ``-_log_const`` and the sum of the sorted gains are the same sum
+    # taken in two orders; where rounding leaves the first above the
+    # second, an UNDERFLOW equal to the second lets the count run and no
+    # prefix pass it, so ``_misses`` is n + 1, as the bisection gives
+    rng = random.Random(52)
+    stats = next(stats for name, stats in twin_corpora(rng, domain) if name == "13 buckets")
+    params = ScoreParams(domain=domain, stats=stats, xi=0.5)
+    found = 0
+    for _ in range(60):
+        q = query(psi=rng.sample(range(60), rng.randint(30, 60)))
+        ctx = QueryContext(q, params)
+        total = 0.0
+        for gain in sorted(reference_constants(q, params)[-1]):
+            total += gain
+        if -ctx._log_const <= total:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(model, "UNDERFLOW", total)
+            _, _, _, misses, *_ = assert_context_is_its_reference(q, params)
+            assert misses == len(ctx._floors) + 1
+        found += 1
+    assert found > 0

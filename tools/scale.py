@@ -1,4 +1,4 @@
-"""Builds each index kind at growing live counts, each point in a process of
+"""Builds each index kind at growing live counts, each build in a process of
 its own, and prints how its ingest cost and its tree grow with the count.
 
     python tools/scale.py [--kinds K ...] [--counts N ...]
@@ -6,15 +6,18 @@ its own, and prints how its ingest cost and its tree grow with the count.
 The stream has perfbench's clustered shape (``record_bytes.SHAPES``) and
 the seed ``record_bytes.SEED``, and every index uses perfbench's static
 configuration, so the whole stream sits in one segment of the window
-(``record_bytes.CONFIG``). For each kind and count, a fresh process
-generates the stream and builds ``REPEATS`` fresh indexes over it back to
-back; for each, it collects the heap and inserts every image, timing each
-sixth of the inserts on its own. It prints one row of the table per kind
-and count (``build``):
+(``record_bytes.CONFIG``). Each kind and count is built ``REPEATS``
+times, in as many rounds; each round starts the kinds in an order
+rotated by one from the round before (``schedule``), so no kind always
+runs first. Each build is a fresh process, which generates the stream,
+collects the heap and inserts every image into a fresh index, timing
+each sixth of the inserts on its own (``one_build``), and hands its
+figures back as one JSON line. Once every round has run, it prints one
+row of the table per kind and count (``row``):
 
 - ``kind``, ``images``: the index kind and the live count it was built to;
 - ``us_per_image``, ``us_min``, ``us_max``: the median, least and largest
-  of the builds' ingest µs per image;
+  of the builds' ingest µs per image, each from a process of its own;
 - ``sixths``: the median over the builds of the ingest µs per image over
   each sixth of the build, in order, so that growth with the tree's depth
   shows;
@@ -23,7 +26,7 @@ and count (``build``):
   which has no tree;
 - ``nodes``: the trees' node count; None for IFA.
 
-The depths and node counts are the same in every build, which ``build``
+The depths and node counts are the same in every build, which ``row``
 asserts. The table prints None as ``-``.
 
 Times are wall-clock; the depths and node counts do not depend on the
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import json
 import statistics
 import subprocess
 import sys
@@ -68,11 +72,13 @@ def leaf_depths(roots):
             stack.extend((child, depth + 1) for child in node.children)
 
 
-def _one_build(kind, images):
+def one_build(kind, count):
     """``(µs per image, µs per image of each sixth, shape)`` of one fresh
-    ``kind`` index built over ``images``; ``shape`` is ``(live count, mean
-    depth, max depth, nodes)``, the last three None for IFA."""
-    count = len(images)
+    ``kind`` index built over the stream of ``count`` images; ``shape`` is
+    ``[live count, mean depth, max depth, nodes]``, the last three None
+    for IFA."""
+    images = generate_images(GeneratorConfig(seed=SEED, image_count=count,
+                                             **SHAPES["perfbench clustered"]))
     index = INDEX_CLASSES[kind](CONFIG)
     cuts = [count * i // PARTS for i in range(PARTS + 1)]
     sixths, total_ns = [], 0
@@ -84,22 +90,29 @@ def _one_build(kind, images):
         dt = time.perf_counter_ns() - t0
         total_ns += dt
         sixths.append(dt / 1e3 / max(hi - lo, 1))
-    shape = (index.image_count(), None, None, None)
+    shape = [index.image_count(), None, None, None]
     if isinstance(index, TreeIndex):
         leaves = list(leaf_depths(index.roots()))
-        shape = (index.image_count(), round(sum(n * d for n, d in leaves) / max(count, 1), 3),
-                 max((d for _, d in leaves), default=0), index.node_count())
+        shape = [index.image_count(), round(sum(n * d for n, d in leaves) / max(count, 1), 3),
+                 max((d for _, d in leaves), default=0), index.node_count()]
     return total_ns / 1e3 / max(count, 1), sixths, shape
 
 
-def build(kind, count):
-    """The row of ``REPEATS`` builds of ``kind`` over one stream of
-    ``count`` images."""
-    images = generate_images(GeneratorConfig(seed=SEED, image_count=count,
-                                             **SHAPES["perfbench clustered"]))
-    runs = [_one_build(kind, images) for _ in range(REPEATS)]
-    shapes = {shape for _us, _sixths, shape in runs}
-    assert len(shapes) == 1, f"{kind} at {count}: the builds differ in shape {shapes}"
+def schedule(kinds, counts):
+    """The ``(kind, count)`` builds in the order they run: ``REPEATS``
+    rounds of every kind and count, each round with the kinds rotated by
+    one from the round before."""
+    return [(kind, count)
+            for r in range(REPEATS)
+            for kind in kinds[r % len(kinds):] + kinds[:r % len(kinds)]
+            for count in counts]
+
+
+def row(kind, runs):
+    """The row of ``kind`` from its ``one_build`` results ``runs``, all
+    over one stream."""
+    shapes = {tuple(shape) for _us, _sixths, shape in runs}
+    assert len(shapes) == 1, f"{kind}: the builds differ in shape {shapes}"
     us = [run[0] for run in runs]
     live, mean_depth, max_depth, nodes = shapes.pop()
     return {"kind": kind, "images": live, "us_per_image": round(statistics.median(us), 2),
@@ -127,13 +140,17 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.one:
         kind, count = args.one
-        print(row_line(build(kind, int(count))), flush=True)
+        print(json.dumps(one_build(kind, int(count))))
         return 0
     print(HEADER, flush=True)
     script = str(Path(__file__).resolve())
-    for kind in args.kinds:
-        for count in args.counts:
-            subprocess.run([sys.executable, script, "--one", kind, str(count)], check=True)
+    runs = {(kind, count): [] for kind in args.kinds for count in args.counts}
+    for kind, count in schedule(args.kinds, args.counts):
+        out = subprocess.run([sys.executable, script, "--one", kind, str(count)],
+                             check=True, capture_output=True, text=True).stdout
+        runs[kind, count].append(json.loads(out))
+    for (kind, _count), builds in runs.items():
+        print(row_line(row(kind, builds)))
     return 0
 
 
