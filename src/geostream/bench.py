@@ -1,8 +1,8 @@
 """Benchmark harness: one sweep per axis of the paper's figures. Insert
 and segment-roll latency against arrival rate; response time, node
 accesses, visual node bounds evaluated and images scored against node
-capacity, query-word count l, k, dataset size n and the weights;
-modelled storage against n.
+capacity, query-word count l, k, dataset size n and the weights; and
+against n, the bytes each index holds, measured with its image records.
 
 Every answer is checked: each index must return the first index's
 answer to every query (at 1e-9), and each index's answer to the first
@@ -18,12 +18,14 @@ at the target rate, no wall-clock waiting.
 from __future__ import annotations
 
 import csv
+import gc
 import statistics
+import sys
 import time
 from dataclasses import dataclass, replace
 
 from .baselines import IfaIndex, StviiIndex
-from .engine import brute_force_oracle, walk
+from .engine import brute_force_oracle
 from .hiq import HiqIndex
 from .verify import results_match
 from .workload import QueryConfig, generate_images, generate_queries
@@ -46,16 +48,6 @@ AXES = {
 
 INDEX_CLASSES = {cls.kind: cls for cls in (HiqIndex, IfaIndex, StviiIndex)}
 INDEX_KINDS = tuple(INDEX_CLASSES)
-
-# per-type footprint model for storage estimation (bytes)
-NODE_BYTES = 64            # rectangle/MBR + t_max + pointers
-POSTING_BYTES = 16         # (image id, weight) pair
-AGG_ENTRY_BYTES = 16       # (word, max weight) at a node
-# an image record, fitted to ``tools/record_bytes.py``'s measured bytes per
-# image (3,605 at 72.5 words, generator defaults; 1,023 at 13.4 words,
-# perfbench's clustered stream; 64-bit CPython 3.11)
-RECORD_BYTES = 440         # the object, its id, location, timestamp and empty containers
-RECORD_WORD_BYTES = 44     # per word: its ``freq`` entry and its tf in ``tfs``
 
 
 class AnswerMismatchError(Exception):
@@ -167,7 +159,8 @@ def sweep(gen_cfg, index_cfg, axis, values=None, query_cfg=None, kinds=INDEX_KIN
     replaces the capacity; ``l``, ``k`` and ``omega1..3`` replace a field
     of the query config; those measure ``response_ms``, ``nodes``,
     ``bounds`` and ``images_scored``. ``n`` also gives each index's
-    modelled ``bytes``, which a search leaves as the build made them.
+    measured ``bytes`` (``estimate_storage``), which a search leaves as
+    the build made them.
     Indexes are rebuilt only when a point's images or index config
     change. Raises ``AnswerMismatchError`` on a wrong answer."""
     if axis not in AXES:
@@ -214,26 +207,31 @@ def sweep(gen_cfg, index_cfg, axis, values=None, query_cfg=None, kinds=INDEX_KIN
     return rows
 
 
-def estimate_storage(index):
-    """Bytes under the documented per-type size model: IFA holds one
-    posting per word of each live image (the postings of expired slots
-    not yet trimmed away are not counted), and a tree holds its nodes,
-    their aggregates and its leaves' image records. The model leaves out
-    the index's ``CorpusStats``, its ``_live`` map of id to image and
-    IFA's slot columns, so it stays far under what ``tools/record_bytes.py``
-    measures: at perfbench's clustered shape it gives 431/215/136 B per
-    image beyond the records for HIQ/IFA/STVII, against a measured
-    1,092/816/484 B."""
-    if index.kind == "ifa":
-        return sum(RECORD_BYTES + (RECORD_WORD_BYTES + POSTING_BYTES) * len(img.freq)
-                   for img in index.live_images())
-    total = 0
-    for node in walk(index.roots()):
-        total += NODE_BYTES + AGG_ENTRY_BYTES * len(node.max_freq)
-        if node.children is None:
-            for img in node.images:
-                total += RECORD_BYTES + RECORD_WORD_BYTES * len(img.freq)
+def object_bytes(roots):
+    """``sys.getsizeof`` summed over every object reachable from the
+    iterable ``roots`` through ``gc.get_referents``, the roots included,
+    each object counted once. Nothing callable is counted or entered, so
+    a function set on an instance, a method or a class (and through it
+    its module) adds nothing."""
+    seen, total, stack = set(), 0, list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or callable(obj):
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        stack += gc.get_referents(obj)
     return total
+
+
+def estimate_storage(index):
+    """The bytes the index holds, measured by ``object_bytes`` over its
+    attributes but ``config`` and ``params``, whose query context caches
+    the last search: its image records, its statistics' buckets, ``_live``,
+    its trees, and IFA's columns and postings. A search leaves it as the
+    build made it."""
+    return object_bytes(value for name, value in vars(index).items()
+                        if name not in ("config", "params"))
 
 
 def write_csv(rows, path):

@@ -1,9 +1,11 @@
 import csv
+import gc
 import importlib.util
 import itertools
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -152,7 +154,7 @@ class TestStorage:
     @pytest.mark.parametrize("kind", ["hiq", "stvii"])
     def test_tree_storage_unchanged_by_queries(self, kind):
         # a tree leaf keeps no inverted file, so a search leaves the
-        # modelled bytes as the build left them
+        # measured bytes as the build left them
         cfg = small_index(segment_span=10_000)
         gen = small_gen(image_count=200)
         images = generate_images(gen)
@@ -167,6 +169,46 @@ class TestStorage:
         # the n point that built the index writes its bytes after its queries
         rows = bench.sweep(gen, cfg, "n", values=(200,), kinds=(kind,))
         assert [r.mean for r in rows if r.metric == "bytes"] == [built]
+
+    @pytest.mark.parametrize("kind", bench.INDEX_KINDS)
+    def test_bytes_beyond_the_records_equal_tracemalloc(self, kind):
+        # perfbench's clustered shape, one segment: what the build leaves
+        # allocated, as tracemalloc traces it, is the walk of the index less
+        # that of its records
+        record_bytes = load_tool("record_bytes")
+        images = generate_images(GeneratorConfig(
+            seed=record_bytes.SEED, image_count=1000,
+            **record_bytes.SHAPES["perfbench clustered"]))
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            index = bench.build_index(kind, record_bytes.CONFIG)
+            for img in images:
+                index.insert(img)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        walked = bench.estimate_storage(index) - bench.object_bytes(images)
+        assert walked == pytest.approx(retained, rel=0.01)
+
+    @pytest.mark.parametrize("kind", bench.INDEX_KINDS)
+    def test_bytes_skip_functions_and_searches(self, kind):
+        # a function set on the instance, as perfbench's traced run sets
+        # its span wrappers, and the query context a search caches add
+        # nothing
+        gen = small_gen(image_count=200)
+        images = generate_images(gen)
+        index = bench.build_index(kind, small_index(segment_span=10_000))
+        for img in images:
+            index.insert(img)
+        built = bench.estimate_storage(index)
+        search = index.search
+        index.search = lambda q: search(q)
+        for q in generate_queries(QueryConfig(seed=1, count=3), images).queries:
+            assert index.search(q)[0]
+        assert bench.estimate_storage(index) == built
 
 
 AXIS_METRICS = {"arrival_rate": ("insert_us", "delete_us"),

@@ -7,7 +7,7 @@ checks a fresh run against the newest such file.
 Each workload of ``BENCHMARK.json`` runs once as ``perfbench/run.py
 --trace 1 --seed 1 --seconds 8``, a single traced pass whose counts
 repeat exactly across runs and processes. The file keeps every count-unit metric,
-``engine.scored_per_result`` and the modelled ``*.model_bytes`` per
+``engine.scored_per_result`` and the measured ``*.model_bytes`` per
 workload. ``--check`` names each of them
 that moved; it prints the per-layer timings of the fresh run beside them
 but never gates on a timing. A change that moves a count commits its own

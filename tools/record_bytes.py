@@ -1,5 +1,5 @@
 """Measures the bytes of the image records and of each index, per image, by
-tracemalloc.
+walking their objects (``geostream.bench.object_bytes``).
 
     python tools/record_bytes.py
 
@@ -8,12 +8,17 @@ For two stream shapes of ``COUNT`` = 3,000 images drawn with the seed
 stream (vocabulary 5,000, 15 mean word draws, 12 clusters of sigma 1.5),
 it prints one row:
 
-- ``record``: what ``generate_images`` leaves allocated, per image: the
-  records and the list that holds them, with the int of each word id, one
-  per stream, counted once;
-- ``hiq``, ``ifa``, ``stvii``: what a fresh index of that kind and its
-  ``CorpusStats`` allocate over the records while every image of the
-  stream is inserted, per live image.
+- ``record``: the bytes of the list ``generate_images`` returns, per
+  image: the list, the records and everything they reach, with the int
+  of each word id, one per stream, counted once;
+- ``hiq``, ``ifa``, ``stvii``: the bytes of a fresh index of that kind
+  built over every image of the stream (``estimate_storage``), less those
+  of its records, per live image: its trees or columns and postings, its
+  ``CorpusStats`` and its ``_live`` map.
+
+Each object is sized by ``sys.getsizeof`` and counted once, so the
+figures are CPython's object sizes, which differ between Python versions;
+``tests/test_bench.py`` checks the index figure against tracemalloc's.
 
 Every index uses perfbench's static configuration: one segment of the
 window holds the whole stream, capacity 100, depth 16. It imports the
@@ -23,14 +28,12 @@ in. The figures are informational; nothing is gated.
 
 from __future__ import annotations
 
-import gc
 import sys
-import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from geostream.bench import INDEX_CLASSES  # noqa: E402
+from geostream.bench import INDEX_CLASSES, estimate_storage, object_bytes  # noqa: E402
 from geostream.hiq import HiqConfig  # noqa: E402
 from geostream.workload import DEFAULT_DOMAIN, GeneratorConfig, generate_images  # noqa: E402
 
@@ -46,30 +49,18 @@ CONFIG = HiqConfig(domain=DEFAULT_DOMAIN, segment_span=10_000_000, window=24,
                    capacity=100, max_depth=16)
 
 
-def _held():
-    """The bytes tracemalloc sees allocated now, after a full collection."""
-    gc.collect()
-    return tracemalloc.get_traced_memory()[0]
-
-
 def measure(cfg):
     """``(words per image, {"record" or kind: bytes per image})`` of the
     stream ``cfg``."""
-    tracemalloc.start()
-    try:
-        base = _held()
-        images = generate_images(cfg)
-        n = len(images)
-        out = {"record": (_held() - base) / n}
-        for kind, cls in INDEX_CLASSES.items():
-            before = _held()
-            index = cls(CONFIG)
-            for img in images:
-                index.insert(img)
-            out[kind] = (_held() - before) / index.image_count()
-            del index
-    finally:
-        tracemalloc.stop()
+    images = generate_images(cfg)
+    n = len(images)
+    records = object_bytes(images)
+    out = {"record": object_bytes([images]) / n}
+    for kind, cls in INDEX_CLASSES.items():
+        index = cls(CONFIG)
+        for img in images:
+            index.insert(img)
+        out[kind] = (estimate_storage(index) - records) / index.image_count()
     return sum(len(img.freq) for img in images) / n, out
 
 
