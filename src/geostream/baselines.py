@@ -36,7 +36,7 @@ from bisect import bisect_left
 import numpy as np
 
 from .engine import Index, ResultEntry, SearchStats, TreeIndex
-from .model import ConfigError, add_to_aggregates, combined_score
+from .model import ConfigError, QueryContext, add_to_aggregates, combined_score
 from .model import mind_visual  # noqa: F401 (perfbench wraps baselines.mind_visual)
 
 
@@ -92,9 +92,10 @@ class IfaIndex(Index):
         slots than live images. Only the rows costing at most the k-th
         smallest f_stv are sorted by (f_stv, id), which keeps every tie at
         the k-th place; the k best get their breakdown from
-        ``combined_score``."""
+        ``combined_score`` of their terms from the search's one
+        ``QueryContext`` (``QueryContext.terms``)."""
         p = self.params
-        ctx = p.context(q)      # checks the query location
+        ctx = QueryContext(q, p)    # checks the query location
         stats = SearchStats()
         stats.nodes_visited = len(ctx._floors)     # the query words of the live corpus
         f_v, held = ctx.visual_columns(self.postings, len(self.ids), self._base)
@@ -124,8 +125,8 @@ class IfaIndex(Index):
             rows, f_stv = rows[keep], f_stv[keep]
         ids = np.frombuffer(self.ids, dtype=np.int64)[rows]
         live = self._live
-        entries = [ResultEntry(iid, combined_score(q, live[iid], p))
-                   for iid in ids[np.lexsort((ids, f_stv))[:k]].tolist()]
+        best = [live[iid] for iid in ids[np.lexsort((ids, f_stv))[:k]].tolist()]
+        entries = [ResultEntry(img.id, combined_score(q, img, p, ctx.terms(img))) for img in best]
         entries.sort(key=lambda e: (e.score.f_stv, e.image_id))
         return entries, stats
 

@@ -226,10 +226,10 @@ def object_bytes(roots):
 
 def estimate_storage(index):
     """The bytes the index holds, measured by ``object_bytes`` over its
-    attributes but ``config`` and ``params``, whose query context caches
-    the last search: its image records, its statistics' buckets, ``_live``,
-    its trees, and IFA's columns and postings. A search leaves it as the
-    build made it."""
+    attributes but ``config`` and ``params``, which share the index's
+    settings and its ``stats``: its image records, its statistics'
+    buckets, ``_live``, its trees, and IFA's columns and postings. A
+    search leaves it as the build made it."""
     return object_bytes(value for name, value in vars(index).items()
                         if name not in ("config", "params"))
 

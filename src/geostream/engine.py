@@ -4,7 +4,7 @@
 the live corpus, admission of an image and the sliding window.
 
 The search works against any index exposing the searchable surface:
-``roots()``, ``bounds(q, nodes)``, ``candidates(q, leaf, worst, floor)``
+``roots()``, ``bounds(q, nodes)``, ``candidates(ctx, leaf, worst, floor)``
 and a ``params`` attribute, with the bound dominance property (a node's
 bound <= f_stv of every image under the node) and nested aggregates (a
 child's ``t_max`` and each word of its ``max_freq`` at most its
@@ -13,7 +13,7 @@ parent's; the search's inherited visual bounds rest on the latter).
 ``(spatial, recency)``, in one pass over a list; the visual term, the
 query context's ``visual_bound`` of the node's ``max_freq``, belongs to
 the search, which keeps in each node's heap entry whether the miss
-count decided it. ``mind(q, node)``, ``spatial + w2 * mind_visual +
+count decided it. ``mind(ctx, node)``, ``spatial + w2 * mind_visual +
 recency``, is a node's exact bound, the one-node reference that the
 dominance audit and the tests read. A lone root, when ``roots()`` gives
 exactly one node, must hold every live image of ``params.stats``: its
@@ -25,6 +25,9 @@ holds its ``images``.
 ``bounds``, ``mind``, ``candidates`` and ``node_count``; a subclass
 provides only ``roots()`` and ``_rect(node)``, a node's rectangle.
 
+The search builds one ``QueryContext`` of its query where it starts and
+passes it to every step that scores: ``candidates`` and ``mind`` take it
+in place of the query, and nothing caches it between searches.
 ``candidates`` scores a leaf one image at a time
 (``QueryContext.score_leaf``) straight into the search's one running top
 k, ``worst``, whose k-th cost is λ, and returns the ``(f_stv, image)``
@@ -52,6 +55,7 @@ from .model import (
     ConfigError,
     CorpusStats,
     DomainError,
+    QueryContext,
     ScoreBreakdown,
     ScoreParams,
     _INT64,
@@ -142,18 +146,19 @@ def top_k_search(q, index, audit=None):
     one. Nodes are visited in ascending (bound, push order) until the
     heap is empty or its top exceeds λ.
 
-    ``index.candidates(q, leaf, worst, floor)`` offers a leaf's images to
-    ``worst``, the running top k, under the leaf's floor, its bound less
-    the spatial term its heap entry carries; λ is read back from
-    ``worst``. Its entries, ``(-f_stv, -id, image, f_s, f_v, f_t)``,
-    are the results: in ascending (f_stv, id), each gets its breakdown
-    from ``combined_score`` of the terms it carries. ``audit``,
-    when a list, is filled with the bound of each pruned node (for
-    dominance-safety tests). ``stats.stop`` says whether λ ended the
-    search early.
+    The search builds the query's one ``QueryContext``, which checks the
+    query location, and ``index.candidates(ctx, leaf, worst, floor)``
+    offers a leaf's images to ``worst``, the running top k, under the
+    leaf's floor, its bound less the spatial term its heap entry
+    carries; λ is read back from ``worst``. Its entries, ``(-f_stv, -id,
+    image, f_s, f_v, f_t)``, are the results: in ascending (f_stv, id),
+    each gets its breakdown from ``combined_score`` of the terms it
+    carries. ``audit``, when a list, is filled with the bound of each
+    pruned node (for dominance-safety tests). ``stats.stop`` says
+    whether λ ended the search early.
     """
     params = index.params
-    ctx = params.context(q)     # checks the query location
+    ctx = QueryContext(q, params)   # checks the query location
     visual_bound = ctx.visual_bound
     w2 = q.weights[1]
     k = q.k
@@ -190,7 +195,7 @@ def top_k_search(q, index, audit=None):
         stats.nodes_visited += 1
         nodes = node.children
         if nodes is None:
-            stats.images_scored += len(index.candidates(q, node, worst, bound - spatial))
+            stats.images_scored += len(index.candidates(ctx, node, worst, bound - spatial))
             if len(worst) == k:
                 lam = -worst[0][0]
         else:
@@ -396,25 +401,28 @@ class TreeIndex(Index):
             out.append((w1 * (sqrt(d_lat * d_lat + d_lon * d_lon) / delta_max), w3 * f_t))
         return out
 
-    def mind(self, q, node):
+    def mind(self, ctx, node):
         """Lower bound on f_stv for any image under ``node``, the exact
         bound the search visits a node under: ``spatial + w2 *
         mind_visual(node.max_freq) + recency``, with the terms of
-        ``bounds`` and the query context's ``mind_visual``."""
+        ``bounds`` and the ``mind_visual`` of ``ctx``, the query's
+        ``QueryContext``."""
+        q = ctx.q
         [(spatial, recency)] = self.bounds(q, [node])
-        return spatial + q.weights[1] * self.params.context(q).mind_visual(node.max_freq) + recency
+        return spatial + q.weights[1] * ctx.mind_visual(node.max_freq) + recency
 
-    def candidates(self, q, leaf, worst, floor=0.0):
+    def candidates(self, ctx, leaf, worst, floor=0.0):
         """Offers each image in the leaf sharing at least one query word to
         ``worst``, the search's running top k, a max-heap of ``(-f_stv,
         -id, image, f_s, f_v, f_t)``, and returns the ``(f_stv, image)``
-        pairs it admitted: the query context's ``score_leaf``.
+        pairs it admitted: ``ctx.score_leaf``, of the query's
+        ``QueryContext``.
 
         ``floor`` is a lower bound on each image's visual and recency cost,
         which sets the scorer's spatial radius; the search passes the
         leaf's exact bound less its spatial term. Any valid floor leaves
         the same heap; the default 0.0 gives a looser radius."""
-        return self.params.context(q).score_leaf(leaf, worst, floor)
+        return ctx.score_leaf(leaf, worst, floor)
 
     def node_count(self):
         return sum(1 for _ in walk(self.roots()))

@@ -18,9 +18,9 @@ inlines ``spatial_cost``, ``recency_cost`` and ``combine``, and the node
 terms of both trees, ``engine.TreeIndex.bounds``, inline
 ``rect_min_cost`` and ``recency_cost``. The functions stay as the
 reference that the tests compare against (the only use of
-``rect_min_cost``), as the path of the oracle and of
-``model.combined_score`` when it is given no terms,
-and as what the benchmark's call counters wrap.
+``rect_min_cost``), as the path of the oracle, of
+``model.QueryContext.terms`` and of ``model.combined_score`` when it is
+given no terms, and as what the benchmark's call counters wrap.
 """
 
 import math

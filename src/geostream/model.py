@@ -295,21 +295,19 @@ class CorpusStats:
     by ``expire``, so nothing here looks an image up by id. ``add_image``
     reads an image's words and ratios from its ``freq`` and its counts
     from its ``tfs``, and keeps the image itself, not a copy of its words.
-    ``version`` counts the updates, so ``ScoreParams`` can tell that what
-    it cached is stale.
+    Nothing is cached over the statistics: each search reads them once,
+    when it builds its ``QueryContext``.
     """
 
     def __init__(self, segment_span):
         span = _whole(segment_span, "segment_span", ConfigError)
         if span < 1:
             raise ConfigError(f"segment_span must be >= 1, got {segment_span!r}")
-        self.version = 0
         self.total_word_count = 0
         self._span = span
         self.buckets = {}       # t_c // segment_span -> _Bucket
 
     def add_image(self, img):
-        self.version += 1
         total = img.total_tf
         self.total_word_count += total
         key = img.t_c // self._span
@@ -354,7 +352,6 @@ class CorpusStats:
 
     def _drop(self, key):
         """Drops a whole bucket with its counts; returns its images."""
-        self.version += 1
         bucket = self.buckets.pop(key)
         self.total_word_count -= bucket.total_tf
         return bucket.images
@@ -393,13 +390,15 @@ class CorpusStats:
 
 @dataclass
 class ScoreParams:
+    """The scoring settings of an index over its live statistics
+    ``stats``. It holds no query state: a search builds its own
+    ``QueryContext(q, params)``."""
+
     domain: SpatialDomain
     stats: CorpusStats
     xi: float = 0.5
     decay_base: float = 2.0
     time_unit: float = 3600.0
-    _context: object = field(default=None, init=False, repr=False, compare=False)
-    _state: tuple = field(default=(None, -1), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _domain(self.domain)
@@ -411,21 +410,6 @@ class ScoreParams:
             raise ConfigError("decay base must be > 1")
         if self.time_unit <= 0.0:
             raise ConfigError("time unit must be positive")
-
-    def context(self, q):
-        """The ``QueryContext`` of ``q`` over the current corpus. One
-        context is cached, the last one built, under one key, the stats
-        object and its version: it is kept while the key and the query
-        object stay the same, and dropped when the key changes."""
-        stats = self.stats
-        state = self._state
-        if state[0] is not stats or state[1] != stats.version:
-            self._state = (stats, stats.version)
-            self._context = None
-        c = self._context
-        if c is None or c.q is not q:
-            c = self._context = QueryContext(q, self)
-        return c
 
 
 class QueryContext:
@@ -460,7 +444,11 @@ class QueryContext:
     ``_log_den`` and its log floor to the constant, in query order, and
     keeps its gain (below), which is sorted only when the miss rule is
     on. A context holds only constants of its query over one corpus
-    state, and ``ScoreParams.context`` drops it when that state changes.
+    state. A search builds one where it starts and passes it to every
+    step that scores (``engine.top_k_search``,
+    ``baselines.IfaIndex.search``); nothing caches one, so no context
+    outlives the search, and the state, it was built for. ``terms``
+    gives one image's three costs from the kernels.
 
     Lacking many query words forces a cost of exactly 1.0, which all
     three scorers then give without a log, by one rule. Each word ``v``
@@ -572,6 +560,16 @@ class QueryContext:
             self._misses = misses
         self._live_words = frozenset(floors)
         self._count_first = 2 * self._misses <= len(floors)
+
+    def terms(self, img):
+        """``(f_s, f_v, f_t)`` of ``img``: ``kernels.spatial_cost``, the
+        context's ``mind_visual`` of ``img.freq`` and
+        ``kernels.recency_cost``, called through the module. They are the
+        terms of ``combined_score`` when it is given none."""
+        q = self.q
+        return (kernels.spatial_cost(q.loc[0], q.loc[1], img.lat, img.lon, self._delta_max),
+                self.mind_visual(img.freq),
+                kernels.recency_cost(q.t - img.t_c, self._decay_base, self._time_unit))
 
     def misses_decide(self, ratios):
         """Whether the word -> ratio map ``ratios`` lacks at least
@@ -820,16 +818,24 @@ def visual_weight(word, img, params):
     )
 
 
+def _fresh_context(q, params):
+    """A new ``QueryContext`` of ``q``, for a caller outside a search;
+    ``InvalidStateError`` over an empty corpus, which no image can be
+    scored against."""
+    if params.stats.total_word_count == 0:
+        raise InvalidStateError("empty corpus")
+    return QueryContext(q, params)
+
+
 def visual_relevance(q, img, params):
     """1 - (product of query-word weights) / gamma_max, clamped to [0, 1].
 
     gamma_max is the product over query words of the live corpus-wide
-    maximum weight, so the best-matching image scores 0. It is the query
-    context's ``mind_visual`` of the image's ratios ``img.freq``.
+    maximum weight, so the best-matching image scores 0. It is the
+    ``mind_visual`` of the image's ratios ``img.freq`` under a fresh
+    ``QueryContext``; a search reads its own context instead.
     """
-    if params.stats.total_word_count == 0:
-        raise InvalidStateError("empty corpus")
-    return params.context(q).mind_visual(img.freq)
+    return _fresh_context(q, params).mind_visual(img.freq)
 
 
 def temporal_recency(q, t_c, params):
@@ -841,22 +847,17 @@ def combined_score(q, img, params, terms=None):
     """Full breakdown; the caller enforces the >= 1 common word filter.
 
     The one breakdown path of every index. ``terms``, when given, is the
-    image's ``(f_s, f_v, f_t)`` as the tree search's leaf scorer computed
-    them, the kernels' values bit for bit, and is taken as it is.
-    Otherwise (IFA's results, verify, other callers) they are computed
-    here: the spatial and recency kernels, and ``f_v`` as the query
-    context's ``mind_visual`` of ``img.freq`` (``visual_relevance``).
-    ``f_stv`` is ``kernels.combine`` of the three either way.
+    image's ``(f_s, f_v, f_t)`` from the search's own query context: the
+    tree search's leaf scorer's, or ``QueryContext.terms`` for IFA's
+    results and verify, the kernels' values bit for bit, taken as they
+    are. Otherwise they are the ``terms`` of a fresh context, which raises
+    ``InvalidStateError`` over an empty corpus, as ``visual_relevance``
+    does. ``f_stv`` is ``kernels.combine`` of the three either way.
 
     Locations are not checked here: the query's is checked when its
     context is built, an image's when an index admits it.
     """
-    if terms is not None:
-        f_s, f_v, f_t = terms
-    else:
-        f_s = kernels.spatial_cost(q.loc[0], q.loc[1], img.lat, img.lon, params.domain.delta_max)
-        f_v = visual_relevance(q, img, params)
-        f_t = temporal_recency(q, img.t_c, params)
+    f_s, f_v, f_t = _fresh_context(q, params).terms(img) if terms is None else terms
     w1, w2, w3 = q.weights
     return ScoreBreakdown(f_s, f_v, f_t, kernels.combine(w1, w2, w3, f_s, f_v, f_t))
 
@@ -881,8 +882,9 @@ def add_to_aggregates(node, t, freq):
 
 def mind_visual(q, node_max_freq, params):
     """Lower bound on visual relevance for any image under a node whose
-    per-word max frequency ratios are ``node_max_freq``: the query
-    context's ``mind_visual``. It stays only for perfbench's wrappers of
-    ``hiq.mind_visual`` and ``baselines.mind_visual``, until perfbench is
-    brought up to date with the package (ROADMAP item 6)."""
-    return params.context(q).mind_visual(node_max_freq)
+    per-word max frequency ratios are ``node_max_freq``: the
+    ``mind_visual`` of a fresh ``QueryContext``. It stays only for
+    perfbench's wrappers of ``hiq.mind_visual`` and
+    ``baselines.mind_visual``, until perfbench is brought up to date with
+    the package (ROADMAP item 6)."""
+    return QueryContext(q, params).mind_visual(node_max_freq)

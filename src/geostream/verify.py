@@ -18,6 +18,7 @@ from .model import (
     BOUND_TOL,
     GeoTemporalImage,
     Query,
+    QueryContext,
     combined_score,
     spatial_proximity,
 )
@@ -383,7 +384,7 @@ def _subtree_images(node):
 
 
 def check_dominance(seed, pairs, domain, tol=BOUND_TOL):
-    """For random (index, query) pairs, asserts mind(q, N) lower-bounds
+    """For random (index, query) pairs, asserts mind(ctx, N) lower-bounds
     the combined score of every image under N, for every node, after
     part of each dataset has expired. For every image of every leaf it
     also asserts the bound behind the leaf scorer's spatial radius
@@ -434,71 +435,75 @@ def dominance_violations(q, index, tol=BOUND_TOL):
     tree index: the nodes whose ``mind`` exceeds the lowest f_stv under
     them by more than ``tol``, the leaf images of
     ``leaf_bound_violations``, the pairs of ``nesting_violations`` and
-    the lone root of ``lone_root_violations``."""
+    the lone root of ``lone_root_violations``. It builds the query's one
+    ``QueryContext``, scores from it and passes it to each of those."""
+    params = index.params
+    ctx = QueryContext(q, params)
     violations = 0
     for node in walk(index.roots()):
         subtree = _subtree_images(node)
         if not subtree:
             continue
-        bound = index.mind(q, node)
-        low = min(combined_score(q, img, index.params).f_stv for img in subtree)
+        bound = index.mind(ctx, node)
+        low = min(combined_score(q, img, params, ctx.terms(img)).f_stv for img in subtree)
         if bound > low + tol:
             violations += 1
         if node.children is None:
-            violations += leaf_bound_violations(q, node, index.params, tol)
-    return violations + nesting_violations(q, index) + lone_root_violations(q, index)
+            violations += leaf_bound_violations(ctx, node, params, tol)
+    return violations + nesting_violations(ctx, index) + lone_root_violations(ctx, index)
 
 
-def lone_root_violations(q, index):
-    """1 when ``index`` has exactly one root and the query context's
-    ``mind_visual`` of the root's ``max_freq`` is not exactly 0.0, else
-    0, compared with no tolerance. The search gives a lone root the
-    visual bound 0.0 without computing it; that rests on the root
-    holding every live image, so that its per-word maxima are the live
-    maxima and ``mind_visual`` sums the very logs of the context's
-    denominator."""
+def lone_root_violations(ctx, index):
+    """1 when ``index`` has exactly one root and the ``mind_visual`` of
+    the root's ``max_freq`` under the query context ``ctx`` is not
+    exactly 0.0, else 0, compared with no tolerance. The search gives a
+    lone root the visual bound 0.0 without computing it; that rests on
+    the root holding every live image, so that its per-word maxima are
+    the live maxima and ``mind_visual`` sums the very logs of the
+    context's denominator."""
     roots = index.roots()
-    return int(len(roots) == 1
-               and index.params.context(q).mind_visual(roots[0].max_freq) != 0.0)
+    return int(len(roots) == 1 and ctx.mind_visual(roots[0].max_freq) != 0.0)
 
 
-def nesting_violations(q, index):
+def nesting_violations(ctx, index):
     """The number of (parent, child) pairs of ``index``'s trees where the
     child's ``t_max`` exceeds its parent's, a word of its ``max_freq``
     exceeds its parent's, or its terms from ``index.bounds`` with the
-    parent's visual bound exceed its exact bound ``index.mind(q, child)``,
+    parent's visual bound exceed its exact bound ``index.mind(ctx, child)``,
     compared with no tolerance. The search gives a child its parent's
     visual bound, 1.0, when the miss count decided the parent's; that
     rests on the child's ``max_freq`` keys being a subset of its
-    parent's, which the ``max_freq`` check implies."""
-    context = index.params.context(q)
+    parent's, which the ``max_freq`` check implies. ``ctx`` is the
+    query's ``QueryContext``."""
+    q = ctx.q
     violations = 0
     for parent in walk(index.roots()):
         children = parent.children
         if children is None:
             continue
-        f_v = context.mind_visual(parent.max_freq)
+        f_v = ctx.mind_visual(parent.max_freq)
         for child, (spatial, recency) in zip(children, index.bounds(q, children)):
             if child.t_max is not None and (parent.t_max is None or child.t_max > parent.t_max):
                 violations += 1
             if any(f > parent.max_freq.get(word, 0.0) for word, f in child.max_freq.items()):
                 violations += 1
-            if spatial + q.weights[1] * f_v + recency > index.mind(q, child):
+            if spatial + q.weights[1] * f_v + recency > index.mind(ctx, child):
                 violations += 1
     return violations
 
 
-def leaf_bound_violations(q, leaf, params, tol=BOUND_TOL):
+def leaf_bound_violations(ctx, leaf, params, tol=BOUND_TOL):
     """The number of images of ``leaf`` whose f_stv is below
     ``w1 * f_s(image) + w2 * mind_visual(leaf) + w3 * recency(leaf.t_max)``
-    by more than ``tol``."""
+    by more than ``tol``, all from the query context ``ctx``."""
+    q = ctx.q
     w1, w2, w3 = q.weights
-    f_v = params.context(q).mind_visual(leaf.max_freq)
+    f_v = ctx.mind_visual(leaf.max_freq)
     f_t = kernels.recency_cost(q.t - leaf.t_max, params.decay_base, params.time_unit)
     return sum(
         1 for img in leaf.images
         if kernels.combine(w1, w2, w3, spatial_proximity(q, img.loc, params.domain), f_v, f_t)
-        > combined_score(q, img, params).f_stv + tol)
+        > combined_score(q, img, params, ctx.terms(img)).f_stv + tol)
 
 
 def run_verification(seed=0, instances=50, domain=None):

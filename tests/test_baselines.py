@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import stats_snapshot
 
 from geostream import baselines
 from geostream.baselines import (
@@ -21,6 +22,7 @@ from geostream.model import (
     DomainError,
     GeoTemporalImage,
     Query,
+    QueryContext,
     ScoreParams,
 )
 from geostream.verify import (
@@ -85,7 +87,7 @@ def test_arrival_older_than_an_expire_cutoff_is_refused(cls, domain):
     assert index.window_start() == 2000
 
     def state():
-        return (index.window_start(), index.stats.version,
+        return (index.window_start(), stats_snapshot(index.stats),
                 [im.id for im in index.live_images()])
 
     before = state()
@@ -408,7 +410,7 @@ def test_ifa_columns_match_oracle(xi, domain):
                 1 for im in live if not qwords.isdisjoint(im.freq))
             # the column pass gives every live candidate, a slot at or
             # after the cutoff, the scalar visual cost
-            ctx = index.params.context(q)
+            ctx = QueryContext(q, index.params)
             f_v, held = ctx.visual_columns(index.postings, len(index.ids), index._base)
             by_id = {im.id: im for im in live}
             for s, iid in enumerate(index.ids):
@@ -465,7 +467,7 @@ def test_visual_columns_match_per_word_reference(xi, domain):
 
     def check(live):
         q = random_query(rng, live, domain, vocab=26, max_words=8)
-        ctx = index.params.context(q)
+        ctx = QueryContext(q, index.params)
         n, base = len(index.ids), index._base
         held = _assert_columns_match_reference(ctx, index.postings, n, base)
         assert held.any()
@@ -490,13 +492,13 @@ def test_visual_columns_match_per_word_reference(xi, domain):
     assert index.paths == {"IFA trims": trims}
     # no query word in the live corpus: no slot holds one
     outside = Query(psi=(100, 101), loc=(50.0, 50.0), t=10_000, k=5, weights=(0.3, 0.4, 0.3))
-    held = _assert_columns_match_reference(index.params.context(outside), index.postings,
+    held = _assert_columns_match_reference(QueryContext(outside, index.params), index.postings,
                                            len(index.ids), index._base)
     assert len(held) == len(index.ids) and not held.any()
     # everything expired: an empty table, scored with the last context too
     index.expire(100_000)
     assert len(index.ids) == 0 and index.postings == {}
-    for c in (ctx, index.params.context(outside)):
+    for c in (ctx, QueryContext(outside, index.params)):
         assert len(_assert_columns_match_reference(c, index.postings, 0, index._base)) == 0
 
 
@@ -597,7 +599,8 @@ def test_expire_rejects_non_finite_cutoff(cls, cutoff, domain):
         index.insert(img(i, t_c=50 * i, psi=((i % 3, 1), (7, i + 1))))
 
     def state():
-        return [im.id for im in index.live_images()], index.window_start(), index.stats.version
+        return ([im.id for im in index.live_images()], index.window_start(),
+                stats_snapshot(index.stats))
 
     before = state()
     with pytest.raises(ConfigError, match="expire cutoff must be finite"):
@@ -614,11 +617,11 @@ def test_int64_overflow_changes_nothing(cls, bad, domain):
     index = cls(make_config(domain, segment_span=10, window=2))
     index.insert(img(1, t_c=0))
     before = ([im.id for im in index.live_images()], index.window_start(),
-              index.stats.version)
+              stats_snapshot(index.stats))
     with pytest.raises(OverflowError):
         index.insert(img(**{"t_c": 100, **bad}))
     assert ([im.id for im in index.live_images()], index.window_start(),
-            index.stats.version) == before
+            stats_snapshot(index.stats)) == before
 
 
 @pytest.mark.parametrize("base", [0, 2 ** 54], ids=["small", "2**54"])
@@ -697,7 +700,7 @@ class TestStvii:
         from geostream.model import Query
 
         q = Query(psi=(1, 2), loc=(50.0, 50.0), t=4000, k=1, weights=(1 / 3, 1 / 3, 1 / 3))
-        assert index.mind(q, index.root) == 0.0
+        assert index.mind(QueryContext(q, index.params), index.root) == 0.0
 
     def test_mind_dominance(self, domain):
         rng = random.Random(36)

@@ -244,6 +244,18 @@ def drop_last_result(monkeypatch, cls, after=0):
     monkeypatch.setattr(cls, "search", search)
 
 
+def test_row_of_no_samples_reads_zero():
+    assert bench._row("k", 10, "ifa", "nodes", []) == \
+        bench.BenchRow("k", 10, "ifa", "nodes", 0.0, 0.0, 0.0)
+
+
+def test_unknown_kind_and_axis_raise():
+    with pytest.raises(ValueError, match="unknown index kind 'rtree'"):
+        bench.build_index("rtree", small_index())
+    with pytest.raises(ValueError, match="unknown axis 'z'"):
+        bench.sweep(small_gen(), small_index(), "z")
+
+
 @pytest.mark.parametrize("n, p50, p95", [(20, 10, 19), (100, 50, 95), (1, 1, 1), (5, 3, 5)])
 def test_row_percentiles_take_the_nearest_rank(n, p50, p95):
     # the ceil(p * n)-th smallest sample, as perfbench's ``percentile``

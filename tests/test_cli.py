@@ -205,6 +205,30 @@ class TestQuery:
             assert e["stop"] in ("bound", "exhausted")
             assert e["lam"] is None or e["lam"] >= 0.0
 
+    @pytest.mark.parametrize("missing", ["--words", "--lat", "--lon"])
+    def test_inline_query_needs_words_and_place_exit_usage(self, missing, dataset, capsys):
+        flags = {"--words": "1,2", "--lat": "50", "--lon": "50"}
+        del flags[missing]
+        code, out, err = run(["query", "--data", str(dataset),
+                              *(x for pair in flags.items() for x in pair)], capsys)
+        assert (code, out) == (1, "")
+        assert "inline query needs --words, --lat and --lon" in err
+
+    @pytest.mark.parametrize("index", ["hiq", "ifa", "stvii"])
+    def test_explain_gives_a_null_lam_below_k_matches(self, index, tmp_path, capsys):
+        # two images hold word 1 and k is 5: λ stays infinite, which JSON
+        # cannot hold, so it prints as null
+        data = tmp_path / "two.tsv"
+        data.write_text("5\t10.0\t10.0\t1000\t1:2,3:1\n6\t20.0\t20.0\t1000\t1:1\n"
+                        "7\t30.0\t30.0\t1000\t2:1\n")
+        code, out, _ = run(["query", "--data", str(data), "--index", index, "--lat", "10",
+                            "--lon", "10", "--words", "1", "--k", "5", "--explain"], capsys)
+        assert code == 0
+        *ranked, explained = out.splitlines()
+        assert sorted(line.split("\t")[2] for line in ranked) == ["5", "6"]
+        assert '"lam": null' in explained
+        assert json.loads(explained)["lam"] is None
+
     def test_invalid_weights_exit_usage(self, dataset, capsys):
         code, _, err = run([
             "query", "--data", str(dataset), "--lat", "50", "--lon", "50",
@@ -505,6 +529,15 @@ class TestVerify:
         assert "PASS" not in captured.out
 
 
+    def test_instances_not_a_number_exit_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--instances", "x"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert "--instances: expected a whole number, got 'x'" in captured.err
+        assert "PASS" not in captured.out
+
+
 class TestConfigFile:
     def test_config_overrides_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "geo.cfg"
@@ -579,6 +612,14 @@ class TestConfigFile:
         assert code == 2
         assert "line 2" in err and "'capacty'" in err
         assert out == ""
+
+    def test_config_skips_blank_and_comment_lines(self, tmp_path, capsys):
+        cfg = tmp_path / "geo.cfg"
+        cfg.write_text("# a stream of five\n\n   \ncount=5\n  # and its seed\nseed=9\n")
+        out = tmp_path / "data.tsv"
+        code, _, err = run(["generate", "--config", str(cfg), "--out", str(out)], capsys)
+        assert (code, err) == (0, "")
+        assert len(out.read_text().splitlines()) == 5
 
     def test_config_line_without_value_exit_data(self, tmp_path, capsys):
         cfg = tmp_path / "geo.cfg"

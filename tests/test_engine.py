@@ -204,30 +204,22 @@ def test_leaf_candidates_and_tree_counts(cls, domain):
         leaves = [node for node in walk(index.roots()) if node.children is None]
         for _ in range(10):
             q = random_query(rng, images, domain, vocab=vocab, max_words=max_words)
+            ctx = QueryContext(q, index.params)
             for leaf in leaves:
                 # from an empty heap: the leaf's k lowest (f_stv, id)
                 worst = []
-                index.candidates(q, leaf, worst)
+                index.candidates(ctx, leaf, worst)
                 assert heap_entries(worst) == lowest([], holding_pairs(q, leaf, index.params), q.k)
                 # each entry carries its image's terms, the breakdown's
-                reference = uncached(index.params)
                 for _nf, _nid, im, *terms in worst:
-                    assert tuple(terms) == combined_score(q, im, reference)[:3]
-
-
-def uncached(params):
-    """New ``ScoreParams`` equal to ``params``, over the same stats, with
-    no context yet: a reference that nothing the scorer cached in
-    ``params`` can reach."""
-    return dataclasses.replace(params)
+                    assert tuple(terms) == combined_score(q, im, index.params)[:3]
 
 
 def holding_pairs(q, leaf, params):
     """``(f_stv, image)`` from ``combined_score`` for each image of the
-    leaf that holds a query word, by id, from uncached parameters."""
+    leaf that holds a query word, by id, each from a fresh context."""
     qwords = set(q.psi)
-    reference = uncached(params)
-    return [(combined_score(q, im, reference).f_stv, im)
+    return [(combined_score(q, im, params).f_stv, im)
             for im in sorted(leaf.images, key=lambda im: im.id)
             if not qwords.isdisjoint(im.freq)]
 
@@ -280,10 +272,9 @@ def test_result_scores_are_combined_scores(cls, domain):
             q = random_query(rng, images, domain, vocab=vocab, max_words=max_words)
             results, _ = top_k_search(q, index)
             assert results_match(results, brute_force_oracle(q, live.values(), index.params))
-            # after the search, so the index's context is warm
-            reference = uncached(index.params)
+            # each breakdown as computed afresh, from a context of its own
             for e in results:
-                assert e.score == combined_score(q, live[e.image_id], reference)
+                assert e.score == combined_score(q, live[e.image_id], index.params)
 
 
 @pytest.mark.parametrize("cls", [HiqIndex, StviiIndex, IfaIndex], ids=lambda c: c.kind)
@@ -309,17 +300,18 @@ def test_same_query_object_across_corpus_changes(cls, domain):
                                           [(v, 1) for v in q.psi]))
         live = index.live_images()
         by_id = {img.id: img for img in live}
-        reference = uncached(index.params)
+        ctx = QueryContext(q, index.params)     # over the state after the change
         # the breakdowns of the last answer, before the search runs again
         for e in before:
             if e.image_id in by_id:
                 image = by_id[e.image_id]
                 assert combined_score(q, image, index.params) == \
-                    combined_score(q, image, reference)
+                    combined_score(q, image, index.params, ctx.terms(image))
         after, _ = index.search(q)
         assert results_match(after, brute_force_oracle(q, live, index.params))
         for e in after:
-            assert e.score == combined_score(q, by_id[e.image_id], reference)
+            image = by_id[e.image_id]
+            assert e.score == combined_score(q, image, index.params, ctx.terms(image))
         moved += [e.score for e in after] != [e.score for e in before]
     assert moved == 12
 
@@ -327,9 +319,8 @@ def test_same_query_object_across_corpus_changes(cls, domain):
 @pytest.mark.parametrize("cls", [HiqIndex, IfaIndex, StviiIndex], ids=lambda c: c.kind)
 def test_a_dropped_index_is_freed_by_reference_counting(cls, domain):
     # with the cycle collector off, an index over a stream longer than its
-    # window, with a query context cached, is freed as soon as its last
-    # reference goes: no cycle runs through its stats, its score
-    # parameters or their cached context
+    # window, after a few searches, is freed as soon as its last reference
+    # goes: no cycle runs through its stats or its score parameters
     rng = random.Random(48)
     images = random_images(rng, 300, domain, vocab=30, t_lo=0, t_hi=50_000)
     gc.disable()
@@ -340,12 +331,61 @@ def test_a_dropped_index_is_freed_by_reference_counting(cls, domain):
         assert index.window_start() > min(img.t_c for img in images)
         for _ in range(3):
             index.search(random_query(rng, images, domain, vocab=30, max_words=4))
-        assert index.params._context is not None
         stats = weakref.ref(index.stats)
         del index
         assert stats() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("cls", [HiqIndex, IfaIndex, StviiIndex], ids=lambda c: c.kind)
+def test_a_search_builds_one_query_context(cls, domain, monkeypatch):
+    # a search builds its query's one context where it starts and passes
+    # it down: every leaf the tree search hands to ``candidates`` gets that
+    # context, and IFA's k results take their terms from it; none builds
+    # another. Each result's breakdown equals combined_score's with the
+    # context's terms and without them, bit for bit
+    rng = random.Random(93)
+    images = random_images(rng, 400, domain, vocab=30, t_lo=0, t_hi=39_999)
+    index = cls(HiqConfig(domain=domain, segment_span=10_000, window=3, capacity=6))
+    for img in sorted(images, key=lambda im: im.t_c):
+        index.insert(img)
+    built, passed = [], []
+    init = QueryContext.__init__
+
+    def counted_init(ctx, q, params):
+        built.append(ctx)
+        init(ctx, q, params)
+
+    monkeypatch.setattr(QueryContext, "__init__", counted_init)
+    if cls is not IfaIndex:
+        candidates = index.candidates
+
+        def spy(ctx, leaf, worst, floor):
+            passed.append(ctx)
+            return candidates(ctx, leaf, worst, floor)
+
+        monkeypatch.setattr(index, "candidates", spy)
+    live = {img.id: img for img in index.live_images()}
+    leaves = results_seen = 0
+    for _ in range(20):
+        q = random_query(rng, images, domain, vocab=30, max_words=6)
+        built.clear()
+        passed.clear()
+        results, _ = index.search(q)
+        assert len(built) == 1 and built[0].q is q
+        [ctx] = built
+        assert all(c is ctx for c in passed)
+        leaves += len(passed)
+        results_seen += len(results)
+        for e in results:
+            img = live[e.image_id]
+            with_terms = combined_score(q, img, index.params, ctx.terms(img))
+            without = combined_score(q, img, index.params)
+            assert [x.hex() for x in e.score] == [x.hex() for x in with_terms] == \
+                [x.hex() for x in without]
+    assert results_seen > 20
+    assert (leaves > 0) == (cls is not IfaIndex)
 
 
 def test_long_queries_equal_the_oracle_and_keep_dominance(domain, monkeypatch):
@@ -402,7 +442,7 @@ def test_long_query_at_xi_zero_equals_the_oracle(domain, whole):
     hiq, ifa, stvii = build_all(images, HiqConfig(domain=domain, xi=0.0))
     q = Query(psi=range(300), loc=(50.0, 50.0), t=1000, k=10, weights=(1 / 3, 1 / 3, 1 / 3))
     expected = brute_force_oracle(q, images, hiq.params)
-    _f_v, held = ifa.params.context(q).visual_columns(ifa.postings, len(ifa.ids), ifa._base)
+    _f_v, held = QueryContext(q, ifa.params).visual_columns(ifa.postings, len(ifa.ids), ifa._base)
     assert held.max() == (300 if whole else 1)
     for index in (hiq, ifa, stvii):
         assert results_match(index.search(q)[0], expected)
@@ -446,8 +486,8 @@ def test_breakdowns_for_the_results_only(cls, domain, monkeypatch):
         assert spatial == []
         return breakdown
 
-    def counted_candidates(q, leaf, worst, floor):
-        drawn.append(leaf_candidates(q, leaf, worst, floor))
+    def counted_candidates(ctx, leaf, worst, floor):
+        drawn.append(leaf_candidates(ctx, leaf, worst, floor))
         return drawn[-1]
 
     monkeypatch.setattr(engine, "combined_score", counted_score)
@@ -503,15 +543,16 @@ def test_leaf_scorer_keeps_exactly_the_pairs_within_lam(cls, xi, domain):
         # k = biggest covers every leaf
         for k in (1, 2, q.k, biggest):
             qk = dataclasses.replace(q, k=k)
+            ctx = QueryContext(qk, index.params)
             for leaf in leaves:
                 every = holding_pairs(qk, leaf, index.params)
                 by_id = {im.id: (f, im) for f, im in every}
                 seen["empty"] += leaf.t_max is None
-                floor = leaf_floor(qk, index, leaf)
+                floor = leaf_floor(ctx, index, leaf)
                 for kind, start in zip(("from_empty", "from_part", "from_full"),
                                        start_pairs(rng, every, k)):
                     worst = running_top_k(start)
-                    admitted = index.candidates(qk, leaf, worst, floor)
+                    admitted = index.candidates(ctx, leaf, worst, floor)
                     union = lowest(start, every, k + 1)
                     assert heap_entries(worst) == union[:k]
                     # each admitted image holds a query word, once, at its
@@ -545,14 +586,15 @@ def test_leaf_pairs_do_not_depend_on_the_bound(cls, domain):
         lost = 0
         for _ in range(12):
             q = random_query(rng, images, domain, vocab=vocab, max_words=max_words)
+            ctx = QueryContext(q, index.params)
             for leaf in leaves:
-                floor = leaf_floor(q, index, leaf)
+                floor = leaf_floor(ctx, index, leaf)
                 every = holding_pairs(q, leaf, index.params)
                 for start in start_pairs(rng, every, q.k):
                     runs = []
                     for f in (floor, 0.0, floor + 1e-6):
                         worst = running_top_k(start)
-                        runs.append((index.candidates(q, leaf, worst, f), heap_entries(worst)))
+                        runs.append((index.candidates(ctx, leaf, worst, f), heap_entries(worst)))
                     assert runs[0][1] == lowest(start, every, q.k)
                     assert runs[1] == runs[0]
                     lost += runs[2][1] != runs[0][1]
@@ -615,9 +657,9 @@ def test_leaf_bound_check_counts_an_understated_leaf(domain):
     index = make_index(domain, images, capacity=100)
     [leaf] = index.roots()
     q = Query(psi=tuple(range(60)), loc=(50.0, 50.0), t=6_000, k=5, weights=(0.2, 0.2, 0.6))
-    assert leaf_bound_violations(q, leaf, index.params) == 0
+    assert leaf_bound_violations(QueryContext(q, index.params), leaf, index.params) == 0
     leaf.t_max = -1_000_000
-    assert leaf_bound_violations(q, leaf, index.params) > 0
+    assert leaf_bound_violations(QueryContext(q, index.params), leaf, index.params) > 0
 
 
 def node_rect(node):
@@ -645,10 +687,12 @@ def kernel_bound(q, index, node):
     return kernels.combine(*q.weights, *kernel_terms(q, index, node))
 
 
-def leaf_floor(q, index, leaf):
-    """The floor of a leaf's images' visual and recency cost: its bound
-    less its weighted spatial term from the kernels."""
-    return index.mind(q, leaf) - q.weights[0] * kernels.rect_min_cost(
+def leaf_floor(ctx, index, leaf):
+    """The floor of a leaf's images' visual and recency cost under the
+    query context ``ctx``: its bound less its weighted spatial term from
+    the kernels."""
+    q = ctx.q
+    return index.mind(ctx, leaf) - q.weights[0] * kernels.rect_min_cost(
         *q.loc, *node_rect(leaf), index.params.domain.delta_max)
 
 
@@ -682,6 +726,7 @@ def test_bounds_equal_the_kernel_reference(cls, xi, domain):
             q = Query(psi=words, loc=(rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)),
                       t=rng.randint(0, 60_000), k=5, weights=(w1, w2, 1.0 - w1 - w2))
             seen["absent"] += any(v >= 60 for v in q.psi)
+            ctx = QueryContext(q, index.params)
             got = index.bounds(q, nodes)
             assert len(got) == len(nodes)
             w1, w2, w3 = q.weights
@@ -692,8 +737,8 @@ def test_bounds_equal_the_kernel_reference(cls, xi, domain):
                 assert recency == w3 * f_t
                 # the terms with the node's visual bound give its bound bit for bit
                 assert spatial + w2 * f_v + recency == bound
-                assert index.mind(q, node) == bound
-                assert f_v == index.params.context(q).mind_visual(node.max_freq)
+                assert index.mind(ctx, node) == bound
+                assert f_v == ctx.mind_visual(node.max_freq)
                 seen["inside" if contains(node, *q.loc) else "outside"] += 1
                 if node.t_max is None:
                     seen["empty"] += 1
@@ -747,9 +792,9 @@ class LeafFloors:
         self.bounds = index.bounds
         self.floors = []
 
-    def candidates(self, q, leaf, worst, floor):
-        self.floors.append((leaf, floor))
-        return self.index.candidates(q, leaf, worst, floor)
+    def candidates(self, ctx, leaf, worst, floor):
+        self.floors.append((ctx.q, leaf, floor))
+        return self.index.candidates(ctx, leaf, worst, floor)
 
 
 @pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
@@ -770,8 +815,10 @@ def test_each_leaf_gets_its_bound_less_its_spatial_term(cls, domain):
             spy = LeafFloors(index)
             assert top_k_search(q, spy) == top_k_search(q, index)
             assert spy.floors
-            for leaf, floor in spy.floors:
-                assert floor == leaf_floor(q, index, leaf)
+            ctx = QueryContext(q, index.params)
+            for searched, leaf, floor in spy.floors:
+                assert searched is q
+                assert floor == leaf_floor(ctx, index, leaf)
 
 
 def eager_top_k_search(q, index):
@@ -785,7 +832,7 @@ def eager_top_k_search(q, index):
     miss count's decision switched off (``undecided``) the search must
     equal it field for field."""
     params = index.params
-    params.context(q)
+    ctx = QueryContext(q, params)
     k = q.k
     stats = engine.SearchStats()
     order = itertools.count()
@@ -794,7 +841,7 @@ def eager_top_k_search(q, index):
     stats.roots = len(roots)
     stats.bounds_evaluated = 0 if len(roots) == 1 else len(roots)
     for root in roots:
-        heapq.heappush(heap, (index.mind(q, root), next(order), root))
+        heapq.heappush(heap, (index.mind(ctx, root), next(order), root))
     stats.heap_peak = len(heap)
     worst = []
     lam = math.inf
@@ -807,14 +854,14 @@ def eager_top_k_search(q, index):
         stats.nodes_visited += 1
         children = node.children
         if children is None:
-            stats.images_scored += len(index.candidates(q, node, worst,
-                                                        leaf_floor(q, index, node)))
+            stats.images_scored += len(index.candidates(ctx, node, worst,
+                                                        leaf_floor(ctx, index, node)))
             if len(worst) == k:
                 lam = -worst[0][0]
         else:
             stats.bounds_evaluated += len(children)
             for child in children:
-                b = index.mind(q, child)
+                b = index.mind(ctx, child)
                 if b <= lam:
                     heapq.heappush(heap, (b, next(order), child))
                 else:
@@ -914,7 +961,7 @@ def recounting_top_k_search(q, index):
     (``misses_decide``) to decide whether its children inherit the 1.0.
     Every decision and count of the search must equal this one's."""
     params = index.params
-    ctx = params.context(q)
+    ctx = QueryContext(q, params)
     w2 = q.weights[1]
     stats = engine.SearchStats()
     order = itertools.count()
@@ -940,7 +987,7 @@ def recounting_top_k_search(q, index):
         stats.nodes_visited += 1
         nodes = node.children
         if nodes is None:
-            stats.images_scored += len(index.candidates(q, node, worst, bound - spatial))
+            stats.images_scored += len(index.candidates(ctx, node, worst, bound - spatial))
             if len(worst) == q.k:
                 lam = -worst[0][0]
         else:
@@ -1019,12 +1066,12 @@ def test_aggregates_nest_after_splits_and_expiry(cls, domain):
 
     assert inner_nodes() > 1
     for q in queries:
-        assert nesting_violations(q, index) == 0
+        assert nesting_violations(QueryContext(q, index.params), index) == 0
     for cutoff in (5_000, 22_500, 31_234):
         assert index.expire(cutoff) > 0
         assert inner_nodes() > 1
         for q in queries:
-            assert nesting_violations(q, index) == 0
+            assert nesting_violations(QueryContext(q, index.params), index) == 0
 
 
 @pytest.mark.parametrize("cls", [HiqIndex, StviiIndex], ids=lambda c: c.kind)
@@ -1035,15 +1082,15 @@ def test_nesting_check_counts_a_child_above_its_parent(cls, domain):
     for img in sorted(images, key=lambda im: im.t_c):
         index.insert(img)
     q = random_query(rng, images, domain)
-    assert nesting_violations(q, index) == 0
+    assert nesting_violations(QueryContext(q, index.params), index) == 0
     parent = next(node for node in walk(index.roots()) if node.children is not None)
     child = next(c for c in parent.children if c.t_max is not None)
     child.t_max = parent.t_max + 1
-    assert nesting_violations(q, index) > 0
+    assert nesting_violations(QueryContext(q, index.params), index) > 0
     child.t_max = parent.t_max
     word = next(iter(child.max_freq))
     child.max_freq[word] = parent.max_freq[word] * 2.0
-    assert nesting_violations(q, index) > 0
+    assert nesting_violations(QueryContext(q, index.params), index) > 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -1069,7 +1116,7 @@ def test_a_lone_roots_visual_bound_is_exactly_zero(seed, xi, cls):
         for _ in range(10):
             q = dataclasses.replace(random_query(rng, images, domain),
                                     psi=rng.sample(range(90), rng.randint(1, 60)))
-            assert index.params.context(q).mind_visual(root.max_freq) == 0.0
+            assert QueryContext(q, index.params).mind_visual(root.max_freq) == 0.0
 
 
 @pytest.mark.parametrize("cls, t_hi, n_roots", [
@@ -1109,10 +1156,16 @@ def test_lone_root_check_counts_a_root_below_the_live_maxima(cls, domain):
         index.insert(img)
     q = random_query(rng, images, domain)
     [root] = index.roots()
-    assert lone_root_violations(q, index) == dominance_violations(q, index) == 0
+    ctx = QueryContext(q, index.params)
+    assert lone_root_violations(ctx, index) == dominance_violations(q, index) == 0
     word = next(v for v in q.psi if v in root.max_freq)
+    # a copy, so that only the root falls below the live maxima: a HIQ
+    # root shares its dict with its statistics' bucket, which a context
+    # reads the maxima from
+    root.max_freq = dict(root.max_freq)
     root.max_freq[word] /= 2.0
-    assert lone_root_violations(q, index) == 1
+    assert lone_root_violations(ctx, index) == 1
+    assert lone_root_violations(QueryContext(q, index.params), index) == 1
 
 
 # the search's counts on two fixed streams, recorded when the tree search

@@ -3,11 +3,19 @@ import random
 
 import numpy as np
 import pytest
+from conftest import stats_snapshot
 
 from geostream.baselines import IfaIndex, StviiIndex
 from geostream.engine import ExpiredArrivalError, brute_force_oracle, top_k_search, walk
 from geostream.hiq import HiqConfig, HiqIndex, QuadNode
-from geostream.model import ConfigError, DomainError, GeoTemporalImage, Query, add_to_aggregates
+from geostream.model import (
+    ConfigError,
+    DomainError,
+    GeoTemporalImage,
+    Query,
+    QueryContext,
+    add_to_aggregates,
+)
 from geostream.verify import (
     ORACLE_SHAPES,
     dominance_violations,
@@ -412,7 +420,7 @@ class TestRollSegment:
         assert index.expire(2500) > 0                  # a cutoff past the window start
 
         def state():
-            return (index.window_start(), index._cutoff, index.stats.version,
+            return (index.window_start(), index._cutoff, stats_snapshot(index.stats),
                     [im.id for im in index.live_images()])
 
         before = state()
@@ -602,7 +610,7 @@ class TestMind:
         index.insert(img(0, 50.0, 50.0, 5000, psi=((1, 2), (2, 3))))
         root, = index.roots()
         q = Query(psi=(1, 2), loc=(50.0, 50.0), t=4000, k=1, weights=(1 / 3, 1 / 3, 1 / 3))
-        assert index.mind(q, root) == 0.0
+        assert index.mind(QueryContext(q, index.params), root) == 0.0
 
     def test_word_free_node_uses_floor_and_dominates(self, domain):
         index = HiqIndex(make_config(domain))
@@ -612,7 +620,7 @@ class TestMind:
         from geostream.model import combined_score
 
         q = Query(psi=(9,), loc=(50.0, 50.0), t=2000, k=1, weights=(0.4, 0.3, 0.3))
-        bound = index.mind(q, root)
+        bound = index.mind(QueryContext(q, index.params), root)
         # word 9 occurs nowhere; bound must still sit below both images
         for im in index.live_images():
             assert bound <= combined_score(q, im, index.params).f_stv + 1e-12

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from bisect import bisect_right
@@ -7,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import stats_snapshot
 
 from geostream import kernels, model
 from geostream.baselines import IfaIndex, StviiIndex
@@ -54,13 +54,6 @@ def params_for(domain, images, **kw):
     for i in images:
         stats.add_image(i)
     return ScoreParams(domain=domain, stats=stats, **kw)
-
-
-def uncached(p):
-    """New ``ScoreParams`` equal to ``p``, over the same stats, with no
-    context yet: a reference that nothing the scorer cached in ``p`` can
-    reach."""
-    return dataclasses.replace(p)
 
 
 class TestSpatialProximity:
@@ -123,6 +116,11 @@ class TestVisualWeight:
         p = ScoreParams(domain=domain, stats=empty_stats)
         with pytest.raises(InvalidStateError):
             visual_weight(1, img(), p)
+        # the public paths that build their own query context
+        with pytest.raises(InvalidStateError, match="empty corpus"):
+            visual_relevance(query(), img(), p)
+        with pytest.raises(InvalidStateError, match="empty corpus"):
+            combined_score(query(), img(), p)
 
 
 class TestVisualRelevance:
@@ -376,6 +374,8 @@ class TestValidation:
             ScoreParams(domain=domain, stats=empty_stats, xi=1.0)
         with pytest.raises(ConfigError):
             ScoreParams(domain=domain, stats=empty_stats, decay_base=1.0)
+        with pytest.raises(ConfigError, match="time unit must be positive"):
+            ScoreParams(domain=domain, stats=empty_stats, time_unit=0)
 
     @pytest.mark.parametrize("bad", [None, (0.0, 1.0, 0.0, 1.0), "0,1,0,1"],
                              ids=["none", "tuple", "string"])
@@ -421,7 +421,9 @@ class TestValidation:
         {"time_unit": math.nan},
         {"time_unit": math.inf},
         {"xi": "0.5"},
-    ], ids=["nan-decay-base", "inf-decay-base", "nan-time-unit", "inf-time-unit", "str-xi"])
+        {"xi": 10 ** 400},      # float() raises OverflowError: read as an infinity
+    ], ids=["nan-decay-base", "inf-decay-base", "nan-time-unit", "inf-time-unit", "str-xi",
+            "int-beyond-float-xi"])
     def test_non_finite_params(self, domain, empty_stats, kw):
         with pytest.raises(ConfigError):
             ScoreParams(domain=domain, stats=empty_stats, **kw)
@@ -460,12 +462,12 @@ class TestCorpusStats:
         for i in images:
             index.insert(i)
         stats = index.stats
-        version, buckets = stats.version, dict(stats.buckets)
+        snapshot, buckets = stats_snapshot(stats), dict(stats.buckets)
         held = {key: (list(b.images), b.tree) for key, b in buckets.items()}
         for i in (images[17], img(id=10**6, t_c=images[-1].t_c)):
             with pytest.raises(InvalidStateError):
                 stats.remove_image(i)
-        assert stats.version == version and stats.buckets == buckets
+        assert stats_snapshot(stats) == snapshot and stats.buckets == buckets
         assert {key: (list(b.images), b.tree) for key, b in buckets.items()} == held
         assert stats_violations(stats, images) == []
         assert all((b.tree is not None) == (cls is HiqIndex) for b in buckets.values())
@@ -530,9 +532,9 @@ class TestCorpusStats:
         for i in first + second:
             stats.add_image(i)
         assert stats.weight_range(1, 0.0) == (0.0, 1.0)
-        version = stats.version
+        before = stats_snapshot(stats)
         assert sorted(i.id for i in stats.expire(100)) == [0, 1]
-        assert stats.version > version
+        assert stats_snapshot(stats) != before
         assert stats.weight_range(1, 0.0) == (0.0, 0.5)
         assert stats.weight_range(2, 0.0) == (0.0, 0.0)
         assert stats_violations(stats, second) == []
@@ -728,7 +730,7 @@ def test_mind_visual_of_freq_is_the_scalar_visual_loop(domain, xi):
         words = {w for w, _ in rng.choice(images).psi}
         if n % 2:
             words |= set(rng.sample(range(14), rng.randint(1, 4)))
-        ctx = p.context(query(psi=tuple(sorted(words))))
+        ctx = QueryContext(query(psi=tuple(sorted(words))), p)
         for image in images:
             assert ctx.mind_visual(image.freq) == scalar_visual(ctx, image)
             assert visual_relevance(ctx.q, image, p) == scalar_visual(ctx, image)
@@ -797,23 +799,6 @@ class TestQueryContext:
             assert mind_visual(q, max_freq_of([best]), p) == 0.0
             assert mind_visual(q, max_freq_of(others + [best]), p) == 0.0
 
-    def test_cached_until_the_corpus_changes(self, domain):
-        first = img(id=0, t_c=10, psi=((1, 2), (2, 1)))
-        p = params_for(domain, [first])
-        q = query(psi=(1, 2))
-        ctx = p.context(q)
-        assert p.context(q) is ctx
-        assert p.context(query(psi=(1, 2))) is not ctx      # an equal query, another object
-        ctx = p.context(q)
-        p.stats.add_image(img(id=1, psi=((1, 1),)))
-        assert p.context(q) is not ctx
-        ctx = p.context(q)
-        assert p.stats.expire(first.t_c + 1) == [first]
-        assert p.context(q) is not ctx
-        ctx = p.context(q)
-        p.stats = CorpusStats(3600)
-        assert p.context(q) is not ctx
-
     @pytest.mark.parametrize("xi", [0.0, 0.35])
     def test_score_leaf_is_combined_score_bit_for_bit(self, domain, xi):
         rng = random.Random(31 + int(xi * 100))
@@ -842,66 +827,25 @@ class TestQueryContext:
             absent += any(v >= 60 for v in q.psi)
             leaf = SimpleNamespace(images=corpus)
             worst = []
-            scored = sorted(p.context(q).score_leaf(leaf, worst), key=lambda pair: pair[1].id)
+            ctx = QueryContext(q, p)
+            scored = sorted(ctx.score_leaf(leaf, worst), key=lambda pair: pair[1].id)
             # each heap entry: (-f_stv, -id, image, f_s, f_v, f_t)
             entries = {-nid: (-nf, image, (f_s, f_v, f_t))
                        for nf, nid, image, f_s, f_v, f_t in worst}
             assert sorted(entries) == [image.id for _f, image in scored]
             assert [image for _f, image in scored] == \
                 [image for image in corpus if set(q.psi) & set(image.freq)]
-            # the reference has no context, so a fault in the scorer
-            # cannot show in both sides
-            reference = uncached(p)
+            # the reference builds its own context and scores through the
+            # kernels, so a fault in the leaf scorer cannot show in both sides
             for f, image in scored:
                 newer += image.t_c > q.t
                 lacking += not set(q.psi) <= set(image.freq)
-                expected = combined_score(q, image, reference)
+                expected = combined_score(q, image, p)
                 assert f == expected.f_stv
                 assert entries[image.id] == (f, image, expected[:3])
                 assert combined_score(q, image, p, entries[image.id][2]) == expected
-                assert combined_score(q, image, p) == expected
+                assert combined_score(q, image, p, ctx.terms(image)) == expected
         assert newer and lacking and absent
-
-    def test_context_equals_a_fresh_one_per_corpus_state(self, domain):
-        images = [img(id=i, psi=((1, 1 + i), (2, 1), (3 + i, 2))) for i in range(4)]
-        p = params_for(domain, images, xi=0.35)
-        p.context(query(psi=(1, 2, 50)))
-        # another query object gets its own context; word 50, absent from
-        # the corpus, is left out
-        q = query(psi=(2, 4, 50))
-        ctx = p.context(q)
-        assert list(ctx._floors) == [2, 4]
-        fresh = uncached(p).context(q)
-        assert (ctx._floors, ctx._log_den, ctx._log_const, ctx._misses) == \
-            (fresh._floors, fresh._log_den, fresh._log_const, fresh._misses)
-        # a new version gives a new context, which reads the new corpus
-        p.stats.add_image(img(id=9, psi=((50, 1),)))
-        new_ctx = p.context(q)
-        assert new_ctx is not ctx
-        assert list(new_ctx._floors) == [2, 4, 50]
-        fresh = uncached(p).context(q)
-        assert (new_ctx._floors, new_ctx._log_den, new_ctx._log_const) == \
-            (fresh._floors, fresh._log_den, fresh._log_const)
-
-    def test_swapping_the_stats_resets_the_context(self, domain):
-        q = query(psi=(1, 2, 3), loc=(40.0, 60.0))
-        before = [img(id=i, psi=((1, 1), (2, 1 + i))) for i in range(3)]
-        after = [img(id=i, psi=((1, 5 + i), (3, 1))) for i in range(3)]
-        p = params_for(domain, before, xi=0.35)
-        swapped = params_for(domain, after, xi=0.35).stats
-        # the same version, so only the stats object tells them apart
-        assert swapped.version == p.stats.version
-        ctx = p.context(q)
-        assert list(ctx._floors) == [1, 2]      # word 3 absent
-        p.stats = swapped
-        # the same query object: the context goes with the stats
-        swapped_ctx = p.context(q)
-        assert swapped_ctx is not ctx
-        assert list(swapped_ctx._floors) == [1, 3]
-        reference = uncached(p)
-        for image in after:
-            assert combined_score(q, image, p) == combined_score(q, image, reference)
-            assert visual_relevance(q, image, p) < 1.0
 
     def test_breakdown_computes_its_terms_unless_given_them(self, domain, monkeypatch):
         rng = random.Random(57)
@@ -909,8 +853,8 @@ class TestQueryContext:
         p = params_for(domain, corpus, xi=0.35)
         q = query(psi=(1, 2, 3), loc=(30.0, 70.0), t=5000, k=3)
         worst = []
-        admitted = {image.id for _f, image in p.context(q).score_leaf(SimpleNamespace(images=corpus),
-                                                                 worst)}
+        ctx = QueryContext(q, p)
+        admitted = {image.id for _f, image in ctx.score_leaf(SimpleNamespace(images=corpus), worst)}
         # the scorer admitted images that later ones pushed out of the top 3
         assert len(worst) == 3 < len(admitted) < len(corpus)
         spatial = []
@@ -918,17 +862,17 @@ class TestQueryContext:
         monkeypatch.setattr(kernels, "spatial_cost",
                             lambda *a: spatial.append(a) or spatial_cost(*a))
         # with no terms, right after a search of the same query object,
-        # every breakdown is computed afresh, an admitted image's included
-        reference = uncached(p)
+        # every breakdown is computed afresh, an admitted image's included,
+        # and equals the one from the search's context's terms
         for image in corpus:
             spatial.clear()
             got = combined_score(q, image, p)
             assert len(spatial) == 1
-            assert got == combined_score(q, image, reference)
+            assert got == combined_score(q, image, p, ctx.terms(image))
         # with terms, exactly the ones given are combined, with no kernel:
         # the heap's own, and ones that are no image's
         w1, w2, w3 = q.weights
-        want = [combined_score(q, image, reference) for _nf, _nid, image, *_terms in worst]
+        want = [combined_score(q, image, p) for _nf, _nid, image, *_terms in worst]
         spatial.clear()
         assert [combined_score(q, image, p, terms)
                 for _nf, _nid, image, *terms in worst] == want
@@ -1023,8 +967,8 @@ def assert_scorers_equal_the_formula(p, trees, ifa, corpus, q, monkeypatch, seen
     decided, the maps decided by the count taken first, the queries that
     take no count first, and the nodes one miss short of it that cost
     below 1.0. Returns the query's context."""
-    ctx = p.context(q)
-    reference = uncached(p).context(q)
+    ctx = QueryContext(q, p)
+    reference = QueryContext(q, p)
     n = len(ctx._floors)
     c = ctx._misses
     assert c == misses_to_underflow(ctx, p)
@@ -1181,10 +1125,10 @@ class TestMissBound:
         corpus = [img(id=i, psi=((1, 9), (2 + i, 1))) for i in range(6)]
         p = params_for(domain, corpus, xi=5e-324)
         q = query(psi=(1, 2, 3))
-        ctx = p.context(q)
+        ctx = QueryContext(q, p)
         assert zero_floor_words(ctx) == [2, 3] and ctx._floors[1][0] > 0.0
         assert ctx._misses == 1
-        reference = uncached(p).context(q)
+        reference = QueryContext(q, p)
         holding_all = {1: 0.9, 2: 0.1, 3: 0.1}
         for ratios in [image.freq for image in corpus] + [{2: 0.1, 3: 0.1}, {1: 0.9}, holding_all]:
             exps = []

@@ -12,6 +12,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from conftest import stats_snapshot
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
@@ -94,12 +95,12 @@ class SharedWindow(RuleBasedStateMachine):
 
     def _rejected(self, img, error, match):
         """Every index raises ``error`` for ``img`` and changes nothing."""
-        before = [(index.window_start(), index.stats.version, index.image_count())
+        before = [(index.window_start(), stats_snapshot(index.stats), index.image_count())
                   for index in self.indexes]
         for index in self.indexes:
             with pytest.raises(error, match=match):
                 index.insert(img)
-        after = [(index.window_start(), index.stats.version, index.image_count())
+        after = [(index.window_start(), stats_snapshot(index.stats), index.image_count())
                  for index in self.indexes]
         assert after == before
 

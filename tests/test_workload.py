@@ -245,6 +245,21 @@ class TestDatasetRoundTrip:
         with pytest.raises(DataFormatError, match="line 2"):
             list(parse_dataset(p))
 
+    def test_blank_line_is_skipped(self, tmp_path):
+        p = tmp_path / "gap.tsv"
+        p.write_text("0\t1.0\t1.0\t5\t1:1\n\n1\t2.0\t2.0\t6\t2:3\n")
+        assert [im.id for im in parse_dataset(p)] == [0, 1]
+
+    @pytest.mark.parametrize("record", ["1\t2.0\t2.0\tsix\t1:1", "1\t2.0\t2.0\t6\t1-1",
+                                        "1\t2.0\t2.0\t6\t2:1,1:1"],
+                             ids=["timestamp", "pair", "order"])
+    def test_malformed_field_names_its_line(self, tmp_path, record):
+        # five fields, but one the record cannot take
+        p = tmp_path / "bad.tsv"
+        p.write_text(f"0\t1.0\t1.0\t5\t1:1\n\n{record}\n")
+        with pytest.raises(DataFormatError, match="^line 3: "):
+            list(parse_dataset(p))
+
     def test_duplicate_id_rejected(self, tmp_path):
         p = tmp_path / "dup.tsv"
         p.write_text("0\t1.0\t1.0\t5\t1:1\n0\t2.0\t2.0\t6\t1:1\n")
