@@ -64,7 +64,6 @@ from .model import (
     combined_score,
     spatial_proximity,
     temporal_recency,
-    visual_weight,
 )
 
 
@@ -432,10 +431,15 @@ def brute_force_oracle(q, images, params):
     """Scores every image with a common word, ascending (f_stv, id),
     truncated to k. Independent of any index structure and of the scorer
     the indexes share (``QueryContext``): each image is scored from the
-    definitions, with one ``visual_weight`` per query word over the live
-    maxima ``stats.max_weight`` and ``kernels.relevance_cost``."""
+    definitions. Each query word's corpus tf (``stats.corpus_tf``) and live
+    maximum weight (``stats.weight_range``) are read once; each image's
+    weight of each query word is ``kernels.visual_weight`` of its ratio,
+    and its visual cost ``kernels.relevance_cost`` of those weights over
+    the maxima."""
     stats, xi = params.stats, params.xi
-    maxima = [stats.max_weight(v, xi) for v in q.psi]
+    total = stats.total_word_count
+    corpus_tfs = [(v, stats.corpus_tf(v)) for v in q.psi]
+    maxima = [stats.weight_range(v, xi)[1] for v in q.psi]
     qwords = set(q.psi)
     w1, w2, w3 = q.weights
     entries = []
@@ -443,7 +447,10 @@ def brute_force_oracle(q, images, params):
         if qwords.isdisjoint(img.freq):
             continue
         f_s = spatial_proximity(q, img.loc, params.domain)
-        f_v = kernels.relevance_cost([visual_weight(v, img, params) for v in q.psi], maxima)
+        freq = img.freq
+        f_v = kernels.relevance_cost(
+            [kernels.visual_weight(freq.get(v, 0.0), tf, total, xi) for v, tf in corpus_tfs],
+            maxima)
         f_t = temporal_recency(q, img.t_c, params)
         sb = ScoreBreakdown(f_s, f_v, f_t, kernels.combine(w1, w2, w3, f_s, f_v, f_t))
         entries.append(ResultEntry(img.id, sb))

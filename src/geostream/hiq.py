@@ -29,7 +29,6 @@ its survivors as a new bucket, takes a new tree of them, in arrival order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .engine import TreeIndex
 from .model import ConfigError, _counts, add_to_aggregates
@@ -86,13 +85,6 @@ class QuadNode:
         ]
 
 
-class Segment(NamedTuple):
-    """One span of the window's grid, ``[start, end)``."""
-
-    start: int
-    end: int
-
-
 def _split(node, depth, cfg):
     """Makes the leaf ``node``, at ``depth``, an inner node over its four
     quadrants, each taking its images in arrival order, and splits again
@@ -132,11 +124,12 @@ class HiqIndex(TreeIndex):
     @property
     def segments(self):
         """The window's segments, oldest first, whether or not an image
-        arrived in them; a segment's tree is its bucket's (``roots``)."""
+        arrived in them, each the ``range`` of its seconds, from ``start``
+        to ``stop``; a segment's tree is its bucket's (``roots``)."""
         if self._start is None:
             return []
         span = self.config.segment_span
-        return [Segment(s, s + span) for s in range(self._start, self._head_end, span)]
+        return [range(s, s + span) for s in range(self._start, self._head_end, span)]
 
     # -- ingestion ---------------------------------------------------
 

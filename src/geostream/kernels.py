@@ -10,7 +10,8 @@ an image's ratio tf/|I.psi| of the word as it stands in the image's
 ``freq`` (0.0 for a word the image lacks), not the counts: the ratio is
 computed once, when the image is built. Searches score through
 ``model.QueryContext``, which folds the per-query constants once and must
-agree with them; ``model.visual_weight`` and the tests call them directly.
+agree with them; the oracle (``engine.brute_force_oracle``),
+``model.visual_weight`` and the tests call them directly.
 
 The tree search's hot loops inline these functions in their operands
 and order, so their results are bit-equal: ``QueryContext.score_leaf``

@@ -365,12 +365,13 @@ class CorpusStats:
     def weight_range(self, word, xi):
         """``(floor, max_weight)`` of ``word``: the smoothing floor, its
         weight for an image that does not hold it, and its live maximum
-        weight, from one pass over the buckets for its corpus tf and its
-        live maximum. A bucket holds a word in ``max_freq`` exactly when
-        it counts it in ``corpus_tf``. It is the reference that
-        ``max_weight``, the oracle and the tests read; a ``QueryContext``
-        makes the same pass inline for each of its query words, over one
-        list of the buckets, to the same floats."""
+        weight, the floor alone when no live image holds it, from one
+        pass over the buckets for its corpus tf and its live maximum
+        ratio. A bucket holds a word in ``max_freq`` exactly when
+        it counts it in ``corpus_tf``. It is the reference that the
+        oracle and the tests read; a ``QueryContext`` makes the same pass
+        inline for each of its query words, over one list of the buckets,
+        to the same floats."""
         tf = 0
         m = 0.0
         for bucket in self.buckets.values():
@@ -381,11 +382,6 @@ class CorpusStats:
                     m = f
         floor = xi * (tf / self.total_word_count) if self.total_word_count else 0.0
         return floor, (1.0 - xi) * m + floor
-
-    def max_weight(self, word, xi):
-        # max over live images of w_{word,I}; the floor alone when the
-        # word occurs in no live image
-        return self.weight_range(word, xi)[1]
 
 
 @dataclass

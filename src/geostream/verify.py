@@ -20,8 +20,8 @@ from .model import (
     Query,
     QueryContext,
     combined_score,
-    spatial_proximity,
 )
+from .workload import DEFAULT_DOMAIN
 
 SCORE_TOL = 1e-9
 
@@ -152,21 +152,22 @@ PATH_COUNTS = ("IFA trims", "multi-level HIQ splits", "STVII prunes that emptied
                "STVII inner splits", "HIQ trees rebuilt after a cutoff")
 
 
-def check_oracle_equivalence(seed, instances, domain, max_images=500,
-                             queries_per_dataset=20, capacity=8):
-    """Runs (instances) random (dataset, query) pairs through HIQ, IFA,
-    STVII and the oracle; returns the number of mismatches, the faults
-    found, each led by the index's kind, and how often the streams took
-    each path of ``PATH_COUNTS``, summed over the indexes' own ``paths``.
+def check_oracle_equivalence(seed, instances, domain, max_images=500):
+    """Runs (instances) random (dataset, query) pairs, 20 queries to a
+    dataset, through HIQ, IFA, STVII and the oracle; returns the number
+    of mismatches, the faults found, each led by the index's kind, and
+    how often the streams took each path of ``PATH_COUNTS``, summed over
+    the indexes' own ``paths``.
     The faults are the ``structure_violations`` of each index, checked
     whenever the window start moves and after the last insert, and any
     exception an index raised (``IndexRaised``): that ends its dataset,
     whose queries left count as mismatches. The datasets take the shapes
     of ``oracle_stream`` in turn and arrive in its order. The window holds
-    3 of the data's 20,000 s segments, so the older part of each dataset
-    has expired before the queries, and each dataset is then expired once
-    more, at a cutoff inside its oldest held segment: a float in the first
-    round of the shapes and every other round after it, else an int."""
+    3 of the data's 20,000 s segments, at a capacity of 8, so the older
+    part of each dataset has expired before the queries, and each dataset
+    is then expired once more, at a cutoff inside its oldest held
+    segment: a float in the first round of the shapes and every other
+    round after it, else an int."""
     rng = random.Random(seed)
     failures = 0
     faults = []
@@ -182,12 +183,12 @@ def check_oracle_equivalence(seed, instances, domain, max_images=500,
             domain=domain,
             segment_span=20_000,
             window=3,
-            capacity=capacity,
+            capacity=8,
             max_depth=8,
         )
         indexes = hiq, ifa, stvii = HiqIndex(config), IfaIndex(config), StviiIndex(config)
         queries = [random_query(rng, images, domain)
-                   for _ in range(min(queries_per_dataset, instances - done))]
+                   for _ in range(min(20, instances - done))]
         done += len(queries)
         answered = 0
         try:
@@ -500,17 +501,16 @@ def leaf_bound_violations(ctx, leaf, params, tol=BOUND_TOL):
     w1, w2, w3 = q.weights
     f_v = ctx.mind_visual(leaf.max_freq)
     f_t = kernels.recency_cost(q.t - leaf.t_max, params.decay_base, params.time_unit)
-    return sum(
-        1 for img in leaf.images
-        if kernels.combine(w1, w2, w3, spatial_proximity(q, img.loc, params.domain), f_v, f_t)
-        > combined_score(q, img, params, ctx.terms(img)).f_stv + tol)
+    violations = 0
+    for img in leaf.images:
+        terms = ctx.terms(img)
+        if kernels.combine(w1, w2, w3, terms[0], f_v, f_t) \
+                > combined_score(q, img, params, terms).f_stv + tol:
+            violations += 1
+    return violations
 
 
-def run_verification(seed=0, instances=50, domain=None):
-    from .model import SpatialDomain
-
-    if domain is None:
-        domain = SpatialDomain(0.0, 100.0, 0.0, 100.0)
+def run_verification(seed=0, instances=50, domain=DEFAULT_DOMAIN):
     report = VerifyReport()
     mismatches, faults, counts = check_oracle_equivalence(seed, instances, domain,
                                                           max_images=200)

@@ -1,5 +1,6 @@
 import pytest
 
+from geostream.engine import brute_force_oracle
 from geostream.model import CorpusStats, ScoreParams, SpatialDomain
 
 
@@ -13,8 +14,18 @@ def empty_stats():
     return CorpusStats(3600)
 
 
-def make_params(domain, stats, **kw):
-    return ScoreParams(domain=domain, stats=stats, **kw)
+def oracle_over_live_set(q, index):
+    """The oracle over ``index``'s live images, scored against a recount of
+    their statistics, so that the expected answer does not read the
+    index's own statistics."""
+    live = list(index.live_images())
+    stats = CorpusStats(index.config.segment_span)
+    for img in live:
+        stats.add_image(img)
+    p = index.params
+    params = ScoreParams(domain=p.domain, stats=stats, xi=p.xi,
+                         decay_base=p.decay_base, time_unit=p.time_unit)
+    return brute_force_oracle(q, live, params)
 
 
 def stats_snapshot(stats):

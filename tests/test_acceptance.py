@@ -37,8 +37,7 @@ DOMAIN = SpatialDomain(0.0, 100.0, 0.0, 100.0)
 
 def test_oracle_equivalence_1000_instances():
     mismatches, faults, counts = check_oracle_equivalence(
-        seed=101, instances=1000, domain=DOMAIN,
-        max_images=500, queries_per_dataset=20, capacity=8,
+        seed=101, instances=1000, domain=DOMAIN, max_images=500,
     )
     assert mismatches == 0
     assert faults == []
@@ -78,7 +77,7 @@ def test_streaming_consistency(window):
     images.sort(key=lambda im: im.t_c)
     for img in images:
         # roll explicitly at span boundaries, otherwise let insert do it
-        if index.segments and img.t_c >= index.segments[-1].end:
+        if index.segments and img.t_c >= index.segments[-1].stop:
             index.roll_segment(img.t_c)
         index.insert(img)
     assert len(index.segments) <= window

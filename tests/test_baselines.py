@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from conftest import stats_snapshot
+from conftest import oracle_over_live_set, stats_snapshot
 
 from geostream import baselines
 from geostream.baselines import (
@@ -18,12 +18,10 @@ from geostream.engine import ExpiredArrivalError, brute_force_oracle, top_k_sear
 from geostream.hiq import HiqConfig, HiqIndex
 from geostream.model import (
     ConfigError,
-    CorpusStats,
     DomainError,
     GeoTemporalImage,
     Query,
     QueryContext,
-    ScoreParams,
 )
 from geostream.verify import (
     dominance_violations,
@@ -147,19 +145,6 @@ def test_query_outside_domain_rejected(cls, domain):
     index.insert(img(0))
     rejected((1,))          # a word of the corpus
     rejected((7,))          # a word absent from it
-
-
-def oracle_over_live_set(q, index):
-    """The oracle over a fresh recount of the live set, so it shares no
-    cached scoring state with the index."""
-    live = list(index.live_images())
-    stats = CorpusStats(index.config.segment_span)
-    for im in live:
-        stats.add_image(im)
-    p = index.params
-    params = ScoreParams(domain=p.domain, stats=stats, xi=p.xi,
-                         decay_base=p.decay_base, time_unit=p.time_unit)
-    return brute_force_oracle(q, live, params)
 
 
 @pytest.mark.parametrize("change", ["insert", "expire", "slide"])

@@ -196,8 +196,8 @@ class TestStorage:
     @pytest.mark.parametrize("kind", bench.INDEX_KINDS)
     def test_bytes_skip_functions_and_searches(self, kind):
         # a function set on the instance, as perfbench's traced run sets
-        # its span wrappers, and the query context a search caches add
-        # nothing
+        # its span wrappers, adds nothing, and neither do searches, which
+        # leave nothing on the index
         gen = small_gen(image_count=200)
         images = generate_images(gen)
         index = bench.build_index(kind, small_index(segment_span=10_000))

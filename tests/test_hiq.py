@@ -140,7 +140,7 @@ class TestInsert:
         assert root.children is None and len(root.images) == 1
         assert root.t_max == 5000
         seg = index.segments[0]
-        assert seg.start <= 5000 < seg.end
+        assert 5000 in seg
         assert seg.start % 3600 == 0
 
     def test_forced_split_routes_quadrants(self, domain):
@@ -286,11 +286,11 @@ class TestStructuralInvariants:
         # root's t_max places the tree in its bucket's segment
         segs = built.segments
         for a, b in zip(segs, segs[1:]):
-            assert a.end == b.start
+            assert a.stop == b.start
         by_start = {s.start: s for s in segs}
         for key, bucket in built.stats.buckets.items():
             seg = by_start[key * built.config.segment_span]
-            assert seg.start <= bucket.tree.t_max < seg.end
+            assert bucket.tree.t_max in seg
 
 
 class TestTwinOfTopDownInsert:
@@ -548,7 +548,7 @@ class TestRollSegment:
         assert calls == [late.t_c], "one roll per insert"
         assert [im.id for im in index.live_images()] == [10_000]
         assert len(index.segments) == 4
-        assert index.segments[-1].start <= late.t_c < index.segments[-1].end
+        assert late.t_c in index.segments[-1]
         assert structure_violations(index) == []
 
     @pytest.mark.parametrize("spans", [1, 2, 3, 4, 5, 9])
@@ -597,8 +597,8 @@ def _assert_same_window(jumped, rolled, rng, domain):
     assert jumped.window_start() == rolled.window_start()
     assert structure_violations(jumped) == structure_violations(rolled) == []
     if isinstance(jumped, HiqIndex):
-        assert [(s.start, s.end) for s in jumped.segments] == \
-            [(s.start, s.end) for s in rolled.segments]
+        assert [(s.start, s.stop) for s in jumped.segments] == \
+            [(s.start, s.stop) for s in rolled.segments]
     for _ in range(5):
         q = random_query(rng, live, domain)
         assert results_match(jumped.search(q)[0], rolled.search(q)[0])

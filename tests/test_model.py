@@ -616,7 +616,7 @@ class TestCorpusStats:
         p = params_for(domain, images, xi=0.35)
         for w in range(10):
             expected = max(visual_weight(w, i, p) for i in images)
-            assert p.stats.max_weight(w, 0.35) == expected
+            assert p.stats.weight_range(w, 0.35)[1] == expected
 
 
 def test_long_query_does_not_underflow():
@@ -655,7 +655,7 @@ def reference_visual(q, image, p):
     weights = [kernels.visual_weight(image.freq.get(v, 0.0),
                                      stats.corpus_tf(v), stats.total_word_count, xi)
                for v in q.psi]
-    maxima = [stats.max_weight(v, xi) for v in q.psi]
+    maxima = [stats.weight_range(v, xi)[1] for v in q.psi]
     return kernels.relevance_cost(weights, maxima)
 
 
@@ -663,7 +663,7 @@ def reference_mind(q, node_max_freq, p):
     stats, xi = p.stats, p.xi
     weights = [(1.0 - xi) * node_max_freq.get(v, 0.0) + stats.weight_range(v, xi)[0]
                for v in q.psi]
-    maxima = [stats.max_weight(v, xi) for v in q.psi]
+    maxima = [stats.weight_range(v, xi)[1] for v in q.psi]
     return kernels.relevance_cost(weights, maxima)
 
 
@@ -937,7 +937,7 @@ def full_columns(ctx, postings, n, base):
 def gains_of(ctx, p):
     """Each live query word with its gain ``log m_v - log floor_v``,
     smallest first, from the statistics."""
-    return sorted(((math.log(p.stats.max_weight(v, p.xi)) - lf, v)
+    return sorted(((math.log(p.stats.weight_range(v, p.xi)[1]) - lf, v)
                    for v, (_floor, lf) in ctx._floors.items()))
 
 

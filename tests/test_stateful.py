@@ -12,15 +12,15 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from conftest import stats_snapshot
+from conftest import oracle_over_live_set, stats_snapshot
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from geostream.baselines import IfaIndex, StviiIndex
-from geostream.engine import ExpiredArrivalError, brute_force_oracle
+from geostream.engine import ExpiredArrivalError
 from geostream.hiq import HiqConfig, HiqIndex
-from geostream.model import CorpusStats, GeoTemporalImage, Query, ScoreParams, SpatialDomain
+from geostream.model import GeoTemporalImage, Query, SpatialDomain
 from geostream.verify import results_match, structure_violations
 
 DOMAIN = SpatialDomain(0.0, 100.0, 0.0, 100.0)
@@ -38,23 +38,6 @@ queries = st.builds(
     st.sets(st.integers(0, VOCAB + 1), min_size=1, max_size=4),
     coords, coords, st.integers(1, 6), st.sampled_from(WEIGHTS), st.integers(0, SPAN),
 )
-
-
-def recount(images):
-    stats = CorpusStats(SPAN)
-    for img in images:
-        stats.add_image(img)
-    return stats
-
-
-def oracle(q, index):
-    """The oracle over a recount of the live set, so it shares no cached
-    scoring state with the index."""
-    live = index.live_images()
-    p = index.params
-    params = ScoreParams(domain=p.domain, stats=recount(live), xi=p.xi,
-                         decay_base=p.decay_base, time_unit=p.time_unit)
-    return brute_force_oracle(q, live, params)
 
 
 class SharedWindow(RuleBasedStateMachine):
@@ -132,7 +115,7 @@ class SharedWindow(RuleBasedStateMachine):
     def roll(self):
         # to the head's end, a time in the next segment, so the window moves
         # one span; the first roll opens the window at 0
-        now = self.hiq.segments[-1].end if self.hiq.segments else 0
+        now = self.hiq.segments[-1].stop if self.hiq.segments else 0
         assert len({index.roll_segment(now) for index in self.indexes}) == 1
 
     @precondition(lambda self: self.hiq.segments)
@@ -152,7 +135,7 @@ class SharedWindow(RuleBasedStateMachine):
         psi, loc, k, weights, ahead = spec
         q = Query(psi=psi, loc=loc, t=self._latest() + ahead, k=k, weights=weights)
         for index in self.indexes:
-            assert results_match(index.search(q)[0], oracle(q, index))
+            assert results_match(index.search(q)[0], oracle_over_live_set(q, index))
 
     @invariant()
     def indexes_agree(self):
@@ -167,7 +150,7 @@ class SharedWindow(RuleBasedStateMachine):
         q = Query(psi=(0, 1, 2), loc=(50.0, 50.0), t=self._latest(), k=5,
                   weights=(0.2, 0.6, 0.2))
         for index in self.indexes:
-            assert results_match(index.search(q)[0], oracle(q, index))
+            assert results_match(index.search(q)[0], oracle_over_live_set(q, index))
 
     @invariant()
     def structures_recount(self):

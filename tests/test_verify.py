@@ -202,7 +202,11 @@ def test_late_arrivals_reach_the_checks(domain, monkeypatch):
         return check(index)
 
     monkeypatch.setattr(verify, "structure_violations", watched)
-    assert check_oracle_equivalence(7, 500, domain, max_images=200)[:2] == (0, [])
+    # the whole result, so a change to the datasets shows in the path counts
+    # that ``geostream verify --instances 500 --seed 7`` prints
+    assert check_oracle_equivalence(7, 500, domain, max_images=200) == (0, [], {
+        "IFA trims": 21, "multi-level HIQ splits": 17, "STVII prunes that emptied a node": 68,
+        "STVII inner splits": 43, "HIQ trees rebuilt after a cutoff": 22})
     assert any(seen)
 
 
